@@ -1,9 +1,9 @@
 # Mirrors .github/workflows/ci.yml — `make ci` is exactly the CI gate.
 CARGO ?= cargo
 
-.PHONY: ci lint fmt build test bench doc example smoke gate quality snapshot clean
+.PHONY: ci lint fmt build test bench doc example specbench-check smoke gate quality snapshot clean
 
-ci: lint build test bench doc example
+ci: lint build test bench doc example specbench-check
 
 lint:
 	$(CARGO) fmt --all --check
@@ -35,6 +35,13 @@ doc:
 
 example:
 	$(CARGO) run --release --example quickstart
+
+# specbench is a package of its own (outside the workspace), so nothing above
+# compiles it: its tests build specbench/src/adapter.rs against the crates'
+# public API and run a toy pass of every workload — a change that breaks the
+# benchmark's view of the crates fails here, not at benchmark time.
+specbench-check:
+	$(CARGO) test --release --offline --manifest-path specbench/Cargo.toml
 
 # The weekly bench-smoke job in one command.
 smoke:

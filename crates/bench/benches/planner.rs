@@ -1,11 +1,17 @@
-//! Microbench: PLANGEN end-to-end planning latency per query (warm
-//! statistics), and the exact-oracle vs independence-estimator cardinality
+//! Microbench: PLANGEN end-to-end planning latency per query, warm and
+//! cold, and the exact-oracle vs independence-estimator cardinality
 //! ablation. This is the "additional time spent on speculative planning"
 //! visible in Figures 7/9 when every pattern ends up relaxed.
+//!
+//! The `*_cold` groups build a fresh [`ExactCardinality`] (and, for
+//! PLANGEN, a fresh [`StatsCatalog`]) per iteration: what the first sight
+//! of a query shape pays, and what every query pays again after a
+//! live-write epoch invalidates the memos. The warm groups alone hide that
+//! cost — they only ever time memo hits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::{XkgConfig, XkgGenerator};
-use relax::RelaxationRegistry;
+use sparql::Query;
 use specqp::plan_query;
 use specqp_stats::{
     CardinalityEstimator, ExactCardinality, IndependenceEstimator, RefitMode, StatsCatalog,
@@ -16,57 +22,51 @@ fn bench_planner(c: &mut Criterion) {
     let catalog = StatsCatalog::new();
     let exact = ExactCardinality::new();
     let indep = IndependenceEstimator::new();
-    let registry: &RelaxationRegistry = &ds.registry;
+    let plan = |q: &Query, catalog: &StatsCatalog, cardinality: &dyn CardinalityEstimator| {
+        plan_query(
+            &ds.graph,
+            q,
+            10,
+            catalog,
+            cardinality,
+            &ds.registry,
+            RefitMode::TwoBucket,
+            false,
+        )
+        .relaxed_count()
+    };
+    let sample = || ds.workload.queries.iter().enumerate().take(6);
+    let id = |qid: usize, q: &Query| BenchmarkId::new(format!("exact_tp{}", q.len()), qid);
 
     // Warm both cardinality backends and the catalog.
     for q in &ds.workload.queries {
-        let _ = plan_query(
-            &ds.graph,
-            q,
-            10,
-            &catalog,
-            &exact,
-            registry,
-            RefitMode::TwoBucket,
-            false,
-        );
-        let _ = plan_query(
-            &ds.graph,
-            q,
-            10,
-            &catalog,
-            &indep,
-            registry,
-            RefitMode::TwoBucket,
-            false,
-        );
+        plan(q, &catalog, &exact);
+        plan(q, &catalog, &indep);
     }
 
     let mut group = c.benchmark_group("plangen");
-    for (qid, q) in ds.workload.queries.iter().enumerate().take(6) {
-        group.bench_with_input(
-            BenchmarkId::new(format!("exact_tp{}", q.len()), qid),
-            q,
-            |b, q| {
-                b.iter(|| {
-                    plan_query(
-                        &ds.graph,
-                        q,
-                        10,
-                        &catalog,
-                        &exact,
-                        registry,
-                        RefitMode::TwoBucket,
-                        false,
-                    )
-                    .relaxed_count()
-                })
-            },
-        );
+    for (qid, q) in sample() {
+        group.bench_with_input(id(qid, q), q, |b, q| b.iter(|| plan(q, &catalog, &exact)));
     }
     group.finish();
 
-    // Cardinality backend ablation on a fixed query (cold-cache costs).
+    let mut group = c.benchmark_group("plangen_cold");
+    for (qid, q) in sample() {
+        group.bench_with_input(id(qid, q), q, |b, q| {
+            b.iter(|| plan(q, &StatsCatalog::new(), &ExactCardinality::new()))
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("cardinality_cold");
+    for (qid, q) in sample() {
+        group.bench_with_input(id(qid, q), q, |b, q| {
+            b.iter(|| ExactCardinality::new().cardinality(&ds.graph, q.patterns()))
+        });
+    }
+    group.finish();
+
+    // Cardinality backend ablation on a fixed query, memos warm.
     let q = &ds.workload.queries[1];
     let mut group = c.benchmark_group("cardinality_backend");
     group.bench_function("exact_warm", |b| {
@@ -74,12 +74,6 @@ fn bench_planner(c: &mut Criterion) {
     });
     group.bench_function("independence_warm", |b| {
         b.iter(|| indep.cardinality(&ds.graph, q.patterns()))
-    });
-    group.bench_function("exact_cold", |b| {
-        b.iter(|| {
-            let fresh = ExactCardinality::new();
-            fresh.cardinality(&ds.graph, q.patterns())
-        })
     });
     group.finish();
 }

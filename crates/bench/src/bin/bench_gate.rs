@@ -604,76 +604,23 @@ fn main() {
         );
         exit(2);
     };
-    let code = match args.first().map(String::as_str) {
-        Some("regression") if args.len() >= 3 => {
-            let tol = args
-                .get(3)
-                .map(|s| s.parse::<f64>().unwrap_or_else(|_| usage()))
-                .unwrap_or(3.0);
-            regression(&args[1], &args[2], tol)
-        }
-        Some("determinism") if args.len() == 3 => determinism(&args[1], &args[2]),
-        Some("snapshot") if args.len() >= 2 => {
-            let floor = args
-                .get(2)
-                .map(|s| s.parse::<f64>().unwrap_or_else(|_| usage()))
-                .unwrap_or(3.0);
-            snapshot_gate(&args[1], floor)
-        }
-        Some("block") if args.len() >= 2 => {
-            let floor = args
-                .get(2)
-                .map(|s| s.parse::<f64>().unwrap_or_else(|_| usage()))
-                .unwrap_or(1.3);
-            block_gate(&args[1], floor)
-        }
-        Some("quality") if args.len() >= 2 => {
-            let min_precision = args
-                .get(2)
-                .map(|s| s.parse::<f64>().unwrap_or_else(|_| usage()))
-                .unwrap_or(0.95);
-            let max_overhead = args
-                .get(3)
-                .map(|s| s.parse::<f64>().unwrap_or_else(|_| usage()))
-                .unwrap_or(1.25);
-            quality_gate(&args[1], min_precision, max_overhead)
-        }
-        Some("learned") if args.len() >= 2 => {
-            let max_mis = args
-                .get(2)
-                .map(|s| s.parse::<f64>().unwrap_or_else(|_| usage()))
-                .unwrap_or(0.06);
-            let max_overhead = args
-                .get(3)
-                .map(|s| s.parse::<f64>().unwrap_or_else(|_| usage()))
-                .unwrap_or(1.25);
-            learned_gate(&args[1], max_mis, max_overhead)
-        }
-        Some("overload") if args.len() >= 3 => {
-            let tol = args
-                .get(3)
-                .map(|s| s.parse::<f64>().unwrap_or_else(|_| usage()))
-                .unwrap_or(3.0);
-            overload_gate(&args[1], &args[2], tol)
-        }
-        Some("parallel") if args.len() >= 2 => {
-            let floor = args
-                .get(2)
-                .map(|s| s.parse::<f64>().unwrap_or_else(|_| usage()))
-                .unwrap_or(2.0);
-            let snap_floor = args
-                .get(3)
-                .map(|s| s.parse::<f64>().unwrap_or_else(|_| usage()))
-                .unwrap_or(5.0);
-            parallel_gate(&args[1], floor, snap_floor)
-        }
-        Some("churn") if args.len() >= 2 => {
-            let floor = args
-                .get(2)
-                .map(|s| s.parse::<f64>().unwrap_or_else(|_| usage()))
-                .unwrap_or(5.0);
-            churn_gate(&args[1], floor)
-        }
+    // An optional trailing threshold: a finite, non-negative number.
+    let num = |at: usize, default: f64| match args.get(at) {
+        None => default,
+        Some(s) => (s.parse().ok())
+            .filter(|v: &f64| v.is_finite() && *v >= 0.0)
+            .unwrap_or_else(|| usage()),
+    };
+    let code = match (args.first().map(String::as_str), args.len()) {
+        (Some("regression"), 3..=4) => regression(&args[1], &args[2], num(3, 3.0)),
+        (Some("determinism"), 3) => determinism(&args[1], &args[2]),
+        (Some("snapshot"), 2..=3) => snapshot_gate(&args[1], num(2, 3.0)),
+        (Some("block"), 2..=3) => block_gate(&args[1], num(2, 1.3)),
+        (Some("quality"), 2..=4) => quality_gate(&args[1], num(2, 0.95), num(3, 1.25)),
+        (Some("learned"), 2..=4) => learned_gate(&args[1], num(2, 0.06), num(3, 1.25)),
+        (Some("overload"), 3..=4) => overload_gate(&args[1], &args[2], num(3, 3.0)),
+        (Some("parallel"), 2..=4) => parallel_gate(&args[1], num(2, 2.0), num(3, 5.0)),
+        (Some("churn"), 2..=3) => churn_gate(&args[1], num(2, 5.0)),
         _ => usage(),
     };
     exit(code);

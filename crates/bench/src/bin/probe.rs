@@ -255,6 +255,17 @@ fn seed_style_v1_decode(bytes: &[u8]) -> usize {
         + all.len()
 }
 
+/// Reports a bad command line and exits 2.
+fn usage_exit(problem: &str) -> ! {
+    eprintln!("probe: {problem}");
+    eprintln!(
+        "usage: probe [xkg|twitter] [query id] [k] [small|full] [--json <path>] \
+         [--service <threads>] [--server] [--block-size <rows>] [--quality] [--learned] \
+         [--morsels <workers>] [--churn] [--save-snapshot <path>] [--snapshot <path>]"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     // Boolean flags are drained first (no value follows them).
@@ -329,8 +340,14 @@ fn main() {
     });
     let mut args = raw.into_iter();
     let dataset_name = args.next().unwrap_or_else(|| "xkg".into());
-    let qid: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(0);
-    let k: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(10);
+    let mut number = |what: &str, min: usize, default: usize| match args.next() {
+        None => default,
+        Some(s) => (s.parse().ok().filter(|&n| n >= min)).unwrap_or_else(|| {
+            usage_exit(&format!("{what} must be an integer >= {min}, got {s:?}"))
+        }),
+    };
+    let qid = number("the query id", 0, 0);
+    let k = number("k", 1, 10);
     let scale_small = args.next().map(|s| s == "small").unwrap_or(true);
 
     let mut ds = match dataset_name.as_str() {
@@ -361,6 +378,13 @@ fn main() {
             std::process::exit(2);
         }
     };
+
+    if qid >= ds.workload.queries.len() {
+        usage_exit(&format!(
+            "query id {qid} is out of range: the {dataset_name} workload has {} queries",
+            ds.workload.queries.len()
+        ));
+    }
 
     if let Some(path) = &save_snapshot_path {
         if let Err(e) = ds.to_snapshot(path) {

@@ -589,6 +589,28 @@ mod tests {
         assert_eq!(g.len(), 6);
     }
 
+    /// The single-column reader sees the same merged, masked list as the
+    /// whole-triple one, base and delta rows alike.
+    #[test]
+    fn terms_reads_one_column_across_base_and_delta() {
+        let live = LiveGraph::new(base());
+        let mut batch = WriteBatch::new();
+        batch.assert("d", "type", "singer", 7.0);
+        batch.retract("b", "type", "singer");
+        live.commit(&batch);
+        for g in [&base(), &*live.pinned().0] {
+            let ty = g.dictionary().lookup("type").unwrap();
+            let list = g.matches(PatternKey::p_only(ty));
+            for position in 0..3 {
+                let expected: Vec<_> = list
+                    .iter_triples()
+                    .map(|(t, _)| [t.s, t.p, t.o][position])
+                    .collect();
+                assert_eq!(list.terms(position).collect::<Vec<_>>(), expected);
+            }
+        }
+    }
+
     #[test]
     fn retract_masks_base_and_kills_delta() {
         let live = LiveGraph::new(base());

@@ -559,6 +559,31 @@ impl<'g> MatchList<'g> {
             .map(move |&i| (graph.triple(i), graph.score(i)))
     }
 
+    /// Iterates the term every match carries at one triple `position`
+    /// (0 = subject, 1 = predicate, 2 = object), in descending-score order.
+    /// Touches that one term column only — a third of the memory traffic of
+    /// [`iter_triples`](MatchList::iter_triples) for callers that project a
+    /// single component (join-key summaries).
+    ///
+    /// # Panics
+    /// Panics if `position > 2`.
+    pub fn terms(&self, position: usize) -> impl Iterator<Item = TermId> + '_ {
+        let column = |cols: &'g TripleColumns| match position {
+            0 => cols.subjects(),
+            1 => cols.predicates(),
+            2 => cols.objects(),
+            _ => panic!("triple position {position} out of range"),
+        };
+        let base = column(&self.graph.cols);
+        let delta = self.graph.overlay.as_ref().map(|ov| column(&ov.cols));
+        self.slice()
+            .iter()
+            .map(move |&i| match base.get(i as usize) {
+                Some(&term) => term,
+                None => delta.expect("id beyond base without overlay")[i as usize - base.len()],
+            })
+    }
+
     /// Sum of raw scores over ranks `0..=rank` (the `S_r` statistic).
     pub fn cumulative_score(&self, rank: usize) -> Score {
         self.slice()[..=rank]

@@ -4,15 +4,59 @@
 //! query (and of each singly-relaxed query): `m₁₂ = m·m′·φ₁₂` with join
 //! selectivity `φ`. The paper sidesteps selectivity estimation: "we have
 //! taken exact join selectivity values" (footnote 3). [`ExactCardinality`]
-//! is that oracle — it evaluates the (unscored) join and caches the count.
-//! [`IndependenceEstimator`] is the classic System-R–style approximation
-//! (`φ = 1/max(V(L,v), V(R,v))` per shared variable) provided for the
-//! ablation benches.
+//! is that oracle. [`IndependenceEstimator`] is the classic System-R–style
+//! approximation (`φ = 1/max(V(L,v), V(R,v))` per shared variable) provided
+//! for the ablation benches.
+//!
+//! # Counting without enumerating
+//!
+//! The oracle never materialises a join row. Only a pattern's *join
+//! variables* — those another pattern of the query also mentions — can
+//! constrain the join; every other variable just multiplies the count. So
+//! each pattern is reduced once to a **join-key summary**: a flat map from
+//! the values its matches take at the join-variable positions to the number
+//! of matches carrying them (`?x type singer` joined on `?x` becomes
+//! `{x ↦ 1}` per singer; `?x plays ?y` joined on `?x` alone becomes
+//! `{x ↦ instruments of x}`). A pattern that repeats a variable (`?x p ?x`)
+//! is filtered to the rows satisfying the equality first, and rows are read
+//! through the overlay-aware [`MatchList`](kgstore::MatchList), so a live
+//! graph's retractions and fresh rows are summarised exactly as a flattened
+//! graph's would be.
+//!
+//! The join count is then a sum of products over the summaries, taken one
+//! *fold step* at a time. A step streams one summary — the smallest that
+//! joins what is already bound — past the partial counts so far, a flat
+//! table of `(values of the live variables ↦ count)` rows; every pattern
+//! whose variables are all bound by then rides along as a hash probe that
+//! multiplies the count or drops the combination; and what survives is
+//! projected onto the variables a pattern still to come mentions, rows that
+//! now coincide adding up. A variable is summed out the moment its last
+//! pattern has been folded, so the table never holds more than the distinct
+//! values of the variables still needed. A star query is a single step:
+//! walk the smallest summary, probe the others, multiply, add. Every step
+//! is integer arithmetic on match multiplicities (carried in `f64`, which
+//! holds every integer below 2⁵³ exactly), and a join's count does not
+//! depend on the order its patterns are folded in, so the result is the
+//! same number an enumerating join would reach by counting its rows — the
+//! exact selectivity footnote 3 asks for, without the rows.
+//!
+//! # Memo lifetime
+//!
+//! The oracle keeps two memo tables behind `RwLock`s: finished counts by
+//! canonical query (constants + variable numbering), and summaries by
+//! `(StatsKey, kept positions)`. PLANGEN asks about a query and about one
+//! relaxed variant per pattern; each variant differs from the original in
+//! one pattern, so it finds all its other summaries already built, and
+//! queries that share a pattern share its summary. Both tables describe one
+//! graph version and are emptied together by
+//! [`invalidate`](CardinalityEstimator::invalidate), which the engine calls
+//! when it observes a new live-write epoch.
 
-use kgstore::{KnowledgeGraph, PatternKey};
-use sparql::{Term, TriplePattern, Var};
-use specqp_common::{FxHashMap, FxHashSet, TermId};
-use std::sync::RwLock;
+use kgstore::{KnowledgeGraph, PatternKey, Triple};
+use sparql::{PatternShape, StatsKey, Term, TriplePattern, Var};
+use specqp_common::{FxHashMap, TermId};
+use std::hash::Hash;
+use std::sync::{Arc, RwLock};
 
 /// Estimates the number of answers of a conjunctive triple-pattern query.
 ///
@@ -61,48 +105,349 @@ fn canonical_key(patterns: &[TriplePattern]) -> QueryKey {
     key
 }
 
-/// A compact binding used only for counting: values of the variables seen so
-/// far, in first-seen order.
-type CountBinding = Box<[TermId]>;
+/// Bit `i` set = triple position `i` (0 = s, 1 = p, 2 = o) is part of a
+/// summary's key.
+type PositionMask = u8;
 
-/// Exact join-count oracle with memoization.
-///
-/// Evaluation folds the patterns left to right with hash joins over the
-/// store's match lists, tracking bindings without scores. Intermediate
-/// results are capped at [`ExactCardinality::DEFAULT_CAP`] rows to bound
-/// planning-time memory; hitting the cap returns the count seen so far
-/// (a documented lower bound — irrelevant for the scaled datasets in this
-/// repository, which stay far below it).
-#[derive(Debug)]
-pub struct ExactCardinality {
-    cache: RwLock<FxHashMap<QueryKey, f64>>,
-    cap: usize,
+#[inline]
+fn pack2(a: u32, b: u32) -> u64 {
+    (u64::from(a) << 32) | u64::from(b)
 }
 
-impl Default for ExactCardinality {
-    fn default() -> Self {
-        ExactCardinality {
-            cache: RwLock::new(FxHashMap::default()),
-            cap: Self::DEFAULT_CAP,
+#[inline]
+fn pack3(a: u32, b: u32, c: u32) -> u128 {
+    (u128::from(a) << 64) | u128::from(pack2(b, c))
+}
+
+/// Counts how often each key occurs.
+fn tally<K: Hash + Eq>(keys: impl Iterator<Item = K>, capacity: usize) -> FxHashMap<K, u32> {
+    let mut counts = FxHashMap::with_capacity_and_hasher(capacity, Default::default());
+    for k in keys {
+        *counts.entry(k).or_insert(0) += 1;
+    }
+    counts
+}
+
+/// A pattern's join-key summary: the values its matches take at the kept
+/// positions ↦ how many matches take them (see the module docs). Keys hold
+/// the kept positions in s, p, o order, 32 bits each.
+#[derive(Debug)]
+enum Summary {
+    /// One kept position — or none, when the single key `0` carries the
+    /// pattern's match count.
+    One(FxHashMap<u32, u32>),
+    /// Two kept positions.
+    Two(FxHashMap<u64, u32>),
+    /// All three positions kept.
+    Three(FxHashMap<u128, u32>),
+}
+
+impl Summary {
+    /// Scans `pattern`'s matches in `graph` once, keeping the positions in
+    /// `mask`.
+    fn build(graph: &KnowledgeGraph, pattern: &TriplePattern, mask: PositionMask) -> Summary {
+        let (s, p, o) = pattern.const_parts();
+        let key = PatternKey { s, p, o };
+        let list = graph.matches(key);
+        let kept: Vec<usize> = (0..3).filter(|i| mask & (1 << i) != 0).collect();
+        // Constants plus kept positions spelling out the whole triple means
+        // one key per row: size the map once instead of growing it.
+        let capacity = if key.bound_count() + kept.len() == 3 {
+            list.len()
+        } else {
+            0
+        };
+        let shape = pattern.shape();
+        if shape == PatternShape::Distinct {
+            // Nothing to filter: no need to assemble whole triples.
+            match kept[..] {
+                [] => {
+                    let matches = u32::try_from(list.len()).expect("triple ids are u32");
+                    let only = (matches > 0).then_some((0, matches));
+                    return Summary::One(only.into_iter().collect());
+                }
+                [a] => return Summary::One(tally(list.terms(a).map(|t| t.0), capacity)),
+                _ => {}
+            }
+        }
+        let rows = list
+            .ids()
+            .iter()
+            .map(|&id| graph.triple(id))
+            .filter(|t| satisfies(shape, t));
+        let at = |t: &Triple, pos: usize| [t.s.0, t.p.0, t.o.0][pos];
+        match kept[..] {
+            [] => Summary::One(tally(rows.map(|_| 0), 1)),
+            [a] => Summary::One(tally(rows.map(|t| at(&t, a)), capacity)),
+            [a, b] => Summary::Two(tally(rows.map(|t| pack2(at(&t, a), at(&t, b))), capacity)),
+            _ => Summary::Three(tally(rows.map(|t| pack3(t.s.0, t.p.0, t.o.0)), capacity)),
         }
     }
+
+    /// Number of distinct keys.
+    fn len(&self) -> usize {
+        match self {
+            Summary::One(m) => m.len(),
+            Summary::Two(m) => m.len(),
+            Summary::Three(m) => m.len(),
+        }
+    }
+
+    /// Multiplicity of the key whose kept positions hold `vals` (0 when no
+    /// match carries it).
+    fn get(&self, vals: &[u32]) -> u32 {
+        match self {
+            Summary::One(m) => m.get(&vals.first().copied().unwrap_or(0)),
+            Summary::Two(m) => m.get(&pack2(vals[0], vals[1])),
+            Summary::Three(m) => m.get(&pack3(vals[0], vals[1], vals[2])),
+        }
+        .copied()
+        .unwrap_or(0)
+    }
+
+    /// Calls `f(values at the kept positions, multiplicity)` for every key.
+    fn for_each(&self, mut f: impl FnMut(&[u32], u32)) {
+        match self {
+            Summary::One(m) => m.iter().for_each(|(&k, &n)| f(&[k], n)),
+            Summary::Two(m) => m
+                .iter()
+                .for_each(|(&k, &n)| f(&[(k >> 32) as u32, k as u32], n)),
+            Summary::Three(m) => m
+                .iter()
+                .for_each(|(&k, &n)| f(&[(k >> 64) as u32, (k >> 32) as u32, k as u32], n)),
+        }
+    }
+}
+
+/// `true` if `t` satisfies the variable equalities `shape` demands.
+#[inline]
+fn satisfies(shape: PatternShape, t: &Triple) -> bool {
+    match shape {
+        PatternShape::Distinct => true,
+        PatternShape::SpEqual => t.s == t.p,
+        PatternShape::SoEqual => t.s == t.o,
+        PatternShape::PoEqual => t.p == t.o,
+        PatternShape::AllEqual => t.s == t.p && t.p == t.o,
+    }
+}
+
+/// A hashable row of term values: up to four terms packed into a `u128` (as
+/// `operators::block_join` packs its join keys), wider rows boxed. Within
+/// one map every key has the same width.
+#[derive(PartialEq, Eq, Hash, Debug)]
+enum RowKey {
+    Packed(u128),
+    Wide(Box<[u32]>),
+}
+
+impl RowKey {
+    fn pack(vals: impl ExactSizeIterator<Item = u32>) -> RowKey {
+        if vals.len() <= 4 {
+            RowKey::Packed(vals.fold(0, |k, v| (k << 32) | u128::from(v)))
+        } else {
+            RowKey::Wide(vals.collect())
+        }
+    }
+}
+
+/// Partial join counts: row `i` holds one value per live variable
+/// (`vals[i * width..][..width]`) and the number of ways the patterns
+/// folded so far produce those values (`counts[i]`).
+#[derive(Debug)]
+struct FoldState {
+    width: usize,
+    vals: Vec<u32>,
+    counts: Vec<f64>,
+}
+
+impl FoldState {
+    fn new(width: usize) -> FoldState {
+        FoldState {
+            width,
+            vals: Vec::new(),
+            counts: Vec::new(),
+        }
+    }
+
+    /// The join of no patterns: the empty row, once.
+    fn unit() -> FoldState {
+        FoldState {
+            counts: vec![1.0],
+            ..FoldState::new(0)
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.counts.len()
+    }
+
+    fn row(&self, i: usize) -> &[u32] {
+        &self.vals[i * self.width..][..self.width]
+    }
+
+    /// Appends a row; the empty row has one slot, so its counts add up.
+    fn push(&mut self, vals: impl Iterator<Item = u32>, count: f64) {
+        match self.counts.first_mut() {
+            Some(total) if self.width == 0 => *total += count,
+            _ => {
+                self.vals.extend(vals);
+                self.counts.push(count);
+            }
+        }
+    }
+
+    /// Adds up the rows that agree on every value.
+    fn merged(self) -> FoldState {
+        let mut merged = FoldState::new(self.width);
+        let mut slot_of: FxHashMap<RowKey, usize> = FxHashMap::default();
+        for (i, &count) in self.counts.iter().enumerate() {
+            let row = self.row(i);
+            let slot = *slot_of
+                .entry(RowKey::pack(row.iter().copied()))
+                .or_insert(merged.len());
+            if slot == merged.len() {
+                merged.push(row.iter().copied(), count);
+            } else {
+                merged.counts[slot] += count;
+            }
+        }
+        merged
+    }
+}
+
+/// One pattern of the query being counted.
+struct Operand {
+    /// The pattern's join variables, one per kept position of `summary`, in
+    /// key order.
+    vars: Vec<Var>,
+    summary: Arc<Summary>,
+}
+
+/// Where a variable's value comes from during a fold step: the state row
+/// or the key of the summary being streamed past it.
+#[derive(Clone, Copy)]
+enum Source {
+    State(usize),
+    Streamed(usize),
+}
+
+/// One fold step: joins `state` (over the variables `live`) with the
+/// summary of `op`, which binds at least one new variable unless it is the
+/// first pattern folded; keeps only the combinations every summary in
+/// `probes` — patterns whose variables are all bound by then — also has,
+/// weighted by their multiplicities; and sums out every variable not in
+/// `keep`.
+fn fold(
+    live: &[Var],
+    state: &FoldState,
+    op: &Operand,
+    probes: &[Operand],
+    keep: &[Var],
+) -> FoldState {
+    let source = |v: &Var| match live.iter().position(|w| w == v) {
+        Some(l) => Source::State(l),
+        None => Source::Streamed(
+            op.vars
+                .iter()
+                .position(|w| w == v)
+                .expect("the state or the streamed pattern binds the variable"),
+        ),
+    };
+    let sources = |vars: &[Var]| vars.iter().map(source).collect::<Vec<_>>();
+    let kept = sources(keep);
+    let probes: Vec<(&Summary, Vec<Source>)> = probes
+        .iter()
+        .map(|p| (&*p.summary, sources(&p.vars)))
+        .collect();
+    // (position in the streamed key, position in the state's rows) of each
+    // variable both sides bind.
+    let shared: Vec<(usize, usize)> = (op.vars.iter().map(source).enumerate())
+        .filter_map(|(i, s)| match s {
+            Source::State(l) => Some((i, l)),
+            Source::Streamed(_) => None,
+        })
+        .collect();
+
+    // Group the state's rows by the shared variables (a single group when
+    // nothing is shared: the first pattern, or a cross product) and stream
+    // the summary past the groups.
+    let mut groups: FxHashMap<RowKey, Vec<usize>> = FxHashMap::default();
+    for i in 0..state.len() {
+        let row = state.row(i);
+        groups
+            .entry(RowKey::pack(shared.iter().map(|&(_, l)| row[l])))
+            .or_default()
+            .push(i);
+    }
+    let mut next = FoldState::new(keep.len());
+    op.summary.for_each(|streamed, n| {
+        let key = RowKey::pack(shared.iter().map(|&(i, _)| streamed[i]));
+        'rows: for &i in groups.get(&key).map_or(&[][..], Vec::as_slice) {
+            let row = state.row(i);
+            let value = |s: &Source| match *s {
+                Source::State(l) => row[l],
+                Source::Streamed(i) => streamed[i],
+            };
+            let mut count = state.counts[i] * f64::from(n);
+            for (summary, key) in &probes {
+                let mut vals = [0; 3];
+                for (slot, s) in vals.iter_mut().zip(key) {
+                    *slot = value(s);
+                }
+                match summary.get(&vals[..key.len()]) {
+                    0 => continue 'rows,
+                    n => count *= f64::from(n),
+                }
+            }
+            next.push(kept.iter().map(value), count);
+        }
+    });
+    // Rows that differed only in a variable just summed out now coincide.
+    let bound = live.len() + op.vars.len() - shared.len();
+    if keep.len() < bound {
+        next.merged()
+    } else {
+        next
+    }
+}
+
+/// The kept positions of `patterns[i]` — the first occurrence of each
+/// variable some other pattern also mentions — and those variables in
+/// position order.
+fn join_positions(patterns: &[TriplePattern], i: usize) -> (PositionMask, Vec<Var>) {
+    let p = &patterns[i];
+    let mut mask = 0;
+    let mut vars = Vec::new();
+    for (pos, t) in [p.s, p.p, p.o].into_iter().enumerate() {
+        let Term::Var(v) = t else { continue };
+        let joins = || {
+            patterns
+                .iter()
+                .enumerate()
+                .any(|(j, q)| j != i && q.mentions(v))
+        };
+        if !vars.contains(&v) && joins() {
+            mask |= 1 << pos;
+            vars.push(v);
+        }
+    }
+    (mask, vars)
+}
+
+/// Exact join-count oracle with memoization: counts the answers of a
+/// conjunctive query from per-pattern join-key summaries, without
+/// enumerating them (see the module docs). Finished counts and summaries
+/// are both memoized until [`invalidate`](CardinalityEstimator::invalidate).
+#[derive(Debug, Default)]
+pub struct ExactCardinality {
+    cache: RwLock<FxHashMap<QueryKey, f64>>,
+    summaries: RwLock<FxHashMap<(StatsKey, PositionMask), Arc<Summary>>>,
 }
 
 impl ExactCardinality {
-    /// Default intermediate-result cap.
-    pub const DEFAULT_CAP: usize = 20_000_000;
-
-    /// New oracle with the default cap.
+    /// New oracle with empty memo tables.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// New oracle with an explicit intermediate-result cap.
-    pub fn with_cap(cap: usize) -> Self {
-        ExactCardinality {
-            cache: RwLock::new(FxHashMap::default()),
-            cap,
-        }
     }
 
     /// Number of memoized query shapes.
@@ -110,122 +455,88 @@ impl ExactCardinality {
         self.cache.read().expect("cardinality cache poisoned").len()
     }
 
-    /// Evaluates the join count (uncached path).
-    fn evaluate(&self, graph: &KnowledgeGraph, patterns: &[TriplePattern]) -> f64 {
+    /// The memoized summary of `pattern` over the positions in `mask`,
+    /// built on first use.
+    fn summary(
+        &self,
+        graph: &KnowledgeGraph,
+        pattern: &TriplePattern,
+        mask: PositionMask,
+    ) -> Arc<Summary> {
+        let key = (pattern.stats_key(), mask);
+        if let Some(found) = self
+            .summaries
+            .read()
+            .expect("summary cache poisoned")
+            .get(&key)
+        {
+            return Arc::clone(found);
+        }
+        let built = Arc::new(Summary::build(graph, pattern, mask));
+        Arc::clone(
+            self.summaries
+                .write()
+                .expect("summary cache poisoned")
+                .entry(key)
+                .or_insert(built),
+        )
+    }
+
+    /// Counts the join (count-cache miss path).
+    fn count(&self, graph: &KnowledgeGraph, patterns: &[TriplePattern]) -> f64 {
         if patterns.is_empty() {
             return 0.0;
         }
-        // Variable numbering in first-seen order defines binding layout.
-        let mut var_index: FxHashMap<Var, usize> = FxHashMap::default();
-        for p in patterns {
-            for v in p.vars() {
-                let next = var_index.len();
-                var_index.entry(v).or_insert(next);
-            }
-        }
-
-        // Seed with the first pattern's bindings.
-        let mut acc: Vec<CountBinding> = Vec::new();
-        let mut bound: Vec<bool> = vec![false; var_index.len()];
-        {
-            let p = &patterns[0];
-            let (s, pp, o) = p.const_parts();
-            let list = graph.matches(PatternKey { s, p: pp, o });
-            for (t, _) in list.iter_triples() {
-                if let Some(b) = bind_triple(p, &t, &var_index) {
-                    acc.push(b);
-                    if acc.len() >= self.cap {
-                        break;
-                    }
-                }
-            }
-            for v in p.vars() {
-                bound[var_index[&v]] = true;
-            }
-        }
-
-        for p in &patterns[1..] {
-            if acc.is_empty() {
+        let mut operands = Vec::with_capacity(patterns.len());
+        for (i, p) in patterns.iter().enumerate() {
+            let (mask, vars) = join_positions(patterns, i);
+            let summary = self.summary(graph, p, mask);
+            if summary.len() == 0 {
                 return 0.0;
             }
-            // Shared variables = vars of p already bound.
-            let shared: Vec<usize> = p
-                .vars()
-                .filter(|v| bound[var_index[v]])
-                .map(|v| var_index[&v])
-                .collect();
-            // Hash the accumulated side on the shared variables.
-            let mut table: FxHashMap<Box<[TermId]>, Vec<usize>> = FxHashMap::default();
-            for (row, b) in acc.iter().enumerate() {
-                let key: Box<[TermId]> = shared.iter().map(|&i| b[i]).collect();
-                table.entry(key).or_default().push(row);
-            }
-            let (s, pp, o) = p.const_parts();
-            let list = graph.matches(PatternKey { s, p: pp, o });
-            let mut next_acc: Vec<CountBinding> = Vec::new();
-            'outer: for (t, _) in list.iter_triples() {
-                // Bindings contributed by this pattern alone.
-                let Some(local) = bind_triple(p, &t, &var_index) else {
-                    continue;
-                };
-                let key: Box<[TermId]> = p
-                    .vars()
-                    .filter(|v| bound[var_index[v]])
-                    .map(|v| local[var_index[&v]])
-                    .collect();
-                if let Some(rows) = table.get(&key) {
-                    for &row in rows {
-                        let mut merged = acc[row].clone();
-                        for v in p.vars() {
-                            let i = var_index[&v];
-                            merged[i] = local[i];
-                        }
-                        next_acc.push(merged);
-                        if next_acc.len() >= self.cap {
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-            for v in p.vars() {
-                bound[var_index[&v]] = true;
-            }
-            acc = next_acc;
+            operands.push(Operand { vars, summary });
         }
-        acc.len() as f64
-    }
-}
 
-/// Builds the full-width binding for one triple against one pattern, or
-/// `None` if a repeated variable is violated. Slots for unbound variables
-/// hold `TermId::MAX`.
-fn bind_triple(
-    p: &TriplePattern,
-    t: &kgstore::Triple,
-    var_index: &FxHashMap<Var, usize>,
-) -> Option<CountBinding> {
-    let width = var_index.len();
-    let mut b: Vec<TermId> = vec![TermId::MAX; width];
-    let set = |term: Term, value: TermId, b: &mut Vec<TermId>| -> bool {
-        if let Term::Var(v) = term {
-            let i = var_index[&v];
-            if b[i] != TermId::MAX && b[i] != value {
-                return false;
+        let mut live: Vec<Var> = Vec::new();
+        let mut state = FoldState::unit();
+        while !operands.is_empty() {
+            // Stream next whichever pattern joins the live variables,
+            // smallest summary first; start (and restart, across a cross
+            // product) from the smallest summary overall.
+            let (at, _) = operands
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, op)| {
+                    let connected = op.vars.iter().any(|v| live.contains(v));
+                    (!connected, op.summary.len())
+                })
+                .expect("operands is non-empty");
+            let op = operands.swap_remove(at);
+            // Patterns with every variable bound by now ride along as
+            // probes, most selective first, and never become state.
+            let (mut probes, later): (Vec<_>, Vec<_>) = operands.into_iter().partition(|p| {
+                p.vars
+                    .iter()
+                    .all(|v| live.contains(v) || op.vars.contains(v))
+            });
+            probes.sort_by_key(|p| p.summary.len());
+            operands = later;
+            // A variable stays live while a pattern still to come joins on it.
+            let keep: Vec<Var> = live
+                .iter()
+                .chain(op.vars.iter().filter(|v| !live.contains(v)))
+                .copied()
+                .filter(|v| operands.iter().any(|later| later.vars.contains(v)))
+                .collect();
+            state = fold(&live, &state, &op, &probes, &keep);
+            if state.len() == 0 {
+                return 0.0;
             }
-            b[i] = value;
+            live = keep;
         }
-        true
-    };
-    if !set(p.s, t.s, &mut b) {
-        return None;
+        // Every variable has been summed out: the empty row is left.
+        state.counts.iter().sum()
     }
-    if !set(p.p, t.p, &mut b) {
-        return None;
-    }
-    if !set(p.o, t.o, &mut b) {
-        return None;
-    }
-    Some(b.into_boxed_slice())
 }
 
 impl CardinalityEstimator for ExactCardinality {
@@ -239,7 +550,7 @@ impl CardinalityEstimator for ExactCardinality {
         {
             return n;
         }
-        let n = self.evaluate(graph, patterns);
+        let n = self.count(graph, patterns);
         self.cache
             .write()
             .expect("cardinality cache poisoned")
@@ -252,6 +563,10 @@ impl CardinalityEstimator for ExactCardinality {
             .write()
             .expect("cardinality cache poisoned")
             .clear();
+        self.summaries
+            .write()
+            .expect("summary cache poisoned")
+            .clear();
     }
 }
 
@@ -260,7 +575,7 @@ impl CardinalityEstimator for ExactCardinality {
 /// (`V(·,v)` = distinct values of `v`). Used by ablation benches.
 #[derive(Default, Debug)]
 pub struct IndependenceEstimator {
-    distinct_cache: RwLock<FxHashMap<(sparql::StatsKey, u8), f64>>,
+    distinct_cache: RwLock<FxHashMap<(StatsKey, u8), f64>>,
 }
 
 impl IndependenceEstimator {
@@ -289,18 +604,7 @@ impl IndependenceEstimator {
         {
             return d;
         }
-        let (s, p, o) = pattern.const_parts();
-        let list = graph.matches(PatternKey { s, p, o });
-        let mut seen: FxHashSet<TermId> = FxHashSet::default();
-        for (t, _) in list.iter_triples() {
-            let v = match pos {
-                0 => t.s,
-                1 => t.p,
-                _ => t.o,
-            };
-            seen.insert(v);
-        }
-        let d = seen.len() as f64;
+        let d = Summary::build(graph, pattern, 1 << pos).len() as f64;
         self.distinct_cache
             .write()
             .expect("distinct cache poisoned")
@@ -375,6 +679,10 @@ mod tests {
         )
     }
 
+    fn cached_summaries(e: &ExactCardinality) -> usize {
+        e.summaries.read().unwrap().len()
+    }
+
     #[test]
     fn exact_single_pattern_is_match_count() {
         let g = graph();
@@ -443,15 +751,6 @@ mod tests {
     }
 
     #[test]
-    fn cap_bounds_intermediate_blowup() {
-        let g = graph();
-        let e = ExactCardinality::with_cap(10);
-        let q = [pat(&g, "singer", 0), pat(&g, "lyricist", 1)];
-        let n = e.cardinality(&g, &q);
-        assert!(n <= 10.0);
-    }
-
-    #[test]
     fn repeated_var_pattern_filters() {
         let mut b = KnowledgeGraphBuilder::new();
         b.add("a", "knows", "a", 1.0);
@@ -461,5 +760,112 @@ mod tests {
         let e = ExactCardinality::new();
         let p = TriplePattern::new(Var(0), knows, Var(0));
         assert_eq!(e.cardinality(&g, &[p]), 1.0);
+    }
+
+    /// PLANGEN's variants of one query differ in one pattern each, so they
+    /// share every other summary; a star pattern is summarised on its hub
+    /// position under whatever name the hub variable has.
+    #[test]
+    fn variants_and_renamings_share_summaries() {
+        let g = graph();
+        let e = ExactCardinality::new();
+        let _ = e.cardinality(&g, &[pat(&g, "singer", 0), pat(&g, "lyricist", 0)]);
+        assert_eq!(cached_summaries(&e), 2);
+        // "lyricist" relaxed to "guitarist": singer's summary is reused.
+        let _ = e.cardinality(&g, &[pat(&g, "singer", 0), pat(&g, "guitarist", 0)]);
+        assert_eq!(cached_summaries(&e), 3);
+        // Renamed hub variable: a count-cache hit, nothing new summarised.
+        let _ = e.cardinality(&g, &[pat(&g, "singer", 7), pat(&g, "guitarist", 7)]);
+        assert_eq!(e.cached_queries(), 2);
+        assert_eq!(cached_summaries(&e), 3);
+    }
+
+    /// One pattern summarised on different positions gets distinct memo
+    /// entries, each with its own keys.
+    #[test]
+    fn same_pattern_on_different_positions_does_not_collide() {
+        let mut b = KnowledgeGraphBuilder::new();
+        // a knows b, c; b knows c.
+        b.add("a", "knows", "b", 3.0);
+        b.add("a", "knows", "c", 2.0);
+        b.add("b", "knows", "c", 1.0);
+        b.add("a", "type", "person", 1.0);
+        b.add("c", "type", "person", 1.0);
+        let g = b.build();
+        let d = g.dictionary();
+        let (knows, ty, person) = (
+            d.lookup("knows").unwrap(),
+            d.lookup("type").unwrap(),
+            d.lookup("person").unwrap(),
+        );
+        let e = ExactCardinality::new();
+        let edge = TriplePattern::new(Var(0), knows, Var(1));
+        // Joined on the subject: persons a (2 edges) and c (none) → 2.
+        let on_s = [edge, TriplePattern::new(Var(0), ty, person)];
+        assert_eq!(e.cardinality(&g, &on_s), 2.0);
+        // Joined on the object: a→c and b→c → 2.
+        let on_o = [edge, TriplePattern::new(Var(1), ty, person)];
+        assert_eq!(e.cardinality(&g, &on_o), 2.0);
+        // Joined on both: only a→c has persons at both ends.
+        let on_both = [
+            edge,
+            TriplePattern::new(Var(0), ty, person),
+            TriplePattern::new(Var(1), ty, person),
+        ];
+        assert_eq!(e.cardinality(&g, &on_both), 1.0);
+        // `edge` on s, on o, on (s,o); `type person` on s — shared by all.
+        assert_eq!(cached_summaries(&e), 4);
+        let memo = e.summaries.read().unwrap();
+        let edge_on = |mask| memo[&(edge.stats_key(), mask)].len();
+        assert_eq!(edge_on(0b001), 2, "subjects a, b");
+        assert_eq!(edge_on(0b100), 2, "objects b, c");
+        assert_eq!(edge_on(0b101), 3, "three (s, o) pairs");
+    }
+
+    #[test]
+    fn invalidate_empties_both_memo_tables() {
+        let g = graph();
+        let e = ExactCardinality::new();
+        let q = [pat(&g, "singer", 0), pat(&g, "lyricist", 0)];
+        assert_eq!(e.cardinality(&g, &q), 5.0);
+        assert_eq!((e.cached_queries(), cached_summaries(&e)), (1, 2));
+        e.invalidate();
+        assert_eq!((e.cached_queries(), cached_summaries(&e)), (0, 0));
+        assert_eq!(e.cardinality(&g, &q), 5.0);
+    }
+
+    /// Rows wider than four terms hash through boxed keys; the greedy fold
+    /// order rarely lets a query get there, so drive one step directly: six
+    /// live variables, an operand joining on the last and binding a new one,
+    /// the first summed out.
+    #[test]
+    fn wide_fold_state_joins_and_merges() {
+        let vars: Vec<Var> = (0..8).map(Var).collect();
+        let live = &vars[..6];
+        let mut state = FoldState::new(6);
+        state.push([1, 2, 3, 4, 5, 6].into_iter(), 2.0);
+        state.push([9, 2, 3, 4, 5, 6].into_iter(), 3.0);
+        state.push([1, 2, 3, 4, 5, 7].into_iter(), 5.0);
+        // Summary over (?5, ?6): 6 pairs with 10 once and with 11 twice.
+        let op = Operand {
+            vars: vec![vars[5], vars[6]],
+            summary: Arc::new(Summary::Two(
+                [(pack2(6, 10), 1), (pack2(6, 11), 2), (pack2(8, 10), 4)]
+                    .into_iter()
+                    .collect(),
+            )),
+        };
+        let keep = [&vars[1..5], &vars[6..7]].concat();
+        let next = fold(live, &state, &op, &[], &keep);
+        // Rows 1 and 2 differ only in the summed-out ?0 and merge; row 3's
+        // ?5 = 7 has no partner.
+        let mut rows: Vec<(&[u32], f64)> = (0..next.len())
+            .map(|i| (next.row(i), next.counts[i]))
+            .collect();
+        rows.sort_by_key(|&(row, _)| row);
+        assert_eq!(
+            rows,
+            [(&[2, 3, 4, 5, 10][..], 5.0), (&[2, 3, 4, 5, 11][..], 10.0)]
+        );
     }
 }

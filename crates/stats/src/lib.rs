@@ -25,8 +25,9 @@
 //!    ([`order_stats`]).
 //!
 //! Join cardinalities come from a [`CardinalityEstimator`]; the default
-//! [`ExactCardinality`] oracle evaluates and caches true join counts, which
-//! is what the paper uses ("we have taken exact join selectivity values");
+//! [`ExactCardinality`] oracle counts true join sizes from memoised
+//! per-pattern join-key summaries, without enumerating the join — what the
+//! paper uses ("we have taken exact join selectivity values");
 //! [`IndependenceEstimator`] provides the classic System-R-style
 //! approximation for ablations.
 //!
