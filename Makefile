@@ -60,7 +60,7 @@ gate:
 	$(CARGO) run --release -p bench --bin probe -- xkg 2 10 --service 4 --block-size 128 --quality --server --morsels 4 --churn --learned --json target/BENCH_current.json
 	$(CARGO) run --release -p bench --bin bench_gate -- regression BENCH_probe.json target/BENCH_current.json 3
 	$(CARGO) run --release -p bench --bin bench_gate -- snapshot target/BENCH_current.json 3
-	$(CARGO) run --release -p bench --bin bench_gate -- block target/BENCH_current.json 1.3
+	$(CARGO) run --release -p bench --bin bench_gate -- block target/BENCH_current.json 1.9
 	$(CARGO) run --release -p bench --bin bench_gate -- quality target/BENCH_current.json 0.95 1.25
 	$(CARGO) run --release -p bench --bin bench_gate -- overload BENCH_probe.json target/BENCH_current.json 3
 	$(CARGO) run --release -p bench --bin bench_gate -- parallel target/BENCH_current.json 2 5

@@ -115,11 +115,12 @@ pub struct EngineConfig {
     pub refit: RefitMode,
     /// Rank-join pull strategy (default: adaptive / HRJN*).
     pub pull: PullStrategy,
-    /// Row-at-a-time (reference) or vectorized block execution. Both paths
-    /// return identical answers; the block path exists for speed. The
-    /// default honours the `SPECQP_EXEC` environment variable
-    /// (`row` | `block` | `block:N`, see [`ExecutionMode::from_env`]), which
-    /// is how CI runs the whole test suite once per executor.
+    /// Vectorized block execution (the default) or the row-at-a-time
+    /// reference. Both paths return identical answers; the block path is the
+    /// measured one. The default honours the `SPECQP_EXEC` environment
+    /// variable (`row` | `block` | `block:N`, see
+    /// [`ExecutionMode::from_env`]), which is how CI runs the whole test
+    /// suite once per executor.
     pub execution: ExecutionMode,
     /// The speculation lifecycle policy: whether speculative runs are
     /// verified after draining and whether mis-speculations trigger staged

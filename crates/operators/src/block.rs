@@ -21,8 +21,9 @@
 //!   subtrees);
 //! * [`top_k_blocks`] — result collection, converting only the `k` winning
 //!   rows back into [`PartialAnswer`]s;
-//! * [`ExecutionMode`] — the engine-level knob selecting row or block
-//!   execution (`SPECQP_EXEC=row|block|block:N` flips whole test suites).
+//! * [`ExecutionMode`] — the engine-level knob selecting block execution
+//!   (the default) or the row reference (`SPECQP_EXEC=row|block|block:N`
+//!   flips whole test suites).
 //!
 //! Both paths produce **identical answers in identical order with identical
 //! scores** (same normalization/weighting expressions, same commutative
@@ -44,23 +45,31 @@ use specqp_common::{Score, TermId};
 /// don't drag in whole oversized batches.
 pub const DEFAULT_BLOCK_SIZE: usize = 128;
 
-/// How the engine executes plans: the classic tuple-at-a-time operator tree
-/// (the reference implementation) or the vectorized block pipeline.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// How the engine executes plans: the vectorized block pipeline (the
+/// default, and the path the benchmark measures) or the classic
+/// tuple-at-a-time operator tree kept as the reference implementation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// One [`PartialAnswer`] per operator call (reference path).
-    #[default]
     RowAtATime,
     /// Batches of up to `size` answers per operator call.
     Block(usize),
 }
 
+impl Default for ExecutionMode {
+    /// [`ExecutionMode::Block`] with [`DEFAULT_BLOCK_SIZE`].
+    fn default() -> Self {
+        ExecutionMode::Block(DEFAULT_BLOCK_SIZE)
+    }
+}
+
 impl ExecutionMode {
-    /// Reads the mode from the `SPECQP_EXEC` environment variable: `row`
-    /// (or unset) selects [`ExecutionMode::RowAtATime`]; `block` selects
-    /// [`ExecutionMode::Block`] with [`DEFAULT_BLOCK_SIZE`]; `block:N` (or
-    /// `block=N`) selects an explicit block size. CI runs the whole
-    /// workspace test suite once per setting.
+    /// Reads the mode from the `SPECQP_EXEC` environment variable: `block`
+    /// (or unset) selects [`ExecutionMode::Block`] with
+    /// [`DEFAULT_BLOCK_SIZE`]; `block:N` (or `block=N`) selects an explicit
+    /// block size; `row` selects the [`ExecutionMode::RowAtATime`]
+    /// reference path. CI runs the whole workspace test suite once per
+    /// setting.
     ///
     /// # Panics
     /// Panics when the variable is set to something unparsable — a typo in
@@ -74,7 +83,7 @@ impl ExecutionMode {
                      (expected row | block | block:N)"
                 )
             }),
-            Err(_) => ExecutionMode::RowAtATime,
+            Err(_) => ExecutionMode::default(),
         }
     }
 
@@ -498,6 +507,11 @@ mod tests {
         assert_eq!(ExecutionMode::parse("speculative"), None);
         assert_eq!(ExecutionMode::RowAtATime.block_size(), None);
         assert_eq!(ExecutionMode::Block(9).block_size(), Some(9));
+        assert_eq!(
+            ExecutionMode::default(),
+            ExecutionMode::Block(DEFAULT_BLOCK_SIZE),
+            "unset means block; only SPECQP_EXEC=row selects the reference"
+        );
     }
 
     #[test]

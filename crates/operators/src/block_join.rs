@@ -1,75 +1,218 @@
 //! Block-at-a-time join and merge operators.
 //!
-//! These are the batched siblings of [`RankJoin`](crate::RankJoin),
-//! [`IncrementalMerge`](crate::IncrementalMerge) and
-//! [`NestedLoopsRankJoin`](crate::NestedLoopsRankJoin). They keep the exact
+//! These are the batched siblings of [`RankJoin`](crate::RankJoin) and
+//! [`IncrementalMerge`](crate::IncrementalMerge). They keep the exact
 //! corner-bound/threshold logic of the row operators (so early termination
-//! is preserved), but move data as [`AnswerBlock`]s: the inner loops match
-//! bindings by comparing term slices at precomputed schema offsets instead
-//! of merging variable-keyed pair lists, and join keys pack into a `u128`
-//! (up to four `TermId`s) so the hot hash paths allocate nothing.
+//! is preserved), but move data as [`AnswerBlock`]s, and their per-row
+//! bookkeeping lives in flat vectors that only grow geometrically — the hot
+//! hash paths allocate nothing per row, per key or per result:
+//!
+//! * **Row index.** Each join side stores the rows it has pulled as one
+//!   flat term vector, and a chained hash index over those rows: a
+//!   power-of-two table of chain heads, one `next` link and one stored
+//!   32-bit hash per row. A probe walks one chain comparing the stored hash
+//!   and then the key columns of the stored rows themselves, so there is no
+//!   key object of any width; a cross product (no join columns) is simply
+//!   one chain. Row ids are `u32`: a side holds fewer than `u32::MAX` rows.
+//! * **Arena heap.** Join results wait in a binary max-heap of
+//!   `(score, slot)` pairs over one fixed-width term arena with a free
+//!   list. A result is assembled directly in its slot; popping copies the
+//!   slot into the output block and recycles it.
+//! * **Narrow dedup keys.** A triple pattern binds at most three variables,
+//!   so the merge's seen-set holds whole rows packed into a `u64` or `u128`.
 //!
 //! Output order is identical to the row operators': results are emitted
 //! from a heap ordered by the same total `(score, binding)` order that
 //! [`PartialAnswer`](crate::PartialAnswer) uses — for same-schema rows,
 //! comparing term slices in schema order *is* comparing sorted binding pair
-//! lists.
+//! lists. Because that order is total and equal rows are indistinguishable,
+//! the order in which a chain yields a row's partners (newest first) cannot
+//! show in the output.
 
 use crate::block::{AnswerBlock, BlockSizer, BlockStream, BoxedBlockStream};
 use crate::metrics::MetricsHandle;
 use crate::rank_join::PullStrategy;
 use sparql::Var;
-use specqp_common::{FxHashMap, FxHashSet, Score, TermId};
-use std::collections::BinaryHeap;
+use specqp_common::{FxHashSet, FxHasher, Score, TermId};
+use std::hash::Hasher;
 
-/// A join/dedup key: up to four terms packed into a `u128`, wider keys
-/// boxed. Within one operator every key has the same width, so packed and
-/// wide keys never collide semantically.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-enum Key {
-    Packed(u128),
-    Wide(Box<[TermId]>),
-}
+/// Chain terminator / empty bucket in a [`RowIndex`].
+const NIL: u32 = u32::MAX;
 
-/// Extracts the key of `row` at the column positions `idx`.
+/// Hash of `row`'s key columns `idx`: the Fx multiply mixes upwards only, so
+/// the high half is folded into the low bits a [`RowIndex`] bucket takes.
 #[inline]
-fn key_of(row: &[TermId], idx: &[usize]) -> Key {
-    if idx.len() <= 4 {
-        let mut packed = 0u128;
-        for &i in idx {
-            packed = (packed << 32) | u128::from(row[i].0);
+fn key_hash(row: &[TermId], idx: &[usize]) -> u32 {
+    let mut h = FxHasher::default();
+    for &i in idx {
+        h.write_u32(row[i].0);
+    }
+    let h = h.finish();
+    (h >> 32) as u32 ^ h as u32
+}
+
+/// A chained hash index over rows stored elsewhere (row `i` is the `i`-th
+/// [`insert`](RowIndex::insert)): it keeps hashes and links, never keys.
+struct RowIndex {
+    /// Chain head per bucket (`NIL` = empty); the length is a power of two.
+    buckets: Vec<u32>,
+    /// Per row: the next row in its chain.
+    next: Vec<u32>,
+    /// Per row: its key hash, for cheap rejects and for relinking on growth.
+    hashes: Vec<u32>,
+}
+
+impl RowIndex {
+    fn new() -> Self {
+        RowIndex {
+            buckets: vec![NIL; 16],
+            next: Vec::new(),
+            hashes: Vec::new(),
         }
-        Key::Packed(packed)
-    } else {
-        Key::Wide(idx.iter().map(|&i| row[i]).collect())
+    }
+
+    #[inline]
+    fn bucket(&self, hash: u32) -> usize {
+        hash as usize & (self.buckets.len() - 1)
+    }
+
+    /// Links the next row id at the head of its chain.
+    #[inline]
+    fn insert(&mut self, hash: u32) {
+        let row = self.next.len();
+        assert!(row < NIL as usize, "a join side holds < u32::MAX rows");
+        if row >= self.buckets.len() {
+            self.grow();
+        }
+        let b = self.bucket(hash);
+        self.next.push(self.buckets[b]);
+        self.hashes.push(hash);
+        self.buckets[b] = row as u32;
+    }
+
+    /// Quadruples the table and relinks every row from its stored hash.
+    fn grow(&mut self) {
+        self.buckets = vec![NIL; self.buckets.len() * 4];
+        for row in 0..self.next.len() {
+            let b = self.bucket(self.hashes[row]);
+            self.next[row] = self.buckets[b];
+            self.buckets[b] = row as u32;
+        }
+    }
+
+    /// The rows whose stored hash equals `hash`, newest first. The caller
+    /// still compares key columns: equal hashes are not equal keys.
+    #[inline]
+    fn candidates(&self, hash: u32) -> impl Iterator<Item = u32> + '_ {
+        let mut at = self.buckets[self.bucket(hash)];
+        std::iter::from_fn(move || {
+            while at != NIL {
+                let row = at;
+                at = self.next[row as usize];
+                if self.hashes[row as usize] == hash {
+                    return Some(row);
+                }
+            }
+            None
+        })
     }
 }
 
-/// A heap entry ordered exactly like the row path's `PartialAnswer`:
-/// by score, ties broken so the lexicographically smaller term row ranks
-/// higher (pops first).
-#[derive(PartialEq, Eq, Debug)]
-struct HeapRow {
-    score: Score,
-    terms: Box<[TermId]>,
+/// The join's output queue: a binary max-heap of `(score, slot)` over one
+/// fixed-width term arena, ordered exactly like the row path's
+/// `PartialAnswer` — by score, ties broken so the lexicographically smaller
+/// term row ranks higher (pops first).
+struct RowHeap {
+    width: usize,
+    heap: Vec<(Score, u32)>,
+    /// Slot `s` occupies `arena[s * width..(s + 1) * width]`.
+    arena: Vec<TermId>,
+    /// Popped slots awaiting reuse; every other slot is in `heap`.
+    free: Vec<u32>,
 }
 
-impl Ord for HeapRow {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.score
-            .cmp(&other.score)
-            .then_with(|| other.terms.cmp(&self.terms))
+impl RowHeap {
+    fn new(width: usize) -> Self {
+        RowHeap {
+            width,
+            heap: Vec::new(),
+            arena: Vec::new(),
+            free: Vec::new(),
+        }
     }
-}
 
-impl PartialOrd for HeapRow {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    /// Score of the row that pops next.
+    #[inline]
+    fn peek_score(&self) -> Option<Score> {
+        self.heap.first().map(|&(score, _)| score)
+    }
+
+    #[inline]
+    fn row(&self, slot: u32) -> &[TermId] {
+        let at = slot as usize * self.width;
+        &self.arena[at..at + self.width]
+    }
+
+    /// `true` when heap entry `a` must pop before entry `b`.
+    #[inline]
+    fn outranks(&self, a: usize, b: usize) -> bool {
+        let ((sa, ra), (sb, rb)) = (self.heap[a], self.heap[b]);
+        sa > sb || (sa == sb && self.row(ra) < self.row(rb))
+    }
+
+    /// Queues a row, letting `fill` write every term of its (possibly
+    /// recycled) slot in place.
+    #[inline]
+    fn push_with(&mut self, score: Score, fill: impl FnOnce(&mut [TermId])) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            // Nothing to recycle: all slots are queued, so this is a new one.
+            let slot = u32::try_from(self.heap.len()).expect("a join queues < 2^32 results");
+            self.arena
+                .resize((self.heap.len() + 1) * self.width, TermId(0));
+            slot
+        });
+        let at = slot as usize * self.width;
+        fill(&mut self.arena[at..at + self.width]);
+        self.heap.push((score, slot));
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Moves entry `i` up until its parent outranks it.
+    #[inline]
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !self.outranks(i, parent) {
+                break;
+            }
+            self.heap.swap(i, parent);
+            i = parent;
+        }
+    }
+
+    /// Pops the top row into `out` and recycles its slot.
+    fn pop_into(&mut self, out: &mut AnswerBlock) {
+        let (score, slot) = self.heap.swap_remove(0);
+        out.push_row(self.row(slot), score);
+        self.free.push(slot);
+        // The entry moved to the root came from the bottom and mostly
+        // belongs there: walk it down the better-child path with one
+        // comparison per level, then let it climb back the little it must.
+        let mut i = 0;
+        while 2 * i + 1 < self.heap.len() {
+            let mut child = 2 * i + 1;
+            if child + 1 < self.heap.len() && self.outranks(child + 1, child) {
+                child += 1;
+            }
+            self.heap.swap(i, child);
+            i = child;
+        }
+        self.sift_up(i);
     }
 }
 
 /// One input of a [`BlockRankJoin`]: the columnar store of every row seen so
-/// far, hashed by join key, plus the HRJN corner-bound state.
+/// far, indexed by join key, plus the HRJN corner-bound state.
 struct SideState {
     width: usize,
     /// Positions of the join variables in this side's schema.
@@ -79,7 +222,7 @@ struct SideState {
     /// Flattened seen rows (`width` terms each).
     terms: Vec<TermId>,
     scores: Vec<Score>,
-    hash: FxHashMap<Key, Vec<u32>>,
+    index: RowIndex,
     /// Score of the first row ever pulled (top₁).
     top1: Option<Score>,
     /// Score of the most recent row pulled (cur).
@@ -109,7 +252,7 @@ impl SideState {
                 .collect(),
             terms: Vec::new(),
             scores: Vec::new(),
-            hash: FxHashMap::default(),
+            index: RowIndex::new(),
             top1: None,
             cur: None,
             exhausted: false,
@@ -120,6 +263,31 @@ impl SideState {
     fn row(&self, i: u32) -> &[TermId] {
         let w = self.width;
         &self.terms[i as usize * w..(i as usize + 1) * w]
+    }
+
+    /// Stores a pulled row whose key columns hash to `hash`.
+    #[inline]
+    fn insert(&mut self, row: &[TermId], score: Score, hash: u32) {
+        self.terms.extend_from_slice(row);
+        self.scores.push(score);
+        self.index.insert(hash);
+    }
+
+    /// The stored rows joining with `row`, a row of the other side keyed at
+    /// its columns `idx` and hashing to `hash`.
+    #[inline]
+    fn partners<'a>(
+        &'a self,
+        row: &'a [TermId],
+        idx: &'a [usize],
+        hash: u32,
+    ) -> impl Iterator<Item = u32> + 'a {
+        self.index.candidates(hash).filter(move |&p| {
+            let stored = self.row(p);
+            idx.iter()
+                .zip(&self.key_idx)
+                .all(|(&a, &b)| row[a] == stored[b])
+        })
     }
 
     /// Same corner-bound term as the row join's `Side::bound_with`.
@@ -145,7 +313,7 @@ pub struct BlockRankJoin<'g> {
     lstate: SideState,
     rstate: SideState,
     out_schema: Vec<Var>,
-    output: BinaryHeap<HeapRow>,
+    output: RowHeap,
     strategy: PullStrategy,
     pull_left_next: bool,
     sizer: BlockSizer,
@@ -177,8 +345,8 @@ impl<'g> BlockRankJoin<'g> {
             right,
             lstate,
             rstate,
+            output: RowHeap::new(out_schema.len()),
             out_schema,
-            output: BinaryHeap::new(),
             strategy,
             pull_left_next: true,
             sizer: BlockSizer::new(block_size),
@@ -204,7 +372,7 @@ impl<'g> BlockRankJoin<'g> {
     }
 
     /// Pulls one block from the chosen side, inserts its rows and probes the
-    /// other side's hash table row-by-row in a tight loop.
+    /// other side's row index row-by-row in a tight loop.
     fn pull_block(&mut self) {
         let pull_left = match self.strategy {
             PullStrategy::Alternate => {
@@ -260,42 +428,33 @@ impl<'g> BlockRankJoin<'g> {
             dst.cur = Some(block.score(rows - 1));
         }
 
-        let out_width = self.out_schema.len();
-        let mut scratch: Vec<TermId> = vec![TermId(0); out_width];
-        let mut results = 0u64;
-        let mut probes = 0u64;
+        let mut matches = 0u64;
         for i in 0..rows {
             let row = block.row(i);
             let score = block.score(i);
-            let key = key_of(row, &dst.key_idx);
-            if let Some(partners) = probe.hash.get(&key) {
-                for &pi in partners {
-                    probes += 1;
-                    let partner = probe.row(pi);
-                    // Assemble the merged row positionally: partner columns
-                    // first, then this side's (shared slots overwrite with
-                    // equal values).
-                    for (j, &t) in partner.iter().enumerate() {
-                        scratch[probe.out_map[j]] = t;
-                    }
-                    for (j, &t) in row.iter().enumerate() {
-                        scratch[dst.out_map[j]] = t;
-                    }
-                    self.output.push(HeapRow {
-                        score: score + probe.scores[pi as usize],
-                        terms: scratch.as_slice().into(),
+            let hash = key_hash(row, &dst.key_idx);
+            for pi in probe.partners(row, &dst.key_idx, hash) {
+                let partner = probe.row(pi);
+                // Assemble the merged row positionally in its heap slot:
+                // partner columns first, then this side's (shared slots
+                // overwrite with equal values).
+                self.output
+                    .push_with(score + probe.scores[pi as usize], |slot| {
+                        for (j, &t) in partner.iter().enumerate() {
+                            slot[probe.out_map[j]] = t;
+                        }
+                        for (j, &t) in row.iter().enumerate() {
+                            slot[dst.out_map[j]] = t;
+                        }
                     });
-                    results += 1;
-                }
+                matches += 1;
             }
-            let idx = dst.scores.len() as u32;
-            dst.terms.extend_from_slice(row);
-            dst.scores.push(score);
-            dst.hash.entry(key).or_default().push(idx);
+            dst.insert(row, score, hash);
         }
-        self.metrics.count_random_accesses(probes);
-        self.metrics.count_answers(results);
-        self.metrics.count_heap_pushes(results);
+        // Every probe hit is one random access, one answer and one push.
+        self.metrics.count_random_accesses(matches);
+        self.metrics.count_answers(matches);
+        self.metrics.count_heap_pushes(matches);
     }
 }
 
@@ -311,21 +470,20 @@ impl BlockStream for BlockRankJoin<'_> {
     fn next_block(&mut self) -> Option<AnswerBlock> {
         loop {
             let t = self.threshold();
-            match (self.output.peek(), t) {
-                (Some(top), Some(t)) if top.score <= t => self.pull_block(),
+            match (self.output.peek_score(), t) {
+                (Some(top), Some(t)) if top <= t => self.pull_block(),
                 (Some(_), bound) => {
                     // Drain every emittable result (threshold can't move
                     // while we're not pulling), up to the block size.
                     let n = self.sizer.take();
                     let mut out = AnswerBlock::with_capacity(self.out_schema.clone(), n);
-                    while out.len() < n {
-                        match self.output.peek() {
-                            Some(top) if bound.is_none_or(|t| top.score > t) => {
-                                let row = self.output.pop().expect("peeked");
-                                out.push_row(&row.terms, row.score);
-                            }
-                            _ => break,
-                        }
+                    while out.len() < n
+                        && self
+                            .output
+                            .peek_score()
+                            .is_some_and(|top| bound.is_none_or(|t| top > t))
+                    {
+                        self.output.pop_into(&mut out);
                     }
                     return Some(out);
                 }
@@ -336,8 +494,7 @@ impl BlockStream for BlockRankJoin<'_> {
     }
 
     fn upper_bound(&self) -> Option<Score> {
-        let heap_top = self.output.peek().map(|a| a.score);
-        match (heap_top, self.threshold()) {
+        match (self.output.peek_score(), self.threshold()) {
             (None, None) => None,
             (Some(h), None) => Some(h),
             (None, Some(t)) => Some(t),
@@ -346,11 +503,47 @@ impl BlockStream for BlockRankJoin<'_> {
     }
 }
 
+/// The rows a [`BlockIncrementalMerge`] has emitted, each packed losslessly
+/// into the narrowest integer its width allows (chosen once, at construction).
+enum SeenRows {
+    /// Up to two terms per row.
+    Narrow(FxHashSet<u64>),
+    /// Three or four terms per row.
+    Wide(FxHashSet<u128>),
+}
+
+impl SeenRows {
+    fn new(width: usize) -> Self {
+        match width {
+            0..=2 => SeenRows::Narrow(FxHashSet::default()),
+            3..=4 => SeenRows::Wide(FxHashSet::default()),
+            _ => panic!("merge inputs bind at most four variables, not {width}"),
+        }
+    }
+
+    /// Records `row`; `false` when it was already there.
+    #[inline]
+    fn insert(&mut self, row: &[TermId]) -> bool {
+        match self {
+            SeenRows::Narrow(set) => {
+                let k = row.iter().fold(0u64, |k, t| k << 32 | u64::from(t.0));
+                // Fx's single multiply leaves a table's low index bits a
+                // function of the last column alone; folding the first
+                // column in is a bijection, so equality is untouched.
+                set.insert(k ^ (k >> 32))
+            }
+            SeenRows::Wide(set) => {
+                set.insert(row.iter().fold(0u128, |k, t| k << 32 | u128::from(t.0)))
+            }
+        }
+    }
+}
+
 /// Block-at-a-time incremental merge: same max-score deduplication and
 /// emission order as [`IncrementalMerge`](crate::IncrementalMerge) — ties
 /// across inputs resolve to the earliest input — but heads advance through
-/// buffered blocks and the dedup set stores packed term keys instead of
-/// cloned [`Binding`](crate::Binding)s.
+/// buffered blocks and the dedup set stores whole rows packed into one
+/// integer instead of cloned [`Binding`](crate::Binding)s.
 ///
 /// All inputs must share one schema (a pattern and its relaxations bind the
 /// same variables).
@@ -359,8 +552,7 @@ pub struct BlockIncrementalMerge<'g> {
     /// Buffered current block + cursor per input (`None` = exhausted).
     bufs: Vec<Option<(AnswerBlock, usize)>>,
     schema: Vec<Var>,
-    all_idx: Vec<usize>,
-    seen: FxHashSet<Key>,
+    seen: SeenRows,
     sizer: BlockSizer,
 }
 
@@ -369,7 +561,7 @@ impl<'g> BlockIncrementalMerge<'g> {
     /// rows.
     ///
     /// # Panics
-    /// Panics if the inputs' schemas differ.
+    /// Panics if the inputs' schemas differ or bind more than four variables.
     pub fn new(mut inputs: Vec<BoxedBlockStream<'g>>, block_size: usize) -> Self {
         let schema: Vec<Var> = inputs
             .first()
@@ -385,9 +577,8 @@ impl<'g> BlockIncrementalMerge<'g> {
         BlockIncrementalMerge {
             inputs,
             bufs,
-            all_idx: (0..schema.len()).collect(),
+            seen: SeenRows::new(schema.len()),
             schema,
-            seen: FxHashSet::default(),
             sizer: BlockSizer::new(block_size),
         }
     }
@@ -443,7 +634,7 @@ impl BlockStream for BlockIncrementalMerge<'_> {
                     break;
                 }
                 let row = block.row(advanced);
-                if self.seen.insert(key_of(row, &self.all_idx)) {
+                if self.seen.insert(row) {
                     out.push_row(row, score);
                 }
                 // Duplicate binding from a lower-weighted relaxation: skip —
@@ -471,229 +662,12 @@ impl BlockStream for BlockIncrementalMerge<'_> {
     }
 }
 
-/// Block-at-a-time NRJN: the storage-free nested-loops rank join over two
-/// materialized [`AnswerBlock`]s. Keeps NRJN's threshold and re-scan
-/// semantics, but exposes rows to the join a block at a time and matches
-/// bindings by comparing key columns directly — no per-probe key
-/// allocation at all.
-pub struct BlockNestedLoopsRankJoin {
-    left: AnswerBlock,
-    right: AnswerBlock,
-    lkey: Vec<usize>,
-    rkey: Vec<usize>,
-    lmap: Vec<usize>,
-    rmap: Vec<usize>,
-    lseen: usize,
-    rseen: usize,
-    out_schema: Vec<Var>,
-    output: BinaryHeap<HeapRow>,
-    pull_left_next: bool,
-    block_size: usize,
-    metrics: MetricsHandle,
-}
-
-impl BlockNestedLoopsRankJoin {
-    /// Creates the join; inputs must be sorted by non-increasing score.
-    pub fn new(
-        left: AnswerBlock,
-        right: AnswerBlock,
-        join_vars: Vec<Var>,
-        metrics: MetricsHandle,
-        block_size: usize,
-    ) -> Self {
-        let mut out_schema: Vec<Var> = left.schema().to_vec();
-        for &v in right.schema() {
-            if !out_schema.contains(&v) {
-                out_schema.push(v);
-            }
-        }
-        out_schema.sort_unstable();
-        let pos = |schema: &[Var], v: Var| {
-            schema
-                .iter()
-                .position(|&w| w == v)
-                .expect("join variables must appear in both schemas")
-        };
-        let map = |schema: &[Var]| -> Vec<usize> {
-            schema
-                .iter()
-                .map(|v| out_schema.iter().position(|w| w == v).expect("subset"))
-                .collect()
-        };
-        BlockNestedLoopsRankJoin {
-            lkey: join_vars.iter().map(|&v| pos(left.schema(), v)).collect(),
-            rkey: join_vars.iter().map(|&v| pos(right.schema(), v)).collect(),
-            lmap: map(left.schema()),
-            rmap: map(right.schema()),
-            left,
-            right,
-            lseen: 0,
-            rseen: 0,
-            out_schema,
-            output: BinaryHeap::new(),
-            pull_left_next: true,
-            block_size: block_size.max(1),
-            metrics,
-        }
-    }
-
-    fn threshold(&self) -> Option<Score> {
-        if self.left.is_empty() || self.right.is_empty() {
-            return None;
-        }
-        let cur = |block: &AnswerBlock, seen: usize| {
-            if seen == 0 {
-                Score::new(f64::INFINITY)
-            } else {
-                block.score(seen - 1)
-            }
-        };
-        let tl = (self.lseen < self.left.len())
-            .then(|| cur(&self.left, self.lseen) + self.right.score(0));
-        let tr = (self.rseen < self.right.len())
-            .then(|| cur(&self.right, self.rseen) + self.left.score(0));
-        match (tl, tr) {
-            (None, None) => None,
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (Some(a), Some(b)) => Some(a.max(b)),
-        }
-    }
-
-    /// Exposes up to `block_size` new rows from one side and re-scans the
-    /// other side's seen prefix for key matches.
-    fn pull_block(&mut self) {
-        let l_more = self.lseen < self.left.len();
-        let r_more = self.rseen < self.right.len();
-        let pull_left = if !l_more {
-            false
-        } else if !r_more {
-            true
-        } else {
-            let side = self.pull_left_next;
-            self.pull_left_next = !side;
-            side
-        };
-
-        let (new_side, new_from, new_to, new_key, old_side, old_seen, old_key) = if pull_left {
-            let to = (self.lseen + self.block_size).min(self.left.len());
-            let from = self.lseen;
-            self.lseen = to;
-            (
-                &self.left,
-                from,
-                to,
-                &self.lkey,
-                &self.right,
-                self.rseen,
-                &self.rkey,
-            )
-        } else {
-            let to = (self.rseen + self.block_size).min(self.right.len());
-            let from = self.rseen;
-            self.rseen = to;
-            (
-                &self.right,
-                from,
-                to,
-                &self.rkey,
-                &self.left,
-                self.lseen,
-                &self.lkey,
-            )
-        };
-        let (new_map, old_map) = if pull_left {
-            (&self.lmap, &self.rmap)
-        } else {
-            (&self.rmap, &self.lmap)
-        };
-
-        let out_width = self.out_schema.len();
-        let mut scratch: Vec<TermId> = vec![TermId(0); out_width];
-        let mut probes = 0u64;
-        let mut results = 0u64;
-        for i in new_from..new_to {
-            let row = new_side.row(i);
-            for j in 0..old_seen {
-                probes += 1;
-                let other = old_side.row(j);
-                if new_key
-                    .iter()
-                    .zip(old_key.iter())
-                    .all(|(&a, &b)| row[a] == other[b])
-                {
-                    for (c, &t) in other.iter().enumerate() {
-                        scratch[old_map[c]] = t;
-                    }
-                    for (c, &t) in row.iter().enumerate() {
-                        scratch[new_map[c]] = t;
-                    }
-                    self.output.push(HeapRow {
-                        score: new_side.score(i) + old_side.score(j),
-                        terms: scratch.as_slice().into(),
-                    });
-                    results += 1;
-                }
-            }
-        }
-        self.metrics
-            .count_sorted_accesses((new_to - new_from) as u64);
-        self.metrics.count_random_accesses(probes);
-        self.metrics.count_answers(results);
-        self.metrics.count_heap_pushes(results);
-    }
-}
-
-impl BlockStream for BlockNestedLoopsRankJoin {
-    fn schema(&self) -> &[Var] {
-        &self.out_schema
-    }
-
-    /// Strict-threshold emission — see
-    /// [`BlockRankJoin::next_block`](BlockRankJoin).
-    fn next_block(&mut self) -> Option<AnswerBlock> {
-        loop {
-            let t = self.threshold();
-            match (self.output.peek(), t) {
-                (Some(top), Some(t)) if top.score <= t => self.pull_block(),
-                (Some(_), bound) => {
-                    let mut out =
-                        AnswerBlock::with_capacity(self.out_schema.clone(), self.block_size);
-                    while out.len() < self.block_size {
-                        match self.output.peek() {
-                            Some(top) if bound.is_none_or(|t| top.score > t) => {
-                                let row = self.output.pop().expect("peeked");
-                                out.push_row(&row.terms, row.score);
-                            }
-                            _ => break,
-                        }
-                    }
-                    return Some(out);
-                }
-                (None, None) => return None,
-                (None, Some(_)) => self.pull_block(),
-            }
-        }
-    }
-
-    fn upper_bound(&self) -> Option<Score> {
-        let heap_top = self.output.peek().map(|a| a.score);
-        match (heap_top, self.threshold()) {
-            (None, None) => None,
-            (Some(h), None) => Some(h),
-            (None, Some(t)) => Some(t),
-            (Some(h), Some(t)) => Some(h.max(t)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::answer::{Binding, PartialAnswer};
     use crate::block::{top_k_blocks, RowsToBlocks};
     use crate::metrics::OpMetrics;
-    use crate::nrjn::NestedLoopsRankJoin;
     use crate::rank_join::RankJoin;
     use crate::stream::{materialize, VecStream};
 
@@ -724,16 +698,152 @@ mod tests {
         out
     }
 
+    fn ids(terms: &[u32]) -> Vec<TermId> {
+        terms.iter().copied().map(TermId).collect()
+    }
+
+    /// A side whose rows are all key columns, in schema order.
+    fn keyed_side(width: u32) -> SideState {
+        let schema: Vec<Var> = (0..width).map(Var).collect();
+        SideState::new(&schema, &schema, &schema)
+    }
+
+    fn partners_of(side: &SideState, row: &[TermId]) -> Vec<u32> {
+        let hash = key_hash(row, &side.key_idx);
+        let mut got: Vec<u32> = side.partners(row, &side.key_idx, hash).collect();
+        got.sort_unstable();
+        got
+    }
+
     #[test]
-    fn key_packing_matches_wide() {
-        let row = [TermId(7), TermId(9), TermId(1)];
+    fn row_index_chains_survive_growth() {
+        let mut side = keyed_side(1);
+        // 16 → 64 → 256 → 1024 → 4096 buckets; key k sits at rows k and k + 1100.
+        for i in 0..2200u32 {
+            let row = [TermId(i % 1100)];
+            side.insert(&row, Score::new(0.0), key_hash(&row, &[0]));
+        }
+        assert_eq!(side.index.buckets.len(), 4096);
+        for k in 0..1100u32 {
+            assert_eq!(partners_of(&side, &[TermId(k)]), vec![k, k + 1100]);
+        }
+        assert!(partners_of(&side, &[TermId(5000)]).is_empty());
+    }
+
+    #[test]
+    fn row_index_shared_bucket_and_shared_hash_never_cross_match() {
+        let mut side = keyed_side(1);
+        // Forged hashes: rows 0 and 1 share the bucket (equal low bits) but
+        // not the hash; rows 1 and 2 share the whole hash but not the key.
+        side.insert(&[TermId(1)], Score::new(0.0), 0x0000_0005);
+        side.insert(&[TermId(2)], Score::new(0.0), 0x0001_0005);
+        side.insert(&[TermId(3)], Score::new(0.0), 0x0001_0005);
         assert_eq!(
-            key_of(&row, &[0, 2]),
-            key_of(&[TermId(7), TermId(0), TermId(1)], &[0, 2])
+            side.index.bucket(0x0000_0005),
+            side.index.bucket(0x0001_0005)
         );
-        assert_ne!(key_of(&row, &[0, 2]), key_of(&row, &[2, 0]));
-        let wide_idx: Vec<usize> = vec![0, 1, 2, 0, 1];
-        assert!(matches!(key_of(&row, &wide_idx), Key::Wide(_)));
+        let hits = |key: u32, hash: u32| -> Vec<u32> {
+            side.partners(&[TermId(key)], &[0], hash).collect()
+        };
+        assert_eq!(hits(1, 0x0000_0005), vec![0]);
+        assert_eq!(hits(2, 0x0001_0005), vec![1]);
+        assert_eq!(hits(3, 0x0001_0005), vec![2]);
+        assert_eq!(hits(1, 0x0001_0005), Vec::<u32>::new());
+        assert_eq!(
+            side.index.candidates(0x0001_0005).collect::<Vec<_>>(),
+            vec![2, 1],
+            "a chain yields its newest row first"
+        );
+    }
+
+    #[test]
+    fn row_index_five_and_zero_join_columns() {
+        let mut wide = keyed_side(5);
+        for i in 0..40u32 {
+            // Rows differ only in the last column, pairwise equal.
+            let row = ids(&[7, 7, 7, 7, i / 2]);
+            wide.insert(&row, Score::new(0.0), key_hash(&row, &wide.key_idx));
+        }
+        assert_eq!(partners_of(&wide, &ids(&[7, 7, 7, 7, 3])), vec![6, 7]);
+        assert!(partners_of(&wide, &ids(&[7, 7, 7, 3, 7])).is_empty());
+
+        // No join columns: every stored row is every probe's partner.
+        let mut cross = SideState::new(&[Var(0)], &[], &[Var(0)]);
+        for i in 0..20u32 {
+            cross.insert(&[TermId(i)], Score::new(0.0), key_hash(&[TermId(i)], &[]));
+        }
+        let all: Vec<u32> = (0..20).collect();
+        assert_eq!(partners_of(&cross, &[TermId(99)]), all);
+    }
+
+    /// Pops everything, returning `(score, terms)` rows in pop order.
+    fn drain_heap(heap: &mut RowHeap, width: u32) -> Vec<(Score, Vec<TermId>)> {
+        let mut out = AnswerBlock::new((0..width).map(Var).collect());
+        while heap.peek_score().is_some() {
+            heap.pop_into(&mut out);
+        }
+        (0..out.len())
+            .map(|i| (out.score(i), out.row(i).to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn row_heap_pops_by_score_desc_then_terms_asc() {
+        // Four distinct scores over 500 rows (heavy ties), duplicate rows
+        // included, from a fixed LCG.
+        let mut x = 12345u64;
+        let mut next = move |m: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) % m) as u32
+        };
+        let rows: Vec<(Score, Vec<TermId>)> = (0..500)
+            .map(|_| {
+                (
+                    Score::new(f64::from(next(4)) * 0.25),
+                    ids(&[next(6), next(50)]),
+                )
+            })
+            .collect();
+        let mut heap = RowHeap::new(2);
+        for (score, terms) in &rows {
+            heap.push_with(*score, |slot| slot.copy_from_slice(terms));
+        }
+        let mut want = rows;
+        want.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        assert_eq!(drain_heap(&mut heap, 2), want);
+    }
+
+    #[test]
+    fn row_heap_reuses_slots_after_pops() {
+        let mut heap = RowHeap::new(1);
+        for i in 0..8u32 {
+            heap.push_with(Score::new(f64::from(i)), |slot| slot[0] = TermId(i));
+        }
+        let mut out = AnswerBlock::new(vec![Var(0)]);
+        for _ in 0..5 {
+            heap.pop_into(&mut out);
+        }
+        assert_eq!(out.row(0), &[TermId(7)]);
+        for i in 10..15u32 {
+            heap.push_with(Score::new(f64::from(i)), |slot| slot[0] = TermId(i));
+        }
+        assert_eq!(heap.arena.len(), 8, "no new slots");
+        assert!(heap.free.is_empty());
+        let popped: Vec<u32> = drain_heap(&mut heap, 1).iter().map(|r| r.1[0].0).collect();
+        assert_eq!(popped, vec![14, 13, 12, 11, 10, 2, 1, 0]);
+    }
+
+    #[test]
+    fn row_heap_width_zero() {
+        let mut heap = RowHeap::new(0);
+        for s in [0.5, 1.0, 0.5, 0.75] {
+            heap.push_with(Score::new(s), |slot| assert!(slot.is_empty()));
+        }
+        let scores: Vec<Score> = drain_heap(&mut heap, 0).iter().map(|r| r.0).collect();
+        assert_eq!(scores, [1.0, 0.75, 0.5, 0.5].map(Score::new));
+        assert_eq!(heap.peek_score(), None);
     }
 
     #[test]
@@ -879,39 +989,6 @@ mod tests {
             4,
         );
         assert!(m2.next_block().is_none());
-    }
-
-    #[test]
-    fn block_nrjn_agrees_with_row_nrjn() {
-        let l: Vec<_> = (0..40)
-            .map(|i| simple(i % 6, 1.0 - f64::from(i) * 0.02))
-            .collect();
-        let r: Vec<_> = (0..40)
-            .map(|i| simple(i % 6, 1.0 - f64::from(i) * 0.025))
-            .collect();
-        let want = materialize(NestedLoopsRankJoin::new(
-            l.clone(),
-            r.clone(),
-            vec![Var(0)],
-            OpMetrics::new_handle(),
-        ));
-        let to_block = |rows: &[PartialAnswer]| {
-            let mut b = AnswerBlock::new(vec![Var(0)]);
-            for a in rows {
-                b.push_row(&[a.binding.get(Var(0)).unwrap()], a.score);
-            }
-            b
-        };
-        for size in [1, 3, 64] {
-            let m = OpMetrics::new_handle();
-            let join =
-                BlockNestedLoopsRankJoin::new(to_block(&l), to_block(&r), vec![Var(0)], m, size);
-            let got = drain(join);
-            assert_eq!(got.len(), want.len(), "size {size}");
-            for (x, y) in got.iter().zip(&want) {
-                assert_eq!(x.score, y.score, "size {size}");
-            }
-        }
     }
 
     #[test]

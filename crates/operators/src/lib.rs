@@ -28,12 +28,13 @@
 
 //! # Block-at-a-time execution
 //!
-//! Every operator above also has a vectorized sibling moving
+//! Every operator an executor builds also has a vectorized sibling moving
 //! [`AnswerBlock`] batches instead of single answers — [`BlockScan`],
-//! [`BlockRankJoin`], [`BlockIncrementalMerge`], [`BlockNestedLoopsRankJoin`]
-//! and [`top_k_blocks`] — behind the [`BlockStream`] trait. Both paths
-//! produce identical answers in identical order; [`ExecutionMode`] is the
-//! engine-level switch (see the `block` module docs).
+//! [`BlockRankJoin`], [`BlockIncrementalMerge`] and [`top_k_blocks`] —
+//! behind the [`BlockStream`] trait (NRJN is an ablation reference only,
+//! so it has none). Both paths produce identical answers in identical
+//! order; [`ExecutionMode`] is the engine-level switch (see the `block`
+//! module docs).
 
 pub mod adapt;
 pub mod answer;
@@ -54,7 +55,7 @@ pub use block::{
     top_k_blocks, AnswerBlock, Block, BlockStream, BoxedBlockStream, ExecutionMode, RowsToBlocks,
     DEFAULT_BLOCK_SIZE,
 };
-pub use block_join::{BlockIncrementalMerge, BlockNestedLoopsRankJoin, BlockRankJoin};
+pub use block_join::{BlockIncrementalMerge, BlockRankJoin};
 pub use incr_merge::IncrementalMerge;
 pub use metrics::{CacheMetrics, CacheMetricsHandle, MetricsHandle, OpMetrics};
 pub use morsel::{MorselDispenser, DEFAULT_MORSEL_ROWS};

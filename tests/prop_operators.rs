@@ -2,8 +2,9 @@
 //! references.
 
 use operators::{
-    materialize, top_k, Binding, IncrementalMerge, NestedLoopsRankJoin, OpMetrics, PartialAnswer,
-    PullStrategy, RankJoin, RankedStream, VecStream,
+    materialize, top_k, Binding, BlockIncrementalMerge, BlockRankJoin, BlockStream,
+    BoxedBlockStream, IncrementalMerge, NestedLoopsRankJoin, OpMetrics, PartialAnswer,
+    PullStrategy, RankJoin, RankedStream, RowsToBlocks, VecStream,
 };
 use proptest::prelude::*;
 use sparql::Var;
@@ -50,8 +51,118 @@ fn naive_join(l: &[PartialAnswer], r: &[PartialAnswer], join_vars: &[Var]) -> Ve
     out
 }
 
+/// Strategy: raw rows for the block-vs-row properties — three term columns
+/// over tiny domains (duplicated keys, duplicated whole rows) and five
+/// distinct scores (heavy ties).
+fn raw_rows(max_len: usize) -> impl Strategy<Value = Vec<(u32, u32, u32, u32)>> {
+    prop::collection::vec((0u32..6, 0u32..3, 0u32..40, 0u32..5), 0..max_len)
+}
+
+/// Binds `schema[j]` to column `j` of every raw row, in stream order.
+fn answers_over(raw: &[(u32, u32, u32, u32)], schema: &[Var]) -> Vec<PartialAnswer> {
+    let mut v: Vec<PartialAnswer> = raw
+        .iter()
+        .map(|&(a, b, c, score)| {
+            let pairs = schema.iter().copied().zip([a, b, c].map(TermId)).collect();
+            PartialAnswer::new(
+                Binding::from_pairs(pairs),
+                Score::new(f64::from(score) * 0.25),
+            )
+        })
+        .collect();
+    v.sort_by(|a, b| b.cmp(a));
+    v
+}
+
+fn blocks_of(rows: &[PartialAnswer], schema: &[Var], size: usize) -> BoxedBlockStream<'static> {
+    Box::new(RowsToBlocks::new(
+        Box::new(VecStream::new(rows.to_vec())),
+        schema.to_vec(),
+        size,
+    ))
+}
+
+fn drain_blocks(mut s: impl BlockStream) -> Vec<PartialAnswer> {
+    let mut out = Vec::new();
+    while let Some(b) = s.next_block() {
+        out.extend(b.to_answers());
+    }
+    out
+}
+
+/// `(left schema, right schema, join variables)`: 1/2/3-wide sides joined
+/// on one or two columns, sharing no variable outside the join key.
+const JOIN_SHAPES: [(&[u32], &[u32], &[u32]); 5] = [
+    (&[0], &[0], &[0]),
+    (&[0, 1], &[0, 2], &[0]),
+    (&[0, 1], &[0, 1], &[0, 1]),
+    (&[0, 1, 2], &[0, 1, 3], &[0, 1]),
+    (&[2, 0, 1], &[3, 0], &[0]),
+];
+
+fn vars(ids: &[u32]) -> Vec<Var> {
+    ids.iter().copied().map(Var).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The block rank join emits exactly the row rank join's answers —
+    /// bindings, scores and order — at every block size, under both pull
+    /// strategies: partner order inside the row index cannot show.
+    #[test]
+    fn block_rank_join_equals_row_rank_join(
+        l in raw_rows(60),
+        r in raw_rows(60),
+        shape in 0usize..5,
+    ) {
+        let (ls, rs, js) = JOIN_SHAPES[shape];
+        let (ls, rs, js) = (vars(ls), vars(rs), vars(js));
+        let (l, r) = (answers_over(&l, &ls), answers_over(&r, &rs));
+        for strategy in [PullStrategy::Alternate, PullStrategy::Adaptive] {
+            let want = materialize(RankJoin::new(
+                Box::new(VecStream::new(l.clone())),
+                Box::new(VecStream::new(r.clone())),
+                js.clone(),
+                strategy,
+                OpMetrics::new_handle(),
+            ));
+            for size in [1, 7, 128] {
+                let got = drain_blocks(BlockRankJoin::new(
+                    blocks_of(&l, &ls, size),
+                    blocks_of(&r, &rs, size),
+                    js.clone(),
+                    strategy,
+                    OpMetrics::new_handle(),
+                    size,
+                ));
+                prop_assert_eq!(&got, &want, "shape {} {:?} size {}", shape, strategy, size);
+            }
+        }
+    }
+
+    /// The block merge emits exactly the row merge's answers over 1-, 2-
+    /// and 3-wide schemas (the `u64` and `u128` dedup keys).
+    #[test]
+    fn block_merge_equals_row_merge(
+        lists in prop::collection::vec(raw_rows(30), 0..5),
+        width in 1usize..4,
+    ) {
+        let schema = vars(&[0, 1, 2][..width]);
+        let lists: Vec<Vec<PartialAnswer>> =
+            lists.iter().map(|raw| answers_over(raw, &schema)).collect();
+        let want = materialize(IncrementalMerge::new(
+            lists
+                .iter()
+                .map(|l| Box::new(VecStream::new(l.clone())) as operators::BoxedStream<'static>)
+                .collect(),
+        ));
+        for size in [1, 7, 128] {
+            let inputs = lists.iter().map(|l| blocks_of(l, &schema, size)).collect();
+            let got = drain_blocks(BlockIncrementalMerge::new(inputs, size));
+            prop_assert_eq!(&got, &want, "width {} size {}", width, size);
+        }
+    }
 
     /// HRJN (both pull strategies) produces exactly the sorted join.
     #[test]
