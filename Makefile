@@ -15,6 +15,10 @@ fmt:
 build:
 	$(CARGO) build --release --workspace
 
+# The SPECQP_SPEC=fallback lap verifies every Spec-QP run and recovers
+# mis-speculations by delta (tests/diff_speculation.rs: delta == restart up
+# to summation order; the forced-final stage alone is byte-identical to
+# TriniT; tests/diff_exec.rs stays byte-exact between row and block).
 test:
 	SPECQP_EXEC=row $(CARGO) test -q --workspace
 	SPECQP_EXEC=block $(CARGO) test -q --workspace

@@ -2,11 +2,13 @@
 //! and configuration, with `run_*` entry points for Spec-QP, TriniT and the
 //! naive executor.
 
-use crate::executor::{run_naive, run_plan_blocks_with_chains, run_plan_with_chains};
+use crate::executor::{
+    run_delta_plan, run_naive, run_plan_blocks_with_chains, run_plan_with_chains,
+};
 use crate::plan::QueryPlan;
 use crate::plan_cache::{PlanCache, QueryShape};
 use crate::plangen::plan_query;
-use crate::speculation::{self, SpeculationPolicy, Verdict};
+use crate::speculation::{self, SpeculationPolicy};
 use crate::trace::RunReport;
 use kgstore::{Epoch, KnowledgeGraph, LiveGraph};
 use operators::{
@@ -14,6 +16,7 @@ use operators::{
 };
 use relax::{ChainRuleSet, RelaxationRegistry};
 use sparql::Query;
+use specqp_common::Score;
 use specqp_stats::{
     CardinalityEstimator, ExactCardinality, FeatureVector, LearnedObservation, QueryShapeKey,
     RefitMode, StatsCatalog,
@@ -124,7 +127,7 @@ pub struct EngineConfig {
     pub execution: ExecutionMode,
     /// The speculation lifecycle policy: whether speculative runs are
     /// verified after draining and whether mis-speculations trigger staged
-    /// fallback re-execution (see [`crate::speculation`]). The default
+    /// delta recovery (see [`crate::speculation`]). The default
     /// honours the `SPECQP_SPEC` environment variable
     /// (`off` | `detect` | `fallback` | `fallback:N` | `force`, see
     /// [`SpeculationPolicy::from_env`]), which is how CI runs the whole test
@@ -225,6 +228,12 @@ pub struct QueryOutcome {
     pub plan: QueryPlan,
     /// Cost accounting.
     pub report: RunReport,
+}
+
+/// The score at rank `k` of a best-first top-k — `None` while it holds fewer
+/// than `k` answers (an under-filled run has no k-th score), and for `k = 0`.
+fn kth_score(answers: &[PartialAnswer], k: usize) -> Option<Score> {
+    answers.get(k.checked_sub(1)?).map(|a| a.score)
 }
 
 /// A ready-to-query Spec-QP engine over one graph + rule registry.
@@ -621,45 +630,44 @@ impl<'g> Engine<'g> {
         let metrics = OpMetrics::new_handle();
         let t0 = Instant::now();
         let answers = self.execute_phase(graph, query, k, &plan, &metrics);
-        let execution = t0.elapsed();
+        let mut report = RunReport::of(&metrics);
+        report.planning = planning;
+        report.execution = t0.elapsed();
         QueryOutcome {
             answers,
             plan,
-            report: RunReport {
-                planning,
-                execution,
-                verify: Duration::ZERO,
-                answers_created: metrics.answers_created(),
-                sorted_accesses: metrics.sorted_accesses(),
-                random_accesses: metrics.random_accesses(),
-                heap_pushes: metrics.heap_pushes(),
-                fallback_stages: 0,
-                wasted_answers: 0,
-                mis_speculated: false,
-            },
+            report,
         }
     }
 
     /// Phases 2–4 of the lifecycle: executes `plan`, verifies the outcome
-    /// and — policy permitting — recovers from mis-speculation through
-    /// staged fallback re-execution (see [`crate::speculation`] for the
-    /// policy semantics).
+    /// and — policy permitting — recovers from mis-speculation by delta (see
+    /// [`crate::speculation`] for the policy semantics and the argument).
     ///
-    /// * intermediate stages escalate the verifier's top suspect and
-    ///   re-execute, reusing the engine's cached statistics, posting lists
-    ///   and chain machinery;
-    /// * the final permitted stage executes the literal all-relaxed
-    ///   (TriniT) plan, so a recovered run's answers are byte-identical to
-    ///   [`Engine::run_trinit`]'s operator tree output;
+    /// * each recovery stage escalates its targets one at a time — the
+    ///   verifier's top suspect in stages `1‥N−1`, every remaining candidate
+    ///   in stage `N` — and for each runs only the target's *delta plan*
+    ///   ([`crate::run_delta_plan`]) above the k-th score in hand, folding
+    ///   the result into the answers ([`speculation::union_top_k`]). The
+    ///   speculative execution is never repeated or discarded; deltas run
+    ///   on the calling thread whatever [`EngineConfig::parallelism`] is;
+    /// * after stage `N` every pattern with relaxations is relaxed, so the
+    ///   answers are TriniT's: the same bindings, scores equal up to the
+    ///   last place (they are summed in a different order than
+    ///   [`Engine::run_trinit`]'s tree sums them), with differences in
+    ///   membership possible only among answers tied at rank `k`;
     /// * every verdict is recorded in the statistics feedback ledger
-    ///   (escalated patterns as mis-speculations, surviving pruned patterns
-    ///   as clean), biasing later PLANGEN runs and bumping the catalog
-    ///   generation whenever a pattern's bias flips
-    ///   ([`SpeculationPolicy::ForceFinal`] records nothing — a forced
-    ///   verdict says nothing about the plan).
+    ///   (escalated patterns as mis-speculations when their stage changed
+    ///   the top-k, clean otherwise; surviving pruned patterns as clean),
+    ///   biasing later PLANGEN runs and bumping the catalog generation
+    ///   whenever a pattern's bias flips;
+    /// * [`SpeculationPolicy::ForceFinal`] alone runs no verifier and no
+    ///   delta: it discards the speculative run for the literal all-relaxed
+    ///   plan — byte-identical to [`Engine::run_trinit`] — and records
+    ///   nothing (a forced verdict says nothing about the plan).
     ///
-    /// The returned outcome carries the plan that produced the final
-    /// answers, with verify time, fallback stages and wasted answer objects
+    /// The returned outcome carries the plan whose top-k the answers are,
+    /// with verify time, recovery stages and wasted answer objects
     /// accounted in the report.
     pub fn run_speculative(
         &self,
@@ -680,34 +688,32 @@ impl<'g> Engine<'g> {
         plan: QueryPlan,
         planning: Duration,
     ) -> QueryOutcome {
-        let policy = self.config.speculation;
-        if !policy.verifies() {
-            return self.run_with_plan_on(graph, query, k, plan, planning);
-        }
-        let max_stages = match policy {
-            SpeculationPolicy::Off => unreachable!("handled above"),
+        let max_stages = match self.config.speculation {
+            SpeculationPolicy::Off => {
+                return self.run_with_plan_on(graph, query, k, plan, planning);
+            }
+            SpeculationPolicy::ForceFinal => {
+                return self.run_forced_final(graph, query, k, plan, planning);
+            }
             SpeculationPolicy::Detect => 0,
             SpeculationPolicy::Fallback { max_stages } => max_stages.max(1),
-            SpeculationPolicy::ForceFinal => 1,
         };
 
         let metrics = OpMetrics::new_handle();
         let mut current = plan;
-        let mut execution = Duration::ZERO;
         let mut verify_time = Duration::ZERO;
-        let mut created_before = 0u64;
 
         let t0 = Instant::now();
         let mut answers = self.execute_phase(graph, query, k, &current, &metrics);
-        execution += t0.elapsed();
+        let mut execution = t0.elapsed();
 
         let mut mis_speculated = false;
         // Ledger verdicts accumulated across the lifecycle and recorded in
         // batched catalog writes at the end: (pattern index, was a
         // *confirmed* mis-speculation). `passive` verdicts come for free
         // (clean runs) and only count against patterns already on file;
-        // `probes` were paid for with a re-execution or provenance audit
-        // and always count — a probe's clean result is what marks a shape
+        // `probes` were paid for with a delta run or provenance audit and
+        // always count — a probe's clean result is what marks a shape
         // "settled" so it is never re-escalated.
         let mut passive: Vec<(usize, bool)> = Vec::new();
         let mut probes: Vec<(usize, bool)> = Vec::new();
@@ -723,70 +729,49 @@ impl<'g> Engine<'g> {
         };
         let mut stage = 0usize;
         loop {
-            // Phase 3: verify. ForceFinal skips the verifier and forces the
-            // safety net exactly once.
-            let mut verdict = if policy == SpeculationPolicy::ForceFinal {
-                if stage == 0 {
-                    Verdict {
-                        mis_speculated: true,
-                        under_filled: false,
-                        below_floor: false,
-                        suspects: Vec::new(),
-                        candidates: speculation::escalation_candidates(
-                            query,
-                            &current,
-                            self.registry.get(),
-                        ),
-                    }
-                } else {
-                    Verdict::clean()
-                }
-            } else {
-                let tv = Instant::now();
-                let mut v = speculation::verify(query, &current, self.registry.get(), &answers, k);
-                if v.mis_speculated {
-                    v.suspects.retain(|&i| !settled(i));
-                    v.mis_speculated = !v.suspects.is_empty();
-                }
-                verify_time += tv.elapsed();
-                v
-            };
+            // Phase 3: verify.
+            let tv = Instant::now();
+            let mut verdict =
+                speculation::verify(query, &current, self.registry.get(), &answers, k);
+            if verdict.mis_speculated {
+                verdict.suspects.retain(|&i| !settled(i));
+                verdict.mis_speculated = !verdict.suspects.is_empty();
+            }
+            verify_time += tv.elapsed();
 
             if !verdict.mis_speculated {
-                if policy != SpeculationPolicy::ForceFinal {
-                    // Clean terminal state: the pruned candidates that
-                    // survived verification are recorded as clean prunes.
-                    passive.extend(verdict.candidates.iter().map(|&i| (i, false)));
-                    // Exoneration audit — the bias's way back: a *relaxed*
-                    // pattern the ledger holds as a repeat offender is
-                    // re-probated against reality. If its relaxations
-                    // contributed nothing to the final top-k, clean verdicts
-                    // accumulate until the bias flips off and PLANGEN prunes
-                    // it again; if they did contribute, the offense is
-                    // reinforced. Without this, one spurious offense would
-                    // lock a shape onto relaxed plans forever (relaxed
-                    // patterns are never escalation candidates, so they
-                    // could never earn clean verdicts otherwise).
-                    let audit: Vec<usize> = query
-                        .patterns()
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, p)| {
-                            current.is_relaxed(*i)
-                                && self.registry.get().relaxation_count(p) > 0
-                                && self.catalog.repeat_offender(&p.stats_key())
-                        })
-                        .map(|(i, _)| i)
-                        .collect();
-                    if !audit.is_empty() {
-                        let contributing = crate::evaluation::required_relaxations(
-                            graph,
-                            query,
-                            self.registry.get(),
-                            &answers,
-                        );
-                        probes.extend(audit.into_iter().map(|i| (i, contributing.contains(&i))));
-                    }
+                // Clean terminal state: the pruned candidates that survived
+                // verification are recorded as clean prunes.
+                passive.extend(verdict.candidates.iter().map(|&i| (i, false)));
+                // Exoneration audit — the bias's way back: a *relaxed*
+                // pattern the ledger holds as a repeat offender is
+                // re-probated against reality. If its relaxations
+                // contributed nothing to the final top-k, clean verdicts
+                // accumulate until the bias flips off and PLANGEN prunes it
+                // again; if they did contribute, the offense is reinforced.
+                // Without this, one spurious offense would lock a shape onto
+                // relaxed plans forever (relaxed patterns are never
+                // escalation candidates, so they could never earn clean
+                // verdicts otherwise).
+                let audit: Vec<usize> = query
+                    .patterns()
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, p)| {
+                        current.is_relaxed(*i)
+                            && self.registry.get().relaxation_count(p) > 0
+                            && self.catalog.repeat_offender(&p.stats_key())
+                    })
+                    .map(|(i, _)| i)
+                    .collect();
+                if !audit.is_empty() {
+                    let contributing = crate::evaluation::required_relaxations(
+                        graph,
+                        query,
+                        self.registry.get(),
+                        &answers,
+                    );
+                    probes.extend(audit.into_iter().map(|i| (i, contributing.contains(&i))));
                 }
                 break;
             }
@@ -794,68 +779,83 @@ impl<'g> Engine<'g> {
             if stage >= max_stages {
                 // Detect mode (or an exhausted stage budget): the flagged
                 // suspects count as mis-speculation evidence — without a
-                // re-execution there is nothing to confirm against. (The
+                // recovery stage there is nothing to confirm against. (The
                 // settled filter above keeps a later exoneration from being
                 // re-flagged, so this cannot oscillate the bias.)
                 passive.extend(verdict.suspects.iter().map(|&i| (i, true)));
                 break;
             }
 
-            // Phase 4: recover — escalate and re-execute. The answers of
-            // the abandoned execution are the wasted work.
+            // Phase 4: recover — escalate the stage's targets one by one,
+            // each by its delta above the k-th score in hand.
             stage += 1;
-            let (next, targets) = if stage == max_stages {
-                // Safety net: the literal TriniT plan, byte-identical in
-                // tree shape to `run_trinit`.
-                let targets = std::mem::take(&mut verdict.candidates);
-                (QueryPlan::all_relaxed(query.len()), targets)
-            } else {
-                let top = verdict.suspects[0];
-                (current.escalated(&[top]), vec![top])
-            };
             metrics.count_fallback_stage();
-            let created = metrics.answers_created();
-            metrics.count_wasted_answers(created - created_before);
-            created_before = created;
-            current = next;
+            // In suspicion order: the sooner a delta lifts the k-th score,
+            // the higher the floor under the deltas after it.
+            let mut targets = verdict.suspects;
+            if stage == max_stages {
+                for c in verdict.candidates {
+                    if !targets.contains(&c) {
+                        targets.push(c);
+                    }
+                }
+            } else {
+                targets.truncate(1);
+            }
             let t = Instant::now();
-            let recovered = self.execute_phase(graph, query, k, &current, &metrics);
-            execution += t.elapsed();
-            // Confirm before teaching (ForceFinal skips the bookkeeping —
-            // its verdicts are never recorded): an escalation that changed
-            // nothing (e.g. a genuinely-small result that stays
-            // under-filled even fully relaxed) proves the pruning was
-            // *fine* — recording it as an offense would permanently lock
-            // the shape onto TriniT-priced plans. Only answer-changing
-            // escalations are confirmed mis-speculations, and when a
-            // multi-pattern stage (the safety net) confirms, the offense is
-            // attributed by answer provenance — only the escalated patterns
-            // whose relaxations actually contribute to the recovered top-k
-            // are blamed, the rest are exonerated as clean.
-            if policy != SpeculationPolicy::ForceFinal {
-                let confirmed = recovered != answers;
-                if confirmed && targets.len() > 1 {
-                    let contributing = crate::evaluation::required_relaxations(
-                        graph,
-                        query,
-                        self.registry.get(),
-                        &recovered,
-                    );
-                    probes.extend(targets.into_iter().map(|i| (i, contributing.contains(&i))));
+            let mut confirmed = false;
+            for &target in &targets {
+                current = current.escalated(&[target]);
+                let floor = kth_score(&answers, k);
+                let created = metrics.answers_created();
+                let delta = run_delta_plan(
+                    graph,
+                    query,
+                    &current,
+                    target,
+                    floor,
+                    self.registry.get(),
+                    &self.chains,
+                    metrics.clone(),
+                    self.config.pull,
+                    k,
+                    self.config.execution,
+                );
+                if speculation::union_top_k(&mut answers, delta, k) {
+                    confirmed = true;
                 } else {
-                    probes.extend(targets.into_iter().map(|i| (i, confirmed)));
+                    metrics.count_wasted_answers(metrics.answers_created() - created);
                 }
             }
-            answers = recovered;
+            execution += t.elapsed();
+            // Confirm before teaching: a stage that changed nothing (e.g. a
+            // genuinely-small result that stays under-filled even fully
+            // relaxed) proves the pruning was *fine* — recording it as an
+            // offense would permanently lock the shape onto TriniT-priced
+            // plans. Retained answers keep their score bits, so "changed" is
+            // exact. When a multi-pattern stage confirms, the offense is
+            // attributed by answer provenance — only the escalated patterns
+            // whose relaxations actually contribute to the recovered top-k
+            // are blamed, the rest are exonerated as clean. (Which delta
+            // changed the top-k does not say: an answer that needs relaxed
+            // rows of two targets surfaces in the later one's delta only.)
+            if confirmed && targets.len() > 1 {
+                let contributing = crate::evaluation::required_relaxations(
+                    graph,
+                    query,
+                    self.registry.get(),
+                    &answers,
+                );
+                probes.extend(targets.into_iter().map(|i| (i, contributing.contains(&i))));
+            } else {
+                probes.extend(targets.into_iter().map(|i| (i, confirmed)));
+            }
         }
 
         // Learned feedback: one observation per verified run — the query
         // shape, its histogram features, the observed k-th score, and what
         // each retained relaxation actually contributed to the final top-k.
-        // ForceFinal records nothing (it is the ground-truth oracle the
-        // learned path is judged against, and its all-relaxed run reflects
-        // no planning decision).
-        if self.config.learned && policy != SpeculationPolicy::ForceFinal {
+        if self.config.learned {
             let tl = Instant::now();
             self.record_learned_observation(graph, query, k, &current, &answers);
             verify_time += tl.elapsed();
@@ -872,21 +872,47 @@ impl<'g> Engine<'g> {
                 .record_speculations(passive.into_iter().map(key_of));
         }
 
+        let mut report = RunReport::of(&metrics);
+        report.planning = planning;
+        report.execution = execution;
+        report.verify = verify_time;
+        report.mis_speculated = mis_speculated;
         QueryOutcome {
             answers,
             plan: current,
-            report: RunReport {
-                planning,
-                execution,
-                verify: verify_time,
-                answers_created: metrics.answers_created(),
-                sorted_accesses: metrics.sorted_accesses(),
-                random_accesses: metrics.random_accesses(),
-                heap_pushes: metrics.heap_pushes(),
-                fallback_stages: metrics.fallback_stages(),
-                wasted_answers: metrics.wasted_answers(),
-                mis_speculated,
-            },
+            report,
+        }
+    }
+
+    /// [`SpeculationPolicy::ForceFinal`]: the speculative run, then — no
+    /// verifier consulted — one forced stage that discards it for the
+    /// literal all-relaxed plan, byte-identical in tree shape to
+    /// [`Engine::run_trinit`]. This is the oracle the differential suites
+    /// hold delta recovery to, so it records nothing: no ledger verdicts, no
+    /// learned observation (its run reflects no planning decision).
+    fn run_forced_final(
+        &self,
+        graph: &KnowledgeGraph,
+        query: &Query,
+        k: usize,
+        plan: QueryPlan,
+        planning: Duration,
+    ) -> QueryOutcome {
+        let metrics = OpMetrics::new_handle();
+        let t0 = Instant::now();
+        self.execute_phase(graph, query, k, &plan, &metrics);
+        metrics.count_fallback_stage();
+        metrics.count_wasted_answers(metrics.answers_created());
+        let trinit = QueryPlan::all_relaxed(query.len());
+        let answers = self.execute_phase(graph, query, k, &trinit, &metrics);
+        let mut report = RunReport::of(&metrics);
+        report.planning = planning;
+        report.execution = t0.elapsed();
+        report.mis_speculated = true;
+        QueryOutcome {
+            answers,
+            plan: trinit,
+            report,
         }
     }
 
@@ -915,7 +941,7 @@ impl<'g> Engine<'g> {
             .collect();
         let fanout: usize = patterns.iter().map(|p| registry.relaxation_count(p)).sum();
         let features = FeatureVector::from_stats(&stats, k, fanout);
-        let kth_score = (answers.len() >= k).then(|| answers[k - 1].score.value());
+        let kth_score = kth_score(answers, k).map(Score::value);
         let relaxed: Vec<usize> = (0..patterns.len())
             .filter(|&i| plan.is_relaxed(i) && registry.relaxation_count(&patterns[i]) > 0)
             .collect();
@@ -1134,7 +1160,8 @@ mod tests {
 
     /// Fallback recovery: a deliberately wrong plan (relaxations pruned even
     /// though the original patterns cannot fill the top-k) is detected as
-    /// under-filled and escalated until the result matches TriniT.
+    /// under-filled and escalated — by a delta run with no floor, there
+    /// being no k-th score yet — until the result matches TriniT.
     #[test]
     fn fallback_recovers_underfilled_speculation() {
         let (g, reg) = setup();
@@ -1157,9 +1184,14 @@ mod tests {
         let trinit = engine.run_trinit(&q, 10);
         assert!(recovered.report.mis_speculated);
         assert!(recovered.report.fallback_stages >= 1);
+        assert_eq!(
+            recovered.report.wasted_answers, 0,
+            "the speculative run is kept and the one delta was needed"
+        );
         assert!(
-            recovered.report.wasted_answers > 0,
-            "abandoned work measured"
+            recovered.report.answers_created
+                < verbatim.report.answers_created + trinit.report.answers_created,
+            "recovery is a delta, not a second full execution"
         );
         assert!(recovered.report.verify > Duration::ZERO);
         assert_eq!(recovered.answers, trinit.answers, "recovery reaches TriniT");
@@ -1313,6 +1345,10 @@ mod tests {
         assert!(out2.report.mis_speculated, "under-filled is still detected");
         assert!(out2.report.fallback_stages >= 1, "escalation was attempted");
         assert_eq!(out2.answers.len(), 2, "nothing new was recoverable");
+        assert_eq!(
+            out2.report.wasted_answers, 0,
+            "an empty delta (the relaxed list has no rows) creates nothing"
+        );
         let key = q2.patterns()[0].stats_key();
         let outcome = engine2.catalog().speculation_outcome(&key);
         assert_eq!(
@@ -1340,6 +1376,122 @@ mod tests {
             "known-benign under-fill is clean"
         );
         assert_eq!(again.answers.len(), 2);
+    }
+
+    /// Regression (spurious confirmed offenses): escalating a pattern moves
+    /// it out of the join group, so a restart sums the same three scores in
+    /// another order — `(0.2 + 0.3) + 0.1` where the speculative tree had
+    /// `(0.1 + 0.2) + 0.3` — and comparing its answers with the old ones
+    /// reported a change where only the last bit had moved. A delta that
+    /// contributes nothing leaves the answers untouched: the probe is clean.
+    #[test]
+    fn escalation_that_only_reorders_the_sum_is_not_an_offense() {
+        let mut b = KnowledgeGraphBuilder::new();
+        for (class, score) in [("a", 0.1), ("b", 0.2), ("c", 0.3)] {
+            // `head` pins every normalizer at 1.0, so `e` scores as written.
+            b.add("head", "type", class, 1.0);
+            b.add("e", "type", class, score);
+        }
+        b.add("loner", "type", "ghost", 1.0);
+        let g = b.build();
+        let d = g.dictionary();
+        let mut reg = RelaxationRegistry::new();
+        reg.add(TermRule::with_context(
+            Position::Object,
+            d.lookup("a").unwrap(),
+            d.lookup("ghost").unwrap(),
+            0.9,
+            d.lookup("type").unwrap(),
+        ));
+        let q = parse_query(
+            "SELECT ?s WHERE { ?s <type> <a> . ?s <type> <b> . ?s <type> <c> }",
+            d,
+        )
+        .unwrap();
+        let engine = engine_with_policy(&g, &reg, SpeculationPolicy::Fallback { max_stages: 3 });
+        let bare = engine.run_with_plan(&q, 5, QueryPlan::none_relaxed(3), Duration::ZERO);
+        let restart = engine.run_with_plan(&q, 5, QueryPlan::new(3, &[0]), Duration::ZERO);
+        assert_eq!(bare.answers.len(), 2);
+        assert_ne!(
+            bare.answers, restart.answers,
+            "the two trees disagree in the last place — the trap is armed"
+        );
+
+        // Under-filled (2 < 5): pattern 0 is escalated; `ghost` joins nothing.
+        let out = engine.run_speculative(&q, 5, QueryPlan::none_relaxed(3), Duration::ZERO);
+        assert_eq!(out.report.fallback_stages, 1);
+        assert_eq!(out.answers, bare.answers, "bit for bit what was in hand");
+        assert!(
+            out.report.wasted_answers > 0,
+            "the delta read `ghost` in vain"
+        );
+        let key = q.patterns()[0].stats_key();
+        let outcome = engine.catalog().speculation_outcome(&key);
+        assert_eq!(outcome.mis_speculations, 0, "nothing was confirmed");
+        assert!(outcome.clean_prunes >= 1, "the probe is on file as clean");
+        assert!(!engine.catalog().repeat_offender(&key));
+        assert_eq!(engine.catalog().generation(), 0);
+    }
+
+    /// A delta row may *upgrade* a binding the old top-k already holds: `e1`
+    /// is a weak `small` but the best `backup`. The union keeps one `e1`, at
+    /// the higher score, and the result is the escalated plan's own top-k.
+    #[test]
+    fn delta_upgrades_a_binding_already_in_the_top_k() {
+        let mut b = KnowledgeGraphBuilder::new();
+        for i in 0..10 {
+            b.add(&format!("e{i}"), "type", "big", 100.0 / (i + 1) as f64);
+        }
+        b.add("e0", "type", "small", 10.0);
+        b.add("e1", "type", "small", 1.0);
+        b.add("e1", "type", "backup", 60.0);
+        b.add("e2", "type", "backup", 30.0);
+        let g = b.build();
+        let d = g.dictionary();
+        let mut reg = RelaxationRegistry::new();
+        reg.add(TermRule::with_context(
+            Position::Object,
+            d.lookup("small").unwrap(),
+            d.lookup("backup").unwrap(),
+            0.9,
+            d.lookup("type").unwrap(),
+        ));
+        let q = parse_query("SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }", d).unwrap();
+        let engine = engine_with_policy(&g, &reg, SpeculationPolicy::Fallback { max_stages: 3 });
+        // k = 2 is filled (e0 2.0, e1 0.6), so the delta runs above a floor
+        // of 0.6; the prediction makes pattern 1 a suspect.
+        let bad =
+            QueryPlan::none_relaxed(2).with_predictions(None, vec![None, Some(Score::new(9.0))]);
+        let old = engine.run_with_plan(&q, 2, bad.clone(), Duration::ZERO);
+        let out = engine.run_speculative(&q, 2, bad, Duration::ZERO);
+        let restart = engine.run_with_plan(&q, 2, QueryPlan::new(2, &[1]), Duration::ZERO);
+        assert_eq!(out.report.fallback_stages, 1);
+        assert_eq!(out.report.wasted_answers, 0);
+        assert_eq!(out.answers, restart.answers, "two-term sums are exact");
+        let e1 = &old.answers[1].binding;
+        assert_eq!(&out.answers[1].binding, e1, "still one e1 …");
+        assert!(out.answers[1].score > old.answers[1].score, "… upgraded");
+        let key = q.patterns()[1].stats_key();
+        assert_eq!(
+            engine.catalog().speculation_outcome(&key).mis_speculations,
+            1
+        );
+    }
+
+    /// `k = 0` asks for nothing: no verdict, no stage, no answers.
+    #[test]
+    fn k_zero_takes_no_recovery_stage() {
+        let (g, reg) = setup();
+        let engine = engine_with_policy(&g, &reg, SpeculationPolicy::Fallback { max_stages: 3 });
+        let q = parse_query(
+            "SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }",
+            g.dictionary(),
+        )
+        .unwrap();
+        let out = engine.run_speculative(&q, 0, QueryPlan::none_relaxed(2), Duration::ZERO);
+        assert!(out.answers.is_empty());
+        assert!(!out.report.mis_speculated);
+        assert_eq!(out.report.fallback_stages, 0);
     }
 
     /// Detect-mode regression: an unfixable under-filled shape must not

@@ -14,13 +14,21 @@
 //! [`QueryPlan::all_relaxed`] run through the same machinery. [`run_naive`]
 //! is a brute-force executor (materialize + hash join + sort) used as ground
 //! truth by the test suite.
+//!
+//! A **delta plan** ([`run_delta_plan`]) is a plan with one singleton's
+//! merge built *without the pattern's original scan*: it produces exactly
+//! the answers that use a relaxed-only row of that pattern — what escalating
+//! the pattern adds to the plan it was escalated from — and is how the
+//! speculation lifecycle recovers without re-executing (see
+//! `crate::speculation`).
 
 use crate::plan::QueryPlan;
 use kgstore::KnowledgeGraph;
 use operators::{
-    top_k, top_k_blocks, BlockIncrementalMerge, BlockRankJoin, BlockScan, BoxedBlockStream,
-    BoxedStream, IncrementalMerge, MetricsHandle, MorselDispenser, PartialAnswer, PatternScan,
-    Projected, PullStrategy, RankJoin, RankedStream, RowsToBlocks, Scaled,
+    top_k, top_k_blocks, top_k_blocks_floored, top_k_floored, BlockIncrementalMerge, BlockRankJoin,
+    BlockScan, BoxedBlockStream, BoxedStream, ExecutionMode, IncrementalMerge, MetricsHandle,
+    MorselDispenser, PartialAnswer, PatternScan, Projected, PullStrategy, RankJoin, RankedStream,
+    RowsToBlocks, Scaled,
 };
 use relax::{ChainRuleSet, RelaxationRegistry};
 use sparql::{Query, Var};
@@ -49,6 +57,7 @@ pub fn build_plan_stream<'g>(
         NO_CHAINS.get_or_init(ChainRuleSet::new),
         metrics,
         strategy,
+        None,
     )
 }
 
@@ -58,6 +67,9 @@ pub fn build_plan_stream<'g>(
 /// chain's scans, scaled into `[0, w]` (`w/len` per hop) and projected back
 /// onto the original pattern's variables so Def.-8 max-deduplication still
 /// applies.
+///
+/// `delta: Some(i)` builds the delta plan of singleton `i`: its merge gets
+/// every relaxation (chains included) but not the pattern's own scan.
 #[allow(clippy::too_many_arguments)]
 pub fn build_plan_stream_with_chains<'g>(
     graph: &'g KnowledgeGraph,
@@ -67,8 +79,10 @@ pub fn build_plan_stream_with_chains<'g>(
     chains: &ChainRuleSet,
     metrics: MetricsHandle,
     strategy: PullStrategy,
+    delta: Option<usize>,
 ) -> BoxedStream<'g> {
     assert_eq!(plan.len(), query.len(), "plan/query arity mismatch");
+    assert_delta_is_singleton(plan, delta);
     let patterns = query.patterns();
     let mut next_fresh = query.var_count() as u32;
 
@@ -99,12 +113,14 @@ pub fn build_plan_stream_with_chains<'g>(
     //    (term rules and, if configured, chain rules).
     for i in plan.singletons() {
         let mut inputs: Vec<BoxedStream<'g>> = Vec::new();
-        inputs.push(Box::new(PatternScan::new(
-            graph,
-            patterns[i],
-            Score::ONE,
-            metrics.clone(),
-        )));
+        if delta != Some(i) {
+            inputs.push(Box::new(PatternScan::new(
+                graph,
+                patterns[i],
+                Score::ONE,
+                metrics.clone(),
+            )));
+        }
         for r in registry.relaxations_for(&patterns[i]) {
             inputs.push(Box::new(PatternScan::new(
                 graph,
@@ -155,7 +171,7 @@ pub fn build_block_stream_with_chains<'g>(
     block_size: usize,
 ) -> BoxedBlockStream<'g> {
     build_block_stream_inner(
-        graph, query, plan, registry, chains, metrics, strategy, block_size, None,
+        graph, query, plan, registry, chains, metrics, strategy, block_size, None, None,
     )
 }
 
@@ -189,6 +205,7 @@ pub fn build_block_stream_morsels<'g>(
         strategy,
         block_size,
         Some((target, dispenser)),
+        None,
     )
 }
 
@@ -203,8 +220,10 @@ fn build_block_stream_inner<'g>(
     strategy: PullStrategy,
     block_size: usize,
     morsels: Option<(usize, Arc<MorselDispenser>)>,
+    delta: Option<usize>,
 ) -> BoxedBlockStream<'g> {
     assert_eq!(plan.len(), query.len(), "plan/query arity mismatch");
+    assert_delta_is_singleton(plan, delta);
     let block_size = block_size.max(1);
     let patterns = query.patterns();
     let mut next_fresh = query.var_count() as u32;
@@ -251,7 +270,9 @@ fn build_block_stream_inner<'g>(
     //    adapted chain streams).
     for i in plan.singletons() {
         let mut inputs: Vec<BoxedBlockStream<'g>> = Vec::new();
-        inputs.push(scan(i, Score::ONE));
+        if delta != Some(i) {
+            inputs.push(scan(i, Score::ONE));
+        }
         for r in registry.relaxations_for(&patterns[i]) {
             inputs.push(Box::new(BlockScan::new(
                 graph,
@@ -281,6 +302,14 @@ fn build_block_stream_inner<'g>(
         acc = block_join(acc, stream, strategy, &metrics, block_size);
     }
     acc
+}
+
+/// A delta is taken of a singleton: a join-group member has no merge to
+/// leave the original scan out of.
+fn assert_delta_is_singleton(plan: &QueryPlan, delta: Option<usize>) {
+    if let Some(i) = delta {
+        assert!(plan.is_relaxed(i), "delta pattern {i} is not a singleton");
+    }
 }
 
 fn block_join<'g>(
@@ -403,8 +432,9 @@ pub fn run_plan_with_chains(
     strategy: PullStrategy,
     k: usize,
 ) -> Vec<PartialAnswer> {
-    let mut stream =
-        build_plan_stream_with_chains(graph, query, plan, registry, chains, metrics, strategy);
+    let mut stream = build_plan_stream_with_chains(
+        graph, query, plan, registry, chains, metrics, strategy, None,
+    );
     top_k(&mut stream, k)
 }
 
@@ -451,6 +481,67 @@ pub fn run_plan_blocks_with_chains(
         graph, query, plan, registry, chains, metrics, strategy, block_size,
     );
     top_k_blocks(&mut stream, k)
+}
+
+/// Executes the **delta plan** of singleton `target` in `plan`: the plan's
+/// operator tree with `target`'s merge built without the pattern's original
+/// scan, drained to its top-`k` among answers scoring `≥ floor`.
+///
+/// Every answer `plan` produces that the same plan with `target` *pruned*
+/// does not — and every answer it scores higher — uses a relaxed-only row of
+/// `target`, so it is an answer of this tree. Nothing under the pruned
+/// plan's k-th score can enter the escalated top-k, which is what `floor`
+/// carries: the run stops as soon as its bounds drop under it (`None` — the
+/// pruned run was under-filled — is a plain top-`k`). Row and block
+/// execution return identical answers; deltas always run on the calling
+/// thread.
+///
+/// # Panics
+/// Panics if `target` is not a singleton of `plan`.
+#[allow(clippy::too_many_arguments)]
+pub fn run_delta_plan(
+    graph: &KnowledgeGraph,
+    query: &Query,
+    plan: &QueryPlan,
+    target: usize,
+    floor: Option<Score>,
+    registry: &RelaxationRegistry,
+    chains: &ChainRuleSet,
+    metrics: MetricsHandle,
+    strategy: PullStrategy,
+    k: usize,
+    execution: ExecutionMode,
+) -> Vec<PartialAnswer> {
+    match execution {
+        ExecutionMode::RowAtATime => {
+            let mut stream = build_plan_stream_with_chains(
+                graph,
+                query,
+                plan,
+                registry,
+                chains,
+                metrics,
+                strategy,
+                Some(target),
+            );
+            top_k_floored(&mut stream, k, floor)
+        }
+        ExecutionMode::Block(block_size) => {
+            let mut stream = build_block_stream_inner(
+                graph,
+                query,
+                plan,
+                registry,
+                chains,
+                metrics,
+                strategy,
+                block_size,
+                None,
+                Some(target),
+            );
+            top_k_blocks_floored(&mut stream, k, floor)
+        }
+    }
 }
 
 /// Brute-force ground truth: for every pattern, materialize the merged
@@ -732,6 +823,100 @@ mod tests {
                 assert_eq!(blocks, rows, "plan {plan:?} size {size}");
             }
         }
+    }
+
+    /// The delta plan of the `singer` singleton holds exactly the answers
+    /// that need `vocalist`: united with the pruned plan's answers it is the
+    /// escalated plan's result, a floor cuts it, and row ≡ block.
+    #[test]
+    fn delta_plan_yields_what_escalation_adds() {
+        let (g, reg) = setup();
+        let q = query(&g);
+        let escalated = QueryPlan::new(2, &[0]);
+        let delta = |floor: Option<f64>, k: usize, execution: ExecutionMode| {
+            run_delta_plan(
+                &g,
+                &q,
+                &escalated,
+                0,
+                floor.map(Score::new),
+                &reg,
+                &ChainRuleSet::new(),
+                OpMetrics::new_handle(),
+                PullStrategy::Adaptive,
+                k,
+                execution,
+            )
+        };
+        for execution in [
+            ExecutionMode::RowAtATime,
+            ExecutionMode::Block(1),
+            ExecutionMode::Block(64),
+        ] {
+            // Only adele is a vocalist *and* an (unrelaxed) lyricist:
+            // 0.8·(95/95) + 45/50.
+            let got = delta(None, 10, execution);
+            assert_eq!(got.len(), 1, "{execution:?}");
+            assert_eq!(got[0].score, Score::new(0.8) + Score::new(45.0 / 50.0));
+            assert_eq!(delta(Some(1.7), 10, execution), got, "at the floor stays");
+            assert!(delta(Some(1.71), 10, execution).is_empty(), "under it goes");
+            assert!(delta(None, 0, execution).is_empty(), "k = 0");
+            let no_rules = RelaxationRegistry::new();
+            let empty = run_delta_plan(
+                &g,
+                &q,
+                &escalated,
+                0,
+                None,
+                &no_rules,
+                &ChainRuleSet::new(),
+                OpMetrics::new_handle(),
+                PullStrategy::Adaptive,
+                10,
+                execution,
+            );
+            assert!(empty.is_empty(), "no relaxation, no relaxed-only row");
+
+            let mut united = run_plan(
+                &g,
+                &q,
+                &QueryPlan::none_relaxed(2),
+                &reg,
+                OpMetrics::new_handle(),
+                PullStrategy::Adaptive,
+                10,
+            );
+            assert!(crate::speculation::union_top_k(&mut united, got, 10));
+            let restart = run_plan(
+                &g,
+                &q,
+                &escalated,
+                &reg,
+                OpMetrics::new_handle(),
+                PullStrategy::Adaptive,
+                10,
+            );
+            assert_eq!(united, restart);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a singleton")]
+    fn delta_of_a_join_group_member_panics() {
+        let (g, reg) = setup();
+        let _ = run_delta_plan(
+            &g,
+            &query(&g),
+            &QueryPlan::new(2, &[0]),
+            1,
+            None,
+            &reg,
+            &ChainRuleSet::new(),
+            OpMetrics::new_handle(),
+            PullStrategy::Adaptive,
+            10,
+            ExecutionMode::default(),
+        );
     }
 
     #[test]

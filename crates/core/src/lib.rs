@@ -22,7 +22,7 @@
 //! * [`Engine`] — a one-stop façade owning the statistics catalog and
 //!   cardinality oracle,
 //! * [`speculation`] — the runtime speculation lifecycle: mis-speculation
-//!   detection ([`speculation::verify`]), staged fallback re-execution and
+//!   detection ([`speculation::verify`]), staged delta recovery and
 //!   the statistics feedback loop, governed by [`SpeculationPolicy`]
 //!   (`SPECQP_SPEC`),
 //! * [`evaluation`] — the paper's quality metrics (§4.3): precision/recall,
@@ -84,7 +84,7 @@ pub use evaluation::{
 };
 pub use executor::{
     build_block_stream_morsels, build_block_stream_with_chains, build_plan_stream,
-    build_plan_stream_with_chains, run_naive, run_plan, run_plan_blocks,
+    build_plan_stream_with_chains, run_delta_plan, run_naive, run_plan, run_plan_blocks,
     run_plan_blocks_with_chains, run_plan_with_chains,
 };
 pub use parallel::{partition_target, run_plan_blocks_parallel};

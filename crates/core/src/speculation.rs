@@ -1,4 +1,4 @@
-//! The speculation lifecycle: mis-speculation detection and staged fallback.
+//! The speculation lifecycle: mis-speculation detection and delta recovery.
 //!
 //! PLANGEN's bet is that pruned relaxations cannot reach the top-k. This
 //! module closes the loop on that bet at runtime:
@@ -7,13 +7,13 @@
 //!           ┌────────┐    ┌─────────┐    ┌────────┐ clean ┌─────────┐
 //!  query ──▶│  plan  │───▶│ execute │───▶│ verify │──────▶│ answers │
 //!           └────────┘    └─────────┘    └────────┘       └─────────┘
-//!                ▲             ▲              │ mis-speculated
-//!                │             │              ▼
-//!                │             │        ┌──────────┐
-//!                │             └────────│ escalate │  stage 1‥N−1: relax the
-//!                │                      └──────────┘  top suspect; stage N:
-//!                │                            │        all-relaxed safety net
-//!                │        feedback ledger     ▼
+//!                ▲                        ▲   │ mis-speculated
+//!                │            top-k ∪ Δ   │   ▼
+//!                │          ┌─────────────┴──────┐  stage 1‥N−1: the top
+//!                │          │ escalate: delta run │  suspect; stage N: every
+//!                │          │ above the k-th score│  remaining candidate,
+//!                │          └────────────────────┘  one delta each
+//!                │        feedback ledger     │
 //!                └───── (StatsCatalog, generation bump) ◀── verdicts
 //! ```
 //!
@@ -26,10 +26,19 @@
 //!   [score floor](crate::QueryPlan::score_floor) reported as a shortfall
 //!   diagnostic when reality misses the `E_Q(k)` prediction itself).
 //! * **Recover**: the engine escalates suspects one stage at a time
-//!   ([`QueryPlan::escalated`]) and re-executes, with a final all-relaxed
-//!   (TriniT) stage as the safety net. Every stage and every discarded
-//!   answer object is counted (`RunReport::fallback_stages`,
-//!   `RunReport::wasted_answers`), so the price of a wrong guess is
+//!   ([`QueryPlan::escalated`]) — and keeps what it has. Escalating pattern
+//!   `i` can only add answers that use a *relaxed-only* row of `i`, so the
+//!   escalated plan's top-k is the top-k of the answers in hand united with
+//!   the top-k of the *delta plan* (the escalated plan with `i`'s merge
+//!   built without its original scan, [`crate::run_delta_plan`]),
+//!   deduplicated by binding keeping the higher score ([`union_top_k`]).
+//!   Nothing below the k-th score in hand can enter that union, so the delta
+//!   run carries it as a *score floor* and stops as soon as its bounds drop
+//!   under it; an under-filled run has no floor. The final permitted stage
+//!   escalates every remaining candidate, one delta each. Nothing is
+//!   executed twice; every stage is counted (`RunReport::fallback_stages`),
+//!   and so is every answer object a delta created to no effect
+//!   (`RunReport::wasted_answers`), so the price of a wrong guess is
 //!   measured, not hidden.
 //! * **Learn**: verdicts feed the per-pattern-shape ledger in
 //!   [`specqp_stats::StatsCatalog`], which biases later PLANGEN runs away
@@ -46,7 +55,7 @@ use relax::RelaxationRegistry;
 use sparql::Query;
 use specqp_common::Score;
 
-/// Default number of fallback re-executions allowed per query under
+/// Default number of recovery stages allowed per query under
 /// [`SpeculationPolicy::Fallback`] (`SPECQP_SPEC=fallback`).
 pub const DEFAULT_MAX_STAGES: usize = 3;
 
@@ -94,19 +103,20 @@ pub enum SpeculationPolicy {
     /// returned as-is.
     Detect,
     /// Verify, and on a mis-speculation escalate the flagged patterns and
-    /// re-execute, up to `max_stages` times. Stages `1‥max_stages−1` each
-    /// relax the top remaining suspect; the final permitted stage executes
-    /// the all-relaxed (TriniT) safety net, guaranteeing the result quality
-    /// of the baseline whenever detection fires.
+    /// recover by delta, up to `max_stages` times. Stages `1‥max_stages−1`
+    /// each relax the top remaining suspect; the final permitted stage
+    /// relaxes every remaining candidate, which makes the answers TriniT's
+    /// (same bindings; scores may differ in the last place, being summed in
+    /// a different order) whenever detection fires.
     Fallback {
-        /// Maximum re-executions per query (≥ 1).
+        /// Maximum recovery stages per query (≥ 1).
         max_stages: usize,
     },
-    /// Diagnostic mode: skip verification and always take one fallback
-    /// stage straight to the all-relaxed safety net. The answers are
-    /// byte-identical to `Engine::run_trinit` — the differential suite uses
-    /// this to prove the recovery path end to end. No feedback is recorded
-    /// (a forced verdict says nothing about the plan).
+    /// Diagnostic mode: skip verification, discard the speculative run and
+    /// execute the literal all-relaxed plan as one forced stage. The answers
+    /// are byte-identical to `Engine::run_trinit` — the oracle the
+    /// differential suites compare recovered answers against. No feedback is
+    /// recorded (a forced verdict says nothing about the plan).
     ForceFinal,
 }
 
@@ -163,7 +173,8 @@ impl SpeculationPolicy {
         self != SpeculationPolicy::Off
     }
 
-    /// `true` when the policy may re-execute after a mis-speculation.
+    /// `true` when the policy may take recovery stages after a
+    /// mis-speculation.
     pub fn recovers(self) -> bool {
         matches!(
             self,
@@ -221,6 +232,34 @@ pub fn escalation_candidates(
         .filter(|(i, p)| !plan.is_relaxed(*i) && registry.relaxation_count(p) > 0)
         .map(|(i, _)| i)
         .collect()
+}
+
+/// Folds a delta run into the answers in hand: `answers` becomes the top-`k`
+/// of `answers ∪ delta` under the canonical order (score desc, binding asc),
+/// a binding found on both sides keeping its higher score. Returns whether
+/// the top-`k` changed; answers that stay keep their score bits, so
+/// "unchanged" is exact.
+///
+/// With `answers` the top-`k` of a plan and `delta` the top-`k` of its delta
+/// plan for pattern `i` this is the escalated plan's top-`k`: per binding the
+/// escalated merge of `i` scores `max(original, relaxed)`, the two sides
+/// hold one operand each, and an answer among the escalated best `k` is
+/// among the best `k` of whichever side gives it that score — every answer
+/// outranking it on that side outranks it in the escalated plan too.
+pub fn union_top_k(answers: &mut Vec<PartialAnswer>, delta: Vec<PartialAnswer>, k: usize) -> bool {
+    if delta.is_empty() {
+        return false;
+    }
+    let before = answers.clone();
+    for d in delta {
+        match answers.iter_mut().find(|a| a.binding == d.binding) {
+            Some(a) => a.score = a.score.max(d.score),
+            None => answers.push(d),
+        }
+    }
+    answers.sort_by(|a, b| b.cmp(a));
+    answers.truncate(k);
+    *answers != before
 }
 
 /// Inspects the outcome of executing `plan` and classifies the run.
@@ -458,6 +497,35 @@ mod tests {
         let answers = [ans(1, 2.0), ans(2, 1.6)];
         let v = verify(&q, &plan, &reg, &answers, 2);
         assert!(!v.mis_speculated && !v.below_floor);
+    }
+
+    #[test]
+    fn union_keeps_the_better_score_per_binding_and_reports_change() {
+        let old = vec![ans(1, 2.0), ans(2, 1.0), ans(3, 0.5)];
+
+        // Nothing to fold in, or only what was already there: unchanged.
+        let mut got = old.clone();
+        assert!(!union_top_k(&mut got, Vec::new(), 3));
+        assert!(!union_top_k(&mut got, vec![ans(2, 1.0), ans(3, 0.25)], 3));
+        assert_eq!(got, old);
+
+        // A delta answer tied with the k-th score but ranking after it on
+        // binding is cut again: still unchanged.
+        assert!(!union_top_k(&mut got, vec![ans(9, 0.5)], 3));
+        assert_eq!(got, old);
+        // Ranking before it, it takes the place.
+        assert!(union_top_k(&mut got, vec![ans(0, 0.5)], 3));
+        assert_eq!(got, vec![ans(1, 2.0), ans(2, 1.0), ans(0, 0.5)]);
+
+        // An upgrade re-ranks one binding; a new answer evicts the last.
+        let mut got = old.clone();
+        assert!(union_top_k(&mut got, vec![ans(3, 3.0), ans(7, 1.5)], 3));
+        assert_eq!(got, vec![ans(3, 3.0), ans(1, 2.0), ans(7, 1.5)]);
+
+        // An under-filled top-k grows.
+        let mut got = vec![ans(1, 2.0)];
+        assert!(union_top_k(&mut got, vec![ans(4, 0.1)], 3));
+        assert_eq!(got, vec![ans(1, 2.0), ans(4, 0.1)]);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Timing and memory reports for query runs.
 
+use operators::OpMetrics;
 use std::time::Duration;
 
 /// What one query execution cost (§4.3's efficiency metrics), including the
@@ -9,14 +10,14 @@ pub struct RunReport {
     /// Time spent in PLANGEN (zero for the TriniT baseline, which has no
     /// speculation step).
     pub planning: Duration,
-    /// Time spent pulling the top-k through the operator tree — summed over
-    /// every fallback stage when the lifecycle re-executed.
+    /// Time spent pulling the top-k through the operator tree — the
+    /// speculative execution plus every recovery stage's delta runs.
     pub execution: Duration,
     /// Time spent in the mis-speculation verifier (zero under
     /// `SpeculationPolicy::Off`).
     pub verify: Duration,
     /// The paper's memory proxy: answer objects created by scans, merges
-    /// and joins (all fallback stages included).
+    /// and joins (all recovery stages included).
     pub answers_created: u64,
     /// Sequential (sorted) accesses to input lists.
     pub sorted_accesses: u64,
@@ -24,19 +25,36 @@ pub struct RunReport {
     pub random_accesses: u64,
     /// Priority-queue pushes inside rank joins.
     pub heap_pushes: u64,
-    /// Fallback re-executions taken by the speculation lifecycle.
+    /// Recovery stages taken by the speculation lifecycle.
     pub fallback_stages: u64,
-    /// Answer objects whose work was discarded because the execution that
-    /// produced them was abandoned by a fallback stage — the measured price
-    /// of wrong speculative guesses.
+    /// Answer objects created to no effect: by delta runs whose union left
+    /// the top-k exactly as it was — the measured price of escalating a
+    /// pattern that did not need it. The speculative execution itself is
+    /// kept, not discarded, so it never counts; only
+    /// `SpeculationPolicy::ForceFinal`, which does discard it for the
+    /// literal TriniT plan, counts it here.
     pub wasted_answers: u64,
     /// `true` when the verifier classified the run as mis-speculated (under
-    /// `Detect` the answers are returned anyway; under `Fallback` they come
-    /// from the recovery stages).
+    /// `Detect` the answers are returned anyway; under `Fallback` the
+    /// recovery stages have been folded into them).
     pub mis_speculated: bool,
 }
 
 impl RunReport {
+    /// A report carrying `metrics`' counters, its durations zero and
+    /// `mis_speculated` unset.
+    pub fn of(metrics: &OpMetrics) -> Self {
+        RunReport {
+            answers_created: metrics.answers_created(),
+            sorted_accesses: metrics.sorted_accesses(),
+            random_accesses: metrics.random_accesses(),
+            heap_pushes: metrics.heap_pushes(),
+            fallback_stages: metrics.fallback_stages(),
+            wasted_answers: metrics.wasted_answers(),
+            ..Default::default()
+        }
+    }
+
     /// Planning + execution + verification — the "runtimes" plotted in
     /// Figures 6–9 ("We measure the time taken to plan and execute each
     /// query"), extended with the lifecycle's verify phase so fallback

@@ -347,6 +347,16 @@ pub trait BlockStream {
 
     /// Upper bound on all future answer scores (see trait docs).
     fn upper_bound(&self) -> Option<Score>;
+
+    /// Tells the stream that its consumer keeps only rows scoring
+    /// `≥ floor`. A stream that can spend unbounded work inside one
+    /// [`next_block`](BlockStream::next_block) call before it emits
+    /// ([`BlockRankJoin`](crate::BlockRankJoin)) ends itself — returns
+    /// `None` — as soon as nothing at or above the floor can follow; for
+    /// every other stream the consumer's own `upper_bound()` check between
+    /// pulls is just as tight, so the default ignores the hint. Rows below
+    /// the floor may still be emitted; the consumer drops them.
+    fn set_floor(&mut self, _floor: Score) {}
 }
 
 /// Boxed block-operator node borrowing a graph for `'g`.
@@ -361,6 +371,9 @@ impl BlockStream for BoxedBlockStream<'_> {
     }
     fn upper_bound(&self) -> Option<Score> {
         (**self).upper_bound()
+    }
+    fn set_floor(&mut self, floor: Score) {
+        (**self).set_floor(floor)
     }
 }
 
@@ -458,17 +471,41 @@ impl BlockStream for RowsToBlocks<'_> {
 /// incidental stream position — the block executor returns exactly what the
 /// row executor and the morsel-parallel merge return.
 pub fn top_k_blocks<S: BlockStream + ?Sized>(stream: &mut S, k: usize) -> Vec<PartialAnswer> {
+    top_k_blocks_floored(stream, k, None)
+}
+
+/// [`top_k_blocks`] restricted to rows scoring `≥ floor`: exactly the
+/// unbounded top-`k` with the rows below the floor dropped, but the stream
+/// is told the floor ([`BlockStream::set_floor`]) and is pulled only while
+/// its `upper_bound()` still reaches it — so a run whose answers all fall
+/// short reads no further than its bounds require, where the unbounded run
+/// would drain `k` rows first. `None` is no floor.
+pub fn top_k_blocks_floored<S: BlockStream + ?Sized>(
+    stream: &mut S,
+    k: usize,
+    floor: Option<Score>,
+) -> Vec<PartialAnswer> {
     let mut out = Vec::with_capacity(k);
     if k == 0 {
         return out;
     }
-    'stream: while let Some(block) = stream.next_block() {
+    if let Some(floor) = floor {
+        stream.set_floor(floor);
+    }
+    let below = |score: Score| floor.is_some_and(|f| score < f);
+    'stream: loop {
+        if floor.is_some() && stream.upper_bound().is_none_or(below) {
+            break;
+        }
+        let Some(block) = stream.next_block() else {
+            break;
+        };
         for i in 0..block.len() {
-            let a = block.answer(i);
-            if out.len() >= k && a.score != out[k - 1].score {
+            let score = block.score(i);
+            if below(score) || (out.len() >= k && score != out[k - 1].score) {
                 break 'stream;
             }
-            out.push(a);
+            out.push(block.answer(i));
         }
     }
     out.sort_by(|a, b| b.cmp(a));

@@ -318,6 +318,9 @@ pub struct BlockRankJoin<'g> {
     pull_left_next: bool,
     sizer: BlockSizer,
     metrics: MetricsHandle,
+    /// Set by [`BlockStream::set_floor`]: the join ends once no queued or
+    /// future result can score this high.
+    floor: Option<Score>,
 }
 
 impl<'g> BlockRankJoin<'g> {
@@ -351,6 +354,7 @@ impl<'g> BlockRankJoin<'g> {
             pull_left_next: true,
             sizer: BlockSizer::new(block_size),
             metrics,
+            floor: None,
         }
     }
 
@@ -467,10 +471,20 @@ impl BlockStream for BlockRankJoin<'_> {
     /// [`RankJoin::next`](crate::RankJoin): ties are fully queued before any
     /// is emitted, so the drain below pops them in the canonical
     /// (score desc, binding asc) order regardless of pull granularity.
+    ///
+    /// With a [floor](BlockStream::set_floor) the loop also ends — before
+    /// every pull — once `max(heap top, threshold)` has dropped under it:
+    /// without that check a join whose remaining results all fall short
+    /// would read its inputs dry inside this one call, looking for a result
+    /// to emit.
     fn next_block(&mut self) -> Option<AnswerBlock> {
         loop {
             let t = self.threshold();
-            match (self.output.peek_score(), t) {
+            let top = self.output.peek_score();
+            if self.floor.is_some_and(|f| top.max(t).is_none_or(|b| b < f)) {
+                return None;
+            }
+            match (top, t) {
                 (Some(top), Some(t)) if top <= t => self.pull_block(),
                 (Some(_), bound) => {
                     // Drain every emittable result (threshold can't move
@@ -500,6 +514,10 @@ impl BlockStream for BlockRankJoin<'_> {
             (None, Some(t)) => Some(t),
             (Some(h), Some(t)) => Some(h.max(t)),
         }
+    }
+
+    fn set_floor(&mut self, floor: Score) {
+        self.floor = Some(floor);
     }
 }
 
@@ -989,6 +1007,47 @@ mod tests {
             4,
         );
         assert!(m2.next_block().is_none());
+    }
+
+    /// Two long lists that join only at their very ends: with no floor the
+    /// join reads both to the bottom before it can emit; told that only
+    /// scores `≥ 1.9` count, it stops as soon as its corner bound is under
+    /// that — and says so by ending, though its inputs are not exhausted.
+    #[test]
+    fn floored_join_ends_itself_without_draining_its_inputs() {
+        let side = |offset: u32| -> Vec<PartialAnswer> {
+            (0..1000)
+                .map(|i| simple(i + offset, 1.0 - f64::from(i) * 0.001))
+                .collect()
+        };
+        // Keys 0..1000 against 999..1999: one shared key, the left's last row.
+        let (l, r) = (side(0), side(999));
+        let run = |floor: Option<Score>| {
+            let metrics = OpMetrics::new_handle();
+            let mut join = BlockRankJoin::new(
+                Box::new(block_of(&l, &[0], 16)),
+                Box::new(block_of(&r, &[0], 16)),
+                vec![Var(0)],
+                PullStrategy::Adaptive,
+                metrics.clone(),
+                16,
+            );
+            let got = crate::block::top_k_blocks_floored(&mut join, 5, floor);
+            (got, metrics.sorted_accesses(), join.upper_bound())
+        };
+        let (all, read_all, _) = run(None);
+        assert_eq!(all.len(), 1, "the one join result sits at the bottom");
+        assert!(read_all >= 1000);
+        let (none, read_floored, bound) = run(Some(Score::new(1.9)));
+        assert!(none.is_empty());
+        assert!(
+            read_floored < read_all / 4,
+            "{read_floored} of {read_all} rows read"
+        );
+        assert!(
+            bound.is_some_and(|b| b < Score::new(1.9)),
+            "ended by the floor, not by exhaustion: {bound:?}"
+        );
     }
 
     #[test]

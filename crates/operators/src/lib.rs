@@ -52,8 +52,8 @@ pub mod topk;
 pub use adapt::{Projected, Scaled};
 pub use answer::{Binding, PartialAnswer};
 pub use block::{
-    top_k_blocks, AnswerBlock, Block, BlockStream, BoxedBlockStream, ExecutionMode, RowsToBlocks,
-    DEFAULT_BLOCK_SIZE,
+    top_k_blocks, top_k_blocks_floored, AnswerBlock, Block, BlockStream, BoxedBlockStream,
+    ExecutionMode, RowsToBlocks, DEFAULT_BLOCK_SIZE,
 };
 pub use block_join::{BlockIncrementalMerge, BlockRankJoin};
 pub use incr_merge::IncrementalMerge;
@@ -63,4 +63,4 @@ pub use nrjn::NestedLoopsRankJoin;
 pub use rank_join::{PullStrategy, RankJoin};
 pub use scan::{BlockScan, PatternScan};
 pub use stream::{materialize, BoxedStream, RankedStream, VecStream};
-pub use topk::{top_k, top_k_projected};
+pub use topk::{top_k, top_k_floored, top_k_projected};

@@ -87,16 +87,17 @@ impl OpMetrics {
         self.heap_pushes.set(self.heap_pushes.get() + 1);
     }
 
-    /// Records one fallback re-execution stage taken by the speculation
-    /// lifecycle (the engine escalates a mis-speculated plan and re-runs).
+    /// Records one recovery stage taken by the speculation lifecycle (the
+    /// engine escalates a mis-speculated plan and folds in the delta).
     #[inline]
     pub fn count_fallback_stage(&self) {
         self.fallback_stages.set(self.fallback_stages.get() + 1);
     }
 
-    /// Records `n` answer objects whose work was discarded because the run
-    /// that produced them was abandoned by a fallback stage — the price of a
-    /// wrong speculative guess, measured instead of hidden.
+    /// Records `n` answer objects created to no effect — by a delta run
+    /// whose union left the top-k as it was (or by the speculative run a
+    /// forced final stage discards): the price of a wrong speculative
+    /// guess, measured instead of hidden.
     #[inline]
     pub fn count_wasted_answers(&self, n: u64) {
         self.wasted_answers.set(self.wasted_answers.get() + n);
@@ -122,12 +123,13 @@ impl OpMetrics {
         self.heap_pushes.get()
     }
 
-    /// Fallback re-execution stages taken across this run.
+    /// Recovery stages taken across this run.
     pub fn fallback_stages(&self) -> u64 {
         self.fallback_stages.get()
     }
 
-    /// Answer objects created by abandoned (mis-speculated) executions.
+    /// Answer objects created to no effect (see
+    /// [`count_wasted_answers`](OpMetrics::count_wasted_answers)).
     pub fn wasted_answers(&self) -> u64 {
         self.wasted_answers.get()
     }

@@ -3,7 +3,7 @@
 use crate::answer::{Binding, PartialAnswer};
 use crate::stream::RankedStream;
 use sparql::Var;
-use specqp_common::FxHashSet;
+use specqp_common::{FxHashSet, Score};
 
 /// Collects the top-`k` answers under the canonical total order
 /// (score desc, binding asc). Because [`RankedStream`]s produce answers in
@@ -15,15 +15,37 @@ use specqp_common::FxHashSet;
 /// inside the operators, which only consume as much of their inputs as the
 /// bounds require.
 pub fn top_k<S: RankedStream + ?Sized>(stream: &mut S, k: usize) -> Vec<PartialAnswer> {
+    top_k_floored(stream, k, None)
+}
+
+/// [`top_k`] restricted to answers scoring `≥ floor`: exactly the unbounded
+/// top-`k` with the answers below the floor dropped, pulling only while the
+/// stream's `upper_bound()` still reaches the floor. The check sits in this
+/// driver alone — the row operators are the reference and know nothing of
+/// floors — so a row join may still read deep inside one `next()`; the block
+/// path ([`top_k_blocks_floored`](crate::top_k_blocks_floored)) is the one
+/// that stops its join early. `None` is no floor.
+pub fn top_k_floored<S: RankedStream + ?Sized>(
+    stream: &mut S,
+    k: usize,
+    floor: Option<Score>,
+) -> Vec<PartialAnswer> {
     let mut out = Vec::with_capacity(k);
     if k == 0 {
         return out;
     }
-    while let Some(a) = stream.next() {
+    let below = |score: Score| floor.is_some_and(|f| score < f);
+    loop {
+        if floor.is_some() && stream.upper_bound().is_none_or(below) {
+            break;
+        }
+        let Some(a) = stream.next() else {
+            break;
+        };
         // `out` is in non-increasing score order, so once it holds `k`
         // answers `out[k - 1]` carries the floor; only floor ties may still
         // belong to the canonical top-k.
-        if out.len() >= k && a.score != out[k - 1].score {
+        if below(a.score) || (out.len() >= k && a.score != out[k - 1].score) {
             break;
         }
         out.push(a);

@@ -452,11 +452,11 @@ pub struct SpeculationTotals {
     pub speculative_runs: u64,
     /// Runs the verifier classified as mis-speculated.
     pub mis_speculations: u64,
-    /// Runs that took at least one fallback re-execution.
+    /// Runs that took at least one fallback (recovery) stage.
     pub fallback_runs: u64,
     /// Total fallback stages across the batch.
     pub fallback_stages: u64,
-    /// Total answer objects discarded by abandoned executions.
+    /// Total answer objects created to no effect (`RunReport::wasted_answers`).
     pub wasted_answers: u64,
     /// Total time spent in the verifier.
     pub verify: Duration,

@@ -134,7 +134,7 @@ impl StatsCatalog {
     }
 
     /// Records **probe** outcomes — verdicts backed by an actual paid-for
-    /// re-execution (a fallback escalation) or provenance audit. Unlike
+    /// delta run (a fallback escalation) or provenance audit. Unlike
     /// [`record_speculations`](StatsCatalog::record_speculations), clean
     /// verdicts are always recorded, even for never-seen patterns: a probe's
     /// clean result is the evidence that marks a pattern

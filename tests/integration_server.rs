@@ -252,9 +252,16 @@ fn expired_deadline_is_shed_over_the_wire() {
 /// Hammering a tiny queue from the wire: overloaded requests come back
 /// `RetryAfter` *quickly* (no unbounded waits), and accepted ones all
 /// complete.
+///
+/// The burst is the brute-force executor's join over the 2000-entity graph
+/// — milliseconds each, against the microseconds the connection's reader
+/// needs to decode and submit a frame already in its socket buffer. A cheap
+/// query let the one worker keep pace with the reader now and then, and
+/// then nothing was shed (1 run in ~240); this worker would have to finish
+/// a join inside every one of 59 gaps between two frames.
 #[test]
 fn queue_saturation_sheds_with_retry_after() {
-    let service = test_service(1, 1);
+    let service = sized_service(2000, 1, 1);
     let server =
         Server::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = SpecQpClient::connect(server.local_addr()).unwrap();
@@ -263,7 +270,7 @@ fn queue_saturation_sheds_with_retry_after() {
     let mut accepted = 0u32;
     let mut shed = 0u32;
     for _ in 0..60 {
-        client.send(SINGERS, ExecMode::SpecQp, 10, 0, 1).unwrap();
+        client.send(SLOW_JOIN, ExecMode::Naive, 10, 0, 1).unwrap();
     }
     for _ in 0..60 {
         match client.recv().unwrap() {

@@ -2,9 +2,10 @@
 //! references.
 
 use operators::{
-    materialize, top_k, Binding, BlockIncrementalMerge, BlockRankJoin, BlockStream,
-    BoxedBlockStream, IncrementalMerge, NestedLoopsRankJoin, OpMetrics, PartialAnswer,
-    PullStrategy, RankJoin, RankedStream, RowsToBlocks, VecStream,
+    materialize, top_k, top_k_blocks, top_k_blocks_floored, top_k_floored, Binding,
+    BlockIncrementalMerge, BlockRankJoin, BlockStream, BoxedBlockStream, IncrementalMerge,
+    MetricsHandle, NestedLoopsRankJoin, OpMetrics, PartialAnswer, PullStrategy, RankJoin,
+    RankedStream, RowsToBlocks, VecStream,
 };
 use proptest::prelude::*;
 use sparql::Var;
@@ -104,6 +105,31 @@ fn vars(ids: &[u32]) -> Vec<Var> {
     ids.iter().copied().map(Var).collect()
 }
 
+/// The floor contract, for one way of building a block stream: the
+/// floor-bounded top-k is the unbounded top-k with the rows under the floor
+/// dropped, and reading it costs no more sorted accesses.
+fn check_floor<'a>(
+    build: impl Fn(MetricsHandle) -> BoxedBlockStream<'a>,
+    k: usize,
+    floor: Score,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let unbounded_metrics = OpMetrics::new_handle();
+    let mut want = top_k_blocks(&mut build(unbounded_metrics.clone()), k);
+    want.retain(|a| a.score >= floor);
+    let metrics = OpMetrics::new_handle();
+    let got = top_k_blocks_floored(&mut build(metrics.clone()), k, Some(floor));
+    prop_assert_eq!(&got, &want, "{} k {} floor {:?}", what, k, floor);
+    prop_assert!(
+        metrics.sorted_accesses() <= unbounded_metrics.sorted_accesses(),
+        "{}: {} sorted accesses under a floor, {} without",
+        what,
+        metrics.sorted_accesses(),
+        unbounded_metrics.sorted_accesses()
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -139,6 +165,61 @@ proptest! {
                 prop_assert_eq!(&got, &want, "shape {} {:?} size {}", shape, strategy, size);
             }
         }
+    }
+
+    /// Any floor, at a join root (the join ends itself), a merge root and a
+    /// scan root (the driver's bound check ends them): scores come in steps
+    /// of 0.25, so floors on, between and beyond them are all drawn. The row
+    /// driver obeys the same contract.
+    #[test]
+    fn floor_bounded_top_k_is_the_filtered_top_k(
+        l in raw_rows(60),
+        r in raw_rows(60),
+        shape in 0usize..5,
+        k in 0usize..12,
+        floor_eighths in 0u32..20,
+    ) {
+        let floor = Score::new(f64::from(floor_eighths) * 0.125);
+        let (ls, rs, js) = JOIN_SHAPES[shape];
+        let (ls, rs, js) = (vars(ls), vars(rs), vars(js));
+        // Merge inputs share a schema: the right rows again, over the left's.
+        let r_as_l = answers_over(&r, &ls);
+        let (l, r) = (answers_over(&l, &ls), answers_over(&r, &rs));
+        for size in [1, 7, 128] {
+            for strategy in [PullStrategy::Alternate, PullStrategy::Adaptive] {
+                check_floor(
+                    |m| {
+                        Box::new(BlockRankJoin::new(
+                            blocks_of(&l, &ls, size),
+                            blocks_of(&r, &rs, size),
+                            js.clone(),
+                            strategy,
+                            m,
+                            size,
+                        ))
+                    },
+                    k,
+                    floor,
+                    &format!("join shape {shape} {strategy:?} size {size}"),
+                )?;
+            }
+            check_floor(
+                |_| {
+                    Box::new(BlockIncrementalMerge::new(
+                        vec![blocks_of(&l, &ls, size), blocks_of(&r_as_l, &ls, size)],
+                        size,
+                    ))
+                },
+                k,
+                floor,
+                &format!("merge size {size}"),
+            )?;
+            check_floor(|_| blocks_of(&l, &ls, size), k, floor, &format!("scan size {size}"))?;
+        }
+        let mut want = top_k(&mut VecStream::new(l.clone()), k);
+        want.retain(|a| a.score >= floor);
+        let got = top_k_floored(&mut VecStream::new(l.clone()), k, Some(floor));
+        prop_assert_eq!(got, want, "row driver k {} floor {:?}", k, floor);
     }
 
     /// The block merge emits exactly the row merge's answers over 1-, 2-
