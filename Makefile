@@ -18,12 +18,12 @@ build:
 # The SPECQP_SPEC=fallback lap verifies every Spec-QP run and recovers
 # mis-speculations by delta (tests/diff_speculation.rs: delta == restart up
 # to summation order; the forced-final stage alone is byte-identical to
-# TriniT; tests/diff_exec.rs stays byte-exact between row and block).
+# TriniT; tests/diff_exec.rs stays byte-exact across block sizes and with
+# the naive oracle).
 test:
-	SPECQP_EXEC=row $(CARGO) test -q --workspace
-	SPECQP_EXEC=block $(CARGO) test -q --workspace
+	$(CARGO) test -q --workspace
 	SPECQP_SPEC=fallback $(CARGO) test -q --workspace
-	SPECQP_EXEC=block SPECQP_MORSELS=4 $(CARGO) test -q --workspace
+	SPECQP_MORSELS=4 $(CARGO) test -q --workspace
 	SPECQP_CHURN=1 $(CARGO) test -q --workspace
 	SPECQP_LEARNED=1 $(CARGO) test -q --workspace
 	env -u RUST_TEST_THREADS $(CARGO) test -q --release --test integration_service
@@ -53,8 +53,7 @@ smoke:
 
 # The CI bench-regression job: probe the current tree, gate against the
 # committed baseline (3x noise tolerance), and check the snapshot speedup,
-# the block-executor speedup, the speculation quality floor, the wire
-# front-end's overload behavior (shed with RetryAfter, p99 bounded), the
+# the speculation quality floor, the wire front-end's overload behavior (shed with RetryAfter, p99 bounded), the
 # morsel-parallel + snapshot v2 floors (answers bit-identical always; the 2x
 # speedup floor applies only when cores >= workers), the live-writes
 # churn floors (answers epoch-stable, post-compaction load >= 5x), and the
@@ -64,7 +63,6 @@ gate:
 	$(CARGO) run --release -p bench --bin probe -- xkg 2 10 --service 4 --block-size 128 --quality --server --morsels 4 --churn --learned --json target/BENCH_current.json
 	$(CARGO) run --release -p bench --bin bench_gate -- regression BENCH_probe.json target/BENCH_current.json 3
 	$(CARGO) run --release -p bench --bin bench_gate -- snapshot target/BENCH_current.json 3
-	$(CARGO) run --release -p bench --bin bench_gate -- block target/BENCH_current.json 1.9
 	$(CARGO) run --release -p bench --bin bench_gate -- quality target/BENCH_current.json 0.95 1.25
 	$(CARGO) run --release -p bench --bin bench_gate -- overload BENCH_probe.json target/BENCH_current.json 3
 	$(CARGO) run --release -p bench --bin bench_gate -- parallel target/BENCH_current.json 2 5

@@ -1,7 +1,6 @@
-//! Row-at-a-time vs block-at-a-time executor on the seeded XKG workload —
-//! the criterion view of the `block` object the probe records in
-//! `BENCH_probe.json` (the CI gate enforces the speedup; this bench charts
-//! how it scales with block size).
+//! The block executor on the seeded XKG workload at three block sizes — the
+//! criterion view of the `block` object the probe records in
+//! `BENCH_probe.json`, charting how execution time scales with block size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::{Dataset, XkgConfig, XkgGenerator};
@@ -32,9 +31,6 @@ fn workload(e: &Engine<'_>, ds: &Dataset, k: usize) -> usize {
 fn bench_block_exec(c: &mut Criterion) {
     let ds = XkgGenerator::new(XkgConfig::small(0x5eed001)).generate();
     let mut group = c.benchmark_group("executor_workload_top10");
-
-    let row = engine(&ds, ExecutionMode::RowAtATime);
-    group.bench_function("row_at_a_time", |b| b.iter(|| workload(&row, &ds, 10)));
 
     for size in [32usize, 128, 1024] {
         let block = engine(&ds, ExecutionMode::Block(size));

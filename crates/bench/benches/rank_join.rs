@@ -1,14 +1,11 @@
-//! Microbench: rank-join variants (HRJN alternate, HRJN* adaptive, NRJN)
-//! against a full-sort join, to a fixed k — the operator ablation behind
-//! the related-work discussion (\[15,16,27\]) — plus the block executor's
-//! join and merge kernels drained to exhaustion, where the per-row
-//! bookkeeping (row index, result heap, dedup set) is all there is to time.
+//! Microbench: the block executor's rank-join and merge kernels drained to
+//! exhaustion, where the per-row bookkeeping (row index, result heap, dedup
+//! set) is all there is to time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use operators::{
-    top_k, AnswerBlock, Binding, BlockIncrementalMerge, BlockRankJoin, BlockStream,
-    BoxedBlockStream, NestedLoopsRankJoin, OpMetrics, PartialAnswer, PullStrategy, RankJoin,
-    RankedStream, VecStream,
+    AnswerBlock, Binding, BlockIncrementalMerge, BlockRankJoin, BlockStream, BoxedBlockStream,
+    OpMetrics, PartialAnswer, PullStrategy,
 };
 use sparql::Var;
 use specqp_common::{Score, TermId};
@@ -118,91 +115,5 @@ fn bench_block_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_rank_join(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rank_join_top10");
-    let len = 5_000;
-    let keys = 512;
-    let l = side(len, keys, 0);
-    let r = side(len, keys, 1);
-
-    for (name, strategy) in [
-        ("hrjn_alternate", PullStrategy::Alternate),
-        ("hrjn_star_adaptive", PullStrategy::Adaptive),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let m = OpMetrics::new_handle();
-                let mut join = RankJoin::new(
-                    Box::new(VecStream::new(l.clone())),
-                    Box::new(VecStream::new(r.clone())),
-                    vec![Var(0)],
-                    strategy,
-                    m,
-                );
-                top_k(&mut join, 10).len()
-            })
-        });
-    }
-
-    group.bench_function("nrjn", |b| {
-        b.iter(|| {
-            let m = OpMetrics::new_handle();
-            let mut join = NestedLoopsRankJoin::new(l.clone(), r.clone(), vec![Var(0)], m);
-            top_k(&mut join, 10).len()
-        })
-    });
-
-    group.bench_function("full_sort_join", |b| {
-        b.iter(|| {
-            // Materialize-everything baseline: hash join + sort + truncate.
-            let mut table: std::collections::HashMap<Option<Box<[TermId]>>, Vec<&PartialAnswer>> =
-                std::collections::HashMap::new();
-            for a in &l {
-                table
-                    .entry(a.binding.key_for(&[Var(0)]))
-                    .or_default()
-                    .push(a);
-            }
-            let mut out: Vec<PartialAnswer> = Vec::new();
-            for bb in &r {
-                if let Some(partners) = table.get(&bb.binding.key_for(&[Var(0)])) {
-                    for a in partners {
-                        out.push(PartialAnswer::new(
-                            a.binding.merged(&bb.binding),
-                            a.score + bb.score,
-                        ));
-                    }
-                }
-            }
-            out.sort_by(|x, y| y.cmp(x));
-            out.truncate(10);
-            out.len()
-        })
-    });
-
-    group.finish();
-
-    // Early-termination scaling: how many tuples HRJN* pulls for top-1.
-    let mut group = c.benchmark_group("rank_join_pulls");
-    for &len in &[1_000usize, 10_000, 100_000] {
-        let l = side(len, 64, 0);
-        let r = side(len, 64, 1);
-        group.bench_with_input(BenchmarkId::new("top1", len), &len, |b, _| {
-            b.iter(|| {
-                let m = OpMetrics::new_handle();
-                let mut join = RankJoin::new(
-                    Box::new(VecStream::new(l.clone())),
-                    Box::new(VecStream::new(r.clone())),
-                    vec![Var(0)],
-                    PullStrategy::Adaptive,
-                    m,
-                );
-                join.next().map(|a| a.score)
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_rank_join, bench_block_kernels);
+criterion_group!(benches, bench_block_kernels);
 criterion_main!(benches);

@@ -1,13 +1,12 @@
 //! CI gate over `BENCH_probe.json` reports.
 //!
-//! Three subcommands, all exiting non-zero on failure so they can gate a
+//! Eight subcommands, all exiting non-zero on failure so they can gate a
 //! workflow:
 //!
 //! ```text
 //! bench_gate regression <baseline.json> <current.json> [tolerance]
 //! bench_gate determinism <a.json> <b.json>
 //! bench_gate snapshot <current.json> [min_speedup]
-//! bench_gate block <current.json> [min_speedup]
 //! bench_gate quality <current.json> [min_precision] [max_overhead]
 //! bench_gate learned <current.json> [max_mis_rate] [max_overhead]
 //! bench_gate overload <baseline.json> <current.json> [tolerance]
@@ -26,9 +25,6 @@
 //!   the TSV/builder path.
 //! * `snapshot` asserts the report's snapshot-vs-TSV load `speedup` meets
 //!   the floor (default 3×).
-//! * `block` asserts the report's block-vs-row executor `speedup` meets the
-//!   floor (default 1.3×) **and** that the two executors returned identical
-//!   answers (`answers_match`) — a fast wrong executor must never pass.
 //! * `quality` asserts the `speculation` object (emitted under
 //!   `probe --quality`) shows precision@k against TriniT of at least
 //!   `min_precision` (default 0.95) with the fallback lifecycle enabled,
@@ -315,36 +311,6 @@ fn bool_field(slice: &str, key: &str) -> Option<bool> {
     }
 }
 
-fn block_gate(path: &str, min_speedup: f64) -> i32 {
-    let json = read(path);
-    let slice = object_slice(&json, "block").unwrap_or_else(|| {
-        eprintln!("bench_gate: {path} has no \"block\" object");
-        exit(2);
-    });
-    let speedup = require_num(&json, "block", "speedup", path);
-    let row = require_num(&json, "block", "row_execution_us", path);
-    let block = require_num(&json, "block", "block_execution_us", path);
-    let answers_match = bool_field(slice, "answers_match").unwrap_or_else(|| {
-        eprintln!("bench_gate: {path} lacks boolean block.answers_match");
-        exit(2);
-    });
-    println!(
-        "block executor {block:.0}us vs row executor {row:.0}us -> {speedup:.2}x \
-         (floor {min_speedup}x, answers_match={answers_match})"
-    );
-    if !answers_match {
-        eprintln!("bench_gate block FAILED: block and row executors disagreed on answers");
-        return 1;
-    }
-    if speedup >= min_speedup {
-        println!("bench_gate block: ok");
-        0
-    } else {
-        eprintln!("bench_gate block FAILED: {speedup:.2}x < {min_speedup}x");
-        1
-    }
-}
-
 fn quality_gate(path: &str, min_precision: f64, max_overhead: f64) -> i32 {
     let json = read(path);
     let precision = require_num(&json, "speculation", "precision_fallback", path);
@@ -595,7 +561,6 @@ fn main() {
             "usage: bench_gate regression <baseline.json> <current.json> [tolerance]\n\
              \x20      bench_gate determinism <a.json> <b.json>\n\
              \x20      bench_gate snapshot <current.json> [min_speedup]\n\
-             \x20      bench_gate block <current.json> [min_speedup]\n\
              \x20      bench_gate quality <current.json> [min_precision] [max_overhead]\n\
              \x20      bench_gate learned <current.json> [max_mis_rate] [max_overhead]\n\
              \x20      bench_gate overload <baseline.json> <current.json> [tolerance]\n\
@@ -615,7 +580,6 @@ fn main() {
         (Some("regression"), 3..=4) => regression(&args[1], &args[2], num(3, 3.0)),
         (Some("determinism"), 3) => determinism(&args[1], &args[2]),
         (Some("snapshot"), 2..=3) => snapshot_gate(&args[1], num(2, 3.0)),
-        (Some("block"), 2..=3) => block_gate(&args[1], num(2, 1.3)),
         (Some("quality"), 2..=4) => quality_gate(&args[1], num(2, 0.95), num(3, 1.25)),
         (Some("learned"), 2..=4) => learned_gate(&args[1], num(2, 0.06), num(3, 1.25)),
         (Some("overload"), 3..=4) => overload_gate(&args[1], &args[2], num(3, 3.0)),
@@ -642,7 +606,7 @@ mod tests {
   "specqp": {"planning_us":754,"execution_us":2249,"top_k":10,"scores":[2.6,2.5]},
   "trinit": {"planning_us":0,"execution_us":1994,"top_k":10,"scores":[2.6,2.5]},
   "snapshot": {"triples":10,"bytes":123,"load_us":100,"tsv_load_us":900,"speedup":9.000,"from_snapshot":false},
-  "block": {"block_size":256,"queries":18,"k":10,"row_execution_us":9000,"block_execution_us":4000,"speedup":2.250,"answers_match":true},
+  "block": {"block_size":256,"queries":18,"k":10,"block_execution_us":4000},
   "parallel": {"workers":4,"cores":8,"rows":200000,"k":10,"block_size":256,"seq_execution_us":40000,"par_execution_us":14000,"speedup":2.857,"answers_match":true},
   "snapshot_v2": {"triples":200000,"terms":2200,"v2_bytes":9000000,"v1_bytes":9000000,"v2_load_us":5500,"v1_decode_us":122000,"v1_load_us":12400,"speedup":22.182,"compat_speedup":2.255},
   "churn": {"rows":30000,"rounds":24,"batch_size":128,"epochs":25,"delta_rows_at_fold":1600,"compact_us":8200,"answers_stable":true,"pinned_stable":true,"post_compaction_match":true,"v2_load_us":900,"v1_decode_us":14000,"load_speedup":15.556},
@@ -739,6 +703,8 @@ mod tests {
         assert_eq!(num_field(par, "seq_execution_us"), Some(40000.0));
         assert_eq!(num_field(par, "par_execution_us"), Some(14000.0));
         assert_eq!(bool_field(par, "answers_match"), Some(true));
+        assert_eq!(bool_field(par, "workers"), None, "a number is no boolean");
+        assert_eq!(bool_field(par, "missing"), None);
         // Sample has cores >= workers, so the floor applies — and passes.
         assert!(num_field(par, "cores").unwrap() >= num_field(par, "workers").unwrap());
         assert!(num_field(par, "speedup").unwrap() >= 2.0);
@@ -769,16 +735,5 @@ mod tests {
         assert_eq!(num_field(churn, "v1_decode_us"), Some(14000.0));
         assert_eq!(num_field(churn, "load_speedup"), Some(15.556));
         assert!(num_field(churn, "load_speedup").unwrap() >= 5.0);
-    }
-
-    #[test]
-    fn block_object_fields_readable() {
-        let block = object_slice(SAMPLE, "block").unwrap();
-        assert_eq!(num_field(block, "speedup"), Some(2.25));
-        assert_eq!(num_field(block, "row_execution_us"), Some(9000.0));
-        assert_eq!(num_field(block, "block_execution_us"), Some(4000.0));
-        assert_eq!(bool_field(block, "answers_match"), Some(true));
-        assert_eq!(bool_field(block, "block_size"), None);
-        assert_eq!(bool_field(block, "missing"), None);
     }
 }

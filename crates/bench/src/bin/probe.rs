@@ -25,10 +25,9 @@
 //! a `server` object; `bench_gate overload` holds them to the committed
 //! baseline.
 //!
-//! With `--json`, the report also carries a `block` object comparing the
-//! vectorized block executor against the row-at-a-time reference over the
-//! whole workload (`--block-size N` overrides the default block size; the
-//! CI bench gate asserts the block path stays faster).
+//! With `--json`, the report also carries a `block` object timing the block
+//! executor over the whole workload (`--block-size N` overrides the default
+//! block size; `bench_gate regression` holds the time to the baseline).
 //!
 //! With `--quality` the JSON report additionally carries a `speculation`
 //! object comparing Spec-QP with the fallback lifecycle enabled
@@ -537,61 +536,35 @@ fn main() {
         );
     }
 
-    // Row-vs-block executor comparison for the JSON report: the whole
-    // workload through two engines differing only in
-    // `EngineConfig::execution`, summing per-query execution time (planning
-    // is warmed out via the plan cache). Rounds are *interleaved*
-    // (row, block, row, block, …) and the best round per executor is kept,
-    // so an ambient slowdown on a shared runner degrades both sides instead
-    // of skewing the ratio; answers are cross-checked so the reported
-    // speedup is only ever for an equivalent executor. The CI bench gate
-    // asserts the speedup floor.
+    // Block-executor timing for the JSON report: the whole workload's
+    // summed per-query execution time (planning is warmed out via the plan
+    // cache), best of five rounds so an ambient slowdown on a shared runner
+    // shows less. `bench_gate regression` holds it to the baseline.
     let mut block_json = String::new();
     if json_path.is_some() {
-        let row_engine = Engine::with_config(
-            &ds.graph,
-            &ds.registry,
-            EngineConfig::default().with_execution(ExecutionMode::RowAtATime),
-        );
         let block_engine = Engine::with_config(
             &ds.graph,
             &ds.registry,
             EngineConfig::default().with_execution(ExecutionMode::Block(block_size)),
         );
         for q in &ds.workload.queries {
-            row_engine.warm(q, k);
             block_engine.warm(q, k);
         }
-        let mut answers_match = true;
-        for q in &ds.workload.queries {
-            let a = row_engine.run_specqp(q, k);
-            let b = block_engine.run_specqp(q, k);
-            if a.answers != b.answers {
-                answers_match = false;
-            }
-        }
-        let one_round = |engine: &Engine<'_>| -> u128 {
+        let one_round = || -> u128 {
             ds.workload
                 .queries
                 .iter()
-                .map(|q| engine.run_specqp(q, k).report.execution.as_micros())
+                .map(|q| block_engine.run_specqp(q, k).report.execution.as_micros())
                 .sum::<u128>()
         };
-        let (mut row_us, mut block_us) = (u128::MAX, u128::MAX);
-        for _ in 0..5 {
-            row_us = row_us.min(one_round(&row_engine));
-            block_us = block_us.min(one_round(&block_engine));
-        }
-        let speedup = row_us as f64 / (block_us.max(1)) as f64;
+        let block_us = (0..5).map(|_| one_round()).min().unwrap_or(0);
         println!(
-            "execution: block({block_size}) {block_us}us vs row {row_us}us over {} queries \
-             ({speedup:.2}x, answers_match={answers_match})",
+            "execution: block({block_size}) {block_us}us over {} queries",
             ds.workload.queries.len(),
         );
         block_json = format!(
             ",\n  \"block\": {{\"block_size\":{block_size},\"queries\":{},\"k\":{k},\
-             \"row_execution_us\":{row_us},\"block_execution_us\":{block_us},\
-             \"speedup\":{speedup:.3},\"answers_match\":{answers_match}}}",
+             \"block_execution_us\":{block_us}}}",
             ds.workload.queries.len(),
         );
     }

@@ -2,9 +2,7 @@
 //! and configuration, with `run_*` entry points for Spec-QP, TriniT and the
 //! naive executor.
 
-use crate::executor::{
-    run_delta_plan, run_naive, run_plan_blocks_with_chains, run_plan_with_chains,
-};
+use crate::executor::{run_delta_plan, run_naive, run_plan_blocks_with_chains};
 use crate::plan::QueryPlan;
 use crate::plan_cache::{PlanCache, QueryShape};
 use crate::plangen::plan_query;
@@ -118,12 +116,8 @@ pub struct EngineConfig {
     pub refit: RefitMode,
     /// Rank-join pull strategy (default: adaptive / HRJN*).
     pub pull: PullStrategy,
-    /// Vectorized block execution (the default) or the row-at-a-time
-    /// reference. Both paths return identical answers; the block path is the
-    /// measured one. The default honours the `SPECQP_EXEC` environment
-    /// variable (`row` | `block` | `block:N`, see
-    /// [`ExecutionMode::from_env`]), which is how CI runs the whole test
-    /// suite once per executor.
+    /// The executor's block size ([`ExecutionMode::default`]: 128 rows).
+    /// Every size returns identical answers.
     pub execution: ExecutionMode,
     /// The speculation lifecycle policy: whether speculative runs are
     /// verified after draining and whether mis-speculations trigger staged
@@ -133,8 +127,8 @@ pub struct EngineConfig {
     /// [`SpeculationPolicy::from_env`]), which is how CI runs the whole test
     /// suite once with fallback recovery enabled.
     pub speculation: SpeculationPolicy,
-    /// Worker threads for morsel-driven intra-query parallelism (block
-    /// execution only; `1` = sequential). When a query has a safely
+    /// Worker threads for morsel-driven intra-query parallelism (`1` =
+    /// sequential). When a query has a safely
     /// partitionable scan (see [`crate::parallel::partition_target`]), its
     /// match list is split into morsels pulled by `parallelism` workers;
     /// answers are bit-identical to sequential execution. The default
@@ -185,7 +179,7 @@ impl Default for EngineConfig {
         EngineConfig {
             refit: RefitMode::TwoBucket,
             pull: PullStrategy::Adaptive,
-            execution: ExecutionMode::from_env(),
+            execution: ExecutionMode::default(),
             speculation: SpeculationPolicy::from_env(),
             parallelism: parallelism_from_env(),
             learned: learned_from_env(),
@@ -542,10 +536,9 @@ impl<'g> Engine<'g> {
         )
     }
 
-    /// Phase 2 of the lifecycle — drains `plan`'s top-`k` through the
-    /// configured executor (row-at-a-time or block). Shared by every run
-    /// path and every fallback stage, so both executors go through the
-    /// identical lifecycle.
+    /// Phase 2 of the lifecycle — drains `plan`'s top-`k` at the configured
+    /// block size, morsel-parallel when configured and the plan allows it.
+    /// Shared by every run path.
     fn execute_phase(
         &self,
         graph: &KnowledgeGraph,
@@ -554,42 +547,16 @@ impl<'g> Engine<'g> {
         plan: &QueryPlan,
         metrics: &MetricsHandle,
     ) -> Vec<PartialAnswer> {
-        match self.config.execution {
-            ExecutionMode::RowAtATime => run_plan_with_chains(
+        let size = self.config.execution.block_size();
+        if self.config.parallelism > 1 {
+            if let Some(target) = crate::parallel::partition_target(
                 graph,
                 query,
                 plan,
                 self.registry.get(),
                 &self.chains,
-                metrics.clone(),
-                self.config.pull,
-                k,
-            ),
-            ExecutionMode::Block(size) => {
-                if self.config.parallelism > 1 {
-                    if let Some(target) = crate::parallel::partition_target(
-                        graph,
-                        query,
-                        plan,
-                        self.registry.get(),
-                        &self.chains,
-                    ) {
-                        return crate::parallel::run_plan_blocks_parallel(
-                            graph,
-                            query,
-                            plan,
-                            self.registry.get(),
-                            &self.chains,
-                            metrics.clone(),
-                            self.config.pull,
-                            k,
-                            size,
-                            self.config.parallelism,
-                            target,
-                        );
-                    }
-                }
-                run_plan_blocks_with_chains(
+            ) {
+                return crate::parallel::run_plan_blocks_parallel(
                     graph,
                     query,
                     plan,
@@ -599,9 +566,22 @@ impl<'g> Engine<'g> {
                     self.config.pull,
                     k,
                     size,
-                )
+                    self.config.parallelism,
+                    target,
+                );
             }
         }
+        run_plan_blocks_with_chains(
+            graph,
+            query,
+            plan,
+            self.registry.get(),
+            &self.chains,
+            metrics.clone(),
+            self.config.pull,
+            k,
+            size,
+        )
     }
 
     /// Executes an explicit plan **verbatim** — no verification, no
@@ -819,7 +799,7 @@ impl<'g> Engine<'g> {
                     metrics.clone(),
                     self.config.pull,
                     k,
-                    self.config.execution,
+                    self.config.execution.block_size(),
                 );
                 if speculation::union_top_k(&mut answers, delta, k) {
                     confirmed = true;
@@ -1122,25 +1102,23 @@ mod tests {
         assert_eq!(m.misses(), 2);
     }
 
-    /// The `EngineConfig::execution` knob: a block-mode engine answers
-    /// exactly like the row-mode reference (scores included), for both
-    /// Spec-QP and TriniT.
+    /// The `EngineConfig::execution` knob: every block size answers exactly
+    /// like the default (scores included), for both Spec-QP and TriniT.
     #[test]
-    fn block_engine_matches_row_engine() {
+    fn block_sizes_answer_alike() {
         let (g, reg) = setup();
         let q = parse_query(
             "SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }",
             g.dictionary(),
         )
         .unwrap();
-        let row_cfg = EngineConfig::default().with_execution(ExecutionMode::RowAtATime);
-        let row = Engine::with_config(&g, &reg, row_cfg);
+        let default = Engine::with_config(&g, &reg, EngineConfig::default());
         for size in [1, 64, 4096] {
             let block_cfg = EngineConfig::default().with_execution(ExecutionMode::Block(size));
             let block = Engine::with_config(&g, &reg, block_cfg);
             for (a, b) in [
-                (row.run_specqp(&q, 10), block.run_specqp(&q, 10)),
-                (row.run_trinit(&q, 10), block.run_trinit(&q, 10)),
+                (default.run_specqp(&q, 10), block.run_specqp(&q, 10)),
+                (default.run_trinit(&q, 10), block.run_trinit(&q, 10)),
             ] {
                 assert_eq!(a.plan, b.plan, "size {size}");
                 assert_eq!(a.answers, b.answers, "size {size}");
@@ -1148,8 +1126,8 @@ mod tests {
         }
     }
 
-    /// The engine pinned to a specific speculation policy (row/block comes
-    /// from the environment as usual).
+    /// The engine pinned to a specific speculation policy (morsels and
+    /// learning come from the environment as usual).
     fn engine_with_policy<'g>(
         g: &'g KnowledgeGraph,
         reg: &'g RelaxationRegistry,

@@ -1,19 +1,22 @@
-//! Plan execution: operator-tree construction (§3.2.2) and the reference
-//! executors.
+//! Plan execution: operator-tree construction (§3.2.2) and the naive
+//! reference executor.
 //!
 //! Given a [`QueryPlan`]:
 //!
 //! 1. the **join group** becomes a left-deep chain of rank joins over plain
-//!    [`PatternScan`]s (no relaxations),
-//! 2. every **singleton** becomes an [`IncrementalMerge`] over the
-//!    pattern's scan (weight 1) and one scan per relaxation (weight `wᵢ`),
+//!    [`BlockScan`]s (no relaxations),
+//! 2. every **singleton** becomes a [`BlockIncrementalMerge`] over the
+//!    pattern's scan (weight 1), one scan per relaxation (weight `wᵢ`) and
+//!    one rank-join subtree per chain relaxation,
 //! 3. the join-group stream and the singleton streams are combined with
 //!    further rank joins (Fig. 5).
 //!
-//! The TriniT baseline (§2.1, Fig. 2) is simply
+//! Every operator moves blocks of up to `block_size` rows; the block size
+//! changes how work is batched, never the answers, their order or their
+//! scores. The TriniT baseline (§2.1, Fig. 2) is simply
 //! [`QueryPlan::all_relaxed`] run through the same machinery. [`run_naive`]
-//! is a brute-force executor (materialize + hash join + sort) used as ground
-//! truth by the test suite.
+//! is a brute-force executor (drain every scan + max-dedup + hash join +
+//! sort) used as ground truth by the test suite.
 //!
 //! A **delta plan** ([`run_delta_plan`]) is a plan with one singleton's
 //! merge built *without the pattern's original scan*: it produces exactly
@@ -25,141 +28,25 @@
 use crate::plan::QueryPlan;
 use kgstore::KnowledgeGraph;
 use operators::{
-    top_k, top_k_blocks, top_k_blocks_floored, top_k_floored, BlockIncrementalMerge, BlockRankJoin,
-    BlockScan, BoxedBlockStream, BoxedStream, ExecutionMode, IncrementalMerge, MetricsHandle,
-    MorselDispenser, PartialAnswer, PatternScan, Projected, PullStrategy, RankJoin, RankedStream,
-    RowsToBlocks, Scaled,
+    top_k_blocks, top_k_blocks_floored, Binding, BlockIncrementalMerge, BlockRankJoin, BlockScan,
+    BlockStream, BoxedBlockStream, MetricsHandle, MorselDispenser, OpMetrics, PartialAnswer,
+    PullStrategy, ScaledProjection, DEFAULT_BLOCK_SIZE,
 };
 use relax::{ChainRuleSet, RelaxationRegistry};
-use sparql::{Query, Var};
+use sparql::{Query, TriplePattern, Var};
 use specqp_common::{FxHashMap, Score};
 use std::sync::Arc;
 
-/// Builds the operator tree for `plan` over `query`.
+/// Builds the operator tree for `plan` over `query`, chain relaxations
+/// included: every singleton's incremental merge additionally consumes, per
+/// applicable [`ChainRule`](relax::ChainRule), a rank join over the chain's
+/// scans, scaled into `[0, w]` (`w/len` per hop) and projected back onto the
+/// original pattern's variables so Def.-8 max-deduplication still applies.
 ///
-/// Returns the root stream; pull [`top_k`] answers from it. Every operator
-/// shares `metrics`, so the paper's "answer objects created" counter
-/// aggregates the whole tree.
-pub fn build_plan_stream<'g>(
-    graph: &'g KnowledgeGraph,
-    query: &Query,
-    plan: &QueryPlan,
-    registry: &RelaxationRegistry,
-    metrics: MetricsHandle,
-    strategy: PullStrategy,
-) -> BoxedStream<'g> {
-    static NO_CHAINS: std::sync::OnceLock<ChainRuleSet> = std::sync::OnceLock::new();
-    build_plan_stream_with_chains(
-        graph,
-        query,
-        plan,
-        registry,
-        NO_CHAINS.get_or_init(ChainRuleSet::new),
-        metrics,
-        strategy,
-        None,
-    )
-}
-
-/// [`build_plan_stream`] plus chain relaxations (the paper's future-work
-/// extension): every singleton's incremental merge additionally consumes,
-/// per applicable [`ChainRule`](relax::ChainRule), a rank join over the
-/// chain's scans, scaled into `[0, w]` (`w/len` per hop) and projected back
-/// onto the original pattern's variables so Def.-8 max-deduplication still
-/// applies.
-///
-/// `delta: Some(i)` builds the delta plan of singleton `i`: its merge gets
-/// every relaxation (chains included) but not the pattern's own scan.
+/// Returns the root stream; pull [`top_k_blocks`] answers from it. Every
+/// operator shares `metrics`, so the paper's "answer objects created"
+/// counter aggregates the whole tree.
 #[allow(clippy::too_many_arguments)]
-pub fn build_plan_stream_with_chains<'g>(
-    graph: &'g KnowledgeGraph,
-    query: &Query,
-    plan: &QueryPlan,
-    registry: &RelaxationRegistry,
-    chains: &ChainRuleSet,
-    metrics: MetricsHandle,
-    strategy: PullStrategy,
-    delta: Option<usize>,
-) -> BoxedStream<'g> {
-    assert_eq!(plan.len(), query.len(), "plan/query arity mismatch");
-    assert_delta_is_singleton(plan, delta);
-    let patterns = query.patterns();
-    let mut next_fresh = query.var_count() as u32;
-
-    // Each entry: (stream, variables it binds — sorted).
-    let mut parts: Vec<(BoxedStream<'g>, Vec<Var>)> = Vec::new();
-
-    // 1. Join group: left-deep rank joins over bare scans.
-    let join_group = plan.join_group();
-    if !join_group.is_empty() {
-        let mut acc: Option<(BoxedStream<'g>, Vec<Var>)> = None;
-        for &i in &join_group {
-            let scan: BoxedStream<'g> = Box::new(PatternScan::new(
-                graph,
-                patterns[i],
-                Score::ONE,
-                metrics.clone(),
-            ));
-            let vars: Vec<Var> = collect_vars(&[patterns[i]]);
-            acc = Some(match acc {
-                None => (scan, vars),
-                Some((left, lvars)) => join(left, lvars, scan, vars, strategy, &metrics),
-            });
-        }
-        parts.push(acc.expect("non-empty join group"));
-    }
-
-    // 2. Singletons: incremental merges over the pattern + its relaxations
-    //    (term rules and, if configured, chain rules).
-    for i in plan.singletons() {
-        let mut inputs: Vec<BoxedStream<'g>> = Vec::new();
-        if delta != Some(i) {
-            inputs.push(Box::new(PatternScan::new(
-                graph,
-                patterns[i],
-                Score::ONE,
-                metrics.clone(),
-            )));
-        }
-        for r in registry.relaxations_for(&patterns[i]) {
-            inputs.push(Box::new(PatternScan::new(
-                graph,
-                r.pattern,
-                Score::new(r.weight),
-                metrics.clone(),
-            )));
-        }
-        for c in chains.chain_relaxations_for(&patterns[i], next_fresh) {
-            next_fresh += c.fresh_vars.len() as u32;
-            inputs.push(build_chain_stream(
-                graph,
-                &c,
-                &patterns[i],
-                &metrics,
-                strategy,
-            ));
-        }
-        let merge: BoxedStream<'g> = Box::new(IncrementalMerge::new(inputs));
-        parts.push((merge, collect_vars(&[patterns[i]])));
-    }
-
-    // 3. Combine all parts with rank joins, left-deep in construction order.
-    let mut iter = parts.into_iter();
-    let (mut acc, mut acc_vars) = iter.next().expect("plan covers ≥1 pattern");
-    for (stream, vars) in iter {
-        let joined = join(acc, acc_vars, stream, vars, strategy, &metrics);
-        acc = joined.0;
-        acc_vars = joined.1;
-    }
-    acc
-}
-
-/// Block-at-a-time sibling of [`build_plan_stream_with_chains`]: the same
-/// operator-tree shape (same scans, same join order, same merge input
-/// order), built from the vectorized operators with blocks of up to
-/// `block_size` rows. Chain-relaxation subtrees reuse the row
-/// implementation behind a [`RowsToBlocks`] adapter, so both executors
-/// compute chain scores through identical code.
 pub fn build_block_stream_with_chains<'g>(
     graph: &'g KnowledgeGraph,
     query: &Query,
@@ -209,6 +96,9 @@ pub fn build_block_stream_morsels<'g>(
     )
 }
 
+/// The one tree builder: `morsels` partitions one pattern's scan,
+/// `delta: Some(i)` builds the delta plan of singleton `i` (its merge gets
+/// every relaxation, chains included, but not the pattern's own scan).
 #[allow(clippy::too_many_arguments)]
 fn build_block_stream_inner<'g>(
     graph: &'g KnowledgeGraph,
@@ -228,26 +118,34 @@ fn build_block_stream_inner<'g>(
     let patterns = query.patterns();
     let mut next_fresh = query.var_count() as u32;
 
-    let scan = |i: usize, weight: Score| -> BoxedBlockStream<'g> {
-        if let Some((target, dispenser)) = &morsels {
-            if *target == i {
-                return Box::new(BlockScan::with_morsels(
-                    graph,
-                    patterns[i],
-                    weight,
-                    metrics.clone(),
-                    block_size,
-                    Arc::clone(dispenser),
-                ));
-            }
-        }
+    let plain_scan = |pattern: TriplePattern, weight: Score| -> BoxedBlockStream<'g> {
         Box::new(BlockScan::new(
             graph,
-            patterns[i],
+            pattern,
             weight,
             metrics.clone(),
             block_size,
         ))
+    };
+    let scan = |i: usize, weight: Score| -> BoxedBlockStream<'g> {
+        match &morsels {
+            Some((target, dispenser)) if *target == i => Box::new(BlockScan::with_morsels(
+                graph,
+                patterns[i],
+                weight,
+                metrics.clone(),
+                block_size,
+                Arc::clone(dispenser),
+            )),
+            _ => plain_scan(patterns[i], weight),
+        }
+    };
+    // A left-deep rank join over the bare scans of `patterns`.
+    let join_chain = |patterns: &mut dyn Iterator<Item = BoxedBlockStream<'g>>| {
+        let first = patterns.next().expect("a join chain has ≥ 1 pattern");
+        patterns.fold(first, |left, right| {
+            block_join(left, right, strategy, &metrics, block_size)
+        })
     };
 
     let mut parts: Vec<BoxedBlockStream<'g>> = Vec::new();
@@ -255,40 +153,28 @@ fn build_block_stream_inner<'g>(
     // 1. Join group: left-deep block rank joins over bare block scans.
     let join_group = plan.join_group();
     if !join_group.is_empty() {
-        let mut acc: Option<BoxedBlockStream<'g>> = None;
-        for &i in &join_group {
-            let right = scan(i, Score::ONE);
-            acc = Some(match acc {
-                None => right,
-                Some(left) => block_join(left, right, strategy, &metrics, block_size),
-            });
-        }
-        parts.push(acc.expect("non-empty join group"));
+        parts.push(join_chain(
+            &mut join_group.iter().map(|&i| scan(i, Score::ONE)),
+        ));
     }
 
-    // 2. Singletons: block merges over the pattern + its relaxations (and
-    //    adapted chain streams).
+    // 2. Singletons: block merges over the pattern + its relaxations (term
+    //    rules and, if configured, chain rules).
     for i in plan.singletons() {
         let mut inputs: Vec<BoxedBlockStream<'g>> = Vec::new();
         if delta != Some(i) {
             inputs.push(scan(i, Score::ONE));
         }
         for r in registry.relaxations_for(&patterns[i]) {
-            inputs.push(Box::new(BlockScan::new(
-                graph,
-                r.pattern,
-                Score::new(r.weight),
-                metrics.clone(),
-                block_size,
-            )));
+            inputs.push(plain_scan(r.pattern, Score::new(r.weight)));
         }
         for c in chains.chain_relaxations_for(&patterns[i], next_fresh) {
             next_fresh += c.fresh_vars.len() as u32;
-            let row_stream = build_chain_stream(graph, &c, &patterns[i], &metrics, strategy);
-            inputs.push(Box::new(RowsToBlocks::new(
-                row_stream,
-                collect_vars(std::slice::from_ref(&patterns[i])),
-                block_size,
+            let join = join_chain(&mut c.patterns.iter().map(|&p| plain_scan(p, Score::ONE)));
+            inputs.push(Box::new(ScaledProjection::new(
+                join,
+                c.weight / c.patterns.len() as f64,
+                patterns[i].vars().collect(),
             )));
         }
         parts.push(Box::new(BlockIncrementalMerge::new(inputs, block_size)));
@@ -296,12 +182,7 @@ fn build_block_stream_inner<'g>(
 
     // 3. Combine all parts with block rank joins, left-deep in construction
     //    order.
-    let mut iter = parts.into_iter();
-    let mut acc = iter.next().expect("plan covers ≥1 pattern");
-    for stream in iter {
-        acc = block_join(acc, stream, strategy, &metrics, block_size);
-    }
-    acc
+    join_chain(&mut parts.into_iter())
 }
 
 /// A delta is taken of a singleton: a join-group member has no merge to
@@ -335,112 +216,9 @@ fn block_join<'g>(
     ))
 }
 
-fn join<'g>(
-    left: BoxedStream<'g>,
-    lvars: Vec<Var>,
-    right: BoxedStream<'g>,
-    rvars: Vec<Var>,
-    strategy: PullStrategy,
-    metrics: &MetricsHandle,
-) -> (BoxedStream<'g>, Vec<Var>) {
-    let shared: Vec<Var> = lvars
-        .iter()
-        .copied()
-        .filter(|v| rvars.contains(v))
-        .collect();
-    let mut union = lvars;
-    for v in rvars {
-        if !union.contains(&v) {
-            union.push(v);
-        }
-    }
-    union.sort();
-    let stream: BoxedStream<'g> = Box::new(RankJoin::new(
-        left,
-        right,
-        shared,
-        strategy,
-        metrics.clone(),
-    ));
-    (stream, union)
-}
-
-fn collect_vars(patterns: &[sparql::TriplePattern]) -> Vec<Var> {
-    let mut vars: Vec<Var> = Vec::new();
-    for p in patterns {
-        for v in p.vars() {
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
-    }
-    vars.sort();
-    vars
-}
-
-/// Builds the ranked stream of one instantiated chain relaxation: a
-/// left-deep rank join over the chain's pattern scans, scaled by `w/len`
-/// and projected onto the original pattern's variables.
-fn build_chain_stream<'g>(
-    graph: &'g KnowledgeGraph,
-    chain: &relax::ChainRelaxation,
-    original: &sparql::TriplePattern,
-    metrics: &MetricsHandle,
-    strategy: PullStrategy,
-) -> BoxedStream<'g> {
-    let mut acc: Option<(BoxedStream<'g>, Vec<Var>)> = None;
-    for p in &chain.patterns {
-        let scan: BoxedStream<'g> =
-            Box::new(PatternScan::new(graph, *p, Score::ONE, metrics.clone()));
-        let vars = collect_vars(std::slice::from_ref(p));
-        acc = Some(match acc {
-            None => (scan, vars),
-            Some((left, lvars)) => join(left, lvars, scan, vars, strategy, metrics),
-        });
-    }
-    let (stream, _) = acc.expect("chains have ≥ 2 patterns");
-    let keep = collect_vars(std::slice::from_ref(original));
-    Box::new(Projected::new(
-        Scaled::new(stream, chain.weight / chain.patterns.len() as f64),
-        keep,
-    ))
-}
-
-/// Executes `plan` to the top-`k` answers.
-pub fn run_plan(
-    graph: &KnowledgeGraph,
-    query: &Query,
-    plan: &QueryPlan,
-    registry: &RelaxationRegistry,
-    metrics: MetricsHandle,
-    strategy: PullStrategy,
-    k: usize,
-) -> Vec<PartialAnswer> {
-    let mut stream = build_plan_stream(graph, query, plan, registry, metrics, strategy);
-    top_k(&mut stream, k)
-}
-
-/// Executes `plan` to the top-`k` answers with chain relaxations enabled.
+/// Executes `plan` to the top-`k` answers with blocks of up to `block_size`
+/// rows.
 #[allow(clippy::too_many_arguments)]
-pub fn run_plan_with_chains(
-    graph: &KnowledgeGraph,
-    query: &Query,
-    plan: &QueryPlan,
-    registry: &RelaxationRegistry,
-    chains: &ChainRuleSet,
-    metrics: MetricsHandle,
-    strategy: PullStrategy,
-    k: usize,
-) -> Vec<PartialAnswer> {
-    let mut stream = build_plan_stream_with_chains(
-        graph, query, plan, registry, chains, metrics, strategy, None,
-    );
-    top_k(&mut stream, k)
-}
-
-/// Executes `plan` to the top-`k` answers through the vectorized block
-/// pipeline (blocks of up to `block_size` rows). Produces exactly the
-/// answers (same bindings, same order, same scores) as [`run_plan`].
 pub fn run_plan_blocks(
     graph: &KnowledgeGraph,
     query: &Query,
@@ -466,6 +244,7 @@ pub fn run_plan_blocks(
 }
 
 /// [`run_plan_blocks`] plus chain relaxations.
+#[allow(clippy::too_many_arguments)]
 pub fn run_plan_blocks_with_chains(
     graph: &KnowledgeGraph,
     query: &Query,
@@ -492,9 +271,8 @@ pub fn run_plan_blocks_with_chains(
 /// `target`, so it is an answer of this tree. Nothing under the pruned
 /// plan's k-th score can enter the escalated top-k, which is what `floor`
 /// carries: the run stops as soon as its bounds drop under it (`None` — the
-/// pruned run was under-filled — is a plain top-`k`). Row and block
-/// execution return identical answers; deltas always run on the calling
-/// thread.
+/// pruned run was under-filled — is a plain top-`k`). Deltas always run on
+/// the calling thread.
 ///
 /// # Panics
 /// Panics if `target` is not a singleton of `plan`.
@@ -510,44 +288,27 @@ pub fn run_delta_plan(
     metrics: MetricsHandle,
     strategy: PullStrategy,
     k: usize,
-    execution: ExecutionMode,
+    block_size: usize,
 ) -> Vec<PartialAnswer> {
-    match execution {
-        ExecutionMode::RowAtATime => {
-            let mut stream = build_plan_stream_with_chains(
-                graph,
-                query,
-                plan,
-                registry,
-                chains,
-                metrics,
-                strategy,
-                Some(target),
-            );
-            top_k_floored(&mut stream, k, floor)
-        }
-        ExecutionMode::Block(block_size) => {
-            let mut stream = build_block_stream_inner(
-                graph,
-                query,
-                plan,
-                registry,
-                chains,
-                metrics,
-                strategy,
-                block_size,
-                None,
-                Some(target),
-            );
-            top_k_blocks_floored(&mut stream, k, floor)
-        }
-    }
+    let mut stream = build_block_stream_inner(
+        graph,
+        query,
+        plan,
+        registry,
+        chains,
+        metrics,
+        strategy,
+        block_size,
+        None,
+        Some(target),
+    );
+    top_k_blocks_floored(&mut stream, k, floor)
 }
 
-/// Brute-force ground truth: for every pattern, materialize the merged
-/// (original + relaxations, max-score-deduplicated) binding list; hash-join
-/// all lists; sort by total score descending (deterministic tie-break);
-/// truncate to `k`.
+/// Brute-force ground truth: for every pattern, drain the scans of the
+/// pattern and of each of its relaxations and keep every binding once, at
+/// its maximum score; hash-join all lists; sort by total score descending
+/// (deterministic tie-break); truncate to `k`.
 ///
 /// Exhaustive and allocation-heavy by design — use only on test-sized data.
 pub fn run_naive(
@@ -556,33 +317,34 @@ pub fn run_naive(
     registry: &RelaxationRegistry,
     k: usize,
 ) -> Vec<PartialAnswer> {
-    let metrics = operators::OpMetrics::new_handle();
+    let metrics = OpMetrics::new_handle();
     let patterns = query.patterns();
 
-    // Materialize the merged list of each pattern.
+    // Materialize the max-deduplicated list of each pattern.
     let mut lists: Vec<Vec<PartialAnswer>> = Vec::with_capacity(patterns.len());
     for p in patterns {
-        let mut inputs: Vec<BoxedStream<'_>> = Vec::new();
-        inputs.push(Box::new(PatternScan::new(
-            graph,
-            *p,
-            Score::ONE,
-            metrics.clone(),
-        )));
-        for r in registry.relaxations_for(p) {
-            inputs.push(Box::new(PatternScan::new(
-                graph,
-                r.pattern,
-                Score::new(r.weight),
-                metrics.clone(),
-            )));
+        let sources = std::iter::once((*p, Score::ONE)).chain(
+            registry
+                .relaxations_for(p)
+                .into_iter()
+                .map(|r| (r.pattern, Score::new(r.weight))),
+        );
+        let mut best: FxHashMap<Binding, Score> = FxHashMap::default();
+        for (pattern, weight) in sources {
+            let mut scan =
+                BlockScan::new(graph, pattern, weight, metrics.clone(), DEFAULT_BLOCK_SIZE);
+            while let Some(block) = scan.next_block() {
+                for a in block.to_answers() {
+                    let score = best.entry(a.binding).or_insert(a.score);
+                    *score = (*score).max(a.score);
+                }
+            }
         }
-        let mut merge = IncrementalMerge::new(inputs);
-        let mut list = Vec::new();
-        while let Some(a) = merge.next() {
-            list.push(a);
-        }
-        lists.push(list);
+        lists.push(
+            best.into_iter()
+                .map(|(binding, score)| PartialAnswer::new(binding, score))
+                .collect(),
+        );
     }
 
     // Fold with hash joins on the shared variables.
@@ -629,11 +391,23 @@ pub fn run_naive(
     acc
 }
 
+fn collect_vars(patterns: &[TriplePattern]) -> Vec<Var> {
+    let mut vars: Vec<Var> = Vec::new();
+    for p in patterns {
+        for v in p.vars() {
+            if !vars.contains(&v) {
+                vars.push(v);
+            }
+        }
+    }
+    vars.sort();
+    vars
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use kgstore::KnowledgeGraphBuilder;
-    use operators::OpMetrics;
     use relax::{Position, TermRule};
     use sparql::QueryBuilder;
 
@@ -673,6 +447,28 @@ mod tests {
         (g, reg)
     }
 
+    /// `run_plan_blocks` with the adaptive strategy and the default block
+    /// size.
+    fn run(
+        g: &KnowledgeGraph,
+        q: &Query,
+        plan: &QueryPlan,
+        reg: &RelaxationRegistry,
+        metrics: MetricsHandle,
+        k: usize,
+    ) -> Vec<PartialAnswer> {
+        run_plan_blocks(
+            g,
+            q,
+            plan,
+            reg,
+            metrics,
+            PullStrategy::Adaptive,
+            k,
+            DEFAULT_BLOCK_SIZE,
+        )
+    }
+
     fn query(g: &KnowledgeGraph) -> Query {
         let d = g.dictionary();
         let ty = d.lookup("type").unwrap();
@@ -690,15 +486,7 @@ mod tests {
         let q = query(&g);
         let naive = run_naive(&g, &q, &reg, 10);
         let m = OpMetrics::new_handle();
-        let trinit = run_plan(
-            &g,
-            &q,
-            &QueryPlan::all_relaxed(2),
-            &reg,
-            m,
-            PullStrategy::Adaptive,
-            10,
-        );
+        let trinit = run(&g, &q, &QueryPlan::all_relaxed(2), &reg, m, 10);
         assert_eq!(naive.len(), trinit.len());
         for (a, b) in naive.iter().zip(&trinit) {
             assert!(a.score.approx_eq(b.score, 1e-9), "{:?} vs {:?}", a, b);
@@ -711,15 +499,7 @@ mod tests {
         let (g, reg) = setup();
         let q = query(&g);
         let m = OpMetrics::new_handle();
-        let bare = run_plan(
-            &g,
-            &q,
-            &QueryPlan::none_relaxed(2),
-            &reg,
-            m,
-            PullStrategy::Adaptive,
-            10,
-        );
+        let bare = run(&g, &q, &QueryPlan::none_relaxed(2), &reg, m, 10);
         // Only shakira is both singer and lyricist without relaxations.
         assert_eq!(bare.len(), 1);
         let d = g.dictionary();
@@ -742,7 +522,7 @@ mod tests {
             QueryPlan::new(2, &[]),
         ] {
             let m = OpMetrics::new_handle();
-            let res = run_plan(&g, &q, &plan, &reg, m, PullStrategy::Adaptive, 10);
+            let res = run(&g, &q, &plan, &reg, m, 10);
             // Every Spec-QP answer must appear in the full relaxed space
             // with the same score (plans only *prune* relaxations).
             for a in &res {
@@ -763,25 +543,16 @@ mod tests {
         let (g, reg) = setup();
         let q = query(&g);
         let m_trinit = OpMetrics::new_handle();
-        let _ = run_plan(
+        let _ = run(
             &g,
             &q,
             &QueryPlan::all_relaxed(2),
             &reg,
             m_trinit.clone(),
-            PullStrategy::Adaptive,
             3,
         );
         let m_spec = OpMetrics::new_handle();
-        let _ = run_plan(
-            &g,
-            &q,
-            &QueryPlan::none_relaxed(2),
-            &reg,
-            m_spec.clone(),
-            PullStrategy::Adaptive,
-            3,
-        );
+        let _ = run(&g, &q, &QueryPlan::none_relaxed(2), &reg, m_spec.clone(), 3);
         assert!(
             m_spec.answers_created() <= m_trinit.answers_created(),
             "bare {} vs trinit {}",
@@ -790,50 +561,15 @@ mod tests {
         );
     }
 
-    #[test]
-    fn block_execution_matches_row_execution_bitwise() {
-        let (g, reg) = setup();
-        let q = query(&g);
-        for plan in [
-            QueryPlan::all_relaxed(2),
-            QueryPlan::none_relaxed(2),
-            QueryPlan::new(2, &[0]),
-            QueryPlan::new(2, &[1]),
-        ] {
-            let rows = run_plan(
-                &g,
-                &q,
-                &plan,
-                &reg,
-                OpMetrics::new_handle(),
-                PullStrategy::Adaptive,
-                10,
-            );
-            for size in [1, 3, 256] {
-                let blocks = run_plan_blocks(
-                    &g,
-                    &q,
-                    &plan,
-                    &reg,
-                    OpMetrics::new_handle(),
-                    PullStrategy::Adaptive,
-                    10,
-                    size,
-                );
-                assert_eq!(blocks, rows, "plan {plan:?} size {size}");
-            }
-        }
-    }
-
     /// The delta plan of the `singer` singleton holds exactly the answers
     /// that need `vocalist`: united with the pruned plan's answers it is the
-    /// escalated plan's result, a floor cuts it, and row ≡ block.
+    /// escalated plan's result, a floor cuts it, at every block size.
     #[test]
     fn delta_plan_yields_what_escalation_adds() {
         let (g, reg) = setup();
         let q = query(&g);
         let escalated = QueryPlan::new(2, &[0]);
-        let delta = |floor: Option<f64>, k: usize, execution: ExecutionMode| {
+        let delta = |floor: Option<f64>, k: usize, block_size: usize| {
             run_delta_plan(
                 &g,
                 &q,
@@ -845,22 +581,21 @@ mod tests {
                 OpMetrics::new_handle(),
                 PullStrategy::Adaptive,
                 k,
-                execution,
+                block_size,
             )
         };
-        for execution in [
-            ExecutionMode::RowAtATime,
-            ExecutionMode::Block(1),
-            ExecutionMode::Block(64),
-        ] {
+        for block_size in [1, 64] {
             // Only adele is a vocalist *and* an (unrelaxed) lyricist:
             // 0.8·(95/95) + 45/50.
-            let got = delta(None, 10, execution);
-            assert_eq!(got.len(), 1, "{execution:?}");
+            let got = delta(None, 10, block_size);
+            assert_eq!(got.len(), 1, "block size {block_size}");
             assert_eq!(got[0].score, Score::new(0.8) + Score::new(45.0 / 50.0));
-            assert_eq!(delta(Some(1.7), 10, execution), got, "at the floor stays");
-            assert!(delta(Some(1.71), 10, execution).is_empty(), "under it goes");
-            assert!(delta(None, 0, execution).is_empty(), "k = 0");
+            assert_eq!(delta(Some(1.7), 10, block_size), got, "at the floor stays");
+            assert!(
+                delta(Some(1.71), 10, block_size).is_empty(),
+                "under it goes"
+            );
+            assert!(delta(None, 0, block_size).is_empty(), "k = 0");
             let no_rules = RelaxationRegistry::new();
             let empty = run_delta_plan(
                 &g,
@@ -873,29 +608,20 @@ mod tests {
                 OpMetrics::new_handle(),
                 PullStrategy::Adaptive,
                 10,
-                execution,
+                block_size,
             );
             assert!(empty.is_empty(), "no relaxation, no relaxed-only row");
 
-            let mut united = run_plan(
+            let mut united = run(
                 &g,
                 &q,
                 &QueryPlan::none_relaxed(2),
                 &reg,
                 OpMetrics::new_handle(),
-                PullStrategy::Adaptive,
                 10,
             );
             assert!(crate::speculation::union_top_k(&mut united, got, 10));
-            let restart = run_plan(
-                &g,
-                &q,
-                &escalated,
-                &reg,
-                OpMetrics::new_handle(),
-                PullStrategy::Adaptive,
-                10,
-            );
+            let restart = run(&g, &q, &escalated, &reg, OpMetrics::new_handle(), 10);
             assert_eq!(united, restart);
         }
     }
@@ -915,7 +641,7 @@ mod tests {
             OpMetrics::new_handle(),
             PullStrategy::Adaptive,
             10,
-            ExecutionMode::default(),
+            DEFAULT_BLOCK_SIZE,
         );
     }
 
@@ -930,15 +656,7 @@ mod tests {
         b.project(s);
         let q = b.build().unwrap();
         let m = OpMetrics::new_handle();
-        let res = run_plan(
-            &g,
-            &q,
-            &QueryPlan::all_relaxed(1),
-            &reg,
-            m,
-            PullStrategy::Adaptive,
-            4,
-        );
+        let res = run(&g, &q, &QueryPlan::all_relaxed(1), &reg, m, 4);
         // singer: shakira(1.0), beyonce(0.9); vocalist relaxed: adele(0.8),
         // sia ≈ 0.505.
         assert_eq!(res.len(), 4);

@@ -6,7 +6,7 @@
 //! precomputed score-distribution statistics alone — *which patterns'
 //! relaxations can contribute answers to the top-k*, and build a query plan
 //! that processes only those through [Incremental
-//! Merge](operators::IncrementalMerge) operators while the rest are joined
+//! Merge](operators::BlockIncrementalMerge) operators while the rest are joined
 //! directly over their sorted match lists.
 //!
 //! # Pieces
@@ -17,8 +17,7 @@
 //!   [`QueryShape`]s to plans, so repeated workload shapes skip PLANGEN,
 //! * [`executor`] — turns a plan into an operator tree and runs it; also
 //!   provides the **TriniT baseline** (every pattern relaxed, Fig. 2) and a
-//!   **naive materialize-everything executor** used as ground truth in
-//!   tests,
+//!   **naive drain-everything executor** used as ground truth in tests,
 //! * [`Engine`] — a one-stop façade owning the statistics catalog and
 //!   cardinality oracle,
 //! * [`speculation`] — the runtime speculation lifecycle: mis-speculation
@@ -83,9 +82,8 @@ pub use evaluation::{
     required_relaxations, score_error, ScoreError,
 };
 pub use executor::{
-    build_block_stream_morsels, build_block_stream_with_chains, build_plan_stream,
-    build_plan_stream_with_chains, run_delta_plan, run_naive, run_plan, run_plan_blocks,
-    run_plan_blocks_with_chains, run_plan_with_chains,
+    build_block_stream_morsels, build_block_stream_with_chains, run_delta_plan, run_naive,
+    run_plan_blocks, run_plan_blocks_with_chains,
 };
 pub use parallel::{partition_target, run_plan_blocks_parallel};
 pub use plan::QueryPlan;

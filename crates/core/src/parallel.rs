@@ -17,7 +17,7 @@
 //! # What may be partitioned
 //!
 //! Only a scan whose rows have pairwise-distinct bindings can be split:
-//! a relaxed singleton's [`IncrementalMerge`](operators::IncrementalMerge)
+//! a relaxed singleton's [`BlockIncrementalMerge`](operators::BlockIncrementalMerge)
 //! deduplicates across its *whole* input (max-score semantics), so splitting
 //! it would surface the same binding from two workers at different scores.
 //! [`partition_target`] therefore only considers join-group members and

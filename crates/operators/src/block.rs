@@ -1,12 +1,9 @@
-//! Block-at-a-time (vectorized) execution primitives.
+//! The block-at-a-time execution primitives every operator builds on.
 //!
-//! The row-at-a-time operator stack ([`RankedStream`]) pays a virtual
-//! dispatch, a `Binding` allocation and a per-pair sort for every single
-//! tuple it moves. Over the columnar store that overhead dominates: the
-//! storage layer can hand out thousands of `(s, p, o, score)` rows with four
-//! memcpys, but the operators consume them one `PartialAnswer` at a time.
-//!
-//! This module is the batched alternative:
+//! Over the columnar store, a per-tuple operator would pay a virtual
+//! dispatch, a `Binding` allocation and a per-pair sort for every tuple it
+//! moves, while the storage layer can hand out thousands of
+//! `(s, p, o, score)` rows with four memcpys. So operators move batches:
 //!
 //! * [`Block`] — a batch of raw triples as parallel `s`/`p`/`o`/`score`
 //!   columns, filled straight from [`kgstore::TripleColumns`] ranges
@@ -14,44 +11,31 @@
 //! * [`AnswerBlock`] — a batch of partial answers sharing one variable
 //!   *schema*, so a row is a flat `&[TermId]` slice instead of a sorted
 //!   `Vec<(Var, TermId)>` per answer;
-//! * [`BlockStream`] — the pull interface between block operators
-//!   (the batched sibling of [`RankedStream`]);
-//! * [`RowsToBlocks`] — adapter that packs any row stream into blocks, used
-//!   for sources that have no native block implementation (chain-relaxation
-//!   subtrees);
+//! * [`BlockStream`] — the pull interface between operators;
+//! * [`ScaledProjection`] — rescales and projects a derived stream (the
+//!   chain-relaxation subtrees);
+//! * [`ReplayBlocks`] — replays a sorted answer list as blocks (the input
+//!   source of operator tests);
 //! * [`top_k_blocks`] — result collection, converting only the `k` winning
 //!   rows back into [`PartialAnswer`]s;
-//! * [`ExecutionMode`] — the engine-level knob selecting block execution
-//!   (the default) or the row reference (`SPECQP_EXEC=row|block|block:N`
-//!   flips whole test suites).
-//!
-//! Both paths produce **identical answers in identical order with identical
-//! scores** (same normalization/weighting expressions, same commutative
-//! score sums, same total tie-break order); the differential harness in
-//! `tests/diff_exec.rs` locks that equivalence in.
-//!
-//! [`RankedStream`]: crate::RankedStream
+//! * [`ExecutionMode`] — the engine's block-size setting.
 
 use crate::answer::{Binding, PartialAnswer};
-use crate::stream::RankedStream;
 use kgstore::{MatchList, Triple};
 use sparql::Var;
 use specqp_common::{Score, TermId};
 
-/// Block size used when [`ExecutionMode::Block`] is selected without an
-/// explicit size (and by `SPECQP_EXEC=block`). 128 sits at the sweet spot
-/// measured on the seeded XKG probe workload: big enough to amortize
-/// per-block overhead, small enough that strict-threshold tie plateaus
-/// don't drag in whole oversized batches.
+/// Block size used when [`ExecutionMode`] is left at its default. 128 sits
+/// at the sweet spot measured on the seeded XKG probe workload: big enough
+/// to amortize per-block overhead, small enough that strict-threshold tie
+/// plateaus don't drag in whole oversized batches.
 pub const DEFAULT_BLOCK_SIZE: usize = 128;
 
-/// How the engine executes plans: the vectorized block pipeline (the
-/// default, and the path the benchmark measures) or the classic
-/// tuple-at-a-time operator tree kept as the reference implementation.
+/// How the engine executes plans: batches of up to `size` answers per
+/// operator call ([`DEFAULT_BLOCK_SIZE`] by default). Every size returns the
+/// same answers in the same order with the same scores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// One [`PartialAnswer`] per operator call (reference path).
-    RowAtATime,
     /// Batches of up to `size` answers per operator call.
     Block(usize),
 }
@@ -64,55 +48,10 @@ impl Default for ExecutionMode {
 }
 
 impl ExecutionMode {
-    /// Reads the mode from the `SPECQP_EXEC` environment variable: `block`
-    /// (or unset) selects [`ExecutionMode::Block`] with
-    /// [`DEFAULT_BLOCK_SIZE`]; `block:N` (or `block=N`) selects an explicit
-    /// block size; `row` selects the [`ExecutionMode::RowAtATime`]
-    /// reference path. CI runs the whole workspace test suite once per
-    /// setting.
-    ///
-    /// # Panics
-    /// Panics when the variable is set to something unparsable — a typo in
-    /// a CI matrix (`blocks`, `block:12b8`, …) must fail loudly, not
-    /// silently re-run the row suite with the block gate green.
-    pub fn from_env() -> Self {
-        match std::env::var("SPECQP_EXEC") {
-            Ok(v) => Self::parse(&v).unwrap_or_else(|| {
-                panic!(
-                    "SPECQP_EXEC={v:?} is not a valid execution mode \
-                     (expected row | block | block:N)"
-                )
-            }),
-            Err(_) => ExecutionMode::default(),
-        }
-    }
-
-    /// Parses `row`, `block`, `block:N` or `block=N`.
-    pub fn parse(s: &str) -> Option<Self> {
-        let s = s.trim();
-        if s.eq_ignore_ascii_case("row") {
-            return Some(ExecutionMode::RowAtATime);
-        }
-        if s.eq_ignore_ascii_case("block") {
-            return Some(ExecutionMode::Block(DEFAULT_BLOCK_SIZE));
-        }
-        let rest = s
-            .strip_prefix("block:")
-            .or_else(|| s.strip_prefix("block="))?;
-        let n: usize = rest.parse().ok()?;
-        if n == 0 {
-            None
-        } else {
-            Some(ExecutionMode::Block(n))
-        }
-    }
-
-    /// The configured block size (`None` in row mode).
-    pub fn block_size(self) -> Option<usize> {
-        match self {
-            ExecutionMode::RowAtATime => None,
-            ExecutionMode::Block(n) => Some(n.max(1)),
-        }
+    /// The configured block size (at least 1).
+    pub fn block_size(self) -> usize {
+        let ExecutionMode::Block(n) = self;
+        n.max(1)
     }
 }
 
@@ -208,9 +147,9 @@ impl Block {
 /// `vars` is sorted and duplicate-free; row `i` occupies
 /// `terms[i*width .. (i+1)*width]` with `terms[i*width + j]` bound to
 /// `vars[j]`. Because [`Binding`] also keeps its pairs sorted by variable,
-/// comparing two same-schema rows as term slices is exactly the row path's
-/// binding tie-break order — which is what keeps the two executors'
-/// output orders identical.
+/// comparing two same-schema rows as term slices is exactly
+/// [`PartialAnswer`]'s binding tie-break order — so every block size, and
+/// the morsel-parallel merge, emit one canonical order.
 #[derive(Debug, Clone)]
 pub struct AnswerBlock {
     vars: Vec<Var>,
@@ -308,8 +247,8 @@ impl AnswerBlock {
         (&mut self.terms, &mut self.scores)
     }
 
-    /// Row `i` as a row-path [`PartialAnswer`] (allocates — used only at
-    /// the top-k boundary and in tests).
+    /// Row `i` as a [`PartialAnswer`] (allocates — used only at the top-k
+    /// boundary and in tests).
     pub fn answer(&self, i: usize) -> PartialAnswer {
         let pairs = self
             .vars
@@ -327,8 +266,9 @@ impl AnswerBlock {
 }
 
 /// A pull-based stream of [`AnswerBlock`]s in non-increasing score order
-/// (across and within blocks) — the batched sibling of
-/// [`RankedStream`], with the same bound contract.
+/// (across and within blocks) that can bound the score of everything it
+/// has not yet produced: once a consumer holds `k` answers scoring at least
+/// `upper_bound()`, no future row can displace them.
 ///
 /// # Contract
 /// * every block's rows are in non-increasing score order, and the first
@@ -404,72 +344,139 @@ impl BlockSizer {
     }
 }
 
-/// Packs any [`RankedStream`] into blocks over a fixed
-/// schema. Used for sources with no native block implementation — the
-/// chain-relaxation subtrees, whose scaled/projected row streams are reused
-/// verbatim (so both executors compute chain scores identically).
-///
-/// # Panics
-/// Panics if a pulled answer does not bind every schema variable.
-pub struct RowsToBlocks<'g> {
-    inner: Box<dyn RankedStream + 'g>,
-    vars: Vec<Var>,
-    sizer: BlockSizer,
+/// A chain relaxation's join made to look, to the merge consuming it, like a
+/// weighted scan of the original pattern: every score (and the bound) is
+/// multiplied by a positive `factor`, and every row is projected onto the
+/// `keep` variables, dropping auxiliaries such as the chain's fresh
+/// intermediates. Order is preserved because scaling by a positive factor
+/// is monotone; rows that collapse under the projection are left for the
+/// merge to deduplicate.
+pub struct ScaledProjection<'g> {
+    inner: BoxedBlockStream<'g>,
+    factor: f64,
+    schema: Vec<Var>,
+    /// For each output slot, its position in the inner schema.
+    slots: Vec<usize>,
 }
 
-impl<'g> RowsToBlocks<'g> {
-    /// Wraps `inner`, emitting blocks of up to `block_size` rows over the
-    /// sorted schema `vars`.
-    pub fn new(inner: Box<dyn RankedStream + 'g>, mut vars: Vec<Var>, block_size: usize) -> Self {
-        vars.sort_unstable();
-        vars.dedup();
-        RowsToBlocks {
+impl<'g> ScaledProjection<'g> {
+    /// Wraps `inner`, scaling by `factor` and keeping only `keep`.
+    ///
+    /// # Panics
+    /// Panics unless `factor > 0` and `inner` binds every `keep` variable.
+    pub fn new(inner: BoxedBlockStream<'g>, factor: f64, mut keep: Vec<Var>) -> Self {
+        assert!(factor > 0.0, "scale factor must be positive, got {factor}");
+        keep.sort_unstable();
+        keep.dedup();
+        let slots = keep
+            .iter()
+            .map(|v| {
+                inner
+                    .schema()
+                    .iter()
+                    .position(|w| w == v)
+                    .expect("the projected stream binds every kept variable")
+            })
+            .collect();
+        ScaledProjection {
             inner,
-            vars,
-            sizer: BlockSizer::new(block_size),
+            factor,
+            schema: keep,
+            slots,
         }
     }
 }
 
-impl BlockStream for RowsToBlocks<'_> {
+impl BlockStream for ScaledProjection<'_> {
     fn schema(&self) -> &[Var] {
-        &self.vars
+        &self.schema
     }
 
     fn next_block(&mut self) -> Option<AnswerBlock> {
-        let n = self.sizer.take();
-        let mut out = AnswerBlock::with_capacity(self.vars.clone(), n);
-        while out.len() < n {
-            let Some(a) = self.inner.next() else { break };
-            let vars = &self.vars;
-            out.push_row_with(a.score, |slot| {
-                for (j, &v) in vars.iter().enumerate() {
-                    slot[j] = a
-                        .binding
-                        .get(v)
-                        .expect("row stream must bind every schema variable");
+        let block = self.inner.next_block()?;
+        let mut out = AnswerBlock::with_capacity(self.schema.clone(), block.len());
+        for i in 0..block.len() {
+            let row = block.row(i);
+            out.push_row_with(block.score(i) * self.factor, |slot| {
+                for (term, &at) in slot.iter_mut().zip(&self.slots) {
+                    *term = row[at];
                 }
             });
         }
-        if out.is_empty() {
-            None
-        } else {
-            Some(out)
-        }
+        Some(out)
     }
 
     fn upper_bound(&self) -> Option<Score> {
-        self.inner.upper_bound()
+        self.inner.upper_bound().map(|b| b * self.factor)
+    }
+}
+
+/// Replays an answer list sorted by non-increasing score as blocks of up to
+/// `block_size` rows over a fixed schema — the input source of operator
+/// tests.
+///
+/// # Panics
+/// Panics if an answer does not bind every schema variable.
+#[derive(Debug, Clone)]
+pub struct ReplayBlocks {
+    schema: Vec<Var>,
+    rows: std::vec::IntoIter<PartialAnswer>,
+    block_size: usize,
+}
+
+impl ReplayBlocks {
+    /// Replays `rows` over the schema `vars` (sorted here).
+    pub fn new(rows: Vec<PartialAnswer>, mut vars: Vec<Var>, block_size: usize) -> Self {
+        debug_assert!(
+            rows.windows(2).all(|w| w[0].score >= w[1].score),
+            "replayed rows must be sorted by non-increasing score"
+        );
+        vars.sort_unstable();
+        vars.dedup();
+        ReplayBlocks {
+            schema: vars,
+            rows: rows.into_iter(),
+            block_size: block_size.max(1),
+        }
+    }
+}
+
+impl BlockStream for ReplayBlocks {
+    fn schema(&self) -> &[Var] {
+        &self.schema
+    }
+
+    fn next_block(&mut self) -> Option<AnswerBlock> {
+        if self.rows.as_slice().is_empty() {
+            return None;
+        }
+        let mut out = AnswerBlock::with_capacity(self.schema.clone(), self.block_size);
+        for a in self.rows.by_ref().take(self.block_size) {
+            out.push_row_with(a.score, |slot| {
+                for (term, &v) in slot.iter_mut().zip(&self.schema) {
+                    *term = a
+                        .binding
+                        .get(v)
+                        .expect("a replayed answer binds every schema variable");
+                }
+            });
+        }
+        Some(out)
+    }
+
+    fn upper_bound(&self) -> Option<Score> {
+        self.rows.as_slice().first().map(|a| a.score)
     }
 }
 
 /// Collects the top-`k` answers out of a block stream under the canonical
 /// total order (score desc, binding asc), converting only the winning rows
-/// into [`PartialAnswer`]s. Mirrors [`top_k`](crate::top_k): after `k`
-/// answers the stream has reached the score floor, and rows tied at the
-/// floor are drained so the boundary is resolved by binding rather than by
-/// incidental stream position — the block executor returns exactly what the
-/// row executor and the morsel-parallel merge return.
+/// into [`PartialAnswer`]s. After `k` answers the stream has reached the
+/// score floor, and rows tied at the floor are drained so the boundary is
+/// resolved by binding rather than by incidental stream position — every
+/// block size, and the morsel-parallel merge, return the same answers in
+/// the same order. The early-termination logic lives inside the operators,
+/// which only consume as much of their inputs as the bounds require.
 pub fn top_k_blocks<S: BlockStream + ?Sized>(stream: &mut S, k: usize) -> Vec<PartialAnswer> {
     top_k_blocks_floored(stream, k, None)
 }
@@ -516,7 +523,6 @@ pub fn top_k_blocks_floored<S: BlockStream + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::VecStream;
 
     fn ans(pairs: &[(u32, u32)], s: f64) -> PartialAnswer {
         PartialAnswer::new(
@@ -525,30 +531,22 @@ mod tests {
         )
     }
 
+    fn drain<S: BlockStream + ?Sized>(s: &mut S) -> Vec<PartialAnswer> {
+        let mut out = Vec::new();
+        while let Some(b) = s.next_block() {
+            out.extend(b.to_answers());
+        }
+        out
+    }
+
     #[test]
-    fn execution_mode_parsing() {
-        assert_eq!(ExecutionMode::parse("row"), Some(ExecutionMode::RowAtATime));
-        assert_eq!(
-            ExecutionMode::parse("block"),
-            Some(ExecutionMode::Block(DEFAULT_BLOCK_SIZE))
-        );
-        assert_eq!(
-            ExecutionMode::parse("block:64"),
-            Some(ExecutionMode::Block(64))
-        );
-        assert_eq!(
-            ExecutionMode::parse("block=7"),
-            Some(ExecutionMode::Block(7))
-        );
-        assert_eq!(ExecutionMode::parse("block:0"), None);
-        assert_eq!(ExecutionMode::parse("speculative"), None);
-        assert_eq!(ExecutionMode::RowAtATime.block_size(), None);
-        assert_eq!(ExecutionMode::Block(9).block_size(), Some(9));
+    fn execution_mode_defaults_to_the_default_block_size() {
         assert_eq!(
             ExecutionMode::default(),
-            ExecutionMode::Block(DEFAULT_BLOCK_SIZE),
-            "unset means block; only SPECQP_EXEC=row selects the reference"
+            ExecutionMode::Block(DEFAULT_BLOCK_SIZE)
         );
+        assert_eq!(ExecutionMode::Block(9).block_size(), 9);
+        assert_eq!(ExecutionMode::Block(0).block_size(), 1);
     }
 
     #[test]
@@ -565,26 +563,18 @@ mod tests {
     }
 
     #[test]
-    fn rows_to_blocks_packs_and_ramps() {
+    fn replay_blocks_packs_in_order() {
         let rows: Vec<PartialAnswer> = (0..100)
             .map(|i| ans(&[(0, i), (1, i + 1000)], 1.0 - f64::from(i) * 0.001))
             .collect();
-        let mut s = RowsToBlocks::new(
-            Box::new(VecStream::new(rows.clone())),
-            vec![Var(1), Var(0)],
-            64,
-        );
+        let mut s = ReplayBlocks::new(rows.clone(), vec![Var(1), Var(0)], 64);
         assert_eq!(s.schema(), &[Var(0), Var(1)]);
         assert_eq!(s.upper_bound(), Some(Score::new(1.0)));
         let b1 = s.next_block().unwrap();
-        assert_eq!(b1.len(), 32, "first block uses the ramped size");
-        let b2 = s.next_block().unwrap();
-        assert_eq!(b2.len(), 64);
-        let mut got: Vec<PartialAnswer> = b1.to_answers();
-        got.extend(b2.to_answers());
-        while let Some(b) = s.next_block() {
-            got.extend(b.to_answers());
-        }
+        assert_eq!(b1.len(), 64);
+        assert_eq!(s.upper_bound(), Some(rows[64].score));
+        let mut got = b1.to_answers();
+        got.extend(drain(&mut s));
         assert_eq!(got, rows);
         assert_eq!(s.upper_bound(), None);
     }
@@ -594,11 +584,53 @@ mod tests {
         let rows: Vec<PartialAnswer> = (0..10)
             .map(|i| ans(&[(0, i)], 1.0 - f64::from(i) * 0.05))
             .collect();
-        let mut s = RowsToBlocks::new(Box::new(VecStream::new(rows.clone())), vec![Var(0)], 4);
-        let got = top_k_blocks(&mut s, 3);
-        assert_eq!(got, rows[..3].to_vec());
-        let mut s2 = RowsToBlocks::new(Box::new(VecStream::new(rows.clone())), vec![Var(0)], 4);
-        assert_eq!(top_k_blocks(&mut s2, 99), rows);
+        let replay = || ReplayBlocks::new(rows.clone(), vec![Var(0)], 4);
+        assert_eq!(top_k_blocks(&mut replay(), 3), rows[..3].to_vec());
+        assert_eq!(top_k_blocks(&mut replay(), 99), rows);
+    }
+
+    #[test]
+    fn scaled_projection_scales_scores_and_bounds() {
+        let rows = vec![ans(&[(0, 1)], 1.0), ans(&[(0, 2)], 0.5)];
+        let mut s = ScaledProjection::new(
+            Box::new(ReplayBlocks::new(rows, vec![Var(0)], 1)),
+            0.4,
+            vec![Var(0)],
+        );
+        assert_eq!(s.upper_bound(), Some(Score::new(0.4)));
+        let got = drain(&mut s);
+        assert_eq!(got[0].score, Score::new(1.0) * 0.4);
+        assert_eq!(got[1].score, Score::new(0.5) * 0.4);
+        assert_eq!(s.upper_bound(), None);
+    }
+
+    #[test]
+    fn scaled_projection_drops_aux_vars_and_keeps_duplicates() {
+        let rows = vec![
+            ans(&[(0, 1), (7, 99)], 0.9),
+            ans(&[(0, 1), (7, 98)], 0.6),
+            ans(&[(0, 3), (7, 97)], 0.5),
+        ];
+        let mut s = ScaledProjection::new(
+            Box::new(ReplayBlocks::new(rows, vec![Var(0), Var(7)], 8)),
+            0.5,
+            vec![Var(0)],
+        );
+        assert_eq!(s.schema(), &[Var(0)]);
+        let got = drain(&mut s);
+        let ids: Vec<u32> = got
+            .iter()
+            .map(|a| a.binding.get(Var(0)).unwrap().0)
+            .collect();
+        assert_eq!(ids, vec![1, 1, 3], "deduplication is the merge's job");
+        assert!(got.iter().all(|a| a.binding.get(Var(7)).is_none()));
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn scaled_projection_rejects_a_zero_factor() {
+        let inner = ReplayBlocks::new(vec![], vec![Var(0)], 4);
+        let _ = ScaledProjection::new(Box::new(inner), 0.0, vec![Var(0)]);
     }
 
     #[test]

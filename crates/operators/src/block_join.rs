@@ -1,11 +1,18 @@
-//! Block-at-a-time join and merge operators.
+//! The rank join and the incremental merge.
 //!
-//! These are the batched siblings of [`RankJoin`](crate::RankJoin) and
-//! [`IncrementalMerge`](crate::IncrementalMerge). They keep the exact
-//! corner-bound/threshold logic of the row operators (so early termination
-//! is preserved), but move data as [`AnswerBlock`]s, and their per-row
-//! bookkeeping lives in flat vectors that only grow geometrically — the hot
-//! hash paths allocate nothing per row, per key or per result:
+//! [`BlockRankJoin`] is the HRJN hash rank join (Ilyas et al., VLDB'03;
+//! refs \[15,16,17\]): it consumes two descending streams and produces the
+//! join results in descending order of the score sum, pulling as few input
+//! rows as possible. It keeps the rows seen per input, the *corner bound*
+//! threshold `T = max(top₁(L) + cur(R), cur(L) + top₁(R))` — no unseen
+//! combination can score above `T` — and a queue of join results found so
+//! far, emitting a result once it scores above `T`. The pull order is a
+//! [`PullStrategy`]. [`BlockIncrementalMerge`] merges a pattern's scan with
+//! its relaxations' under max-score deduplication.
+//!
+//! Both move [`AnswerBlock`]s, and their per-row bookkeeping lives in flat
+//! vectors that only grow geometrically — the hot hash paths allocate
+//! nothing per row, per key or per result:
 //!
 //! * **Row index.** Each join side stores the rows it has pulled as one
 //!   flat term vector, and a chained hash index over those rows: a
@@ -21,20 +28,28 @@
 //! * **Narrow dedup keys.** A triple pattern binds at most three variables,
 //!   so the merge's seen-set holds whole rows packed into a `u64` or `u128`.
 //!
-//! Output order is identical to the row operators': results are emitted
-//! from a heap ordered by the same total `(score, binding)` order that
-//! [`PartialAnswer`](crate::PartialAnswer) uses — for same-schema rows,
-//! comparing term slices in schema order *is* comparing sorted binding pair
-//! lists. Because that order is total and equal rows are indistinguishable,
-//! the order in which a chain yields a row's partners (newest first) cannot
-//! show in the output.
+//! Results are emitted from a heap ordered by the total `(score, binding)`
+//! order that [`PartialAnswer`](crate::PartialAnswer) uses — for same-schema
+//! rows, comparing term slices in schema order *is* comparing sorted binding
+//! pair lists. Because that order is total and equal rows are
+//! indistinguishable, neither the block size nor the order in which a chain
+//! yields a row's partners (newest first) can show in the output.
 
 use crate::block::{AnswerBlock, BlockSizer, BlockStream, BoxedBlockStream};
 use crate::metrics::MetricsHandle;
-use crate::rank_join::PullStrategy;
 use sparql::Var;
 use specqp_common::{FxHashSet, FxHasher, Score, TermId};
 use std::hash::Hasher;
+
+/// Which input a rank join pulls from next.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum PullStrategy {
+    /// Strict left/right alternation (classic HRJN).
+    #[default]
+    Alternate,
+    /// Pull from the side whose corner-bound term is larger (HRJN\*).
+    Adaptive,
+}
 
 /// Chain terminator / empty bucket in a [`RowIndex`].
 const NIL: u32 = u32::MAX;
@@ -119,9 +134,9 @@ impl RowIndex {
 }
 
 /// The join's output queue: a binary max-heap of `(score, slot)` over one
-/// fixed-width term arena, ordered exactly like the row path's
-/// `PartialAnswer` — by score, ties broken so the lexicographically smaller
-/// term row ranks higher (pops first).
+/// fixed-width term arena, ordered exactly like `PartialAnswer` — by score,
+/// ties broken so the lexicographically smaller term row ranks higher (pops
+/// first).
 struct RowHeap {
     width: usize,
     heap: Vec<(Score, u32)>,
@@ -290,7 +305,10 @@ impl SideState {
         })
     }
 
-    /// Same corner-bound term as the row join's `Side::bound_with`.
+    /// The corner-bound term where this side contributes `cur` and the
+    /// other side contributes `top₁`; `None` once no future result can
+    /// involve an unseen row of this side. A side that has pulled nothing,
+    /// or whose partner has not, is unbounded: it must be pulled first.
     fn bound_with(&self, other_top1: Option<Score>) -> Option<Score> {
         if self.exhausted {
             return None;
@@ -303,9 +321,7 @@ impl SideState {
     }
 }
 
-/// Block-at-a-time HRJN hash rank join: consumes two [`BlockStream`]s and
-/// produces their join results in the same order (and with the same scores)
-/// as [`RankJoin`](crate::RankJoin) over the equivalent row streams, but
+/// The HRJN hash rank join of two [`BlockStream`]s (see the module docs):
 /// pulls, probes and emits whole batches.
 pub struct BlockRankJoin<'g> {
     left: BoxedBlockStream<'g>,
@@ -358,7 +374,7 @@ impl<'g> BlockRankJoin<'g> {
         }
     }
 
-    /// The corner-bound threshold (same formula as the row join).
+    /// The corner-bound threshold `T`.
     fn threshold(&self) -> Option<Score> {
         if (self.lstate.exhausted && self.lstate.top1.is_none())
             || (self.rstate.exhausted && self.rstate.top1.is_none())
@@ -396,8 +412,7 @@ impl<'g> BlockRankJoin<'g> {
                 } else if self.rstate.exhausted || self.lstate.top1.is_none() {
                     // Right done, or the left head is still unknown: the
                     // corner bounds are meaningless until both heads are
-                    // seen, so fetch left first (same order as the row
-                    // join).
+                    // seen, so fetch left first.
                     true
                 } else if self.rstate.top1.is_none() {
                     false
@@ -467,9 +482,8 @@ impl BlockStream for BlockRankJoin<'_> {
         &self.out_schema
     }
 
-    /// Strict-threshold emission (`top > T`), mirroring
-    /// [`RankJoin::next`](crate::RankJoin): ties are fully queued before any
-    /// is emitted, so the drain below pops them in the canonical
+    /// Strict-threshold emission (`top > T`): ties are fully queued before
+    /// any is emitted, so the drain below pops them in the canonical
     /// (score desc, binding asc) order regardless of pull granularity.
     ///
     /// With a [floor](BlockStream::set_floor) the loop also ends — before
@@ -557,11 +571,10 @@ impl SeenRows {
     }
 }
 
-/// Block-at-a-time incremental merge: same max-score deduplication and
-/// emission order as [`IncrementalMerge`](crate::IncrementalMerge) — ties
-/// across inputs resolve to the earliest input — but heads advance through
-/// buffered blocks and the dedup set stores whole rows packed into one
-/// integer instead of cloned [`Binding`](crate::Binding)s.
+/// The incremental merge: emits the union of its inputs in descending score
+/// order, each binding once with its maximum score — ties across inputs
+/// resolve to the earliest input. Heads advance through buffered blocks and
+/// the dedup set stores whole rows packed into one integer.
 ///
 /// All inputs must share one schema (a pattern and its relaxations bind the
 /// same variables).
@@ -602,7 +615,7 @@ impl<'g> BlockIncrementalMerge<'g> {
     }
 
     /// Index of the input whose buffered head has the maximum score
-    /// (earliest input wins ties, as in the row merge), plus the best head
+    /// (earliest input wins ties), plus the best head
     /// score among the *other* inputs — everything the winner's head run
     /// can be emitted against without re-scanning all heads per row.
     fn best_input(&self) -> Option<(usize, Option<Score>)> {
@@ -643,7 +656,7 @@ impl BlockStream for BlockIncrementalMerge<'_> {
             // scoring strictly above the best other head comes from input
             // `i` next, so the per-row head scan is amortized away. Ties
             // with `second` fall back to single-row steps, preserving the
-            // row merge's earliest-input-wins order exactly.
+            // earliest-input-wins order exactly.
             let (block, cursor) = self.bufs[i].as_mut().expect("best input is buffered");
             let mut advanced = *cursor;
             while advanced < block.len() && out.len() < n {
@@ -684,10 +697,8 @@ impl BlockStream for BlockIncrementalMerge<'_> {
 mod tests {
     use super::*;
     use crate::answer::{Binding, PartialAnswer};
-    use crate::block::{top_k_blocks, RowsToBlocks};
+    use crate::block::{top_k_blocks, ReplayBlocks};
     use crate::metrics::OpMetrics;
-    use crate::rank_join::RankJoin;
-    use crate::stream::{materialize, VecStream};
 
     fn ans(pairs: &[(u32, u32)], s: f64) -> PartialAnswer {
         PartialAnswer::new(
@@ -700,12 +711,8 @@ mod tests {
         ans(&[(0, join_val)], score)
     }
 
-    fn block_of(rows: &[PartialAnswer], vars: &[u32], size: usize) -> RowsToBlocks<'static> {
-        RowsToBlocks::new(
-            Box::new(VecStream::new(rows.to_vec())),
-            vars.iter().map(|&v| Var(v)).collect(),
-            size,
-        )
+    fn block_of(rows: &[PartialAnswer], vars: &[u32], size: usize) -> ReplayBlocks {
+        ReplayBlocks::new(rows.to_vec(), vars.iter().map(|&v| Var(v)).collect(), size)
     }
 
     fn drain<S: BlockStream>(mut s: S) -> Vec<PartialAnswer> {
@@ -865,25 +872,27 @@ mod tests {
     }
 
     #[test]
-    fn block_join_matches_row_join_all_strategies_and_sizes() {
+    fn block_join_equals_the_sorted_join_all_strategies_and_sizes() {
         let l: Vec<_> = (0..60)
-            .map(|i| simple(i % 7, 1.0 - f64::from(i) * 0.01))
+            .map(|i| ans(&[(0, i % 7), (1, i)], 1.0 - f64::from(i) * 0.01))
             .collect();
         let r: Vec<_> = (0..60)
-            .map(|i| simple(i % 7, 1.0 - f64::from(i) * 0.013))
+            .map(|i| ans(&[(0, i % 7), (2, i)], 1.0 - f64::from(i) * 0.013))
             .collect();
+        let mut want: Vec<PartialAnswer> = l
+            .iter()
+            .flat_map(|a| {
+                r.iter()
+                    .filter(|b| a.binding.get(Var(0)) == b.binding.get(Var(0)))
+                    .map(|b| PartialAnswer::new(a.binding.merged(&b.binding), a.score + b.score))
+            })
+            .collect();
+        want.sort_by(|x, y| y.cmp(x));
         for strategy in [PullStrategy::Alternate, PullStrategy::Adaptive] {
-            let want = materialize(RankJoin::new(
-                Box::new(VecStream::new(l.clone())),
-                Box::new(VecStream::new(r.clone())),
-                vec![Var(0)],
-                strategy,
-                OpMetrics::new_handle(),
-            ));
             for size in [1, 7, 64] {
                 let join = BlockRankJoin::new(
-                    Box::new(block_of(&l, &[0], size)),
-                    Box::new(block_of(&r, &[0], size)),
+                    Box::new(block_of(&l, &[0, 1], size)),
+                    Box::new(block_of(&r, &[0, 2], size)),
                     vec![Var(0)],
                     strategy,
                     OpMetrics::new_handle(),
@@ -970,18 +979,19 @@ mod tests {
     }
 
     #[test]
-    fn block_merge_matches_row_merge_with_dedup() {
-        use crate::incr_merge::IncrementalMerge;
+    fn block_merge_keeps_each_binding_once_at_its_max_score() {
         let a = vec![
             ans(&[(0, 7)], 1.0),
             ans(&[(0, 1)], 0.9),
             ans(&[(0, 3)], 0.2),
         ];
         let b = vec![ans(&[(0, 7)], 0.8), ans(&[(0, 2)], 0.5)];
-        let want = materialize(IncrementalMerge::new(vec![
-            Box::new(VecStream::new(a.clone())),
-            Box::new(VecStream::new(b.clone())),
-        ]));
+        let want = vec![
+            ans(&[(0, 7)], 1.0),
+            ans(&[(0, 1)], 0.9),
+            ans(&[(0, 2)], 0.5),
+            ans(&[(0, 3)], 0.2),
+        ];
         for size in [1, 2, 64] {
             let merge = BlockIncrementalMerge::new(
                 vec![

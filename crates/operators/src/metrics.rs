@@ -38,53 +38,29 @@ impl OpMetrics {
         Rc::new(OpMetrics::default())
     }
 
-    /// Records the materialization of one answer object
-    /// (scan emission or join result).
-    #[inline]
-    pub fn count_answer(&self) {
-        self.answers_created.set(self.answers_created.get() + 1);
-    }
-
-    /// Records `n` answer objects at once.
+    /// Records the materialization of `n` answer objects (scan emissions
+    /// or join results).
     #[inline]
     pub fn count_answers(&self, n: u64) {
         self.answers_created.set(self.answers_created.get() + n);
     }
 
-    /// Records one sequential (sorted) access to an input list.
-    #[inline]
-    pub fn count_sorted_access(&self) {
-        self.sorted_accesses.set(self.sorted_accesses.get() + 1);
-    }
-
-    /// Records `n` sequential accesses at once (block-at-a-time gathers).
+    /// Records `n` sequential (sorted) accesses to an input list.
     #[inline]
     pub fn count_sorted_accesses(&self, n: u64) {
         self.sorted_accesses.set(self.sorted_accesses.get() + n);
     }
 
-    /// Records `n` random accesses at once (block-at-a-time probes).
+    /// Records `n` random accesses (hash probe hit enumerations).
     #[inline]
     pub fn count_random_accesses(&self, n: u64) {
         self.random_accesses.set(self.random_accesses.get() + n);
     }
 
-    /// Records `n` priority-queue pushes at once.
+    /// Records `n` priority-queue pushes.
     #[inline]
     pub fn count_heap_pushes(&self, n: u64) {
         self.heap_pushes.set(self.heap_pushes.get() + n);
-    }
-
-    /// Records one random access (hash probe hit enumeration).
-    #[inline]
-    pub fn count_random_access(&self) {
-        self.random_accesses.set(self.random_accesses.get() + 1);
-    }
-
-    /// Records one priority-queue push.
-    #[inline]
-    pub fn count_heap_push(&self) {
-        self.heap_pushes.set(self.heap_pushes.get() + 1);
     }
 
     /// Records one recovery stage taken by the speculation lifecycle (the
@@ -265,11 +241,11 @@ mod tests {
     #[test]
     fn counters_accumulate_and_reset() {
         let m = OpMetrics::new_handle();
-        m.count_answer();
+        m.count_answers(1);
         m.count_answers(4);
-        m.count_sorted_access();
-        m.count_random_access();
-        m.count_heap_push();
+        m.count_sorted_accesses(1);
+        m.count_random_accesses(1);
+        m.count_heap_pushes(1);
         assert_eq!(m.answers_created(), 5);
         assert_eq!(m.sorted_accesses(), 1);
         assert_eq!(m.random_accesses(), 1);
@@ -282,7 +258,7 @@ mod tests {
     fn handle_is_shared() {
         let m = OpMetrics::new_handle();
         let m2 = Rc::clone(&m);
-        m2.count_answer();
+        m2.count_answers(1);
         assert_eq!(m.answers_created(), 1);
     }
 

@@ -1,19 +1,25 @@
-//! Sorted scans of one triple pattern's match list — tuple-at-a-time
-//! ([`PatternScan`]) and block-at-a-time ([`BlockScan`]).
+//! The sorted scan of one triple pattern's match list ([`BlockScan`]).
 
-use crate::answer::{Binding, PartialAnswer};
 use crate::block::{AnswerBlock, Block, BlockSizer, BlockStream};
 use crate::metrics::MetricsHandle;
 use crate::morsel::MorselDispenser;
-use crate::stream::RankedStream;
 use kgstore::{KnowledgeGraph, MatchList, PatternKey, Triple};
 use sparql::{Term, TriplePattern, Var};
 use specqp_common::Score;
 use std::sync::Arc;
 
-/// Streams the matches of one triple pattern in descending score order,
-/// binding the pattern's variables and emitting **normalized, weighted**
-/// scores:
+/// Which triple component supplies a schema slot's value.
+#[derive(Clone, Copy, Debug)]
+enum Slot {
+    S,
+    P,
+    O,
+}
+
+/// Streams the matches of one triple pattern in descending score order as
+/// [`AnswerBlock`] batches gathered column-wise from the store
+/// ([`Block::fill_from`]), binding the pattern's variables and emitting
+/// **normalized, weighted** scores:
 ///
 /// * normalization per Def. 5 — each score is divided by the best score in
 ///   this pattern's own match list, so the head of the stream is 1.0;
@@ -25,130 +31,6 @@ use std::sync::Arc;
 /// Patterns with a repeated variable (e.g. `?x p ?x`) are filtered to
 /// matches where the repeated positions agree, and the normalizer is the
 /// best score among the *filtered* matches.
-pub struct PatternScan<'g> {
-    list: MatchList<'g>,
-    pattern: TriplePattern,
-    weight: Score,
-    normalizer: Score,
-    /// Rank of the next match satisfying the repeated-variable constraint.
-    next_rank: usize,
-    metrics: MetricsHandle,
-}
-
-impl<'g> PatternScan<'g> {
-    /// Creates a scan of `pattern` over `graph` with relaxation weight
-    /// `weight` (1.0 for an original, un-relaxed pattern).
-    pub fn new(
-        graph: &'g KnowledgeGraph,
-        pattern: TriplePattern,
-        weight: Score,
-        metrics: MetricsHandle,
-    ) -> Self {
-        let (s, p, o) = pattern.const_parts();
-        let list = graph.matches(PatternKey { s, p, o });
-        let mut scan = PatternScan {
-            list,
-            pattern,
-            weight,
-            normalizer: Score::ZERO,
-            next_rank: 0,
-            metrics,
-        };
-        scan.next_rank = scan.find_satisfying(0);
-        if scan.next_rank < scan.list.len() {
-            scan.normalizer = scan.list.score_at(scan.next_rank);
-        }
-        scan
-    }
-
-    /// The number of matches the scan can produce in total (after the
-    /// repeated-variable filter this is an upper bound).
-    pub fn match_count(&self) -> usize {
-        self.list.len()
-    }
-
-    fn satisfies(&self, t: &Triple) -> bool {
-        // Repeated variables force component equality.
-        let same = |x: Term, y: Term| x.is_var() && x == y;
-        if same(self.pattern.s, self.pattern.p) && t.s != t.p {
-            return false;
-        }
-        if same(self.pattern.s, self.pattern.o) && t.s != t.o {
-            return false;
-        }
-        if same(self.pattern.p, self.pattern.o) && t.p != t.o {
-            return false;
-        }
-        true
-    }
-
-    fn find_satisfying(&self, from: usize) -> usize {
-        let mut r = from;
-        while r < self.list.len() && !self.satisfies(&self.list.triple_at(r)) {
-            r += 1;
-        }
-        r
-    }
-
-    fn bind(&self, t: &Triple) -> Binding {
-        let mut pairs: Vec<(Var, specqp_common::TermId)> = Vec::with_capacity(3);
-        if let Term::Var(v) = self.pattern.s {
-            pairs.push((v, t.s));
-        }
-        if let Term::Var(v) = self.pattern.p {
-            pairs.push((v, t.p));
-        }
-        if let Term::Var(v) = self.pattern.o {
-            pairs.push((v, t.o));
-        }
-        Binding::from_pairs(pairs)
-    }
-
-    #[inline]
-    fn weighted_score(&self, rank: usize) -> Score {
-        if self.normalizer == Score::ZERO {
-            return Score::ZERO;
-        }
-        self.weight * (self.list.score_at(rank) / self.normalizer.value())
-    }
-}
-
-impl RankedStream for PatternScan<'_> {
-    fn next(&mut self) -> Option<PartialAnswer> {
-        if self.next_rank >= self.list.len() {
-            return None;
-        }
-        let rank = self.next_rank;
-        self.next_rank = self.find_satisfying(rank + 1);
-        let triple = self.list.triple_at(rank);
-        let answer = PartialAnswer::new(self.bind(&triple), self.weighted_score(rank));
-        self.metrics.count_sorted_access();
-        self.metrics.count_answer();
-        Some(answer)
-    }
-
-    fn upper_bound(&self) -> Option<Score> {
-        if self.next_rank >= self.list.len() {
-            None
-        } else {
-            Some(self.weighted_score(self.next_rank))
-        }
-    }
-}
-
-/// Which triple component supplies a schema slot's value.
-#[derive(Clone, Copy, Debug)]
-enum Slot {
-    S,
-    P,
-    O,
-}
-
-/// Block-at-a-time sibling of [`PatternScan`]: streams the same normalized,
-/// weighted matches, but as [`AnswerBlock`] batches gathered column-wise
-/// from the store ([`Block::fill_from`]) instead of one allocated
-/// [`PartialAnswer`] at a time. Scores use the identical normalization
-/// expression, so the two scans are bit-for-bit interchangeable.
 ///
 /// ```
 /// use kgstore::KnowledgeGraphBuilder;
@@ -309,8 +191,7 @@ impl<'g> BlockScan<'g> {
         r
     }
 
-    /// Same expression as [`PatternScan`]'s weighting, evaluated on a raw
-    /// score (bit-identical results between the two paths).
+    /// The normalized, weighted score of a raw score.
     #[inline]
     fn weighted(&self, raw: Score) -> Score {
         if self.normalizer == Score::ZERO {
@@ -382,8 +263,7 @@ impl BlockStream for BlockScan<'_> {
                 }
                 _ => {}
             }
-            // Same float expression (and op order) as the row scan's
-            // `weighted_score`, evaluated over the whole score column.
+            // `weighted`, evaluated over the whole score column.
             if self.normalizer == Score::ZERO {
                 scores.extend(std::iter::repeat_n(Score::ZERO, rows));
             } else {
@@ -411,8 +291,8 @@ impl BlockStream for BlockScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::answer::PartialAnswer;
     use crate::metrics::OpMetrics;
-    use crate::stream::materialize;
     use kgstore::KnowledgeGraphBuilder;
     use sparql::Var;
 
@@ -433,85 +313,7 @@ mod tests {
         TriplePattern::new(Var(0), d.lookup("type").unwrap(), d.lookup(class).unwrap())
     }
 
-    #[test]
-    fn emits_normalized_descending_scores() {
-        let g = graph();
-        let m = OpMetrics::new_handle();
-        let scan = PatternScan::new(&g, type_pattern(&g, "singer"), Score::ONE, m.clone());
-        let out = materialize(scan);
-        let scores: Vec<f64> = out.iter().map(|a| a.score.value()).collect();
-        assert_eq!(scores, vec![1.0, 0.5, 0.1]);
-        assert_eq!(m.answers_created(), 3);
-        assert_eq!(m.sorted_accesses(), 3);
-    }
-
-    #[test]
-    fn weight_scales_head_to_w() {
-        let g = graph();
-        let m = OpMetrics::new_handle();
-        let scan = PatternScan::new(&g, type_pattern(&g, "vocalist"), Score::new(0.8), m);
-        let out = materialize(scan);
-        let scores: Vec<f64> = out.iter().map(|a| a.score.value()).collect();
-        assert_eq!(scores, vec![0.8, 0.2]);
-    }
-
-    #[test]
-    fn upper_bound_tracks_next_score() {
-        let g = graph();
-        let m = OpMetrics::new_handle();
-        let mut scan = PatternScan::new(&g, type_pattern(&g, "singer"), Score::ONE, m);
-        assert_eq!(scan.upper_bound(), Some(Score::ONE));
-        scan.next();
-        assert_eq!(scan.upper_bound(), Some(Score::new(0.5)));
-        scan.next();
-        scan.next();
-        assert_eq!(scan.upper_bound(), None);
-        assert!(scan.next().is_none());
-    }
-
-    #[test]
-    fn binds_all_var_positions() {
-        let g = graph();
-        let d = g.dictionary();
-        let m = OpMetrics::new_handle();
-        let pat = TriplePattern::new(Var(0), Var(1), d.lookup("singer").unwrap());
-        let scan = PatternScan::new(&g, pat, Score::ONE, m);
-        let out = materialize(scan);
-        assert_eq!(out.len(), 3);
-        assert!(out[0].binding.get(Var(1)).is_some());
-    }
-
-    #[test]
-    fn repeated_var_filters_and_renormalizes() {
-        let g = graph();
-        let d = g.dictionary();
-        let m = OpMetrics::new_handle();
-        // ?x <self> ?x matches only the "loop" triple (score 4), not loop2
-        // (score 9) — and normalization must use 4, not 9.
-        let pat = TriplePattern::new(Var(0), d.lookup("self").unwrap(), Var(0));
-        let scan = PatternScan::new(&g, pat, Score::ONE, m);
-        let out = materialize(scan);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].score, Score::ONE);
-        assert_eq!(out[0].binding.get(Var(0)), Some(d.lookup("loop").unwrap()));
-    }
-
-    #[test]
-    fn empty_match_list() {
-        let g = graph();
-        let d = g.dictionary();
-        let m = OpMetrics::new_handle();
-        let pat = TriplePattern::new(
-            Var(0),
-            d.lookup("type").unwrap(),
-            d.lookup("a").unwrap(), // "a" is never an object of type
-        );
-        let mut scan = PatternScan::new(&g, pat, Score::ONE, m);
-        assert_eq!(scan.upper_bound(), None);
-        assert!(scan.next().is_none());
-    }
-
-    /// Drains a block scan into row answers.
+    /// Drains a block scan into answers.
     fn drain_blocks(mut scan: BlockScan<'_>) -> Vec<PartialAnswer> {
         let mut out = Vec::new();
         while let Some(b) = scan.next_block() {
@@ -520,32 +322,70 @@ mod tests {
         out
     }
 
+    fn scores(answers: &[PartialAnswer]) -> Vec<f64> {
+        answers.iter().map(|a| a.score.value()).collect()
+    }
+
     #[test]
-    fn block_scan_matches_row_scan_bitwise() {
+    fn emits_normalized_descending_scores_at_every_block_size() {
+        let g = graph();
+        for size in [1, 2, 64] {
+            let m = OpMetrics::new_handle();
+            let scan = BlockScan::new(&g, type_pattern(&g, "singer"), Score::ONE, m.clone(), size);
+            assert_eq!(scores(&drain_blocks(scan)), vec![1.0, 0.5, 0.1]);
+            assert_eq!(m.answers_created(), 3);
+            assert_eq!(m.sorted_accesses(), 3);
+        }
+    }
+
+    #[test]
+    fn weight_scales_head_to_w() {
+        let g = graph();
+        let m = OpMetrics::new_handle();
+        let scan = BlockScan::new(&g, type_pattern(&g, "vocalist"), Score::new(0.8), m, 64);
+        assert_eq!(scores(&drain_blocks(scan)), vec![0.8, 0.2]);
+    }
+
+    #[test]
+    fn binds_all_var_positions() {
         let g = graph();
         let d = g.dictionary();
-        let patterns = vec![
-            type_pattern(&g, "singer"),
-            type_pattern(&g, "vocalist"),
-            TriplePattern::new(Var(0), Var(1), d.lookup("singer").unwrap()),
-            // Repeated variable: filter + renormalization must agree.
-            TriplePattern::new(Var(0), d.lookup("self").unwrap(), Var(0)),
-            // Empty match list.
-            TriplePattern::new(Var(0), d.lookup("type").unwrap(), d.lookup("a").unwrap()),
-        ];
-        for pat in patterns {
-            for weight in [Score::ONE, Score::new(0.8)] {
-                let rows = materialize(PatternScan::new(&g, pat, weight, OpMetrics::new_handle()));
-                for size in [1, 2, 64] {
-                    let m = OpMetrics::new_handle();
-                    let scan = BlockScan::new(&g, pat, weight, m.clone(), size);
-                    let got = drain_blocks(scan);
-                    assert_eq!(got, rows, "{pat:?} size {size}");
-                    assert_eq!(m.answers_created(), rows.len() as u64);
-                    assert_eq!(m.sorted_accesses(), rows.len() as u64);
-                }
-            }
+        let pat = TriplePattern::new(Var(0), Var(1), d.lookup("singer").unwrap());
+        let scan = BlockScan::new(&g, pat, Score::ONE, OpMetrics::new_handle(), 64);
+        assert_eq!(scan.schema(), &[Var(0), Var(1)]);
+        let out = drain_blocks(scan);
+        assert_eq!(out.len(), 3);
+        assert_eq!(out[0].binding.get(Var(1)), d.lookup("type"));
+    }
+
+    #[test]
+    fn repeated_var_filters_and_renormalizes() {
+        let g = graph();
+        let d = g.dictionary();
+        // ?x <self> ?x matches only the "loop" triple (score 4), not loop2
+        // (score 9) — and normalization must use 4, not 9.
+        let pat = TriplePattern::new(Var(0), d.lookup("self").unwrap(), Var(0));
+        for size in [1, 64] {
+            let scan = BlockScan::new(&g, pat, Score::ONE, OpMetrics::new_handle(), size);
+            let out = drain_blocks(scan);
+            assert_eq!(out.len(), 1);
+            assert_eq!(out[0].score, Score::ONE);
+            assert_eq!(out[0].binding.get(Var(0)), Some(d.lookup("loop").unwrap()));
         }
+    }
+
+    #[test]
+    fn empty_match_list() {
+        let g = graph();
+        let d = g.dictionary();
+        let pat = TriplePattern::new(
+            Var(0),
+            d.lookup("type").unwrap(),
+            d.lookup("a").unwrap(), // "a" is never an object of type
+        );
+        let mut scan = BlockScan::new(&g, pat, Score::ONE, OpMetrics::new_handle(), 64);
+        assert_eq!(scan.upper_bound(), None);
+        assert!(scan.next_block().is_none());
     }
 
     #[test]

@@ -1440,10 +1440,10 @@ mod tests {
         );
     }
 
-    /// Config plumb-through: a service built with a block-execution engine
-    /// config answers exactly like the row-mode service.
+    /// Config plumb-through: services built with different block sizes
+    /// answer exactly alike.
     #[test]
-    fn block_execution_service_matches_row_service() {
+    fn block_size_services_answer_alike() {
         use operators::ExecutionMode;
         use specqp::EngineConfig;
         let (g, reg) = setup();
@@ -1462,10 +1462,10 @@ mod tests {
             cfg.engine = EngineConfig::default().with_execution(mode);
             QueryService::new(g.clone(), reg.clone(), cfg)
         };
-        let row = mk(ExecutionMode::RowAtATime).run_batch(&jobs);
+        let default = mk(ExecutionMode::default()).run_batch(&jobs);
         for size in [1, 64] {
             let block = mk(ExecutionMode::Block(size)).run_batch(&jobs);
-            for (a, b) in row.outcomes.iter().zip(&block.outcomes) {
+            for (a, b) in default.outcomes.iter().zip(&block.outcomes) {
                 assert_eq!(a.answers, b.answers, "size {size}");
             }
         }

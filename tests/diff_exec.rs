@@ -1,14 +1,15 @@
-//! Differential harness locking in row ≡ block execution.
+//! Differential harness locking in block-size independence and the naive
+//! oracle.
 //!
 //! For hundreds of randomly generated star queries per dataset (XKG and
-//! Twitter, seeded through the vendored proptest), the vectorized block
-//! executor must return **exactly** what the row-at-a-time reference
-//! returns — same answers, same order, same scores (bitwise, not approx) —
-//! for Spec-QP, TriniT and naive modes, across block sizes {1, 7, 64,
-//! 4096}. The block sizes bracket the interesting regimes: 1 forces
-//! single-row blocks through every operator, 7 exercises mid-block
-//! boundaries, 64 is a realistic size, 4096 materializes most test-scale
-//! match lists into one block.
+//! Twitter, seeded through the vendored proptest), the block executor must
+//! return **exactly** the same answers — same order, same scores (bitwise,
+//! not approx) — at block sizes {1, 7, 4096} as at the default 128, for
+//! Spec-QP and TriniT, and TriniT must return exactly what the brute-force
+//! [`run_naive`](specqp::run_naive) oracle returns. The block sizes bracket
+//! the interesting regimes: 1 forces single-row blocks through every
+//! operator, 7 exercises mid-block boundaries, 4096 materializes most
+//! test-scale match lists into one block.
 //!
 //! Queries are assembled from the patterns of the generators' own workloads
 //! (rebased onto one shared subject variable), so they have the same shape
@@ -16,14 +17,14 @@
 //! empty-result and heavily-tied cases.
 
 use datagen::{Dataset, TwitterConfig, TwitterGenerator, XkgConfig, XkgGenerator};
-use operators::ExecutionMode;
+use operators::{ExecutionMode, DEFAULT_BLOCK_SIZE};
 use proptest::prelude::*;
 use sparql::{Query, QueryBuilder, Term};
 use specqp::{Engine, EngineConfig};
 use specqp_common::TermId;
 use std::sync::OnceLock;
 
-const BLOCK_SIZES: [usize; 4] = [1, 7, 64, 4096];
+const BLOCK_SIZES: [usize; 3] = [1, 7, 4096];
 
 /// One reusable star-query building block, extracted from a workload query.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -99,47 +100,45 @@ fn build_query(world: &World, picks: &[u16]) -> Option<Query> {
     qb.build().ok()
 }
 
-/// Runs the row reference and every block size for all three modes and
-/// asserts exact equivalence.
+/// Runs every block size against the default one for Spec-QP and TriniT,
+/// and TriniT against the naive oracle, asserting exact equivalence.
 fn check_differential(world: &World, picks: &[u16], k: usize) -> Result<(), TestCaseError> {
     let Some(q) = build_query(world, picks) else {
         return Ok(());
     };
-    let engine = |mode: ExecutionMode| {
+    let engine = |size: usize| {
         Engine::with_config(
             &world.ds.graph,
             &world.ds.registry,
-            EngineConfig::default().with_execution(mode),
+            EngineConfig::default().with_execution(ExecutionMode::Block(size)),
         )
     };
-    let row = engine(ExecutionMode::RowAtATime);
-    let row_spec = row.run_specqp(&q, k);
-    let row_trinit = row.run_trinit(&q, k);
+    let reference = engine(DEFAULT_BLOCK_SIZE);
+    let ref_spec = reference.run_specqp(&q, k);
+    let ref_trinit = reference.run_trinit(&q, k);
     for size in BLOCK_SIZES {
-        let block = engine(ExecutionMode::Block(size));
+        let block = engine(size);
         let spec = block.run_specqp(&q, k);
-        prop_assert_eq!(&spec.plan, &row_spec.plan, "specqp plan, size {}", size);
+        prop_assert_eq!(&spec.plan, &ref_spec.plan, "specqp plan, size {}", size);
         prop_assert_eq!(
             &spec.answers,
-            &row_spec.answers,
+            &ref_spec.answers,
             "specqp answers, size {}",
             size
         );
         let trinit = block.run_trinit(&q, k);
         prop_assert_eq!(
             &trinit.answers,
-            &row_trinit.answers,
+            &ref_trinit.answers,
             "trinit answers, size {}",
             size
         );
     }
-    // Naive mode is executor-config-independent by construction; run it on
-    // the smaller queries (it materializes every relaxation) to pin that a
-    // block-configured engine leaves it untouched.
+    // The naive oracle drains every relaxation, so only the smaller
+    // queries run through it.
     if q.len() <= 2 {
-        let row_naive = row.run_naive(&q, k);
-        let block_naive = engine(ExecutionMode::Block(64)).run_naive(&q, k);
-        prop_assert_eq!(&block_naive.answers, &row_naive.answers, "naive answers");
+        let naive = reference.run_naive(&q, k);
+        prop_assert_eq!(&ref_trinit.answers, &naive.answers, "naive answers");
     }
     Ok(())
 }
@@ -148,7 +147,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     #[test]
-    fn xkg_block_execution_equals_row_execution(
+    fn xkg_block_sizes_agree_with_each_other_and_naive(
         picks in proptest::collection::vec(any::<u16>(), 1..=4),
         k in 1usize..=25,
     ) {
@@ -156,7 +155,7 @@ proptest! {
     }
 
     #[test]
-    fn twitter_block_execution_equals_row_execution(
+    fn twitter_block_sizes_agree_with_each_other_and_naive(
         picks in proptest::collection::vec(any::<u16>(), 1..=4),
         k in 1usize..=25,
     ) {
@@ -177,7 +176,7 @@ fn parallel_block_execution_equals_sequential() {
                 &world.ds.graph,
                 &world.ds.registry,
                 EngineConfig::default()
-                    .with_execution(ExecutionMode::Block(operators::DEFAULT_BLOCK_SIZE))
+                    .with_execution(ExecutionMode::Block(DEFAULT_BLOCK_SIZE))
                     .with_parallelism(workers),
             )
         };
@@ -197,28 +196,30 @@ fn parallel_block_execution_equals_sequential() {
     }
 }
 
-/// The exact benchmark workloads (not random subsets) must also agree,
-/// including the per-query plans — this is the configuration the bench gate
-/// times.
+/// The exact benchmark workloads (not random subsets) must also agree: the
+/// block executor at one row per block and at the default size (plans
+/// included — this is the configuration the bench gate times), and TriniT
+/// with the naive executor.
 #[test]
 fn workload_queries_agree_across_executors() {
     for world in [xkg(), twitter()] {
-        let row = Engine::with_config(
-            &world.ds.graph,
-            &world.ds.registry,
-            EngineConfig::default().with_execution(ExecutionMode::RowAtATime),
-        );
-        let block = Engine::with_config(
-            &world.ds.graph,
-            &world.ds.registry,
-            EngineConfig::default()
-                .with_execution(ExecutionMode::Block(operators::DEFAULT_BLOCK_SIZE)),
-        );
+        let engine = |size: usize| {
+            Engine::with_config(
+                &world.ds.graph,
+                &world.ds.registry,
+                EngineConfig::default().with_execution(ExecutionMode::Block(size)),
+            )
+        };
+        let (single, block) = (engine(1), engine(DEFAULT_BLOCK_SIZE));
         for q in &world.ds.workload.queries {
-            let a = row.run_specqp(q, 10);
+            let a = single.run_specqp(q, 10);
             let b = block.run_specqp(q, 10);
             assert_eq!(a.plan, b.plan);
             assert_eq!(a.answers, b.answers);
+            assert_eq!(
+                block.run_trinit(q, 10).answers,
+                block.run_naive(q, 10).answers
+            );
         }
     }
 }

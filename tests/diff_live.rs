@@ -4,7 +4,7 @@
 //! vendored proptest), a [`LiveGraph`]-backed engine queried *live* — base
 //! plus delta overlay, mid-churn — must answer exactly like an engine over
 //! a graph rebuilt from scratch to hold the same visible triples, for
-//! Spec-QP and TriniT across the row, block and morsel executors. On top
+//! Spec-QP and TriniT at two block sizes and with morsels. On top
 //! of the differential:
 //!
 //! * **epoch isolation** — an engine pinned to the version published after
@@ -187,7 +187,6 @@ fn check_live_differential(ops: &[RawOp], picks: &[u16]) -> Result<(), TestCaseE
     ));
     let registry = Arc::new(RelaxationRegistry::new());
     let engines: Vec<Engine<'static>> = [
-        EngineConfig::default().with_execution(operators::ExecutionMode::RowAtATime),
         EngineConfig::default().with_execution(operators::ExecutionMode::Block(7)),
         EngineConfig::default()
             .with_execution(operators::ExecutionMode::Block(

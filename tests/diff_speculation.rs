@@ -1,5 +1,5 @@
 //! Differential harness for the speculation lifecycle's recovery, across XKG
-//! and Twitter, both executors, block sizes {1, 64, 4096}.
+//! and Twitter, at block sizes {1, 64, 4096}.
 //!
 //! 1. **The oracle.** With the final stage forced
 //!    ([`SpeculationPolicy::ForceFinal`]) `run_specqp` executes the literal
@@ -211,7 +211,6 @@ fn check_differential(world: &World, picks: &[u16], k: usize) -> Result<(), Test
     let Some(q) = build_query(world, picks) else {
         return Ok(());
     };
-    check_one(world, &q, k, ExecutionMode::RowAtATime)?;
     for size in BLOCK_SIZES {
         check_one(world, &q, k, ExecutionMode::Block(size))?;
     }
@@ -239,12 +238,13 @@ proptest! {
 }
 
 /// The exact benchmark workloads (not random subsets) must also recover to
-/// TriniT under the forced final stage, on both executors.
+/// TriniT under the forced final stage, at one row per block and at the
+/// default block size.
 #[test]
 fn workload_queries_forced_final_equals_trinit() {
     for world in [xkg(), twitter()] {
         for execution in [
-            ExecutionMode::RowAtATime,
+            ExecutionMode::Block(1),
             ExecutionMode::Block(operators::DEFAULT_BLOCK_SIZE),
         ] {
             let engine = Engine::with_config(
@@ -266,15 +266,15 @@ fn workload_queries_forced_final_equals_trinit() {
 
 /// Property 3 on the exact benchmark workloads — and not vacuously: these
 /// small datasets do mis-speculate, and every recovery, however many
-/// stages it took, must return the escalated plan's answers on both
-/// executors — each query on a fresh engine, so no ledger verdict settles a
-/// later one.
+/// stages it took, must return the escalated plan's answers at one row per
+/// block and at the default size — each query on a fresh engine, so no
+/// ledger verdict settles a later one.
 #[test]
 fn workload_queries_delta_recovery_equals_restart() {
     let mut stages_seen = [0usize; 4];
     for world in [xkg(), twitter()] {
         for execution in [
-            ExecutionMode::RowAtATime,
+            ExecutionMode::Block(1),
             ExecutionMode::Block(operators::DEFAULT_BLOCK_SIZE),
         ] {
             for q in &world.ds.workload.queries {
@@ -306,7 +306,7 @@ fn workload_queries_delta_recovery_equals_restart() {
 /// The learned-mode lap (`SPECQP_LEARNED=1`, pinned here via
 /// `with_learned(true)` so the test holds regardless of environment):
 /// learned predictions must not dent any lifecycle guarantee, across
-/// row / block / morsel executors on XKG + Twitter.
+/// single-row blocks, default blocks and morsels on XKG + Twitter.
 ///
 /// * **Cold fallback identity**: with empty models every confidence gate is
 ///   closed, so a learned engine plans and answers byte-identically to a
@@ -323,7 +323,7 @@ fn workload_queries_delta_recovery_equals_restart() {
 fn workload_queries_learned_lap_is_byte_identical_to_ground_truth() {
     for world in [xkg(), twitter()] {
         for (execution, parallelism) in [
-            (ExecutionMode::RowAtATime, 1),
+            (ExecutionMode::Block(1), 1),
             (ExecutionMode::Block(operators::DEFAULT_BLOCK_SIZE), 1),
             (ExecutionMode::Block(operators::DEFAULT_BLOCK_SIZE), 4),
         ] {

@@ -1,13 +1,12 @@
 //! Golden-trace regression tests: byte-stable execution traces on the
-//! seeded XKG workload, one golden file per (mode × executor).
+//! seeded XKG workload, one golden file per mode.
 //!
 //! The trace serializes everything deterministic about a run — the chosen
 //! plan, the `RunReport` work counters (answer objects, sorted/random
 //! accesses, heap pushes; timings are deliberately excluded) and the full
 //! top-k with bit-exact scores — so planner or executor drift is caught
-//! even when the answers still agree. Row and block executors keep separate
-//! goldens because their access patterns legitimately differ (block pulls
-//! whole batches), while their answer lines must match.
+//! even when the answers still agree. The block executor's TriniT answer
+//! lines must also match the naive oracle's.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -17,7 +16,6 @@
 //! ```
 
 use datagen::{Dataset, XkgConfig, XkgGenerator};
-use operators::ExecutionMode;
 use specqp::{Engine, EngineConfig, QueryOutcome};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -55,10 +53,10 @@ fn trace_outcome(out: &mut String, qi: usize, o: &QueryOutcome) {
     }
 }
 
-fn trace_for(mode: &str, execution: ExecutionMode) -> String {
+fn trace_for(mode: &str) -> String {
     let ds = dataset();
     // Speculation pinned Off: the goldens pin the *baseline* planner and
-    // executors. The lifecycle's fallback/feedback behaviour evolves plans
+    // executor. The lifecycle's fallback/feedback behaviour evolves plans
     // across runs by design and has its own differential suite
     // (tests/diff_speculation.rs). Parallelism pinned to 1: morsel workers
     // repeat non-target scans, so their work counters legitimately exceed
@@ -68,7 +66,6 @@ fn trace_for(mode: &str, execution: ExecutionMode) -> String {
         &ds.graph,
         &ds.registry,
         EngineConfig::default()
-            .with_execution(execution)
             .with_speculation(specqp::SpeculationPolicy::Off)
             .with_parallelism(1),
     );
@@ -95,8 +92,8 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.txt"))
 }
 
-fn check_golden(name: &str, mode: &str, execution: ExecutionMode) {
-    let got = trace_for(mode, execution);
+fn check_golden(name: &str, mode: &str) {
+    let got = trace_for(mode);
     let path = golden_path(name);
     if std::env::var("SPECQP_UPDATE_GOLDEN").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -124,57 +121,32 @@ fn check_golden(name: &str, mode: &str, execution: ExecutionMode) {
 }
 
 #[test]
-fn golden_specqp_row() {
-    check_golden("specqp_row", "specqp", ExecutionMode::RowAtATime);
-}
-
-#[test]
 fn golden_specqp_block() {
-    check_golden(
-        "specqp_block",
-        "specqp",
-        ExecutionMode::Block(operators::DEFAULT_BLOCK_SIZE),
-    );
-}
-
-#[test]
-fn golden_trinit_row() {
-    check_golden("trinit_row", "trinit", ExecutionMode::RowAtATime);
+    check_golden("specqp_block", "specqp");
 }
 
 #[test]
 fn golden_trinit_block() {
-    check_golden(
-        "trinit_block",
-        "trinit",
-        ExecutionMode::Block(operators::DEFAULT_BLOCK_SIZE),
-    );
+    check_golden("trinit_block", "trinit");
 }
 
 #[test]
 fn golden_naive() {
-    check_golden("naive", "naive", ExecutionMode::RowAtATime);
+    check_golden("naive", "naive");
 }
 
-/// Cross-file invariant: the row and block goldens must carry identical
-/// *answer* lines (only the work counters may differ) — drift here means an
-/// executor divergence slipped into a committed golden.
+/// Cross-file invariant: the block TriniT golden must carry exactly the
+/// naive oracle's *answer* lines (only the work counters may differ) —
+/// drift here means an executor divergence slipped into a committed golden.
 #[test]
 fn goldens_agree_on_answers_across_executors() {
-    for (a, b) in [
-        ("specqp_row", "specqp_block"),
-        ("trinit_row", "trinit_block"),
-    ] {
-        let read = |n: &str| {
-            std::fs::read_to_string(golden_path(n))
-                .unwrap_or_else(|e| panic!("missing golden {n} ({e})"))
-        };
-        let answers = |s: String| -> Vec<String> {
-            s.lines()
-                .filter(|l| l.trim_start().starts_with(|c: char| c.is_ascii_digit()))
-                .map(str::to_string)
-                .collect()
-        };
-        assert_eq!(answers(read(a)), answers(read(b)), "{a} vs {b}");
-    }
+    let answers = |name: &str| -> Vec<String> {
+        std::fs::read_to_string(golden_path(name))
+            .unwrap_or_else(|e| panic!("missing golden {name} ({e})"))
+            .lines()
+            .filter(|l| l.trim_start().starts_with(|c: char| c.is_ascii_digit()))
+            .map(str::to_string)
+            .collect()
+    };
+    assert_eq!(answers("trinit_block"), answers("naive"));
 }

@@ -2,8 +2,8 @@
 //! the per-module unit tests.
 
 use operators::{
-    materialize, top_k, top_k_projected, Binding, BoxedStream, IncrementalMerge, OpMetrics,
-    PartialAnswer, PullStrategy, RankJoin, VecStream,
+    top_k_blocks, Binding, BlockIncrementalMerge, BlockRankJoin, BlockStream, BoxedBlockStream,
+    OpMetrics, PartialAnswer, PullStrategy, ReplayBlocks,
 };
 use sparql::Var;
 use specqp_common::{Score, TermId};
@@ -15,34 +15,60 @@ fn ans(pairs: &[(u32, u32)], score: f64) -> PartialAnswer {
     )
 }
 
+/// Replays `rows` (sorted here) over the variables they bind, in 4-row
+/// blocks.
+fn replay(mut rows: Vec<PartialAnswer>, vars: &[u32]) -> BoxedBlockStream<'static> {
+    rows.sort_by(|a, b| b.cmp(a));
+    Box::new(ReplayBlocks::new(
+        rows,
+        vars.iter().copied().map(Var).collect(),
+        4,
+    ))
+}
+
+fn join<'g>(
+    left: BoxedBlockStream<'g>,
+    right: BoxedBlockStream<'g>,
+    strategy: PullStrategy,
+    metrics: operators::MetricsHandle,
+) -> BlockRankJoin<'g> {
+    BlockRankJoin::new(left, right, vec![Var(0)], strategy, metrics, 4)
+}
+
+fn drain(mut s: impl BlockStream) -> Vec<PartialAnswer> {
+    let mut out = Vec::new();
+    while let Some(b) = s.next_block() {
+        out.extend(b.to_answers());
+    }
+    out
+}
+
 #[test]
 fn join_of_joins_three_way() {
     // (A ⋈ B) ⋈ C with a shared key variable ?0 everywhere.
     let a: Vec<_> = (0..20)
-        .map(|i| ans(&[(0, i % 5), (1, i)], 1.0 - i as f64 * 0.01))
+        .map(|i| ans(&[(0, i % 5), (1, i)], 1.0 - f64::from(i) * 0.01))
         .collect();
     let b: Vec<_> = (0..20)
-        .map(|i| ans(&[(0, i % 5), (2, i)], 1.0 - i as f64 * 0.02))
+        .map(|i| ans(&[(0, i % 5), (2, i)], 1.0 - f64::from(i) * 0.02))
         .collect();
     let c: Vec<_> = (0..20)
-        .map(|i| ans(&[(0, i % 5), (3, i)], 1.0 - i as f64 * 0.03))
+        .map(|i| ans(&[(0, i % 5), (3, i)], 1.0 - f64::from(i) * 0.03))
         .collect();
     let m = OpMetrics::new_handle();
-    let ab = RankJoin::new(
-        Box::new(VecStream::new(a.clone())),
-        Box::new(VecStream::new(b.clone())),
-        vec![Var(0)],
+    let ab = join(
+        replay(a.clone(), &[0, 1]),
+        replay(b.clone(), &[0, 2]),
         PullStrategy::Adaptive,
         m.clone(),
     );
-    let mut abc = RankJoin::new(
+    let mut abc = join(
         Box::new(ab),
-        Box::new(VecStream::new(c.clone())),
-        vec![Var(0)],
+        replay(c.clone(), &[0, 3]),
         PullStrategy::Adaptive,
         m,
     );
-    let got = top_k(&mut abc, 10);
+    let got = top_k_blocks(&mut abc, 10);
     assert_eq!(got.len(), 10);
     for w in got.windows(2) {
         assert!(w[0].score >= w[1].score);
@@ -76,15 +102,9 @@ fn merge_of_merges_composes() {
     let l1 = vec![ans(&[(0, 1)], 1.0), ans(&[(0, 2)], 0.4)];
     let l2 = vec![ans(&[(0, 3)], 0.8)];
     let l3 = vec![ans(&[(0, 1)], 0.9), ans(&[(0, 4)], 0.3)];
-    let inner = IncrementalMerge::new(vec![
-        Box::new(VecStream::new(l1)) as BoxedStream<'static>,
-        Box::new(VecStream::new(l2)),
-    ]);
-    let outer = IncrementalMerge::new(vec![
-        Box::new(inner) as BoxedStream<'static>,
-        Box::new(VecStream::new(l3)),
-    ]);
-    let out = materialize(outer);
+    let inner = BlockIncrementalMerge::new(vec![replay(l1, &[0]), replay(l2, &[0])], 4);
+    let outer = BlockIncrementalMerge::new(vec![Box::new(inner), replay(l3, &[0])], 4);
+    let out = drain(outer);
     // Binding {0→1} appears in l1 (1.0) and l3 (0.9): dedup keeps 1.0.
     assert_eq!(out.len(), 4);
     assert_eq!(out[0].score, Score::new(1.0));
@@ -100,37 +120,23 @@ fn merge_of_merges_composes() {
 fn zero_score_tuples_flow_through() {
     let l = vec![ans(&[(0, 1)], 0.0)];
     let r = vec![ans(&[(0, 1)], 0.0)];
-    let m = OpMetrics::new_handle();
-    let join = RankJoin::new(
-        Box::new(VecStream::new(l)),
-        Box::new(VecStream::new(r)),
-        vec![Var(0)],
+    let out = drain(join(
+        replay(l, &[0]),
+        replay(r, &[0]),
         PullStrategy::Alternate,
-        m,
-    );
-    let out = materialize(join);
+        OpMetrics::new_handle(),
+    ));
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].score, Score::ZERO);
 }
 
 #[test]
 fn top_k_zero_returns_nothing_without_pulling() {
-    let m = OpMetrics::new_handle();
-    let mut s = VecStream::new(vec![ans(&[(0, 1)], 1.0)]);
-    assert!(top_k(&mut s, 0).is_empty());
-    assert_eq!(m.answers_created(), 0);
+    let mut s = ReplayBlocks::new(vec![ans(&[(0, 1)], 1.0)], vec![Var(0)], 4);
+    assert!(top_k_blocks(&mut s, 0).is_empty());
     // Stream untouched.
-    assert_eq!(s.remaining(), 1);
-}
-
-#[test]
-fn projected_topk_on_empty_projection_collapses_to_one() {
-    // Projecting onto an empty variable list makes all answers identical —
-    // max semantics keeps only the best.
-    let mut s = VecStream::new(vec![ans(&[(0, 1)], 1.0), ans(&[(0, 2)], 0.5)]);
-    let out = top_k_projected(&mut s, 10, &[]);
-    assert_eq!(out.len(), 1);
-    assert_eq!(out[0].score, Score::new(1.0));
+    assert_eq!(s.upper_bound(), Some(Score::new(1.0)));
+    assert_eq!(s.next_block().map(|b| b.len()), Some(1));
 }
 
 #[test]
@@ -141,44 +147,43 @@ fn duplicate_scores_deterministic_order() {
         ans(&[(0, 1)], 0.5),
         ans(&[(0, 3)], 0.5),
     ];
-    let m = OpMetrics::new_handle();
-    let join = RankJoin::new(
-        Box::new(VecStream::from_unsorted(items.clone())),
-        Box::new(VecStream::new(vec![
-            ans(&[(0, 1)], 0.1),
-            ans(&[(0, 3)], 0.1),
-            ans(&[(0, 5)], 0.1),
-        ])),
-        vec![Var(0)],
+    let out = drain(join(
+        replay(items, &[0]),
+        replay(
+            vec![
+                ans(&[(0, 1)], 0.1),
+                ans(&[(0, 3)], 0.1),
+                ans(&[(0, 5)], 0.1),
+            ],
+            &[0],
+        ),
         PullStrategy::Alternate,
-        m,
-    );
-    let out1 = materialize(join);
-    let ids1: Vec<_> = out1
+        OpMetrics::new_handle(),
+    ));
+    let ids: Vec<_> = out
         .iter()
         .map(|a| a.binding.get(Var(0)).unwrap().0)
         .collect();
-    assert_eq!(ids1, vec![1, 3, 5], "binding tie-break ascending");
+    assert_eq!(ids, vec![1, 3, 5], "binding tie-break ascending");
 }
 
 #[test]
 fn metrics_aggregate_across_whole_tree() {
     let m = OpMetrics::new_handle();
     let l: Vec<_> = (0..10)
-        .map(|i| ans(&[(0, i)], 1.0 - i as f64 * 0.05))
+        .map(|i| ans(&[(0, i)], 1.0 - f64::from(i) * 0.05))
         .collect();
     let r: Vec<_> = (0..10)
-        .map(|i| ans(&[(0, i)], 1.0 - i as f64 * 0.05))
+        .map(|i| ans(&[(0, i)], 1.0 - f64::from(i) * 0.05))
         .collect();
-    let merge = IncrementalMerge::new(vec![Box::new(VecStream::new(l)) as BoxedStream<'static>]);
-    let mut join = RankJoin::new(
+    let merge = BlockIncrementalMerge::new(vec![replay(l, &[0])], 4);
+    let mut tree = join(
         Box::new(merge),
-        Box::new(VecStream::new(r)),
-        vec![Var(0)],
+        replay(r, &[0]),
         PullStrategy::Adaptive,
         m.clone(),
     );
-    let _ = top_k(&mut join, 3);
+    let _ = top_k_blocks(&mut tree, 3);
     assert!(m.sorted_accesses() > 0);
     assert!(m.answers_created() > 0);
     assert!(m.heap_pushes() > 0);

@@ -2,17 +2,17 @@
 //! references.
 
 use operators::{
-    materialize, top_k, top_k_blocks, top_k_blocks_floored, top_k_floored, Binding,
-    BlockIncrementalMerge, BlockRankJoin, BlockStream, BoxedBlockStream, IncrementalMerge,
-    MetricsHandle, NestedLoopsRankJoin, OpMetrics, PartialAnswer, PullStrategy, RankJoin,
-    RankedStream, RowsToBlocks, VecStream,
+    top_k_blocks, top_k_blocks_floored, Binding, BlockIncrementalMerge, BlockRankJoin, BlockStream,
+    BoxedBlockStream, MetricsHandle, OpMetrics, PartialAnswer, PullStrategy, ReplayBlocks,
+    ScaledProjection,
 };
 use proptest::prelude::*;
 use sparql::Var;
 use specqp_common::{Score, TermId};
 
-/// Strategy: one descending-sorted input list binding `?0` (+ a side var so
-/// join outputs differ), with controlled key collisions.
+/// Strategy: one input list binding `?0` and `?side_var`, sorted by the
+/// canonical total order, with controlled key collisions and continuous
+/// scores.
 fn input_list(side_var: u32, max_len: usize) -> impl Strategy<Value = Vec<PartialAnswer>> {
     prop::collection::vec((0u32..12, 0u32..1000u32, 0.0f64..1.0), 0..max_len).prop_map(
         move |items| {
@@ -52,9 +52,8 @@ fn naive_join(l: &[PartialAnswer], r: &[PartialAnswer], join_vars: &[Var]) -> Ve
     out
 }
 
-/// Strategy: raw rows for the block-vs-row properties — three term columns
-/// over tiny domains (duplicated keys, duplicated whole rows) and five
-/// distinct scores (heavy ties).
+/// Strategy: raw rows — three term columns over tiny domains (duplicated
+/// keys, duplicated whole rows) and five distinct scores (heavy ties).
 fn raw_rows(max_len: usize) -> impl Strategy<Value = Vec<(u32, u32, u32, u32)>> {
     prop::collection::vec((0u32..6, 0u32..3, 0u32..40, 0u32..5), 0..max_len)
 }
@@ -76,11 +75,7 @@ fn answers_over(raw: &[(u32, u32, u32, u32)], schema: &[Var]) -> Vec<PartialAnsw
 }
 
 fn blocks_of(rows: &[PartialAnswer], schema: &[Var], size: usize) -> BoxedBlockStream<'static> {
-    Box::new(RowsToBlocks::new(
-        Box::new(VecStream::new(rows.to_vec())),
-        schema.to_vec(),
-        size,
-    ))
+    Box::new(ReplayBlocks::new(rows.to_vec(), schema.to_vec(), size))
 }
 
 fn drain_blocks(mut s: impl BlockStream) -> Vec<PartialAnswer> {
@@ -100,6 +95,10 @@ const JOIN_SHAPES: [(&[u32], &[u32], &[u32]); 5] = [
     (&[0, 1, 2], &[0, 1, 3], &[0, 1]),
     (&[2, 0, 1], &[3, 0], &[0]),
 ];
+
+/// Block sizes every property runs at: single rows, mid-block boundaries,
+/// the engine default.
+const SIZES: [usize; 3] = [1, 7, 128];
 
 fn vars(ids: &[u32]) -> Vec<Var> {
     ids.iter().copied().map(Var).collect()
@@ -133,11 +132,11 @@ fn check_floor<'a>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The block rank join emits exactly the row rank join's answers —
-    /// bindings, scores and order — at every block size, under both pull
-    /// strategies: partner order inside the row index cannot show.
+    /// The rank join emits exactly the sorted brute-force join — bindings,
+    /// scores and order — at every block size, under both pull strategies:
+    /// partner order inside the row index cannot show.
     #[test]
-    fn block_rank_join_equals_row_rank_join(
+    fn rank_join_equals_naive(
         l in raw_rows(60),
         r in raw_rows(60),
         shape in 0usize..5,
@@ -145,15 +144,9 @@ proptest! {
         let (ls, rs, js) = JOIN_SHAPES[shape];
         let (ls, rs, js) = (vars(ls), vars(rs), vars(js));
         let (l, r) = (answers_over(&l, &ls), answers_over(&r, &rs));
+        let want = naive_join(&l, &r, &js);
         for strategy in [PullStrategy::Alternate, PullStrategy::Adaptive] {
-            let want = materialize(RankJoin::new(
-                Box::new(VecStream::new(l.clone())),
-                Box::new(VecStream::new(r.clone())),
-                js.clone(),
-                strategy,
-                OpMetrics::new_handle(),
-            ));
-            for size in [1, 7, 128] {
+            for size in SIZES {
                 let got = drain_blocks(BlockRankJoin::new(
                     blocks_of(&l, &ls, size),
                     blocks_of(&r, &rs, size),
@@ -169,8 +162,7 @@ proptest! {
 
     /// Any floor, at a join root (the join ends itself), a merge root and a
     /// scan root (the driver's bound check ends them): scores come in steps
-    /// of 0.25, so floors on, between and beyond them are all drawn. The row
-    /// driver obeys the same contract.
+    /// of 0.25, so floors on, between and beyond them are all drawn.
     #[test]
     fn floor_bounded_top_k_is_the_filtered_top_k(
         l in raw_rows(60),
@@ -185,7 +177,7 @@ proptest! {
         // Merge inputs share a schema: the right rows again, over the left's.
         let r_as_l = answers_over(&r, &ls);
         let (l, r) = (answers_over(&l, &ls), answers_over(&r, &rs));
-        for size in [1, 7, 128] {
+        for size in SIZES {
             for strategy in [PullStrategy::Alternate, PullStrategy::Adaptive] {
                 check_floor(
                     |m| {
@@ -216,149 +208,129 @@ proptest! {
             )?;
             check_floor(|_| blocks_of(&l, &ls, size), k, floor, &format!("scan size {size}"))?;
         }
-        let mut want = top_k(&mut VecStream::new(l.clone()), k);
-        want.retain(|a| a.score >= floor);
-        let got = top_k_floored(&mut VecStream::new(l.clone()), k, Some(floor));
-        prop_assert_eq!(got, want, "row driver k {} floor {:?}", k, floor);
     }
 
-    /// The block merge emits exactly the row merge's answers over 1-, 2-
-    /// and 3-wide schemas (the `u64` and `u128` dedup keys).
+    /// The incremental merge emits every binding of its inputs exactly once,
+    /// at its maximum score, in non-increasing score order — over 1-, 2- and
+    /// 3-wide schemas (the `u64` and `u128` dedup keys) and every block size.
     #[test]
-    fn block_merge_equals_row_merge(
+    fn incremental_merge_equals_naive(
         lists in prop::collection::vec(raw_rows(30), 0..5),
         width in 1usize..4,
     ) {
         let schema = vars(&[0, 1, 2][..width]);
         let lists: Vec<Vec<PartialAnswer>> =
             lists.iter().map(|raw| answers_over(raw, &schema)).collect();
-        let want = materialize(IncrementalMerge::new(
-            lists
-                .iter()
-                .map(|l| Box::new(VecStream::new(l.clone())) as operators::BoxedStream<'static>)
-                .collect(),
-        ));
-        for size in [1, 7, 128] {
+        // Reference: flatten, sort by the total order, keep the first (best)
+        // occurrence per binding.
+        let mut flat: Vec<PartialAnswer> = lists.iter().flatten().cloned().collect();
+        flat.sort_by(|a, b| b.cmp(a));
+        let mut seen = std::collections::HashSet::new();
+        let want: Vec<PartialAnswer> =
+            flat.into_iter().filter(|a| seen.insert(a.binding.clone())).collect();
+        for size in SIZES {
             let inputs = lists.iter().map(|l| blocks_of(l, &schema, size)).collect();
-            let got = drain_blocks(BlockIncrementalMerge::new(inputs, size));
+            let mut got = drain_blocks(BlockIncrementalMerge::new(inputs, size));
+            // Ties across inputs come out earliest input first, not by
+            // binding: the emission order is by score alone.
+            prop_assert!(got.windows(2).all(|w| w[0].score >= w[1].score), "size {}", size);
+            got.sort_by(|a, b| b.cmp(a));
             prop_assert_eq!(&got, &want, "width {} size {}", width, size);
         }
     }
 
-    /// HRJN (both pull strategies) produces exactly the sorted join.
+    /// A chain relaxation's subtree — a left-deep rank join over the hops,
+    /// scaled by `w/len` and projected onto the end variables — emits
+    /// exactly the brute-force join of the hops, scaled and projected.
     #[test]
-    fn rank_join_equals_naive(
-        l in input_list(1, 40),
-        r in input_list(2, 40),
-        adaptive in any::<bool>(),
+    fn chain_subtree_equals_scaled_projected_naive_join(
+        hops in prop::collection::vec(raw_rows(30), 2..4),
+        weight_tenths in 1u32..=10,
+        size in 0usize..3,
     ) {
-        let strategy = if adaptive { PullStrategy::Adaptive } else { PullStrategy::Alternate };
-        let m = OpMetrics::new_handle();
-        let join = RankJoin::new(
-            Box::new(VecStream::new(l.clone())),
-            Box::new(VecStream::new(r.clone())),
-            vec![Var(0)],
-            strategy,
-            m,
-        );
-        let got = materialize(join);
-        let want = naive_join(&l, &r, &[Var(0)]);
-        prop_assert_eq!(got.len(), want.len());
-        for (a, b) in got.iter().zip(&want) {
-            prop_assert!(a.score.approx_eq(b.score, 1e-12));
-        }
-    }
-
-    /// NRJN agrees with HRJN on score sequences.
-    #[test]
-    fn nrjn_equals_hrjn(
-        l in input_list(1, 30),
-        r in input_list(2, 30),
-    ) {
-        let m1 = OpMetrics::new_handle();
-        let nrjn = NestedLoopsRankJoin::new(l.clone(), r.clone(), vec![Var(0)], m1);
-        let got = materialize(nrjn);
-        let want = naive_join(&l, &r, &[Var(0)]);
-        prop_assert_eq!(got.len(), want.len());
-        for (a, b) in got.iter().zip(&want) {
-            prop_assert!(a.score.approx_eq(b.score, 1e-12));
-        }
-    }
-
-    /// The incremental merge equals sort-merge-dedup with max semantics.
-    #[test]
-    fn incremental_merge_equals_naive(
-        lists in prop::collection::vec(input_list(1, 25), 0..5),
-    ) {
-        let inputs: Vec<operators::BoxedStream<'static>> = lists
+        // ?0 -h0-> ?5 -h1-> ?6 -h2-> ?1 (the last hop always ends in ?1).
+        let size = SIZES[size];
+        let len = hops.len();
+        let mid: Vec<Var> = (0..len - 1).map(|i| Var(5 + i as u32)).collect();
+        let ends = |i: usize| -> Vec<Var> {
+            let from = if i == 0 { Var(0) } else { mid[i - 1] };
+            let to = if i == len - 1 { Var(1) } else { mid[i] };
+            vec![from, to]
+        };
+        let lists: Vec<Vec<PartialAnswer>> = hops
             .iter()
-            .map(|l| Box::new(VecStream::new(l.clone())) as operators::BoxedStream<'static>)
+            .enumerate()
+            .map(|(i, raw)| answers_over(raw, &ends(i)))
             .collect();
-        let merge = IncrementalMerge::new(inputs);
-        let got = materialize(merge);
+        let factor = f64::from(weight_tenths) / 10.0 / len as f64;
+        let keep = vec![Var(0), Var(1)];
 
-        // Reference: flatten, sort desc, keep first occurrence per binding.
-        let mut flat: Vec<PartialAnswer> = lists.into_iter().flatten().collect();
-        flat.sort_by(|a, b| b.cmp(a));
-        let mut seen = std::collections::HashSet::new();
-        let want: Vec<PartialAnswer> = flat
+        let mut want = lists[0].clone();
+        for (i, list) in lists.iter().enumerate().skip(1) {
+            want = naive_join(&want, list, &[mid[i - 1]]);
+        }
+        let want: Vec<PartialAnswer> = want
             .into_iter()
-            .filter(|a| seen.insert(a.binding.clone()))
+            .map(|a| PartialAnswer::new(a.binding.project(&keep), a.score * factor))
             .collect();
 
-        prop_assert_eq!(got.len(), want.len());
-        for (a, b) in got.iter().zip(&want) {
-            prop_assert!(a.score.approx_eq(b.score, 1e-12));
-            // Dedup keeps max score per binding: scores agree rankwise.
+        let mut tree = blocks_of(&lists[0], &ends(0), size);
+        for (i, list) in lists.iter().enumerate().skip(1) {
+            tree = Box::new(BlockRankJoin::new(
+                tree,
+                blocks_of(list, &ends(i), size),
+                vec![mid[i - 1]],
+                PullStrategy::Adaptive,
+                OpMetrics::new_handle(),
+                size,
+            ));
         }
-        // Sortedness.
-        for w in got.windows(2) {
-            prop_assert!(w[0].score >= w[1].score);
-        }
+        let got = drain_blocks(ScaledProjection::new(tree, factor, keep));
+        prop_assert_eq!(got, want, "{} hops size {}", len, size);
     }
 
-    /// `top_k` is a prefix of the full materialization.
+    /// `top_k_blocks` is a prefix of the full stream.
     #[test]
     fn top_k_is_prefix(
         l in input_list(1, 40),
         k in 0usize..50,
+        size in 0usize..3,
     ) {
-        let mut s1 = VecStream::new(l.clone());
-        let got = top_k(&mut s1, k);
-        let full = materialize(VecStream::new(l));
-        prop_assert_eq!(got.len(), k.min(full.len()));
-        for (a, b) in got.iter().zip(&full) {
-            prop_assert_eq!(a, b);
-        }
+        let size = SIZES[size];
+        let schema = [Var(0), Var(1)];
+        let got = top_k_blocks(&mut ReplayBlocks::new(l.clone(), schema.to_vec(), size), k);
+        prop_assert_eq!(&got[..], &l[..k.min(l.len())]);
     }
 
-    /// Upper bounds never underestimate the next answer, through a 2-level
+    /// Upper bounds never underestimate the next block, through a 2-level
     /// operator tree (merge feeding a join).
     #[test]
     fn bounds_are_sound_through_composition(
         l1 in input_list(1, 20),
         l2 in input_list(1, 20),
         r in input_list(2, 25),
+        size in 0usize..3,
     ) {
-        let m = OpMetrics::new_handle();
-        let merge = IncrementalMerge::new(vec![
-            Box::new(VecStream::new(l1)) as operators::BoxedStream<'static>,
-            Box::new(VecStream::new(l2)),
-        ]);
-        let mut join = RankJoin::new(
+        let size = SIZES[size];
+        let (ls, rs) = ([Var(0), Var(1)], [Var(0), Var(2)]);
+        let merge = BlockIncrementalMerge::new(
+            vec![blocks_of(&l1, &ls, size), blocks_of(&l2, &ls, size)],
+            size,
+        );
+        let mut join = BlockRankJoin::new(
             Box::new(merge),
-            Box::new(VecStream::new(r)),
+            blocks_of(&r, &rs, size),
             vec![Var(0)],
             PullStrategy::Adaptive,
-            m,
+            OpMetrics::new_handle(),
+            size,
         );
         loop {
             let bound = join.upper_bound();
-            match join.next() {
-                Some(a) => {
-                    let b = bound.expect("bound exists while answers remain");
-                    prop_assert!(b + Score::new(1e-9) >= a.score,
-                        "bound {:?} < answer {:?}", b, a.score);
+            match join.next_block() {
+                Some(b) => {
+                    let bound = bound.expect("bound exists while answers remain");
+                    prop_assert!(bound >= b.score(0), "bound {:?} < answer {:?}", bound, b.score(0));
                 }
                 None => break,
             }
