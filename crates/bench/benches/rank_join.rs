@@ -1,13 +1,15 @@
 //! Microbench: the block executor's rank-join and merge kernels drained to
 //! exhaustion, where the per-row bookkeeping (row index, result heap, dedup
-//! set) is all there is to time.
+//! set) is all there is to time, and the scans that feed them, drained
+//! from a flat graph and through a live-write overlay.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use kgstore::{CompactionPolicy, KnowledgeGraph, KnowledgeGraphBuilder, LiveGraph, WriteBatch};
 use operators::{
-    AnswerBlock, Binding, BlockIncrementalMerge, BlockRankJoin, BlockStream, BoxedBlockStream,
-    OpMetrics, PartialAnswer, PullStrategy,
+    AnswerBlock, Binding, BlockIncrementalMerge, BlockRankJoin, BlockScan, BlockStream,
+    BoxedBlockStream, OpMetrics, PartialAnswer, PullStrategy,
 };
-use sparql::Var;
+use sparql::{TriplePattern, Var};
 use specqp_common::{Score, TermId};
 
 fn side(len: usize, keys: u32, salt: u32) -> Vec<PartialAnswer> {
@@ -91,29 +93,87 @@ fn bench_block_kernels(c: &mut Criterion) {
         });
     }
 
-    // A pattern and 15 relaxations over one variable, every term reached by
-    // four of the lists: the dedup set sees 32k rows and keeps 8k.
-    let lists: Vec<Vec<AnswerBlock>> = (0..16u32)
-        .map(|i| {
-            let rows: Vec<PartialAnswer> = (0..2_000u32)
-                .map(|j| {
-                    PartialAnswer::new(
-                        Binding::from_pairs(vec![(Var(0), TermId((i % 4) * 2_000 + j))]),
-                        Score::new((1.0 - f64::from(i) * 0.04) * (1.0 - f64::from(j) / 2_000.0)),
-                    )
-                })
-                .collect();
-            pack(&rows, &[Var(0)])
-        })
-        .collect();
-    group.bench_function("block_merge_dedup", |b| {
-        b.iter(|| {
-            let inputs = lists.iter().map(|l| stream(l)).collect();
-            drain(BlockIncrementalMerge::new(inputs, 128))
-        })
-    });
+    // A pattern and 15 relaxations, every row reached by four of the lists:
+    // the dedup set sees 32k rows and keeps 8k — term ids in a bitset at
+    // width 1, packed `u64` keys in a hash set at width 2.
+    for width in [1, 2] {
+        let schema: Vec<Var> = (0..width).map(Var).collect();
+        let lists: Vec<Vec<AnswerBlock>> = (0..16u32)
+            .map(|i| {
+                let rows: Vec<PartialAnswer> = (0..2_000u32)
+                    .map(|j| {
+                        let row = [TermId((i % 4) * 2_000 + j), TermId(i % 4)];
+                        let pairs = schema.iter().copied().zip(row).collect();
+                        PartialAnswer::new(
+                            Binding::from_pairs(pairs),
+                            Score::new(
+                                (1.0 - f64::from(i) * 0.04) * (1.0 - f64::from(j) / 2_000.0),
+                            ),
+                        )
+                    })
+                    .collect();
+                pack(&rows, &schema)
+            })
+            .collect();
+        let id = BenchmarkId::new("block_merge_dedup", format!("width_{width}"));
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                let inputs = lists.iter().map(|l| stream(l)).collect();
+                drain(BlockIncrementalMerge::new(inputs, 128))
+            })
+        });
+    }
     group.finish();
 }
 
-criterion_group!(benches, bench_block_kernels);
+/// A graph of `rows` `(eᵢ, p, o)` triples with distinct descending scores.
+fn scan_graph(rows: u32) -> KnowledgeGraph {
+    let mut b = KnowledgeGraphBuilder::new();
+    for i in 0..rows {
+        b.add(&format!("e{i}"), "p", "o", f64::from(rows - i));
+    }
+    b.build()
+}
+
+fn bench_block_scan(c: &mut Criterion) {
+    let mut group = c.benchmark_group("block_scan");
+    let rows = 20_000;
+    let flat = scan_graph(rows);
+    // The same graph as one live version on top of it: a 1% batch of
+    // asserts interleaved into the list by score, so every scan goes
+    // through the overlay's merged id list.
+    let live = LiveGraph::with_policy(scan_graph(rows), CompactionPolicy::never());
+    let mut batch = WriteBatch::new();
+    for i in 0..rows / 100 {
+        batch.assert(
+            &format!("new{i}"),
+            "p",
+            "o",
+            f64::from(rows - i * 100) - 0.5,
+        );
+    }
+    live.commit(&batch);
+    let (overlay, _) = live.pinned();
+    for (name, g) in [("flat", &flat), ("overlay", &*overlay)] {
+        let d = g.dictionary();
+        let (p, o) = (d.lookup("p").unwrap(), d.lookup("o").unwrap());
+        // Width 1 binds `?s` of `?s p o`; width 3 binds all of `?s ?p ?o`.
+        let shapes = [
+            ("width_1", TriplePattern::new(Var(0), p, o)),
+            ("width_3", TriplePattern::new(Var(0), Var(1), Var(2))),
+        ];
+        for (width, pattern) in shapes {
+            let id = BenchmarkId::new(name, width);
+            group.bench_function(id, |b| {
+                b.iter(|| {
+                    let scan = BlockScan::new(g, pattern, Score::ONE, OpMetrics::new_handle(), 128);
+                    drain(scan)
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_block_kernels, bench_block_scan);
 criterion_main!(benches);

@@ -109,27 +109,6 @@ impl TripleColumns {
         (0..self.len()).map(move |i| self.scored(i))
     }
 
-    /// Gathers the rows at `ids` into four parallel output vectors
-    /// (appending) — the block-at-a-time fill path: one tight loop per
-    /// column, no per-row `ScoredTriple` assembly.
-    ///
-    /// # Panics
-    /// Panics if any id is out of range (ids come from this graph's own
-    /// posting lists, which are validated on build/load).
-    pub fn gather_into(
-        &self,
-        ids: &[u32],
-        s: &mut Vec<TermId>,
-        p: &mut Vec<TermId>,
-        o: &mut Vec<TermId>,
-        score: &mut Vec<Score>,
-    ) {
-        s.extend(ids.iter().map(|&i| self.s[i as usize]));
-        p.extend(ids.iter().map(|&i| self.p[i as usize]));
-        o.extend(ids.iter().map(|&i| self.o[i as usize]));
-        score.extend(ids.iter().map(|&i| self.score[i as usize]));
-    }
-
     /// Resident bytes of the four columns.
     pub fn approx_bytes(&self) -> usize {
         self.len() * (3 * std::mem::size_of::<TermId>() + std::mem::size_of::<Score>())
@@ -192,24 +171,6 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert_eq!(v[0], c.scored(0));
         assert_eq!(v[1], c.scored(1));
-    }
-
-    #[test]
-    fn gather_appends_selected_rows() {
-        let c = cols();
-        let (mut s, mut p, mut o, mut sc) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        c.gather_into(&[1, 0, 1], &mut s, &mut p, &mut o, &mut sc);
-        assert_eq!(s, vec![TermId(4), TermId(1), TermId(4)]);
-        assert_eq!(p, vec![TermId(2); 3]);
-        assert_eq!(o, vec![TermId(3); 3]);
-        assert_eq!(
-            sc.iter().map(|x| x.value()).collect::<Vec<_>>(),
-            vec![1.0, 5.0, 1.0]
-        );
-        // Appending: a second gather extends, never truncates.
-        c.gather_into(&[0], &mut s, &mut p, &mut o, &mut sc);
-        assert_eq!(s.len(), 4);
-        assert_eq!(sc.len(), 4);
     }
 
     #[test]

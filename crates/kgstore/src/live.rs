@@ -589,10 +589,10 @@ mod tests {
         assert_eq!(g.len(), 6);
     }
 
-    /// The single-column reader sees the same merged, masked list as the
-    /// whole-triple one, base and delta rows alike.
+    /// The single-column readers see the same merged, masked list as the
+    /// whole-triple one, base and delta rows alike, over any rank range.
     #[test]
-    fn terms_reads_one_column_across_base_and_delta() {
+    fn column_readers_read_across_base_and_delta() {
         let live = LiveGraph::new(base());
         let mut batch = WriteBatch::new();
         batch.assert("d", "type", "singer", 7.0);
@@ -601,12 +601,18 @@ mod tests {
         for g in [&base(), &*live.pinned().0] {
             let ty = g.dictionary().lookup("type").unwrap();
             let list = g.matches(PatternKey::p_only(ty));
-            for position in 0..3 {
-                let expected: Vec<_> = list
-                    .iter_triples()
-                    .map(|(t, _)| [t.s, t.p, t.o][position])
-                    .collect();
-                assert_eq!(list.terms(position).collect::<Vec<_>>(), expected);
+            let rows: Vec<_> = list.iter_triples().collect();
+            for ranks in [0..rows.len(), 1..rows.len() - 1, 2..2] {
+                for position in 0..3 {
+                    let expected: Vec<_> = rows[ranks.clone()]
+                        .iter()
+                        .map(|(t, _)| [t.s, t.p, t.o][position])
+                        .collect();
+                    let got: Vec<_> = list.terms(position, ranks.clone()).collect();
+                    assert_eq!(got, expected);
+                }
+                let expected: Vec<_> = rows[ranks.clone()].iter().map(|&(_, s)| s).collect();
+                assert_eq!(list.scores(ranks).collect::<Vec<_>>(), expected);
             }
         }
     }

@@ -23,6 +23,7 @@ use crate::pattern_key::{pack2, pack3, PatternKey, Signature};
 use crate::triple::{ScoredTriple, Triple};
 use specqp_common::Dictionary;
 use specqp_common::{Score, TermId};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A frozen layer of live writes on top of an immutable base.
@@ -193,7 +194,7 @@ impl KnowledgeGraph {
 
     /// The columnar triple table of the immutable **base** (overlay rows,
     /// if any, live in their own columns and are reached through the
-    /// id-dispatching accessors or [`KnowledgeGraph::gather_into`]).
+    /// id-dispatching accessors and [`MatchList`]'s column readers).
     pub fn columns(&self) -> &TripleColumns {
         &self.cols
     }
@@ -228,49 +229,6 @@ impl KnowledgeGraph {
                 .expect("id beyond base without overlay")
                 .cols
                 .score(i as usize - base_len)
-        }
-    }
-
-    /// Gathers the rows at global ids `ids` into four parallel output
-    /// vectors (appending) — the block-at-a-time fill path. Flat graphs take
-    /// one tight columnar loop per column; overlay graphs dispatch each id
-    /// to its side.
-    pub fn gather_into(
-        &self,
-        ids: &[u32],
-        s: &mut Vec<TermId>,
-        p: &mut Vec<TermId>,
-        o: &mut Vec<TermId>,
-        score: &mut Vec<Score>,
-    ) {
-        match &self.overlay {
-            None => self.cols.gather_into(ids, s, p, o, score),
-            Some(ov) => {
-                let base_len = self.cols.len();
-                let side = |i: u32| -> (&TripleColumns, usize) {
-                    if (i as usize) < base_len {
-                        (&*self.cols, i as usize)
-                    } else {
-                        (&ov.cols, i as usize - base_len)
-                    }
-                };
-                s.extend(ids.iter().map(|&i| {
-                    let (c, u) = side(i);
-                    c.subjects()[u]
-                }));
-                p.extend(ids.iter().map(|&i| {
-                    let (c, u) = side(i);
-                    c.predicates()[u]
-                }));
-                o.extend(ids.iter().map(|&i| {
-                    let (c, u) = side(i);
-                    c.objects()[u]
-                }));
-                score.extend(ids.iter().map(|&i| {
-                    let (c, u) = side(i);
-                    c.scores()[u]
-                }));
-            }
         }
     }
 
@@ -504,9 +462,9 @@ impl<'g> MatchList<'g> {
         self.slice()[rank]
     }
 
-    /// The raw storage-index slice in rank order. Block scans slice this to
-    /// gather whole batches of triples column-wise (see
-    /// [`KnowledgeGraph::gather_into`]).
+    /// The raw storage-index slice in rank order (global id space: base
+    /// rows first, then overlay rows; see [`MatchList::terms`] for a reader
+    /// that resolves both).
     #[inline]
     pub fn ids(&self) -> &[u32] {
         self.slice()
@@ -559,27 +517,46 @@ impl<'g> MatchList<'g> {
             .map(move |&i| (graph.triple(i), graph.score(i)))
     }
 
-    /// Iterates the term every match carries at one triple `position`
-    /// (0 = subject, 1 = predicate, 2 = object), in descending-score order.
+    /// Iterates the term the matches at `ranks` carry at one triple
+    /// `position` (0 = subject, 1 = predicate, 2 = object), in rank order.
     /// Touches that one term column only — a third of the memory traffic of
-    /// [`iter_triples`](MatchList::iter_triples) for callers that project a
-    /// single component (join-key summaries).
+    /// [`iter_triples`](MatchList::iter_triples) — so callers that need some
+    /// components (join-key summaries, scans) read just those.
     ///
     /// # Panics
-    /// Panics if `position > 2`.
-    pub fn terms(&self, position: usize) -> impl Iterator<Item = TermId> + '_ {
-        let column = |cols: &'g TripleColumns| match position {
+    /// Panics if `position > 2` or `ranks` reaches past the list.
+    pub fn terms(&self, position: usize, ranks: Range<usize>) -> impl Iterator<Item = TermId> + '_ {
+        self.column(ranks, move |cols| match position {
             0 => cols.subjects(),
             1 => cols.predicates(),
             2 => cols.objects(),
             _ => panic!("triple position {position} out of range"),
-        };
+        })
+    }
+
+    /// Iterates the raw scores of the matches at `ranks`, in rank order
+    /// (touches only the score column).
+    ///
+    /// # Panics
+    /// Panics if `ranks` reaches past the list.
+    pub fn scores(&self, ranks: Range<usize>) -> impl Iterator<Item = Score> + '_ {
+        self.column(ranks, TripleColumns::scores)
+    }
+
+    /// Reads one column at the ids of `ranks`: an id below the base length
+    /// indexes the base's column, any other the overlay segment's.
+    #[inline]
+    fn column<T: Copy + 'g>(
+        &self,
+        ranks: Range<usize>,
+        column: impl Fn(&'g TripleColumns) -> &'g [T],
+    ) -> impl Iterator<Item = T> + '_ {
         let base = column(&self.graph.cols);
         let delta = self.graph.overlay.as_ref().map(|ov| column(&ov.cols));
-        self.slice()
+        self.slice()[ranks]
             .iter()
             .map(move |&i| match base.get(i as usize) {
-                Some(&term) => term,
+                Some(&v) => v,
                 None => delta.expect("id beyond base without overlay")[i as usize - base.len()],
             })
     }

@@ -2,12 +2,9 @@
 //!
 //! Over the columnar store, a per-tuple operator would pay a virtual
 //! dispatch, a `Binding` allocation and a per-pair sort for every tuple it
-//! moves, while the storage layer can hand out thousands of
-//! `(s, p, o, score)` rows with four memcpys. So operators move batches:
+//! moves, while a scan can copy a whole batch of matches one column at a
+//! time. So operators move batches:
 //!
-//! * [`Block`] — a batch of raw triples as parallel `s`/`p`/`o`/`score`
-//!   columns, filled straight from [`kgstore::TripleColumns`] ranges
-//!   ([`kgstore::TripleColumns::gather_into`]);
 //! * [`AnswerBlock`] — a batch of partial answers sharing one variable
 //!   *schema*, so a row is a flat `&[TermId]` slice instead of a sorted
 //!   `Vec<(Var, TermId)>` per answer;
@@ -21,7 +18,6 @@
 //! * [`ExecutionMode`] — the engine's block-size setting.
 
 use crate::answer::{Binding, PartialAnswer};
-use kgstore::{MatchList, Triple};
 use sparql::Var;
 use specqp_common::{Score, TermId};
 
@@ -52,93 +48,6 @@ impl ExecutionMode {
     pub fn block_size(self) -> usize {
         let ExecutionMode::Block(n) = self;
         n.max(1)
-    }
-}
-
-/// A batch of scored triples as four parallel columns — the unit a
-/// [`BlockScan`](crate::BlockScan) gathers from the store's
-/// [`TripleColumns`](kgstore::TripleColumns) before normalizing scores and
-/// projecting variable positions into an [`AnswerBlock`].
-///
-/// ```
-/// use operators::Block;
-/// use kgstore::Triple;
-/// use specqp_common::{Score, TermId};
-///
-/// let mut b = Block::new();
-/// b.push(Triple::new(TermId(1), TermId(2), TermId(3)), Score::new(0.9));
-/// b.push(Triple::new(TermId(4), TermId(2), TermId(5)), Score::new(0.4));
-/// assert_eq!(b.len(), 2);
-/// assert_eq!(b.s[1], TermId(4));
-/// assert_eq!(b.score[0], Score::new(0.9));
-/// b.clear();
-/// assert!(b.is_empty());
-/// ```
-#[derive(Debug, Default, Clone)]
-pub struct Block {
-    /// Subject column.
-    pub s: Vec<TermId>,
-    /// Predicate column.
-    pub p: Vec<TermId>,
-    /// Object column.
-    pub o: Vec<TermId>,
-    /// Raw score column (normalization happens when the block is projected
-    /// into an [`AnswerBlock`]).
-    pub score: Vec<Score>,
-}
-
-impl Block {
-    /// An empty block.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty block with capacity for `n` rows in every column.
-    pub fn with_capacity(n: usize) -> Self {
-        Block {
-            s: Vec::with_capacity(n),
-            p: Vec::with_capacity(n),
-            o: Vec::with_capacity(n),
-            score: Vec::with_capacity(n),
-        }
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.score.len()
-    }
-
-    /// `true` when the block holds no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.score.is_empty()
-    }
-
-    /// Removes all rows, keeping the column allocations.
-    pub fn clear(&mut self) {
-        self.s.clear();
-        self.p.clear();
-        self.o.clear();
-        self.score.clear();
-    }
-
-    /// Appends one row.
-    #[inline]
-    pub fn push(&mut self, t: Triple, score: Score) {
-        self.s.push(t.s);
-        self.p.push(t.p);
-        self.o.push(t.o);
-        self.score.push(score);
-    }
-
-    /// Appends the matches of `list` at `ranks` via one column-wise gather
-    /// through [`kgstore::KnowledgeGraph::gather_into`] (which dispatches
-    /// each id to the base columns or the live-write overlay).
-    pub fn fill_from(&mut self, list: &MatchList<'_>, ranks: std::ops::Range<usize>) {
-        let ids = &list.ids()[ranks];
-        list.graph()
-            .gather_into(ids, &mut self.s, &mut self.p, &mut self.o, &mut self.score);
     }
 }
 

@@ -25,8 +25,10 @@
 //!   `(score, slot)` pairs over one fixed-width term arena with a free
 //!   list. A result is assembled directly in its slot; popping copies the
 //!   slot into the output block and recycles it.
-//! * **Narrow dedup keys.** A triple pattern binds at most three variables,
-//!   so the merge's seen-set holds whole rows packed into a `u64` or `u128`.
+//! * **Narrow dedup keys.** Most merged patterns bind one variable, and
+//!   dictionary ids are dense, so a one-term row is a bit in a bitset
+//!   indexed by term id. A triple pattern binds at most three variables,
+//!   so wider rows are packed whole into a `u64` or `u128` hash-set key.
 //!
 //! Results are emitted from a heap ordered by the total `(score, binding)`
 //! order that [`PartialAnswer`](crate::PartialAnswer) uses — for same-schema
@@ -535,19 +537,35 @@ impl BlockStream for BlockRankJoin<'_> {
     }
 }
 
-/// The rows a [`BlockIncrementalMerge`] has emitted, each packed losslessly
-/// into the narrowest integer its width allows (chosen once, at construction).
+/// Term ids a one-variable merge tracks in its bitset (at most 2 MiB).
+/// Dictionary ids are dense and stay far below this, but a hand-built input
+/// may carry any `u32`: ids from here up go to a hash set instead.
+const BITSET_IDS: u32 = 1 << 24;
+
+/// The rows a [`BlockIncrementalMerge`] has emitted (the representation is
+/// chosen once, at construction, from the row width).
 enum SeenRows {
-    /// Up to two terms per row.
+    /// One term per row: a bitset indexed by term id, grown to cover the
+    /// largest id below [`BITSET_IDS`] seen so far, and a hash set for the
+    /// ids above it.
+    Ids {
+        bits: Vec<u64>,
+        beyond: FxHashSet<u32>,
+    },
+    /// Zero or two terms per row, packed into one `u64`.
     Narrow(FxHashSet<u64>),
-    /// Three or four terms per row.
+    /// Three or four terms per row, packed into one `u128`.
     Wide(FxHashSet<u128>),
 }
 
 impl SeenRows {
     fn new(width: usize) -> Self {
         match width {
-            0..=2 => SeenRows::Narrow(FxHashSet::default()),
+            1 => SeenRows::Ids {
+                bits: Vec::new(),
+                beyond: FxHashSet::default(),
+            },
+            0 | 2 => SeenRows::Narrow(FxHashSet::default()),
             3..=4 => SeenRows::Wide(FxHashSet::default()),
             _ => panic!("merge inputs bind at most four variables, not {width}"),
         }
@@ -557,6 +575,20 @@ impl SeenRows {
     #[inline]
     fn insert(&mut self, row: &[TermId]) -> bool {
         match self {
+            SeenRows::Ids { bits, beyond } => {
+                let id = row[0].0;
+                if id >= BITSET_IDS {
+                    return beyond.insert(id);
+                }
+                let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+                if word >= bits.len() {
+                    // The Vec's capacity doubling makes growth O(log N).
+                    bits.resize(word + 1, 0);
+                }
+                let fresh = bits[word] & bit == 0;
+                bits[word] |= bit;
+                fresh
+            }
             SeenRows::Narrow(set) => {
                 let k = row.iter().fold(0u64, |k, t| k << 32 | u64::from(t.0));
                 // Fx's single multiply leaves a table's low index bits a
@@ -574,7 +606,8 @@ impl SeenRows {
 /// The incremental merge: emits the union of its inputs in descending score
 /// order, each binding once with its maximum score — ties across inputs
 /// resolve to the earliest input. Heads advance through buffered blocks and
-/// the dedup set stores whole rows packed into one integer.
+/// the dedup set is a bitset of term ids (one variable) or holds whole rows
+/// packed into one integer (two to four).
 ///
 /// All inputs must share one schema (a pattern and its relaxations bind the
 /// same variables).
@@ -1002,6 +1035,75 @@ mod tests {
             );
             assert_eq!(drain(merge), want, "size {size}");
         }
+    }
+
+    /// Drains a one-variable merge of two overlapping lists over `ids`,
+    /// returning what it emitted and its bitset's capacity in words.
+    fn merge_ids(ids: &[u32]) -> (Vec<PartialAnswer>, usize) {
+        let list = |offset: f64| -> Vec<PartialAnswer> {
+            ids.iter()
+                .enumerate()
+                .map(|(i, &id)| simple(id, offset - i as f64 * 1e-6))
+                .collect()
+        };
+        let mut merge = BlockIncrementalMerge::new(
+            vec![
+                Box::new(block_of(&list(1.0), &[0], 128)),
+                Box::new(block_of(&list(0.5), &[0], 128)),
+            ],
+            128,
+        );
+        let mut out = Vec::new();
+        while let Some(b) = merge.next_block() {
+            out.extend(b.to_answers());
+        }
+        let SeenRows::Ids { bits, .. } = &merge.seen else {
+            panic!("a one-variable merge dedups in a bitset");
+        };
+        (out, bits.capacity())
+    }
+
+    #[test]
+    fn one_variable_merge_sizes_its_bitset_to_the_largest_id() {
+        const N: u32 = 10_000;
+        let needed = N.div_ceil(64) as usize;
+        // Largest id first (one allocation) or last (grown as ids rise):
+        // either way at most twice the words the ids need.
+        for ids in [(0..N).rev().collect::<Vec<u32>>(), (0..N).collect()] {
+            let (out, words) = merge_ids(&ids);
+            assert_eq!(out.len(), N as usize, "each id once");
+            assert!(out.iter().all(|a| a.score > Score::new(0.5)), "at its max");
+            assert!(
+                (needed..=2 * needed).contains(&words),
+                "{words} words for ids below {N}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_variable_merge_keeps_huge_ids_out_of_its_bitset() {
+        let ids = [
+            3,
+            BITSET_IDS - 1,
+            BITSET_IDS,
+            BITSET_IDS + 1,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        let (out, words) = merge_ids(&ids[2..]);
+        assert_eq!(out.len(), 4, "each id once");
+        assert_eq!(words, 0, "ids past the cap never touch the bitset");
+        let (out, words) = merge_ids(&ids);
+        let got: Vec<u32> = out
+            .iter()
+            .map(|a| a.binding.get(Var(0)).unwrap().0)
+            .collect();
+        assert_eq!(got, ids);
+        assert_eq!(
+            words,
+            (BITSET_IDS / 64) as usize,
+            "one below the cap fills it"
+        );
     }
 
     #[test]

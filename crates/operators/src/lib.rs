@@ -5,8 +5,8 @@
 //! trait:
 //!
 //! * [`BlockScan`] — streams the (optionally weighted) normalized matches
-//!   of one triple pattern in descending score order (Def. 5), gathered
-//!   column-wise from the store;
+//!   of one triple pattern in descending score order (Def. 5), reading only
+//!   the store columns the pattern binds;
 //! * [`BlockIncrementalMerge`] — merges a pattern and its relaxations into
 //!   one descending stream with max-score deduplication (Theobald et al.,
 //!   SIGIR'05, cited as \[29\]);
@@ -38,8 +38,8 @@ pub mod scan;
 
 pub use answer::{Binding, PartialAnswer};
 pub use block::{
-    top_k_blocks, top_k_blocks_floored, AnswerBlock, Block, BlockStream, BoxedBlockStream,
-    ExecutionMode, ReplayBlocks, ScaledProjection, DEFAULT_BLOCK_SIZE,
+    top_k_blocks, top_k_blocks_floored, AnswerBlock, BlockStream, BoxedBlockStream, ExecutionMode,
+    ReplayBlocks, ScaledProjection, DEFAULT_BLOCK_SIZE,
 };
 pub use block_join::{BlockIncrementalMerge, BlockRankJoin, PullStrategy};
 pub use metrics::{CacheMetrics, CacheMetricsHandle, MetricsHandle, OpMetrics};

@@ -1,24 +1,16 @@
 //! The sorted scan of one triple pattern's match list ([`BlockScan`]).
 
-use crate::block::{AnswerBlock, Block, BlockSizer, BlockStream};
+use crate::block::{AnswerBlock, BlockSizer, BlockStream};
 use crate::metrics::MetricsHandle;
 use crate::morsel::MorselDispenser;
 use kgstore::{KnowledgeGraph, MatchList, PatternKey, Triple};
 use sparql::{Term, TriplePattern, Var};
-use specqp_common::Score;
+use specqp_common::{Score, TermId};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Which triple component supplies a schema slot's value.
-#[derive(Clone, Copy, Debug)]
-enum Slot {
-    S,
-    P,
-    O,
-}
-
 /// Streams the matches of one triple pattern in descending score order as
-/// [`AnswerBlock`] batches gathered column-wise from the store
-/// ([`Block::fill_from`]), binding the pattern's variables and emitting
+/// [`AnswerBlock`] batches, binding the pattern's variables and emitting
 /// **normalized, weighted** scores:
 ///
 /// * normalization per Def. 5 — each score is divided by the best score in
@@ -31,6 +23,12 @@ enum Slot {
 /// Patterns with a repeated variable (e.g. `?x p ?x`) are filtered to
 /// matches where the repeated positions agree, and the normalizer is the
 /// best score among the *filtered* matches.
+///
+/// A block is written straight into its [`AnswerBlock`]: one pass through
+/// the match list's ids per bound variable, reading only that variable's
+/// term column ([`MatchList::terms`]), and one pass over the score column
+/// that normalizes and weights as it copies — a pattern binding one
+/// variable never touches the other two term columns.
 ///
 /// ```
 /// use kgstore::KnowledgeGraphBuilder;
@@ -67,10 +65,10 @@ pub struct BlockScan<'g> {
     req_so: bool,
     req_po: bool,
     schema: Vec<Var>,
-    slots: Vec<Slot>,
+    /// Per schema variable, the triple position (0 = s, 1 = p, 2 = o) it
+    /// is read from.
+    positions: Vec<usize>,
     sizer: BlockSizer,
-    /// Reused raw-gather scratch.
-    raw: Block,
     metrics: MetricsHandle,
 }
 
@@ -87,15 +85,11 @@ impl<'g> BlockScan<'g> {
         let (s, p, o) = pattern.const_parts();
         let list = graph.matches(PatternKey { s, p, o });
         let same = |x: Term, y: Term| x.is_var() && x == y;
-        let mut pairs: Vec<(Var, Slot)> = Vec::with_capacity(3);
-        for (t, slot) in [
-            (pattern.s, Slot::S),
-            (pattern.p, Slot::P),
-            (pattern.o, Slot::O),
-        ] {
+        let mut pairs: Vec<(Var, usize)> = Vec::with_capacity(3);
+        for (position, t) in [pattern.s, pattern.p, pattern.o].into_iter().enumerate() {
             if let Term::Var(v) = t {
                 if !pairs.iter().any(|&(w, _)| w == v) {
-                    pairs.push((v, slot));
+                    pairs.push((v, position));
                 }
             }
         }
@@ -112,9 +106,8 @@ impl<'g> BlockScan<'g> {
             req_so: same(pattern.s, pattern.o),
             req_po: same(pattern.p, pattern.o),
             schema: pairs.iter().map(|&(v, _)| v).collect(),
-            slots: pairs.iter().map(|&(_, s)| s).collect(),
+            positions: pairs.iter().map(|&(_, p)| p).collect(),
             sizer: BlockSizer::new(block_size),
-            raw: Block::with_capacity(block_size.clamp(1, 32)),
             metrics,
         };
         scan.next_rank = scan.find_satisfying(0);
@@ -199,6 +192,59 @@ impl<'g> BlockScan<'g> {
         }
         self.weight * (raw / self.normalizer.value())
     }
+
+    /// The block of every match at `ranks`, read column by column: one pass
+    /// over the ids per schema variable, then one over the scores.
+    fn column_block(&self, ranks: Range<usize>) -> AnswerBlock {
+        let rows = ranks.len();
+        let mut out = AnswerBlock::with_capacity(self.schema.clone(), rows);
+        let (terms, scores) = out.parts_mut();
+        match *self.positions.as_slice() {
+            [] => {}
+            [position] => terms.extend(self.list.terms(position, ranks.clone())),
+            _ => {
+                let width = self.positions.len();
+                terms.resize(rows * width, TermId(0));
+                for (j, &position) in self.positions.iter().enumerate() {
+                    let column = self.list.terms(position, ranks.clone());
+                    for (row, term) in terms.chunks_exact_mut(width).zip(column) {
+                        row[j] = term;
+                    }
+                }
+            }
+        }
+        // `weighted`, hoisted out of the score pass.
+        if self.normalizer == Score::ZERO {
+            scores.resize(rows, Score::ZERO);
+        } else {
+            let (w, norm) = (self.weight, self.normalizer.value());
+            scores.extend(self.list.scores(ranks).map(|s| w * (s / norm)));
+        }
+        out
+    }
+
+    /// Up to `n` rows satisfying the repeated-variable constraint, pushed
+    /// as they are found.
+    fn filtered_block(&mut self, n: usize) -> AnswerBlock {
+        let mut out = AnswerBlock::with_capacity(self.schema.clone(), n);
+        // next_rank points at a satisfying rank, so at least one row lands
+        // in the block.
+        let mut rank = self.next_rank;
+        while rank < self.range_end && out.len() < n {
+            let t = self.list.triple_at(rank);
+            if self.satisfies(&t) {
+                let t = [t.s, t.p, t.o];
+                out.push_row_with(self.weighted(self.list.score_at(rank)), |row| {
+                    for (term, &position) in row.iter_mut().zip(&self.positions) {
+                        *term = t[position];
+                    }
+                });
+            }
+            rank += 1;
+        }
+        self.next_rank = self.find_satisfying(rank);
+        out
+    }
 }
 
 impl BlockStream for BlockScan<'_> {
@@ -211,68 +257,16 @@ impl BlockStream for BlockScan<'_> {
             return None;
         }
         let n = self.sizer.take();
-        self.raw.clear();
-        if !self.has_repeat() {
-            let end = (self.next_rank + n).min(self.range_end);
-            self.raw.fill_from(&self.list, self.next_rank..end);
-            self.next_rank = end;
+        let out = if self.has_repeat() {
+            self.filtered_block(n)
         } else {
-            // next_rank points at a satisfying rank, so at least one row
-            // lands in the block.
-            let mut rank = self.next_rank;
-            while rank < self.range_end && self.raw.len() < n {
-                let t = self.list.triple_at(rank);
-                if self.satisfies(&t) {
-                    self.raw.push(t, self.list.score_at(rank));
-                }
-                rank += 1;
-            }
-            self.next_rank = self.find_satisfying(rank);
-        }
-
-        let rows = self.raw.len();
-        let mut out = AnswerBlock::with_capacity(self.schema.clone(), rows);
-        let (raw, slots) = (&self.raw, &self.slots);
-        let col = |slot: Slot| -> &[specqp_common::TermId] {
-            match slot {
-                Slot::S => &raw.s,
-                Slot::P => &raw.p,
-                Slot::O => &raw.o,
-            }
+            let ranks = self.next_rank..(self.next_rank + n).min(self.range_end);
+            self.next_rank = ranks.end;
+            self.column_block(ranks)
         };
-        {
-            let (terms, scores) = out.parts_mut();
-            match *slots.as_slice() {
-                // Width-specialized fills: one columnar memcpy (width 1) or
-                // an interleaving loop without per-row dispatch.
-                [a] => terms.extend_from_slice(col(a)),
-                [a, b] => {
-                    let (ca, cb) = (col(a), col(b));
-                    for i in 0..rows {
-                        terms.push(ca[i]);
-                        terms.push(cb[i]);
-                    }
-                }
-                [a, b, c] => {
-                    let (ca, cb, cc) = (col(a), col(b), col(c));
-                    for i in 0..rows {
-                        terms.push(ca[i]);
-                        terms.push(cb[i]);
-                        terms.push(cc[i]);
-                    }
-                }
-                _ => {}
-            }
-            // `weighted`, evaluated over the whole score column.
-            if self.normalizer == Score::ZERO {
-                scores.extend(std::iter::repeat_n(Score::ZERO, rows));
-            } else {
-                let (w, norm) = (self.weight, self.normalizer.value());
-                scores.extend(raw.score.iter().map(|&s| w * (s / norm)));
-            }
-        }
-        self.metrics.count_sorted_accesses(rows as u64);
-        self.metrics.count_answers(rows as u64);
+        let rows = out.len() as u64;
+        self.metrics.count_sorted_accesses(rows);
+        self.metrics.count_answers(rows);
         // Claim the next morsel eagerly so `upper_bound` (which cannot
         // mutate) is already accurate for the consumer's threshold checks.
         self.advance_to_morsel();

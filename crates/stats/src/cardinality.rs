@@ -166,7 +166,10 @@ impl Summary {
                     let only = (matches > 0).then_some((0, matches));
                     return Summary::One(only.into_iter().collect());
                 }
-                [a] => return Summary::One(tally(list.terms(a).map(|t| t.0), capacity)),
+                [a] => {
+                    let terms = list.terms(a, 0..list.len());
+                    return Summary::One(tally(terms.map(|t| t.0), capacity));
+                }
                 _ => {}
             }
         }

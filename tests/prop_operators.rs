@@ -1,14 +1,18 @@
 //! Property-based tests of the top-k operators against brute-force
 //! references.
 
+use kgstore::{
+    CompactionPolicy, KnowledgeGraph, KnowledgeGraphBuilder, LiveGraph, PatternKey, WriteBatch,
+};
 use operators::{
-    top_k_blocks, top_k_blocks_floored, Binding, BlockIncrementalMerge, BlockRankJoin, BlockStream,
-    BoxedBlockStream, MetricsHandle, OpMetrics, PartialAnswer, PullStrategy, ReplayBlocks,
-    ScaledProjection,
+    top_k_blocks, top_k_blocks_floored, Binding, BlockIncrementalMerge, BlockRankJoin, BlockScan,
+    BlockStream, BoxedBlockStream, MetricsHandle, MorselDispenser, OpMetrics, PartialAnswer,
+    PullStrategy, ReplayBlocks, ScaledProjection,
 };
 use proptest::prelude::*;
-use sparql::Var;
+use sparql::{Term, TriplePattern, Var};
 use specqp_common::{Score, TermId};
+use std::sync::Arc;
 
 /// Strategy: one input list binding `?0` and `?side_var`, sorted by the
 /// canonical total order, with controlled key collisions and continuous
@@ -129,6 +133,173 @@ fn check_floor<'a>(
     Ok(())
 }
 
+/// Term ids a merge must keep apart: both sides of a 64-bit word boundary,
+/// both sides of the one-variable bitset's 2²⁴ cap, and the top of the id
+/// space.
+const SPARSE_IDS: [u32; 6] = [63, 64, (1 << 24) - 1, 1 << 24, u32::MAX - 1, u32::MAX];
+
+/// Few enough terms that generated triples collide on every key and loop
+/// back on themselves (`?x p ?x` matches).
+const SCAN_TERMS: u8 = 4;
+
+fn scan_term(i: u8) -> String {
+    format!("t{}", i % SCAN_TERMS)
+}
+
+/// Five raw scores, zero included: ties in every list, and lists whose
+/// best score — the normalizer — is zero.
+fn scan_score(pick: u8) -> f64 {
+    f64::from(pick % 5) * 0.5
+}
+
+/// The generated triples plus one `(tᵢ, tᵢ, tᵢ)` anchor per term, so every
+/// name resolves in the base dictionary.
+fn scan_graph(triples: &[(u8, u8, u8, u8)]) -> KnowledgeGraph {
+    let mut b = KnowledgeGraphBuilder::new();
+    for i in 0..SCAN_TERMS {
+        b.add(&scan_term(i), &scan_term(i), &scan_term(i), 1.0);
+    }
+    for &(s, p, o, score) in triples {
+        b.add(
+            &scan_term(s),
+            &scan_term(p),
+            &scan_term(o),
+            scan_score(score),
+        );
+    }
+    b.build()
+}
+
+/// A pattern over `graph`: each position a constant term or one of three
+/// variables, so 0–3 variables, repeated or not.
+fn scan_pattern(graph: &KnowledgeGraph, picks: (u8, u8, u8)) -> TriplePattern {
+    let term = |pick: u8| {
+        if pick % 2 == 0 {
+            let id = graph.dictionary().lookup(&scan_term(pick / 2));
+            Term::Const(id.expect("every term is anchored in the base graph"))
+        } else {
+            Term::Var(Var(u32::from(pick / 2 % 3)))
+        }
+    };
+    TriplePattern {
+        s: term(picks.0),
+        p: term(picks.1),
+        o: term(picks.2),
+    }
+}
+
+/// A scanned row: its terms in schema order and its score's bits.
+type ScanRow = (Vec<TermId>, u64);
+
+/// What a scan of `pattern` must emit, read off the match list: the
+/// matches whose repeated-variable positions agree, in rank order, each
+/// bound at its variables' first positions and scored `w * (s / norm)`,
+/// `norm` being the first surviving match's score (all zeros when that is
+/// zero).
+fn scan_reference(graph: &KnowledgeGraph, pattern: TriplePattern, weight: Score) -> Vec<ScanRow> {
+    let (s, p, o) = pattern.const_parts();
+    let terms = [pattern.s, pattern.p, pattern.o];
+    let mut vars: Vec<(Var, usize)> = Vec::new();
+    for (position, term) in terms.into_iter().enumerate() {
+        if let Term::Var(v) = term {
+            if !vars.iter().any(|&(w, _)| w == v) {
+                vars.push((v, position));
+            }
+        }
+    }
+    vars.sort_unstable();
+    let rows: Vec<([TermId; 3], Score)> = graph
+        .matches(PatternKey { s, p, o })
+        .iter_triples()
+        .map(|(t, score)| ([t.s, t.p, t.o], score))
+        .filter(|(values, _)| {
+            (0..3).all(|i| (0..3).all(|j| terms[i] != terms[j] || values[i] == values[j]))
+        })
+        .collect();
+    let norm = rows.first().map_or(Score::ZERO, |&(_, score)| score);
+    rows.iter()
+        .map(|(values, raw)| {
+            let score = if norm == Score::ZERO {
+                Score::ZERO
+            } else {
+                weight * (*raw / norm.value())
+            };
+            let bound = vars.iter().map(|&(_, position)| values[position]).collect();
+            (bound, score.value().to_bits())
+        })
+        .collect()
+}
+
+/// Appends a block's rows to `out`.
+fn scan_rows_into(block: &operators::AnswerBlock, out: &mut Vec<ScanRow>) {
+    for i in 0..block.len() {
+        out.push((block.row(i).to_vec(), block.score(i).value().to_bits()));
+    }
+}
+
+/// The scan contract on one graph version, for every pattern: a whole-list
+/// scan emits the reference in order at every block size (and counts one
+/// sorted access per row); `workers` morsel scans pulled in turn emit it
+/// between them.
+fn check_scans(
+    graph: &KnowledgeGraph,
+    patterns: &[(u8, u8, u8)],
+    weight: Score,
+    workers: usize,
+    morsel: usize,
+    stage: &str,
+) -> Result<(), TestCaseError> {
+    for &picks in patterns {
+        let pattern = scan_pattern(graph, picks);
+        let want = scan_reference(graph, pattern, weight);
+        let mut sorted_want = want.clone();
+        sorted_want.sort_unstable();
+        for size in SIZES {
+            let metrics = OpMetrics::new_handle();
+            let mut scan = BlockScan::new(graph, pattern, weight, metrics.clone(), size);
+            let mut got = Vec::new();
+            while let Some(block) = scan.next_block() {
+                prop_assert_eq!(block.schema(), scan.schema());
+                scan_rows_into(&block, &mut got);
+            }
+            prop_assert_eq!(&got, &want, "{} {:?} size {}", stage, pattern, size);
+            prop_assert_eq!(metrics.sorted_accesses(), want.len() as u64);
+
+            let (s, p, o) = pattern.const_parts();
+            let total = graph.matches(PatternKey { s, p, o }).len();
+            let dispenser = Arc::new(MorselDispenser::new(total, morsel));
+            let mut scans: Vec<BlockScan<'_>> = (0..workers)
+                .map(|_| {
+                    let m = OpMetrics::new_handle();
+                    BlockScan::with_morsels(graph, pattern, weight, m, size, dispenser.clone())
+                })
+                .collect();
+            let mut got = Vec::new();
+            while !scans.is_empty() {
+                scans.retain_mut(|scan| match scan.next_block() {
+                    Some(block) => {
+                        scan_rows_into(&block, &mut got);
+                        true
+                    }
+                    None => false,
+                });
+            }
+            got.sort_unstable();
+            prop_assert_eq!(
+                &got,
+                &sorted_want,
+                "{} {:?} size {} {} workers, morsel {}",
+                stage,
+                pattern,
+                size,
+                workers,
+                morsel
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -212,15 +383,26 @@ proptest! {
 
     /// The incremental merge emits every binding of its inputs exactly once,
     /// at its maximum score, in non-increasing score order — over 1-, 2- and
-    /// 3-wide schemas (the `u64` and `u128` dedup keys) and every block size.
+    /// 3-wide schemas (the bitset and the `u64` and `u128` dedup keys) and
+    /// every block size, with dense first-column ids or sparse ones past
+    /// the bitset's cap and near `u32::MAX`.
     #[test]
     fn incremental_merge_equals_naive(
         lists in prop::collection::vec(raw_rows(30), 0..5),
         width in 1usize..4,
+        sparse in any::<bool>(),
     ) {
         let schema = vars(&[0, 1, 2][..width]);
-        let lists: Vec<Vec<PartialAnswer>> =
-            lists.iter().map(|raw| answers_over(raw, &schema)).collect();
+        let lists: Vec<Vec<PartialAnswer>> = lists
+            .iter()
+            .map(|raw| {
+                let raw: Vec<_> = raw
+                    .iter()
+                    .map(|&(a, b, c, s)| (if sparse { SPARSE_IDS[a as usize] } else { a }, b, c, s))
+                    .collect();
+                answers_over(&raw, &schema)
+            })
+            .collect();
         // Reference: flatten, sort by the total order, keep the first (best)
         // occurrence per binding.
         let mut flat: Vec<PartialAnswer> = lists.iter().flatten().cloned().collect();
@@ -236,6 +418,47 @@ proptest! {
             prop_assert!(got.windows(2).all(|w| w[0].score >= w[1].score), "size {}", size);
             got.sort_by(|a, b| b.cmp(a));
             prop_assert_eq!(&got, &want, "width {} size {}", width, size);
+        }
+    }
+
+    /// A scan emits exactly its match list — bindings, score bits, order —
+    /// for patterns with 0–3 variables (repeated or not, empty lists
+    /// included), at every block size, whole-list and split into morsels,
+    /// on a flat graph and on every live version after it: asserts of new
+    /// triples, score replacements and retractions read through the
+    /// overlay.
+    #[test]
+    fn block_scan_equals_match_list(
+        base in prop::collection::vec((0..SCAN_TERMS, 0..SCAN_TERMS, 0..SCAN_TERMS, any::<u8>()), 0..40),
+        epochs in prop::collection::vec(
+            prop::collection::vec(
+                (any::<u8>(), 0..SCAN_TERMS, 0..SCAN_TERMS, 0..SCAN_TERMS, any::<u8>()),
+                1..12,
+            ),
+            0..3,
+        ),
+        patterns in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
+        weight_tenths in 1u32..=10,
+        workers in 1usize..4,
+        morsel in 1usize..6,
+    ) {
+        let weight = Score::new(f64::from(weight_tenths) / 10.0);
+        let live = LiveGraph::with_policy(scan_graph(&base), CompactionPolicy::never());
+        check_scans(&live.pinned().0, &patterns, weight, workers, morsel, "flat")?;
+        for (e, ops) in epochs.iter().enumerate() {
+            let mut batch = WriteBatch::new();
+            for &(kind, s, p, o, score) in ops {
+                // An assert of a visible triple replaces its score.
+                if kind % 3 == 0 {
+                    batch.retract(&scan_term(s), &scan_term(p), &scan_term(o));
+                } else {
+                    batch.assert(&scan_term(s), &scan_term(p), &scan_term(o), scan_score(score));
+                }
+            }
+            live.commit(&batch);
+            let (graph, _) = live.pinned();
+            prop_assert!(graph.has_overlay());
+            check_scans(&graph, &patterns, weight, workers, morsel, &format!("epoch {}", e + 1))?;
         }
     }
 
