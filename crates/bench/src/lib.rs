@@ -8,13 +8,11 @@
 //! [`MEASURED_RUNS`] is reported.
 
 pub mod harness;
-pub mod openloop;
 pub mod tables;
 
 pub use harness::{
     ablation_summary, measure_workload, DatasetReport, QueryMeasurement, KS, MEASURED_RUNS, RUNS,
 };
-pub use openloop::{drive, poisson_schedule, OpenLoopConfig, OpenLoopReport};
 pub use tables::{
     render_fig_by_relaxed, render_fig_by_tp, render_table2, render_table3, render_table4,
 };

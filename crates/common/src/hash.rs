@@ -108,50 +108,23 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a 64 over little-endian u64 *words* (zero-padded tail): the same
-/// mixing as [`fnv1a_64`] but consuming 8 input bytes per multiply, ~8×
-/// faster on large buffers. The word order and padding are part of the
-/// definition, so the value is as portable as the byte-wise variant — this
-/// is the checksum the KG snapshot trailer uses, where the hash runs over
-/// megabytes on the serve-restart path.
-///
-/// Note this is a different function than [`fnv1a_64`] — the word chunking
-/// and the final length mix mean the two never agree (not even on the empty
-/// input); both are stable, they are not interchangeable.
-pub fn fnv1a_64_words(bytes: &[u8]) -> u64 {
-    let mut h = FNV64_OFFSET;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        h ^= u64::from_le_bytes(c.try_into().unwrap());
-        h = h.wrapping_mul(FNV64_PRIME);
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        h ^= u64::from_le_bytes(tail);
-        h = h.wrapping_mul(FNV64_PRIME);
-    }
-    // Mix the length so inputs differing only by trailing zero bytes within
-    // the padded tail word still hash apart.
-    h ^= bytes.len() as u64;
-    h.wrapping_mul(FNV64_PRIME)
-}
-
-/// Eight interleaved [`fnv1a_64_words`]-style lanes folded into one digest.
+/// FNV-1a 64 over little-endian u64 *words* in eight interleaved lanes,
+/// folded into one digest — the checksum the KG snapshot trailer uses,
+/// where the hash runs over megabytes on the serve-restart path.
 ///
 /// A single FNV chain is latency-bound: every word waits on the previous
 /// multiply, capping throughput near one word per multiply *latency*. Eight
 /// independent lanes (lane `i` consumes words `i`, `i+8`, `i+16`, …) keep
 /// the multiplier pipeline full and run close to one word per *cycle* —
 /// roughly the multiplier's latency/throughput ratio faster on large
-/// buffers, which is what the snapshot-v2 trailer hashes on every load.
+/// buffers, which is what the snapshot trailer hashes on every load.
 /// Trailing words past the last full 8-word group feed lanes round-robin
 /// from lane 0, the final partial word is zero-padded, the eight lane
 /// digests are folded through one more FNV chain and the total byte length
-/// is mixed in last. Every step is fixed little-endian arithmetic, so the
-/// value is as portable and stable as the single-chain variants — and, like
-/// them, it agrees with neither.
+/// is mixed in last (so inputs differing only by trailing zero bytes still
+/// hash apart). Every step is fixed little-endian arithmetic, so the value
+/// is as portable and stable as [`fnv1a_64`] — but it is a different
+/// function and never agrees with it.
 pub fn fnv1a_64_lanes(bytes: &[u8]) -> u64 {
     const LANES: usize = 8;
     let mut lanes = [FNV64_OFFSET; LANES];
@@ -238,28 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a_64_words_is_stable_and_sensitive() {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        // Computed by hand so a regression in chunking, endianness or the
-        // length mix shows up as a value change.
-        assert_eq!(fnv1a_64_words(b""), OFFSET.wrapping_mul(PRIME));
-        let w = u64::from_le_bytes(*b"abcdefgh");
-        assert_eq!(
-            fnv1a_64_words(b"abcdefgh"),
-            ((OFFSET ^ w).wrapping_mul(PRIME) ^ 8).wrapping_mul(PRIME)
-        );
-        assert_ne!(fnv1a_64_words(b"abcdefgh"), fnv1a_64_words(b"abcdefgi"));
-        // Tail padding still distinguishes lengths within the padded word.
-        assert_ne!(fnv1a_64_words(b"ab"), fnv1a_64_words(b"ab\0"));
-        // 12-byte buffer exercises word + tail.
-        assert_ne!(
-            fnv1a_64_words(b"abcdefgh1234"),
-            fnv1a_64_words(b"abcdefgh1235")
-        );
-    }
-
-    #[test]
     fn fnv1a_64_lanes_is_stable_and_sensitive() {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -296,8 +247,7 @@ mod tests {
         let mut extended = base.clone();
         extended.push(0);
         assert_ne!(fnv1a_64_lanes(&extended), digest);
-        // And it is its own function, agreeing with neither single chain.
-        assert_ne!(fnv1a_64_lanes(&base), fnv1a_64_words(&base));
+        // And it is its own function, not the byte-wise chain.
         assert_ne!(fnv1a_64_lanes(&base), fnv1a_64(&base));
     }
 

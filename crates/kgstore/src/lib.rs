@@ -53,9 +53,7 @@ pub use columns::TripleColumns;
 pub use io::{read_tsv, read_tsv_into, write_tsv};
 pub use live::{CompactionPolicy, DeltaStore, Epoch, LiveGraph, LiveStats, WriteBatch, WriteOp};
 pub use pattern_key::{PatternKey, Signature};
-pub use snapshot::{
-    load_snapshot, read_snapshot, save_snapshot, write_snapshot, write_snapshot_v1,
-};
+pub use snapshot::{load_snapshot, read_snapshot, save_snapshot, write_snapshot};
 pub use store::{KnowledgeGraph, MatchList};
 pub use triple::{ScoredTriple, Triple};
 

@@ -40,27 +40,21 @@
 //!
 //! # Version policy
 //!
-//! [`FORMAT_VERSION`] is the version written; readers accept every version
-//! in `1..=FORMAT_VERSION` and reject newer files with
-//! [`SnapshotError::UnsupportedVersion`]. Version 1 (12-byte table
-//! entries, unaligned sections, per-entry index encoding) is still read in
-//! full: its index entries were written key-sorted, so the v1 decoder fills
-//! the same sorted-array representation sequentially. [`write_snapshot_v1`]
-//! keeps the v1 writer available for compatibility tests and load
-//! benchmarks. Unknown trailing sections are skipped on read, so additive
-//! extensions do not need a version bump; any change to an existing
-//! section's encoding does.
+//! [`FORMAT_VERSION`] is the only version written and the only version
+//! read: any other version field is rejected with
+//! [`SnapshotError::UnsupportedVersion`] before the checksum is touched.
+//! Unknown trailing sections are skipped on read, so additive extensions
+//! do not need a version bump; any change to an existing section's
+//! encoding does.
 //!
-//! **Each version owns its checksum.** The trailer function is part of the
-//! format version, not a negotiable field: v1 trailers verify with the
-//! single-chain [`fnv1a_64_words`], v2 trailers with the 8-lane
-//! [`fnv1a_64_lanes`] (on multi-megabyte images the single chain is bound
-//! by multiply latency and would dominate the page-in-style load). A future
-//! v3 that wants a different checksum bumps the version rather than adding
-//! a "checksum kind" byte — old readers then reject the file up front with
-//! a version error instead of a misleading checksum mismatch, and the
-//! reader's dispatch stays a single `version >= N` branch with no
-//! attacker-controllable algorithm choice in the file itself.
+//! The checksum function is part of the format version, not a negotiable
+//! field: the trailer is the 8-lane [`fnv1a_64_lanes`] (on multi-megabyte
+//! images a single FNV chain is bound by multiply latency and would
+//! dominate the page-in-style load). A future version that wants a
+//! different checksum bumps the version rather than adding a "checksum
+//! kind" byte, so a reader rejects a file it cannot verify with a version
+//! error instead of a misleading checksum mismatch, and no
+//! attacker-controllable algorithm choice lives in the file itself.
 //!
 //! # Live graphs
 //!
@@ -75,17 +69,14 @@
 //! inconsistencies all return errors, never panic.
 
 use crate::columns::TripleColumns;
-use crate::index::{PatternIndexes, PostingMap, PostingRange, TripleMap};
+use crate::index::{PatternIndexes, PostingMap, TripleMap};
 use crate::store::KnowledgeGraph;
-use specqp_common::{
-    fnv1a_64_lanes, fnv1a_64_words, Dictionary, Result, Score, SnapshotError, TermId,
-};
+use specqp_common::{fnv1a_64_lanes, Dictionary, Result, Score, SnapshotError, TermId};
 use std::path::Path;
 
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"SPECQPKG";
-/// Highest snapshot format version this build reads and the version it
-/// writes.
+/// The snapshot format version this build writes and the only one it reads.
 pub const FORMAT_VERSION: u32 = 2;
 
 const SECTION_DICT: u32 = 1;
@@ -130,7 +121,7 @@ fn encode_dict(dict: &Dictionary) -> Vec<u8> {
     buf
 }
 
-fn encode_cols(cols: &TripleColumns, align: bool) -> Vec<u8> {
+fn encode_cols(cols: &TripleColumns) -> Vec<u8> {
     let n = cols.len();
     let mut buf = Vec::with_capacity(8 + n * 20 + 8);
     put_u64(&mut buf, n as u64);
@@ -143,17 +134,15 @@ fn encode_cols(cols: &TripleColumns, align: bool) -> Vec<u8> {
     for &t in cols.objects() {
         put_u32(&mut buf, t.0);
     }
-    if align {
-        // Keep the f64-bits column 8-aligned behind the three u32 columns.
-        pad8(&mut buf);
-    }
+    // Keep the f64-bits column 8-aligned behind the three u32 columns.
+    pad8(&mut buf);
     for &s in cols.scores() {
         put_u64(&mut buf, s.value().to_bits());
     }
     buf
 }
 
-/// Version-2 index section: every map is written as its flat key / start /
+/// Index section: every map is written as its flat key / start /
 /// len columns (keys strictly ascending by construction), then the shared
 /// postings arena and the global list. Fixed strides throughout; 8-byte
 /// columns are kept aligned with explicit padding.
@@ -217,54 +206,6 @@ fn encode_idx(idx: &PatternIndexes) -> Vec<u8> {
     buf
 }
 
-/// Version-1 index section: map entries with inline posting lists, written
-/// key-sorted. Kept for compatibility tests and v1-vs-v2 load benchmarks.
-fn encode_idx_v1(idx: &PatternIndexes) -> Vec<u8> {
-    let mut buf = Vec::new();
-
-    put_u64(&mut buf, idx.spo.len() as u64);
-    for (&k, &i) in idx.spo.keys.iter().zip(&idx.spo.vals) {
-        put_u32(&mut buf, (k >> 64) as u32);
-        put_u32(&mut buf, (k >> 32) as u32);
-        put_u32(&mut buf, k as u32);
-        put_u32(&mut buf, i);
-    }
-
-    let mut pair = |map: &PostingMap<u64>| {
-        put_u64(&mut buf, map.len() as u64);
-        for ((&key, &start), &len) in map.keys.iter().zip(&map.starts).zip(&map.lens) {
-            put_u64(&mut buf, key);
-            put_u32(&mut buf, len);
-            for &i in idx.list(PostingRange { start, len }) {
-                put_u32(&mut buf, i);
-            }
-        }
-    };
-    pair(&idx.sp);
-    pair(&idx.so);
-    pair(&idx.po);
-
-    let mut single = |map: &PostingMap<TermId>| {
-        put_u64(&mut buf, map.len() as u64);
-        for ((&key, &start), &len) in map.keys.iter().zip(&map.starts).zip(&map.lens) {
-            put_u32(&mut buf, key.0);
-            put_u32(&mut buf, len);
-            for &i in idx.list(PostingRange { start, len }) {
-                put_u32(&mut buf, i);
-            }
-        }
-    };
-    single(&idx.s);
-    single(&idx.p);
-    single(&idx.o);
-
-    put_u64(&mut buf, idx.all.len() as u64);
-    for &i in &idx.all {
-        put_u32(&mut buf, i);
-    }
-    buf
-}
-
 /// Serializes `graph` into an in-memory snapshot image (format version 2).
 ///
 /// A graph carrying a live-write overlay is flattened first (snapshots are
@@ -276,7 +217,7 @@ pub fn write_snapshot(graph: &KnowledgeGraph) -> Vec<u8> {
     }
     let sections = [
         (SECTION_DICT, encode_dict(&graph.dict)),
-        (SECTION_COLS, encode_cols(&graph.cols, true)),
+        (SECTION_COLS, encode_cols(&graph.cols)),
         (SECTION_IDX, encode_idx(&graph.indexes)),
     ];
     let payload_len: usize = sections.iter().map(|(_, b)| pad8_len(b.len())).sum();
@@ -293,41 +234,10 @@ pub fn write_snapshot(graph: &KnowledgeGraph) -> Vec<u8> {
         out.extend_from_slice(body);
         pad8(&mut out);
     }
-    // The v2 trailer uses the 8-lane word FNV: on the multi-megabyte images
-    // this section layout targets, the single-chain variant is bound by
-    // multiply latency and would dominate the whole page-in-style load.
+    // The trailer uses the 8-lane word FNV: on the multi-megabyte images
+    // this section layout targets, a single chain is bound by multiply
+    // latency and would dominate the whole page-in-style load.
     let checksum = fnv1a_64_lanes(&out);
-    put_u64(&mut out, checksum);
-    out
-}
-
-/// Serializes `graph` into a **format version 1** snapshot image (12-byte
-/// table entries, unaligned back-to-back sections, per-entry index
-/// encoding). Current readers accept it; kept so compatibility tests and
-/// the bench probe can exercise the v1 decode path against real bytes.
-/// Overlay graphs are flattened first, like [`write_snapshot`].
-pub fn write_snapshot_v1(graph: &KnowledgeGraph) -> Vec<u8> {
-    if graph.has_overlay() {
-        return write_snapshot_v1(&graph.flattened());
-    }
-    let sections = [
-        (SECTION_DICT, encode_dict(&graph.dict)),
-        (SECTION_COLS, encode_cols(&graph.cols, false)),
-        (SECTION_IDX, encode_idx_v1(&graph.indexes)),
-    ];
-    let payload_len: usize = sections.iter().map(|(_, b)| b.len()).sum();
-    let mut out = Vec::with_capacity(16 + sections.len() * 12 + payload_len + 8);
-    out.extend_from_slice(&MAGIC);
-    put_u32(&mut out, 1);
-    put_u32(&mut out, sections.len() as u32);
-    for (id, body) in &sections {
-        put_u32(&mut out, *id);
-        put_u64(&mut out, body.len() as u64);
-    }
-    for (_, body) in &sections {
-        out.extend_from_slice(body);
-    }
-    let checksum = fnv1a_64_words(&out);
     put_u64(&mut out, checksum);
     out
 }
@@ -375,8 +285,8 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
-    /// Skips to the next 8-byte boundary (v2 sections keep 8-byte-wide
-    /// columns aligned with zero padding).
+    /// Skips to the next 8-byte boundary (sections keep 8-byte-wide columns
+    /// aligned with zero padding).
     fn align8(&mut self) -> Result<(), SnapshotError> {
         let target = pad8_len(self.pos);
         self.take(target - self.pos)?;
@@ -400,17 +310,6 @@ impl<'a> Cursor<'a> {
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
             .collect())
-    }
-
-    /// Bulk-decodes `n` little-endian u32s, appending into `out` (the
-    /// postings-arena fill path — no per-list allocation).
-    fn u32_into(&mut self, n: usize, out: &mut Vec<u32>) -> Result<(), SnapshotError> {
-        let raw = self.take(n.checked_mul(4).ok_or_else(|| self.truncated())?)?;
-        out.extend(
-            raw.chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
-        );
-        Ok(())
     }
 
     /// Bulk-decodes `n` little-endian u64s in one bounds check.
@@ -472,11 +371,7 @@ fn decode_dict(bytes: &[u8]) -> Result<Dictionary, SnapshotError> {
     Dictionary::from_names(names).map_err(|e| SnapshotError::Corrupt(e.to_string()))
 }
 
-fn decode_cols(
-    bytes: &[u8],
-    dict_len: usize,
-    aligned: bool,
-) -> Result<TripleColumns, SnapshotError> {
+fn decode_cols(bytes: &[u8], dict_len: usize) -> Result<TripleColumns, SnapshotError> {
     let mut c = Cursor::new(bytes, "triple columns");
     let n = c.count(20)?;
     let term_col = |c: &mut Cursor<'_>, what: &str| -> Result<Vec<TermId>, SnapshotError> {
@@ -492,9 +387,7 @@ fn decode_cols(
     let s = term_col(&mut c, "subject")?;
     let p = term_col(&mut c, "predicate")?;
     let o = term_col(&mut c, "object")?;
-    if aligned {
-        c.align8()?;
-    }
+    c.align8()?;
     let mut score = Vec::with_capacity(n);
     for bits in c.u64_vec(n)? {
         let v = f64::from_bits(bits);
@@ -542,7 +435,7 @@ fn unsorted(what: &str) -> SnapshotError {
     SnapshotError::Corrupt(format!("{what} keys not strictly ascending"))
 }
 
-/// Version-2 index decode: bulk column copies straight into the
+/// Index decode: bulk column copies straight into the
 /// sorted-array maps. The only per-entry work left is validation
 /// (key order, range bounds, posting bounds) — no hashing, no inserts.
 fn decode_idx(bytes: &[u8], n_triples: usize) -> Result<PatternIndexes, SnapshotError> {
@@ -619,103 +512,7 @@ fn decode_idx(bytes: &[u8], n_triples: usize) -> Result<PatternIndexes, Snapshot
     })
 }
 
-/// Version-1 index decode: per-entry map records with inline posting lists.
-/// V1 writers emitted entries key-sorted, so this fills the sorted-array
-/// representation sequentially (posting lists concatenate into the shared
-/// arena in file order — still no hashing on the load path).
-fn decode_idx_v1(bytes: &[u8], n_triples: usize) -> Result<PatternIndexes, SnapshotError> {
-    let mut c = Cursor::new(bytes, "pattern indexes");
-
-    let spo_count = c.count(16)?;
-    let mut spo = TripleMap::default();
-    let spo_raw = c.u32_vec(spo_count * 4)?;
-    for e in spo_raw.chunks_exact(4) {
-        let key = (u128::from(e[0]) << 64) | (u128::from(e[1]) << 32) | u128::from(e[2]);
-        check_list(&e[3..4], n_triples)?;
-        if spo.keys.last().is_some_and(|&last| key <= last) {
-            return Err(unsorted("spo"));
-        }
-        spo.keys.push(key);
-        spo.vals.push(e[3]);
-    }
-
-    let mut arena: Vec<u32> = Vec::with_capacity(6 * n_triples);
-    let pair =
-        |c: &mut Cursor<'_>, arena: &mut Vec<u32>| -> Result<PostingMap<u64>, SnapshotError> {
-            let count = c.count(12)?;
-            let mut map = PostingMap::default();
-            for _ in 0..count {
-                let key = c.u64()?;
-                let len = c.u32()?;
-                let start = arena.len() as u64;
-                c.u32_into(len as usize, arena)?;
-                check_list(&arena[start as usize..], n_triples)?;
-                if map.keys.last().is_some_and(|&last| key <= last) {
-                    return Err(unsorted("pair-map"));
-                }
-                map.keys.push(key);
-                map.starts.push(start);
-                map.lens.push(len);
-            }
-            Ok(map)
-        };
-    let sp = pair(&mut c, &mut arena)?;
-    let so = pair(&mut c, &mut arena)?;
-    let po = pair(&mut c, &mut arena)?;
-
-    let single =
-        |c: &mut Cursor<'_>, arena: &mut Vec<u32>| -> Result<PostingMap<TermId>, SnapshotError> {
-            let count = c.count(8)?;
-            let mut map = PostingMap::default();
-            for _ in 0..count {
-                let key = TermId(c.u32()?);
-                let len = c.u32()?;
-                let start = arena.len() as u64;
-                c.u32_into(len as usize, arena)?;
-                check_list(&arena[start as usize..], n_triples)?;
-                if map.keys.last().is_some_and(|&last| key <= last) {
-                    return Err(unsorted("single-map"));
-                }
-                map.keys.push(key);
-                map.starts.push(start);
-                map.lens.push(len);
-            }
-            Ok(map)
-        };
-    let s = single(&mut c, &mut arena)?;
-    let p = single(&mut c, &mut arena)?;
-    let o = single(&mut c, &mut arena)?;
-
-    let all_count = c.count(4)?;
-    let all = c.u32_vec(all_count)?;
-    check_list(&all, n_triples)?;
-    if all.len() != n_triples {
-        return Err(SnapshotError::Corrupt(format!(
-            "global list has {} entries for {} triples",
-            all.len(),
-            n_triples
-        )));
-    }
-    if !c.done() {
-        return Err(SnapshotError::Corrupt(
-            "pattern indexes: trailing bytes after global list".into(),
-        ));
-    }
-    Ok(PatternIndexes {
-        spo,
-        sp,
-        so,
-        po,
-        s,
-        p,
-        o,
-        postings: arena,
-        all,
-    })
-}
-
-/// Deserializes a snapshot image produced by [`write_snapshot`] (or a
-/// version-1 image produced by an older build / [`write_snapshot_v1`]).
+/// Deserializes a snapshot image produced by [`write_snapshot`].
 ///
 /// Validates the magic, version, overall framing and FNV-1a trailer before
 /// touching any section, then checks every cross-reference (term ids against
@@ -735,7 +532,7 @@ pub fn read_snapshot(bytes: &[u8]) -> Result<KnowledgeGraph> {
         return Err(header_err("header").into());
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version == 0 || version > FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
@@ -743,27 +540,20 @@ pub fn read_snapshot(bytes: &[u8]) -> Result<KnowledgeGraph> {
         .into());
     }
     let section_count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    // v1: 12-byte table entries, bodies packed back to back.
-    // v2: 16-byte table entries, bodies zero-padded to 8-byte boundaries.
-    let (entry_bytes, aligned) = if version >= 2 {
-        (16, true)
-    } else {
-        (12, false)
-    };
-    let table_end = 16 + section_count * entry_bytes;
+    // 16-byte table entries; bodies zero-padded to 8-byte boundaries.
+    let table_end = 16 + section_count * 16;
     if bytes.len() < table_end {
         return Err(header_err("section table").into());
     }
     let mut sections = Vec::with_capacity(section_count);
     let mut payload_len = 0usize;
     for i in 0..section_count {
-        let at = 16 + i * entry_bytes;
+        let at = 16 + i * 16;
         let id = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let len_at = at + entry_bytes - 8;
-        let len = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap());
+        let len = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap());
         let len = usize::try_from(len)
             .map_err(|_| SnapshotError::Corrupt(format!("section {id} length overflows")))?;
-        let stored = if aligned { pad8_len(len) } else { len };
+        let stored = pad8_len(len);
         payload_len = payload_len
             .checked_add(stored)
             .ok_or_else(|| SnapshotError::Corrupt("section lengths overflow".into()))?;
@@ -785,14 +575,7 @@ pub fn read_snapshot(bytes: &[u8]) -> Result<KnowledgeGraph> {
     }
     let body_end = expected_total - 8;
     let expected = u64::from_le_bytes(bytes[body_end..].try_into().unwrap());
-    // v1 trailers were written with the single-chain word FNV; v2 switched
-    // to the 8-lane variant. Old files must keep verifying, so the checksum
-    // function is part of each format version.
-    let actual = if version >= 2 {
-        fnv1a_64_lanes(&bytes[..body_end])
-    } else {
-        fnv1a_64_words(&bytes[..body_end])
-    };
+    let actual = fnv1a_64_lanes(&bytes[..body_end]);
     if expected != actual {
         return Err(SnapshotError::ChecksumMismatch { expected, actual }.into());
     }
@@ -814,17 +597,8 @@ pub fn read_snapshot(bytes: &[u8]) -> Result<KnowledgeGraph> {
     }
     let missing = |name: &str| SnapshotError::Corrupt(format!("required section {name} missing"));
     let dict = decode_dict(dict_bytes.ok_or_else(|| missing("DICT"))?)?;
-    let cols = decode_cols(
-        cols_bytes.ok_or_else(|| missing("COLS"))?,
-        dict.len(),
-        aligned,
-    )?;
-    let idx_body = idx_bytes.ok_or_else(|| missing("IDX"))?;
-    let indexes = if version >= 2 {
-        decode_idx(idx_body, cols.len())?
-    } else {
-        decode_idx_v1(idx_body, cols.len())?
-    };
+    let cols = decode_cols(cols_bytes.ok_or_else(|| missing("COLS"))?, dict.len())?;
+    let indexes = decode_idx(idx_bytes.ok_or_else(|| missing("IDX"))?, cols.len())?;
     Ok(KnowledgeGraph::from_parts(dict, cols, indexes))
 }
 
@@ -911,15 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_image_reads_back_identically() {
-        let g = sample();
-        let bytes = write_snapshot_v1(&g);
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 1);
-        let g2 = read_snapshot(&bytes).unwrap();
-        assert_graphs_answer_identically(&g, &g2);
-    }
-
-    #[test]
     fn v2_sections_are_8_byte_aligned() {
         let bytes = write_snapshot(&sample());
         let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
@@ -939,7 +704,6 @@ mod tests {
     fn snapshot_bytes_are_deterministic() {
         let g = sample();
         assert_eq!(write_snapshot(&g), write_snapshot(&g));
-        assert_eq!(write_snapshot_v1(&g), write_snapshot_v1(&g));
     }
 
     #[test]
@@ -948,8 +712,6 @@ mod tests {
         let g2 = read_snapshot(&write_snapshot(&g)).unwrap();
         assert!(g2.is_empty());
         assert!(g2.matches(PatternKey::any()).is_empty());
-        let g3 = read_snapshot(&write_snapshot_v1(&g)).unwrap();
-        assert!(g3.is_empty());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! A minimal blocking client for the wire protocol, used by the loopback
-//! integration tests and the open-loop bench driver.
+//! integration tests and by benchmark load drivers.
 //!
 //! The client is split-safe: [`SpecQpClient::try_clone`] yields a second
 //! handle over the same TCP connection, so an open-loop driver can send

@@ -393,15 +393,26 @@ pub fn encode_answers(request_id: u64, answers: &[WireAnswer]) -> Vec<u8> {
     out
 }
 
-/// Encodes an `ERROR` payload. The message is truncated to `u16` length.
+/// Bytes of an `ERROR` payload before its message.
+const ERROR_HEADER: usize = 1 + 8 + 1 + 4 + 2;
+
+/// Encodes an `ERROR` payload. The message is cut, on a character
+/// boundary, to the longest prefix that keeps the payload within
+/// [`MAX_FRAME`]: error text can echo client input (a parser message quotes
+/// the offending token), and a frame the writer refuses would close the
+/// connection instead of reporting the error.
 pub fn encode_error(
     request_id: u64,
     code: ErrorCode,
     retry_after_ms: u32,
     message: &str,
 ) -> Vec<u8> {
-    let msg = &message.as_bytes()[..message.len().min(u16::MAX as usize)];
-    let mut out = Vec::with_capacity(16 + msg.len());
+    let mut end = message.len().min(MAX_FRAME - ERROR_HEADER);
+    while !message.is_char_boundary(end) {
+        end -= 1;
+    }
+    let msg = &message.as_bytes()[..end];
+    let mut out = Vec::with_capacity(ERROR_HEADER + msg.len());
     out.push(OP_ERROR);
     out.extend_from_slice(&request_id.to_be_bytes());
     out.push(code as u8);
@@ -735,6 +746,33 @@ mod tests {
                 assert_eq!(message, "queue full");
             }
             other => panic!("expected error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn oversized_error_message_is_cut_to_a_sendable_frame() {
+        // 80 000 bytes of two-byte characters; the leading "x" puts the
+        // frame-size cut in the middle of one.
+        for lead in ["", "x"] {
+            let message = format!("{lead}{}", "é".repeat(40_000));
+            let mut wire = Vec::new();
+            write_frame(
+                &mut wire,
+                &encode_error(4, ErrorCode::Protocol, 0, &message),
+            )
+            .unwrap();
+            let payload = read_frame(&mut &wire[..]).unwrap();
+            match decode_response(&payload).unwrap() {
+                WireResponse::Error {
+                    request_id: 4,
+                    message: got,
+                    ..
+                } => {
+                    assert!(message.starts_with(&got));
+                    assert!(got.len() > MAX_FRAME - ERROR_HEADER - 2, "{}", got.len());
+                }
+                other => panic!("expected error, got {other:?}"),
+            }
         }
     }
 

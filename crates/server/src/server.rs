@@ -56,7 +56,7 @@ struct Counters {
 }
 
 /// Snapshot of the server's rejection counters plus the underlying
-/// service's lifetime stats — everything the probe needs to report
+/// service's lifetime stats — everything a load driver needs to report
 /// accepted/shed behavior under load.
 #[derive(Clone, Debug)]
 pub struct ServerStats {
@@ -470,7 +470,7 @@ fn encode_response_frame(id: u64, response: specqp_service::Response, shared: &S
     }
 }
 
-/// Convenience for tests and the bench driver: encodes a [`WireRequest`]
+/// Convenience for tests and benchmark drivers: encodes a [`WireRequest`]
 /// as a ready-to-send frame payload.
 pub fn request_frame(req: &WireRequest) -> Vec<u8> {
     encode_request(req)

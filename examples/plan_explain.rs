@@ -1,19 +1,54 @@
 //! EXPLAIN-style walkthrough of PLANGEN: prints, for one query, the
-//! expected-score arithmetic behind every keep/prune decision (§3.1–3.2).
+//! expected-score arithmetic behind every keep/prune decision (§3.1–3.2),
+//! the plan, the relaxations the true top-k actually needs, and Spec-QP's
+//! top-k scores next to TriniT's.
 //!
 //! ```text
-//! cargo run --release --example plan_explain
+//! cargo run --release --example plan_explain                   # xkg, query 1, k = 10
+//! cargo run --release --example plan_explain -- twitter 3 10   # [xkg|twitter] [query id] [k]
 //! ```
 
-use datagen::{XkgConfig, XkgGenerator};
-use specqp::Engine;
+use datagen::{TwitterConfig, TwitterGenerator, XkgConfig, XkgGenerator};
+use specqp::{required_relaxations, Engine, QueryOutcome};
 use specqp_stats::{ExactCardinality, ScoreEstimator, StatsCatalog};
 
+/// Reports a bad command line and exits 2.
+fn usage_exit(problem: &str) -> ! {
+    eprintln!("plan_explain: {problem}");
+    eprintln!("usage: plan_explain [xkg|twitter] [query id] [k >= 1]");
+    std::process::exit(2);
+}
+
 fn main() {
-    let ds = XkgGenerator::new(XkgConfig::small(0xBEEF)).generate();
-    let query = &ds.workload.queries[1];
+    let mut args = std::env::args().skip(1);
+    let dataset = args.next().unwrap_or_else(|| "xkg".into());
+    if dataset != "xkg" && dataset != "twitter" {
+        usage_exit(&format!("unknown dataset {dataset:?}"));
+    }
+    let mut number = |what: &str, min: usize, default: usize| match args.next() {
+        None => default,
+        Some(s) => s.parse().ok().filter(|&n| n >= min).unwrap_or_else(|| {
+            usage_exit(&format!("{what} must be an integer >= {min}, got {s:?}"))
+        }),
+    };
+    let qid = number("the query id", 0, 1);
+    let k = number("k", 1, 10);
+    if args.next().is_some() {
+        usage_exit("too many arguments");
+    }
+
+    let ds = if dataset == "xkg" {
+        XkgGenerator::new(XkgConfig::small(0xBEEF)).generate()
+    } else {
+        TwitterGenerator::new(TwitterConfig::small(0xBEEF)).generate()
+    };
+    let Some(query) = ds.workload.queries.get(qid) else {
+        usage_exit(&format!(
+            "query id {qid} is out of range: the {dataset} workload has {} queries",
+            ds.workload.queries.len()
+        ))
+    };
     let dict = ds.graph.dictionary();
-    let k = 10;
 
     println!("{}", ds.summary());
     println!("\nquery:\n{}", query.display(dict));
@@ -67,11 +102,23 @@ fn main() {
         );
     }
 
-    // And the plan the engine actually chooses + its execution.
+    // And the plan the engine actually chooses + its execution, against the
+    // relaxations TriniT's exact top-k shows were needed.
     let engine = Engine::new(&ds.graph, &ds.registry);
     let out = engine.run_specqp(query, k);
+    let trinit = engine.run_trinit(query, k);
     println!("\n{}", out.plan.explain(query, dict));
-    println!("top-{k} answers:");
+    let required = required_relaxations(&ds.graph, query, &ds.registry, &trinit.answers);
+    let required: Vec<String> = required.iter().map(|i| format!("q{}", i + 1)).collect();
+    println!(
+        "required relaxations (ground truth): {}",
+        if required.is_empty() {
+            "none".into()
+        } else {
+            required.join(", ")
+        }
+    );
+    println!("\ntop-{k} answers:");
     for a in &out.answers {
         let x = query.projection()[0];
         println!(
@@ -80,4 +127,12 @@ fn main() {
             a.score.value()
         );
     }
+    let scores = |o: &QueryOutcome| -> Vec<f64> {
+        o.answers
+            .iter()
+            .map(|a| (a.score.value() * 1000.0).round() / 1000.0)
+            .collect()
+    };
+    println!("Spec-QP top-{k} scores: {:?}", scores(&out));
+    println!("TriniT  top-{k} scores: {:?}", scores(&trinit));
 }

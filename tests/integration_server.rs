@@ -156,6 +156,34 @@ fn malformed_frame_gets_protocol_error_and_connection_survives() {
     server.shutdown();
 }
 
+/// An error message longer than a frame is cut, not fatal: a query whose
+/// parse error quotes ~300 KB of escaped control characters still gets a
+/// `Protocol` reply, and the connection keeps serving.
+#[test]
+fn oversized_error_message_is_cut_and_connection_survives() {
+    let service = test_service(2, 8);
+    let server = Server::bind(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = SpecQpClient::connect(server.local_addr()).unwrap();
+    // A dropped reply would otherwise block the test forever.
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+
+    let hostile = format!("\"{}\"", "\u{1}".repeat(60_000));
+    client.send(&hostile, ExecMode::SpecQp, 5, 0, 1).unwrap();
+    match client.recv().unwrap() {
+        WireResponse::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
+        other => panic!("expected protocol error, got {other:?}"),
+    }
+    let answers = expect_answers(
+        client
+            .roundtrip(SINGERS, ExecMode::SpecQp, 3, 0, 1)
+            .unwrap(),
+    );
+    assert_eq!(answers.len(), 3);
+    server.shutdown();
+}
+
 /// Quota exhaustion: a client that bursts past its token bucket gets
 /// `RetryAfter` with a positive back-off hint, while other clients are
 /// unaffected; after the hinted wait the client is admitted again.

@@ -6,12 +6,11 @@
 //! included.
 
 use datagen::{XkgConfig, XkgGenerator};
-use kgstore::snapshot::{
-    load_snapshot, read_snapshot, save_snapshot, write_snapshot, write_snapshot_v1,
-};
+use kgstore::snapshot::{load_snapshot, read_snapshot, save_snapshot, write_snapshot};
 use kgstore::PatternKey;
 use operators::PartialAnswer;
 use specqp::Engine;
+use specqp_common::{Error, SnapshotError};
 use specqp_service::{QueryJob, QueryService, ServiceConfig};
 use std::sync::Arc;
 
@@ -100,35 +99,17 @@ fn service_boots_from_snapshot_file() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A v1 snapshot (the previous on-disk format: unaligned sections,
-/// per-entry inline posting lists) must keep reading back into a graph
-/// indistinguishable from the v2 roundtrip — the version policy promises
-/// old files stay loadable across format bumps.
+/// Readers accept exactly the version they write: an image whose version
+/// field says 1 is refused up front, before its checksum or sections are
+/// looked at.
 #[test]
-fn v1_snapshot_reads_back_identically_to_v2() {
-    let ds = small_xkg();
-    let v1 = read_snapshot(&write_snapshot_v1(&ds.graph)).unwrap();
-    let v2 = read_snapshot(&write_snapshot(&ds.graph)).unwrap();
-    assert_eq!(v1.len(), ds.graph.len());
-    for q in &ds.workload.queries {
-        for p in q.patterns() {
-            let (s, pp, o) = p.const_parts();
-            let key = PatternKey { s, p: pp, o };
-            let (m1, m2) = (v1.matches(key), v2.matches(key));
-            assert_eq!(m1.len(), m2.len(), "{key:?}");
-            for r in 0..m1.len() {
-                assert_eq!(m1.id_at(r), m2.id_at(r), "{key:?} rank {r}");
-                assert_eq!(m1.score_at(r), m2.score_at(r), "{key:?} rank {r}");
-            }
-        }
-    }
-    // And the whole engine agrees with the freshly built graph.
-    let built = Engine::new(&ds.graph, &ds.registry);
-    let loaded = Engine::new(&v1, &ds.registry);
-    for (qi, q) in ds.workload.queries.iter().take(4).enumerate() {
-        let a = built.run_specqp(q, 10);
-        let b = loaded.run_specqp(q, 10);
-        assert_identical_answers(&a.answers, &b.answers, &format!("v1 specqp q{qi}"));
+fn v1_version_field_is_unsupported() {
+    let mut bytes = write_snapshot(&small_xkg().graph);
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    match read_snapshot(&bytes) {
+        Err(Error::Snapshot(SnapshotError::UnsupportedVersion { found: 1, .. })) => {}
+        Err(e) => panic!("expected UnsupportedVersion {{ found: 1 }}, got {e:?}"),
+        Ok(_) => panic!("a version-1 image must not load"),
     }
 }
 
