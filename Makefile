@@ -28,8 +28,10 @@ test:
 	SPECQP_LEARNED=1 $(CARGO) test -q --workspace
 	env -u RUST_TEST_THREADS $(CARGO) test -q --release --test integration_service
 	env -u RUST_TEST_THREADS $(CARGO) test -q --release --test integration_server
+	env -u RUST_TEST_THREADS $(CARGO) test -q --release --test diff_live
 	env -u RUST_TEST_THREADS $(CARGO) test -q --release -p specqp_service
 	env -u RUST_TEST_THREADS $(CARGO) test -q --release -p specqp_server
+	env -u RUST_TEST_THREADS $(CARGO) test -q --release -p kgstore
 
 bench:
 	$(CARGO) bench --no-run --workspace

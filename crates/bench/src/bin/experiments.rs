@@ -15,56 +15,72 @@ use bench::{
 use datagen::{Dataset, TwitterConfig, TwitterGenerator, XkgConfig, XkgGenerator};
 use std::time::Instant;
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Scale {
     Small,
     Full,
 }
 
+/// Every experiment name the binary knows, in `--all` order.
+const EXPERIMENTS: [&str; 8] = [
+    "table2", "table3", "table4", "fig6", "fig7", "fig8", "fig9", "ablation",
+];
+
+const USAGE: &str = "usage: experiments [--all] [table2 table3 table4 fig6 fig7 fig8 fig9 ablation] [--scale small|full]";
+
+#[derive(Debug, PartialEq)]
 struct Args {
-    experiments: Vec<String>,
+    experiments: Vec<&'static str>,
     scale: Scale,
 }
 
-fn parse_args() -> Args {
+/// What the command line asks for, once it is known to be valid.
+#[derive(Debug, PartialEq)]
+enum Command {
+    Run(Args),
+    Help,
+}
+
+/// Parses the arguments after the program name. Unknown experiment names
+/// and bad `--scale` values are errors, so a typo measures nothing instead
+/// of running the rest; repeated names keep their first position.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
     let mut experiments = Vec::new();
     let mut scale = Scale::Full;
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--all" => experiments.extend(
-                [
-                    "table2", "table3", "table4", "fig6", "fig7", "fig8", "fig9", "ablation",
-                ]
-                .map(String::from),
-            ),
+            "--all" => experiments.extend(EXPERIMENTS),
             "--scale" => {
-                let v = args.next().unwrap_or_default();
-                scale = match v.as_str() {
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    other => {
-                        eprintln!("unknown scale {other:?}, expected small|full");
-                        std::process::exit(2);
+                scale = match args.next().as_deref() {
+                    Some("small") => Scale::Small,
+                    Some("full") => Scale::Full,
+                    Some(other) => {
+                        return Err(format!("unknown scale {other:?}, expected small|full"))
                     }
+                    None => return Err("missing value for --scale, expected small|full".into()),
                 };
             }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments [--all] [table2 table3 table4 fig6 fig7 fig8 fig9 ablation] [--scale small|full]"
-                );
-                std::process::exit(0);
-            }
-            exp => experiments.push(exp.to_string()),
+            "--help" | "-h" => return Ok(Command::Help),
+            name => match EXPERIMENTS.iter().find(|&&e| e == name) {
+                Some(&e) => experiments.push(e),
+                None => return Err(format!("unknown experiment {name:?}")),
+            },
         }
     }
     if experiments.is_empty() {
-        experiments.extend(
-            ["table2", "table3", "table4", "fig6", "fig7", "fig8", "fig9"].map(String::from),
-        );
+        experiments.extend(&EXPERIMENTS[..7]);
     }
-    experiments.dedup();
-    Args { experiments, scale }
+    let mut unique = Vec::new();
+    for e in experiments {
+        if !unique.contains(&e) {
+            unique.push(e);
+        }
+    }
+    Ok(Command::Run(Args {
+        experiments: unique,
+        scale,
+    }))
 }
 
 fn build_xkg(scale: Scale) -> Dataset {
@@ -92,17 +108,27 @@ fn build_twitter(scale: Scale) -> Dataset {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Command::Run(args)) => args,
+        Ok(Command::Help) => {
+            eprintln!("{USAGE}");
+            return;
+        }
+        Err(message) => {
+            eprintln!("{message}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let need_xkg = args.experiments.iter().any(|e| {
         matches!(
-            e.as_str(),
+            *e,
             "table2" | "table3" | "table4" | "fig6" | "fig7" | "ablation"
         )
     });
     let need_twitter = args
         .experiments
         .iter()
-        .any(|e| matches!(e.as_str(), "table2" | "table3" | "table4" | "fig8" | "fig9"));
+        .any(|e| matches!(*e, "table2" | "table3" | "table4" | "fig8" | "fig9"));
 
     let mut xkg_report: Option<DatasetReport> = None;
     let mut twitter_report: Option<DatasetReport> = None;
@@ -112,12 +138,12 @@ fn main() {
         let t0 = Instant::now();
         let ds = build_xkg(args.scale);
         eprintln!("built {} in {:.1?}", ds.summary(), t0.elapsed());
-        if args.experiments.iter().any(|e| e == "ablation") {
+        if args.experiments.contains(&"ablation") {
             let t0 = Instant::now();
             ablation_out = Some(bench::ablation_summary(&ds, 10));
             eprintln!("ran planner ablation in {:.1?}", t0.elapsed());
         }
-        if args.experiments.iter().any(|e| e != "ablation") {
+        if args.experiments.iter().any(|&e| e != "ablation") {
             let t0 = Instant::now();
             let report = measure_workload(&ds, &KS, |m| eprintln!("{m}"));
             eprintln!("measured xkg in {:.1?}", t0.elapsed());
@@ -141,9 +167,9 @@ fn main() {
         .flatten()
         .collect();
 
-    for exp in &args.experiments {
+    for &exp in &args.experiments {
         println!();
-        match exp.as_str() {
+        match exp {
             "table2" => println!("{}", render_table2(&both, &KS)),
             "table3" => println!("{}", render_table3(&both, &KS)),
             "table4" => println!("{}", render_table4(&both, &KS)),
@@ -172,7 +198,7 @@ fn main() {
                     println!("{a}");
                 }
             }
-            other => eprintln!("unknown experiment {other:?} — skipped"),
+            other => unreachable!("parse_args admits only known names, got {other:?}"),
         }
     }
 }
@@ -186,5 +212,35 @@ fn write_csv(report: &DatasetReport) {
         } else {
             eprintln!("wrote {}", path.display());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Command, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    fn run(experiments: &[&'static str], scale: Scale) -> Result<Command, String> {
+        Ok(Command::Run(Args {
+            experiments: experiments.to_vec(),
+            scale,
+        }))
+    }
+
+    #[test]
+    fn repeats_keep_their_first_position() {
+        assert_eq!(parse(&["--all", "table2"]), run(&EXPERIMENTS, Scale::Full));
+        assert_eq!(
+            parse(&["fig6", "table2", "fig6", "--scale", "small", "table2"]),
+            run(&["fig6", "table2"], Scale::Small)
+        );
+    }
+
+    #[test]
+    fn no_names_run_the_paper_set() {
+        assert_eq!(parse(&[]), run(&EXPERIMENTS[..7], Scale::Full));
     }
 }

@@ -10,7 +10,11 @@
 //!   [`KnowledgeGraph`] that shares the base columns/indexes by `Arc`;
 //!   readers pin whichever version was current when their query started
 //!   ([`LiveGraph::pinned`]) and keep answering from it unaffected by later
-//!   commits;
+//!   commits. A commit merges no match list: each version merges a key's
+//!   base and delta posting lists on the first
+//!   [`matches`](KnowledgeGraph::matches) of that key and shares the list
+//!   with every later reader of the same version, so a key is merged at
+//!   most once per version and never served from another version's merge;
 //! * **compaction** — when the overlay outgrows its [`CompactionPolicy`]
 //!   (or [`LiveGraph::compact`] is called), the overlay is folded into a
 //!   fresh flat base with re-densified storage ids and a
@@ -257,11 +261,6 @@ impl DeltaStore {
         }
     }
 
-    #[inline]
-    fn is_masked(&self, id: u32) -> bool {
-        self.masked[(id / 64) as usize] & (1u64 << (id % 64)) != 0
-    }
-
     fn mask(&mut self, id: u32) {
         let w = &mut self.masked[(id / 64) as usize];
         let bit = 1u64 << (id % 64);
@@ -318,8 +317,8 @@ impl DeltaStore {
     }
 
     /// Freezes the current delta state into a published version: compacts
-    /// the alive rows into fresh local ids, indexes them, and materializes
-    /// the merged global scan list.
+    /// the alive rows into fresh local ids and indexes them. No match list
+    /// is merged here; the version merges each key on its first read.
     fn freeze_version(&self) -> KnowledgeGraph {
         let mut cols = TripleColumns::new();
         cols.reserve(self.alive_count as usize);
@@ -329,49 +328,12 @@ impl DeltaStore {
             }
         }
         let indexes = PatternIndexes::build(&cols);
-
-        // Merge the base global list (masked rows skipped) with the delta
-        // global list into one score-descending id-ascending scan list.
-        let base_len = self.base.base_len() as u32;
-        let base_all: &[u32] = &self.base.indexes.all;
-        let delta_all: &[u32] = &indexes.all;
-        let mut all =
-            Vec::with_capacity(base_all.len() - self.masked_count as usize + delta_all.len());
-        let (mut bi, mut di) = (0usize, 0usize);
-        loop {
-            while bi < base_all.len() && self.is_masked(base_all[bi]) {
-                bi += 1;
-            }
-            match (bi < base_all.len(), di < delta_all.len()) {
-                (false, false) => break,
-                (true, false) => {
-                    all.push(base_all[bi]);
-                    bi += 1;
-                }
-                (false, true) => {
-                    all.push(base_len + delta_all[di]);
-                    di += 1;
-                }
-                (true, true) => {
-                    let bs = self.base.columns().score(base_all[bi] as usize);
-                    let ds = cols.score(delta_all[di] as usize);
-                    if bs >= ds {
-                        all.push(base_all[bi]);
-                        bi += 1;
-                    } else {
-                        all.push(base_len + delta_all[di]);
-                        di += 1;
-                    }
-                }
-            }
-        }
-
         let overlay = OverlaySegment {
             cols,
             indexes,
             masked: self.masked.clone(),
             masked_count: self.masked_count,
-            all,
+            memo: RwLock::default(),
         };
         KnowledgeGraph::overlay_version(&self.base, self.dict.clone(), overlay)
     }
@@ -791,6 +753,81 @@ mod tests {
         let (g2, _) = live.pinned();
         assert_eq!(g2.dictionary().lookup("newterm"), Some(id));
         assert!(g2.dictionary().lookup("another").unwrap() > id);
+    }
+
+    fn churned() -> LiveGraph {
+        let live = LiveGraph::with_policy(base(), CompactionPolicy::never());
+        let mut b1 = WriteBatch::new();
+        b1.assert("d", "type", "singer", 7.0);
+        b1.retract("b", "type", "singer");
+        live.commit(&b1);
+        live
+    }
+
+    #[test]
+    fn memo_serves_one_list_per_key_to_concurrent_readers() {
+        let live = churned();
+        let (g, _) = live.pinned();
+        let id = |name| g.dictionary().lookup(name).unwrap();
+        // Every key's list mixes masked base rows and delta rows.
+        let keys = [
+            PatternKey::po(id("type"), id("singer")),
+            PatternKey::p_only(id("type")),
+            PatternKey::o_only(id("singer")),
+            PatternKey::s_only(id("a")),
+            PatternKey::any(),
+        ];
+        let lists: Vec<Vec<Vec<u32>>> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        keys.iter()
+                            .map(|&k| g.matches(k).ids().to_vec())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for other in &lists[1..] {
+            assert_eq!(other, &lists[0]);
+        }
+        for (&key, ids) in keys.iter().zip(&lists[0]) {
+            // A later read hits the memo: the very same shared list.
+            let (first, again) = (g.matches(key), g.matches(key));
+            assert_eq!(first.ids(), &ids[..]);
+            assert_eq!(first.ids().as_ptr(), again.ids().as_ptr(), "{key:?}");
+        }
+        assert_eq!(g.matches(PatternKey::any()).len(), g.len());
+    }
+
+    #[test]
+    fn memo_never_serves_a_list_merged_for_another_version() {
+        let live = churned();
+        let (g1, _) = live.pinned();
+        let ty = g1.dictionary().lookup("type").unwrap();
+        let singer = g1.dictionary().lookup("singer").unwrap();
+        let key = PatternKey::po(ty, singer);
+        let before = po(&g1, "type", "singer");
+        assert_eq!(
+            before,
+            vec![("a".into(), 10.0), ("d".into(), 7.0), ("c".into(), 2.0)]
+        );
+        assert_eq!(g1.matches(PatternKey::any()).len(), 4);
+
+        let mut b2 = WriteBatch::new();
+        b2.assert("e", "type", "singer", 5.0);
+        b2.retract("a", "type", "singer");
+        live.commit(&b2);
+        let (g2, _) = live.pinned();
+        assert_eq!(
+            po(&g2, "type", "singer"),
+            vec![("d".into(), 7.0), ("e".into(), 5.0), ("c".into(), 2.0)]
+        );
+        assert_eq!(g2.matches(PatternKey::any()).len(), 4);
+        assert_ne!(g1.matches(key).ids(), g2.matches(key).ids());
+        // The older version still serves its own merge.
+        assert_eq!(po(&g1, "type", "singer"), before);
     }
 
     #[test]

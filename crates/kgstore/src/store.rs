@@ -4,9 +4,12 @@
 //! produced by the builder or a snapshot load — or a flat base plus one
 //! frozen `OverlaySegment` of live writes (asserted rows, retraction
 //! masks) produced by [`LiveGraph::commit`](crate::live::LiveGraph::commit).
-//! Every access path merges the two sides on the fly while preserving the
-//! storage-level contract operators rely on: matches stream in descending
-//! raw-score order, ties broken by ascending storage index.
+//! On an overlay version a key's match list is the base and delta posting
+//! lists merged under the retraction mask; the merge runs once per
+//! (version, key), on the first [`KnowledgeGraph::matches`] that needs it,
+//! and every later reader of that version shares the result. Either way the
+//! storage-level contract operators rely on holds: matches stream in
+//! descending raw-score order, ties broken by ascending storage index.
 //!
 //! Storage indexes form one global id space: base rows keep their ids
 //! `0..base_len`, delta rows live at `base_len..base_len + delta_len`.
@@ -22,16 +25,17 @@ use crate::index::{PatternIndexes, PostingRange};
 use crate::pattern_key::{pack2, pack3, PatternKey, Signature};
 use crate::triple::{ScoredTriple, Triple};
 use specqp_common::Dictionary;
-use specqp_common::{Score, TermId};
+use specqp_common::{FxHashMap, Score, TermId};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// A frozen layer of live writes on top of an immutable base.
 ///
 /// Built by the delta store when a write batch commits: `cols`/`indexes`
 /// hold only the *alive* delta rows (local ids `0..delta_len`), `masked` is
-/// a bitset of retracted/replaced base rows, and `all` is the fully merged
-/// global scan list so the all-wildcard signature stays a borrowed slice.
+/// a bitset of retracted/replaced base rows, and `memo` starts empty. A
+/// commit merges no list; [`KnowledgeGraph::matches`] merges each key on
+/// its first read of this version and publishes the list in `memo`.
 #[derive(Debug, Default)]
 pub(crate) struct OverlaySegment {
     /// Alive delta rows, local ids (global id = `base_len + local`).
@@ -42,8 +46,11 @@ pub(crate) struct OverlaySegment {
     pub(crate) masked: Vec<u64>,
     /// Number of set bits in `masked`.
     pub(crate) masked_count: u32,
-    /// Merged global scan list (score desc, id asc), masking applied.
-    pub(crate) all: Vec<u32>,
+    /// Merged global id lists (score desc, id asc, masking applied), one
+    /// per key read on this version. The first reader of a key inserts it;
+    /// the merge is deterministic, so a racing second merge is identical
+    /// and dropped.
+    pub(crate) memo: RwLock<FxHashMap<PatternKey, Arc<[u32]>>>,
 }
 
 impl OverlaySegment {
@@ -59,7 +66,13 @@ impl OverlaySegment {
         self.cols.approx_bytes()
             + self.indexes.approx_bytes()
             + self.masked.len() * 8
-            + self.all.len() * 4
+            + self
+                .memo
+                .read()
+                .expect("overlay memo poisoned")
+                .values()
+                .map(|ids| ids.len() * 4)
+                .sum::<usize>()
     }
 }
 
@@ -87,8 +100,9 @@ pub struct KnowledgeGraph {
 
 static EMPTY: [u32; 0] = [];
 
-/// Resolves the posting list for a 1- or 2-bound signature in `idx`.
-/// `Spo` and `Xxx` have dedicated paths in the callers.
+/// Resolves the posting list for any signature but `Spo` in `idx` (the
+/// all-wildcard key is the global list); `Spo` has dedicated paths in the
+/// callers.
 fn keyed_list(idx: &PatternIndexes, key: PatternKey) -> &[u32] {
     let resolve = |r: Option<PostingRange>| -> &[u32] { r.map(|r| idx.list(r)).unwrap_or(&EMPTY) };
     match key.signature() {
@@ -98,7 +112,8 @@ fn keyed_list(idx: &PatternIndexes, key: PatternKey) -> &[u32] {
         Signature::Sxx => resolve(idx.s.get(key.s.unwrap())),
         Signature::XpX => resolve(idx.p.get(key.p.unwrap())),
         Signature::XxO => resolve(idx.o.get(key.o.unwrap())),
-        Signature::Spo | Signature::Xxx => unreachable!("handled by the callers"),
+        Signature::Xxx => &idx.all,
+        Signature::Spo => unreachable!("handled by the callers"),
     }
 }
 
@@ -149,7 +164,7 @@ impl KnowledgeGraph {
     /// overlay rows).
     pub fn len(&self) -> usize {
         match &self.overlay {
-            Some(ov) => ov.all.len(),
+            Some(ov) => self.cols.len() - ov.masked_count as usize + ov.cols.len(),
             None => self.cols.len(),
         }
     }
@@ -236,11 +251,12 @@ impl KnowledgeGraph {
     ///
     /// Fully bound keys yield a 0- or 1-element list; everything else is a
     /// posting-list lookup; the all-wildcard key returns the global list.
-    /// On a flat graph every list borrows the postings arena directly; with
-    /// an overlay the base and delta lists are merged (and retraction masks
-    /// applied) into an owned list, except when the delta side has no
-    /// matches and nothing is masked — then the borrowed fast path still
-    /// applies.
+    /// On a flat graph every list borrows the postings arena directly. With
+    /// an overlay, the first read of a key on this version merges the base
+    /// and delta lists (retraction masks applied) and memoizes the result;
+    /// every later read of the key on this version shares that list. When
+    /// the delta side has no matches and nothing is masked, the borrowed
+    /// fast path still applies.
     pub fn matches(&self, key: PatternKey) -> MatchList<'_> {
         let ids = match &self.overlay {
             None => self.flat_ids(key),
@@ -270,38 +286,39 @@ impl KnowledgeGraph {
                     None => &EMPTY,
                 }
             }
-            Signature::Xxx => &idx.all,
             _ => keyed_list(idx, key),
         };
         Ids::Borrowed(ids)
     }
 
-    /// Overlay-graph id resolution: merge base and delta lists under the
-    /// retraction mask, preserving `(score desc, global id asc)` order.
+    /// Overlay-graph id resolution: base and delta lists merged under the
+    /// retraction mask in `(score desc, global id asc)` order, through the
+    /// version's memo so each key is merged at most once per version.
     fn merged_ids<'g>(&'g self, key: PatternKey, ov: &'g OverlaySegment) -> Ids<'g> {
-        let base_len = self.cols.len() as u32;
-        match key.signature() {
-            Signature::Spo => {
-                let (s, p, o) = (key.s.unwrap(), key.p.unwrap(), key.o.unwrap());
-                let packed = pack3(s, p, o);
-                if let Some(local) = ov.indexes.spo.get(packed) {
-                    return Ids::Owned(vec![base_len + local]);
-                }
-                match self.indexes.spo.get(packed) {
-                    Some(i) if !ov.is_masked(i) => Ids::Owned(vec![i]),
-                    _ => Ids::Borrowed(&EMPTY),
-                }
+        if key.signature() == Signature::Spo {
+            let (s, p, o) = (key.s.unwrap(), key.p.unwrap(), key.o.unwrap());
+            let packed = pack3(s, p, o);
+            if let Some(local) = ov.indexes.spo.get(packed) {
+                return Ids::Shared(Arc::from([self.cols.len() as u32 + local]));
             }
-            Signature::Xxx => Ids::Borrowed(&ov.all),
-            _ => {
-                let base = keyed_list(&self.indexes, key);
-                let delta = keyed_list(&ov.indexes, key);
-                if delta.is_empty() && ov.masked_count == 0 {
-                    return Ids::Borrowed(base);
-                }
-                Ids::Owned(self.merge_lists(base, delta, ov))
-            }
+            return match self.indexes.spo.get(packed) {
+                Some(i) if !ov.is_masked(i) => Ids::Shared(Arc::from([i])),
+                _ => Ids::Borrowed(&EMPTY),
+            };
         }
+        let base = keyed_list(&self.indexes, key);
+        let delta = keyed_list(&ov.indexes, key);
+        if delta.is_empty() && ov.masked_count == 0 {
+            return Ids::Borrowed(base);
+        }
+        if let Some(ids) = ov.memo.read().expect("overlay memo poisoned").get(&key) {
+            return Ids::Shared(Arc::clone(ids));
+        }
+        // Merge outside the lock; if another reader published the key
+        // meanwhile, its (identical) list wins and this one is dropped.
+        let merged: Arc<[u32]> = self.merge_lists(base, delta, ov).into();
+        let mut memo = ov.memo.write().expect("overlay memo poisoned");
+        Ids::Shared(Arc::clone(memo.entry(key).or_insert(merged)))
     }
 
     /// Two-pointer merge of a base posting list and a delta posting list
@@ -416,11 +433,12 @@ impl KnowledgeGraph {
 }
 
 /// Either a borrowed arena slice (flat graphs, and overlay lookups that
-/// touch no delta rows or masks) or an owned merged list.
+/// touch no delta rows or masks) or a merged list shared with the overlay
+/// version's memo.
 #[derive(Clone)]
 enum Ids<'g> {
     Borrowed(&'g [u32]),
-    Owned(Vec<u32>),
+    Shared(Arc<[u32]>),
 }
 
 /// A score-descending list of triples matching one pattern.
@@ -428,8 +446,9 @@ enum Ids<'g> {
 /// This is the storage-level contract every operator relies on: positional
 /// access is by *rank* (0 = best). `max_score` is the normalizer of Def. 5.
 /// On flat graphs the list borrows the postings arena (zero-copy); on
-/// overlay graphs it may own a merged base+delta id list — either way the
-/// rank order is identical to what a from-scratch rebuild would produce.
+/// overlay graphs it may share a merged base+delta id list, built once per
+/// (version, key) on first read — either way the rank order is identical
+/// to what a from-scratch rebuild would produce.
 #[derive(Clone)]
 pub struct MatchList<'g> {
     graph: &'g KnowledgeGraph,
@@ -442,7 +461,7 @@ impl<'g> MatchList<'g> {
     fn slice(&self) -> &[u32] {
         match &self.ids {
             Ids::Borrowed(s) => s,
-            Ids::Owned(v) => v,
+            Ids::Shared(ids) => ids,
         }
     }
 

@@ -7,6 +7,11 @@
 //! Spec-QP and TriniT at two block sizes and with morsels. On top
 //! of the differential:
 //!
+//! * **match lists** — at every epoch each key the query reads, plus the
+//!   all-wildcard key and the exact triples the batch touched, resolves on
+//!   the live version to the rebuilt graph's `(triple, score)` sequence, on
+//!   the first read (the overlay merges the list) and the second (it serves
+//!   the memoized list);
 //! * **epoch isolation** — an engine pinned to the version published after
 //!   the first batch answers byte-identically before and after every later
 //!   commit (a query pinned at epoch N never sees N+1);
@@ -21,7 +26,9 @@
 //! larger than any possible result — answer-set equality at full depth,
 //! immune to tie-order at a top-k boundary.
 
-use kgstore::{CompactionPolicy, KnowledgeGraph, KnowledgeGraphBuilder, LiveGraph, WriteBatch};
+use kgstore::{
+    CompactionPolicy, KnowledgeGraph, KnowledgeGraphBuilder, LiveGraph, PatternKey, WriteBatch,
+};
 use proptest::prelude::*;
 use relax::RelaxationRegistry;
 use sparql::{Query, QueryBuilder};
@@ -93,11 +100,8 @@ fn build_from_model(model: &Model) -> KnowledgeGraph {
     b.build()
 }
 
-/// Builds the same star query against `graph`'s own dictionary; `None`
-/// when a picked term name is absent there (impossible for rebuilt graphs
-/// thanks to the anchors, but checked rather than assumed).
-fn build_query(graph: &KnowledgeGraph, picks: &[u16]) -> Option<Query> {
-    let d = graph.dictionary();
+/// The distinct `?x <p> <o>` / `?x <p> ?y` patterns `picks` select.
+fn chosen_patterns(picks: &[u16]) -> Vec<(u8, Option<u8>)> {
     let mut chosen: Vec<(u8, Option<u8>)> = Vec::new();
     for &pick in picks {
         let p = (pick % u16::from(N_PRED)) as u8;
@@ -111,9 +115,17 @@ fn build_query(graph: &KnowledgeGraph, picks: &[u16]) -> Option<Query> {
             chosen.push((p, o));
         }
     }
+    chosen
+}
+
+/// Builds the same star query against `graph`'s own dictionary; `None`
+/// when a picked term name is absent there (impossible for rebuilt graphs
+/// thanks to the anchors, but checked rather than assumed).
+fn build_query(graph: &KnowledgeGraph, picks: &[u16]) -> Option<Query> {
+    let d = graph.dictionary();
     let mut qb = QueryBuilder::new();
     let x = qb.var("x");
-    for (i, (p, o)) in chosen.iter().enumerate() {
+    for (i, (p, o)) in chosen_patterns(picks).iter().enumerate() {
         let p = d.lookup(&pred(*p))?;
         match o {
             Some(o) => {
@@ -149,6 +161,69 @@ fn canonical(outcome: &QueryOutcome, graph: &KnowledgeGraph) -> CanonicalAnswers
         .collect();
     rows.sort();
     rows
+}
+
+/// A lookup key by term names: `None` is a wildcard.
+type NamedKey = [Option<String>; 3];
+
+/// The rows `graph.matches` returns for `key` in rank order, resolved to
+/// names; a bound name the dictionary lacks matches nothing.
+fn named_matches(graph: &KnowledgeGraph, key: &NamedKey) -> Vec<([String; 3], u64)> {
+    let d = graph.dictionary();
+    let mut ids = [None; 3];
+    for (id, name) in ids.iter_mut().zip(key) {
+        if let Some(name) = name {
+            match d.lookup(name) {
+                Some(t) => *id = Some(t),
+                None => return Vec::new(),
+            }
+        }
+    }
+    let [s, p, o] = ids;
+    graph
+        .matches(PatternKey { s, p, o })
+        .iter_triples()
+        .map(|(t, score)| {
+            let name = |id| d.name_or_unknown(id).to_string();
+            ([name(t.s), name(t.p), name(t.o)], score.value().to_bits())
+        })
+        .collect()
+}
+
+/// The keys whose match lists the differential reads at every epoch: the
+/// query's patterns, the all-wildcard key, and each triple `batch` touched.
+fn probed_keys(picks: &[u16], batch: &[RawOp]) -> Vec<NamedKey> {
+    let mut keys: Vec<NamedKey> = chosen_patterns(picks)
+        .into_iter()
+        .map(|(p, o)| [None, Some(pred(p)), o.map(obj)])
+        .collect();
+    keys.push([None, None, None]);
+    keys.extend(
+        batch
+            .iter()
+            .map(|&(_, s, p, o)| [Some(subj(s)), Some(pred(p)), Some(obj(o))]),
+    );
+    keys
+}
+
+/// Every probed list on the live version equals the rebuilt graph's, on a
+/// first read and on a second one served from the version's memo.
+fn check_match_lists(
+    version: &KnowledgeGraph,
+    rebuilt: &KnowledgeGraph,
+    keys: &[NamedKey],
+    batch: usize,
+) -> Result<(), TestCaseError> {
+    for key in keys {
+        let want = named_matches(rebuilt, key);
+        let first = named_matches(version, key);
+        prop_assert_eq!(&first, &want, "first read of {:?}, batch {}", key, batch);
+        let second = named_matches(version, key);
+        prop_assert_eq!(&second, &want, "second read of {:?}, batch {}", key, batch);
+    }
+    prop_assert_eq!(version.len(), version.iter_scored().count());
+    prop_assert_eq!(version.len(), rebuilt.len());
+    Ok(())
 }
 
 fn apply_to_model(model: &mut Model, ops: &[RawOp], score_base: usize) {
@@ -217,6 +292,7 @@ fn check_live_differential(ops: &[RawOp], picks: &[u16]) -> Result<(), TestCaseE
         );
 
         let (version, _) = live.pinned();
+        check_match_lists(&version, &rebuilt, &probed_keys(picks, chunk), i)?;
         let live_query = build_query(&version, picks).expect("live dict is append-only");
         for (e, engine) in engines.iter().enumerate() {
             let got = canonical(&engine.run_specqp(&live_query, K_ALL), &version);
