@@ -8,6 +8,7 @@ ci: lint build test bench doc example specbench-check
 lint:
 	$(CARGO) fmt --all --check
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
+	! git grep -n 'env::var' -- 'crates/*/src/*' src
 
 fmt:
 	$(CARGO) fmt --all
@@ -15,17 +16,10 @@ fmt:
 build:
 	$(CARGO) build --release --workspace
 
-# The SPECQP_SPEC=fallback lap verifies every Spec-QP run and recovers
-# mis-speculations by delta (tests/diff_speculation.rs: delta == restart up
-# to summation order; the forced-final stage alone is byte-identical to
-# TriniT; tests/diff_exec.rs stays byte-exact across block sizes and with
-# the naive oracle).
+# One workspace lap, then the concurrency suites again in release mode with
+# libtest's own parallelism on top of the service pools.
 test:
 	$(CARGO) test -q --workspace
-	SPECQP_SPEC=fallback $(CARGO) test -q --workspace
-	SPECQP_MORSELS=4 $(CARGO) test -q --workspace
-	SPECQP_CHURN=1 $(CARGO) test -q --workspace
-	SPECQP_LEARNED=1 $(CARGO) test -q --workspace
 	env -u RUST_TEST_THREADS $(CARGO) test -q --release --test integration_service
 	env -u RUST_TEST_THREADS $(CARGO) test -q --release --test integration_server
 	env -u RUST_TEST_THREADS $(CARGO) test -q --release --test diff_live

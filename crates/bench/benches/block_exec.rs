@@ -13,11 +13,11 @@ use specqp::{
 };
 
 fn engine(ds: &Dataset, execution: ExecutionMode) -> Engine<'_> {
-    let e = Engine::with_config(
-        &ds.graph,
-        &ds.registry,
-        EngineConfig::default().with_execution(execution),
-    );
+    let config = EngineConfig {
+        execution,
+        ..EngineConfig::default()
+    };
+    let e = Engine::with_config(&ds.graph, &ds.registry, config);
     // Warm plans + statistics so iterations time execution, not planning.
     for q in &ds.workload.queries {
         e.warm(q, 10);

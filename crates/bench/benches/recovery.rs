@@ -36,14 +36,11 @@ fn bench_recovery(c: &mut Criterion) {
     ];
     let mut group = c.benchmark_group("recovery");
     for (name, ds) in &sets {
-        let engine = || {
-            Engine::with_config(
-                &ds.graph,
-                &ds.registry,
-                EngineConfig::default()
-                    .with_speculation(SpeculationPolicy::Fallback { max_stages: 3 }),
-            )
+        let config = EngineConfig {
+            speculation: SpeculationPolicy::Fallback { max_stages: 3 },
+            ..EngineConfig::default()
         };
+        let engine = || Engine::with_config(&ds.graph, &ds.registry, config);
         for (qid, q) in ds.workload.queries.iter().enumerate() {
             let cold = engine();
             let (plan, _) = cold.plan(q, K);

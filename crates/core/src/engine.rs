@@ -25,12 +25,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How the engine holds a shared structure: borrowed from the caller
-/// (the original lifetime-tied construction path) or co-owned through an
-/// [`Arc`] (the serving path, where the engine must be `'static` so worker
-/// threads can share it).
+/// (zero overhead, lifetime-tied) or co-owned through an [`Arc`] (the
+/// serving path, where the engine must be `'static` so worker threads can
+/// share it). Built by `From` from a `&T` or an `Arc<T>`.
 #[derive(Debug)]
-enum Handle<'g, T> {
+pub enum Handle<'g, T> {
+    /// Borrowed from the caller.
     Borrowed(&'g T),
+    /// Co-owned.
     Shared(Arc<T>),
 }
 
@@ -44,16 +46,50 @@ impl<T> Handle<'_, T> {
     }
 }
 
+impl<'g, T> From<&'g T> for Handle<'g, T> {
+    fn from(r: &'g T) -> Self {
+        Handle::Borrowed(r)
+    }
+}
+
+impl<T> From<Arc<T>> for Handle<'_, T> {
+    fn from(a: Arc<T>) -> Self {
+        Handle::Shared(a)
+    }
+}
+
 /// How the engine holds its graph. The first two mirror [`Handle`]; the
 /// third is the live-write path: the engine holds a [`LiveGraph`] and every
 /// public entry point *pins* the current version for the duration of that
 /// call (see [`PinnedGraph`]), so one query sees one consistent epoch while
-/// writers keep committing.
+/// writers keep committing. Built by `From` from a `&KnowledgeGraph`, an
+/// `Arc<KnowledgeGraph>` or an `Arc<LiveGraph>`.
 #[derive(Debug)]
-enum GraphHandle<'g> {
+pub enum GraphHandle<'g> {
+    /// An immutable graph borrowed from the caller.
     Borrowed(&'g KnowledgeGraph),
+    /// An immutable graph co-owned by the engine.
     Shared(Arc<KnowledgeGraph>),
+    /// A graph accepting concurrent writes.
     Live(Arc<LiveGraph>),
+}
+
+impl<'g> From<&'g KnowledgeGraph> for GraphHandle<'g> {
+    fn from(g: &'g KnowledgeGraph) -> Self {
+        GraphHandle::Borrowed(g)
+    }
+}
+
+impl From<Arc<KnowledgeGraph>> for GraphHandle<'_> {
+    fn from(g: Arc<KnowledgeGraph>) -> Self {
+        GraphHandle::Shared(g)
+    }
+}
+
+impl From<Arc<LiveGraph>> for GraphHandle<'_> {
+    fn from(live: Arc<LiveGraph>) -> Self {
+        GraphHandle::Live(live)
+    }
 }
 
 enum PinnedInner<'e> {
@@ -109,7 +145,17 @@ impl std::fmt::Debug for PinnedGraph<'_> {
     }
 }
 
-/// Tunables of the engine.
+/// Tunables of the engine. Override fields with a struct-update literal:
+///
+/// ```
+/// use specqp::{EngineConfig, SpeculationPolicy};
+///
+/// let config = EngineConfig {
+///     speculation: SpeculationPolicy::Fallback { max_stages: 3 },
+///     ..EngineConfig::default()
+/// };
+/// assert_eq!(config.parallelism, 1);
+/// ```
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Convolution-refit mode used by PLANGEN (paper default: two-bucket).
@@ -121,57 +167,22 @@ pub struct EngineConfig {
     pub execution: ExecutionMode,
     /// The speculation lifecycle policy: whether speculative runs are
     /// verified after draining and whether mis-speculations trigger staged
-    /// delta recovery (see [`crate::speculation`]). The default
-    /// honours the `SPECQP_SPEC` environment variable
-    /// (`off` | `detect` | `fallback` | `fallback:N` | `force`, see
-    /// [`SpeculationPolicy::from_env`]), which is how CI runs the whole test
-    /// suite once with fallback recovery enabled.
+    /// delta recovery (see [`crate::speculation`]). Default: `Off`.
     pub speculation: SpeculationPolicy,
-    /// Worker threads for morsel-driven intra-query parallelism (`1` =
-    /// sequential). When a query has a safely
+    /// Worker threads for morsel-driven intra-query parallelism (`1`, the
+    /// default, and `0` mean sequential). When a query has a safely
     /// partitionable scan (see [`crate::parallel::partition_target`]), its
     /// match list is split into morsels pulled by `parallelism` workers;
-    /// answers are bit-identical to sequential execution. The default
-    /// honours the `SPECQP_MORSELS` environment variable, which is how CI
-    /// runs the whole test suite once under parallel execution.
+    /// answers are bit-identical to sequential execution.
     pub parallelism: usize,
     /// Learned speculation predictions: when `true`, every verified run
     /// feeds an observation (query shape, features, observed k-th score,
     /// per-relaxation best contributions) into the catalog's learned
     /// models, and PLANGEN substitutes confident learned estimates for the
     /// static histogram ones (see [`specqp_stats::LearnedModels`]). Low
-    /// confidence falls back to the histogram path byte-identically. The
-    /// default honours the `SPECQP_LEARNED` environment variable
-    /// (`1` | `0`), which is how CI runs the whole test suite once with
-    /// learning enabled.
+    /// confidence falls back to the histogram path byte-identically.
+    /// Default: off.
     pub learned: bool,
-}
-
-/// Reads `SPECQP_MORSELS` (a positive worker count; unset means `1`).
-/// Panics on garbage so a typo in CI configuration fails loudly instead of
-/// silently testing the wrong executor.
-fn parallelism_from_env() -> usize {
-    match std::env::var("SPECQP_MORSELS") {
-        Err(_) => 1,
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => panic!("SPECQP_MORSELS={v:?} is not a valid worker count (expected >= 1)"),
-        },
-    }
-}
-
-/// Reads `SPECQP_LEARNED` (`1`/`0`; unset means off). Panics on garbage so
-/// a typo in CI configuration fails loudly instead of silently testing the
-/// wrong predictor.
-fn learned_from_env() -> bool {
-    match std::env::var("SPECQP_LEARNED") {
-        Err(_) => false,
-        Ok(v) => match v.trim() {
-            "1" => true,
-            "0" => false,
-            _ => panic!("SPECQP_LEARNED={v:?} is not a valid switch (expected 1 or 0)"),
-        },
-    }
 }
 
 impl Default for EngineConfig {
@@ -180,36 +191,10 @@ impl Default for EngineConfig {
             refit: RefitMode::TwoBucket,
             pull: PullStrategy::Adaptive,
             execution: ExecutionMode::default(),
-            speculation: SpeculationPolicy::from_env(),
-            parallelism: parallelism_from_env(),
-            learned: learned_from_env(),
+            speculation: SpeculationPolicy::Off,
+            parallelism: 1,
+            learned: false,
         }
-    }
-}
-
-impl EngineConfig {
-    /// This configuration with `execution` replaced.
-    pub fn with_execution(mut self, execution: ExecutionMode) -> Self {
-        self.execution = execution;
-        self
-    }
-
-    /// This configuration with `speculation` replaced.
-    pub fn with_speculation(mut self, speculation: SpeculationPolicy) -> Self {
-        self.speculation = speculation;
-        self
-    }
-
-    /// This configuration with `parallelism` replaced (clamped to ≥ 1).
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers.max(1);
-        self
-    }
-
-    /// This configuration with `learned` replaced.
-    pub fn with_learned(mut self, learned: bool) -> Self {
-        self.learned = learned;
-        self
     }
 }
 
@@ -239,20 +224,19 @@ fn kth_score(answers: &[PartialAnswer], k: usize) -> Option<Score> {
 /// 5 consecutive runs for each query and considered the average of the
 /// last 3").
 ///
-/// Three construction paths exist:
+/// [`Engine::new`] and [`Engine::with_config`] take the graph and registry
+/// in any form their handles convert from ([`GraphHandle`], [`Handle`]):
 ///
-/// * **Borrowed** ([`Engine::new`] / [`Engine::with_config`]): the engine
-///   borrows the graph and registry — zero overhead, lifetime-tied.
-/// * **Shared** ([`Engine::shared`] / [`Engine::shared_with_config`]): the
-///   engine co-owns them through [`Arc`]s and is `'static`, so it can be
-///   wrapped in an `Arc` itself and shared across service worker threads.
-/// * **Live** ([`Engine::live`] / [`Engine::live_with_config`]): the engine
-///   holds a [`LiveGraph`] accepting concurrent writes. Every public entry
-///   point pins the version current at call start ([`PinnedGraph`]) so one
-///   query sees one consistent epoch end to end, and the first call that
-///   observes a new epoch invalidates the statistics caches and bumps the
-///   catalog generation — the plan cache drops plans estimated against the
-///   old epoch on sight.
+/// * **Borrowed** (`&KnowledgeGraph`, `&RelaxationRegistry`): zero
+///   overhead, lifetime-tied.
+/// * **Shared** (`Arc`s): the engine is `'static`, so it can be wrapped in
+///   an `Arc` itself and shared across service worker threads.
+/// * **Live** (`Arc<LiveGraph>`): the graph accepts concurrent writes.
+///   Every public entry point pins the version current at call start
+///   ([`PinnedGraph`]) so one query sees one consistent epoch end to end,
+///   and the first call that observes a new epoch invalidates the
+///   statistics caches and bumps the catalog generation — the plan cache
+///   drops plans estimated against the old epoch on sight.
 ///
 /// `Engine` is `Send + Sync` in all three cases.
 pub struct Engine<'g> {
@@ -288,94 +272,34 @@ impl std::fmt::Debug for Engine<'_> {
 
 impl<'g> Engine<'g> {
     /// Engine with the paper's defaults (exact cardinalities, two-bucket
-    /// refit, adaptive rank joins).
-    pub fn new(graph: &'g KnowledgeGraph, registry: &'g RelaxationRegistry) -> Self {
-        Engine {
-            graph: GraphHandle::Borrowed(graph),
-            registry: Handle::Borrowed(registry),
-            chains: ChainRuleSet::new(),
-            catalog: StatsCatalog::new(),
-            cardinality: Box::new(ExactCardinality::new()),
-            plan_cache: PlanCache::default(),
-            config: EngineConfig::default(),
-            last_epoch: AtomicU64::new(0),
-        }
+    /// refit, adaptive rank joins; [`EngineConfig::default`]).
+    pub fn new(
+        graph: impl Into<GraphHandle<'g>>,
+        registry: impl Into<Handle<'g, RelaxationRegistry>>,
+    ) -> Self {
+        Engine::with_config(graph, registry, EngineConfig::default())
     }
 
     /// Engine with explicit configuration.
     pub fn with_config(
-        graph: &'g KnowledgeGraph,
-        registry: &'g RelaxationRegistry,
+        graph: impl Into<GraphHandle<'g>>,
+        registry: impl Into<Handle<'g, RelaxationRegistry>>,
         config: EngineConfig,
     ) -> Self {
+        let graph = graph.into();
+        let epoch = match &graph {
+            GraphHandle::Live(live) => live.epoch(),
+            _ => Epoch::ZERO,
+        };
         Engine {
-            config,
-            ..Engine::new(graph, registry)
-        }
-    }
-
-    /// Owned construction path: the engine co-owns graph and registry, so it
-    /// has no borrowed lifetime and can be moved into (or `Arc`-shared
-    /// across) worker threads.
-    pub fn shared(
-        graph: Arc<KnowledgeGraph>,
-        registry: Arc<RelaxationRegistry>,
-    ) -> Engine<'static> {
-        Engine {
-            graph: GraphHandle::Shared(graph),
-            registry: Handle::Shared(registry),
+            graph,
+            registry: registry.into(),
             chains: ChainRuleSet::new(),
             catalog: StatsCatalog::new(),
             cardinality: Box::new(ExactCardinality::new()),
             plan_cache: PlanCache::default(),
-            config: EngineConfig::default(),
-            last_epoch: AtomicU64::new(0),
-        }
-    }
-
-    /// Owned construction path with explicit configuration.
-    pub fn shared_with_config(
-        graph: Arc<KnowledgeGraph>,
-        registry: Arc<RelaxationRegistry>,
-        config: EngineConfig,
-    ) -> Engine<'static> {
-        Engine {
             config,
-            ..Engine::shared(graph, registry)
-        }
-    }
-
-    /// Live construction path: the engine serves queries from a
-    /// [`LiveGraph`] that accepts concurrent [`LiveGraph::commit`]s. Each
-    /// `run_*` / [`Engine::plan`] call pins the version current when it
-    /// starts and uses it end to end (plan, execute, verify), so answers are
-    /// consistent under concurrent writes. The first call observing a new
-    /// epoch invalidates the cached pattern statistics and cardinality
-    /// memos and bumps the catalog generation, which makes the
-    /// generation-checked plan cache re-plan every shape.
-    pub fn live(live: Arc<LiveGraph>, registry: Arc<RelaxationRegistry>) -> Engine<'static> {
-        let epoch = live.epoch();
-        Engine {
-            graph: GraphHandle::Live(live),
-            registry: Handle::Shared(registry),
-            chains: ChainRuleSet::new(),
-            catalog: StatsCatalog::new(),
-            cardinality: Box::new(ExactCardinality::new()),
-            plan_cache: PlanCache::default(),
-            config: EngineConfig::default(),
             last_epoch: AtomicU64::new(epoch.value()),
-        }
-    }
-
-    /// Live construction path with explicit configuration.
-    pub fn live_with_config(
-        live: Arc<LiveGraph>,
-        registry: Arc<RelaxationRegistry>,
-        config: EngineConfig,
-    ) -> Engine<'static> {
-        Engine {
-            config,
-            ..Engine::live(live, registry)
         }
     }
 
@@ -408,8 +332,8 @@ impl<'g> Engine<'g> {
         self.pin()
     }
 
-    /// The live graph, when this engine was built with [`Engine::live`] —
-    /// the handle writers commit through.
+    /// The live graph, when this engine was built over one — the handle
+    /// writers commit through.
     pub fn live_graph(&self) -> Option<&Arc<LiveGraph>> {
         match &self.graph {
             GraphHandle::Live(live) => Some(live),
@@ -1044,8 +968,7 @@ mod tests {
     }
 
     /// Compile-time proof that the engine can be shared across threads —
-    /// both construction paths, including the `'static` owned one the
-    /// service wraps in an `Arc`.
+    /// borrowed, and the `'static` owned form the service wraps in an `Arc`.
     #[test]
     fn engine_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
@@ -1066,7 +989,7 @@ mod tests {
             let borrowed = Engine::new(&g, &reg);
             borrowed.run_specqp(&q, 10)
         };
-        let shared = Engine::shared(Arc::new(g), Arc::new(reg));
+        let shared = Engine::new(Arc::new(g), Arc::new(reg));
         let got = shared.run_specqp(&q, 10);
         assert_eq!(expect.plan, got.plan);
         assert_eq!(expect.answers.len(), got.answers.len());
@@ -1114,7 +1037,10 @@ mod tests {
         .unwrap();
         let default = Engine::with_config(&g, &reg, EngineConfig::default());
         for size in [1, 64, 4096] {
-            let block_cfg = EngineConfig::default().with_execution(ExecutionMode::Block(size));
+            let block_cfg = EngineConfig {
+                execution: ExecutionMode::Block(size),
+                ..EngineConfig::default()
+            };
             let block = Engine::with_config(&g, &reg, block_cfg);
             for (a, b) in [
                 (default.run_specqp(&q, 10), block.run_specqp(&q, 10)),
@@ -1126,14 +1052,31 @@ mod tests {
         }
     }
 
-    /// The engine pinned to a specific speculation policy (morsels and
-    /// learning come from the environment as usual).
+    /// The default engine under a specific speculation policy.
     fn engine_with_policy<'g>(
         g: &'g KnowledgeGraph,
         reg: &'g RelaxationRegistry,
         policy: SpeculationPolicy,
     ) -> Engine<'g> {
-        Engine::with_config(g, reg, EngineConfig::default().with_speculation(policy))
+        let config = EngineConfig {
+            speculation: policy,
+            ..EngineConfig::default()
+        };
+        Engine::with_config(g, reg, config)
+    }
+
+    /// The default engine under Fallback{3}, with or without learning.
+    fn fallback_engine<'g>(
+        g: &'g KnowledgeGraph,
+        reg: &'g RelaxationRegistry,
+        learned: bool,
+    ) -> Engine<'g> {
+        let config = EngineConfig {
+            speculation: SpeculationPolicy::Fallback { max_stages: 3 },
+            learned,
+            ..EngineConfig::default()
+        };
+        Engine::with_config(g, reg, config)
     }
 
     /// Fallback recovery: a deliberately wrong plan (relaxations pruned even
@@ -1233,7 +1176,7 @@ mod tests {
     #[test]
     fn feedback_refit_invalidates_cached_plan() {
         let (g, reg) = setup();
-        let engine = engine_with_policy(&g, &reg, SpeculationPolicy::Off);
+        let engine = Engine::new(&g, &reg);
         // `small` carries the small→backup relaxation, so the offender bias
         // has something to act on.
         let q = parse_query("SELECT ?s WHERE { ?s <type> <small> }", g.dictionary()).unwrap();
@@ -1487,16 +1430,19 @@ mod tests {
             g.dictionary(),
         )
         .unwrap();
+        // PLANGEN relaxes `small` on its own, so seed the ledger with a run
+        // of the bare plan: Detect flags it and puts `small` on file.
+        let seed = engine.run_speculative(&q, 40, QueryPlan::none_relaxed(2), Duration::ZERO);
+        assert!(seed.report.mis_speculated, "the seed run is flagged");
+        assert!(engine.catalog().generation() >= 1, "the flag bumped it");
         for _ in 0..6 {
             let _ = engine.run_specqp(&q, 40);
         }
         let generation = engine.catalog().generation();
-        // One flag → one exoneration is the worst permissible transient
-        // (plus, under SPECQP_LEARNED=1, one bump when the learned gate
-        // first opens); after that the shape must be settled and the
-        // generation stable — identical repeated observations never count
-        // as revisions.
-        assert!(generation <= 3, "generation oscillated: {generation}");
+        // One flag → one exoneration is the worst permissible transient;
+        // after that the shape must be settled and the generation stable —
+        // identical repeated observations never count as revisions.
+        assert!(generation <= 2, "generation oscillated: {generation}");
         let before = generation;
         let _ = engine.run_specqp(&q, 40);
         let _ = engine.run_specqp(&q, 40);
@@ -1514,20 +1460,8 @@ mod tests {
     #[test]
     fn learned_engine_records_and_converges() {
         let (g, reg) = setup();
-        let learned = Engine::with_config(
-            &g,
-            &reg,
-            EngineConfig::default()
-                .with_speculation(SpeculationPolicy::Fallback { max_stages: 3 })
-                .with_learned(true),
-        );
-        let hist = Engine::with_config(
-            &g,
-            &reg,
-            EngineConfig::default()
-                .with_speculation(SpeculationPolicy::Fallback { max_stages: 3 })
-                .with_learned(false),
-        );
+        let learned = fallback_engine(&g, &reg, true);
+        let hist = fallback_engine(&g, &reg, false);
         let q = parse_query(
             "SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }",
             g.dictionary(),
@@ -1562,13 +1496,12 @@ mod tests {
     #[test]
     fn force_final_records_no_learned_observations() {
         let (g, reg) = setup();
-        let engine = Engine::with_config(
-            &g,
-            &reg,
-            EngineConfig::default()
-                .with_speculation(SpeculationPolicy::ForceFinal)
-                .with_learned(true),
-        );
+        let config = EngineConfig {
+            speculation: SpeculationPolicy::ForceFinal,
+            learned: true,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::with_config(&g, &reg, config);
         let q = parse_query("SELECT ?s WHERE { ?s <type> <small> }", g.dictionary()).unwrap();
         let _ = engine.run_specqp(&q, 10);
         assert_eq!(engine.catalog().learned_counters().observations, 0);
@@ -1581,13 +1514,7 @@ mod tests {
     #[test]
     fn learned_revision_drops_cached_plan() {
         let (g, reg) = setup();
-        let engine = Engine::with_config(
-            &g,
-            &reg,
-            EngineConfig::default()
-                .with_speculation(SpeculationPolicy::Fallback { max_stages: 3 })
-                .with_learned(true),
-        );
+        let engine = fallback_engine(&g, &reg, true);
         let q = parse_query(
             "SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }",
             g.dictionary(),
@@ -1673,7 +1600,7 @@ mod tests {
 
         let (g, reg) = setup();
         let live = Arc::new(LiveGraph::new(g));
-        let engine = Engine::live(Arc::clone(&live), Arc::new(reg));
+        let engine = Engine::new(Arc::clone(&live), Arc::new(reg));
         // `big` has no relaxations, so answer sets are exact.
         let (q, ty, big) = {
             let graph = engine.graph();

@@ -22,8 +22,7 @@
 //!   cardinality oracle,
 //! * [`speculation`] — the runtime speculation lifecycle: mis-speculation
 //!   detection ([`speculation::verify`]), staged delta recovery and
-//!   the statistics feedback loop, governed by [`SpeculationPolicy`]
-//!   (`SPECQP_SPEC`),
+//!   the statistics feedback loop, governed by [`SpeculationPolicy`],
 //! * [`evaluation`] — the paper's quality metrics (§4.3): precision/recall,
 //!   prediction accuracy, average score error,
 //! * [`RunReport`] — timing + the "number of answer objects created" memory
@@ -76,7 +75,7 @@ pub mod plangen;
 pub mod speculation;
 pub mod trace;
 
-pub use engine::{Engine, EngineConfig, PinnedGraph, QueryOutcome};
+pub use engine::{Engine, EngineConfig, GraphHandle, Handle, PinnedGraph, QueryOutcome};
 pub use evaluation::{
     precision_at_k, prediction_covering, prediction_exact, relaxation_contribution_best,
     required_relaxations, score_error, ScoreError,
@@ -91,7 +90,3 @@ pub use plan_cache::{PlanCache, QueryShape};
 pub use plangen::plan_query;
 pub use speculation::{SpeculationPolicy, Verdict};
 pub use trace::RunReport;
-
-// Re-exported so downstream crates (service, bench) can read the learned
-// predictor's counters without depending on the stats crate directly.
-pub use specqp_stats::LearnedCounters;

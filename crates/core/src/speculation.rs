@@ -46,18 +46,13 @@
 //!   plans are re-planned.
 //!
 //! The policy is selected per engine through
-//! [`EngineConfig::speculation`](crate::EngineConfig::speculation), whose
-//! default honours the `SPECQP_SPEC` environment variable.
+//! [`EngineConfig::speculation`](crate::EngineConfig::speculation).
 
 use crate::plan::QueryPlan;
 use operators::PartialAnswer;
 use relax::RelaxationRegistry;
 use sparql::Query;
 use specqp_common::Score;
-
-/// Default number of recovery stages allowed per query under
-/// [`SpeculationPolicy::Fallback`] (`SPECQP_SPEC=fallback`).
-pub const DEFAULT_MAX_STAGES: usize = 3;
 
 /// Safety factor applied to the predicted score floor before the verdict's
 /// [`below_floor`](Verdict::below_floor) diagnostic reports a shortfall: the
@@ -69,28 +64,7 @@ pub const DEFAULT_MAX_STAGES: usize = 3;
 /// need no slack.
 pub const FLOOR_TOLERANCE: f64 = 0.85;
 
-/// How the engine treats speculative runs.
-///
-/// The default is read from the `SPECQP_SPEC` environment variable
-/// (`off` | `detect` | `fallback` | `fallback:N` | `force`), falling back to
-/// [`SpeculationPolicy::Off`]:
-///
-/// ```
-/// use specqp::SpeculationPolicy;
-///
-/// assert_eq!(SpeculationPolicy::parse("off"), Some(SpeculationPolicy::Off));
-/// assert_eq!(SpeculationPolicy::parse("detect"), Some(SpeculationPolicy::Detect));
-/// assert_eq!(
-///     SpeculationPolicy::parse("fallback"),
-///     Some(SpeculationPolicy::Fallback { max_stages: specqp::speculation::DEFAULT_MAX_STAGES }),
-/// );
-/// assert_eq!(
-///     SpeculationPolicy::parse("fallback:2"),
-///     Some(SpeculationPolicy::Fallback { max_stages: 2 }),
-/// );
-/// assert_eq!(SpeculationPolicy::parse("force"), Some(SpeculationPolicy::ForceFinal));
-/// assert_eq!(SpeculationPolicy::parse("fallback:0"), None, "at least one stage");
-/// ```
+/// How the engine treats speculative runs (default: [`SpeculationPolicy::Off`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SpeculationPolicy {
     /// Execute the speculative plan once and return whatever it produced —
@@ -118,69 +92,6 @@ pub enum SpeculationPolicy {
     /// differential suites compare recovered answers against. No feedback is
     /// recorded (a forced verdict says nothing about the plan).
     ForceFinal,
-}
-
-impl SpeculationPolicy {
-    /// Reads `SPECQP_SPEC`, defaulting to [`SpeculationPolicy::Off`].
-    ///
-    /// # Panics
-    /// Panics when the variable is set to something unparseable — CI sets
-    /// this variable on purpose, and a typo silently falling back to `Off`
-    /// would run the whole suite without the lifecycle it meant to test.
-    pub fn from_env() -> Self {
-        match std::env::var("SPECQP_SPEC") {
-            Ok(v) => Self::parse(&v).unwrap_or_else(|| {
-                panic!(
-                    "SPECQP_SPEC={v:?} is not a valid speculation policy \
-                     (expected off | detect | fallback | fallback:N | force)"
-                )
-            }),
-            Err(_) => SpeculationPolicy::Off,
-        }
-    }
-
-    /// Parses `off`, `detect`, `fallback`, `fallback:N` (or `fallback=N`,
-    /// `N ≥ 1`) and `force`.
-    pub fn parse(s: &str) -> Option<Self> {
-        let s = s.trim();
-        if s.eq_ignore_ascii_case("off") {
-            return Some(SpeculationPolicy::Off);
-        }
-        if s.eq_ignore_ascii_case("detect") {
-            return Some(SpeculationPolicy::Detect);
-        }
-        if s.eq_ignore_ascii_case("force") || s.eq_ignore_ascii_case("force-final") {
-            return Some(SpeculationPolicy::ForceFinal);
-        }
-        if s.eq_ignore_ascii_case("fallback") {
-            return Some(SpeculationPolicy::Fallback {
-                max_stages: DEFAULT_MAX_STAGES,
-            });
-        }
-        let rest = s
-            .strip_prefix("fallback:")
-            .or_else(|| s.strip_prefix("fallback="))?;
-        let n: usize = rest.parse().ok()?;
-        if n == 0 {
-            None
-        } else {
-            Some(SpeculationPolicy::Fallback { max_stages: n })
-        }
-    }
-
-    /// `true` when the policy runs the verifier at all.
-    pub fn verifies(self) -> bool {
-        self != SpeculationPolicy::Off
-    }
-
-    /// `true` when the policy may take recovery stages after a
-    /// mis-speculation.
-    pub fn recovers(self) -> bool {
-        matches!(
-            self,
-            SpeculationPolicy::Fallback { .. } | SpeculationPolicy::ForceFinal
-        )
-    }
 }
 
 /// The verifier's classification of one speculative execution.
@@ -412,25 +323,6 @@ mod tests {
             Binding::from_pairs(vec![(Var(0), TermId(id))]),
             Score::new(score),
         )
-    }
-
-    #[test]
-    fn policy_parsing_and_env_contract() {
-        assert_eq!(
-            SpeculationPolicy::parse("OFF"),
-            Some(SpeculationPolicy::Off)
-        );
-        assert_eq!(
-            SpeculationPolicy::parse(" fallback=5 "),
-            Some(SpeculationPolicy::Fallback { max_stages: 5 })
-        );
-        assert_eq!(SpeculationPolicy::parse("bogus"), None);
-        assert_eq!(SpeculationPolicy::parse(""), None);
-        assert!(!SpeculationPolicy::Off.verifies());
-        assert!(SpeculationPolicy::Detect.verifies());
-        assert!(!SpeculationPolicy::Detect.recovers());
-        assert!(SpeculationPolicy::ForceFinal.recovers());
-        assert_eq!(SpeculationPolicy::default(), SpeculationPolicy::Off);
     }
 
     #[test]

@@ -14,10 +14,8 @@
 //! never an unbounded wait), and redeem the returned [`Ticket`] for a
 //! [`Response`]. Requests whose deadline expires while queued are shed
 //! before execution and complete with [`ServiceError::DeadlineExceeded`].
-//! [`QueryService::run_batch`] remains as a thin batch wrapper over the same
-//! path, returning outcomes in submission order with aggregate
-//! throughput/latency statistics; [`QueryService::lifetime_stats`] reports
-//! cumulative counters across all batches and connections.
+//! [`QueryService::lifetime_stats`] reports cumulative counters across all
+//! requests and connections.
 //!
 //! # Quickstart
 //!
@@ -26,7 +24,7 @@
 //! use kgstore::KnowledgeGraphBuilder;
 //! use relax::RelaxationRegistry;
 //! use sparql::parse_query;
-//! use specqp_service::{ExecMode, QueryJob, QueryService, ServiceConfig};
+//! use specqp_service::{QueryService, Request, ServiceConfig, Ticket};
 //!
 //! let mut b = KnowledgeGraphBuilder::new();
 //! b.add("shakira", "rdf:type", "singer", 100.0);
@@ -36,15 +34,15 @@
 //!
 //! let q = parse_query("SELECT ?s WHERE { ?s <rdf:type> <singer> }", graph.dictionary()).unwrap();
 //! let service = QueryService::new(graph, registry, ServiceConfig::with_threads(2));
-//! let jobs: Vec<QueryJob> = (0..8).map(|_| QueryJob::specqp(q.clone(), 5)).collect();
-//! let report = service.run_batch(&jobs);
-//!
-//! assert_eq!(report.outcomes.len(), 8);
-//! assert!(report.outcomes.iter().all(|o| o.answers.len() == 2));
-//! assert!(report.stats.queries_per_sec > 0.0);
+//! let tickets: Vec<Ticket> = (0..8)
+//!     .map(|_| service.submit(Request::new(q.clone(), 5)).unwrap())
+//!     .collect();
+//! for ticket in tickets {
+//!     assert_eq!(ticket.wait().outcome.unwrap().answers.len(), 2);
+//! }
 //! // The 8 identical shapes share one cached plan; at most one racing
 //! // miss per worker thread before the first insert lands.
-//! assert!(report.stats.cache.hits >= 6);
+//! assert!(service.engine().plan_cache_metrics().hits() >= 6);
 //! ```
 
 pub mod error;
@@ -68,7 +66,7 @@ use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Which executor a job runs through.
+/// Which executor a request runs through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
     /// Speculative planning + execution (the paper's Spec-QP), including
@@ -81,7 +79,7 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// Every mode, in the order used by [`BatchStats::per_mode`].
+    /// Every mode, in the order used by [`ServiceStats::per_mode`].
     pub const ALL: [ExecMode; 3] = [ExecMode::SpecQp, ExecMode::TriniT, ExecMode::Naive];
 
     /// Stable index of this mode inside [`ExecMode::ALL`].
@@ -107,46 +105,6 @@ impl ExecMode {
     /// this byte.
     pub fn from_index(i: usize) -> Option<ExecMode> {
         ExecMode::ALL.get(i).copied()
-    }
-}
-
-/// One unit of work: a query, the answer budget `k` and the executor mode.
-#[derive(Clone, Debug)]
-pub struct QueryJob {
-    /// The query to answer.
-    pub query: Query,
-    /// Top-k budget.
-    pub k: usize,
-    /// Executor selection.
-    pub mode: ExecMode,
-}
-
-impl QueryJob {
-    /// A Spec-QP job.
-    pub fn specqp(query: Query, k: usize) -> Self {
-        QueryJob {
-            query,
-            k,
-            mode: ExecMode::SpecQp,
-        }
-    }
-
-    /// A TriniT-baseline job.
-    pub fn trinit(query: Query, k: usize) -> Self {
-        QueryJob {
-            query,
-            k,
-            mode: ExecMode::TriniT,
-        }
-    }
-
-    /// A naive ground-truth job.
-    pub fn naive(query: Query, k: usize) -> Self {
-        QueryJob {
-            query,
-            k,
-            mode: ExecMode::Naive,
-        }
     }
 }
 
@@ -232,17 +190,6 @@ impl Request {
     pub fn with_client(mut self, client_id: u64) -> Self {
         self.client_id = client_id;
         self
-    }
-
-    /// The batch-API equivalent of this request (mode + k + query).
-    pub fn from_job(job: &QueryJob) -> Self {
-        Request::new(job.query.clone(), job.k).with_mode(job.mode)
-    }
-}
-
-impl From<QueryJob> for Request {
-    fn from(job: QueryJob) -> Self {
-        Request::new(job.query, job.k).with_mode(job.mode)
     }
 }
 
@@ -406,125 +353,7 @@ impl ServiceConfig {
     }
 }
 
-/// Snapshot of the engine's plan-cache counters at the end of a batch.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CacheSnapshot {
-    /// Total lookups (`hits + misses`).
-    pub lookups: u64,
-    /// Lookups answered from the cache (PLANGEN skipped).
-    pub hits: u64,
-    /// Lookups that had to run PLANGEN.
-    pub misses: u64,
-    /// Plans inserted.
-    pub insertions: u64,
-    /// Plans evicted by capacity pressure.
-    pub evictions: u64,
-    /// Entries dropped (or refreshed) because a statistics feedback refit
-    /// bumped the catalog generation after they were planned.
-    pub stale: u64,
-    /// `hits / lookups` in `[0, 1]`.
-    pub hit_rate: f64,
-}
-
-/// Latency breakdown for the jobs of one [`ExecMode`] within a batch.
-#[derive(Clone, Copy, Debug)]
-pub struct ModeLatency {
-    /// The mode these numbers describe.
-    pub mode: ExecMode,
-    /// Jobs of this mode in the batch.
-    pub queries: usize,
-    /// Mean per-query latency.
-    pub mean_latency: Duration,
-    /// Median per-query latency.
-    pub p50_latency: Duration,
-    /// 95th-percentile per-query latency.
-    pub p95_latency: Duration,
-    /// Worst per-query latency.
-    pub max_latency: Duration,
-}
-
-/// Speculation-lifecycle totals over one batch, aggregated from the
-/// per-query [`specqp::RunReport`]s (all zeros under
-/// `SpeculationPolicy::Off` or when the batch held no Spec-QP jobs).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SpeculationTotals {
-    /// Spec-QP jobs in the batch (the runs the lifecycle applies to).
-    pub speculative_runs: u64,
-    /// Runs the verifier classified as mis-speculated.
-    pub mis_speculations: u64,
-    /// Runs that took at least one fallback (recovery) stage.
-    pub fallback_runs: u64,
-    /// Total fallback stages across the batch.
-    pub fallback_stages: u64,
-    /// Total answer objects created to no effect (`RunReport::wasted_answers`).
-    pub wasted_answers: u64,
-    /// Total time spent in the verifier.
-    pub verify: Duration,
-}
-
-impl SpeculationTotals {
-    /// `mis_speculations / speculative_runs` in `[0, 1]` (0 when the batch
-    /// held no speculative runs).
-    pub fn mis_speculation_rate(&self) -> f64 {
-        if self.speculative_runs == 0 {
-            0.0
-        } else {
-            self.mis_speculations as f64 / self.speculative_runs as f64
-        }
-    }
-
-    /// `fallback_runs / speculative_runs` in `[0, 1]`.
-    pub fn fallback_rate(&self) -> f64 {
-        if self.speculative_runs == 0 {
-            0.0
-        } else {
-            self.fallback_runs as f64 / self.speculative_runs as f64
-        }
-    }
-}
-
-/// Aggregate accounting for one batch run.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchStats {
-    /// Queries executed.
-    pub queries: usize,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Wall-clock time of the whole batch.
-    pub wall: Duration,
-    /// `queries / wall` (the BENCH throughput headline).
-    pub queries_per_sec: f64,
-    /// Mean per-query latency.
-    pub mean_latency: Duration,
-    /// Median per-query latency.
-    pub p50_latency: Duration,
-    /// 95th-percentile per-query latency.
-    pub p95_latency: Duration,
-    /// 99th-percentile per-query latency.
-    pub p99_latency: Duration,
-    /// Worst per-query latency.
-    pub max_latency: Duration,
-    /// Per-[`ExecMode`] latency breakdown, indexed by [`ExecMode::index`]
-    /// (`None` for modes absent from the batch).
-    pub per_mode: [Option<ModeLatency>; 3],
-    /// Speculation-lifecycle totals (mis-speculation/fallback counters).
-    pub speculation: SpeculationTotals,
-    /// Plan-cache counters accumulated on the engine (lifetime totals, not
-    /// per-batch deltas, when the service is reused).
-    pub cache: CacheSnapshot,
-}
-
-/// One batch's results: per-query outcomes in submission order plus
-/// aggregate statistics.
-#[derive(Debug)]
-pub struct BatchReport {
-    /// `outcomes[i]` answers `jobs[i]`.
-    pub outcomes: Vec<QueryOutcome>,
-    /// Throughput/latency/cache accounting.
-    pub stats: BatchStats,
-}
-
-/// Renders a caught panic payload for re-raising on the driver thread.
+/// Renders a caught panic payload as the request's error message.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -545,8 +374,7 @@ struct Core {
 }
 
 impl Core {
-    /// Executes one request on the shared engine (also the sequential
-    /// reference path).
+    /// Executes one request on the shared engine.
     fn run_one(&self, query: &Query, mode: ExecMode, k: usize) -> QueryOutcome {
         match mode {
             ExecMode::SpecQp => self.engine.run_specqp(query, k),
@@ -605,7 +433,7 @@ impl Core {
             .mean_executed_latency()
             .unwrap_or(Duration::from_millis(1));
         let backlog = (self.queue.len() as u64).max(1);
-        let us = per_query.as_micros() as u64 * backlog / self.threads.max(1) as u64;
+        let us = per_query.as_micros() as u64 * backlog / self.threads as u64;
         Duration::from_micros(us).clamp(Duration::from_millis(1), Duration::from_secs(5))
     }
 }
@@ -614,7 +442,7 @@ impl Core {
 /// worker pool draining a bounded MPMC queue.
 ///
 /// The service is `Send + Sync`; all entry points take `&self`, so one
-/// service serves many clients/batches concurrently (the plan cache and
+/// service serves many clients concurrently (the plan cache and
 /// statistics catalog stay warm throughout). Workers live for the life of
 /// the service and are drained + joined by [`QueryService::shutdown`] (also
 /// called on drop).
@@ -633,13 +461,18 @@ impl QueryService {
         registry: Arc<RelaxationRegistry>,
         config: ServiceConfig,
     ) -> Self {
-        let engine = Engine::shared_with_config(graph, registry, config.engine);
+        let engine = Engine::with_config(graph, registry, config.engine);
         QueryService::with_engine(Arc::new(engine), config)
     }
 
     /// Builds a service around an existing `'static` engine (custom
-    /// cardinality estimator, chain rules, …).
+    /// cardinality estimator, chain rules, …). A `threads` of 0 starts one
+    /// worker: a pool without workers would never serve a request.
     pub fn with_engine(engine: Arc<Engine<'static>>, config: ServiceConfig) -> Self {
+        let config = ServiceConfig {
+            threads: config.threads.max(1),
+            ..config
+        };
         let core = Arc::new(Core {
             engine,
             queue: BoundedQueue::new(config.queue_depth),
@@ -673,7 +506,7 @@ impl QueryService {
         registry: Arc<RelaxationRegistry>,
         config: ServiceConfig,
     ) -> Self {
-        let engine = Engine::live_with_config(live, registry, config.engine);
+        let engine = Engine::with_config(live, registry, config.engine);
         QueryService::with_engine(Arc::new(engine), config)
     }
 
@@ -705,34 +538,11 @@ impl QueryService {
         self.config
     }
 
-    /// Current plan-cache counters.
-    pub fn cache_snapshot(&self) -> CacheSnapshot {
-        let m = self.core.engine.plan_cache_metrics();
-        CacheSnapshot {
-            lookups: m.lookups(),
-            hits: m.hits(),
-            misses: m.misses(),
-            insertions: m.insertions(),
-            evictions: m.evictions(),
-            stale: m.stale(),
-            hit_rate: m.hit_rate(),
-        }
-    }
-
     /// Cumulative service-lifetime counters: submissions, sheds, rejections
-    /// and per-mode latency totals across every batch and connection served
-    /// since construction.
+    /// and per-mode latency totals across every request and connection
+    /// served since construction.
     pub fn lifetime_stats(&self) -> ServiceStats {
         self.core.counters.snapshot()
-    }
-
-    /// Current learned-predictor counters on the engine's catalog:
-    /// observations fed back by verified runs, confident predictions served
-    /// to PLANGEN, and material revisions (each of which bumped the catalog
-    /// generation). All zeros unless the engine runs with
-    /// [`specqp::EngineConfig::learned`] (`SPECQP_LEARNED=1`).
-    pub fn learned_snapshot(&self) -> specqp::LearnedCounters {
-        self.core.engine.catalog().learned_counters()
     }
 
     /// Commits one write batch to the live graph and returns the epoch it
@@ -860,186 +670,12 @@ impl QueryService {
             let _ = handle.join();
         }
     }
-
-    /// Runs every job through the worker pool and returns outcomes in
-    /// submission order — a thin batch wrapper over [`QueryService::submit`].
-    ///
-    /// The driver thread feeds requests into the bounded queue (blocking
-    /// backpressure when workers fall behind), workers execute against the
-    /// shared engine, and the driver redeems the tickets in submission
-    /// order. Execution is deterministic per job, so the answer sets are
-    /// identical to a sequential loop over the same jobs.
-    ///
-    /// # Panics
-    /// If a job's execution panics, the worker catches it and keeps
-    /// draining the queue (so the driver never deadlocks pushing into a
-    /// full queue with dead consumers), and `run_batch` re-panics with the
-    /// job index when it redeems that job's ticket.
-    pub fn run_batch(&self, jobs: &[QueryJob]) -> BatchReport {
-        let t0 = Instant::now();
-        let tickets: Vec<Ticket> = jobs
-            .iter()
-            .map(|job| {
-                self.submit(Request::from_job(job))
-                    .expect("queue closed while feeding")
-            })
-            .collect();
-        let mut outcomes = Vec::with_capacity(jobs.len());
-        let mut latencies = Vec::with_capacity(jobs.len());
-        for (i, ticket) in tickets.into_iter().enumerate() {
-            let response = ticket.wait();
-            match response.outcome {
-                Ok(outcome) => {
-                    outcomes.push(outcome);
-                    latencies.push(response.execution);
-                }
-                Err(ServiceError::Panicked(msg)) => panic!("query job {i} panicked: {msg}"),
-                Err(e) => panic!("query job {i} failed: {e}"),
-            }
-        }
-        let wall = t0.elapsed();
-        let mut stats = self.stats_for(&latencies, wall);
-        stats.per_mode = mode_breakdown(jobs, &latencies);
-        stats.speculation = speculation_totals(jobs, &outcomes);
-        BatchReport { outcomes, stats }
-    }
-
-    /// Sequential reference run: the same jobs, one at a time, on this
-    /// service's *shared* engine — warm plan cache and statistics included,
-    /// bypassing the queue and worker pool entirely. Used by the
-    /// determinism tests (parallel vs sequential answer sets must match).
-    /// For a cold-cache sequential baseline, build a separate
-    /// [`QueryService`] over the same `Arc`s instead.
-    pub fn run_sequential(&self, jobs: &[QueryJob]) -> Vec<QueryOutcome> {
-        jobs.iter()
-            .map(|job| self.core.run_one(&job.query, job.mode, job.k))
-            .collect()
-    }
-
-    fn stats_for(&self, latencies: &[Duration], wall: Duration) -> BatchStats {
-        batch_stats(latencies, wall, self.config.threads, self.cache_snapshot())
-    }
 }
 
 impl Drop for QueryService {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Nearest-rank percentile over a **sorted** sample: the smallest value with
-/// at least `q·n` of the sample at or below it, i.e. `sorted[⌈q·n⌉ − 1]`.
-///
-/// The previous implementation used `round((n−1)·q)`, which for even-sized
-/// samples picked the element *above* the median (e.g. the 11th of 20 for
-/// p50) — one rank too high at every percentile boundary. `Duration::ZERO`
-/// for an empty sample.
-pub fn percentile(sorted: &[Duration], q: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    debug_assert!((0.0..=1.0).contains(&q), "percentile out of range: {q}");
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// `total / queries` without the old `queries as u32` truncation: a lifetime
-/// counter past `u32::MAX` used to wrap the divisor — producing a wildly
-/// wrong mean or, on an exact multiple of 2³², a division by zero. The
-/// division is done in `u128` nanoseconds, which cannot overflow
-/// (`Duration::MAX` is < 2¹⁵⁰ ns) and loses no precision.
-pub fn mean_latency(total: Duration, queries: u64) -> Duration {
-    if queries == 0 {
-        return Duration::ZERO;
-    }
-    let nanos = total.as_nanos() / queries as u128;
-    // A mean cannot exceed the u64::MAX-second total it came from, but
-    // saturate rather than panic on absurd inputs.
-    Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
-}
-
-/// Aggregates per-query latencies into a [`BatchStats`] — factored out of
-/// the service so the percentile math is unit-testable on hand-built
-/// samples. The per-mode breakdown and speculation totals start empty; the
-/// batch driver fills them via [`mode_breakdown`] / [`speculation_totals`].
-pub fn batch_stats(
-    latencies: &[Duration],
-    wall: Duration,
-    threads: usize,
-    cache: CacheSnapshot,
-) -> BatchStats {
-    let queries = latencies.len();
-    let mut sorted = latencies.to_vec();
-    sorted.sort_unstable();
-    let total: Duration = latencies.iter().sum();
-    BatchStats {
-        queries,
-        threads,
-        wall,
-        queries_per_sec: if wall.is_zero() {
-            0.0
-        } else {
-            queries as f64 / wall.as_secs_f64()
-        },
-        mean_latency: mean_latency(total, queries as u64),
-        p50_latency: percentile(&sorted, 0.50),
-        p95_latency: percentile(&sorted, 0.95),
-        p99_latency: percentile(&sorted, 0.99),
-        max_latency: sorted.last().copied().unwrap_or(Duration::ZERO),
-        per_mode: [None; 3],
-        speculation: SpeculationTotals::default(),
-        cache,
-    }
-}
-
-/// Splits per-query latencies by [`ExecMode`] — the per-mode latency
-/// breakdown surfaced in [`BatchStats::per_mode`]. `jobs[i]` must correspond
-/// to `latencies[i]`.
-pub fn mode_breakdown(jobs: &[QueryJob], latencies: &[Duration]) -> [Option<ModeLatency>; 3] {
-    debug_assert_eq!(jobs.len(), latencies.len());
-    let mut buckets: [Vec<Duration>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for (job, &lat) in jobs.iter().zip(latencies) {
-        buckets[job.mode.index()].push(lat);
-    }
-    let mut out = [None; 3];
-    for (mode, mut bucket) in ExecMode::ALL.into_iter().zip(buckets) {
-        if bucket.is_empty() {
-            continue;
-        }
-        let queries = bucket.len();
-        let total: Duration = bucket.iter().sum();
-        bucket.sort_unstable();
-        out[mode.index()] = Some(ModeLatency {
-            mode,
-            queries,
-            mean_latency: mean_latency(total, queries as u64),
-            p50_latency: percentile(&bucket, 0.50),
-            p95_latency: percentile(&bucket, 0.95),
-            max_latency: *bucket.last().expect("non-empty bucket"),
-        });
-    }
-    out
-}
-
-/// Aggregates the speculation lifecycle counters of a batch's outcomes.
-/// Only Spec-QP jobs count as speculative runs (TriniT/naive never
-/// speculate). `jobs[i]` must correspond to `outcomes[i]`.
-pub fn speculation_totals(jobs: &[QueryJob], outcomes: &[QueryOutcome]) -> SpeculationTotals {
-    debug_assert_eq!(jobs.len(), outcomes.len());
-    let mut totals = SpeculationTotals::default();
-    for (job, outcome) in jobs.iter().zip(outcomes) {
-        if job.mode != ExecMode::SpecQp {
-            continue;
-        }
-        let r = &outcome.report;
-        totals.speculative_runs += 1;
-        totals.mis_speculations += u64::from(r.mis_speculated);
-        totals.fallback_runs += u64::from(r.fallback_stages > 0);
-        totals.fallback_stages += r.fallback_stages;
-        totals.wasted_answers += r.wasted_answers;
-        totals.verify += r.verify;
-    }
-    totals
 }
 
 #[cfg(test)]
@@ -1085,74 +721,79 @@ mod tests {
         assert_send_sync::<ServiceError>();
     }
 
+    /// Submits every request, then redeems the tickets in submission order.
+    fn run_all(service: &QueryService, requests: Vec<Request>) -> Vec<QueryOutcome> {
+        let tickets: Vec<Ticket> = requests
+            .into_iter()
+            .map(|r| service.submit(r).unwrap())
+            .collect();
+        tickets
+            .into_iter()
+            .map(|t| t.wait().outcome.expect("request executed"))
+            .collect()
+    }
+
     #[test]
-    fn batch_outcomes_in_submission_order() {
+    fn tickets_answer_their_own_requests() {
         let (g, reg) = setup();
         let service = QueryService::new(g.clone(), reg, ServiceConfig::with_threads(3));
         let big = parse_query("SELECT ?s WHERE { ?s <type> <big> }", g.dictionary()).unwrap();
         let small = parse_query("SELECT ?s WHERE { ?s <type> <small> }", g.dictionary()).unwrap();
-        // Alternate shapes so slot order is observable.
-        let jobs: Vec<QueryJob> = (0..10)
+        // Alternate shapes so a mixed-up ticket is observable.
+        let requests = (0..10)
             .map(|i| {
                 if i % 2 == 0 {
-                    QueryJob::specqp(big.clone(), 5)
+                    Request::new(big.clone(), 5)
                 } else {
-                    QueryJob::specqp(small.clone(), 2)
+                    Request::new(small.clone(), 2)
                 }
             })
             .collect();
-        let report = service.run_batch(&jobs);
-        assert_eq!(report.outcomes.len(), 10);
-        for (i, o) in report.outcomes.iter().enumerate() {
+        let outcomes = run_all(&service, requests);
+        for (i, o) in outcomes.iter().enumerate() {
             if i % 2 == 0 {
-                assert_eq!(o.answers.len(), 5, "slot {i} must hold the big query");
+                assert_eq!(o.answers.len(), 5, "ticket {i} must hold the big query");
             } else {
-                assert!(o.answers.len() >= 2, "slot {i} must hold the small query");
+                assert!(o.answers.len() >= 2, "ticket {i} must hold the small query");
             }
         }
-        assert_eq!(report.stats.queries, 10);
-        assert!(report.stats.queries_per_sec > 0.0);
-        assert!(report.stats.mean_latency <= report.stats.max_latency);
-        let c = report.stats.cache;
-        assert_eq!(c.hits + c.misses, c.lookups);
+        assert_eq!(service.lifetime_stats().completed, 10);
+        let c = service.engine().plan_cache_metrics();
+        assert_eq!(c.hits() + c.misses(), c.lookups());
         // Two distinct shapes; plan() is lookup→plangen→insert without
         // atomicity, so each shape can miss up to once per concurrently
         // racing worker (3 threads) before the first insert lands.
         assert!(
-            (2..=6).contains(&c.misses),
+            (2..=6).contains(&c.misses()),
             "misses {} outside [2, shapes × threads]",
-            c.misses
+            c.misses()
         );
-        assert!(c.hit_rate > 0.0);
     }
 
-    /// Regression: a panicking job must not deadlock the driver (which
-    /// previously could block forever pushing into a full queue whose only
-    /// consumers had died). The worker catches the panic, completes the
-    /// ticket with `ServiceError::Panicked`, and `run_batch` re-panics with
-    /// the job index.
+    /// Regression: a panicking request must not take its worker down. The
+    /// worker catches the panic, completes the ticket with
+    /// `ServiceError::Panicked`, and keeps draining the queue.
     #[test]
-    fn worker_panic_propagates_without_deadlock() {
+    fn worker_panic_completes_the_ticket_and_the_pool_survives() {
         let (g, reg) = setup();
         let service = QueryService::new(g.clone(), reg, ServiceConfig::with_threads(1));
         let q = parse_query("SELECT ?s WHERE { ?s <type> <big> }", g.dictionary()).unwrap();
-        let mut jobs: Vec<QueryJob> = (0..10).map(|_| QueryJob::specqp(q.clone(), 5)).collect();
         // k = 0 trips plan_query's `k >= 1` assertion inside the worker.
-        jobs[0].k = 0;
-        // 10 jobs > queue_depth 4: with a dead worker the old code hung here.
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| service.run_batch(&jobs)));
-        let payload = result.expect_err("batch with a panicking job must panic");
-        let msg = panic_message(payload.as_ref());
-        assert!(
-            msg.contains("query job 0 panicked"),
-            "panic names the job: {msg}"
-        );
-        // The pool survived the panic: the service still answers.
-        let report = service.run_batch(&jobs[1..2]);
-        assert_eq!(report.outcomes.len(), 1);
-        let stats = service.lifetime_stats();
-        assert_eq!(stats.panicked, 1);
+        // 10 requests > queue_depth 4: with a dead worker, submit would hang.
+        let tickets: Vec<Ticket> = (0..10)
+            .map(|i| {
+                let k = if i == 0 { 0 } else { 5 };
+                service.submit(Request::new(q.clone(), k)).unwrap()
+            })
+            .collect();
+        for (i, t) in tickets.into_iter().enumerate() {
+            match t.wait().outcome {
+                Err(ServiceError::Panicked(_)) => assert_eq!(i, 0),
+                Ok(outcome) => assert_eq!(outcome.answers.len(), 5, "request {i}"),
+                Err(e) => panic!("request {i}: {e}"),
+            }
+        }
+        assert_eq!(service.lifetime_stats().panicked, 1);
     }
 
     #[test]
@@ -1171,6 +812,9 @@ mod tests {
         assert_eq!(stats.completed, 1);
         let spec = stats.per_mode[ExecMode::SpecQp.index()].expect("specqp totals");
         assert_eq!(spec.queries, 1);
+        assert_eq!(ExecMode::SpecQp.label(), "specqp");
+        assert_eq!(ExecMode::from_index(1), Some(ExecMode::TriniT));
+        assert_eq!(ExecMode::from_index(3), None);
     }
 
     /// Overload behavior: with workers wedged on slow jobs and the queue
@@ -1322,18 +966,13 @@ mod tests {
         ));
         kgstore::snapshot::save_snapshot(&g, &path).unwrap();
         let q = parse_query("SELECT ?s WHERE { ?s <type> <small> }", g.dictionary()).unwrap();
-        let jobs = vec![QueryJob::specqp(q, 5)];
 
         let direct = QueryService::new(g.clone(), reg.clone(), ServiceConfig::with_threads(2));
         let booted =
             QueryService::from_snapshot(&path, reg, ServiceConfig::with_threads(2)).unwrap();
-        let a = direct.run_batch(&jobs);
-        let b = booted.run_batch(&jobs);
-        assert_eq!(a.outcomes[0].answers.len(), b.outcomes[0].answers.len());
-        for (x, y) in a.outcomes[0].answers.iter().zip(&b.outcomes[0].answers) {
-            assert_eq!(x.score, y.score);
-            assert_eq!(x.binding, y.binding);
-        }
+        let a = run_all(&direct, vec![Request::new(q.clone(), 5)]);
+        let b = run_all(&booted, vec![Request::new(q, 5)]);
+        assert_eq!(a[0].answers, b[0].answers);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1355,242 +994,73 @@ mod tests {
         );
     }
 
-    /// Pins the nearest-rank definition on a hand-built sample: for
-    /// `n = 20` with values `1..=20` ms, p50 is the 10th value (10 ms, not
-    /// the 11th — the off-by-one the old `round((n−1)·q)` formula produced),
-    /// p95 the 19th and p99 the 20th.
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let ms = Duration::from_millis;
-        let sample: Vec<Duration> = (1..=20).map(ms).collect();
-        assert_eq!(percentile(&sample, 0.50), ms(10));
-        assert_eq!(percentile(&sample, 0.95), ms(19));
-        assert_eq!(percentile(&sample, 0.99), ms(20));
-        assert_eq!(percentile(&sample, 1.0), ms(20));
-        assert_eq!(percentile(&sample, 0.0), ms(1));
-        // Odd-sized sample: p50 is the true middle element.
-        let odd: Vec<Duration> = (1..=5).map(ms).collect();
-        assert_eq!(percentile(&odd, 0.50), ms(3));
-    }
-
-    #[test]
-    fn percentiles_single_sample_and_duplicates() {
-        let ms = Duration::from_millis;
-        // n = 1: every percentile is the one sample.
-        let one = vec![ms(7)];
-        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(percentile(&one, q), ms(7), "q={q}");
-        }
-        assert_eq!(percentile(&[], 0.5), Duration::ZERO);
-        // Duplicate values: ties collapse to the same answer at every rank.
-        let dup = vec![ms(5); 10];
-        assert_eq!(percentile(&dup, 0.5), ms(5));
-        assert_eq!(percentile(&dup, 0.99), ms(5));
-        // Mixed duplicates: 9×1ms + 1×100ms — p50 sits in the duplicate
-        // mass, p95/p99 pick the outlier.
-        let mut mixed: Vec<Duration> = vec![ms(1); 9];
-        mixed.push(ms(100));
-        assert_eq!(percentile(&mixed, 0.50), ms(1));
-        assert_eq!(percentile(&mixed, 0.95), ms(100));
-        assert_eq!(percentile(&mixed, 0.99), ms(100));
-    }
-
-    #[test]
-    fn batch_stats_aggregates_hand_built_sample() {
-        let ms = Duration::from_millis;
-        let latencies: Vec<Duration> = (1..=4).map(ms).collect();
-        let stats = batch_stats(&latencies, ms(10), 2, CacheSnapshot::default());
-        assert_eq!(stats.queries, 4);
-        assert_eq!(stats.threads, 2);
-        assert_eq!(stats.mean_latency, Duration::from_micros(2500));
-        assert_eq!(stats.p50_latency, ms(2));
-        assert_eq!(stats.p95_latency, ms(4));
-        assert_eq!(stats.p99_latency, ms(4));
-        assert_eq!(stats.max_latency, ms(4));
-        assert!((stats.queries_per_sec - 400.0).abs() < 1e-9);
-        // Ordering invariants.
-        assert!(stats.p50_latency <= stats.p95_latency);
-        assert!(stats.p95_latency <= stats.p99_latency);
-        assert!(stats.p99_latency <= stats.max_latency);
-    }
-
-    /// Regression: the mean used to be computed as `total / queries as u32`,
-    /// so a lifetime counter past `u32::MAX` wrapped the divisor — e.g.
-    /// `u32::MAX + 2` queries divided by 1 — and an exact multiple of 2³²
-    /// divided by zero. The division must happen in full width.
-    #[test]
-    fn mean_latency_survives_counts_beyond_u32() {
-        let n = u32::MAX as u64 + 2;
-        // n queries of 1ms each: the mean is exactly 1ms. Under the old
-        // truncation the divisor wrapped to 1 and the "mean" was the total.
-        let total = Duration::from_millis(n);
-        assert_eq!(mean_latency(total, n), Duration::from_millis(1));
-        // An exact multiple of 2³² used to divide by zero.
-        let n = (u32::MAX as u64 + 1) * 2;
-        assert_eq!(
-            mean_latency(Duration::from_millis(n), n),
-            Duration::from_millis(1)
-        );
-        // Degenerate inputs stay sane.
-        assert_eq!(mean_latency(Duration::ZERO, 0), Duration::ZERO);
-        assert_eq!(mean_latency(Duration::from_secs(5), 0), Duration::ZERO);
-        assert_eq!(
-            mean_latency(Duration::from_micros(2500 * 4), 4),
-            Duration::from_micros(2500)
-        );
-    }
-
     /// Config plumb-through: services built with different block sizes
     /// answer exactly alike.
     #[test]
     fn block_size_services_answer_alike() {
         use operators::ExecutionMode;
-        use specqp::EngineConfig;
         let (g, reg) = setup();
         let q = parse_query(
             "SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }",
             g.dictionary(),
         )
         .unwrap();
-        let jobs: Vec<QueryJob> = vec![
-            QueryJob::specqp(q.clone(), 10),
-            QueryJob::trinit(q.clone(), 5),
-            QueryJob::naive(q, 5),
-        ];
-        let mk = |mode: ExecutionMode| {
-            let mut cfg = ServiceConfig::with_threads(2);
-            cfg.engine = EngineConfig::default().with_execution(mode);
-            QueryService::new(g.clone(), reg.clone(), cfg)
+        let requests = || {
+            vec![
+                Request::new(q.clone(), 10),
+                Request::new(q.clone(), 5).with_mode(ExecMode::TriniT),
+                Request::new(q.clone(), 5).with_mode(ExecMode::Naive),
+            ]
         };
-        let default = mk(ExecutionMode::default()).run_batch(&jobs);
+        let run = |execution: ExecutionMode| {
+            let engine = EngineConfig {
+                execution,
+                ..EngineConfig::default()
+            };
+            let cfg = ServiceConfig {
+                engine,
+                ..ServiceConfig::with_threads(2)
+            };
+            run_all(&QueryService::new(g.clone(), reg.clone(), cfg), requests())
+        };
+        let default = run(ExecutionMode::default());
         for size in [1, 64] {
-            let block = mk(ExecutionMode::Block(size)).run_batch(&jobs);
-            for (a, b) in default.outcomes.iter().zip(&block.outcomes) {
+            for (a, b) in default.iter().zip(run(ExecutionMode::Block(size))) {
                 assert_eq!(a.answers, b.answers, "size {size}");
             }
         }
     }
 
-    /// The learned-predictor counters surface: a learned service counts one
-    /// observation per verified Spec-QP run; a default service stays at 0.
+    /// A ForceFinal-policy service takes one fallback stage per Spec-QP
+    /// request and answers exactly like the TriniT request.
     #[test]
-    fn learned_snapshot_counts_observations() {
-        use specqp::{EngineConfig, SpeculationPolicy};
+    fn force_final_service_reports_one_stage_per_specqp_request() {
+        use specqp::SpeculationPolicy;
         let (g, reg) = setup();
         let q = parse_query(
             "SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }",
             g.dictionary(),
         )
         .unwrap();
-        let mut cfg = ServiceConfig::with_threads(2);
-        cfg.engine = EngineConfig::default()
-            .with_speculation(SpeculationPolicy::Fallback { max_stages: 3 })
-            .with_learned(true);
-        let svc = QueryService::new(g.clone(), reg.clone(), cfg);
-        assert_eq!(svc.learned_snapshot().observations, 0);
-        let jobs: Vec<QueryJob> = (0..4).map(|_| QueryJob::specqp(q.clone(), 5)).collect();
-        let _ = svc.run_batch(&jobs);
-        let counters = svc.learned_snapshot();
-        assert_eq!(counters.observations, 4, "one observation per run");
-    }
-
-    #[test]
-    fn mode_breakdown_splits_latencies_by_mode() {
-        let ms = Duration::from_millis;
-        let (g, _) = setup();
-        let q = parse_query("SELECT ?s WHERE { ?s <type> <big> }", g.dictionary()).unwrap();
-        let jobs = vec![
-            QueryJob::specqp(q.clone(), 5),
-            QueryJob::trinit(q.clone(), 5),
-            QueryJob::specqp(q.clone(), 5),
-            QueryJob::specqp(q, 5),
-        ];
-        let latencies = vec![ms(10), ms(100), ms(20), ms(30)];
-        let per_mode = mode_breakdown(&jobs, &latencies);
-        let spec = per_mode[ExecMode::SpecQp.index()].expect("specqp present");
-        assert_eq!(spec.queries, 3);
-        assert_eq!(spec.mean_latency, ms(20));
-        assert_eq!(spec.p50_latency, ms(20));
-        assert_eq!(spec.max_latency, ms(30));
-        let trinit = per_mode[ExecMode::TriniT.index()].expect("trinit present");
-        assert_eq!(trinit.queries, 1);
-        assert_eq!(trinit.mean_latency, ms(100));
-        assert!(per_mode[ExecMode::Naive.index()].is_none(), "no naive jobs");
-        assert_eq!(ExecMode::SpecQp.label(), "specqp");
-        assert_eq!(ExecMode::from_index(1), Some(ExecMode::TriniT));
-        assert_eq!(ExecMode::from_index(3), None);
-    }
-
-    #[test]
-    fn speculation_totals_aggregate_specqp_reports_only() {
-        let (g, _) = setup();
-        let q = parse_query("SELECT ?s WHERE { ?s <type> <big> }", g.dictionary()).unwrap();
-        let jobs = vec![QueryJob::specqp(q.clone(), 5), QueryJob::trinit(q, 5)];
-        let mk = |stages: u64, wasted: u64, mis: bool| specqp::QueryOutcome {
-            answers: Vec::new(),
-            plan: specqp::QueryPlan::all_relaxed(1),
-            report: specqp::RunReport {
-                fallback_stages: stages,
-                wasted_answers: wasted,
-                mis_speculated: mis,
-                verify: Duration::from_micros(7),
-                ..Default::default()
-            },
+        let engine = EngineConfig {
+            speculation: SpeculationPolicy::ForceFinal,
+            ..EngineConfig::default()
         };
-        // The trinit outcome's counters must be ignored even if set.
-        let totals = speculation_totals(&jobs, &[mk(2, 40, true), mk(9, 99, true)]);
-        assert_eq!(totals.speculative_runs, 1);
-        assert_eq!(totals.mis_speculations, 1);
-        assert_eq!(totals.fallback_runs, 1);
-        assert_eq!(totals.fallback_stages, 2);
-        assert_eq!(totals.wasted_answers, 40);
-        assert_eq!(totals.verify, Duration::from_micros(7));
-        assert!((totals.mis_speculation_rate() - 1.0).abs() < 1e-12);
-        assert!((totals.fallback_rate() - 1.0).abs() < 1e-12);
-        assert_eq!(SpeculationTotals::default().mis_speculation_rate(), 0.0);
-    }
-
-    /// End-to-end: a ForceFinal-policy service reports one fallback stage
-    /// per Spec-QP job in `BatchStats::speculation`, with the per-mode
-    /// breakdown covering every submitted mode.
-    #[test]
-    fn batch_report_surfaces_fallback_counters() {
-        use specqp::{EngineConfig, SpeculationPolicy};
-        let (g, reg) = setup();
-        let q = parse_query(
-            "SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }",
-            g.dictionary(),
-        )
-        .unwrap();
-        let mut cfg = ServiceConfig::with_threads(2);
-        cfg.engine = EngineConfig::default().with_speculation(SpeculationPolicy::ForceFinal);
+        let cfg = ServiceConfig {
+            engine,
+            ..ServiceConfig::with_threads(2)
+        };
         let service = QueryService::new(g.clone(), reg, cfg);
-        let jobs = vec![
-            QueryJob::specqp(q.clone(), 10),
-            QueryJob::specqp(q.clone(), 10),
-            QueryJob::trinit(q, 10),
-        ];
-        let report = service.run_batch(&jobs);
-        let s = report.stats.speculation;
-        assert_eq!(s.speculative_runs, 2);
-        assert_eq!(s.fallback_stages, 2, "one forced stage per specqp job");
-        assert_eq!(s.fallback_runs, 2);
-        assert!((s.fallback_rate() - 1.0).abs() < 1e-12);
-        assert!(report.stats.per_mode[ExecMode::SpecQp.index()].is_some());
-        assert!(report.stats.per_mode[ExecMode::TriniT.index()].is_some());
-        assert!(report.stats.per_mode[ExecMode::Naive.index()].is_none());
-        // Forced-final Spec-QP answers equal the TriniT job's answers.
-        assert_eq!(report.outcomes[0].answers, report.outcomes[2].answers);
-    }
-
-    #[test]
-    fn empty_batch_is_fine() {
-        let (g, reg) = setup();
-        let service = QueryService::new(g, reg, ServiceConfig::with_threads(2));
-        let report = service.run_batch(&[]);
-        assert!(report.outcomes.is_empty());
-        assert_eq!(report.stats.queries, 0);
-        assert_eq!(report.stats.mean_latency, Duration::ZERO);
+        let outcomes = run_all(
+            &service,
+            vec![
+                Request::new(q.clone(), 10),
+                Request::new(q, 10).with_mode(ExecMode::TriniT),
+            ],
+        );
+        assert_eq!(outcomes[0].report.fallback_stages, 1);
+        assert_eq!(outcomes[1].report.fallback_stages, 0);
+        assert_eq!(outcomes[0].answers, outcomes[1].answers);
     }
 
     /// The write path end to end: a live service answers, accepts a write
@@ -1610,8 +1080,8 @@ mod tests {
             ServiceConfig::with_threads(2),
         );
 
-        let before = service.run_batch(&[QueryJob::specqp(q.clone(), 50)]);
-        let n = before.outcomes[0].answers.len();
+        let run = || run_all(&service, vec![Request::new(q.clone(), 50)]).remove(0);
+        let n = run().answers.len();
 
         // Empty batch: a no-op, no epoch bump.
         let e0 = service.apply_writes(&WriteBatch::new()).unwrap();
@@ -1621,8 +1091,8 @@ mod tests {
         batch.assert("fresh", "type", "big", 999.0);
         let e1 = service.apply_writes(&batch).unwrap();
         assert_eq!(e1.value(), 1);
-        let after = service.run_batch(&[QueryJob::specqp(q.clone(), 50)]);
-        assert_eq!(after.outcomes[0].answers.len(), n + 1);
+        let after = run();
+        assert_eq!(after.answers.len(), n + 1);
 
         // Over-ceiling batch: refused before touching the writer lock.
         let mut huge = WriteBatch::new();
@@ -1642,8 +1112,7 @@ mod tests {
         // Forced compaction folds the delta; answers are unchanged.
         let e2 = service.compact().unwrap();
         assert!(e2 > e1);
-        let folded = service.run_batch(&[QueryJob::specqp(q.clone(), 50)]);
-        assert_eq!(folded.outcomes[0].answers, after.outcomes[0].answers);
+        assert_eq!(run().answers, after.answers);
 
         // Shutdown closes the write path too.
         service.shutdown();
@@ -1666,8 +1135,30 @@ mod tests {
         let (g, reg) = setup();
         let service = QueryService::new(g.clone(), reg, ServiceConfig::with_threads(1));
         let q = parse_query("SELECT ?s WHERE { ?s <type> <small> }", g.dictionary()).unwrap();
-        let report = service.run_batch(&[QueryJob::trinit(q, 5)]);
-        assert_eq!(report.outcomes.len(), 1);
-        assert!(!report.outcomes[0].answers.is_empty());
+        let outcomes = run_all(
+            &service,
+            vec![Request::new(q, 5).with_mode(ExecMode::TriniT)],
+        );
+        assert!(!outcomes[0].answers.is_empty());
+    }
+
+    /// Regression: a struct literal with `threads: 0` used to start no
+    /// workers, so every request waited forever. The timeout turns a
+    /// regression into a failure instead of a hang.
+    #[test]
+    fn zero_thread_config_still_serves() {
+        let (g, reg) = setup();
+        let cfg = ServiceConfig {
+            threads: 0,
+            ..ServiceConfig::with_threads(1)
+        };
+        let service = QueryService::new(g.clone(), reg, cfg);
+        assert_eq!(service.config().threads, 1);
+        let q = parse_query("SELECT ?s WHERE { ?s <type> <small> }", g.dictionary()).unwrap();
+        let ticket = service.submit(Request::new(q, 5)).unwrap();
+        let response = ticket
+            .wait_timeout(Duration::from_secs(30))
+            .expect("a zero-thread config must still serve requests");
+        assert_eq!(response.outcome.unwrap().answers.len(), 5);
     }
 }

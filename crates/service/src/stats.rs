@@ -1,14 +1,12 @@
-//! Service-lifetime statistics: atomic counters that survive across batches
-//! and connections.
+//! Service-lifetime statistics: atomic counters that survive across
+//! requests and connections.
 //!
-//! [`BatchStats`](crate::BatchStats) aggregates exactly one `run_batch`
-//! call; a server that admits requests one at a time over many connections
-//! needs numbers that accumulate for the whole life of the service. The
-//! counters here are plain atomics updated on the worker threads' hot path
-//! (one `fetch_add` per event, a handful per completed query) and read via
-//! [`LifetimeCounters::snapshot`], which materializes the same shape the
-//! batch path reports: per-[`ExecMode`] latency breakdowns plus
-//! admission/shedding totals.
+//! A server that admits requests one at a time over many connections needs
+//! numbers that accumulate for the whole life of the service. The counters
+//! here are plain atomics updated on the worker threads' hot path (one
+//! `fetch_add` per event, a handful per completed query) and read via
+//! [`LifetimeCounters::snapshot`], which materializes per-[`ExecMode`]
+//! latency breakdowns plus admission/shedding totals.
 //!
 //! Latency percentiles cannot be kept exactly without storing every sample,
 //! so each mode keeps a fixed 64-bucket power-of-two histogram of
@@ -95,9 +93,8 @@ impl ModeCounters {
     }
 }
 
-/// Lifetime totals for one [`ExecMode`] — the cumulative analogue of
-/// [`ModeLatency`](crate::ModeLatency): same shape (count, mean, p50, tail,
-/// max), accumulated since service construction rather than per batch.
+/// Lifetime totals for one [`ExecMode`]: count, mean, p50, tail and max,
+/// accumulated since service construction.
 #[derive(Clone, Copy, Debug)]
 pub struct ModeTotals {
     /// The mode these numbers describe.

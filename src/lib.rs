@@ -13,7 +13,7 @@
 //! * [`relax`] — weighted relaxation rules and miners,
 //! * [`datagen`] — seeded synthetic XKG/Twitter datasets,
 //! * [`service`] — the concurrent query service (`Arc`-shared engine,
-//!   worker pool, plan-cache-backed batch driver),
+//!   worker pool, `submit` → [`Ticket`](service::Ticket) → `wait`),
 //! * [`server`] — the TCP wire front-end (length-prefixed frames,
 //!   per-client token-bucket quotas, load-shedding admission control).
 //!
@@ -56,7 +56,7 @@ pub mod prelude {
     pub use specqp_common::{Dictionary, Score, TermId};
     pub use specqp_server::{Server, ServerConfig, SpecQpClient};
     pub use specqp_service::{
-        ExecMode, QueryJob, QueryService, Request, ServiceConfig, ServiceError, Ticket,
+        ExecMode, QueryService, Request, ServiceConfig, ServiceError, Ticket,
     };
     pub use specqp_stats::{ExactCardinality, RefitMode, ScoreEstimator, StatsCatalog};
 }

@@ -100,19 +100,22 @@ fn build_query(world: &World, picks: &[u16]) -> Option<Query> {
     qb.build().ok()
 }
 
+/// The default engine over `world` at `size` rows per block.
+fn block_engine(world: &World, size: usize) -> Engine<'_> {
+    let config = EngineConfig {
+        execution: ExecutionMode::Block(size),
+        ..EngineConfig::default()
+    };
+    Engine::with_config(&world.ds.graph, &world.ds.registry, config)
+}
+
 /// Runs every block size against the default one for Spec-QP and TriniT,
 /// and TriniT against the naive oracle, asserting exact equivalence.
 fn check_differential(world: &World, picks: &[u16], k: usize) -> Result<(), TestCaseError> {
     let Some(q) = build_query(world, picks) else {
         return Ok(());
     };
-    let engine = |size: usize| {
-        Engine::with_config(
-            &world.ds.graph,
-            &world.ds.registry,
-            EngineConfig::default().with_execution(ExecutionMode::Block(size)),
-        )
-    };
+    let engine = |size: usize| block_engine(world, size);
     let reference = engine(DEFAULT_BLOCK_SIZE);
     let ref_spec = reference.run_specqp(&q, k);
     let ref_trinit = reference.run_trinit(&q, k);
@@ -171,14 +174,12 @@ proptest! {
 #[test]
 fn parallel_block_execution_equals_sequential() {
     for world in [xkg(), twitter()] {
-        let engine = |workers: usize| {
-            Engine::with_config(
-                &world.ds.graph,
-                &world.ds.registry,
-                EngineConfig::default()
-                    .with_execution(ExecutionMode::Block(DEFAULT_BLOCK_SIZE))
-                    .with_parallelism(workers),
-            )
+        let engine = |parallelism: usize| {
+            let config = EngineConfig {
+                parallelism,
+                ..EngineConfig::default()
+            };
+            Engine::with_config(&world.ds.graph, &world.ds.registry, config)
         };
         let sequential = engine(1);
         for q in &world.ds.workload.queries {
@@ -203,14 +204,10 @@ fn parallel_block_execution_equals_sequential() {
 #[test]
 fn workload_queries_agree_across_executors() {
     for world in [xkg(), twitter()] {
-        let engine = |size: usize| {
-            Engine::with_config(
-                &world.ds.graph,
-                &world.ds.registry,
-                EngineConfig::default().with_execution(ExecutionMode::Block(size)),
-            )
-        };
-        let (single, block) = (engine(1), engine(DEFAULT_BLOCK_SIZE));
+        let (single, block) = (
+            block_engine(world, 1),
+            block_engine(world, DEFAULT_BLOCK_SIZE),
+        );
         for q in &world.ds.workload.queries {
             let a = single.run_specqp(q, 10);
             let b = block.run_specqp(q, 10);

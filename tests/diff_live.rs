@@ -262,15 +262,17 @@ fn check_live_differential(ops: &[RawOp], picks: &[u16]) -> Result<(), TestCaseE
     ));
     let registry = Arc::new(RelaxationRegistry::new());
     let engines: Vec<Engine<'static>> = [
-        EngineConfig::default().with_execution(operators::ExecutionMode::Block(7)),
-        EngineConfig::default()
-            .with_execution(operators::ExecutionMode::Block(
-                operators::DEFAULT_BLOCK_SIZE,
-            ))
-            .with_parallelism(2),
+        EngineConfig {
+            execution: operators::ExecutionMode::Block(7),
+            ..EngineConfig::default()
+        },
+        EngineConfig {
+            parallelism: 2,
+            ..EngineConfig::default()
+        },
     ]
     .into_iter()
-    .map(|config| Engine::live_with_config(Arc::clone(&live), Arc::clone(&registry), config))
+    .map(|config| Engine::with_config(Arc::clone(&live), Arc::clone(&registry), config))
     .collect();
 
     let mut pinned: Option<PinnedExpectation> = None;
@@ -280,7 +282,7 @@ fn check_live_differential(ops: &[RawOp], picks: &[u16]) -> Result<(), TestCaseE
         apply_to_model(&mut model, chunk, score_base);
 
         let rebuilt = build_from_model(&model);
-        let reference = Engine::new(&rebuilt, &registry);
+        let reference = Engine::new(&rebuilt, Arc::clone(&registry));
         let Some(ref_query) = build_query(&rebuilt, picks) else {
             return Ok(());
         };
@@ -305,15 +307,15 @@ fn check_live_differential(ops: &[RawOp], picks: &[u16]) -> Result<(), TestCaseE
         // answering exactly this for the rest of the history.
         if i == 0 {
             let (v, e) = live.pinned();
-            let outcome = Engine::shared(Arc::clone(&v), Arc::clone(&registry))
-                .run_specqp(&live_query, K_ALL);
+            let outcome =
+                Engine::new(Arc::clone(&v), Arc::clone(&registry)).run_specqp(&live_query, K_ALL);
             let frozen = canonical(&outcome, &v);
             pinned = Some((v, e, frozen));
         } else if let Some((v, e, frozen)) = &pinned {
             prop_assert_eq!(*e < live.epoch(), true, "later commits bump the epoch");
             let rerun_query = build_query(v, picks).expect("pinned dict held the vocabulary");
-            let rerun = Engine::shared(Arc::clone(v), Arc::clone(&registry))
-                .run_specqp(&rerun_query, K_ALL);
+            let rerun =
+                Engine::new(Arc::clone(v), Arc::clone(&registry)).run_specqp(&rerun_query, K_ALL);
             prop_assert_eq!(
                 &canonical(&rerun, v),
                 frozen,
@@ -332,7 +334,7 @@ fn check_live_differential(ops: &[RawOp], picks: &[u16]) -> Result<(), TestCaseE
     let (folded, _) = live.pinned();
     prop_assert!(!folded.has_overlay(), "compaction must flatten");
     let rebuilt = build_from_model(&model);
-    let reference = Engine::new(&rebuilt, &registry);
+    let reference = Engine::new(&rebuilt, Arc::clone(&registry));
     let Some(ref_query) = build_query(&rebuilt, picks) else {
         return Ok(());
     };
@@ -344,7 +346,7 @@ fn check_live_differential(ops: &[RawOp], picks: &[u16]) -> Result<(), TestCaseE
     let bytes = kgstore::snapshot::write_snapshot(&folded);
     let loaded = kgstore::snapshot::read_snapshot(&bytes).expect("snapshot v2 round-trip");
     let loaded_query = build_query(&loaded, picks).expect("snapshot keeps the dictionary");
-    let reloaded = Engine::new(&loaded, &registry);
+    let reloaded = Engine::new(&loaded, Arc::clone(&registry));
     let got = canonical(&reloaded.run_specqp(&loaded_query, K_ALL), &loaded);
     prop_assert_eq!(&got, &want, "snapshot-reloaded answers");
     Ok(())

@@ -23,14 +23,16 @@
 //! same construction as tests/diff_exec.rs.
 
 use datagen::{Dataset, TwitterConfig, TwitterGenerator, XkgConfig, XkgGenerator};
-use operators::{ExecutionMode, PartialAnswer};
+use operators::ExecutionMode;
 use proptest::prelude::*;
 use sparql::{Query, QueryBuilder, Term};
 use specqp::{Engine, EngineConfig, QueryPlan, SpeculationPolicy};
 use specqp_common::TermId;
-use std::collections::HashSet;
 use std::sync::OnceLock;
 use std::time::Duration;
+
+mod common;
+use common::equivalent;
 
 const BLOCK_SIZES: [usize; 3] = [1, 64, 4096];
 
@@ -107,44 +109,12 @@ fn build_query(world: &World, picks: &[u16]) -> Option<Query> {
     qb.build().ok()
 }
 
-/// Scores agree when they differ by at most this, relatively: far above
-/// what re-associating a sum of ≤ 4 terms can move, far below the gap
-/// between two genuinely different answers.
-const SUM_SLACK: f64 = 1e-9;
-
-/// `got` and `want` are one top-k up to summation order: equally long, rank
-/// by rank the same score within [`SUM_SLACK`], and — above the answers that
-/// tie with the last one — the same set of bindings.
-fn equivalent(got: &[PartialAnswer], want: &[PartialAnswer]) -> Result<(), String> {
-    let close = |a: f64, b: f64| (a - b).abs() <= SUM_SLACK * a.abs().max(b.abs());
-    if got.len() != want.len() {
-        return Err(format!("{} answers against {}", got.len(), want.len()));
-    }
-    if let Some(rank) = got
-        .iter()
-        .zip(want)
-        .position(|(g, w)| !close(g.score.value(), w.score.value()))
-    {
-        return Err(format!(
-            "rank {}: score {:?} against {:?}",
-            rank + 1,
-            got[rank].score,
-            want[rank].score
-        ));
-    }
-    let Some(last) = want.last().map(|a| a.score.value()) else {
-        return Ok(());
-    };
-    let above = |list: &[PartialAnswer]| -> HashSet<_> {
-        list.iter()
-            .filter(|a| !close(a.score.value(), last))
-            .map(|a| a.binding.clone())
-            .collect()
-    };
-    if above(got) == above(want) {
-        Ok(())
-    } else {
-        Err("bindings differ above the last-place tie".to_string())
+/// The default configuration at block size `execution` under `speculation`.
+fn config(execution: ExecutionMode, speculation: SpeculationPolicy) -> EngineConfig {
+    EngineConfig {
+        execution,
+        speculation,
+        ..EngineConfig::default()
     }
 }
 
@@ -160,9 +130,7 @@ fn check_one(
         Engine::with_config(
             &world.ds.graph,
             &world.ds.registry,
-            EngineConfig::default()
-                .with_execution(execution)
-                .with_speculation(policy),
+            config(execution, policy),
         )
     };
 
@@ -250,9 +218,7 @@ fn workload_queries_forced_final_equals_trinit() {
             let engine = Engine::with_config(
                 &world.ds.graph,
                 &world.ds.registry,
-                EngineConfig::default()
-                    .with_execution(execution)
-                    .with_speculation(SpeculationPolicy::ForceFinal),
+                config(execution, SpeculationPolicy::ForceFinal),
             );
             for q in &world.ds.workload.queries {
                 let forced = engine.run_specqp(q, 10);
@@ -281,9 +247,7 @@ fn workload_queries_delta_recovery_equals_restart() {
                 let engine = Engine::with_config(
                     &world.ds.graph,
                     &world.ds.registry,
-                    EngineConfig::default()
-                        .with_execution(execution)
-                        .with_speculation(SpeculationPolicy::Fallback { max_stages: 3 }),
+                    config(execution, SpeculationPolicy::Fallback { max_stages: 3 }),
                 );
                 let out = engine.run_specqp(q, 10);
                 stages_seen[out.report.fallback_stages as usize] += 1;
@@ -303,9 +267,7 @@ fn workload_queries_delta_recovery_equals_restart() {
     );
 }
 
-/// The learned-mode lap (`SPECQP_LEARNED=1`, pinned here via
-/// `with_learned(true)` so the test holds regardless of environment):
-/// learned predictions must not dent any lifecycle guarantee, across
+/// Learned predictions must not dent any lifecycle guarantee, across
 /// single-row blocks, default blocks and morsels on XKG + Twitter.
 ///
 /// * **Cold fallback identity**: with empty models every confidence gate is
@@ -327,15 +289,13 @@ fn workload_queries_learned_lap_is_byte_identical_to_ground_truth() {
             (ExecutionMode::Block(operators::DEFAULT_BLOCK_SIZE), 1),
             (ExecutionMode::Block(operators::DEFAULT_BLOCK_SIZE), 4),
         ] {
-            let config = |policy: SpeculationPolicy, learned: bool| {
-                EngineConfig::default()
-                    .with_execution(execution)
-                    .with_parallelism(parallelism)
-                    .with_speculation(policy)
-                    .with_learned(learned)
-            };
             let mk = |policy, learned| {
-                Engine::with_config(&world.ds.graph, &world.ds.registry, config(policy, learned))
+                let config = EngineConfig {
+                    parallelism,
+                    learned,
+                    ..config(execution, policy)
+                };
+                Engine::with_config(&world.ds.graph, &world.ds.registry, config)
             };
 
             // Cold identity: empty models ⇒ the histogram path, byte for

@@ -16,7 +16,7 @@
 //! ```
 
 use datagen::{Dataset, XkgConfig, XkgGenerator};
-use specqp::{Engine, EngineConfig, QueryOutcome};
+use specqp::{Engine, QueryOutcome};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -55,20 +55,14 @@ fn trace_outcome(out: &mut String, qi: usize, o: &QueryOutcome) {
 
 fn trace_for(mode: &str) -> String {
     let ds = dataset();
-    // Speculation pinned Off: the goldens pin the *baseline* planner and
-    // executor. The lifecycle's fallback/feedback behaviour evolves plans
-    // across runs by design and has its own differential suite
-    // (tests/diff_speculation.rs). Parallelism pinned to 1: morsel workers
-    // repeat non-target scans, so their work counters legitimately exceed
-    // the sequential trace even though answers stay bit-identical (that
-    // equality is asserted by tests/diff_exec.rs, not here).
-    let engine = Engine::with_config(
-        &ds.graph,
-        &ds.registry,
-        EngineConfig::default()
-            .with_speculation(specqp::SpeculationPolicy::Off)
-            .with_parallelism(1),
-    );
+    // The default configuration — speculation Off, one worker — pins the
+    // *baseline* planner and executor. The lifecycle's fallback/feedback
+    // behaviour evolves plans across runs by design and has its own
+    // differential suite (tests/diff_speculation.rs). Morsel workers repeat
+    // non-target scans, so their work counters legitimately exceed the
+    // sequential trace even though answers stay bit-identical (that equality
+    // is asserted by tests/diff_exec.rs, not here).
+    let engine = Engine::new(&ds.graph, &ds.registry);
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -2,15 +2,26 @@
 //! extension): replacing a triple pattern with a chain of patterns.
 
 use kgstore::{KnowledgeGraph, KnowledgeGraphBuilder};
-use relax::{ChainRule, ChainRuleSet, RelaxationRegistry};
+use relax::{ChainRule, ChainRuleSet, Position, RelaxationRegistry, TermRule};
 use sparql::parse_query;
-use specqp::Engine;
+use specqp::{Engine, EngineConfig, QueryPlan, SpeculationPolicy};
 use specqp_common::Score;
+use std::time::Duration;
+
+mod common;
+use common::equivalent;
 
 /// A band-membership KG:
 /// * direct facts: 〈member, inGroup, band〉 (only some),
 /// * indirect path: 〈member, follows, frontier〉 + 〈frontier, memberOf, band〉.
 fn setup() -> (KnowledgeGraph, RelaxationRegistry, ChainRuleSet) {
+    setup_with(&[])
+}
+
+/// [`setup`]'s KG plus the `extra` facts.
+fn setup_with(
+    extra: &[(&str, &str, &str, f64)],
+) -> (KnowledgeGraph, RelaxationRegistry, ChainRuleSet) {
     let mut b = KnowledgeGraphBuilder::new();
     // Direct members (scores = prominence).
     b.add("alice", "inGroup", "beatles", 100.0);
@@ -24,6 +35,9 @@ fn setup() -> (KnowledgeGraph, RelaxationRegistry, ChainRuleSet) {
     // alice also reachable via the chain (dedup case).
     b.add("alice", "follows", "gina", 50.0);
     b.add("gina", "memberOf", "beatles", 40.0);
+    for &(s, p, o, score) in extra {
+        b.add(s, p, o, score);
+    }
     let g = b.build();
     let d = g.dictionary();
     let chains = {
@@ -126,46 +140,84 @@ fn chains_only_apply_to_relaxed_patterns() {
 
 #[test]
 fn chains_compose_with_multi_pattern_queries() {
-    let (g, reg, _chains) = setup();
-    // Add a second pattern so the chain's merged stream feeds a rank join.
-    let mut b = KnowledgeGraphBuilder::new();
-    for st in g.iter_scored() {
-        let d = g.dictionary();
-        b.add(
-            d.name_or_unknown(st.triple.s),
-            d.name_or_unknown(st.triple.p),
-            d.name_or_unknown(st.triple.o),
-            st.score.value(),
-        );
-    }
-    b.add("alice", "plays", "guitar", 10.0);
-    b.add("carol", "plays", "guitar", 8.0);
-    let g2 = b.build();
+    // A second pattern so the chain's merged stream feeds a rank join.
+    let (g2, reg, chains2) = setup_with(&[
+        ("alice", "plays", "guitar", 10.0),
+        ("carol", "plays", "guitar", 8.0),
+    ]);
     let d2 = g2.dictionary();
-    let chains2 = {
-        let mut cs = ChainRuleSet::new();
-        cs.add(ChainRule::new(
-            d2.lookup("inGroup").unwrap(),
-            vec![
-                d2.lookup("follows").unwrap(),
-                d2.lookup("memberOf").unwrap(),
-            ],
-            0.6,
-        ));
-        cs
-    };
     let q = parse_query(
         "SELECT ?x WHERE { ?x <inGroup> <beatles> . ?x <plays> <guitar> }",
         d2,
     )
     .unwrap();
-    let engine = Engine::new(&g2, &reg).with_chain_rules(chains2);
-    let out = engine.run_trinit(&q, 10);
+    let engine = |parallelism: usize| {
+        let config = EngineConfig {
+            parallelism,
+            ..EngineConfig::default()
+        };
+        Engine::with_config(&g2, &reg, config).with_chain_rules(chains2.clone())
+    };
+    let out = engine(1).run_trinit(&q, 10);
     let names: Vec<&str> = out
         .answers
         .iter()
         .map(|a| d2.name_or_unknown(a.binding.get(q.projection()[0]).unwrap()))
         .collect();
     assert_eq!(names, vec!["alice", "carol"], "{names:?}");
-    let _ = reg;
+    // Morsel workers answer bit for bit like the sequential run.
+    assert_eq!(engine(4).run_trinit(&q, 10).answers, out.answers);
+}
+
+/// Delta recovery through a pattern that carries both a term rule and a
+/// chain rule: a bad plan prunes it, the under-filled run escalates it, and
+/// the one delta must bring in both the term relaxation's answer (paul, via
+/// wings) and the chain's (carol, via follows∘memberOf) — the escalated
+/// plan's answers, and TriniT's.
+#[test]
+fn delta_recovery_runs_term_and_chain_relaxations() {
+    let (g, mut reg, chains) = setup_with(&[
+        ("paul", "inGroup", "wings", 70.0),
+        ("alice", "plays", "guitar", 10.0),
+        ("paul", "plays", "guitar", 9.0),
+        ("carol", "plays", "guitar", 8.0),
+        ("bob", "plays", "guitar", 5.0),
+    ]);
+    let d = g.dictionary();
+    reg.add(TermRule::with_context(
+        Position::Object,
+        d.lookup("beatles").unwrap(),
+        d.lookup("wings").unwrap(),
+        0.8,
+        d.lookup("inGroup").unwrap(),
+    ));
+    let q = parse_query(
+        "SELECT ?x WHERE { ?x <inGroup> <beatles> . ?x <plays> <guitar> }",
+        d,
+    )
+    .unwrap();
+    let config = EngineConfig {
+        speculation: SpeculationPolicy::Fallback { max_stages: 3 },
+        ..EngineConfig::default()
+    };
+    let engine = Engine::with_config(&g, &reg, config).with_chain_rules(chains);
+
+    let bare = engine.run_with_plan(&q, 10, QueryPlan::none_relaxed(2), Duration::ZERO);
+    assert_eq!(bare.answers.len(), 2, "alice and bob only: under-filled");
+    let out = engine.run_speculative(&q, 10, QueryPlan::none_relaxed(2), Duration::ZERO);
+    assert!(out.report.mis_speculated);
+    assert_eq!(out.report.fallback_stages, 1);
+    assert!(out.plan.is_relaxed(0), "the inGroup pattern was escalated");
+    let names: Vec<&str> = out
+        .answers
+        .iter()
+        .map(|a| d.name_or_unknown(a.binding.get(q.projection()[0]).unwrap()))
+        .collect();
+    for who in ["paul", "carol"] {
+        assert!(names.contains(&who), "{who} missing from {names:?}");
+    }
+
+    let restart = engine.run_with_plan(&q, 10, out.plan.clone(), Duration::ZERO);
+    equivalent(&out.answers, &restart.answers).expect("delta ≡ escalated plan");
+    equivalent(&out.answers, &engine.run_trinit(&q, 10).answers).expect("delta ≡ TriniT");
 }

@@ -65,14 +65,10 @@ fn specqp_answers_are_valid_relaxed_answers() {
 #[test]
 fn specqp_with_all_relaxed_plan_equals_trinit() {
     let ds = XkgGenerator::new(XkgConfig::small(24)).generate();
-    // Parallelism pinned to 1: this test asserts exact work-counter
-    // equality, and morsel workers repeat non-target scans by a
+    // The default engine is sequential: this test asserts exact
+    // work-counter equality, and morsel workers repeat non-target scans by a
     // scheduling-dependent amount (answers stay identical either way).
-    let engine = Engine::with_config(
-        &ds.graph,
-        &ds.registry,
-        specqp::EngineConfig::default().with_parallelism(1),
-    );
+    let engine = Engine::new(&ds.graph, &ds.registry);
     let query = &ds.workload.queries[0];
     let forced = engine.run_with_plan(
         query,
@@ -114,13 +110,9 @@ fn workload_quality_stays_reasonable() {
 #[test]
 fn memory_metric_spec_never_exceeds_trinit_when_pruning() {
     let ds = XkgGenerator::new(XkgConfig::small(26)).generate();
-    // Parallelism pinned to 1: the §4.3 memory-metric comparison only holds
-    // for sequential execution (morsel workers repeat non-target scans).
-    let engine = Engine::with_config(
-        &ds.graph,
-        &ds.registry,
-        specqp::EngineConfig::default().with_parallelism(1),
-    );
+    // The default engine is sequential: the §4.3 memory-metric comparison
+    // only holds there (morsel workers repeat non-target scans).
+    let engine = Engine::new(&ds.graph, &ds.registry);
     for query in ds.workload.queries.iter().take(6) {
         let spec = engine.run_specqp(query, 10);
         let trinit = engine.run_trinit(query, 10);
@@ -168,18 +160,12 @@ fn required_relaxations_consistent_with_plans() {
 #[test]
 fn engine_runs_are_deterministic() {
     let ds = XkgGenerator::new(XkgConfig::small(28)).generate();
-    // Speculation pinned Off: repeated-run identity is a property of the
-    // baseline path. Under a feedback policy, run 1's verdicts may
-    // legitimately re-plan run 2 (that is the learning loop working).
-    // Parallelism pinned to 1 for the same reason the goldens pin it: the
-    // final counter assertion is only exact sequentially.
-    let engine = specqp::Engine::with_config(
-        &ds.graph,
-        &ds.registry,
-        specqp::EngineConfig::default()
-            .with_speculation(specqp::SpeculationPolicy::Off)
-            .with_parallelism(1),
-    );
+    // The default engine — speculation Off, sequential: repeated-run
+    // identity is a property of the baseline path. Under a feedback policy,
+    // run 1's verdicts may legitimately re-plan run 2 (that is the learning
+    // loop working), and the final counter assertion is only exact
+    // sequentially.
+    let engine = Engine::new(&ds.graph, &ds.registry);
     let query = &ds.workload.queries[1];
     let a = engine.run_specqp(query, 15);
     let b = engine.run_specqp(query, 15);

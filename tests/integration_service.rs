@@ -1,41 +1,43 @@
 //! Concurrency integration suite: the query service must be a pure
 //! throughput layer — N threads over one shared graph produce answer sets
-//! byte-identical to a sequential run of the same jobs, the plan cache
+//! byte-identical to a sequential run of the same requests, the plan cache
 //! amortizes planning across repeated shapes, and its counters stay
 //! consistent under contention.
 
 use datagen::{XkgConfig, XkgGenerator};
 use operators::PartialAnswer;
-use specqp::{PlanCache, QueryOutcome, QueryPlan, QueryShape};
+use specqp::{Engine, PlanCache, QueryOutcome, QueryPlan, QueryShape};
 use specqp_service::{
-    BatchReport, ExecMode, LiveGraph, QueryJob, QueryService, ServiceConfig, WriteBatch,
+    ExecMode, LiveGraph, QueryService, Request, ServiceConfig, Ticket, WriteBatch,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// `SPECQP_CHURN=1` re-runs this suite in *churn mode*: services are built
-/// over a [`LiveGraph`] and every batch executes with a writer thread
-/// concurrently committing net-zero write batches (assert + retract of the
-/// same fresh triple), so queries pin a stream of distinct epochs while the
-/// visible triples never change. The sequential-equivalence assertions stay
-/// exact; only the plan-cache hit-rate assertions are relaxed, because each
-/// observed epoch legitimately invalidates cached statistics and plans.
-fn churn_enabled() -> bool {
-    std::env::var("SPECQP_CHURN").is_ok_and(|v| v == "1")
+/// Submits every request, then redeems the tickets in submission order.
+fn submit_all(service: &QueryService, requests: &[Request]) -> Vec<QueryOutcome> {
+    let tickets: Vec<Ticket> = requests
+        .iter()
+        .map(|r| service.submit(r.clone()).expect("service admits"))
+        .collect();
+    tickets
+        .into_iter()
+        .map(|t| t.wait().outcome.expect("request executed"))
+        .collect()
 }
 
-/// Runs `jobs` on `service`; in churn mode a writer thread interleaves
-/// net-zero commits through [`QueryService::apply_writes`] for the whole
-/// duration of the batch.
-fn run_batch_churned(service: &QueryService, jobs: &[QueryJob]) -> BatchReport {
-    if !churn_enabled() {
-        return service.run_batch(jobs);
+/// Runs `requests` through `service`. Over a live service a writer thread
+/// commits net-zero batches (assert + retract of the same fresh triple)
+/// through [`QueryService::apply_writes`] for the whole run, at least once:
+/// queries pin a stream of distinct epochs while the visible triples never
+/// change.
+fn run_batch_churned(service: &QueryService, requests: &[Request]) -> Vec<QueryOutcome> {
+    if service.engine().live_graph().is_none() {
+        return submit_all(service, requests);
     }
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         scope.spawn(|| {
-            let mut round = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            for round in 0u64.. {
                 let mut batch = WriteBatch::new();
                 for j in 0..8 {
                     let s = format!("churn_{round}_{j}");
@@ -45,13 +47,27 @@ fn run_batch_churned(service: &QueryService, jobs: &[QueryJob]) -> BatchReport {
                 service
                     .apply_writes(&batch)
                     .expect("live service accepts writes during a batch");
-                round += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
         });
-        let report = service.run_batch(jobs);
+        let outcomes = submit_all(service, requests);
         stop.store(true, Ordering::Relaxed);
-        report
+        outcomes
     })
+}
+
+/// The sequential reference: a plain loop over the engine's `run_*`.
+fn run_sequential(engine: &Engine<'_>, requests: &[Request]) -> Vec<QueryOutcome> {
+    requests
+        .iter()
+        .map(|r| match r.mode {
+            ExecMode::SpecQp => engine.run_specqp(&r.query, r.k),
+            ExecMode::TriniT => engine.run_trinit(&r.query, r.k),
+            ExecMode::Naive => engine.run_naive(&r.query, r.k),
+        })
+        .collect()
 }
 
 /// Byte-identical answer sets: same length, same bindings, bit-equal
@@ -67,138 +83,145 @@ fn assert_identical_answers(a: &[PartialAnswer], b: &[PartialAnswer], ctx: &str)
 fn assert_identical_outcomes(par: &[QueryOutcome], seq: &[QueryOutcome], ctx: &str) {
     assert_eq!(par.len(), seq.len(), "{ctx}: outcome count");
     for (i, (p, s)) in par.iter().zip(seq).enumerate() {
-        assert_eq!(p.plan, s.plan, "{ctx}: plan of job {i} differs");
-        assert_identical_answers(&p.answers, &s.answers, &format!("{ctx}: job {i}"));
+        assert_eq!(p.plan, s.plan, "{ctx}: plan of request {i} differs");
+        assert_identical_answers(&p.answers, &s.answers, &format!("{ctx}: request {i}"));
     }
 }
 
-/// Builds a service and an identical-dataset *fresh* sequential reference
-/// (separate service instance so no cache state leaks between the two runs).
+/// Builds a service and a *fresh* sequential reference engine over the same
+/// dataset (separate instances, so no cache state leaks between the two
+/// runs). With `churn` the service reads through a live graph, so
+/// [`run_batch_churned`]'s writer bumps its epoch mid-run; the reference
+/// keeps the immutable epoch-0 base.
 ///
-/// Speculation is pinned `Off`: these tests gate *executor* concurrency
-/// (parallel ≡ sequential), and the speculation feedback ledger is online
-/// learning whose plan evolution legitimately depends on the order verdicts
-/// arrive — interleaving-dependent by design. Its service-level counters are
-/// covered by `batch_report_surfaces_fallback_counters` in
+/// Both run the default configuration, whose speculation is `Off`: these
+/// tests gate *executor* concurrency (parallel ≡ sequential), and the
+/// speculation feedback ledger is online learning whose plan evolution
+/// legitimately depends on the order verdicts arrive — interleaving-dependent
+/// by design. Its service-level plumbing is covered by
+/// `force_final_service_reports_one_stage_per_specqp_request` in
 /// `crates/service/src/lib.rs`, and its correctness by
 /// `tests/diff_speculation.rs`.
-fn xkg_services(seed: u64, threads: usize) -> (QueryService, QueryService, Vec<sparql::Query>) {
+fn xkg_services(
+    seed: u64,
+    threads: usize,
+    churn: bool,
+) -> (QueryService, Engine<'static>, Vec<sparql::Query>) {
     let ds = XkgGenerator::new(XkgConfig::small(seed)).generate();
     let queries = ds.workload.queries.clone();
     let registry = Arc::new(ds.registry);
-    let pinned = |threads: usize| {
-        let mut cfg = ServiceConfig::with_threads(threads);
-        cfg.engine = cfg.engine.with_speculation(specqp::SpeculationPolicy::Off);
-        cfg
-    };
-    if churn_enabled() {
-        // Churn lap: the service under test reads through a live graph (so
-        // interleaved writer batches bump its epoch mid-run); the sequential
-        // reference keeps the immutable epoch-0 base.
+    let config = ServiceConfig::with_threads(threads);
+    if churn {
         let live = Arc::new(LiveGraph::new(ds.graph));
         let base = live.pinned().0;
-        let service = QueryService::live(live, Arc::clone(&registry), pinned(threads));
-        let reference = QueryService::new(base, registry, pinned(1));
-        (service, reference, queries)
+        let service = QueryService::live(live, Arc::clone(&registry), config);
+        (service, Engine::new(base, registry), queries)
     } else {
         let graph = Arc::new(ds.graph);
-        let service = QueryService::new(Arc::clone(&graph), Arc::clone(&registry), pinned(threads));
-        let reference = QueryService::new(graph, registry, pinned(1));
-        (service, reference, queries)
+        let service = QueryService::new(Arc::clone(&graph), Arc::clone(&registry), config);
+        (service, Engine::new(graph, registry), queries)
     }
 }
 
 /// Acceptance criterion: a 4-thread service over a 200-query XKG workload
 /// produces answer sets identical to the sequential run and reports a
-/// plan-cache hit rate > 0 on the repeated query shapes.
+/// plan-cache hit rate > 0 on the repeated query shapes — over a flat graph,
+/// and over a live one with a writer churning.
 #[test]
 fn four_threads_200_queries_match_sequential_with_cache_hits() {
-    let (service, reference, queries) = xkg_services(0x5e41ce, 4);
-    let jobs: Vec<QueryJob> = queries
-        .iter()
-        .cycle()
-        .take(200)
-        .map(|q| QueryJob::specqp(q.clone(), 10))
-        .collect();
-    assert_eq!(jobs.len(), 200);
+    for churn in [false, true] {
+        let (service, reference, queries) = xkg_services(0x5e41ce, 4, churn);
+        let requests: Vec<Request> = queries
+            .iter()
+            .cycle()
+            .take(200)
+            .map(|q| Request::new(q.clone(), 10))
+            .collect();
 
-    let report = run_batch_churned(&service, &jobs);
-    let sequential = reference.run_sequential(&jobs);
-    assert_identical_outcomes(&report.outcomes, &sequential, "xkg200");
+        let outcomes = run_batch_churned(&service, &requests);
+        let sequential = run_sequential(&reference, &requests);
+        assert_identical_outcomes(&outcomes, &sequential, &format!("xkg200 churn={churn}"));
 
-    let c = report.stats.cache;
-    assert_eq!(c.lookups, 200, "one plan-cache lookup per Spec-QP job");
-    assert_eq!(c.hits + c.misses, c.lookups);
-    // Under the churn lap every interleaved commit invalidates cached
-    // statistics (and thereby plans), so the hit-rate floor and miss
-    // ceiling only bind in the immutable-graph configuration.
-    if !churn_enabled() {
-        assert!(
-            c.hit_rate > 0.0,
-            "repeated shapes must hit the plan cache: {c:?}"
+        let c = service.engine().plan_cache_metrics();
+        assert_eq!(
+            c.lookups(),
+            200,
+            "one plan-cache lookup per Spec-QP request"
         );
-        // The workload cycles, so shapes repeat ~11×; plan() is
-        // lookup→plangen→insert without atomicity, so beyond the one miss per
-        // distinct shape only concurrently in-flight duplicates (≤ threads - 1
-        // at any instant) can add racing misses.
-        assert!(
-            c.misses <= (queries.len() + 4) as u64,
-            "more misses than shapes + racing workers: {c:?}"
-        );
+        assert_eq!(c.hits() + c.misses(), c.lookups());
+        // Under churn every interleaved commit invalidates cached statistics
+        // (and thereby plans), so the hit-rate floor and miss ceiling only
+        // bind over the flat graph.
+        if !churn {
+            assert!(
+                c.hit_rate() > 0.0,
+                "repeated shapes must hit the plan cache"
+            );
+            // The workload cycles, so shapes repeat ~11×; plan() is
+            // lookup→plangen→insert without atomicity, so beyond the one miss
+            // per distinct shape only concurrently in-flight duplicates
+            // (≤ threads - 1 at any instant) can add racing misses.
+            assert!(
+                c.misses() <= (queries.len() + 4) as u64,
+                "more misses ({}) than shapes + racing workers",
+                c.misses()
+            );
+        }
     }
-    assert!(report.stats.queries_per_sec > 0.0);
 }
 
 /// Determinism under parallelism for every executor: a mixed
 /// specqp/trinit/naive workload run on 4 threads matches the sequential
-/// engine run job-for-job.
+/// engine run request-for-request, flat and churned.
 #[test]
 fn mixed_mode_workload_matches_sequential() {
-    let (service, reference, queries) = xkg_services(0x111ed, 4);
-    let jobs: Vec<QueryJob> = queries
-        .iter()
-        .cycle()
-        .take(36)
-        .enumerate()
-        .map(|(i, q)| {
-            let k = 5 + (i % 3) * 5;
-            match i % 3 {
-                0 => QueryJob::specqp(q.clone(), k),
-                1 => QueryJob::trinit(q.clone(), k),
-                _ => QueryJob::naive(q.clone(), k),
-            }
-        })
-        .collect();
-    let report = run_batch_churned(&service, &jobs);
-    let sequential = reference.run_sequential(&jobs);
-    assert_identical_outcomes(&report.outcomes, &sequential, "mixed");
-    // Only the Spec-QP third consults the plan cache.
-    assert_eq!(report.stats.cache.lookups, 12);
+    for churn in [false, true] {
+        let (service, reference, queries) = xkg_services(0x111ed, 4, churn);
+        let requests: Vec<Request> = queries
+            .iter()
+            .cycle()
+            .take(36)
+            .enumerate()
+            .map(|(i, q)| {
+                let mode = [ExecMode::SpecQp, ExecMode::TriniT, ExecMode::Naive][i % 3];
+                Request::new(q.clone(), 5 + (i % 3) * 5).with_mode(mode)
+            })
+            .collect();
+        let outcomes = run_batch_churned(&service, &requests);
+        let sequential = run_sequential(&reference, &requests);
+        assert_identical_outcomes(&outcomes, &sequential, &format!("mixed churn={churn}"));
+        // Only the Spec-QP third consults the plan cache.
+        assert_eq!(service.engine().plan_cache_metrics().lookups(), 12);
+    }
 }
 
 /// Repeated batches on one service keep answers stable while the hit rate
-/// climbs (the cache persists across batches).
+/// climbs (the cache persists across batches), flat and churned.
 #[test]
 fn cache_persists_across_batches() {
-    let (service, _, queries) = xkg_services(0xba7c4, 2);
-    let jobs: Vec<QueryJob> = queries
-        .iter()
-        .take(6)
-        .map(|q| QueryJob::specqp(q.clone(), 10))
-        .collect();
-    let first = run_batch_churned(&service, &jobs);
-    let misses_after_first = first.stats.cache.misses;
-    let second = run_batch_churned(&service, &jobs);
-    assert_identical_outcomes(&second.outcomes, &first.outcomes, "batch2");
-    // Interleaved commits drop cached plans, so all-hits only holds on the
-    // immutable-graph lap.
-    if !churn_enabled() {
-        assert_eq!(
-            second.stats.cache.misses, misses_after_first,
-            "second batch must be all hits"
-        );
+    for churn in [false, true] {
+        let (service, _, queries) = xkg_services(0xba7c4, 2, churn);
+        let requests: Vec<Request> = queries
+            .iter()
+            .take(6)
+            .map(|q| Request::new(q.clone(), 10))
+            .collect();
+        let metrics = service.engine().plan_cache_metrics();
+        let first = run_batch_churned(&service, &requests);
+        let misses_after_first = metrics.misses();
+        let second = run_batch_churned(&service, &requests);
+        assert_identical_outcomes(&second, &first, &format!("batch2 churn={churn}"));
+        // Interleaved commits drop cached plans, so all-hits only holds over
+        // the flat graph.
+        if !churn {
+            assert_eq!(
+                metrics.misses(),
+                misses_after_first,
+                "second batch must be all hits"
+            );
+        }
+        assert_eq!(metrics.lookups(), 12);
     }
-    assert_eq!(second.stats.cache.lookups, 12);
 }
 
 /// Loom-free contention smoke: threads hammering the *same* shape must keep
@@ -289,65 +312,44 @@ fn service_layer_is_send_sync() {
     assert_send_sync::<specqp::Engine<'static>>();
     assert_send_sync::<QueryService>();
     assert_send_sync::<QueryOutcome>();
-    assert_send_sync::<QueryJob>();
+    assert_send_sync::<Request>();
     assert_send_sync::<ExecMode>();
 }
 
-/// Live-service stability, unconditionally (the churn lap additionally
-/// interleaves writers into every other test here): a writer committing
-/// net-zero batches concurrently with a 4-thread query batch must leave the
-/// answers byte-identical to the pre-churn baseline — every query pins
-/// *some* epoch and every epoch holds the same visible triples — and a
-/// forced compaction folds the accumulated overlay without changing a
-/// single answer.
+/// Live-service stability: a writer committing net-zero batches
+/// concurrently with a 4-thread query batch must leave the answers
+/// byte-identical to the pre-churn baseline — every query pins *some* epoch
+/// and every epoch holds the same visible triples — and a forced compaction
+/// folds the accumulated overlay without changing a single answer.
 #[test]
 fn live_service_interleaved_writes_and_compaction_keep_answers() {
     let ds = XkgGenerator::new(XkgConfig::small(0x11fe)).generate();
     let live = Arc::new(LiveGraph::new(ds.graph));
-    let mut cfg = ServiceConfig::with_threads(4);
-    cfg.engine = cfg.engine.with_speculation(specqp::SpeculationPolicy::Off);
-    let service = QueryService::live(Arc::clone(&live), Arc::new(ds.registry), cfg);
-    let jobs: Vec<QueryJob> = ds
+    let service = QueryService::live(
+        Arc::clone(&live),
+        Arc::new(ds.registry),
+        ServiceConfig::with_threads(4),
+    );
+    let requests: Vec<Request> = ds
         .workload
         .queries
         .iter()
         .cycle()
         .take(48)
-        .map(|q| QueryJob::specqp(q.clone(), 10))
+        .map(|q| Request::new(q.clone(), 10))
         .collect();
 
-    let baseline = service.run_batch(&jobs);
+    let baseline = submit_all(&service, &requests);
     let epoch0 = live.epoch();
-
-    let stop = AtomicBool::new(false);
-    let churned = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let mut round = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                let mut batch = WriteBatch::new();
-                for j in 0..16 {
-                    let s = format!("mid_{round}_{j}");
-                    batch.assert(&s, "mid_rel", "mid_obj", 0.5);
-                    batch.retract(&s, "mid_rel", "mid_obj");
-                }
-                service
-                    .apply_writes(&batch)
-                    .expect("live service accepts writes");
-                round += 1;
-            }
-        });
-        let report = service.run_batch(&jobs);
-        stop.store(true, Ordering::Relaxed);
-        report
-    });
+    let churned = run_batch_churned(&service, &requests);
     assert!(
         live.epoch() > epoch0,
         "the writer must have committed while the batch ran"
     );
-    assert_identical_outcomes(&churned.outcomes, &baseline.outcomes, "mid-churn");
+    assert_identical_outcomes(&churned, &baseline, "mid-churn");
 
     let folded = service.compact().expect("live service compacts");
     assert_eq!(folded, live.epoch(), "compaction publishes the new epoch");
-    let after = service.run_batch(&jobs);
-    assert_identical_outcomes(&after.outcomes, &baseline.outcomes, "post-compaction");
+    let after = submit_all(&service, &requests);
+    assert_identical_outcomes(&after, &baseline, "post-compaction");
 }

@@ -11,7 +11,7 @@ use kgstore::PatternKey;
 use operators::PartialAnswer;
 use specqp::Engine;
 use specqp_common::{Error, SnapshotError};
-use specqp_service::{QueryJob, QueryService, ServiceConfig};
+use specqp_service::{QueryService, Request, ServiceConfig};
 use std::sync::Arc;
 
 fn small_xkg() -> datagen::Dataset {
@@ -76,12 +76,7 @@ fn service_boots_from_snapshot_file() {
     ));
     save_snapshot(&ds.graph, &path).unwrap();
 
-    let jobs: Vec<QueryJob> = ds
-        .workload
-        .queries
-        .iter()
-        .map(|q| QueryJob::specqp(q.clone(), 10))
-        .collect();
+    let queries = ds.workload.queries.clone();
     let registry = Arc::new(ds.registry);
     let direct = QueryService::new(
         Arc::new(ds.graph),
@@ -90,11 +85,12 @@ fn service_boots_from_snapshot_file() {
     );
     let booted = QueryService::from_snapshot(&path, registry, ServiceConfig::with_threads(3))
         .expect("snapshot boot");
-    let a = direct.run_batch(&jobs);
-    let b = booted.run_batch(&jobs);
-    assert_eq!(a.outcomes.len(), b.outcomes.len());
-    for (i, (x, y)) in a.outcomes.iter().zip(&b.outcomes).enumerate() {
-        assert_identical_answers(&x.answers, &y.answers, &format!("job {i}"));
+    for (i, q) in queries.iter().enumerate() {
+        let answers = |service: &QueryService| {
+            let ticket = service.submit(Request::new(q.clone(), 10)).unwrap();
+            ticket.wait().outcome.expect("query executed").answers
+        };
+        assert_identical_answers(&answers(&direct), &answers(&booted), &format!("query {i}"));
     }
     std::fs::remove_file(&path).ok();
 }

@@ -7,7 +7,7 @@ use kgstore::{KnowledgeGraph, KnowledgeGraphBuilder};
 use proptest::prelude::*;
 use relax::{Position, RelaxationRegistry, TermRule};
 use sparql::{Query, QueryBuilder};
-use specqp::{Engine, EngineConfig, QueryShape, SpeculationPolicy};
+use specqp::{Engine, QueryShape};
 use specqp_common::TermId;
 
 /// A deterministic micro-KG with relaxation rules between random classes.
@@ -91,11 +91,7 @@ fn stats_refit_forces_replan_of_cached_shape() {
         4,
     );
     let q = star_query(&world, &[0], "x").unwrap();
-    let engine = Engine::with_config(
-        &world.graph,
-        &world.registry,
-        EngineConfig::default().with_speculation(SpeculationPolicy::Off),
-    );
+    let engine = Engine::new(&world.graph, &world.registry);
     engine.warm(&q, 5);
     let m = engine.plan_cache_metrics().clone();
     assert_eq!(m.misses(), 1, "warm planned and cached the shape");
