@@ -1,9 +1,9 @@
 # Mirrors .github/workflows/ci.yml — `make ci` is exactly the CI gate.
 CARGO ?= cargo
 
-.PHONY: ci lint fmt build test bench doc example specbench-check clean
+.PHONY: ci lint fmt build test bench doc example specbench-check loc clean
 
-ci: lint build test bench doc example specbench-check
+ci: lint build test bench doc example specbench-check loc
 
 lint:
 	$(CARGO) fmt --all --check
@@ -42,6 +42,12 @@ example:
 # benchmark's view of the crates fails here, not at benchmark time.
 specbench-check:
 	$(CARGO) test --release --offline --manifest-path specbench/Cargo.toml
+
+# The Rust line count — a report, not a gate. Under CI it also goes to the
+# job summary.
+loc:
+	@n=$$(find crates src tests examples -name '*.rs' | xargs wc -l | tail -1 | awk '{print $$1}'); \
+	echo "Rust lines (crates src tests examples): $$n" | tee -a "$${GITHUB_STEP_SUMMARY:-/dev/null}"
 
 clean:
 	$(CARGO) clean

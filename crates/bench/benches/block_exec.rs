@@ -5,12 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::{Dataset, XkgConfig, XkgGenerator};
 use kgstore::KnowledgeGraphBuilder;
-use operators::{ExecutionMode, OpMetrics, PullStrategy, DEFAULT_BLOCK_SIZE};
-use relax::{ChainRuleSet, RelaxationRegistry};
-use specqp::{
-    partition_target, run_plan_blocks_parallel, run_plan_blocks_with_chains, Engine, EngineConfig,
-    QueryPlan,
-};
+use operators::ExecutionMode;
+use relax::RelaxationRegistry;
+use specqp::{partition_target, Engine, EngineConfig, QueryPlan};
 
 fn engine(ds: &Dataset, execution: ExecutionMode) -> Engine<'_> {
     let config = EngineConfig {
@@ -72,37 +69,19 @@ fn bench_morsel_heavy_scan(c: &mut Criterion) {
     qb.pattern(x, d.lookup("light").unwrap(), d.lookup("c_small").unwrap());
     qb.project(x);
     let q = qb.build().expect("heavy-scan join query");
-    let (registry, chains) = (RelaxationRegistry::new(), ChainRuleSet::new());
+    let registry = RelaxationRegistry::new();
     let plan = QueryPlan::none_relaxed(2);
-    let target = partition_target(&graph, &q, &plan, &registry, &chains)
-        .expect("the heavy scan is partitionable");
+    partition_target(&graph, &q, &plan, &registry).expect("the heavy scan is partitionable");
     let run = |workers: usize| {
-        run_plan_blocks_parallel(
-            &graph,
-            &q,
-            &plan,
-            &registry,
-            &chains,
-            OpMetrics::new_handle(),
-            PullStrategy::Adaptive,
-            k,
-            DEFAULT_BLOCK_SIZE,
-            workers,
-            target,
-        )
+        let config = EngineConfig {
+            parallelism: workers,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::with_config(&graph, &registry, config);
+        engine.run_with_plan(&q, k, plan.clone()).answers
     };
 
-    let sequential = run_plan_blocks_with_chains(
-        &graph,
-        &q,
-        &plan,
-        &registry,
-        &chains,
-        OpMetrics::new_handle(),
-        PullStrategy::Adaptive,
-        k,
-        DEFAULT_BLOCK_SIZE,
-    );
+    let sequential = run(1);
     assert_eq!(sequential.len(), k);
     let workers = [1usize, 2, 4];
     for w in workers {

@@ -19,7 +19,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::{Dataset, TwitterConfig, TwitterGenerator, XkgConfig, XkgGenerator};
 use specqp::{Engine, EngineConfig, SpeculationPolicy};
-use std::time::Duration;
 
 const K: usize = 10;
 
@@ -44,25 +43,20 @@ fn bench_recovery(c: &mut Criterion) {
         for (qid, q) in ds.workload.queries.iter().enumerate() {
             let cold = engine();
             let (plan, _) = cold.plan(q, K);
-            let recovered = cold.run_speculative(q, K, plan.clone(), Duration::ZERO);
+            let recovered = cold.run_speculative(q, K, plan.clone());
             let stages = recovered.report.fallback_stages;
             if stages == 0 {
                 continue;
             }
             let id = |side: &str| BenchmarkId::new(format!("{side}_{name}_{stages}stage"), qid);
             group.bench_function(id("delta"), |b| {
-                b.iter(|| {
-                    engine()
-                        .run_speculative(q, K, plan.clone(), Duration::ZERO)
-                        .answers
-                        .len()
-                })
+                b.iter(|| engine().run_speculative(q, K, plan.clone()).answers.len())
             });
             group.bench_function(id("restart"), |b| {
                 b.iter(|| {
                     let e = engine();
-                    let first = e.run_with_plan(q, K, plan.clone(), Duration::ZERO);
-                    let last = e.run_with_plan(q, K, recovered.plan.clone(), Duration::ZERO);
+                    let first = e.run_with_plan(q, K, plan.clone());
+                    let last = e.run_with_plan(q, K, recovered.plan.clone());
                     first.answers.len() + last.answers.len()
                 })
             });

@@ -2,17 +2,15 @@
 //! and configuration, with `run_*` entry points for Spec-QP, TriniT and the
 //! naive executor.
 
-use crate::executor::{run_delta_plan, run_naive, run_plan_blocks_with_chains};
+use crate::executor::{run_naive, run_plan};
 use crate::plan::QueryPlan;
 use crate::plan_cache::{PlanCache, QueryShape};
 use crate::plangen::plan_query;
 use crate::speculation::{self, SpeculationPolicy};
 use crate::trace::RunReport;
 use kgstore::{Epoch, KnowledgeGraph, LiveGraph};
-use operators::{
-    CacheMetricsHandle, ExecutionMode, MetricsHandle, OpMetrics, PartialAnswer, PullStrategy,
-};
-use relax::{ChainRuleSet, RelaxationRegistry};
+use operators::{CacheMetricsHandle, ExecutionMode, OpMetrics, PartialAnswer, PullStrategy};
+use relax::RelaxationRegistry;
 use sparql::Query;
 use specqp_common::Score;
 use specqp_stats::{
@@ -242,7 +240,6 @@ fn kth_score(answers: &[PartialAnswer], k: usize) -> Option<Score> {
 pub struct Engine<'g> {
     graph: GraphHandle<'g>,
     registry: Handle<'g, RelaxationRegistry>,
-    chains: ChainRuleSet,
     catalog: StatsCatalog,
     cardinality: Box<dyn CardinalityEstimator + 'g>,
     plan_cache: PlanCache,
@@ -294,7 +291,6 @@ impl<'g> Engine<'g> {
         Engine {
             graph,
             registry: registry.into(),
-            chains: ChainRuleSet::new(),
             catalog: StatsCatalog::new(),
             cardinality: Box::new(ExactCardinality::new()),
             plan_cache: PlanCache::default(),
@@ -308,20 +304,6 @@ impl<'g> Engine<'g> {
     pub fn with_cardinality(mut self, est: Box<dyn CardinalityEstimator + 'g>) -> Self {
         self.cardinality = est;
         self
-    }
-
-    /// Enables chain relaxations (the paper's future-work extension): the
-    /// executors will additionally merge, for every relaxed pattern, the
-    /// answers of each applicable predicate chain. PLANGEN's speculation
-    /// still considers term relaxations only.
-    pub fn with_chain_rules(mut self, chains: ChainRuleSet) -> Self {
-        self.chains = chains;
-        self
-    }
-
-    /// The configured chain rules.
-    pub fn chain_rules(&self) -> &ChainRuleSet {
-        &self.chains
     }
 
     /// Pins and returns the graph version this call should read (see
@@ -445,82 +427,25 @@ impl<'g> Engine<'g> {
     pub fn run_specqp(&self, query: &Query, k: usize) -> QueryOutcome {
         let graph = self.pin();
         let (plan, planning) = self.plan_on(&graph, query, k);
-        self.run_speculative_on(&graph, query, k, plan, planning)
+        let mut out = self.run_speculative_on(&graph, query, k, plan);
+        out.report.planning = planning;
+        out
     }
 
     /// TriniT baseline: every pattern processed with its relaxations
     /// (§2.1); no planning step, and nothing to verify — the all-relaxed
     /// plan *is* the lifecycle's safety net.
     pub fn run_trinit(&self, query: &Query, k: usize) -> QueryOutcome {
-        self.run_with_plan(
-            query,
-            k,
-            QueryPlan::all_relaxed(query.len()),
-            Duration::ZERO,
-        )
-    }
-
-    /// Phase 2 of the lifecycle — drains `plan`'s top-`k` at the configured
-    /// block size, morsel-parallel when configured and the plan allows it.
-    /// Shared by every run path.
-    fn execute_phase(
-        &self,
-        graph: &KnowledgeGraph,
-        query: &Query,
-        k: usize,
-        plan: &QueryPlan,
-        metrics: &MetricsHandle,
-    ) -> Vec<PartialAnswer> {
-        let size = self.config.execution.block_size();
-        if self.config.parallelism > 1 {
-            if let Some(target) = crate::parallel::partition_target(
-                graph,
-                query,
-                plan,
-                self.registry.get(),
-                &self.chains,
-            ) {
-                return crate::parallel::run_plan_blocks_parallel(
-                    graph,
-                    query,
-                    plan,
-                    self.registry.get(),
-                    &self.chains,
-                    metrics.clone(),
-                    self.config.pull,
-                    k,
-                    size,
-                    self.config.parallelism,
-                    target,
-                );
-            }
-        }
-        run_plan_blocks_with_chains(
-            graph,
-            query,
-            plan,
-            self.registry.get(),
-            &self.chains,
-            metrics.clone(),
-            self.config.pull,
-            k,
-            size,
-        )
+        self.run_with_plan(query, k, QueryPlan::all_relaxed(query.len()))
     }
 
     /// Executes an explicit plan **verbatim** — no verification, no
     /// fallback, regardless of the configured speculation policy. This is
     /// the escape hatch ablations and tests use to observe exactly what one
     /// plan produces.
-    pub fn run_with_plan(
-        &self,
-        query: &Query,
-        k: usize,
-        plan: QueryPlan,
-        planning: Duration,
-    ) -> QueryOutcome {
+    pub fn run_with_plan(&self, query: &Query, k: usize, plan: QueryPlan) -> QueryOutcome {
         let graph = self.pin();
-        self.run_with_plan_on(&graph, query, k, plan, planning)
+        self.run_with_plan_on(&graph, query, k, plan)
     }
 
     fn run_with_plan_on(
@@ -529,13 +454,12 @@ impl<'g> Engine<'g> {
         query: &Query,
         k: usize,
         plan: QueryPlan,
-        planning: Duration,
     ) -> QueryOutcome {
+        let registry = self.registry.get();
         let metrics = OpMetrics::new_handle();
         let t0 = Instant::now();
-        let answers = self.execute_phase(graph, query, k, &plan, &metrics);
+        let answers = run_plan(graph, query, &plan, registry, &metrics, &self.config, k);
         let mut report = RunReport::of(&metrics);
-        report.planning = planning;
         report.execution = t0.elapsed();
         QueryOutcome {
             answers,
@@ -551,10 +475,10 @@ impl<'g> Engine<'g> {
     /// * each recovery stage escalates its targets one at a time — the
     ///   verifier's top suspect in stages `1‥N−1`, every remaining candidate
     ///   in stage `N` — and for each runs only the target's *delta plan*
-    ///   ([`crate::run_delta_plan`]) above the k-th score in hand, folding
-    ///   the result into the answers ([`speculation::union_top_k`]). The
+    ///   ([`QueryPlan::delta`]) above the k-th score in hand, folding the
+    ///   result into the answers ([`speculation::union_top_k`]). The
     ///   speculative execution is never repeated or discarded; deltas run
-    ///   on the calling thread whatever [`EngineConfig::parallelism`] is;
+    ///   like every plan, at the configured [`EngineConfig::parallelism`];
     /// * after stage `N` every pattern with relaxations is relaxed, so the
     ///   answers are TriniT's: the same bindings, scores equal up to the
     ///   last place (they are summed in a different order than
@@ -573,15 +497,9 @@ impl<'g> Engine<'g> {
     /// The returned outcome carries the plan whose top-k the answers are,
     /// with verify time, recovery stages and wasted answer objects
     /// accounted in the report.
-    pub fn run_speculative(
-        &self,
-        query: &Query,
-        k: usize,
-        plan: QueryPlan,
-        planning: Duration,
-    ) -> QueryOutcome {
+    pub fn run_speculative(&self, query: &Query, k: usize, plan: QueryPlan) -> QueryOutcome {
         let graph = self.pin();
-        self.run_speculative_on(&graph, query, k, plan, planning)
+        self.run_speculative_on(&graph, query, k, plan)
     }
 
     fn run_speculative_on(
@@ -590,25 +508,21 @@ impl<'g> Engine<'g> {
         query: &Query,
         k: usize,
         plan: QueryPlan,
-        planning: Duration,
     ) -> QueryOutcome {
         let max_stages = match self.config.speculation {
-            SpeculationPolicy::Off => {
-                return self.run_with_plan_on(graph, query, k, plan, planning);
-            }
-            SpeculationPolicy::ForceFinal => {
-                return self.run_forced_final(graph, query, k, plan, planning);
-            }
+            SpeculationPolicy::Off => return self.run_with_plan_on(graph, query, k, plan),
+            SpeculationPolicy::ForceFinal => return self.run_forced_final(graph, query, k, plan),
             SpeculationPolicy::Detect => 0,
             SpeculationPolicy::Fallback { max_stages } => max_stages.max(1),
         };
 
+        let registry = self.registry.get();
         let metrics = OpMetrics::new_handle();
         let mut current = plan;
         let mut verify_time = Duration::ZERO;
 
         let t0 = Instant::now();
-        let mut answers = self.execute_phase(graph, query, k, &current, &metrics);
+        let mut answers = run_plan(graph, query, &current, registry, &metrics, &self.config, k);
         let mut execution = t0.elapsed();
 
         let mut mis_speculated = false;
@@ -635,8 +549,7 @@ impl<'g> Engine<'g> {
         loop {
             // Phase 3: verify.
             let tv = Instant::now();
-            let mut verdict =
-                speculation::verify(query, &current, self.registry.get(), &answers, k);
+            let mut verdict = speculation::verify(query, &current, registry, &answers, k);
             if verdict.mis_speculated {
                 verdict.suspects.retain(|&i| !settled(i));
                 verdict.mis_speculated = !verdict.suspects.is_empty();
@@ -663,18 +576,14 @@ impl<'g> Engine<'g> {
                     .enumerate()
                     .filter(|(i, p)| {
                         current.is_relaxed(*i)
-                            && self.registry.get().relaxation_count(p) > 0
+                            && registry.relaxation_count(p) > 0
                             && self.catalog.repeat_offender(&p.stats_key())
                     })
                     .map(|(i, _)| i)
                     .collect();
                 if !audit.is_empty() {
-                    let contributing = crate::evaluation::required_relaxations(
-                        graph,
-                        query,
-                        self.registry.get(),
-                        &answers,
-                    );
+                    let contributing =
+                        crate::evaluation::required_relaxations(graph, query, registry, &answers);
                     probes.extend(audit.into_iter().map(|i| (i, contributing.contains(&i))));
                 }
                 break;
@@ -709,22 +618,10 @@ impl<'g> Engine<'g> {
             let t = Instant::now();
             let mut confirmed = false;
             for &target in &targets {
+                let delta = current.delta(target, kth_score(&answers, k));
                 current = current.escalated(&[target]);
-                let floor = kth_score(&answers, k);
                 let created = metrics.answers_created();
-                let delta = run_delta_plan(
-                    graph,
-                    query,
-                    &current,
-                    target,
-                    floor,
-                    self.registry.get(),
-                    &self.chains,
-                    metrics.clone(),
-                    self.config.pull,
-                    k,
-                    self.config.execution.block_size(),
-                );
+                let delta = run_plan(graph, query, &delta, registry, &metrics, &self.config, k);
                 if speculation::union_top_k(&mut answers, delta, k) {
                     confirmed = true;
                 } else {
@@ -744,12 +641,8 @@ impl<'g> Engine<'g> {
             // changed the top-k does not say: an answer that needs relaxed
             // rows of two targets surfaces in the later one's delta only.)
             if confirmed && targets.len() > 1 {
-                let contributing = crate::evaluation::required_relaxations(
-                    graph,
-                    query,
-                    self.registry.get(),
-                    &answers,
-                );
+                let contributing =
+                    crate::evaluation::required_relaxations(graph, query, registry, &answers);
                 probes.extend(targets.into_iter().map(|i| (i, contributing.contains(&i))));
             } else {
                 probes.extend(targets.into_iter().map(|i| (i, confirmed)));
@@ -777,7 +670,6 @@ impl<'g> Engine<'g> {
         }
 
         let mut report = RunReport::of(&metrics);
-        report.planning = planning;
         report.execution = execution;
         report.verify = verify_time;
         report.mis_speculated = mis_speculated;
@@ -800,17 +692,16 @@ impl<'g> Engine<'g> {
         query: &Query,
         k: usize,
         plan: QueryPlan,
-        planning: Duration,
     ) -> QueryOutcome {
+        let registry = self.registry.get();
         let metrics = OpMetrics::new_handle();
         let t0 = Instant::now();
-        self.execute_phase(graph, query, k, &plan, &metrics);
+        run_plan(graph, query, &plan, registry, &metrics, &self.config, k);
         metrics.count_fallback_stage();
         metrics.count_wasted_answers(metrics.answers_created());
         let trinit = QueryPlan::all_relaxed(query.len());
-        let answers = self.execute_phase(graph, query, k, &trinit, &metrics);
+        let answers = run_plan(graph, query, &trinit, registry, &metrics, &self.config, k);
         let mut report = RunReport::of(&metrics);
-        report.planning = planning;
         report.execution = t0.elapsed();
         report.mis_speculated = true;
         QueryOutcome {
@@ -1094,14 +985,14 @@ mod tests {
         .unwrap();
         // Verbatim bad plan: only 3 of 10 requested answers exist unrelaxed.
         let bad = QueryPlan::none_relaxed(2);
-        let verbatim = engine.run_with_plan(&q, 10, bad.clone(), Duration::ZERO);
+        let verbatim = engine.run_with_plan(&q, 10, bad.clone());
         assert_eq!(verbatim.answers.len(), 3, "the mis-speculation is real");
         assert!(
             !verbatim.report.mis_speculated,
             "verbatim path never verifies"
         );
 
-        let recovered = engine.run_speculative(&q, 10, bad, Duration::ZERO);
+        let recovered = engine.run_speculative(&q, 10, bad);
         let trinit = engine.run_trinit(&q, 10);
         assert!(recovered.report.mis_speculated);
         assert!(recovered.report.fallback_stages >= 1);
@@ -1132,7 +1023,7 @@ mod tests {
         )
         .unwrap();
         let bad = QueryPlan::none_relaxed(2);
-        let out = engine.run_speculative(&q, 10, bad, Duration::ZERO);
+        let out = engine.run_speculative(&q, 10, bad);
         assert!(out.report.mis_speculated);
         assert_eq!(out.report.fallback_stages, 0, "detect never re-executes");
         assert_eq!(out.answers.len(), 3, "answers returned as-is");
@@ -1231,7 +1122,7 @@ mod tests {
         // escalation adds `other`'s entity `x`, so the first stage IS
         // confirmed … use a bare plan against an empty relaxation instead:
         let bad = QueryPlan::none_relaxed(1);
-        let out = engine.run_speculative(&q, 10, bad, Duration::ZERO);
+        let out = engine.run_speculative(&q, 10, bad);
         // The escalated run found `x` via the relaxation (answers changed),
         // so this one is a confirmed offense — sanity-check the detector.
         assert!(out.report.mis_speculated);
@@ -1262,7 +1153,7 @@ mod tests {
         let engine2 = engine_with_policy(&g2, &reg2, SpeculationPolicy::Fallback { max_stages: 3 });
         let q2 = parse_query("SELECT ?s WHERE { ?s <type> <rare> }", g2.dictionary()).unwrap();
         let bad2 = QueryPlan::none_relaxed(1);
-        let out2 = engine2.run_speculative(&q2, 10, bad2, Duration::ZERO);
+        let out2 = engine2.run_speculative(&q2, 10, bad2);
         assert!(out2.report.mis_speculated, "under-filled is still detected");
         assert!(out2.report.fallback_stages >= 1, "escalation was attempted");
         assert_eq!(out2.answers.len(), 2, "nothing new was recoverable");
@@ -1287,7 +1178,7 @@ mod tests {
         // The shape is settled: the next identical run must not re-trigger
         // the escalation ladder (the genuinely-small result would otherwise
         // pay the fallback cost on every request forever).
-        let again = engine2.run_speculative(&q2, 10, QueryPlan::none_relaxed(1), Duration::ZERO);
+        let again = engine2.run_speculative(&q2, 10, QueryPlan::none_relaxed(1));
         assert_eq!(
             again.report.fallback_stages, 0,
             "settled shapes are not re-escalated"
@@ -1330,8 +1221,8 @@ mod tests {
         )
         .unwrap();
         let engine = engine_with_policy(&g, &reg, SpeculationPolicy::Fallback { max_stages: 3 });
-        let bare = engine.run_with_plan(&q, 5, QueryPlan::none_relaxed(3), Duration::ZERO);
-        let restart = engine.run_with_plan(&q, 5, QueryPlan::new(3, &[0]), Duration::ZERO);
+        let bare = engine.run_with_plan(&q, 5, QueryPlan::none_relaxed(3));
+        let restart = engine.run_with_plan(&q, 5, QueryPlan::new(3, &[0]));
         assert_eq!(bare.answers.len(), 2);
         assert_ne!(
             bare.answers, restart.answers,
@@ -1339,7 +1230,7 @@ mod tests {
         );
 
         // Under-filled (2 < 5): pattern 0 is escalated; `ghost` joins nothing.
-        let out = engine.run_speculative(&q, 5, QueryPlan::none_relaxed(3), Duration::ZERO);
+        let out = engine.run_speculative(&q, 5, QueryPlan::none_relaxed(3));
         assert_eq!(out.report.fallback_stages, 1);
         assert_eq!(out.answers, bare.answers, "bit for bit what was in hand");
         assert!(
@@ -1383,9 +1274,9 @@ mod tests {
         // of 0.6; the prediction makes pattern 1 a suspect.
         let bad =
             QueryPlan::none_relaxed(2).with_predictions(None, vec![None, Some(Score::new(9.0))]);
-        let old = engine.run_with_plan(&q, 2, bad.clone(), Duration::ZERO);
-        let out = engine.run_speculative(&q, 2, bad, Duration::ZERO);
-        let restart = engine.run_with_plan(&q, 2, QueryPlan::new(2, &[1]), Duration::ZERO);
+        let old = engine.run_with_plan(&q, 2, bad.clone());
+        let out = engine.run_speculative(&q, 2, bad);
+        let restart = engine.run_with_plan(&q, 2, QueryPlan::new(2, &[1]));
         assert_eq!(out.report.fallback_stages, 1);
         assert_eq!(out.report.wasted_answers, 0);
         assert_eq!(out.answers, restart.answers, "two-term sums are exact");
@@ -1409,7 +1300,7 @@ mod tests {
             g.dictionary(),
         )
         .unwrap();
-        let out = engine.run_speculative(&q, 0, QueryPlan::none_relaxed(2), Duration::ZERO);
+        let out = engine.run_speculative(&q, 0, QueryPlan::none_relaxed(2));
         assert!(out.answers.is_empty());
         assert!(!out.report.mis_speculated);
         assert_eq!(out.report.fallback_stages, 0);
@@ -1432,7 +1323,7 @@ mod tests {
         .unwrap();
         // PLANGEN relaxes `small` on its own, so seed the ledger with a run
         // of the bare plan: Detect flags it and puts `small` on file.
-        let seed = engine.run_speculative(&q, 40, QueryPlan::none_relaxed(2), Duration::ZERO);
+        let seed = engine.run_speculative(&q, 40, QueryPlan::none_relaxed(2));
         assert!(seed.report.mis_speculated, "the seed run is flagged");
         assert!(engine.catalog().generation() >= 1, "the flag bumped it");
         for _ in 0..6 {

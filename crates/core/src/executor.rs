@@ -1,5 +1,5 @@
-//! Plan execution: operator-tree construction (§3.2.2) and the naive
-//! reference executor.
+//! Plan execution: operator-tree construction (§3.2.2), the one runner
+//! every plan goes through, and the naive reference executor.
 //!
 //! Given a [`QueryPlan`]:
 //!
@@ -7,7 +7,8 @@
 //!    [`BlockScan`]s (no relaxations),
 //! 2. every **singleton** becomes a [`BlockIncrementalMerge`] over the
 //!    pattern's scan (weight 1), one scan per relaxation (weight `wᵢ`) and
-//!    one rank-join subtree per chain relaxation,
+//!    one rank-join subtree per chain relaxation — the scan left out when
+//!    the plan is the [delta](QueryPlan::delta) of that pattern,
 //! 3. the join-group stream and the singleton streams are combined with
 //!    further rank joins (Fig. 5).
 //!
@@ -17,24 +18,19 @@
 //! [`QueryPlan::all_relaxed`] run through the same machinery. [`run_naive`]
 //! is a brute-force executor (drain every scan + max-dedup + hash join +
 //! sort) used as ground truth by the test suite.
-//!
-//! A **delta plan** ([`run_delta_plan`]) is a plan with one singleton's
-//! merge built *without the pattern's original scan*: it produces exactly
-//! the answers that use a relaxed-only row of that pattern — what escalating
-//! the pattern adds to the plan it was escalated from — and is how the
-//! speculation lifecycle recovers without re-executing (see
-//! `crate::speculation`).
 
+use crate::engine::EngineConfig;
+use crate::parallel::{self, partition_target};
 use crate::plan::QueryPlan;
 use kgstore::KnowledgeGraph;
 use operators::{
-    top_k_blocks, top_k_blocks_floored, Binding, BlockIncrementalMerge, BlockRankJoin, BlockScan,
-    BlockStream, BoxedBlockStream, MetricsHandle, MorselDispenser, OpMetrics, PartialAnswer,
+    top_k_blocks_floored, Binding, BlockIncrementalMerge, BlockRankJoin, BlockScan, BlockStream,
+    BoxedBlockStream, ExecutionMode, MetricsHandle, MorselDispenser, OpMetrics, PartialAnswer,
     PullStrategy, ScaledProjection, DEFAULT_BLOCK_SIZE,
 };
-use relax::{ChainRuleSet, RelaxationRegistry};
+use relax::RelaxationRegistry;
 use sparql::{Query, TriplePattern, Var};
-use specqp_common::{FxHashMap, Score};
+use specqp_common::{FxHashMap, Score, TermId};
 use std::sync::Arc;
 
 /// Builds the operator tree for `plan` over `query`, chain relaxations
@@ -43,77 +39,21 @@ use std::sync::Arc;
 /// scans, scaled into `[0, w]` (`w/len` per hop) and projected back onto the
 /// original pattern's variables so Def.-8 max-deduplication still applies.
 ///
-/// Returns the root stream; pull [`top_k_blocks`] answers from it. Every
-/// operator shares `metrics`, so the paper's "answer objects created"
-/// counter aggregates the whole tree.
-#[allow(clippy::too_many_arguments)]
-pub fn build_block_stream_with_chains<'g>(
+/// `morsels` partitions one pattern's scan: instead of owning its whole
+/// match list, that scan pulls rank-range morsels from the shared dispenser
+/// (see [`crate::parallel`]). Every operator shares `metrics`, so the
+/// paper's "answer objects created" counter aggregates the whole tree.
+fn build_tree<'g>(
     graph: &'g KnowledgeGraph,
     query: &Query,
     plan: &QueryPlan,
     registry: &RelaxationRegistry,
-    chains: &ChainRuleSet,
-    metrics: MetricsHandle,
-    strategy: PullStrategy,
-    block_size: usize,
-) -> BoxedBlockStream<'g> {
-    build_block_stream_inner(
-        graph, query, plan, registry, chains, metrics, strategy, block_size, None, None,
-    )
-}
-
-/// [`build_block_stream_with_chains`] with the scan of pattern `target`
-/// partitioned: instead of owning its whole match list, that scan pulls
-/// rank-range morsels from the shared `dispenser`. One such tree per
-/// parallel worker (all sharing one dispenser) partitions the target's
-/// rows across workers while every other operator runs privately — see
-/// [`crate::parallel`] for the eligibility rules that make the union of
-/// the workers' top-k exactly the sequential top-k.
-#[allow(clippy::too_many_arguments)]
-pub fn build_block_stream_morsels<'g>(
-    graph: &'g KnowledgeGraph,
-    query: &Query,
-    plan: &QueryPlan,
-    registry: &RelaxationRegistry,
-    chains: &ChainRuleSet,
-    metrics: MetricsHandle,
-    strategy: PullStrategy,
-    block_size: usize,
-    target: usize,
-    dispenser: Arc<MorselDispenser>,
-) -> BoxedBlockStream<'g> {
-    build_block_stream_inner(
-        graph,
-        query,
-        plan,
-        registry,
-        chains,
-        metrics,
-        strategy,
-        block_size,
-        Some((target, dispenser)),
-        None,
-    )
-}
-
-/// The one tree builder: `morsels` partitions one pattern's scan,
-/// `delta: Some(i)` builds the delta plan of singleton `i` (its merge gets
-/// every relaxation, chains included, but not the pattern's own scan).
-#[allow(clippy::too_many_arguments)]
-fn build_block_stream_inner<'g>(
-    graph: &'g KnowledgeGraph,
-    query: &Query,
-    plan: &QueryPlan,
-    registry: &RelaxationRegistry,
-    chains: &ChainRuleSet,
     metrics: MetricsHandle,
     strategy: PullStrategy,
     block_size: usize,
     morsels: Option<(usize, Arc<MorselDispenser>)>,
-    delta: Option<usize>,
 ) -> BoxedBlockStream<'g> {
     assert_eq!(plan.len(), query.len(), "plan/query arity mismatch");
-    assert_delta_is_singleton(plan, delta);
     let block_size = block_size.max(1);
     let patterns = query.patterns();
     let mut next_fresh = query.var_count() as u32;
@@ -158,17 +98,17 @@ fn build_block_stream_inner<'g>(
         ));
     }
 
-    // 2. Singletons: block merges over the pattern + its relaxations (term
-    //    rules and, if configured, chain rules).
+    // 2. Singletons: block merges over the pattern (unless this is its
+    //    delta) and its term and chain relaxations.
     for i in plan.singletons() {
         let mut inputs: Vec<BoxedBlockStream<'g>> = Vec::new();
-        if delta != Some(i) {
+        if plan.delta_target() != Some(i) {
             inputs.push(scan(i, Score::ONE));
         }
         for r in registry.relaxations_for(&patterns[i]) {
             inputs.push(plain_scan(r.pattern, Score::new(r.weight)));
         }
-        for c in chains.chain_relaxations_for(&patterns[i], next_fresh) {
+        for c in registry.chain_relaxations_for(&patterns[i], next_fresh) {
             next_fresh += c.fresh_vars.len() as u32;
             let join = join_chain(&mut c.patterns.iter().map(|&p| plain_scan(p, Score::ONE)));
             inputs.push(Box::new(ScaledProjection::new(
@@ -183,14 +123,6 @@ fn build_block_stream_inner<'g>(
     // 3. Combine all parts with block rank joins, left-deep in construction
     //    order.
     join_chain(&mut parts.into_iter())
-}
-
-/// A delta is taken of a singleton: a join-group member has no merge to
-/// leave the original scan out of.
-fn assert_delta_is_singleton(plan: &QueryPlan, delta: Option<usize>) {
-    if let Some(i) = delta {
-        assert!(plan.is_relaxed(i), "delta pattern {i} is not a singleton");
-    }
 }
 
 fn block_join<'g>(
@@ -217,8 +149,8 @@ fn block_join<'g>(
 }
 
 /// Executes `plan` to the top-`k` answers with blocks of up to `block_size`
-/// rows.
-#[allow(clippy::too_many_arguments)]
+/// rows, on the calling thread: [`QueryPlan::delta`] plans included, which
+/// drain only above their floor.
 pub fn run_plan_blocks(
     graph: &KnowledgeGraph,
     query: &Query,
@@ -229,86 +161,55 @@ pub fn run_plan_blocks(
     k: usize,
     block_size: usize,
 ) -> Vec<PartialAnswer> {
-    static NO_CHAINS: std::sync::OnceLock<ChainRuleSet> = std::sync::OnceLock::new();
-    run_plan_blocks_with_chains(
-        graph,
-        query,
-        plan,
-        registry,
-        NO_CHAINS.get_or_init(ChainRuleSet::new),
-        metrics,
-        strategy,
-        k,
-        block_size,
-    )
+    let config = EngineConfig {
+        pull: strategy,
+        execution: ExecutionMode::Block(block_size),
+        ..EngineConfig::default()
+    };
+    run_plan(graph, query, plan, registry, &metrics, &config, k)
 }
 
-/// [`run_plan_blocks`] plus chain relaxations.
-#[allow(clippy::too_many_arguments)]
-pub fn run_plan_blocks_with_chains(
+/// The one runner: builds `plan`'s tree with `config`'s pull strategy and
+/// block size and drains its top-`k` (above the floor, for a delta plan).
+/// With `config.parallelism > 1` and a [`partition_target`], that scan is
+/// split into morsels across that many workers, each running a private
+/// copy of the tree ([`crate::parallel`]); otherwise the tree runs on the
+/// calling thread. The answers are the same either way.
+pub(crate) fn run_plan(
     graph: &KnowledgeGraph,
     query: &Query,
     plan: &QueryPlan,
     registry: &RelaxationRegistry,
-    chains: &ChainRuleSet,
-    metrics: MetricsHandle,
-    strategy: PullStrategy,
+    metrics: &MetricsHandle,
+    config: &EngineConfig,
     k: usize,
-    block_size: usize,
 ) -> Vec<PartialAnswer> {
-    let mut stream = build_block_stream_with_chains(
-        graph, query, plan, registry, chains, metrics, strategy, block_size,
-    );
-    top_k_blocks(&mut stream, k)
-}
-
-/// Executes the **delta plan** of singleton `target` in `plan`: the plan's
-/// operator tree with `target`'s merge built without the pattern's original
-/// scan, drained to its top-`k` among answers scoring `≥ floor`.
-///
-/// Every answer `plan` produces that the same plan with `target` *pruned*
-/// does not — and every answer it scores higher — uses a relaxed-only row of
-/// `target`, so it is an answer of this tree. Nothing under the pruned
-/// plan's k-th score can enter the escalated top-k, which is what `floor`
-/// carries: the run stops as soon as its bounds drop under it (`None` — the
-/// pruned run was under-filled — is a plain top-`k`). Deltas always run on
-/// the calling thread.
-///
-/// # Panics
-/// Panics if `target` is not a singleton of `plan`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_delta_plan(
-    graph: &KnowledgeGraph,
-    query: &Query,
-    plan: &QueryPlan,
-    target: usize,
-    floor: Option<Score>,
-    registry: &RelaxationRegistry,
-    chains: &ChainRuleSet,
-    metrics: MetricsHandle,
-    strategy: PullStrategy,
-    k: usize,
-    block_size: usize,
-) -> Vec<PartialAnswer> {
-    let mut stream = build_block_stream_inner(
-        graph,
-        query,
-        plan,
-        registry,
-        chains,
-        metrics,
-        strategy,
-        block_size,
-        None,
-        Some(target),
-    );
-    top_k_blocks_floored(&mut stream, k, floor)
+    let (strategy, block_size) = (config.pull, config.execution.block_size());
+    let drain = |metrics: MetricsHandle, morsels: Option<(usize, Arc<MorselDispenser>)>| {
+        let mut tree = build_tree(
+            graph, query, plan, registry, metrics, strategy, block_size, morsels,
+        );
+        top_k_blocks_floored(&mut tree, k, plan.delta_floor())
+    };
+    let target = if config.parallelism > 1 {
+        partition_target(graph, query, plan, registry)
+    } else {
+        None
+    };
+    match target {
+        Some(target) => {
+            parallel::run_morsels(graph, query, target, config.parallelism, metrics, k, drain)
+        }
+        None => drain(metrics.clone(), None),
+    }
 }
 
 /// Brute-force ground truth: for every pattern, drain the scans of the
-/// pattern and of each of its relaxations and keep every binding once, at
-/// its maximum score; hash-join all lists; sort by total score descending
-/// (deterministic tie-break); truncate to `k`.
+/// pattern and of each of its relaxations — a chain relaxation as a hash
+/// join over its hops, scaled by `w/len` and projected onto the pattern's
+/// variables — and keep every binding once, at its maximum score; hash-join
+/// all lists; sort by total score descending (deterministic tie-break);
+/// truncate to `k`.
 ///
 /// Exhaustive and allocation-heavy by design — use only on test-sized data.
 pub fn run_naive(
@@ -318,27 +219,42 @@ pub fn run_naive(
     k: usize,
 ) -> Vec<PartialAnswer> {
     let metrics = OpMetrics::new_handle();
+    let drain = |pattern: TriplePattern, weight: Score| {
+        let mut scan = BlockScan::new(graph, pattern, weight, metrics.clone(), DEFAULT_BLOCK_SIZE);
+        let mut rows = Vec::new();
+        while let Some(block) = scan.next_block() {
+            rows.extend(block.to_answers());
+        }
+        rows
+    };
     let patterns = query.patterns();
 
     // Materialize the max-deduplicated list of each pattern.
     let mut lists: Vec<Vec<PartialAnswer>> = Vec::with_capacity(patterns.len());
     for p in patterns {
-        let sources = std::iter::once((*p, Score::ONE)).chain(
-            registry
-                .relaxations_for(p)
-                .into_iter()
-                .map(|r| (r.pattern, Score::new(r.weight))),
-        );
+        let mut sources = vec![drain(*p, Score::ONE)];
+        for r in registry.relaxations_for(p) {
+            sources.push(drain(r.pattern, Score::new(r.weight)));
+        }
+        let vars: Vec<Var> = p.vars().collect();
+        for c in registry.chain_relaxations_for(p, query.var_count() as u32) {
+            let hops = c
+                .patterns
+                .iter()
+                .map(|&hop| drain(hop, Score::ONE))
+                .collect();
+            let factor = c.weight / c.patterns.len() as f64;
+            sources.push(
+                hash_join_all(&c.patterns, hops)
+                    .into_iter()
+                    .map(|a| PartialAnswer::new(a.binding.project(&vars), a.score * factor))
+                    .collect(),
+            );
+        }
         let mut best: FxHashMap<Binding, Score> = FxHashMap::default();
-        for (pattern, weight) in sources {
-            let mut scan =
-                BlockScan::new(graph, pattern, weight, metrics.clone(), DEFAULT_BLOCK_SIZE);
-            while let Some(block) = scan.next_block() {
-                for a in block.to_answers() {
-                    let score = best.entry(a.binding).or_insert(a.score);
-                    *score = (*score).max(a.score);
-                }
-            }
+        for a in sources.into_iter().flatten() {
+            let score = best.entry(a.binding).or_insert(a.score);
+            *score = (*score).max(a.score);
         }
         lists.push(
             best.into_iter()
@@ -347,18 +263,26 @@ pub fn run_naive(
         );
     }
 
-    // Fold with hash joins on the shared variables.
-    let mut acc: Vec<PartialAnswer> = lists[0].clone();
+    let mut acc = hash_join_all(patterns, lists);
+    acc.sort_by(|a, b| b.cmp(a));
+    acc.truncate(k);
+    acc
+}
+
+/// Folds `lists[i]` (the answers of `patterns[i]`) left to right with hash
+/// joins on the shared variables.
+fn hash_join_all(patterns: &[TriplePattern], lists: Vec<Vec<PartialAnswer>>) -> Vec<PartialAnswer> {
+    let mut lists = lists.into_iter().enumerate();
+    let (_, mut acc) = lists.next().expect("a join has ≥ 1 input");
     let mut acc_vars = collect_vars(&patterns[..1]);
-    for (idx, list) in lists.iter().enumerate().skip(1) {
+    for (idx, list) in lists {
         let vars = collect_vars(&patterns[idx..=idx]);
         let shared: Vec<Var> = acc_vars
             .iter()
             .copied()
             .filter(|v| vars.contains(v))
             .collect();
-        let mut table: FxHashMap<Box<[specqp_common::TermId]>, Vec<&PartialAnswer>> =
-            FxHashMap::default();
+        let mut table: FxHashMap<Box<[TermId]>, Vec<&PartialAnswer>> = FxHashMap::default();
         for a in &acc {
             table
                 .entry(a.binding.key_for(&shared).expect("acc binds shared vars"))
@@ -366,7 +290,7 @@ pub fn run_naive(
                 .push(a);
         }
         let mut next: Vec<PartialAnswer> = Vec::new();
-        for b in list {
+        for b in &list {
             let key = b.binding.key_for(&shared).expect("list binds shared vars");
             if let Some(partners) = table.get(&key) {
                 for a in partners {
@@ -385,9 +309,6 @@ pub fn run_naive(
         acc_vars.sort();
         acc = next;
     }
-
-    acc.sort_by(|a, b| b.cmp(a));
-    acc.truncate(k);
     acc
 }
 
@@ -561,23 +482,20 @@ mod tests {
         );
     }
 
-    /// The delta plan of the `singer` singleton holds exactly the answers
-    /// that need `vocalist`: united with the pruned plan's answers it is the
+    /// The delta plan of escalating `singer` holds exactly the answers that
+    /// need `vocalist`: united with the pruned plan's answers it is the
     /// escalated plan's result, a floor cuts it, at every block size.
     #[test]
     fn delta_plan_yields_what_escalation_adds() {
         let (g, reg) = setup();
         let q = query(&g);
-        let escalated = QueryPlan::new(2, &[0]);
-        let delta = |floor: Option<f64>, k: usize, block_size: usize| {
-            run_delta_plan(
+        let pruned = QueryPlan::none_relaxed(2);
+        let delta = |reg: &RelaxationRegistry, floor: Option<f64>, k: usize, block_size: usize| {
+            run_plan_blocks(
                 &g,
                 &q,
-                &escalated,
-                0,
-                floor.map(Score::new),
-                &reg,
-                &ChainRuleSet::new(),
+                &pruned.delta(0, floor.map(Score::new)),
+                reg,
                 OpMetrics::new_handle(),
                 PullStrategy::Adaptive,
                 k,
@@ -587,62 +505,30 @@ mod tests {
         for block_size in [1, 64] {
             // Only adele is a vocalist *and* an (unrelaxed) lyricist:
             // 0.8·(95/95) + 45/50.
-            let got = delta(None, 10, block_size);
+            let got = delta(&reg, None, 10, block_size);
             assert_eq!(got.len(), 1, "block size {block_size}");
             assert_eq!(got[0].score, Score::new(0.8) + Score::new(45.0 / 50.0));
-            assert_eq!(delta(Some(1.7), 10, block_size), got, "at the floor stays");
+            assert_eq!(
+                delta(&reg, Some(1.7), 10, block_size),
+                got,
+                "at the floor stays"
+            );
             assert!(
-                delta(Some(1.71), 10, block_size).is_empty(),
+                delta(&reg, Some(1.71), 10, block_size).is_empty(),
                 "under it goes"
             );
-            assert!(delta(None, 0, block_size).is_empty(), "k = 0");
-            let no_rules = RelaxationRegistry::new();
-            let empty = run_delta_plan(
-                &g,
-                &q,
-                &escalated,
-                0,
-                None,
-                &no_rules,
-                &ChainRuleSet::new(),
-                OpMetrics::new_handle(),
-                PullStrategy::Adaptive,
-                10,
-                block_size,
+            assert!(delta(&reg, None, 0, block_size).is_empty(), "k = 0");
+            assert!(
+                delta(&RelaxationRegistry::new(), None, 10, block_size).is_empty(),
+                "no relaxation, no relaxed-only row"
             );
-            assert!(empty.is_empty(), "no relaxation, no relaxed-only row");
 
-            let mut united = run(
-                &g,
-                &q,
-                &QueryPlan::none_relaxed(2),
-                &reg,
-                OpMetrics::new_handle(),
-                10,
-            );
+            let mut united = run(&g, &q, &pruned, &reg, OpMetrics::new_handle(), 10);
             assert!(crate::speculation::union_top_k(&mut united, got, 10));
+            let escalated = pruned.escalated(&[0]);
             let restart = run(&g, &q, &escalated, &reg, OpMetrics::new_handle(), 10);
             assert_eq!(united, restart);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "not a singleton")]
-    fn delta_of_a_join_group_member_panics() {
-        let (g, reg) = setup();
-        let _ = run_delta_plan(
-            &g,
-            &query(&g),
-            &QueryPlan::new(2, &[0]),
-            1,
-            None,
-            &reg,
-            &ChainRuleSet::new(),
-            OpMetrics::new_handle(),
-            PullStrategy::Adaptive,
-            10,
-            DEFAULT_BLOCK_SIZE,
-        );
     }
 
     #[test]

@@ -15,9 +15,12 @@
 //! * [`plan_query`] — Algorithm 1 (PLANGEN),
 //! * [`PlanCache`] — a sharded, bounded cache from canonical
 //!   [`QueryShape`]s to plans, so repeated workload shapes skip PLANGEN,
-//! * [`executor`] — turns a plan into an operator tree and runs it; also
-//!   provides the **TriniT baseline** (every pattern relaxed, Fig. 2) and a
-//!   **naive drain-everything executor** used as ground truth in tests,
+//! * [`executor`] — turns a plan into one operator tree and runs it
+//!   ([`run_plan_blocks`]; the engine's runs add morsel workers from
+//!   [`parallel`]) — speculative, **TriniT** (every pattern relaxed,
+//!   Fig. 2) and delta plans ([`QueryPlan::delta`]) alike; also provides a
+//!   **naive drain-everything executor** ([`run_naive`]) used as ground
+//!   truth in tests,
 //! * [`Engine`] — a one-stop façade owning the statistics catalog and
 //!   cardinality oracle,
 //! * [`speculation`] — the runtime speculation lifecycle: mis-speculation
@@ -80,11 +83,8 @@ pub use evaluation::{
     precision_at_k, prediction_covering, prediction_exact, relaxation_contribution_best,
     required_relaxations, score_error, ScoreError,
 };
-pub use executor::{
-    build_block_stream_morsels, build_block_stream_with_chains, run_delta_plan, run_naive,
-    run_plan_blocks, run_plan_blocks_with_chains,
-};
-pub use parallel::{partition_target, run_plan_blocks_parallel};
+pub use executor::{run_naive, run_plan_blocks};
+pub use parallel::partition_target;
 pub use plan::QueryPlan;
 pub use plan_cache::{PlanCache, QueryShape};
 pub use plangen::plan_query;

@@ -25,16 +25,12 @@
 //! longest match list (most work to spread).
 
 use kgstore::{KnowledgeGraph, PatternKey};
-use relax::{ChainRuleSet, RelaxationRegistry};
+use operators::{MetricsHandle, MorselDispenser, OpMetrics, PartialAnswer};
+use relax::RelaxationRegistry;
 use sparql::Query;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use operators::{
-    top_k_blocks, MetricsHandle, MorselDispenser, OpMetrics, PartialAnswer, PullStrategy,
-};
-
-use crate::executor::build_block_stream_morsels;
 use crate::plan::QueryPlan;
 
 /// Picks which pattern's scan to partition across workers, or `None` when
@@ -42,23 +38,24 @@ use crate::plan::QueryPlan;
 ///
 /// Eligible patterns are those whose scan streams pairwise-distinct
 /// bindings: join-group members (always bare scans) and singletons with no
-/// term or chain relaxations applicable. Among the eligible, the longest
-/// match list wins; ties break to the lowest pattern index so the choice is
+/// term or chain relaxations applicable — never a delta plan's target,
+/// whose scan is not in the tree. Among the eligible, the longest match
+/// list wins; ties break to the lowest pattern index so the choice is
 /// deterministic. Lists shorter than 2 rows are never worth splitting.
 pub fn partition_target(
     graph: &KnowledgeGraph,
     query: &Query,
     plan: &QueryPlan,
     registry: &RelaxationRegistry,
-    chains: &ChainRuleSet,
 ) -> Option<usize> {
     let patterns = query.patterns();
     let fresh = query.var_count() as u32;
     let mut best: Option<(usize, usize)> = None; // (list len, pattern index)
     for (i, pattern) in patterns.iter().enumerate() {
         let eligible = if plan.is_relaxed(i) {
-            registry.relaxation_count(pattern) == 0
-                && chains.chain_relaxations_for(pattern, fresh).is_empty()
+            plan.delta_target() != Some(i)
+                && registry.relaxation_count(pattern) == 0
+                && registry.chain_relaxations_for(pattern, fresh).is_empty()
         } else {
             true
         };
@@ -74,29 +71,25 @@ pub fn partition_target(
     best.map(|(_, i)| i)
 }
 
-/// Runs the block plan with pattern `target`'s scan partitioned across
-/// `workers` threads, merging per-worker top-k sets into the same answer
-/// vector sequential execution produces.
+/// Runs `drain` — one private operator tree drained to its top-`k` — on
+/// `workers` threads that split pattern `target`'s scan through one shared
+/// [`MorselDispenser`], and merges the per-worker top-k sets into the
+/// answer vector sequential execution produces.
 ///
-/// Each worker builds its own operator tree around thread-private
-/// [`OpMetrics`] (the per-query handle is an `Rc` and cannot cross
-/// threads); after the scoped join the private counters are
-/// [absorbed](OpMetrics::absorb) into `metrics`. Note that work counters
-/// legitimately exceed the sequential run's — non-target scans repeat in
-/// every worker — while the returned answers do not change at all.
-#[allow(clippy::too_many_arguments)]
-pub fn run_plan_blocks_parallel(
+/// Each worker drains around thread-private [`OpMetrics`] (the per-query
+/// handle is an `Rc` and cannot cross threads); after the scoped join the
+/// private counters are [absorbed](OpMetrics::absorb) into `metrics`. Note
+/// that work counters legitimately exceed the sequential run's — non-target
+/// scans repeat in every worker — while the returned answers do not change
+/// at all.
+pub(crate) fn run_morsels(
     graph: &KnowledgeGraph,
     query: &Query,
-    plan: &QueryPlan,
-    registry: &RelaxationRegistry,
-    chains: &ChainRuleSet,
-    metrics: MetricsHandle,
-    strategy: PullStrategy,
-    k: usize,
-    block_size: usize,
-    workers: usize,
     target: usize,
+    workers: usize,
+    metrics: &MetricsHandle,
+    k: usize,
+    drain: impl Fn(MetricsHandle, Option<(usize, Arc<MorselDispenser>)>) -> Vec<PartialAnswer> + Sync,
 ) -> Vec<PartialAnswer> {
     let (s, p, o) = query.patterns()[target].const_parts();
     let total = graph.matches(PatternKey { s, p, o }).len();
@@ -106,24 +99,10 @@ pub fn run_plan_blocks_parallel(
     let per_worker: Vec<(Vec<PartialAnswer>, OpMetrics)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let dispenser = Arc::clone(&dispenser);
+                let (dispenser, drain) = (Arc::clone(&dispenser), &drain);
                 scope.spawn(move || {
                     let worker_metrics = OpMetrics::new_handle();
-                    let answers = {
-                        let mut stream = build_block_stream_morsels(
-                            graph,
-                            query,
-                            plan,
-                            registry,
-                            chains,
-                            worker_metrics.clone(),
-                            strategy,
-                            block_size,
-                            target,
-                            dispenser,
-                        );
-                        top_k_blocks(&mut stream, k)
-                    };
+                    let answers = drain(worker_metrics.clone(), Some((target, dispenser)));
                     let counters = Rc::try_unwrap(worker_metrics)
                         .expect("operator tree dropped, worker handle is unique");
                     (answers, counters)
@@ -151,9 +130,11 @@ pub fn run_plan_blocks_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{run_naive, run_plan_blocks_with_chains};
+    use crate::executor::{run_naive, run_plan};
+    use crate::EngineConfig;
     use kgstore::KnowledgeGraphBuilder;
-    use relax::{Position, TermRule};
+    use operators::ExecutionMode;
+    use relax::{ChainRule, Position, TermRule};
     use sparql::QueryBuilder;
 
     fn setup() -> (KnowledgeGraph, RelaxationRegistry) {
@@ -184,6 +165,24 @@ mod tests {
         (g, reg)
     }
 
+    /// The one runner at `workers` workers and 8-row blocks.
+    fn run_at(
+        g: &KnowledgeGraph,
+        q: &Query,
+        plan: &QueryPlan,
+        reg: &RelaxationRegistry,
+        metrics: &MetricsHandle,
+        k: usize,
+        workers: usize,
+    ) -> Vec<PartialAnswer> {
+        let config = EngineConfig {
+            execution: ExecutionMode::Block(8),
+            parallelism: workers,
+            ..EngineConfig::default()
+        };
+        run_plan(g, q, plan, reg, metrics, &config, k)
+    }
+
     fn query(g: &KnowledgeGraph) -> Query {
         let d = g.dictionary();
         let ty = d.lookup("type").unwrap();
@@ -199,53 +198,39 @@ mod tests {
     fn target_is_deterministic_and_skips_relaxed_singletons() {
         let (g, reg) = setup();
         let q = query(&g);
-        let chains = ChainRuleSet::new();
         // Pattern 0 (singer) has a relaxation; as a singleton it must be
         // skipped, leaving pattern 1 (lyricist).
         let all = QueryPlan::all_relaxed(2);
-        assert_eq!(partition_target(&g, &q, &all, &reg, &chains), Some(1));
+        assert_eq!(partition_target(&g, &q, &all, &reg), Some(1));
         // As join-group members both are bare scans; singer's list (41) beats
         // lyricist's (40).
         let none = QueryPlan::none_relaxed(2);
-        assert_eq!(partition_target(&g, &q, &none, &reg, &chains), Some(0));
+        assert_eq!(partition_target(&g, &q, &none, &reg), Some(0));
+        // A chain rule alone makes a singleton a deduplicating merge too.
+        let ty = g.dictionary().lookup("type").unwrap();
+        let mut chain_only = RelaxationRegistry::new();
+        chain_only.add_chain(ChainRule::new(ty, vec![ty, ty], 0.5));
+        assert_eq!(chain_only.relaxation_count(&q.patterns()[0]), 0);
+        assert_eq!(partition_target(&g, &q, &all, &chain_only), None);
+        assert_eq!(partition_target(&g, &q, &none, &chain_only), Some(0));
+        // A delta's target has no scan in the tree to split.
+        let delta = none.delta(0, None);
+        assert_eq!(
+            partition_target(&g, &q, &delta, &RelaxationRegistry::new()),
+            Some(1)
+        );
     }
 
     #[test]
     fn parallel_answers_are_bit_identical_to_sequential() {
         let (g, reg) = setup();
         let q = query(&g);
-        let chains = ChainRuleSet::new();
         for plan in [QueryPlan::all_relaxed(2), QueryPlan::none_relaxed(2)] {
-            let Some(target) = partition_target(&g, &q, &plan, &reg, &chains) else {
-                continue;
-            };
-            let m = OpMetrics::new_handle();
-            let seq = run_plan_blocks_with_chains(
-                &g,
-                &q,
-                &plan,
-                &reg,
-                &chains,
-                m,
-                PullStrategy::Adaptive,
-                10,
-                8,
-            );
-            for workers in [1, 2, 3, 8] {
+            assert!(partition_target(&g, &q, &plan, &reg).is_some());
+            let seq = run_at(&g, &q, &plan, &reg, &OpMetrics::new_handle(), 10, 1);
+            for workers in [2, 3, 8] {
                 let m = OpMetrics::new_handle();
-                let par = run_plan_blocks_parallel(
-                    &g,
-                    &q,
-                    &plan,
-                    &reg,
-                    &chains,
-                    m.clone(),
-                    PullStrategy::Adaptive,
-                    10,
-                    8,
-                    workers,
-                    target,
-                );
+                let par = run_at(&g, &q, &plan, &reg, &m, 10, workers);
                 assert_eq!(seq.len(), par.len(), "k mismatch at {workers} workers");
                 for (a, b) in seq.iter().zip(&par) {
                     assert_eq!(a.binding, b.binding, "{workers} workers");
@@ -260,24 +245,9 @@ mod tests {
     fn parallel_matches_naive_ground_truth() {
         let (g, reg) = setup();
         let q = query(&g);
-        let chains = ChainRuleSet::new();
         let plan = QueryPlan::all_relaxed(2);
         let naive = run_naive(&g, &q, &reg, 5);
-        let target = partition_target(&g, &q, &plan, &reg, &chains).unwrap();
-        let m = OpMetrics::new_handle();
-        let par = run_plan_blocks_parallel(
-            &g,
-            &q,
-            &plan,
-            &reg,
-            &chains,
-            m,
-            PullStrategy::Adaptive,
-            5,
-            16,
-            4,
-            target,
-        );
+        let par = run_at(&g, &q, &plan, &reg, &OpMetrics::new_handle(), 5, 4);
         assert_eq!(naive.len(), par.len());
         for (a, b) in naive.iter().zip(&par) {
             assert_eq!(a.binding, b.binding);
@@ -298,9 +268,8 @@ mod tests {
         qb.project(s);
         let q = qb.build().unwrap();
         let reg = RelaxationRegistry::new();
-        let chains = ChainRuleSet::new();
         assert_eq!(
-            partition_target(&g, &q, &QueryPlan::none_relaxed(1), &reg, &chains),
+            partition_target(&g, &q, &QueryPlan::none_relaxed(1), &reg),
             None
         );
     }

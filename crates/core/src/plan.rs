@@ -20,6 +20,8 @@ use specqp_common::{Dictionary, Score};
 /// The speculation verifier replays PLANGEN's inequality against *observed*
 /// scores to detect mis-speculation at runtime (see `crate::speculation`).
 /// Hand-built plans ([`QueryPlan::new`] and friends) carry no predictions.
+/// A [delta plan](QueryPlan::delta) is how the speculation lifecycle
+/// recovers without re-executing (see `crate::speculation`).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct QueryPlan {
     /// `relaxed[i]` ⇔ pattern `i` is a singleton (gets an incremental
@@ -34,6 +36,9 @@ pub struct QueryPlan {
     /// Empty for hand-built plans; `None` entries mean the pattern has no
     /// relaxations or the relaxed query is expected to be empty.
     predicted_relaxed_best: Vec<Option<Score>>,
+    /// For a delta plan: the singleton whose original scan is left out, and
+    /// the score floor its run drains above.
+    delta: Option<(usize, Option<Score>)>,
 }
 
 impl QueryPlan {
@@ -51,6 +56,7 @@ impl QueryPlan {
             relaxed,
             score_floor: None,
             predicted_relaxed_best: Vec::new(),
+            delta: None,
         }
     }
 
@@ -61,6 +67,7 @@ impl QueryPlan {
             relaxed: vec![true; n_patterns],
             score_floor: None,
             predicted_relaxed_best: Vec::new(),
+            delta: None,
         }
     }
 
@@ -70,6 +77,7 @@ impl QueryPlan {
             relaxed: vec![false; n_patterns],
             score_floor: None,
             predicted_relaxed_best: Vec::new(),
+            delta: None,
         }
     }
 
@@ -118,6 +126,36 @@ impl QueryPlan {
             next.relaxed[i] = true;
         }
         next
+    }
+
+    /// The **delta plan** of escalating pattern `target`: this plan with
+    /// `target` relaxed and its merge built without the original scan, run
+    /// to its top-k among answers scoring `≥ floor`.
+    ///
+    /// Every answer the escalated plan produces that this plan does not —
+    /// and every answer it scores higher — uses a relaxed-only row of
+    /// `target`, so it is an answer of the delta plan. Nothing under this
+    /// plan's k-th score can enter the escalated top-k, which is what
+    /// `floor` carries: the run stops as soon as its bounds drop under it
+    /// (`None` — this plan's run was under-filled — is a plain top-k).
+    ///
+    /// # Panics
+    /// Panics if `target` is out of range.
+    pub fn delta(&self, target: usize, floor: Option<Score>) -> QueryPlan {
+        let mut delta = self.escalated(&[target]);
+        delta.delta = Some((target, floor));
+        delta
+    }
+
+    /// The pattern whose original scan a delta plan leaves out.
+    pub(crate) fn delta_target(&self) -> Option<usize> {
+        self.delta.map(|(target, _)| target)
+    }
+
+    /// The score floor a delta plan's run drains above (`None` for every
+    /// other plan).
+    pub(crate) fn delta_floor(&self) -> Option<Score> {
+        self.delta.and_then(|(_, floor)| floor)
     }
 
     /// Number of patterns covered by the plan.

@@ -30,11 +30,12 @@
 //!   `i` can only add answers that use a *relaxed-only* row of `i`, so the
 //!   escalated plan's top-k is the top-k of the answers in hand united with
 //!   the top-k of the *delta plan* (the escalated plan with `i`'s merge
-//!   built without its original scan, [`crate::run_delta_plan`]),
-//!   deduplicated by binding keeping the higher score ([`union_top_k`]).
-//!   Nothing below the k-th score in hand can enter that union, so the delta
-//!   run carries it as a *score floor* and stops as soon as its bounds drop
-//!   under it; an under-filled run has no floor. The final permitted stage
+//!   built without its original scan, [`QueryPlan::delta`]), deduplicated
+//!   by binding keeping the higher score ([`union_top_k`]). Nothing below
+//!   the k-th score in hand can enter that union, so the delta plan carries
+//!   it as a *score floor* and its run stops as soon as its bounds drop
+//!   under it; an under-filled run has no floor. A delta plan runs through
+//!   the same runner as every other plan, at the configured worker count. The final permitted stage
 //!   escalates every remaining candidate, one delta each. Nothing is
 //!   executed twice; every stage is counted (`RunReport::fallback_stages`),
 //!   and so is every answer object a delta created to no effect

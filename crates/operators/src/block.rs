@@ -401,7 +401,9 @@ pub fn top_k_blocks_floored<S: BlockStream + ?Sized>(
     k: usize,
     floor: Option<Score>,
 ) -> Vec<PartialAnswer> {
-    let mut out = Vec::with_capacity(k);
+    // `k` may come off the wire: reserve for what a run plausibly returns,
+    // not for what was asked.
+    let mut out = Vec::with_capacity(k.min(DEFAULT_BLOCK_SIZE));
     if k == 0 {
         return out;
     }

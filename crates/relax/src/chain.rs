@@ -12,14 +12,19 @@
 //! `?x <wonAward> ?a` → `?x <nominatedFor> ?m . ?m <awardOf> ?a` with
 //! weight 0.6.
 //!
-//! Chain relaxations are *executed* (the engine builds a rank join over the
-//! chain, scales it into the weight range and merges it with the pattern's
-//! other sources); speculative *planning* over chains is left for future
-//! work exactly as in the paper — PLANGEN's single-relaxation check covers
-//! term rules only.
+//! Chain rules live in the [`RelaxationRegistry`](crate::RelaxationRegistry)
+//! next to the term rules ([`add_chain`](crate::RelaxationRegistry::add_chain),
+//! [`chain_relaxations_for`](crate::RelaxationRegistry::chain_relaxations_for)).
+//! They are *executed* — every executor, the naive oracle included, joins
+//! the chain, scales it into the weight range and merges it with the
+//! pattern's other sources — but speculative *planning* over chains is left
+//! for future work exactly as in the paper: `relaxations_for`,
+//! `relaxation_count` and `top_relaxation_for` enumerate term rules only,
+//! so PLANGEN's single-relaxation check and the verifier see term rules
+//! alone.
 
-use sparql::{Term, TriplePattern, Var};
-use specqp_common::{FxHashMap, TermId};
+use sparql::{TriplePattern, Var};
+use specqp_common::TermId;
 
 /// A predicate-to-predicate-chain rewrite rule.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,90 +69,11 @@ pub struct ChainRelaxation {
     pub fresh_vars: Vec<Var>,
 }
 
-/// Stores chain rules indexed by source predicate.
-#[derive(Default, Debug, Clone)]
-pub struct ChainRuleSet {
-    rules: FxHashMap<TermId, Vec<ChainRule>>,
-    len: usize,
-}
-
-impl ChainRuleSet {
-    /// Creates an empty rule set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a rule (kept sorted by descending weight per predicate).
-    pub fn add(&mut self, rule: ChainRule) {
-        let list = self.rules.entry(rule.from_predicate).or_default();
-        let at = list
-            .iter()
-            .position(|r| r.weight < rule.weight)
-            .unwrap_or(list.len());
-        list.insert(at, rule);
-        self.len += 1;
-    }
-
-    /// Total number of rules.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Instantiates every chain applicable to `pattern`, allocating fresh
-    /// variables from `fresh_from` upward. Only patterns with a constant
-    /// predicate can chain-relax.
-    pub fn chain_relaxations_for(
-        &self,
-        pattern: &TriplePattern,
-        fresh_from: u32,
-    ) -> Vec<ChainRelaxation> {
-        let Some(p) = pattern.p.as_const() else {
-            return Vec::new();
-        };
-        let Some(rules) = self.rules.get(&p) else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(rules.len());
-        let mut next_fresh = fresh_from;
-        for rule in rules {
-            let hops = rule.chain.len();
-            let mut fresh_vars = Vec::with_capacity(hops - 1);
-            for _ in 0..hops - 1 {
-                fresh_vars.push(Var(next_fresh));
-                next_fresh += 1;
-            }
-            let mut patterns = Vec::with_capacity(hops);
-            for (i, &pred) in rule.chain.iter().enumerate() {
-                let s: Term = if i == 0 {
-                    pattern.s
-                } else {
-                    Term::Var(fresh_vars[i - 1])
-                };
-                let o: Term = if i == hops - 1 {
-                    pattern.o
-                } else {
-                    Term::Var(fresh_vars[i])
-                };
-                patterns.push(TriplePattern::new(s, pred, o));
-            }
-            out.push(ChainRelaxation {
-                patterns,
-                weight: rule.weight,
-                fresh_vars,
-            });
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RelaxationRegistry;
+    use sparql::Term;
 
     fn pat(s: u32, p: u32, o: u32, s_var: bool, o_var: bool) -> TriplePattern {
         TriplePattern::new(
@@ -167,8 +93,8 @@ mod tests {
 
     #[test]
     fn two_hop_instantiation() {
-        let mut rs = ChainRuleSet::new();
-        rs.add(ChainRule::new(
+        let mut rs = RelaxationRegistry::new();
+        rs.add_chain(ChainRule::new(
             TermId(10),
             vec![TermId(11), TermId(12)],
             0.6,
@@ -189,8 +115,8 @@ mod tests {
 
     #[test]
     fn three_hop_and_constant_endpoints() {
-        let mut rs = ChainRuleSet::new();
-        rs.add(ChainRule::new(
+        let mut rs = RelaxationRegistry::new();
+        rs.add_chain(ChainRule::new(
             TermId(10),
             vec![TermId(11), TermId(12), TermId(13)],
             0.4,
@@ -206,9 +132,9 @@ mod tests {
 
     #[test]
     fn weight_ordering_and_missing_predicate() {
-        let mut rs = ChainRuleSet::new();
-        rs.add(ChainRule::new(TermId(10), vec![TermId(1), TermId(2)], 0.3));
-        rs.add(ChainRule::new(TermId(10), vec![TermId(3), TermId(4)], 0.7));
+        let mut rs = RelaxationRegistry::new();
+        rs.add_chain(ChainRule::new(TermId(10), vec![TermId(1), TermId(2)], 0.3));
+        rs.add_chain(ChainRule::new(TermId(10), vec![TermId(3), TermId(4)], 0.7));
         let p = pat(0, 10, 1, true, true);
         let chains = rs.chain_relaxations_for(&p, 5);
         assert_eq!(chains.len(), 2);
@@ -217,7 +143,7 @@ mod tests {
         assert!(rs
             .chain_relaxations_for(&pat(0, 99, 1, true, true), 5)
             .is_empty());
-        assert_eq!(rs.len(), 2);
+        assert_eq!(rs.len(), 2, "chain rules count as rules");
     }
 
     #[test]
@@ -228,8 +154,8 @@ mod tests {
 
     #[test]
     fn variable_predicate_cannot_chain() {
-        let mut rs = ChainRuleSet::new();
-        rs.add(ChainRule::new(TermId(10), vec![TermId(1), TermId(2)], 0.3));
+        let mut rs = RelaxationRegistry::new();
+        rs.add_chain(ChainRule::new(TermId(10), vec![TermId(1), TermId(2)], 0.3));
         let p = TriplePattern::new(Term::Var(Var(0)), Term::Var(Var(1)), Term::Var(Var(2)));
         assert!(rs.chain_relaxations_for(&p, 5).is_empty());
     }

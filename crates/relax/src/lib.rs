@@ -24,7 +24,7 @@ pub mod registry;
 pub mod relaxed_query;
 pub mod rule;
 
-pub use chain::{ChainRelaxation, ChainRule, ChainRuleSet};
+pub use chain::{ChainRelaxation, ChainRule};
 pub use cooccur::CooccurrenceMiner;
 pub use hierarchy::{HierarchyMiner, TypeHierarchy};
 pub use registry::{Relaxation, RelaxationRegistry};

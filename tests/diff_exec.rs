@@ -20,7 +20,7 @@ use datagen::{Dataset, TwitterConfig, TwitterGenerator, XkgConfig, XkgGenerator}
 use operators::{ExecutionMode, DEFAULT_BLOCK_SIZE};
 use proptest::prelude::*;
 use sparql::{Query, QueryBuilder, Term};
-use specqp::{Engine, EngineConfig};
+use specqp::{Engine, EngineConfig, SpeculationPolicy};
 use specqp_common::TermId;
 use std::sync::OnceLock;
 
@@ -170,30 +170,53 @@ proptest! {
 /// sequential block execution — same answers, same order, same score bits —
 /// at every worker count. Degree 1 pins the hook's no-op path, 2 the
 /// minimal split, 8 oversubscribes test-sized match lists so most workers
-/// drain the dispenser dry.
+/// drain the dispenser dry. Recovery goes through the same runner: under
+/// `Fallback { max_stages: 3 }` the delta runs are partitioned too, and the
+/// recovered answers, plans and stage counts must not move either.
 #[test]
 fn parallel_block_execution_equals_sequential() {
     for world in [xkg(), twitter()] {
-        let engine = |parallelism: usize| {
+        let engine = |parallelism: usize, speculation: SpeculationPolicy| {
             let config = EngineConfig {
                 parallelism,
+                speculation,
                 ..EngineConfig::default()
             };
             Engine::with_config(&world.ds.graph, &world.ds.registry, config)
         };
-        let sequential = engine(1);
+        let fallback = SpeculationPolicy::Fallback { max_stages: 3 };
+        let sequential = engine(1, SpeculationPolicy::Off);
+        let mut recovering = 0;
         for q in &world.ds.workload.queries {
             let seq_spec = sequential.run_specqp(q, 10);
             let seq_trinit = sequential.run_trinit(q, 10);
+            let seq_recovered = engine(1, fallback).run_specqp(q, 10);
+            if seq_recovered.report.fallback_stages > 0 {
+                recovering += 1;
+            }
             for workers in [1, 2, 8] {
-                let parallel = engine(workers);
+                let parallel = engine(workers, SpeculationPolicy::Off);
                 let spec = parallel.run_specqp(q, 10);
                 assert_eq!(seq_spec.plan, spec.plan, "{workers} workers");
                 assert_eq!(seq_spec.answers, spec.answers, "{workers} workers");
                 let trinit = parallel.run_trinit(q, 10);
                 assert_eq!(seq_trinit.answers, trinit.answers, "{workers} workers");
+                let recovered = engine(workers, fallback).run_specqp(q, 10);
+                assert_eq!(seq_recovered.plan, recovered.plan, "{workers} workers");
+                assert_eq!(
+                    seq_recovered.answers, recovered.answers,
+                    "{workers} workers"
+                );
+                assert_eq!(
+                    seq_recovered.report.fallback_stages, recovered.report.fallback_stages,
+                    "{workers} workers"
+                );
             }
         }
+        assert!(
+            recovering > 0,
+            "no query recovered: the delta check is vacuous"
+        );
     }
 }
 

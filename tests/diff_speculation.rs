@@ -29,7 +29,6 @@ use sparql::{Query, QueryBuilder, Term};
 use specqp::{Engine, EngineConfig, QueryPlan, SpeculationPolicy};
 use specqp_common::TermId;
 use std::sync::OnceLock;
-use std::time::Duration;
 
 mod common;
 use common::equivalent;
@@ -156,7 +155,7 @@ fn check_one(
         }
         prop_assert!(out.report.mis_speculated);
         // Property 3: delta ≡ restart.
-        let restart = budgeted.run_with_plan(q, k, out.plan.clone(), Duration::ZERO);
+        let restart = budgeted.run_with_plan(q, k, out.plan.clone());
         equivalent(&out.answers, &restart.answers).map_err(|e| {
             TestCaseError::fail(format!(
                 "delta ≠ restart after {} of {max_stages} stages ({execution:?}, k {k}): {e}",
@@ -251,7 +250,7 @@ fn workload_queries_delta_recovery_equals_restart() {
                 );
                 let out = engine.run_specqp(q, 10);
                 stages_seen[out.report.fallback_stages as usize] += 1;
-                let restart = engine.run_with_plan(q, 10, out.plan.clone(), Duration::ZERO);
+                let restart = engine.run_with_plan(q, 10, out.plan.clone());
                 if let Err(e) = equivalent(&out.answers, &restart.answers) {
                     panic!(
                         "{execution:?}, {} stages: delta ≠ restart: {e}",

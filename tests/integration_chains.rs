@@ -2,26 +2,33 @@
 //! extension): replacing a triple pattern with a chain of patterns.
 
 use kgstore::{KnowledgeGraph, KnowledgeGraphBuilder};
-use relax::{ChainRule, ChainRuleSet, Position, RelaxationRegistry, TermRule};
-use sparql::parse_query;
+use relax::{ChainRule, Position, RelaxationRegistry, TermRule};
+use sparql::{parse_query, Query};
 use specqp::{Engine, EngineConfig, QueryPlan, SpeculationPolicy};
 use specqp_common::Score;
-use std::time::Duration;
 
 mod common;
 use common::equivalent;
 
+/// The brute-force oracle drains chain relaxations too: TriniT ≡ naive.
+fn assert_trinit_is_naive(engine: &Engine<'_>, q: &Query) {
+    equivalent(
+        &engine.run_trinit(q, 10).answers,
+        &engine.run_naive(q, 10).answers,
+    )
+    .expect("TriniT ≡ naive");
+}
+
 /// A band-membership KG:
 /// * direct facts: 〈member, inGroup, band〉 (only some),
 /// * indirect path: 〈member, follows, frontier〉 + 〈frontier, memberOf, band〉.
-fn setup() -> (KnowledgeGraph, RelaxationRegistry, ChainRuleSet) {
+fn setup() -> (KnowledgeGraph, RelaxationRegistry) {
     setup_with(&[])
 }
 
-/// [`setup`]'s KG plus the `extra` facts.
-fn setup_with(
-    extra: &[(&str, &str, &str, f64)],
-) -> (KnowledgeGraph, RelaxationRegistry, ChainRuleSet) {
+/// [`setup`]'s KG plus the `extra` facts, and a registry holding one chain
+/// rule: inGroup → follows∘memberOf at weight 0.6.
+fn setup_with(extra: &[(&str, &str, &str, f64)]) -> (KnowledgeGraph, RelaxationRegistry) {
     let mut b = KnowledgeGraphBuilder::new();
     // Direct members (scores = prominence).
     b.add("alice", "inGroup", "beatles", 100.0);
@@ -40,30 +47,29 @@ fn setup_with(
     }
     let g = b.build();
     let d = g.dictionary();
-    let chains = {
-        let mut cs = ChainRuleSet::new();
-        cs.add(ChainRule::new(
-            d.lookup("inGroup").unwrap(),
-            vec![d.lookup("follows").unwrap(), d.lookup("memberOf").unwrap()],
-            0.6,
-        ));
-        cs
-    };
-    (g, RelaxationRegistry::new(), chains)
+    let mut reg = RelaxationRegistry::new();
+    reg.add_chain(ChainRule::new(
+        d.lookup("inGroup").unwrap(),
+        vec![d.lookup("follows").unwrap(), d.lookup("memberOf").unwrap()],
+        0.6,
+    ));
+    (g, reg)
 }
 
 #[test]
 fn chain_contributes_answers_the_original_lacks() {
-    let (g, reg, chains) = setup();
+    let (g, reg) = setup();
     let q = parse_query("SELECT ?x WHERE { ?x <inGroup> <beatles> }", g.dictionary()).unwrap();
 
     // Without chains: only direct members.
-    let plain = Engine::new(&g, &reg);
+    let no_rules = RelaxationRegistry::new();
+    let plain = Engine::new(&g, &no_rules);
     let out = plain.run_trinit(&q, 10);
     assert_eq!(out.answers.len(), 2);
 
     // With chains: carol arrives through follows∘memberOf.
-    let chained = Engine::new(&g, &reg).with_chain_rules(chains);
+    let chained = Engine::new(&g, &reg);
+    assert_trinit_is_naive(&chained, &q);
     let out = chained.run_trinit(&q, 10);
     let d = g.dictionary();
     let carol = d.lookup("carol").unwrap();
@@ -82,9 +88,9 @@ fn chain_contributes_answers_the_original_lacks() {
 
 #[test]
 fn chain_scores_are_weight_bounded_and_sorted() {
-    let (g, reg, chains) = setup();
+    let (g, reg) = setup();
     let q = parse_query("SELECT ?x WHERE { ?x <inGroup> <beatles> }", g.dictionary()).unwrap();
-    let engine = Engine::new(&g, &reg).with_chain_rules(chains);
+    let engine = Engine::new(&g, &reg);
     let out = engine.run_trinit(&q, 10);
     for w in out.answers.windows(2) {
         assert!(w[0].score >= w[1].score);
@@ -106,9 +112,9 @@ fn chain_scores_are_weight_bounded_and_sorted() {
 
 #[test]
 fn chain_and_direct_sources_deduplicate() {
-    let (g, reg, chains) = setup();
+    let (g, reg) = setup();
     let q = parse_query("SELECT ?x WHERE { ?x <inGroup> <beatles> }", g.dictionary()).unwrap();
-    let engine = Engine::new(&g, &reg).with_chain_rules(chains);
+    let engine = Engine::new(&g, &reg);
     let out = engine.run_trinit(&q, 10);
     let d = g.dictionary();
     let alice = d.lookup("alice").unwrap();
@@ -125,23 +131,18 @@ fn chain_and_direct_sources_deduplicate() {
 
 #[test]
 fn chains_only_apply_to_relaxed_patterns() {
-    let (g, reg, chains) = setup();
+    let (g, reg) = setup();
     let q = parse_query("SELECT ?x WHERE { ?x <inGroup> <beatles> }", g.dictionary()).unwrap();
-    let engine = Engine::new(&g, &reg).with_chain_rules(chains);
+    let engine = Engine::new(&g, &reg);
     // Bare plan (join group only): no merges, hence no chain sources.
-    let out = engine.run_with_plan(
-        &q,
-        10,
-        specqp::QueryPlan::none_relaxed(1),
-        std::time::Duration::ZERO,
-    );
+    let out = engine.run_with_plan(&q, 10, specqp::QueryPlan::none_relaxed(1));
     assert_eq!(out.answers.len(), 2, "direct members only");
 }
 
 #[test]
 fn chains_compose_with_multi_pattern_queries() {
     // A second pattern so the chain's merged stream feeds a rank join.
-    let (g2, reg, chains2) = setup_with(&[
+    let (g2, reg) = setup_with(&[
         ("alice", "plays", "guitar", 10.0),
         ("carol", "plays", "guitar", 8.0),
     ]);
@@ -156,8 +157,9 @@ fn chains_compose_with_multi_pattern_queries() {
             parallelism,
             ..EngineConfig::default()
         };
-        Engine::with_config(&g2, &reg, config).with_chain_rules(chains2.clone())
+        Engine::with_config(&g2, &reg, config)
     };
+    assert_trinit_is_naive(&engine(1), &q);
     let out = engine(1).run_trinit(&q, 10);
     let names: Vec<&str> = out
         .answers
@@ -176,7 +178,7 @@ fn chains_compose_with_multi_pattern_queries() {
 /// plan's answers, and TriniT's.
 #[test]
 fn delta_recovery_runs_term_and_chain_relaxations() {
-    let (g, mut reg, chains) = setup_with(&[
+    let (g, mut reg) = setup_with(&[
         ("paul", "inGroup", "wings", 70.0),
         ("alice", "plays", "guitar", 10.0),
         ("paul", "plays", "guitar", 9.0),
@@ -200,11 +202,12 @@ fn delta_recovery_runs_term_and_chain_relaxations() {
         speculation: SpeculationPolicy::Fallback { max_stages: 3 },
         ..EngineConfig::default()
     };
-    let engine = Engine::with_config(&g, &reg, config).with_chain_rules(chains);
+    let engine = Engine::with_config(&g, &reg, config);
+    assert_trinit_is_naive(&engine, &q);
 
-    let bare = engine.run_with_plan(&q, 10, QueryPlan::none_relaxed(2), Duration::ZERO);
+    let bare = engine.run_with_plan(&q, 10, QueryPlan::none_relaxed(2));
     assert_eq!(bare.answers.len(), 2, "alice and bob only: under-filled");
-    let out = engine.run_speculative(&q, 10, QueryPlan::none_relaxed(2), Duration::ZERO);
+    let out = engine.run_speculative(&q, 10, QueryPlan::none_relaxed(2));
     assert!(out.report.mis_speculated);
     assert_eq!(out.report.fallback_stages, 1);
     assert!(out.plan.is_relaxed(0), "the inGroup pattern was escalated");
@@ -217,7 +220,7 @@ fn delta_recovery_runs_term_and_chain_relaxations() {
         assert!(names.contains(&who), "{who} missing from {names:?}");
     }
 
-    let restart = engine.run_with_plan(&q, 10, out.plan.clone(), Duration::ZERO);
+    let restart = engine.run_with_plan(&q, 10, out.plan.clone());
     equivalent(&out.answers, &restart.answers).expect("delta ≡ escalated plan");
     equivalent(&out.answers, &engine.run_trinit(&q, 10).answers).expect("delta ≡ TriniT");
 }

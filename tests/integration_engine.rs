@@ -70,12 +70,7 @@ fn specqp_with_all_relaxed_plan_equals_trinit() {
     // scheduling-dependent amount (answers stay identical either way).
     let engine = Engine::new(&ds.graph, &ds.registry);
     let query = &ds.workload.queries[0];
-    let forced = engine.run_with_plan(
-        query,
-        10,
-        QueryPlan::all_relaxed(query.len()),
-        std::time::Duration::ZERO,
-    );
+    let forced = engine.run_with_plan(query, 10, QueryPlan::all_relaxed(query.len()));
     let trinit = engine.run_trinit(query, 10);
     assert_eq!(forced.answers.len(), trinit.answers.len());
     for (a, b) in forced.answers.iter().zip(&trinit.answers) {
@@ -142,12 +137,7 @@ fn required_relaxations_consistent_with_plans() {
         }
         // If nothing is required, the bare plan reproduces the true top-k.
         if required.is_empty() {
-            let bare = engine.run_with_plan(
-                query,
-                10,
-                QueryPlan::none_relaxed(query.len()),
-                std::time::Duration::ZERO,
-            );
+            let bare = engine.run_with_plan(query, 10, QueryPlan::none_relaxed(query.len()));
             let p = precision_at_k(&bare.answers, &trinit.answers, 10);
             assert!(
                 (p - 1.0).abs() < 1e-9,

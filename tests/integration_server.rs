@@ -156,6 +156,28 @@ fn malformed_frame_gets_protocol_error_and_connection_survives() {
     server.shutdown();
 }
 
+/// A hostile `k` is a request for everything, not an allocation: `u32::MAX`
+/// over a 30-answer query comes back as those 30 answers, and the same
+/// connection keeps serving.
+#[test]
+fn huge_k_is_answered_not_aborted() {
+    let service = test_service(2, 8);
+    let server = Server::bind(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = SpecQpClient::connect(server.local_addr()).unwrap();
+
+    for mode in [ExecMode::SpecQp, ExecMode::TriniT, ExecMode::Naive] {
+        let answers = expect_answers(client.roundtrip(SINGERS, mode, u32::MAX, 0, 1).unwrap());
+        assert_eq!(answers.len(), 30, "{mode:?}: the whole answer set");
+    }
+    let answers = expect_answers(
+        client
+            .roundtrip(SINGERS, ExecMode::SpecQp, 3, 0, 1)
+            .unwrap(),
+    );
+    assert_eq!(answers.len(), 3);
+    server.shutdown();
+}
+
 /// An error message longer than a frame is cut, not fatal: a query whose
 /// parse error quotes ~300 KB of escaped control characters still gets a
 /// `Protocol` reply, and the connection keeps serving.

@@ -18,12 +18,7 @@ fn estimated_counts_match_reality_exactly() {
         let n = oracle.cardinality(&ds.graph, q.patterns());
         // Count original answers with the naive executor restricted to the
         // un-relaxed query: run with the bare plan at huge k.
-        let bare = engine.run_with_plan(
-            q,
-            1_000_000,
-            specqp::QueryPlan::none_relaxed(q.len()),
-            std::time::Duration::ZERO,
-        );
+        let bare = engine.run_with_plan(q, 1_000_000, specqp::QueryPlan::none_relaxed(q.len()));
         assert_eq!(n as usize, bare.answers.len());
     }
 }
@@ -43,12 +38,7 @@ fn estimator_top_score_brackets_truth() {
         let Some(pred_top) = e.expected_top_score() else {
             continue;
         };
-        let bare = engine.run_with_plan(
-            q,
-            1,
-            specqp::QueryPlan::none_relaxed(q.len()),
-            std::time::Duration::ZERO,
-        );
+        let bare = engine.run_with_plan(q, 1, specqp::QueryPlan::none_relaxed(q.len()));
         let Some(true_top) = bare.answers.first().map(|a| a.score.value()) else {
             continue;
         };
