@@ -33,8 +33,14 @@ bench:
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --workspace
 
+# Every example runs; plan_explain also refuses an out-of-range query id
+# with its usage line and exit status 2.
 example:
 	$(CARGO) run --release --example quickstart
+	$(CARGO) run --release --example music_discovery
+	$(CARGO) run --release --example twitter_trends
+	$(CARGO) run --release --example plan_explain -- twitter 3 10
+	$(CARGO) run --release --quiet --example plan_explain -- xkg 9999; test $$? -eq 2
 
 # specbench is a package of its own (outside the workspace), so nothing above
 # compiles it: its tests build specbench/src/adapter.rs against the crates'

@@ -1,11 +1,9 @@
-//! Microbench: the expected-score estimator — two-bucket refit (paper
-//! default) vs multi-bucket exact-ish folding, across query sizes. This is
-//! the ablation behind §4.5.2's remark that multi-bucket histograms "will
-//! lead to higher planning time overheads".
+//! Microbench: the expected-score estimator — convolution with the
+//! two-bucket refit plus the order-statistic quantile — across query sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::{XkgConfig, XkgGenerator};
-use specqp_stats::{ExactCardinality, RefitMode, ScoreEstimator, StatsCatalog};
+use specqp_stats::{ExactCardinality, ScoreEstimator, StatsCatalog};
 
 fn bench_estimator(c: &mut Criterion) {
     let ds = XkgGenerator::new(XkgConfig::small(0xE57)).generate();
@@ -37,23 +35,6 @@ fn bench_estimator(c: &mut Criterion) {
                     .expected_score_at_rank(10)
             })
         });
-        for buckets in [16usize, 64, 256] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("multi_bucket_{buckets}"), tp),
-                q,
-                |b, _| {
-                    let est = ScoreEstimator::with_mode(
-                        &catalog,
-                        &oracle,
-                        RefitMode::MultiBucket(buckets),
-                    );
-                    b.iter(|| {
-                        est.estimate(&ds.graph, &weighted)
-                            .expected_score_at_rank(10)
-                    })
-                },
-            );
-        }
     }
     group.finish();
 }

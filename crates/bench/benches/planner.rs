@@ -1,7 +1,7 @@
 //! Microbench: PLANGEN end-to-end planning latency per query, warm and
-//! cold, and the exact-oracle vs independence-estimator cardinality
-//! ablation. This is the "additional time spent on speculative planning"
-//! visible in Figures 7/9 when every pattern ends up relaxed.
+//! cold, and the exact oracle's cold cardinality counts. This is the
+//! "additional time spent on speculative planning" visible in Figures 7/9
+//! when every pattern ends up relaxed.
 //!
 //! The `*_cold` groups build a fresh [`ExactCardinality`] (and, for
 //! PLANGEN, a fresh [`StatsCatalog`]) per iteration: what the first sight
@@ -13,16 +13,13 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::{XkgConfig, XkgGenerator};
 use sparql::Query;
 use specqp::plan_query;
-use specqp_stats::{
-    CardinalityEstimator, ExactCardinality, IndependenceEstimator, RefitMode, StatsCatalog,
-};
+use specqp_stats::{CardinalityEstimator, ExactCardinality, RefitMode, StatsCatalog};
 
 fn bench_planner(c: &mut Criterion) {
     let ds = XkgGenerator::new(XkgConfig::small(0x91a)).generate();
     let catalog = StatsCatalog::new();
     let exact = ExactCardinality::new();
-    let indep = IndependenceEstimator::new();
-    let plan = |q: &Query, catalog: &StatsCatalog, cardinality: &dyn CardinalityEstimator| {
+    let plan = |q: &Query, catalog: &StatsCatalog, cardinality: &ExactCardinality| {
         plan_query(
             &ds.graph,
             q,
@@ -38,10 +35,9 @@ fn bench_planner(c: &mut Criterion) {
     let sample = || ds.workload.queries.iter().enumerate().take(6);
     let id = |qid: usize, q: &Query| BenchmarkId::new(format!("exact_tp{}", q.len()), qid);
 
-    // Warm both cardinality backends and the catalog.
+    // Warm the cardinality memos and the catalog.
     for q in &ds.workload.queries {
         plan(q, &catalog, &exact);
-        plan(q, &catalog, &indep);
     }
 
     let mut group = c.benchmark_group("plangen");
@@ -64,17 +60,6 @@ fn bench_planner(c: &mut Criterion) {
             b.iter(|| ExactCardinality::new().cardinality(&ds.graph, q.patterns()))
         });
     }
-    group.finish();
-
-    // Cardinality backend ablation on a fixed query, memos warm.
-    let q = &ds.workload.queries[1];
-    let mut group = c.benchmark_group("cardinality_backend");
-    group.bench_function("exact_warm", |b| {
-        b.iter(|| exact.cardinality(&ds.graph, q.patterns()))
-    });
-    group.bench_function("independence_warm", |b| {
-        b.iter(|| indep.cardinality(&ds.graph, q.patterns()))
-    });
     group.finish();
 }
 

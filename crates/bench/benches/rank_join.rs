@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kgstore::{CompactionPolicy, KnowledgeGraph, KnowledgeGraphBuilder, LiveGraph, WriteBatch};
 use operators::{
     AnswerBlock, Binding, BlockIncrementalMerge, BlockRankJoin, BlockScan, BlockStream,
-    BoxedBlockStream, OpMetrics, PartialAnswer, PullStrategy,
+    BoxedBlockStream, OpMetrics, PartialAnswer,
 };
 use sparql::{TriplePattern, Var};
 use specqp_common::{Score, TermId};
@@ -87,7 +87,6 @@ fn bench_block_kernels(c: &mut Criterion) {
                     stream(&lb),
                     stream(&rb),
                     vec![Var(0)],
-                    PullStrategy::Adaptive,
                     OpMetrics::new_handle(),
                     128,
                 ))

@@ -22,11 +22,10 @@ enum Scale {
 }
 
 /// Every experiment name the binary knows, in `--all` order.
-const EXPERIMENTS: [&str; 8] = [
-    "table2", "table3", "table4", "fig6", "fig7", "fig8", "fig9", "ablation",
-];
+const EXPERIMENTS: [&str; 7] = ["table2", "table3", "table4", "fig6", "fig7", "fig8", "fig9"];
 
-const USAGE: &str = "usage: experiments [--all] [table2 table3 table4 fig6 fig7 fig8 fig9 ablation] [--scale small|full]";
+const USAGE: &str =
+    "usage: experiments [--all] [table2 table3 table4 fig6 fig7 fig8 fig9] [--scale small|full]";
 
 #[derive(Debug, PartialEq)]
 struct Args {
@@ -69,7 +68,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Command, String>
         }
     }
     if experiments.is_empty() {
-        experiments.extend(&EXPERIMENTS[..7]);
+        experiments.extend(EXPERIMENTS);
     }
     let mut unique = Vec::new();
     for e in experiments {
@@ -119,12 +118,10 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let need_xkg = args.experiments.iter().any(|e| {
-        matches!(
-            *e,
-            "table2" | "table3" | "table4" | "fig6" | "fig7" | "ablation"
-        )
-    });
+    let need_xkg = args
+        .experiments
+        .iter()
+        .any(|e| matches!(*e, "table2" | "table3" | "table4" | "fig6" | "fig7"));
     let need_twitter = args
         .experiments
         .iter()
@@ -132,24 +129,16 @@ fn main() {
 
     let mut xkg_report: Option<DatasetReport> = None;
     let mut twitter_report: Option<DatasetReport> = None;
-    let mut ablation_out: Option<String> = None;
 
     if need_xkg {
         let t0 = Instant::now();
         let ds = build_xkg(args.scale);
         eprintln!("built {} in {:.1?}", ds.summary(), t0.elapsed());
-        if args.experiments.contains(&"ablation") {
-            let t0 = Instant::now();
-            ablation_out = Some(bench::ablation_summary(&ds, 10));
-            eprintln!("ran planner ablation in {:.1?}", t0.elapsed());
-        }
-        if args.experiments.iter().any(|&e| e != "ablation") {
-            let t0 = Instant::now();
-            let report = measure_workload(&ds, &KS, |m| eprintln!("{m}"));
-            eprintln!("measured xkg in {:.1?}", t0.elapsed());
-            write_csv(&report);
-            xkg_report = Some(report);
-        }
+        let t0 = Instant::now();
+        let report = measure_workload(&ds, &KS, |m| eprintln!("{m}"));
+        eprintln!("measured xkg in {:.1?}", t0.elapsed());
+        write_csv(&report);
+        xkg_report = Some(report);
     }
     if need_twitter {
         let t0 = Instant::now();
@@ -191,11 +180,6 @@ fn main() {
             "fig9" => {
                 if let Some(r) = &twitter_report {
                     println!("{}", render_fig_by_relaxed(r, &KS, "Figure 9 (Twitter)"));
-                }
-            }
-            "ablation" => {
-                if let Some(a) = &ablation_out {
-                    println!("{a}");
                 }
             }
             other => unreachable!("parse_args admits only known names, got {other:?}"),
@@ -241,6 +225,6 @@ mod tests {
 
     #[test]
     fn no_names_run_the_paper_set() {
-        assert_eq!(parse(&[]), run(&EXPERIMENTS[..7], Scale::Full));
+        assert_eq!(parse(&[]), run(&EXPERIMENTS, Scale::Full));
     }
 }

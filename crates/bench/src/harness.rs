@@ -144,81 +144,6 @@ pub fn measure_workload(
     }
 }
 
-/// Planner-configuration ablation over one dataset: Spec-QP with the
-/// paper-default configuration (exact cardinalities, two-bucket refit)
-/// against (a) the independence-assumption cardinality estimator and
-/// (b) multi-bucket refit, reporting precision and plan agreement. Used by
-/// `experiments -- ablation`.
-pub fn ablation_summary(dataset: &Dataset, k: usize) -> String {
-    use operators::PullStrategy;
-    use specqp::{EngineConfig, QueryPlan};
-    use specqp_stats::{IndependenceEstimator, RefitMode};
-    use std::fmt::Write;
-
-    let baseline = Engine::new(&dataset.graph, &dataset.registry);
-    let indep = Engine::new(&dataset.graph, &dataset.registry)
-        .with_cardinality(Box::new(IndependenceEstimator::new()));
-    let multi = Engine::with_config(
-        &dataset.graph,
-        &dataset.registry,
-        EngineConfig {
-            refit: RefitMode::MultiBucket(64),
-            pull: PullStrategy::Adaptive,
-            ..EngineConfig::default()
-        },
-    );
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Planner ablation over {} (k={k}): precision vs TriniT and plan agreement with the default planner.",
-        dataset.name
-    );
-    let _ = writeln!(
-        out,
-        "  {:<28} {:>10} {:>12} {:>14}",
-        "configuration", "precision", "avg #relaxed", "plans == base"
-    );
-
-    let mut rows: Vec<(&str, &Engine, Vec<QueryPlan>)> = Vec::new();
-    for (name, engine) in [
-        ("exact + two-bucket (paper)", &baseline),
-        ("independence cardinality", &indep),
-        ("multi-bucket refit (64)", &multi),
-    ] {
-        let mut precision_sum = 0.0;
-        let mut relaxed_sum = 0usize;
-        let mut plans = Vec::new();
-        for q in &dataset.workload.queries {
-            engine.warm(q, k);
-            let spec = engine.run_specqp(q, k);
-            let trinit = baseline.run_trinit(q, k);
-            precision_sum += precision_at_k(&spec.answers, &trinit.answers, k);
-            relaxed_sum += spec.plan.relaxed_count();
-            plans.push(spec.plan);
-        }
-        rows.push((name, engine, plans));
-        let n = dataset.workload.len() as f64;
-        let agree = if let Some((_, _, base)) = rows.first() {
-            rows.last()
-                .map(|(_, _, p)| p.iter().zip(base).filter(|(a, b)| a == b).count())
-                .unwrap_or(0)
-        } else {
-            0
-        };
-        let _ = writeln!(
-            out,
-            "  {:<28} {:>10.2} {:>12.2} {:>11}/{}",
-            name,
-            precision_sum / n,
-            relaxed_sum as f64 / n,
-            agree,
-            dataset.workload.len()
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,9 +156,6 @@ mod tests {
         let ds = XkgGenerator::new(cfg).generate();
         let report = measure_workload(&ds, &[10], |_| {});
         assert_eq!(report.rows.len(), 3);
-        let summary = ablation_summary(&ds, 10);
-        assert!(summary.contains("paper"));
-        assert!(summary.contains("independence"));
         for r in &report.rows {
             assert!((2..=4).contains(&r.tp));
             assert!(r.precision >= 0.0 && r.precision <= 1.0);

@@ -10,9 +10,7 @@
 pub mod harness;
 pub mod tables;
 
-pub use harness::{
-    ablation_summary, measure_workload, DatasetReport, QueryMeasurement, KS, MEASURED_RUNS, RUNS,
-};
+pub use harness::{measure_workload, DatasetReport, QueryMeasurement, KS, MEASURED_RUNS, RUNS};
 pub use tables::{
     render_fig_by_relaxed, render_fig_by_tp, render_table2, render_table3, render_table4,
 };

@@ -25,6 +25,8 @@ fn unknown_experiment_is_rejected_up_front() {
     assert_rejected(&["tabel2"], "unknown experiment \"tabel2\"");
     // A typo after a valid name still measures nothing.
     assert_rejected(&["table2", "fig66"], "unknown experiment \"fig66\"");
+    // The planner ablation is gone with the alternatives it compared.
+    assert_rejected(&["ablation"], "unknown experiment \"ablation\"");
 }
 
 #[test]

@@ -156,9 +156,10 @@ impl std::fmt::Debug for PinnedGraph<'_> {
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Convolution-refit mode used by PLANGEN (paper default: two-bucket).
+    /// Convolution-refit mode used by PLANGEN: the paper's two-bucket
+    /// refit, the only one.
     pub refit: RefitMode,
-    /// Rank-join pull strategy (default: adaptive / HRJN*).
+    /// Rank-join pull strategy: adaptive (HRJN*), the only one.
     pub pull: PullStrategy,
     /// The executor's block size ([`ExecutionMode::default`]: 128 rows).
     /// Every size returns identical answers.
@@ -241,7 +242,7 @@ pub struct Engine<'g> {
     graph: GraphHandle<'g>,
     registry: Handle<'g, RelaxationRegistry>,
     catalog: StatsCatalog,
-    cardinality: Box<dyn CardinalityEstimator + 'g>,
+    cardinality: ExactCardinality,
     plan_cache: PlanCache,
     config: EngineConfig,
     /// Highest epoch any pin has observed — the edge detector that triggers
@@ -292,18 +293,11 @@ impl<'g> Engine<'g> {
             graph,
             registry: registry.into(),
             catalog: StatsCatalog::new(),
-            cardinality: Box::new(ExactCardinality::new()),
+            cardinality: ExactCardinality::new(),
             plan_cache: PlanCache::default(),
             config,
             last_epoch: AtomicU64::new(epoch.value()),
         }
-    }
-
-    /// Replaces the cardinality estimator (ablation: independence
-    /// assumption instead of the exact oracle).
-    pub fn with_cardinality(mut self, est: Box<dyn CardinalityEstimator + 'g>) -> Self {
-        self.cardinality = est;
-        self
     }
 
     /// Pins and returns the graph version this call should read (see
@@ -410,7 +404,7 @@ impl<'g> Engine<'g> {
             query,
             k,
             &self.catalog,
-            self.cardinality.as_ref(),
+            &self.cardinality,
             self.registry.get(),
             self.config.refit,
             self.config.learned,
@@ -441,7 +435,7 @@ impl<'g> Engine<'g> {
 
     /// Executes an explicit plan **verbatim** — no verification, no
     /// fallback, regardless of the configured speculation policy. This is
-    /// the escape hatch ablations and tests use to observe exactly what one
+    /// the escape hatch tests and benches use to observe exactly what one
     /// plan produces.
     pub fn run_with_plan(&self, query: &Query, k: usize, plan: QueryPlan) -> QueryOutcome {
         let graph = self.pin();
@@ -512,7 +506,6 @@ impl<'g> Engine<'g> {
         let max_stages = match self.config.speculation {
             SpeculationPolicy::Off => return self.run_with_plan_on(graph, query, k, plan),
             SpeculationPolicy::ForceFinal => return self.run_forced_final(graph, query, k, plan),
-            SpeculationPolicy::Detect => 0,
             SpeculationPolicy::Fallback { max_stages } => max_stages.max(1),
         };
 
@@ -538,8 +531,7 @@ impl<'g> Engine<'g> {
         // A pattern the ledger holds as settled-clean (probed before, at
         // least as many clean verdicts as offenses) is never re-flagged:
         // a genuinely-small result would otherwise re-trigger the full
-        // escalation ladder on every run — or, under Detect, oscillate the
-        // offender bias and invalidate the plan cache every run.
+        // escalation ladder on every run.
         let settled = |i: usize| {
             self.catalog
                 .speculation_outcome(&query.patterns()[i].stats_key())
@@ -589,15 +581,9 @@ impl<'g> Engine<'g> {
                 break;
             }
             mis_speculated = true;
-            if stage >= max_stages {
-                // Detect mode (or an exhausted stage budget): the flagged
-                // suspects count as mis-speculation evidence — without a
-                // recovery stage there is nothing to confirm against. (The
-                // settled filter above keeps a later exoneration from being
-                // re-flagged, so this cannot oscillate the bias.)
-                passive.extend(verdict.suspects.iter().map(|&i| (i, true)));
-                break;
-            }
+            // Stage `max_stages` escalated every candidate, so the verdict
+            // after it has nothing left to suspect.
+            debug_assert!(stage < max_stages, "a mis-speculation after the last stage");
 
             // Phase 4: recover — escalate the stage's targets one by one,
             // each by its delta above the k-th score in hand.
@@ -1010,33 +996,6 @@ mod tests {
         assert!(recovered.plan.is_relaxed(1), "the offender was escalated");
     }
 
-    /// Detect classifies without re-executing: the answers stay as the
-    /// speculative plan produced them, but the verdict lands in the report
-    /// and the feedback ledger.
-    #[test]
-    fn detect_flags_without_recovery_and_feeds_the_ledger() {
-        let (g, reg) = setup();
-        let engine = engine_with_policy(&g, &reg, SpeculationPolicy::Detect);
-        let q = parse_query(
-            "SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }",
-            g.dictionary(),
-        )
-        .unwrap();
-        let bad = QueryPlan::none_relaxed(2);
-        let out = engine.run_speculative(&q, 10, bad);
-        assert!(out.report.mis_speculated);
-        assert_eq!(out.report.fallback_stages, 0, "detect never re-executes");
-        assert_eq!(out.answers.len(), 3, "answers returned as-is");
-        // The flagged pattern (small, index 1 — the only one with
-        // relaxations) is now a recorded offender.
-        let key = q.patterns()[1].stats_key();
-        assert!(engine.catalog().speculation_outcome(&key).mis_speculations >= 1);
-        assert!(
-            engine.catalog().generation() >= 1,
-            "bias flip bumped the generation"
-        );
-    }
-
     /// ForceFinal takes exactly one stage to the all-relaxed safety net and
     /// returns answers byte-identical to `run_trinit` — and records nothing
     /// in the ledger.
@@ -1272,8 +1231,7 @@ mod tests {
         let engine = engine_with_policy(&g, &reg, SpeculationPolicy::Fallback { max_stages: 3 });
         // k = 2 is filled (e0 2.0, e1 0.6), so the delta runs above a floor
         // of 0.6; the prediction makes pattern 1 a suspect.
-        let bad =
-            QueryPlan::none_relaxed(2).with_predictions(None, vec![None, Some(Score::new(9.0))]);
+        let bad = QueryPlan::none_relaxed(2).with_predictions(vec![None, Some(Score::new(9.0))]);
         let old = engine.run_with_plan(&q, 2, bad.clone());
         let out = engine.run_speculative(&q, 2, bad);
         let restart = engine.run_with_plan(&q, 2, QueryPlan::new(2, &[1]));
@@ -1306,23 +1264,23 @@ mod tests {
         assert_eq!(out.report.fallback_stages, 0);
     }
 
-    /// Detect-mode regression: an unfixable under-filled shape must not
-    /// oscillate the offender bias (flag → relax → exonerate → re-flag …),
-    /// which would bump the catalog generation — and thereby invalidate the
-    /// whole plan cache — on every single run.
+    /// An unfixable under-filled shape must not oscillate the offender
+    /// bias (flag → relax → exonerate → re-flag …), which would bump the
+    /// catalog generation — and thereby invalidate the whole plan cache —
+    /// on every single run.
     #[test]
-    fn detect_does_not_oscillate_on_unfixable_underfill() {
+    fn fallback_does_not_oscillate_on_unfixable_underfill() {
         let (g, reg) = setup();
-        let engine = engine_with_policy(&g, &reg, SpeculationPolicy::Detect);
-        // big ⋈ small has 3 true answers < k=10 even fully relaxed only
-        // grows to backup∩big; run the same query many times.
+        let engine = engine_with_policy(&g, &reg, SpeculationPolicy::Fallback { max_stages: 3 });
+        // big ⋈ small stays under k=40 even fully relaxed; run the same
+        // query many times.
         let q = parse_query(
             "SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }",
             g.dictionary(),
         )
         .unwrap();
         // PLANGEN relaxes `small` on its own, so seed the ledger with a run
-        // of the bare plan: Detect flags it and puts `small` on file.
+        // of the bare plan: recovery confirms it and puts `small` on file.
         let seed = engine.run_speculative(&q, 40, QueryPlan::none_relaxed(2));
         assert!(seed.report.mis_speculated, "the seed run is flagged");
         assert!(engine.catalog().generation() >= 1, "the flag bumped it");

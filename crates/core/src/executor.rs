@@ -49,7 +49,6 @@ fn build_tree<'g>(
     plan: &QueryPlan,
     registry: &RelaxationRegistry,
     metrics: MetricsHandle,
-    strategy: PullStrategy,
     block_size: usize,
     morsels: Option<(usize, Arc<MorselDispenser>)>,
 ) -> BoxedBlockStream<'g> {
@@ -84,7 +83,7 @@ fn build_tree<'g>(
     let join_chain = |patterns: &mut dyn Iterator<Item = BoxedBlockStream<'g>>| {
         let first = patterns.next().expect("a join chain has ≥ 1 pattern");
         patterns.fold(first, |left, right| {
-            block_join(left, right, strategy, &metrics, block_size)
+            block_join(left, right, &metrics, block_size)
         })
     };
 
@@ -128,7 +127,6 @@ fn build_tree<'g>(
 fn block_join<'g>(
     left: BoxedBlockStream<'g>,
     right: BoxedBlockStream<'g>,
-    strategy: PullStrategy,
     metrics: &MetricsHandle,
     block_size: usize,
 ) -> BoxedBlockStream<'g> {
@@ -142,7 +140,6 @@ fn block_join<'g>(
         left,
         right,
         shared,
-        strategy,
         metrics.clone(),
         block_size,
     ))
@@ -150,7 +147,8 @@ fn block_join<'g>(
 
 /// Executes `plan` to the top-`k` answers with blocks of up to `block_size`
 /// rows, on the calling thread: [`QueryPlan::delta`] plans included, which
-/// drain only above their floor.
+/// drain only above their floor. `strategy` can only be
+/// [`PullStrategy::Adaptive`].
 pub fn run_plan_blocks(
     graph: &KnowledgeGraph,
     query: &Query,
@@ -169,8 +167,8 @@ pub fn run_plan_blocks(
     run_plan(graph, query, plan, registry, &metrics, &config, k)
 }
 
-/// The one runner: builds `plan`'s tree with `config`'s pull strategy and
-/// block size and drains its top-`k` (above the floor, for a delta plan).
+/// The one runner: builds `plan`'s tree with `config`'s block size and
+/// drains its top-`k` (above the floor, for a delta plan).
 /// With `config.parallelism > 1` and a [`partition_target`], that scan is
 /// split into morsels across that many workers, each running a private
 /// copy of the tree ([`crate::parallel`]); otherwise the tree runs on the
@@ -184,11 +182,9 @@ pub(crate) fn run_plan(
     config: &EngineConfig,
     k: usize,
 ) -> Vec<PartialAnswer> {
-    let (strategy, block_size) = (config.pull, config.execution.block_size());
+    let block_size = config.execution.block_size();
     let drain = |metrics: MetricsHandle, morsels: Option<(usize, Arc<MorselDispenser>)>| {
-        let mut tree = build_tree(
-            graph, query, plan, registry, metrics, strategy, block_size, morsels,
-        );
+        let mut tree = build_tree(graph, query, plan, registry, metrics, block_size, morsels);
         top_k_blocks_floored(&mut tree, k, plan.delta_floor())
     };
     let target = if config.parallelism > 1 {

@@ -12,11 +12,10 @@ use specqp_common::{Dictionary, Score};
 /// A speculative query plan: which patterns are processed *with* their
 /// relaxations (singletons) and which are joined bare (join group).
 ///
-/// Besides the partition itself, a PLANGEN-produced plan carries the
-/// predictions it was derived from — the expected k-th score of the original
-/// query ([`score_floor`](QueryPlan::score_floor)) and, per pattern, the
-/// expected best score of the query with that pattern's top relaxation
-/// substituted in ([`predicted_relaxed_best`](QueryPlan::predicted_relaxed_best)).
+/// Besides the partition itself, a PLANGEN-produced plan carries, per
+/// pattern, the prediction it was derived from: the expected best score of
+/// the query with that pattern's top relaxation substituted in
+/// ([`predicted_relaxed_best`](QueryPlan::predicted_relaxed_best)).
 /// The speculation verifier replays PLANGEN's inequality against *observed*
 /// scores to detect mis-speculation at runtime (see `crate::speculation`).
 /// Hand-built plans ([`QueryPlan::new`] and friends) carry no predictions.
@@ -27,10 +26,6 @@ pub struct QueryPlan {
     /// `relaxed[i]` ⇔ pattern `i` is a singleton (gets an incremental
     /// merge).
     relaxed: Vec<bool>,
-    /// PLANGEN's `E_Q(k)`: the expected k-th best score of the original
-    /// (unrelaxed) query. `None` when the original query is not expected to
-    /// fill the top-k, or when the plan was built by hand.
-    score_floor: Option<Score>,
     /// PLANGEN's `E_{Q'}(1)` per pattern: the expected best score of the
     /// query with pattern `i` replaced by its top-weighted relaxation.
     /// Empty for hand-built plans; `None` entries mean the pattern has no
@@ -54,7 +49,6 @@ impl QueryPlan {
         }
         QueryPlan {
             relaxed,
-            score_floor: None,
             predicted_relaxed_best: Vec::new(),
             delta: None,
         }
@@ -65,7 +59,6 @@ impl QueryPlan {
     pub fn all_relaxed(n_patterns: usize) -> Self {
         QueryPlan {
             relaxed: vec![true; n_patterns],
-            score_floor: None,
             predicted_relaxed_best: Vec::new(),
             delta: None,
         }
@@ -75,35 +68,24 @@ impl QueryPlan {
     pub fn none_relaxed(n_patterns: usize) -> Self {
         QueryPlan {
             relaxed: vec![false; n_patterns],
-            score_floor: None,
             predicted_relaxed_best: Vec::new(),
             delta: None,
         }
     }
 
-    /// Attaches PLANGEN's predictions: the expected k-th score of the
-    /// original query and the per-pattern expected best relaxed scores.
+    /// Attaches PLANGEN's predictions: the per-pattern expected best relaxed
+    /// scores.
     ///
     /// # Panics
     /// Panics if `predicted_relaxed_best` is non-empty but not of the plan's
     /// length.
-    pub fn with_predictions(
-        mut self,
-        score_floor: Option<Score>,
-        predicted_relaxed_best: Vec<Option<Score>>,
-    ) -> Self {
+    pub fn with_predictions(mut self, predicted_relaxed_best: Vec<Option<Score>>) -> Self {
         assert!(
             predicted_relaxed_best.is_empty() || predicted_relaxed_best.len() == self.relaxed.len(),
             "predictions/plan arity mismatch"
         );
-        self.score_floor = score_floor;
         self.predicted_relaxed_best = predicted_relaxed_best;
         self
-    }
-
-    /// PLANGEN's expected k-th score of the original query, if predicted.
-    pub fn score_floor(&self) -> Option<Score> {
-        self.score_floor
     }
 
     /// PLANGEN's expected best score of the query with pattern `i` swapped
@@ -115,7 +97,7 @@ impl QueryPlan {
 
     /// This plan with the patterns in `add` additionally relaxed — the
     /// fallback controller's escalation step. Predictions are preserved so
-    /// re-verification after a fallback stage uses the same floor.
+    /// re-verification after a fallback stage replays the same inequality.
     ///
     /// # Panics
     /// Panics if an index is out of range.
@@ -273,17 +255,14 @@ mod tests {
 
     #[test]
     fn predictions_roundtrip_and_escalation_preserves_them() {
-        let floor = Some(Score::new(1.25));
         let best = vec![Some(Score::new(0.9)), None, Some(Score::new(0.4))];
-        let p = QueryPlan::new(3, &[1]).with_predictions(floor, best);
-        assert_eq!(p.score_floor(), floor);
+        let p = QueryPlan::new(3, &[1]).with_predictions(best);
         assert_eq!(p.predicted_relaxed_best(0), Some(Score::new(0.9)));
         assert_eq!(p.predicted_relaxed_best(1), None);
         assert_eq!(p.predicted_relaxed_best(7), None, "out of range is None");
 
         let e = p.escalated(&[0]);
         assert!(e.is_relaxed(0) && e.is_relaxed(1) && !e.is_relaxed(2));
-        assert_eq!(e.score_floor(), floor, "escalation keeps the floor");
         assert_eq!(e.predicted_relaxed_best(2), Some(Score::new(0.4)));
         // Escalation is idempotent on already-relaxed patterns.
         assert_eq!(e.escalated(&[0, 1]), e);
@@ -294,7 +273,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "arity mismatch")]
     fn prediction_arity_mismatch_panics() {
-        let _ = QueryPlan::new(2, &[]).with_predictions(None, vec![None]);
+        let _ = QueryPlan::new(2, &[]).with_predictions(vec![None]);
     }
 
     #[test]

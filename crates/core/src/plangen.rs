@@ -30,10 +30,10 @@ use specqp_stats::{CardinalityEstimator, QueryShapeKey, RefitMode, ScoreEstimato
 ///
 /// Three extensions over Algorithm 1 feed the speculation lifecycle:
 ///
-/// * the plan carries PLANGEN's predictions — `E_Q(k)` as the
-///   [`score floor`](QueryPlan::score_floor) and each pattern's `E_{Q'}(1)`
-///   — so the runtime verifier can replay the pruning inequality against
-///   observed scores;
+/// * the plan carries each pattern's `E_{Q'}(1)`
+///   ([`predicted_relaxed_best`](QueryPlan::predicted_relaxed_best)), so the
+///   runtime verifier can replay the pruning inequality against the
+///   observed k-th score;
 /// * the catalog's speculation ledger is consulted: a pattern whose pruning
 ///   is a recorded [repeat offender](StatsCatalog::repeat_offender) keeps
 ///   its relaxations even when the (evidently miscalibrated) estimate says
@@ -43,9 +43,9 @@ use specqp_stats::{CardinalityEstimator, QueryShapeKey, RefitMode, ScoreEstimato
 ///   estimates — but only where their confidence gate is open. A closed
 ///   gate (or an unknown query shape) falls back to the histogram value,
 ///   so a cold or low-confidence engine plans byte-identically to a
-///   histogram-only one. Substituted values also replace the plan's carried
-///   predictions, keeping the verifier's replayed inequality consistent
-///   with the decision that was actually made.
+///   histogram-only one. A substituted `E_{Q'}(1)` also replaces the plan's
+///   carried prediction, keeping the verifier's replayed inequality
+///   consistent with the decision that was actually made.
 pub fn plan_query<C: CardinalityEstimator + ?Sized>(
     graph: &KnowledgeGraph,
     query: &Query,
@@ -105,8 +105,7 @@ pub fn plan_query<C: CardinalityEstimator + ?Sized>(
             singletons.push(i);
         }
     }
-    QueryPlan::new(patterns.len(), &singletons)
-        .with_predictions(eq_k.map(Score::new), predicted_best)
+    QueryPlan::new(patterns.len(), &singletons).with_predictions(predicted_best)
 }
 
 #[cfg(test)]
@@ -288,11 +287,11 @@ mod tests {
     }
 
     #[test]
-    fn plan_carries_floor_and_predictions() {
+    fn plan_carries_predictions() {
         let (g, reg) = setup();
         let catalog = StatsCatalog::new();
         let card = ExactCardinality::new();
-        // `rich` alone fills k=10, so the floor is a real estimate and the
+        // `rich` alone fills k=10, so E_Q(10) is a real estimate and the
         // pattern's relaxed-best prediction is populated (rich→tiny exists).
         let q = query(&g, &["rich"]);
         let plan = plan_query(
@@ -305,7 +304,11 @@ mod tests {
             RefitMode::TwoBucket,
             false,
         );
-        let floor = plan.score_floor().expect("rich fills the top-10");
+        let floor = ScoreEstimator::new(&catalog, &card)
+            .estimate_original(&g, q.patterns())
+            .expected_score_at_rank(10)
+            .map(Score::new)
+            .expect("rich fills the top-10");
         assert!(floor.value() > 0.0 && floor.value() <= 1.0, "{floor:?}");
         let best = plan.predicted_relaxed_best(0).expect("rich→tiny predicted");
         assert!(best.value() <= 0.2 + 1e-9, "weight caps the relaxed best");
@@ -435,11 +438,6 @@ mod tests {
             true,
         );
         assert_eq!(learned.singletons(), vec![0], "learned floor must win");
-        let floor = learned.score_floor().expect("floor carried");
-        assert!(
-            (floor.value() - 0.05).abs() < 0.01,
-            "plan must carry the substituted floor, got {floor:?}"
-        );
         // Histogram mode is untouched by the models.
         let hist = plan_query(
             &g,
@@ -528,24 +526,5 @@ mod tests {
             false,
         );
         assert_eq!(at3, hist3, "no extrapolation outside the taught k range");
-    }
-
-    #[test]
-    fn multibucket_mode_runs() {
-        let (g, reg) = setup();
-        let catalog = StatsCatalog::new();
-        let card = ExactCardinality::new();
-        let q = query(&g, &["rich", "poor"]);
-        let plan = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::MultiBucket(64),
-            false,
-        );
-        assert!(plan.is_valid_partition());
     }
 }

@@ -17,14 +17,12 @@
 //!                └───── (StatsCatalog, generation bump) ◀── verdicts
 //! ```
 //!
-//! * **Detect** ([`verify`]): after the speculative plan drains, the verdict
+//! * **Verify** ([`verify`]): after the speculative plan drains, the verdict
 //!   replays PLANGEN's pruning inequality against *observed* scores — the
 //!   run is mis-speculated when the top-k is under-filled
 //!   (`answers.len() < k`) while pruned patterns still hold unprocessed
 //!   relaxations, or when the observed k-th score falls below some pruned
-//!   pattern's predicted relaxed-best score (with the carried
-//!   [score floor](crate::QueryPlan::score_floor) reported as a shortfall
-//!   diagnostic when reality misses the `E_Q(k)` prediction itself).
+//!   pattern's predicted relaxed-best score.
 //! * **Recover**: the engine escalates suspects one stage at a time
 //!   ([`QueryPlan::escalated`]) — and keeps what it has. Escalating pattern
 //!   `i` can only add answers that use a *relaxed-only* row of `i`, so the
@@ -55,16 +53,6 @@ use relax::RelaxationRegistry;
 use sparql::Query;
 use specqp_common::Score;
 
-/// Safety factor applied to the predicted score floor before the verdict's
-/// [`below_floor`](Verdict::below_floor) diagnostic reports a shortfall: the
-/// two-bucket convolution estimates behind [`QueryPlan::score_floor`] are
-/// deliberately coarse, so only a k-th observed score under 85% of the
-/// prediction is reported as "came in below what PLANGEN expected". The
-/// *decision* signals — under-filled top-k and per-pattern predicted
-/// relaxed-best versus the observed k-th score — are exact comparisons and
-/// need no slack.
-pub const FLOOR_TOLERANCE: f64 = 0.85;
-
 /// How the engine treats speculative runs (default: [`SpeculationPolicy::Off`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SpeculationPolicy {
@@ -72,11 +60,6 @@ pub enum SpeculationPolicy {
     /// the pre-lifecycle behaviour, and the default.
     #[default]
     Off,
-    /// Verify every speculative run and record verdicts in the statistics
-    /// feedback ledger, but never re-execute. Mis-speculations surface as
-    /// `RunReport::mis_speculated` and teach the planner; the answers are
-    /// returned as-is.
-    Detect,
     /// Verify, and on a mis-speculation escalate the flagged patterns and
     /// recover by delta, up to `max_stages` times. Stages `1‥max_stages−1`
     /// each relax the top remaining suspect; the final permitted stage
@@ -101,12 +84,6 @@ pub struct Verdict {
     /// `true` when the run is classified as mis-speculated (some suspect
     /// exists that escalation could plausibly fix).
     pub mis_speculated: bool,
-    /// The top-k came back with fewer than `k` answers while pruned
-    /// relaxations remained unprocessed.
-    pub under_filled: bool,
-    /// The k-th observed score fell below
-    /// [`FLOOR_TOLERANCE`]` × `[`QueryPlan::score_floor`].
-    pub below_floor: bool,
     /// Pruned patterns whose relaxations are suspected of holding missing
     /// top-k answers, strongest suspicion first. Always a subset of
     /// [`Verdict::candidates`].
@@ -122,8 +99,6 @@ impl Verdict {
     pub fn clean() -> Self {
         Verdict {
             mis_speculated: false,
-            under_filled: false,
-            below_floor: false,
             suspects: Vec::new(),
             candidates: Vec::new(),
         }
@@ -189,11 +164,6 @@ pub fn union_top_k(answers: &mut Vec<PartialAnswer>, delta: Vec<PartialAnswer>, 
 ///   observed k-th score replacing the estimate falsifies the inequality,
 ///   so the pattern becomes a suspect.
 ///
-/// The verdict additionally reports [`below_floor`](Verdict::below_floor)
-/// when the k-th observed score fell under [`FLOOR_TOLERANCE`] of the
-/// plan's carried floor `E_Q(k)` — a diagnostic for how far reality missed
-/// the prediction.
-///
 /// Suspects are ranked by predicted relaxed-best score (falling back to the
 /// pattern's top relaxation weight for hand-built plans), descending, ties
 /// by index.
@@ -216,7 +186,7 @@ pub fn union_top_k(answers: &mut Vec<PartialAnswer>, delta: Vec<PartialAnswer>, 
 /// // A bare plan that returned nothing for k = 5: under-filled, and the
 /// // singer pattern (the only one with a relaxation) is the suspect.
 /// let verdict = verify(&query, &QueryPlan::none_relaxed(2), &registry, &[], 5);
-/// assert!(verdict.mis_speculated && verdict.under_filled);
+/// assert!(verdict.mis_speculated);
 /// assert_eq!(verdict.suspects, vec![0]);
 ///
 /// // The all-relaxed plan has nothing left to escalate: always clean.
@@ -256,21 +226,15 @@ pub fn verify(
         idx
     };
 
-    let under_filled = answers.len() < k;
-    if under_filled {
+    if answers.len() < k {
         return Verdict {
             mis_speculated: true,
-            under_filled: true,
-            below_floor: false,
             suspects: rank(candidates.clone()),
             candidates,
         };
     }
 
     let kth = answers[k - 1].score;
-    let below_floor = plan
-        .score_floor()
-        .is_some_and(|floor| kth.value() < floor.value() * FLOOR_TOLERANCE);
     // Suspect = a pruned pattern whose predicted relaxed-best beats what we
     // actually observed at rank k: PLANGEN pruned it because
     // `E'(1) ≤ E_Q(k)-estimate`, and the observed k-th score has just
@@ -282,8 +246,6 @@ pub fn verify(
         .collect();
     Verdict {
         mis_speculated: !suspects.is_empty(),
-        under_filled: false,
-        below_floor,
         suspects: rank(suspects),
         candidates,
     }
@@ -353,18 +315,18 @@ mod tests {
         let q = query();
         let reg = registry(&[(A, RA, 0.6), (B, RB, 0.9)]);
         let v = verify(&q, &QueryPlan::none_relaxed(2), &reg, &[ans(1, 2.0)], 3);
-        assert!(v.mis_speculated && v.under_filled && !v.below_floor);
+        assert!(v.mis_speculated);
         assert_eq!(v.candidates, vec![0, 1]);
         assert_eq!(v.suspects, vec![1, 0], "stronger relaxation first");
     }
 
     #[test]
-    fn filled_run_without_floor_is_clean() {
+    fn filled_run_without_predictions_is_clean() {
         let q = query();
         let reg = registry(&[(A, RA, 0.9)]);
         let answers = [ans(1, 2.0), ans(2, 1.5)];
         let v = verify(&q, &QueryPlan::none_relaxed(2), &reg, &answers, 2);
-        assert!(!v.mis_speculated, "hand-built plans carry no floor");
+        assert!(!v.mis_speculated, "hand-built plans carry no predictions");
         assert_eq!(v.candidates, vec![0]);
     }
 
@@ -372,24 +334,19 @@ mod tests {
     fn filled_run_flags_only_predicted_beaters() {
         let q = query();
         let reg = registry(&[(A, RA, 0.9), (B, RB, 0.8)]);
-        // Plan predicted the k-th original score at 1.8; pattern 0's relaxed
-        // best was predicted at 1.5 (beats the observed 0.4), pattern 1's at
-        // 0.3 (cannot help).
-        let plan = QueryPlan::none_relaxed(2).with_predictions(
-            Some(Score::new(1.8)),
-            vec![Some(Score::new(1.5)), Some(Score::new(0.3))],
-        );
+        // Pattern 0's relaxed best was predicted at 1.5 (beats the observed
+        // 0.4), pattern 1's at 0.3 (cannot help).
+        let plan = QueryPlan::none_relaxed(2)
+            .with_predictions(vec![Some(Score::new(1.5)), Some(Score::new(0.3))]);
         let answers = [ans(1, 2.0), ans(2, 0.4)];
         let v = verify(&q, &plan, &reg, &answers, 2);
-        assert!(v.mis_speculated && !v.under_filled);
-        assert!(v.below_floor, "0.4 < 0.85·1.8 is also a reported shortfall");
+        assert!(v.mis_speculated);
         assert_eq!(v.suspects, vec![0], "only the predicted beater");
 
-        // A k-th score above every predicted relaxed-best: clean, and above
-        // the floor diagnostic too.
+        // A k-th score above every predicted relaxed-best: clean.
         let answers = [ans(1, 2.0), ans(2, 1.6)];
         let v = verify(&q, &plan, &reg, &answers, 2);
-        assert!(!v.mis_speculated && !v.below_floor);
+        assert!(!v.mis_speculated);
     }
 
     #[test]
@@ -419,24 +376,5 @@ mod tests {
         let mut got = vec![ans(1, 2.0)];
         assert!(union_top_k(&mut got, vec![ans(4, 0.1)], 3));
         assert_eq!(got, vec![ans(1, 2.0), ans(4, 0.1)]);
-    }
-
-    #[test]
-    fn shortfall_with_no_beater_is_not_actionable() {
-        let q = query();
-        let reg = registry(&[(A, RA, 0.9)]);
-        // Reality came in far under the predicted floor (0.2 < 0.85·1.8),
-        // but no pruned relaxation was predicted to beat the observed k-th:
-        // escalation cannot fix it, so the run is reported (below_floor)
-        // without being classified mis-speculated.
-        let plan = QueryPlan::none_relaxed(2)
-            .with_predictions(Some(Score::new(1.8)), vec![Some(Score::new(0.1)), None]);
-        let answers = [ans(1, 2.0), ans(2, 0.2)];
-        let v = verify(&q, &plan, &reg, &answers, 2);
-        assert!(v.below_floor, "the shortfall is real…");
-        assert!(
-            !v.mis_speculated && v.suspects.is_empty(),
-            "…but escalation cannot fix it"
-        );
     }
 }

@@ -34,9 +34,8 @@ pub struct RunReport {
     /// `SpeculationPolicy::ForceFinal`, which does discard it for the
     /// literal TriniT plan, counts it here.
     pub wasted_answers: u64,
-    /// `true` when the verifier classified the run as mis-speculated (under
-    /// `Detect` the answers are returned anyway; under `Fallback` the
-    /// recovery stages have been folded into them).
+    /// `true` when the verifier classified the run as mis-speculated (the
+    /// recovery stages have been folded into the answers).
     pub mis_speculated: bool,
 }
 

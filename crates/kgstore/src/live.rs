@@ -108,6 +108,17 @@ pub enum WriteOp {
     },
 }
 
+impl WriteOp {
+    /// Whether [`LiveGraph::commit`] accepts this op: an assert's score
+    /// must be finite and non-negative.
+    pub fn has_valid_score(&self) -> bool {
+        match self {
+            WriteOp::Assert { score, .. } => score.is_finite() && *score >= 0.0,
+            WriteOp::Retract { .. } => true,
+        }
+    }
+}
+
 /// An ordered batch of write operations, committed atomically under one
 /// epoch.
 ///
@@ -291,7 +302,7 @@ impl DeltaStore {
                     self.mask(base_row);
                 }
                 let row = self.rows.len() as u32;
-                self.rows.push(t, Score::new(score.max(0.0)));
+                self.rows.push(t, Score::new(*score));
                 self.alive.push(true);
                 self.alive_count += 1;
                 self.live_by_triple.insert(t, row);
@@ -455,7 +466,15 @@ impl LiveGraph {
     /// resulting overlay exceeds the [`CompactionPolicy`], the commit also
     /// folds it into a new flat base before publishing (one epoch bump
     /// covers both).
+    ///
+    /// # Panics
+    /// Panics if an assert's score is not finite and non-negative
+    /// ([`WriteOp::has_valid_score`]); nothing is applied then.
     pub fn commit(&self, batch: &WriteBatch) -> Epoch {
+        assert!(
+            batch.ops().iter().all(WriteOp::has_valid_score),
+            "write scores must be finite and non-negative"
+        );
         let mut w = self.writer.lock().expect("live graph writer poisoned");
         for op in batch.ops() {
             w.apply(op);

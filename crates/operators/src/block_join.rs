@@ -6,9 +6,10 @@
 //! rows as possible. It keeps the rows seen per input, the *corner bound*
 //! threshold `T = max(top₁(L) + cur(R), cur(L) + top₁(R))` — no unseen
 //! combination can score above `T` — and a queue of join results found so
-//! far, emitting a result once it scores above `T`. The pull order is a
-//! [`PullStrategy`]. [`BlockIncrementalMerge`] merges a pattern's scan with
-//! its relaxations' under max-score deduplication.
+//! far, emitting a result once it scores above `T`. It pulls from the side
+//! whose corner-bound term is larger (HRJN\*, [`PullStrategy::Adaptive`]).
+//! [`BlockIncrementalMerge`] merges a pattern's scan with its relaxations'
+//! under max-score deduplication.
 //!
 //! Both move [`AnswerBlock`]s, and their per-row bookkeeping lives in flat
 //! vectors that only grow geometrically — the hot hash paths allocate
@@ -46,10 +47,8 @@ use std::hash::Hasher;
 /// Which input a rank join pulls from next.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PullStrategy {
-    /// Strict left/right alternation (classic HRJN).
-    #[default]
-    Alternate,
     /// Pull from the side whose corner-bound term is larger (HRJN\*).
+    #[default]
     Adaptive,
 }
 
@@ -332,8 +331,6 @@ pub struct BlockRankJoin<'g> {
     rstate: SideState,
     out_schema: Vec<Var>,
     output: RowHeap,
-    strategy: PullStrategy,
-    pull_left_next: bool,
     sizer: BlockSizer,
     metrics: MetricsHandle,
     /// Set by [`BlockStream::set_floor`]: the join ends once no queued or
@@ -348,7 +345,6 @@ impl<'g> BlockRankJoin<'g> {
         left: BoxedBlockStream<'g>,
         right: BoxedBlockStream<'g>,
         join_vars: Vec<Var>,
-        strategy: PullStrategy,
         metrics: MetricsHandle,
         block_size: usize,
     ) -> Self {
@@ -368,8 +364,6 @@ impl<'g> BlockRankJoin<'g> {
             rstate,
             output: RowHeap::new(out_schema.len()),
             out_schema,
-            strategy,
-            pull_left_next: true,
             sizer: BlockSizer::new(block_size),
             metrics,
             floor: None,
@@ -396,37 +390,23 @@ impl<'g> BlockRankJoin<'g> {
     /// Pulls one block from the chosen side, inserts its rows and probes the
     /// other side's row index row-by-row in a tight loop.
     fn pull_block(&mut self) {
-        let pull_left = match self.strategy {
-            PullStrategy::Alternate => {
-                if self.lstate.exhausted {
-                    false
-                } else if self.rstate.exhausted {
-                    true
-                } else {
-                    let side = self.pull_left_next;
-                    self.pull_left_next = !side;
-                    side
-                }
-            }
-            PullStrategy::Adaptive => {
-                if self.lstate.exhausted {
-                    false
-                } else if self.rstate.exhausted || self.lstate.top1.is_none() {
-                    // Right done, or the left head is still unknown: the
-                    // corner bounds are meaningless until both heads are
-                    // seen, so fetch left first.
-                    true
-                } else if self.rstate.top1.is_none() {
-                    false
-                } else {
-                    let tl = self.lstate.bound_with(self.rstate.top1);
-                    let tr = self.rstate.bound_with(self.lstate.top1);
-                    match (tl, tr) {
-                        (Some(a), Some(b)) => a >= b,
-                        (Some(_), None) => true,
-                        _ => false,
-                    }
-                }
+        // HRJN*: pull the side whose corner-bound term is larger.
+        let pull_left = if self.lstate.exhausted {
+            false
+        } else if self.rstate.exhausted || self.lstate.top1.is_none() {
+            // Right done, or the left head is still unknown: the corner
+            // bounds are meaningless until both heads are seen, so fetch
+            // left first.
+            true
+        } else if self.rstate.top1.is_none() {
+            false
+        } else {
+            let tl = self.lstate.bound_with(self.rstate.top1);
+            let tr = self.rstate.bound_with(self.lstate.top1);
+            match (tl, tr) {
+                (Some(a), Some(b)) => a >= b,
+                (Some(_), None) => true,
+                _ => false,
             }
         };
 
@@ -905,7 +885,7 @@ mod tests {
     }
 
     #[test]
-    fn block_join_equals_the_sorted_join_all_strategies_and_sizes() {
+    fn block_join_equals_the_sorted_join_at_every_block_size() {
         let l: Vec<_> = (0..60)
             .map(|i| ans(&[(0, i % 7), (1, i)], 1.0 - f64::from(i) * 0.01))
             .collect();
@@ -921,18 +901,15 @@ mod tests {
             })
             .collect();
         want.sort_by(|x, y| y.cmp(x));
-        for strategy in [PullStrategy::Alternate, PullStrategy::Adaptive] {
-            for size in [1, 7, 64] {
-                let join = BlockRankJoin::new(
-                    Box::new(block_of(&l, &[0, 1], size)),
-                    Box::new(block_of(&r, &[0, 2], size)),
-                    vec![Var(0)],
-                    strategy,
-                    OpMetrics::new_handle(),
-                    size,
-                );
-                assert_eq!(drain(join), want, "strategy {strategy:?} size {size}");
-            }
+        for size in [1, 7, 64] {
+            let join = BlockRankJoin::new(
+                Box::new(block_of(&l, &[0, 1], size)),
+                Box::new(block_of(&r, &[0, 2], size)),
+                vec![Var(0)],
+                OpMetrics::new_handle(),
+                size,
+            );
+            assert_eq!(drain(join), want, "size {size}");
         }
     }
 
@@ -944,7 +921,6 @@ mod tests {
             Box::new(block_of(&l, &[0, 1], 8)),
             Box::new(block_of(&r, &[0, 2], 8)),
             vec![Var(0)],
-            PullStrategy::Alternate,
             OpMetrics::new_handle(),
             8,
         );
@@ -958,7 +934,6 @@ mod tests {
             Box::new(block_of(&[], &[0], 4)),
             Box::new(block_of(&[simple(1, 1.0)], &[0], 4)),
             vec![Var(0)],
-            PullStrategy::Adaptive,
             OpMetrics::new_handle(),
             4,
         );
@@ -973,7 +948,6 @@ mod tests {
             Box::new(block_of(&l, &[1], 4)),
             Box::new(block_of(&r, &[2], 4)),
             vec![],
-            PullStrategy::Alternate,
             OpMetrics::new_handle(),
             4,
         );
@@ -995,7 +969,6 @@ mod tests {
             Box::new(block_of(&l, &[0], 4)),
             Box::new(block_of(&r, &[0], 4)),
             vec![Var(0)],
-            PullStrategy::Alternate,
             OpMetrics::new_handle(),
             4,
         );
@@ -1140,7 +1113,6 @@ mod tests {
                 Box::new(block_of(&l, &[0], 16)),
                 Box::new(block_of(&r, &[0], 16)),
                 vec![Var(0)],
-                PullStrategy::Adaptive,
                 metrics.clone(),
                 16,
             );
@@ -1174,7 +1146,6 @@ mod tests {
             Box::new(block_of(&l, &[0], 16)),
             Box::new(block_of(&r, &[0], 16)),
             vec![Var(0)],
-            PullStrategy::Adaptive,
             OpMetrics::new_handle(),
             16,
         );

@@ -11,9 +11,8 @@
 //!   one descending stream with max-score deduplication (Theobald et al.,
 //!   SIGIR'05, cited as \[29\]);
 //! * [`BlockRankJoin`] — the HRJN hash rank join with corner-bound
-//!   thresholds and a pluggable [`PullStrategy`], including the HRJN\*
-//!   adaptive strategy (Ilyas et al., VLDB'03/VLDB J.'04, cited as
-//!   \[15,16\]);
+//!   thresholds, pulling by the HRJN\* adaptive strategy (Ilyas et al.,
+//!   VLDB'03/VLDB J.'04, cited as \[15,16\]);
 //! * [`ScaledProjection`] — rescales and projects a derived stream (a chain
 //!   relaxation's join) so a merge can consume it like a weighted scan;
 //! * [`top_k_blocks`] / [`top_k_blocks_floored`] — result collection with

@@ -558,6 +558,9 @@ impl QueryService {
     /// * batches larger than [`MAX_WRITE_BATCH`] are refused with
     ///   [`ServiceError::Protocol`] so one runaway client cannot wedge the
     ///   single-writer lock for an unbounded stretch;
+    /// * a batch with an assert whose score is NaN, negative or infinite is
+    ///   refused whole with [`ServiceError::Protocol`] naming the first such
+    ///   op, before anything commits;
     /// * an empty batch is a no-op returning the current epoch (no bump, no
     ///   plan-cache invalidation).
     ///
@@ -578,6 +581,12 @@ impl QueryService {
             return Err(ServiceError::Protocol(format!(
                 "write batch of {} ops exceeds the {MAX_WRITE_BATCH}-op ceiling",
                 batch.len()
+            )));
+        }
+        if let Some(i) = batch.ops().iter().position(|op| !op.has_valid_score()) {
+            self.core.counters.record_rejected_write();
+            return Err(ServiceError::Protocol(format!(
+                "write op {i} asserts a score that is not finite and non-negative"
             )));
         }
         if batch.is_empty() {
@@ -1061,6 +1070,40 @@ mod tests {
         assert_eq!(outcomes[0].report.fallback_stages, 1);
         assert_eq!(outcomes[1].report.fallback_stages, 0);
         assert_eq!(outcomes[0].answers, outcomes[1].answers);
+    }
+
+    /// A batch holding a score that is NaN, negative or infinite is refused
+    /// whole before the commit: a protocol error naming the op, no epoch
+    /// bump, one rejected write, and the earlier good ops are not applied.
+    #[test]
+    fn writes_with_invalid_scores_are_refused() {
+        use kgstore::{LiveGraph, WriteBatch};
+        let (g, reg) = setup();
+        let q = parse_query("SELECT ?s WHERE { ?s <type> <big> }", g.dictionary()).unwrap();
+        let base = Arc::try_unwrap(g).unwrap_or_else(|a| a.flattened());
+        let live = Arc::new(LiveGraph::new(base));
+        let service = QueryService::live(
+            Arc::clone(&live),
+            reg.clone(),
+            ServiceConfig::with_threads(1),
+        );
+        let before = run_all(&service, vec![Request::new(q.clone(), 50)]).remove(0);
+        for (n, bad) in [f64::NAN, -1.0, f64::INFINITY].into_iter().enumerate() {
+            let mut batch = WriteBatch::new();
+            batch.assert("fresh", "type", "big", 999.0);
+            batch.assert("bad", "type", "big", bad);
+            match service.apply_writes(&batch) {
+                Err(ServiceError::Protocol(msg)) => {
+                    assert!(msg.contains("op 1"), "names the op: {msg}")
+                }
+                other => panic!("score {bad}: expected a protocol error, got {other:?}"),
+            }
+            assert_eq!(live.epoch(), kgstore::Epoch::ZERO);
+            assert_eq!(service.lifetime_stats().rejected_writes, n as u64 + 1);
+        }
+        assert_eq!(service.lifetime_stats().write_batches, 0);
+        let after = run_all(&service, vec![Request::new(q, 50)]).remove(0);
+        assert_eq!(after.answers, before.answers);
     }
 
     /// The write path end to end: a live service answers, accepts a write

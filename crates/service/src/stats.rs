@@ -139,7 +139,7 @@ pub struct ServiceStats {
     /// Individual write operations across all committed batches.
     pub write_ops: u64,
     /// Write batches refused by admission control (read-only service,
-    /// shutdown, or an over-ceiling batch).
+    /// shutdown, an over-ceiling batch, or an invalid score).
     pub rejected_writes: u64,
     /// Per-mode lifetime latency breakdown, indexed by
     /// [`ExecMode::index`] (`None` for modes never executed).

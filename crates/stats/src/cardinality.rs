@@ -4,9 +4,7 @@
 //! query (and of each singly-relaxed query): `m₁₂ = m·m′·φ₁₂` with join
 //! selectivity `φ`. The paper sidesteps selectivity estimation: "we have
 //! taken exact join selectivity values" (footnote 3). [`ExactCardinality`]
-//! is that oracle. [`IndependenceEstimator`] is the classic System-R–style
-//! approximation (`φ = 1/max(V(L,v), V(R,v))` per shared variable) provided
-//! for the ablation benches.
+//! is that oracle.
 //!
 //! # Counting without enumerating
 //!
@@ -573,86 +571,6 @@ impl CardinalityEstimator for ExactCardinality {
     }
 }
 
-/// Independence-assumption estimator: `n = Π mᵢ · Π φ`, with one selectivity
-/// factor `φ = 1/max(V(prefix,v), V(qᵢ,v))` per newly shared variable
-/// (`V(·,v)` = distinct values of `v`). Used by ablation benches.
-#[derive(Default, Debug)]
-pub struct IndependenceEstimator {
-    distinct_cache: RwLock<FxHashMap<(StatsKey, u8), f64>>,
-}
-
-impl IndependenceEstimator {
-    /// Creates the estimator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Distinct count of the values that `var` takes among `pattern`'s
-    /// matches.
-    fn distinct_values(&self, graph: &KnowledgeGraph, pattern: &TriplePattern, var: Var) -> f64 {
-        // Which position(s) does var occupy? 0=s,1=p,2=o (first occurrence).
-        let pos: u8 = if pattern.s.as_var() == Some(var) {
-            0
-        } else if pattern.p.as_var() == Some(var) {
-            1
-        } else {
-            2
-        };
-        let key = (pattern.stats_key(), pos);
-        if let Some(&d) = self
-            .distinct_cache
-            .read()
-            .expect("distinct cache poisoned")
-            .get(&key)
-        {
-            return d;
-        }
-        let d = Summary::build(graph, pattern, 1 << pos).len() as f64;
-        self.distinct_cache
-            .write()
-            .expect("distinct cache poisoned")
-            .insert(key, d);
-        d
-    }
-}
-
-impl CardinalityEstimator for IndependenceEstimator {
-    fn cardinality(&self, graph: &KnowledgeGraph, patterns: &[TriplePattern]) -> f64 {
-        if patterns.is_empty() {
-            return 0.0;
-        }
-        let m = |p: &TriplePattern| {
-            let (s, pp, o) = p.const_parts();
-            graph.cardinality(PatternKey { s, p: pp, o }) as f64
-        };
-        let mut n = m(&patterns[0]);
-        let mut seen_vars: Vec<(Var, f64)> = patterns[0]
-            .vars()
-            .map(|v| (v, self.distinct_values(graph, &patterns[0], v)))
-            .collect();
-        for p in &patterns[1..] {
-            n *= m(p);
-            for v in p.vars() {
-                if let Some(&(_, d_prev)) = seen_vars.iter().find(|(sv, _)| *sv == v) {
-                    let d_here = self.distinct_values(graph, p, v);
-                    let denom = d_prev.max(d_here).max(1.0);
-                    n /= denom;
-                } else {
-                    seen_vars.push((v, self.distinct_values(graph, p, v)));
-                }
-            }
-        }
-        n
-    }
-
-    fn invalidate(&self) {
-        self.distinct_cache
-            .write()
-            .expect("distinct cache poisoned")
-            .clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,19 +656,6 @@ mod tests {
         let ghost = TriplePattern::new(Var(0), d.lookup("type").unwrap(), d.lookup("e0").unwrap());
         assert_eq!(e.cardinality(&g, &[pat(&g, "singer", 0), ghost]), 0.0);
         assert_eq!(e.cardinality(&g, &[]), 0.0);
-    }
-
-    #[test]
-    fn independence_estimator_reasonable() {
-        let g = graph();
-        let est = IndependenceEstimator::new();
-        // singer ⋈ lyricist on ?0: m=10·5, distinct(?0)=10 vs 5 → /10 = 5.
-        let q = [pat(&g, "singer", 0), pat(&g, "lyricist", 0)];
-        let n = est.cardinality(&g, &q);
-        assert!((n - 5.0).abs() < 1e-9);
-        // Cross product: no shared vars.
-        let q = [pat(&g, "singer", 0), pat(&g, "lyricist", 1)];
-        assert!((est.cardinality(&g, &q) - 50.0).abs() < 1e-9);
     }
 
     #[test]

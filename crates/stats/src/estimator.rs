@@ -9,29 +9,27 @@ use crate::piecewise::{Distribution, PiecewiseConstantPdf, PiecewiseLinearPdf};
 use kgstore::KnowledgeGraph;
 use sparql::TriplePattern;
 
-/// How the multi-piecewise-linear convolution result is compressed before
-/// the next convolution step.
+/// How the piecewise-linear convolution result is compressed before the
+/// next convolution step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum RefitMode {
     /// Refit to the paper's two-bucket histogram after every convolution
-    /// (§3.1.2: "This again results in a two-bucket histogram") — the
-    /// default, cheapest mode.
+    /// (§3.1.2: "This again results in a two-bucket histogram").
     #[default]
     TwoBucket,
-    /// Keep an `n`-bucket histogram instead — the "multi-bucket histograms"
-    /// the paper names as the higher-accuracy, higher-planning-cost
-    /// alternative (§4.5.2). Used by the `estimator` ablation bench.
-    MultiBucket(usize),
 }
 
 /// The estimated score distribution of a query's answers together with the
 /// estimated answer count.
 #[derive(Clone, Debug)]
 pub struct QueryEstimate {
-    /// The final (possibly refit) score density; `None` when some pattern
-    /// has no matches at all, i.e. the query provably has zero answers.
+    /// The final (refit) score density. `None` when some pattern has no
+    /// matches at all — the query provably has zero answers and `n` is 0 —
+    /// or when every pattern carries weight 0, so each of the `n` answers
+    /// scores exactly 0.
     pub dist: Option<PiecewiseConstantPdf>,
-    /// Estimated number of answers `n` (0 when `dist` is `None`).
+    /// Estimated number of answers `n` (0 when the query provably has
+    /// none).
     pub n: f64,
 }
 
@@ -40,8 +38,10 @@ impl QueryEstimate {
     /// F⁻¹((n−rank+1)/(n+1))`. `None` when fewer than `rank` answers are
     /// expected.
     pub fn expected_score_at_rank(&self, rank: usize) -> Option<f64> {
-        let dist = self.dist.as_ref()?;
-        expected_score_at_rank(dist, self.n, rank)
+        match &self.dist {
+            Some(dist) => expected_score_at_rank(dist, self.n, rank),
+            None => (self.n.is_finite() && self.n >= rank as f64).then_some(0.0),
+        }
     }
 
     /// Expected best (rank-1) score.
@@ -82,31 +82,23 @@ pub fn refit_two_bucket(pl: &PiecewiseLinearPdf) -> TwoBucketHistogram {
 pub struct ScoreEstimator<'a, C: CardinalityEstimator + ?Sized> {
     catalog: &'a StatsCatalog,
     cardinality: &'a C,
-    mode: RefitMode,
 }
 
 impl<'a, C: CardinalityEstimator + ?Sized> ScoreEstimator<'a, C> {
-    /// Creates an estimator with the paper-default two-bucket refit.
+    /// Creates an estimator with the paper's two-bucket refit.
     pub fn new(catalog: &'a StatsCatalog, cardinality: &'a C) -> Self {
         ScoreEstimator {
             catalog,
             cardinality,
-            mode: RefitMode::TwoBucket,
         }
     }
 
-    /// Creates an estimator with an explicit refit mode.
+    /// Creates an estimator with an explicit refit mode — the one
+    /// [`RefitMode`] there is, so this is [`ScoreEstimator::new`].
     pub fn with_mode(catalog: &'a StatsCatalog, cardinality: &'a C, mode: RefitMode) -> Self {
-        ScoreEstimator {
-            catalog,
-            cardinality,
-            mode,
+        match mode {
+            RefitMode::TwoBucket => ScoreEstimator::new(catalog, cardinality),
         }
-    }
-
-    /// The refit mode in use.
-    pub fn mode(&self) -> RefitMode {
-        self.mode
     }
 
     /// Estimates the score distribution and answer count of the query whose
@@ -116,7 +108,9 @@ impl<'a, C: CardinalityEstimator + ?Sized> ScoreEstimator<'a, C> {
     /// The per-pattern pdfs come from the catalog; a pattern's pdf is scaled
     /// by its weight (`X′ = w·X`, Def. 8); pdfs are folded left-to-right by
     /// convolution with refit after each step; `n` comes from the
-    /// cardinality estimator over the *un-weighted* pattern list.
+    /// cardinality estimator over the *un-weighted* pattern list. A pattern
+    /// of weight 0 adds exactly 0 to every answer, the identity of the
+    /// convolution, so it is left out of the fold.
     pub fn estimate(
         &self,
         graph: &KnowledgeGraph,
@@ -130,17 +124,14 @@ impl<'a, C: CardinalityEstimator + ?Sized> ScoreEstimator<'a, C> {
             let Some(stats) = self.catalog.stats(graph, pattern) else {
                 return QueryEstimate { dist: None, n: 0.0 };
             };
-            debug_assert!(*weight > 0.0 && *weight <= 1.0, "weight {weight}");
+            debug_assert!((0.0..=1.0).contains(weight), "weight {weight}");
+            if *weight == 0.0 {
+                continue;
+            }
             let hist = stats.histogram().scale(*weight).to_piecewise_constant();
             folded = Some(match folded {
                 None => hist,
-                Some(acc) => {
-                    let pl = acc.convolve(&hist);
-                    match self.mode {
-                        RefitMode::TwoBucket => refit_two_bucket(&pl).to_piecewise_constant(),
-                        RefitMode::MultiBucket(n) => pl.to_piecewise_constant(n),
-                    }
-                }
+                Some(acc) => refit_two_bucket(&acc.convolve(&hist)).to_piecewise_constant(),
             });
         }
         let patterns: Vec<TriplePattern> = weighted.iter().map(|(p, _)| *p).collect();
@@ -298,31 +289,30 @@ mod tests {
         assert!((h.mean() - 1.0).abs() < 0.25);
     }
 
+    /// A weight-0 pattern adds 0 to every answer: it leaves the folded
+    /// distribution as it was, keeps the answer count, and a query of
+    /// weight-0 patterns alone expects every answer at exactly 0.
     #[test]
-    fn multibucket_mode_is_closer_to_exact_than_twobucket() {
+    fn weight_zero_pattern_adds_nothing() {
         let g = graph();
         let catalog = StatsCatalog::new();
         let card = ExactCardinality::new();
-        let q = [pat(&g, "big"), pat(&g, "even")];
+        let est = ScoreEstimator::new(&catalog, &card);
+        let (big, even) = (pat(&g, "big"), pat(&g, "even"));
 
-        // Ground truth: exact expected top score via a fine-grained fold
-        // without lossy refit (512-bucket projection ≈ exact).
-        let exact = ScoreEstimator::with_mode(&catalog, &card, RefitMode::MultiBucket(512));
-        let e_exact = exact.estimate_original(&g, &q);
-        let t_exact = e_exact.expected_top_score().unwrap();
-
-        let two = ScoreEstimator::new(&catalog, &card);
-        let t_two = two.estimate_original(&g, &q).expected_top_score().unwrap();
-        let multi = ScoreEstimator::with_mode(&catalog, &card, RefitMode::MultiBucket(64));
-        let t_multi = multi
-            .estimate_original(&g, &q)
-            .expected_top_score()
-            .unwrap();
-
-        assert!(
-            (t_multi - t_exact).abs() <= (t_two - t_exact).abs() + 1e-9,
-            "multi {t_multi} should be at least as close to {t_exact} as two-bucket {t_two}"
+        let alone = est.estimate(&g, &[(big, 1.0)]);
+        let with_zero = est.estimate(&g, &[(big, 1.0), (even, 0.0)]);
+        assert_eq!(with_zero.n, 50.0, "the count still joins both patterns");
+        assert_eq!(
+            with_zero.dist.as_ref().map(|d| d.edges().to_vec()),
+            alone.dist.as_ref().map(|d| d.edges().to_vec())
         );
+
+        let zeros = est.estimate(&g, &[(even, 0.0)]);
+        assert_eq!(zeros.n, 50.0);
+        assert_eq!(zeros.expected_top_score(), Some(0.0));
+        assert_eq!(zeros.expected_score_at_rank(50), Some(0.0));
+        assert_eq!(zeros.expected_score_at_rank(51), None);
     }
 
     #[test]

@@ -16,9 +16,8 @@
 //!    **convolution** of the per-pattern pdfs. Convolving two histograms
 //!    yields a [`PiecewiseLinearPdf`]; following the paper it is refit to a
 //!    two-bucket histogram before the next convolution
-//!    ([`RefitMode::TwoBucket`]); [`RefitMode::MultiBucket`] keeps an
-//!    n-bucket approximation instead (the "multi-bucket histograms"
-//!    alternative the paper mentions, at higher planning cost).
+//!    ([`RefitMode::TwoBucket`], the only mode: the paper names
+//!    multi-bucket histograms as a costlier option it did not run, §4.5.2).
 //! 3. **Score prediction** (§3.1.3): with the final cdf `F_Q` and the
 //!    estimated answer count `n`, the expected score at rank `i` is the
 //!    order-statistic approximation `E[X₍ₙ₋ᵢ₊₁₎] ≈ F_Q⁻¹((n−i+1)/(n+1))`
@@ -27,9 +26,7 @@
 //! Join cardinalities come from a [`CardinalityEstimator`]; the default
 //! [`ExactCardinality`] oracle counts true join sizes from memoised
 //! per-pattern join-key summaries, without enumerating the join — what the
-//! paper uses ("we have taken exact join selectivity values");
-//! [`IndependenceEstimator`] provides the classic System-R-style
-//! approximation for ablations.
+//! paper uses ("we have taken exact join selectivity values").
 //!
 //! The catalog additionally keeps the **speculation feedback ledger**
 //! ([`SpeculationOutcome`]): per-pattern-shape mis-speculation verdicts
@@ -46,7 +43,7 @@ pub mod learned;
 pub mod order_stats;
 pub mod piecewise;
 
-pub use cardinality::{CardinalityEstimator, ExactCardinality, IndependenceEstimator};
+pub use cardinality::{CardinalityEstimator, ExactCardinality};
 pub use catalog::{SpeculationOutcome, StatsCatalog};
 pub use estimator::{refit_two_bucket, QueryEstimate, RefitMode, ScoreEstimator};
 pub use histogram::{PatternStats, TwoBucketHistogram, HEAD_FRACTION};

@@ -268,25 +268,6 @@ impl PiecewiseLinearPdf {
     pub fn score_mass(&self) -> f64 {
         self.partial_score_mass(self.knots[0], *self.knots.last().expect("non-empty"))
     }
-
-    /// Projects onto an `n`-bucket histogram over the same support,
-    /// preserving per-bucket mass (used for iterated convolution in
-    /// multi-bucket refit mode).
-    pub fn to_piecewise_constant(&self, n: usize) -> PiecewiseConstantPdf {
-        assert!(n >= 1);
-        let (lo, hi) = (self.knots[0], *self.knots.last().expect("non-empty"));
-        let width = (hi - lo) / n as f64;
-        let mut edges = Vec::with_capacity(n + 1);
-        for i in 0..=n {
-            edges.push(lo + width * i as f64);
-        }
-        let mut heights = Vec::with_capacity(n);
-        for i in 0..n {
-            let m = self.cdf(edges[i + 1]) - self.cdf(edges[i]);
-            heights.push((m / width).max(0.0));
-        }
-        PiecewiseConstantPdf::new(edges, heights)
-    }
 }
 
 impl Distribution for PiecewiseLinearPdf {
@@ -445,15 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn pl_projection_preserves_mass() {
-        let tri = uniform01().convolve(&uniform01());
-        let pc = tri.to_piecewise_constant(16);
-        assert!((pc.mass() - tri.mass()).abs() < 1e-9);
-        // Means stay close (projection error only).
-        assert!((pc.mean() - tri.mean()).abs() < 0.01);
-    }
-
-    #[test]
     fn degenerate_narrow_bucket() {
         // A spike bucket should still give sane quantiles.
         let h = PiecewiseConstantPdf::new(
@@ -468,7 +440,7 @@ mod tests {
     #[test]
     fn triple_convolution_mean_adds() {
         let u = uniform01();
-        let two = u.convolve(&u).to_piecewise_constant(64);
+        let two = PiecewiseConstantPdf::new(vec![0.0, 1.0, 2.0], vec![0.5, 0.5]);
         let three = two.convolve(&u);
         assert!((three.mean() - 1.5).abs() < 0.01);
         assert!((three.mass() - 1.0).abs() < 1e-6);

@@ -12,7 +12,7 @@
 use kgstore::KnowledgeGraphBuilder;
 use operators::{
     AnswerBlock, BlockIncrementalMerge, BlockRankJoin, BlockScan, BlockStream, BoxedBlockStream,
-    OpMetrics, PullStrategy,
+    OpMetrics,
 };
 use sparql::{TriplePattern, Var};
 use specqp_common::{Score, TermId};
@@ -129,7 +129,6 @@ fn block_rank_join_allocates_far_less_than_once_per_row() {
         Box::new(side(1, 1)),
         Box::new(side(2, 7)),
         vec![Var(0)],
-        PullStrategy::Adaptive,
         metrics.clone(),
         128,
     );

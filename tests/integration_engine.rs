@@ -1,6 +1,12 @@
 //! End-to-end integration tests: generated datasets → engine → metrics.
 
+mod common;
+
+use common::equivalent;
 use datagen::{TwitterConfig, TwitterGenerator, XkgConfig, XkgGenerator};
+use kgstore::KnowledgeGraphBuilder;
+use relax::{Position, RelaxationRegistry, TermRule};
+use sparql::parse_query;
 use specqp::{precision_at_k, required_relaxations, score_error, Engine, QueryPlan};
 
 #[test]
@@ -166,4 +172,47 @@ fn engine_runs_are_deterministic() {
         assert_eq!(x.score, y.score);
     }
     assert_eq!(a.report.answers_created, b.report.answers_created);
+}
+
+/// A relaxation of weight 0 adds exactly 0 to every answer it makes.
+/// PLANGEN must plan around it without panicking, and the plan it makes
+/// must give TriniT's answers on its own: the default `Off` policy runs no
+/// recovery that could hide a wrong plan.
+#[test]
+fn weight_zero_rule_plans_like_trinit() {
+    let mut b = KnowledgeGraphBuilder::new();
+    for i in 0..5 {
+        b.add(
+            &format!("singer{i}"),
+            "type",
+            "singer",
+            10.0 / (i + 1) as f64,
+        );
+    }
+    for i in 0..5 {
+        b.add(
+            &format!("vocalist{i}"),
+            "type",
+            "vocalist",
+            10.0 / (i + 1) as f64,
+        );
+    }
+    let g = b.build();
+    let d = g.dictionary();
+    let mut reg = RelaxationRegistry::new();
+    reg.add(TermRule::new(
+        Position::Object,
+        d.lookup("singer").unwrap(),
+        d.lookup("vocalist").unwrap(),
+        0.0,
+    ));
+    let engine = Engine::new(&g, &reg);
+    let q = parse_query("SELECT ?s WHERE { ?s <type> <singer> }", d).unwrap();
+    // k = 3: the original query fills k. k = 8: it cannot.
+    for k in [3, 8] {
+        let spec = engine.run_specqp(&q, k);
+        let trinit = engine.run_trinit(&q, k);
+        assert_eq!(trinit.answers.len(), k.min(10));
+        equivalent(&spec.answers, &trinit.answers).unwrap_or_else(|e| panic!("k={k}: {e}"));
+    }
 }

@@ -3,7 +3,7 @@
 
 use operators::{
     top_k_blocks, Binding, BlockIncrementalMerge, BlockRankJoin, BlockStream, BoxedBlockStream,
-    OpMetrics, PartialAnswer, PullStrategy, ReplayBlocks,
+    OpMetrics, PartialAnswer, ReplayBlocks,
 };
 use sparql::Var;
 use specqp_common::{Score, TermId};
@@ -29,10 +29,9 @@ fn replay(mut rows: Vec<PartialAnswer>, vars: &[u32]) -> BoxedBlockStream<'stati
 fn join<'g>(
     left: BoxedBlockStream<'g>,
     right: BoxedBlockStream<'g>,
-    strategy: PullStrategy,
     metrics: operators::MetricsHandle,
 ) -> BlockRankJoin<'g> {
-    BlockRankJoin::new(left, right, vec![Var(0)], strategy, metrics, 4)
+    BlockRankJoin::new(left, right, vec![Var(0)], metrics, 4)
 }
 
 fn drain(mut s: impl BlockStream) -> Vec<PartialAnswer> {
@@ -59,15 +58,9 @@ fn join_of_joins_three_way() {
     let ab = join(
         replay(a.clone(), &[0, 1]),
         replay(b.clone(), &[0, 2]),
-        PullStrategy::Adaptive,
         m.clone(),
     );
-    let mut abc = join(
-        Box::new(ab),
-        replay(c.clone(), &[0, 3]),
-        PullStrategy::Adaptive,
-        m,
-    );
+    let mut abc = join(Box::new(ab), replay(c.clone(), &[0, 3]), m);
     let got = top_k_blocks(&mut abc, 10);
     assert_eq!(got.len(), 10);
     for w in got.windows(2) {
@@ -123,7 +116,6 @@ fn zero_score_tuples_flow_through() {
     let out = drain(join(
         replay(l, &[0]),
         replay(r, &[0]),
-        PullStrategy::Alternate,
         OpMetrics::new_handle(),
     ));
     assert_eq!(out.len(), 1);
@@ -157,7 +149,6 @@ fn duplicate_scores_deterministic_order() {
             ],
             &[0],
         ),
-        PullStrategy::Alternate,
         OpMetrics::new_handle(),
     ));
     let ids: Vec<_> = out
@@ -177,12 +168,7 @@ fn metrics_aggregate_across_whole_tree() {
         .map(|i| ans(&[(0, i)], 1.0 - f64::from(i) * 0.05))
         .collect();
     let merge = BlockIncrementalMerge::new(vec![replay(l, &[0])], 4);
-    let mut tree = join(
-        Box::new(merge),
-        replay(r, &[0]),
-        PullStrategy::Adaptive,
-        m.clone(),
-    );
+    let mut tree = join(Box::new(merge), replay(r, &[0]), m.clone());
     let _ = top_k_blocks(&mut tree, 3);
     assert!(m.sorted_accesses() > 0);
     assert!(m.answers_created() > 0);

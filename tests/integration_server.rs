@@ -486,6 +486,62 @@ fn wire_writes_commit_and_read_only_rejects() {
     server.shutdown();
 }
 
+/// A `WRITE` whose score is not finite is refused whole before it commits:
+/// a protocol error naming the bad op, no epoch bump, and the connection
+/// keeps answering queries over the unchanged graph.
+#[test]
+fn wire_write_with_infinite_score_is_refused_and_connection_survives() {
+    let mut b = KnowledgeGraphBuilder::new();
+    b.add("shakira", "rdf:type", "singer", 100.0);
+    let live = Arc::new(LiveGraph::new(b.build()));
+    let service = Arc::new(QueryService::live(
+        Arc::clone(&live),
+        Arc::new(RelaxationRegistry::new()),
+        ServiceConfig::with_threads(2),
+    ));
+    let server =
+        Server::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = SpecQpClient::connect(server.local_addr()).unwrap();
+
+    let epoch = live.epoch();
+    client
+        .send_writes(
+            vec![
+                WireWriteOp::Assert {
+                    s: "beyonce".into(),
+                    p: "rdf:type".into(),
+                    o: "singer".into(),
+                    score: 120.0,
+                },
+                WireWriteOp::Assert {
+                    s: "x".into(),
+                    p: "rdf:type".into(),
+                    o: "singer".into(),
+                    score: f64::INFINITY,
+                },
+            ],
+            1,
+        )
+        .unwrap();
+    match client.recv().unwrap() {
+        WireResponse::Error { code, message, .. } => {
+            assert_eq!(code, ErrorCode::Protocol);
+            assert!(message.contains("op 1"), "names the bad op: {message}");
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    assert_eq!(live.epoch(), epoch, "nothing was committed");
+
+    let answers = expect_answers(
+        client
+            .roundtrip(SINGERS, ExecMode::SpecQp, 10, 0, 1)
+            .unwrap(),
+    );
+    assert_eq!(answers.len(), 1);
+    assert_eq!(answers[0].bindings[0].1, "shakira");
+    server.shutdown();
+}
+
 /// Shutdown closes the listener and unblocks connected clients instead of
 /// hanging them.
 #[test]

@@ -4,10 +4,7 @@
 
 use datagen::{XkgConfig, XkgGenerator};
 use specqp::Engine;
-use specqp_stats::{
-    CardinalityEstimator, ExactCardinality, IndependenceEstimator, RefitMode, ScoreEstimator,
-    StatsCatalog,
-};
+use specqp_stats::{CardinalityEstimator, ExactCardinality, ScoreEstimator, StatsCatalog};
 
 #[test]
 fn estimated_counts_match_reality_exactly() {
@@ -48,58 +45,6 @@ fn estimator_top_score_brackets_truth() {
             (pred_top - true_top).abs() <= 0.75 * domain,
             "prediction {pred_top} vs truth {true_top} (domain {domain})"
         );
-    }
-}
-
-#[test]
-fn independence_estimator_is_order_of_magnitude() {
-    let ds = XkgGenerator::new(XkgConfig::small(53)).generate();
-    let exact = ExactCardinality::new();
-    let indep = IndependenceEstimator::new();
-    let mut checked = 0;
-    for q in &ds.workload.queries {
-        let t = exact.cardinality(&ds.graph, q.patterns());
-        let e = indep.cardinality(&ds.graph, q.patterns());
-        if t >= 10.0 {
-            // Star joins on skewed data: accept two orders of magnitude.
-            assert!(e > 0.0, "independence estimate collapsed to zero");
-            assert!(
-                e / t < 1000.0 && t / e < 1000.0,
-                "estimate {e} vs truth {t} out of range"
-            );
-            checked += 1;
-        }
-    }
-    assert!(
-        checked >= 2,
-        "workload had too few dense queries ({checked})"
-    );
-}
-
-#[test]
-fn refit_modes_agree_on_domain_and_order() {
-    // Two-bucket vs multi-bucket estimates of the same query rank the same
-    // relaxations in nearly the same order (the decision signal agrees).
-    let ds = XkgGenerator::new(XkgConfig::small(54)).generate();
-    let catalog = StatsCatalog::new();
-    let oracle = ExactCardinality::new();
-    let q = &ds.workload.queries[0];
-    let weighted: Vec<_> = q.patterns().iter().map(|p| (*p, 1.0)).collect();
-    let two = ScoreEstimator::with_mode(&catalog, &oracle, RefitMode::TwoBucket)
-        .estimate(&ds.graph, &weighted);
-    let multi = ScoreEstimator::with_mode(&catalog, &oracle, RefitMode::MultiBucket(128))
-        .estimate(&ds.graph, &weighted);
-    assert_eq!(two.n, multi.n);
-    if let (Some(a), Some(b)) = (two.dist.as_ref(), multi.dist.as_ref()) {
-        use specqp_stats::Distribution;
-        assert!((a.domain_max() - b.domain_max()).abs() < 1e-6);
-        // Same ballpark for the k-quantile.
-        if let (Some(x), Some(y)) = (
-            two.expected_score_at_rank(10),
-            multi.expected_score_at_rank(10),
-        ) {
-            assert!((x - y).abs() < 0.5 * a.domain_max(), "{x} vs {y}");
-        }
     }
 }
 

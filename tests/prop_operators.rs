@@ -7,7 +7,7 @@ use kgstore::{
 use operators::{
     top_k_blocks, top_k_blocks_floored, Binding, BlockIncrementalMerge, BlockRankJoin, BlockScan,
     BlockStream, BoxedBlockStream, MetricsHandle, MorselDispenser, OpMetrics, PartialAnswer,
-    PullStrategy, ReplayBlocks, ScaledProjection,
+    ReplayBlocks, ScaledProjection,
 };
 use proptest::prelude::*;
 use sparql::{Term, TriplePattern, Var};
@@ -304,8 +304,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The rank join emits exactly the sorted brute-force join — bindings,
-    /// scores and order — at every block size, under both pull strategies:
-    /// partner order inside the row index cannot show.
+    /// scores and order — at every block size: partner order inside the
+    /// row index cannot show.
     #[test]
     fn rank_join_equals_naive(
         l in raw_rows(60),
@@ -316,18 +316,15 @@ proptest! {
         let (ls, rs, js) = (vars(ls), vars(rs), vars(js));
         let (l, r) = (answers_over(&l, &ls), answers_over(&r, &rs));
         let want = naive_join(&l, &r, &js);
-        for strategy in [PullStrategy::Alternate, PullStrategy::Adaptive] {
-            for size in SIZES {
-                let got = drain_blocks(BlockRankJoin::new(
-                    blocks_of(&l, &ls, size),
-                    blocks_of(&r, &rs, size),
-                    js.clone(),
-                    strategy,
-                    OpMetrics::new_handle(),
-                    size,
-                ));
-                prop_assert_eq!(&got, &want, "shape {} {:?} size {}", shape, strategy, size);
-            }
+        for size in SIZES {
+            let got = drain_blocks(BlockRankJoin::new(
+                blocks_of(&l, &ls, size),
+                blocks_of(&r, &rs, size),
+                js.clone(),
+                OpMetrics::new_handle(),
+                size,
+            ));
+            prop_assert_eq!(&got, &want, "shape {} size {}", shape, size);
         }
     }
 
@@ -349,23 +346,20 @@ proptest! {
         let r_as_l = answers_over(&r, &ls);
         let (l, r) = (answers_over(&l, &ls), answers_over(&r, &rs));
         for size in SIZES {
-            for strategy in [PullStrategy::Alternate, PullStrategy::Adaptive] {
-                check_floor(
-                    |m| {
-                        Box::new(BlockRankJoin::new(
-                            blocks_of(&l, &ls, size),
-                            blocks_of(&r, &rs, size),
-                            js.clone(),
-                            strategy,
-                            m,
-                            size,
-                        ))
-                    },
-                    k,
-                    floor,
-                    &format!("join shape {shape} {strategy:?} size {size}"),
-                )?;
-            }
+            check_floor(
+                |m| {
+                    Box::new(BlockRankJoin::new(
+                        blocks_of(&l, &ls, size),
+                        blocks_of(&r, &rs, size),
+                        js.clone(),
+                        m,
+                        size,
+                    ))
+                },
+                k,
+                floor,
+                &format!("join shape {shape} size {size}"),
+            )?;
             check_floor(
                 |_| {
                     Box::new(BlockIncrementalMerge::new(
@@ -503,7 +497,6 @@ proptest! {
                 tree,
                 blocks_of(list, &ends(i), size),
                 vec![mid[i - 1]],
-                PullStrategy::Adaptive,
                 OpMetrics::new_handle(),
                 size,
             ));
@@ -544,7 +537,6 @@ proptest! {
             Box::new(merge),
             blocks_of(&r, &rs, size),
             vec![Var(0)],
-            PullStrategy::Adaptive,
             OpMetrics::new_handle(),
             size,
         );
