@@ -14,8 +14,7 @@ use relax::RelaxationRegistry;
 use sparql::Query;
 use specqp_common::Score;
 use specqp_stats::{
-    CardinalityEstimator, ExactCardinality, FeatureVector, LearnedObservation, QueryShapeKey,
-    RefitMode, StatsCatalog,
+    ExactCardinality, FeatureVector, LearnedObservation, QueryShapeKey, RefitMode, StatsCatalog,
 };
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -336,15 +335,15 @@ impl<'g> Engine<'g> {
     }
 
     /// Edge-detects epoch advancement: exactly one pin per committed epoch
-    /// wins the `fetch_max` race and pays for the invalidation — cached
-    /// pattern statistics, cardinality memos, and (via the catalog
-    /// generation bump) every cached plan estimated against the old
-    /// version.
+    /// wins the `fetch_max` race and pays for the invalidation — the learned
+    /// models and (via the catalog generation bump) every cached plan
+    /// estimated against the old version. The pattern statistics and
+    /// cardinality memos record the epoch they describe and move on to the
+    /// new version by themselves.
     fn observe_epoch(&self, epoch: Epoch) {
         let prev = self.last_epoch.fetch_max(epoch.value(), Ordering::AcqRel);
         if prev < epoch.value() {
             self.catalog.invalidate_stats();
-            self.cardinality.invalidate();
         }
     }
 

@@ -357,9 +357,10 @@ impl DeltaStore {
             && self.dict.len() == self.base.dictionary().len()
     }
 
-    /// Folds the overlay into a new flat base and restarts empty on it.
-    fn compact_into_base(&mut self) -> Arc<KnowledgeGraph> {
-        let folded = Arc::new(self.freeze_version().flattened());
+    /// Folds the overlay into a new flat base, published at `epoch`, and
+    /// restarts empty on it.
+    fn compact_into_base(&mut self, epoch: Epoch) -> Arc<KnowledgeGraph> {
+        let folded = Arc::new(self.freeze_version().flattened().at_epoch(epoch));
         *self = DeltaStore::new(Arc::clone(&folded));
         folded
     }
@@ -411,7 +412,8 @@ pub struct LiveStats {
 /// ```
 pub struct LiveGraph {
     writer: Mutex<DeltaStore>,
-    current: RwLock<(Arc<KnowledgeGraph>, Epoch)>,
+    /// The published version; it carries its own epoch.
+    current: RwLock<Arc<KnowledgeGraph>>,
     policy: CompactionPolicy,
     compactions: AtomicU64,
 }
@@ -437,13 +439,14 @@ impl LiveGraph {
     /// An overlay-carrying `base` is flattened first.
     pub fn with_policy(base: KnowledgeGraph, policy: CompactionPolicy) -> Self {
         let base = if base.has_overlay() {
-            Arc::new(base.flattened())
+            base.flattened()
         } else {
-            Arc::new(base)
+            base
         };
+        let base = Arc::new(base.at_epoch(Epoch::ZERO));
         LiveGraph {
             writer: Mutex::new(DeltaStore::new(Arc::clone(&base))),
-            current: RwLock::new((base, Epoch::ZERO)),
+            current: RwLock::new(base),
             policy,
             compactions: AtomicU64::new(0),
         }
@@ -453,13 +456,17 @@ impl LiveGraph {
     /// reflects exactly the commits up to the returned epoch. Hold the
     /// `Arc` for the lifetime of one query.
     pub fn pinned(&self) -> (Arc<KnowledgeGraph>, Epoch) {
-        let cur = self.current.read().expect("live graph lock poisoned");
-        (Arc::clone(&cur.0), cur.1)
+        let cur = Arc::clone(&self.current.read().expect("live graph lock poisoned"));
+        let epoch = cur.epoch();
+        (cur, epoch)
     }
 
     /// The currently published epoch.
     pub fn epoch(&self) -> Epoch {
-        self.current.read().expect("live graph lock poisoned").1
+        self.current
+            .read()
+            .expect("live graph lock poisoned")
+            .epoch()
     }
 
     /// Applies `batch` atomically and publishes the next epoch. If the
@@ -481,15 +488,15 @@ impl LiveGraph {
         }
         let should_compact = w.alive_count as usize >= self.policy.max_delta_rows
             || w.masked_count as usize >= self.policy.max_masked_rows;
+        // Epochs advance only under the writer lock, which is held here.
+        let epoch = self.epoch().next();
         let graph = if should_compact {
             self.compactions.fetch_add(1, Ordering::Relaxed);
-            w.compact_into_base()
+            w.compact_into_base(epoch)
         } else {
-            Arc::new(w.freeze_version())
+            Arc::new(w.freeze_version().at_epoch(epoch))
         };
-        let mut cur = self.current.write().expect("live graph lock poisoned");
-        let epoch = cur.1.next();
-        *cur = (graph, epoch);
+        *self.current.write().expect("live graph lock poisoned") = graph;
         epoch
     }
 
@@ -503,10 +510,9 @@ impl LiveGraph {
             return self.epoch();
         }
         self.compactions.fetch_add(1, Ordering::Relaxed);
-        let graph = w.compact_into_base();
-        let mut cur = self.current.write().expect("live graph lock poisoned");
-        let epoch = cur.1.next();
-        *cur = (graph, epoch);
+        let epoch = self.epoch().next();
+        let graph = w.compact_into_base(epoch);
+        *self.current.write().expect("live graph lock poisoned") = graph;
         epoch
     }
 
@@ -547,6 +553,30 @@ mod tests {
             .iter_triples()
             .map(|(t, s)| (d.name(t.s).unwrap().to_string(), s.value()))
             .collect()
+    }
+
+    /// Every published version carries the epoch it was published at, so
+    /// memos keyed on a version can tell versions apart; a graph wrapped in
+    /// a new live graph starts over at epoch 0.
+    #[test]
+    fn published_versions_know_their_epoch() {
+        let live = LiveGraph::new(base());
+        assert_eq!(live.pinned().0.epoch(), Epoch::ZERO);
+        let mut batch = WriteBatch::new();
+        batch.assert("d", "type", "singer", 7.0);
+        let e1 = live.commit(&batch);
+        let (g1, pinned) = live.pinned();
+        assert_eq!((g1.epoch(), pinned), (e1, e1));
+        let e2 = live.compact();
+        let (g2, _) = live.pinned();
+        assert!(!g2.has_overlay());
+        assert_eq!((e2, g2.epoch()), (Epoch::new(2), e2));
+        assert_eq!(g1.epoch(), e1, "an older pin keeps its epoch");
+        let again = LiveGraph::new(g1.flattened());
+        assert_eq!(
+            (again.epoch(), again.pinned().0.epoch()),
+            (Epoch::ZERO, Epoch::ZERO)
+        );
     }
 
     #[test]

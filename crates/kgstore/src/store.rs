@@ -22,6 +22,7 @@
 
 use crate::columns::TripleColumns;
 use crate::index::{PatternIndexes, PostingRange};
+use crate::live::Epoch;
 use crate::pattern_key::{pack2, pack3, PatternKey, Signature};
 use crate::triple::{ScoredTriple, Triple};
 use specqp_common::Dictionary;
@@ -96,6 +97,9 @@ pub struct KnowledgeGraph {
     pub(crate) cols: Arc<TripleColumns>,
     pub(crate) indexes: Arc<PatternIndexes>,
     pub(crate) overlay: Option<OverlaySegment>,
+    /// The [`LiveGraph`](crate::live::LiveGraph) epoch that published this
+    /// version; [`Epoch::ZERO`] for graphs built or loaded outside one.
+    pub(crate) epoch: Epoch,
 }
 
 static EMPTY: [u32; 0] = [];
@@ -129,6 +133,7 @@ impl KnowledgeGraph {
             cols: Arc::new(cols),
             indexes: Arc::new(indexes),
             overlay: None,
+            epoch: Epoch::ZERO,
         }
     }
 
@@ -145,7 +150,20 @@ impl KnowledgeGraph {
             cols: Arc::clone(&base.cols),
             indexes: Arc::clone(&base.indexes),
             overlay: Some(overlay),
+            epoch: Epoch::ZERO,
         }
+    }
+
+    /// The same version stamped as published at `epoch`.
+    pub(crate) fn at_epoch(self, epoch: Epoch) -> Self {
+        KnowledgeGraph { epoch, ..self }
+    }
+
+    /// The epoch of the [`LiveGraph`](crate::live::LiveGraph) version this
+    /// graph is ([`Epoch::ZERO`] for graphs built or loaded outside one).
+    /// Memos that describe one version key on it.
+    pub fn epoch(&self) -> Epoch {
+        self.epoch
     }
 
     /// The term dictionary.
@@ -405,6 +423,7 @@ impl KnowledgeGraph {
                 cols: Arc::clone(&self.cols),
                 indexes: Arc::clone(&self.indexes),
                 overlay: None,
+                epoch: self.epoch,
             },
             Some(ov) => {
                 let mut cols = TripleColumns::new();
@@ -419,6 +438,7 @@ impl KnowledgeGraph {
                 }
                 let indexes = PatternIndexes::build(&cols);
                 KnowledgeGraph::from_parts(self.dict.flattened(), cols, indexes)
+                    .at_epoch(self.epoch)
             }
         }
     }

@@ -4,6 +4,7 @@ use crate::chain::{ChainRelaxation, ChainRule};
 use crate::rule::{Position, TermRule};
 use sparql::{Term, TriplePattern, Var};
 use specqp_common::{FxHashMap, TermId};
+use std::cmp::Ordering;
 
 /// One applicable relaxation of a concrete triple pattern: the relaxed
 /// pattern (Def. 8: `Q′ = (Q \ q) ∪ q′`) and the rule weight.
@@ -114,7 +115,7 @@ impl RelaxationRegistry {
             b.weight
                 .partial_cmp(&a.weight)
                 .expect("finite weights")
-                .then_with(|| format!("{:?}", a.pattern).cmp(&format!("{:?}", b.pattern)))
+                .then_with(|| debug_text_order(&a.pattern, &b.pattern))
         });
         out.dedup_by(|a, b| a.pattern == b.pattern);
         out
@@ -178,6 +179,44 @@ impl RelaxationRegistry {
         }
         out
     }
+}
+
+/// Orders patterns as their `Debug` texts sort, without formatting them:
+/// position by position (s, p, o), a constant before a variable, and the
+/// ids of two constants or two variables by their decimal digits, so
+/// `TermId(12)` sorts before `TermId(5)`. Each term's text (`Const(t12)`,
+/// `Var(?v3)`) ends at its only `)`, which sorts before every digit, so
+/// comparing the terms one by one is comparing the whole texts.
+fn debug_text_order(a: &TriplePattern, b: &TriplePattern) -> Ordering {
+    let term = |t: Term| match t {
+        Term::Const(id) => (0, id.0),
+        Term::Var(v) => (1, v.0),
+    };
+    [(a.s, b.s), (a.p, b.p), (a.o, b.o)]
+        .into_iter()
+        .map(|(x, y)| {
+            let ((kind_x, x), (kind_y, y)) = (term(x), term(y));
+            kind_x.cmp(&kind_y).then_with(|| decimal_order(x, y))
+        })
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
+
+/// Orders two numbers as their decimal digit strings sort.
+fn decimal_order(a: u32, b: u32) -> Ordering {
+    fn digits(mut n: u32, buf: &mut [u8; 10]) -> &[u8] {
+        let mut at = buf.len();
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                return &buf[at..];
+            }
+        }
+    }
+    let (mut x, mut y) = ([0; 10], [0; 10]);
+    digits(a, &mut x).cmp(digits(b, &mut y))
 }
 
 #[cfg(test)]
@@ -270,6 +309,33 @@ mod tests {
         let reg = RelaxationRegistry::new();
         assert!(reg.top_relaxation_for(&pat(1, 10)).is_none());
         assert!(reg.is_empty());
+    }
+
+    /// Every pattern over a few constants and variables of one to ten
+    /// digits orders against every other as the `Debug` texts do.
+    #[test]
+    fn debug_text_order_matches_the_formatted_order() {
+        let consts = [0, 5, 12, 99_999, u32::MAX].map(|id| Term::Const(TermId(id)));
+        let vars = [0, 7, 10, 123].map(|v| Term::Var(Var(v)));
+        let terms: Vec<Term> = consts.into_iter().chain(vars).collect();
+        let mut patterns = Vec::new();
+        for &s in &terms {
+            for &p in &terms {
+                for &o in &terms {
+                    let pattern = TriplePattern { s, p, o };
+                    patterns.push((pattern, format!("{pattern:?}")));
+                }
+            }
+        }
+        for (a, a_text) in &patterns {
+            for (b, b_text) in &patterns {
+                assert_eq!(
+                    debug_text_order(a, b),
+                    a_text.cmp(b_text),
+                    "{a_text} vs {b_text}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,15 +11,25 @@
 //! The oracle never materialises a join row. Only a pattern's *join
 //! variables* — those another pattern of the query also mentions — can
 //! constrain the join; every other variable just multiplies the count. So
-//! each pattern is reduced once to a **join-key summary**: a flat map from
-//! the values its matches take at the join-variable positions to the number
-//! of matches carrying them (`?x type singer` joined on `?x` becomes
-//! `{x ↦ 1}` per singer; `?x plays ?y` joined on `?x` alone becomes
+//! each pattern is reduced once to a **join-key summary**: the values its
+//! matches take at the join-variable positions, each with the number of
+//! matches carrying it (`?x type singer` joined on `?x` becomes `{x ↦ 1}`
+//! per singer; `?x plays ?y` joined on `?x` alone becomes
 //! `{x ↦ instruments of x}`). A pattern that repeats a variable (`?x p ?x`)
 //! is filtered to the rows satisfying the equality first, and rows are read
 //! through the overlay-aware [`MatchList`](kgstore::MatchList), so a live
 //! graph's retractions and fresh rows are summarised exactly as a flattened
 //! graph's would be.
+//!
+//! A summary on one position — what a star query's patterns all have — is
+//! indexed by dictionary term id and hashes nothing: a bit per id over the
+//! span the ids cover, which is the whole summary when every multiplicity
+//! is 1 (the *set form*, as for `?x type singer`), plus a rank prefix per
+//! 64-bit word and the multiplicities in id order otherwise (the
+//! *multiplicity form*, as for `?x plays ?y`); a probe is a bit test and a
+//! popcount. Ids that spread over more than 64 ids per match keep a hash
+//! map instead, so no summary holds more than about 16 bytes per match.
+//! Summaries on two or three positions are hash maps of packed keys.
 //!
 //! The join count is then a sum of products over the summaries, taken one
 //! *fold step* at a time. A step streams one summary — the smallest that
@@ -46,30 +56,27 @@
 //! relaxed variant per pattern; each variant differs from the original in
 //! one pattern, so it finds all its other summaries already built, and
 //! queries that share a pattern share its summary. Both tables describe one
-//! graph version and are emptied together by
-//! [`invalidate`](CardinalityEstimator::invalidate), which the engine calls
-//! when it observes a new live-write epoch.
+//! graph version, the [`Epoch`](kgstore::Epoch) the graph carries: the
+//! first count on a newer version empties them, and a count on an older
+//! one (a planner still holding an earlier pin) is returned uncached.
 
+use crate::memo::VersionMemo;
 use kgstore::{KnowledgeGraph, PatternKey, Triple};
 use sparql::{PatternShape, StatsKey, Term, TriplePattern, Var};
 use specqp_common::{FxHashMap, TermId};
 use std::hash::Hash;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// Estimates the number of answers of a conjunctive triple-pattern query.
 ///
 /// Implementations must be shareable across query-service worker threads
 /// (`Send + Sync`); the built-in estimators guard their memo tables with
-/// `RwLock`s.
+/// `RwLock`s. An implementation that memoizes must tell graph versions
+/// apart ([`KnowledgeGraph::epoch`]): counts from an older version no
+/// longer describe the data.
 pub trait CardinalityEstimator: Send + Sync {
     /// Expected (or exact) answer count of the join of `patterns`.
     fn cardinality(&self, graph: &KnowledgeGraph, patterns: &[TriplePattern]) -> f64;
-
-    /// Drops any memoized counts. The engine calls this when the graph
-    /// version changes (a new live-write [`Epoch`](kgstore::Epoch)), since
-    /// counts memoized against an older version no longer describe the data.
-    /// Stateless estimators can keep the default no-op.
-    fn invalidate(&self) {}
 }
 
 /// One pattern's slot in a [`QueryKey`]: constant components plus the
@@ -126,13 +133,119 @@ fn tally<K: Hash + Eq>(keys: impl Iterator<Item = K>, capacity: usize) -> FxHash
     counts
 }
 
+/// Multiplicities of term ids, laid out densely over the id span they
+/// cover: a presence bit per id from `base` on and, unless every
+/// multiplicity is 1 (*set form*), the multiplicities in id order
+/// (*multiplicity form*), found by rank — the keys set in earlier words
+/// plus a popcount within the word.
+#[derive(Debug)]
+struct DenseTally {
+    /// The id of bit 0.
+    base: u32,
+    bits: Vec<u64>,
+    /// Keys set in the words before each word; empty in set form.
+    ranks: Vec<u32>,
+    /// Multiplicities in id order; empty in set form.
+    counts: Vec<u32>,
+    /// Number of distinct ids.
+    len: usize,
+}
+
+impl DenseTally {
+    /// Tallies `ids`, or `None` when they are empty or spread over more
+    /// than 64 ids per entry, where a bit per id would cost more than a map.
+    /// Either form then stays within 16 bytes per entry: 8 for the bits, 4
+    /// for the ranks, 4 for the multiplicities.
+    fn build(ids: &[u32]) -> Option<DenseTally> {
+        let (&first, rest) = ids.split_first()?;
+        let (lo, hi) = rest
+            .iter()
+            .fold((first, first), |(lo, hi), &id| (lo.min(id), hi.max(id)));
+        let span = (hi - lo) as usize + 1;
+        if span > 64 * ids.len() {
+            return None;
+        }
+        let mut bits = vec![0u64; span.div_ceil(64)];
+        for &id in ids {
+            let at = id - lo;
+            bits[(at / 64) as usize] |= 1 << (at % 64);
+        }
+        let len = bits.iter().map(|w| w.count_ones() as usize).sum();
+        let mut dense = DenseTally {
+            base: lo,
+            bits,
+            ranks: Vec::new(),
+            counts: Vec::new(),
+            len,
+        };
+        if len < ids.len() {
+            // Some id repeats: rank the set bits and count into the ranks.
+            let mut seen = 0;
+            dense.ranks = (dense.bits.iter())
+                .map(|w| {
+                    let before = seen;
+                    seen += w.count_ones();
+                    before
+                })
+                .collect();
+            dense.counts = vec![0; len];
+            for &id in ids {
+                let rank = dense.rank(id - lo);
+                dense.counts[rank] += 1;
+            }
+        }
+        Some(dense)
+    }
+
+    /// Position in id order of the set bit `at` (multiplicity form only).
+    #[inline]
+    fn rank(&self, at: u32) -> usize {
+        let w = (at / 64) as usize;
+        let below = self.bits[w] & ((1u64 << (at % 64)) - 1);
+        self.ranks[w] as usize + below.count_ones() as usize
+    }
+
+    #[inline]
+    fn get(&self, id: u32) -> u32 {
+        let Some(at) = id.checked_sub(self.base) else {
+            return 0;
+        };
+        match self.bits.get((at / 64) as usize) {
+            Some(word) if word & (1 << (at % 64)) != 0 => {
+                if self.counts.is_empty() {
+                    1
+                } else {
+                    self.counts[self.rank(at)]
+                }
+            }
+            _ => 0,
+        }
+    }
+
+    /// Calls `f(id, multiplicity)` for every id, in id order.
+    fn for_each(&self, mut f: impl FnMut(u32, u32)) {
+        let mut rank = 0;
+        for (w, &word) in self.bits.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let id = self.base + 64 * w as u32 + rest.trailing_zeros();
+                rest &= rest - 1;
+                f(id, self.counts.get(rank).copied().unwrap_or(1));
+                rank += 1;
+            }
+        }
+    }
+}
+
 /// A pattern's join-key summary: the values its matches take at the kept
 /// positions ↦ how many matches take them (see the module docs). Keys hold
 /// the kept positions in s, p, o order, 32 bits each.
 #[derive(Debug)]
 enum Summary {
-    /// One kept position — or none, when the single key `0` carries the
-    /// pattern's match count.
+    /// One kept position, its ids dense enough for [`DenseTally`].
+    Dense(DenseTally),
+    /// One kept position with sparse ids — or none, when the single key `0`
+    /// carries the pattern's match count.
     One(FxHashMap<u32, u32>),
     /// Two kept positions.
     Two(FxHashMap<u64, u32>),
@@ -165,8 +278,8 @@ impl Summary {
                     return Summary::One(only.into_iter().collect());
                 }
                 [a] => {
-                    let terms = list.terms(a, 0..list.len());
-                    return Summary::One(tally(terms.map(|t| t.0), capacity));
+                    let ids = list.terms(a, 0..list.len()).map(|t| t.0).collect();
+                    return Summary::of_ids(ids, capacity);
                 }
                 _ => {}
             }
@@ -179,15 +292,25 @@ impl Summary {
         let at = |t: &Triple, pos: usize| [t.s.0, t.p.0, t.o.0][pos];
         match kept[..] {
             [] => Summary::One(tally(rows.map(|_| 0), 1)),
-            [a] => Summary::One(tally(rows.map(|t| at(&t, a)), capacity)),
+            [a] => Summary::of_ids(rows.map(|t| at(&t, a)).collect(), capacity),
             [a, b] => Summary::Two(tally(rows.map(|t| pack2(at(&t, a), at(&t, b))), capacity)),
             _ => Summary::Three(tally(rows.map(|t| pack3(t.s.0, t.p.0, t.o.0)), capacity)),
+        }
+    }
+
+    /// The one-position summary of the ids the matches carry there: dense
+    /// when the ids allow, a map otherwise.
+    fn of_ids(ids: Vec<u32>, capacity: usize) -> Summary {
+        match DenseTally::build(&ids) {
+            Some(dense) => Summary::Dense(dense),
+            None => Summary::One(tally(ids.into_iter(), capacity)),
         }
     }
 
     /// Number of distinct keys.
     fn len(&self) -> usize {
         match self {
+            Summary::Dense(d) => d.len,
             Summary::One(m) => m.len(),
             Summary::Two(m) => m.len(),
             Summary::Three(m) => m.len(),
@@ -198,6 +321,7 @@ impl Summary {
     /// match carries it).
     fn get(&self, vals: &[u32]) -> u32 {
         match self {
+            Summary::Dense(d) => return d.get(vals[0]),
             Summary::One(m) => m.get(&vals.first().copied().unwrap_or(0)),
             Summary::Two(m) => m.get(&pack2(vals[0], vals[1])),
             Summary::Three(m) => m.get(&pack3(vals[0], vals[1], vals[2])),
@@ -209,6 +333,7 @@ impl Summary {
     /// Calls `f(values at the kept positions, multiplicity)` for every key.
     fn for_each(&self, mut f: impl FnMut(&[u32], u32)) {
         match self {
+            Summary::Dense(d) => d.for_each(|k, n| f(&[k], n)),
             Summary::One(m) => m.iter().for_each(|(&k, &n)| f(&[k], n)),
             Summary::Two(m) => m
                 .iter()
@@ -369,40 +494,49 @@ fn fold(
         })
         .collect();
 
-    // Group the state's rows by the shared variables (a single group when
-    // nothing is shared: the first pattern, or a cross product) and stream
-    // the summary past the groups.
-    let mut groups: FxHashMap<RowKey, Vec<usize>> = FxHashMap::default();
-    for i in 0..state.len() {
-        let row = state.row(i);
-        groups
-            .entry(RowKey::pack(shared.iter().map(|&(_, l)| row[l])))
-            .or_default()
-            .push(i);
-    }
     let mut next = FoldState::new(keep.len());
-    op.summary.for_each(|streamed, n| {
-        let key = RowKey::pack(shared.iter().map(|&(i, _)| streamed[i]));
-        'rows: for &i in groups.get(&key).map_or(&[][..], Vec::as_slice) {
-            let row = state.row(i);
-            let value = |s: &Source| match *s {
-                Source::State(l) => row[l],
-                Source::Streamed(i) => streamed[i],
-            };
-            let mut count = state.counts[i] * f64::from(n);
-            for (summary, key) in &probes {
-                let mut vals = [0; 3];
-                for (slot, s) in vals.iter_mut().zip(key) {
-                    *slot = value(s);
-                }
-                match summary.get(&vals[..key.len()]) {
-                    0 => continue 'rows,
-                    n => count *= f64::from(n),
-                }
+    let mut join = |i: usize, streamed: &[u32], n: u32| {
+        let row = state.row(i);
+        let value = |s: &Source| match *s {
+            Source::State(l) => row[l],
+            Source::Streamed(i) => streamed[i],
+        };
+        let mut count = state.counts[i] * f64::from(n);
+        for (summary, key) in &probes {
+            let mut vals = [0; 3];
+            for (slot, s) in vals.iter_mut().zip(key) {
+                *slot = value(s);
             }
-            next.push(kept.iter().map(value), count);
+            match summary.get(&vals[..key.len()]) {
+                0 => return,
+                n => count *= f64::from(n),
+            }
         }
-    });
+        next.push(kept.iter().map(value), count);
+    };
+    if shared.is_empty() {
+        // Nothing shared (the first pattern, or a cross product): every
+        // streamed key meets every state row.
+        op.summary
+            .for_each(|streamed, n| (0..state.len()).for_each(|i| join(i, streamed, n)));
+    } else {
+        // Group the state's rows by the shared variables and stream the
+        // summary past the groups.
+        let mut groups: FxHashMap<RowKey, Vec<usize>> = FxHashMap::default();
+        for i in 0..state.len() {
+            let row = state.row(i);
+            groups
+                .entry(RowKey::pack(shared.iter().map(|&(_, l)| row[l])))
+                .or_default()
+                .push(i);
+        }
+        op.summary.for_each(|streamed, n| {
+            let key = RowKey::pack(shared.iter().map(|&(i, _)| streamed[i]));
+            for &i in groups.get(&key).map_or(&[][..], Vec::as_slice) {
+                join(i, streamed, n);
+            }
+        });
+    }
     // Rows that differed only in a variable just summed out now coincide.
     let bound = live.len() + op.vars.len() - shared.len();
     if keep.len() < bound {
@@ -438,11 +572,11 @@ fn join_positions(patterns: &[TriplePattern], i: usize) -> (PositionMask, Vec<Va
 /// Exact join-count oracle with memoization: counts the answers of a
 /// conjunctive query from per-pattern join-key summaries, without
 /// enumerating them (see the module docs). Finished counts and summaries
-/// are both memoized until [`invalidate`](CardinalityEstimator::invalidate).
+/// are both memoized for one graph version (see the module docs).
 #[derive(Debug, Default)]
 pub struct ExactCardinality {
-    cache: RwLock<FxHashMap<QueryKey, f64>>,
-    summaries: RwLock<FxHashMap<(StatsKey, PositionMask), Arc<Summary>>>,
+    cache: VersionMemo<QueryKey, f64>,
+    summaries: VersionMemo<(StatsKey, PositionMask), Arc<Summary>>,
 }
 
 impl ExactCardinality {
@@ -453,7 +587,7 @@ impl ExactCardinality {
 
     /// Number of memoized query shapes.
     pub fn cached_queries(&self) -> usize {
-        self.cache.read().expect("cardinality cache poisoned").len()
+        self.cache.len()
     }
 
     /// The memoized summary of `pattern` over the positions in `mask`,
@@ -465,22 +599,11 @@ impl ExactCardinality {
         mask: PositionMask,
     ) -> Arc<Summary> {
         let key = (pattern.stats_key(), mask);
-        if let Some(found) = self
-            .summaries
-            .read()
-            .expect("summary cache poisoned")
-            .get(&key)
-        {
-            return Arc::clone(found);
+        if let Some(found) = self.summaries.get(graph, &key) {
+            return found;
         }
         let built = Arc::new(Summary::build(graph, pattern, mask));
-        Arc::clone(
-            self.summaries
-                .write()
-                .expect("summary cache poisoned")
-                .entry(key)
-                .or_insert(built),
-        )
+        self.summaries.insert(graph, key, built)
     }
 
     /// Counts the join (count-cache miss path).
@@ -543,31 +666,10 @@ impl ExactCardinality {
 impl CardinalityEstimator for ExactCardinality {
     fn cardinality(&self, graph: &KnowledgeGraph, patterns: &[TriplePattern]) -> f64 {
         let key = canonical_key(patterns);
-        if let Some(&n) = self
-            .cache
-            .read()
-            .expect("cardinality cache poisoned")
-            .get(&key)
-        {
+        if let Some(n) = self.cache.get(graph, &key) {
             return n;
         }
-        let n = self.count(graph, patterns);
-        self.cache
-            .write()
-            .expect("cardinality cache poisoned")
-            .insert(key, n);
-        n
-    }
-
-    fn invalidate(&self) {
-        self.cache
-            .write()
-            .expect("cardinality cache poisoned")
-            .clear();
-        self.summaries
-            .write()
-            .expect("summary cache poisoned")
-            .clear();
+        self.cache.insert(graph, key, self.count(graph, patterns))
     }
 }
 
@@ -601,7 +703,7 @@ mod tests {
     }
 
     fn cached_summaries(e: &ExactCardinality) -> usize {
-        e.summaries.read().unwrap().len()
+        e.summaries.len()
     }
 
     #[test]
@@ -723,23 +825,127 @@ mod tests {
         assert_eq!(e.cardinality(&g, &on_both), 1.0);
         // `edge` on s, on o, on (s,o); `type person` on s — shared by all.
         assert_eq!(cached_summaries(&e), 4);
-        let memo = e.summaries.read().unwrap();
-        let edge_on = |mask| memo[&(edge.stats_key(), mask)].len();
+        let edge_on = |mask| {
+            e.summaries
+                .with_entries(|m| m[&(edge.stats_key(), mask)].len())
+        };
         assert_eq!(edge_on(0b001), 2, "subjects a, b");
         assert_eq!(edge_on(0b100), 2, "objects b, c");
         assert_eq!(edge_on(0b101), 3, "three (s, o) pairs");
     }
 
     #[test]
-    fn invalidate_empties_both_memo_tables() {
-        let g = graph();
+    fn a_newer_version_replaces_both_memo_tables_and_an_older_one_writes_nothing() {
+        let live = kgstore::LiveGraph::new(graph());
+        let (v0, _) = live.pinned();
         let e = ExactCardinality::new();
-        let q = [pat(&g, "singer", 0), pat(&g, "lyricist", 0)];
-        assert_eq!(e.cardinality(&g, &q), 5.0);
+        let q = [pat(&v0, "singer", 0), pat(&v0, "lyricist", 0)];
+        assert_eq!(e.cardinality(&v0, &q), 5.0);
         assert_eq!((e.cached_queries(), cached_summaries(&e)), (1, 2));
-        e.invalidate();
-        assert_eq!((e.cached_queries(), cached_summaries(&e)), (0, 0));
-        assert_eq!(e.cardinality(&g, &q), 5.0);
+        let mut batch = kgstore::WriteBatch::new();
+        batch.retract("e0", "type", "lyricist");
+        live.commit(&batch);
+        let (v1, _) = live.pinned();
+        assert_eq!(e.cardinality(&v1, &q), 4.0);
+        assert_eq!((e.cached_queries(), cached_summaries(&e)), (1, 2));
+        // A planner still on version 0 counts it, and caches nothing.
+        let singers = [pat(&v0, "singer", 0)];
+        assert_eq!(e.cardinality(&v0, &singers), 10.0);
+        assert_eq!(e.cardinality(&v0, &q), 5.0);
+        assert_eq!((e.cached_queries(), cached_summaries(&e)), (1, 2));
+        assert_eq!(e.cardinality(&v1, &q), 4.0);
+    }
+
+    /// Heap bytes a summary holds (a map's slots counted at key + value +
+    /// one control byte).
+    fn heap_bytes(summary: &Summary) -> usize {
+        match summary {
+            Summary::Dense(d) => 8 * d.bits.len() + 4 * (d.ranks.len() + d.counts.len()),
+            Summary::One(m) => m.capacity() * 9,
+            Summary::Two(m) => m.capacity() * 13,
+            Summary::Three(m) => m.capacity() * 21,
+        }
+    }
+
+    /// Random id multisets — dense and sparse, repeating and not, near
+    /// zero and far out, across word boundaries — summarised on one
+    /// position: each form answers `len`, `get` and `for_each` as a plain
+    /// tally map does, and none holds more than 16 bytes per id (plus a
+    /// word of rounding) on the dense path.
+    #[test]
+    fn one_position_forms_agree_with_a_tally_map() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let (mut sets, mut multisets, mut straddling, mut sparse) = (0, 0, 0, 0);
+        for _ in 0..400 {
+            let rows = 1 + next(300) as usize;
+            let base = [0, 1, 60, 1000, 1 << 20][next(5) as usize];
+            let spread = 1 + [1, 8, 64, 70, 200, 5000][next(6) as usize] * rows as u64 / 8;
+            let ids: Vec<u32> = if next(2) == 0 {
+                (0..rows).map(|_| base + next(spread) as u32).collect()
+            } else {
+                // Increasing, hence distinct, ids: a set.
+                (0..rows as u32)
+                    .map(|i| base + i * (1 + next(3) as u32))
+                    .collect()
+            };
+            let reference = tally(ids.iter().copied(), 0);
+            let summary = Summary::of_ids(ids.clone(), 0);
+            let (lo, hi) = (ids.iter().min().unwrap(), ids.iter().max().unwrap());
+            match &summary {
+                Summary::Dense(d) => {
+                    assert!(((hi - lo) as usize) < 64 * ids.len());
+                    assert!(heap_bytes(&summary) <= 16 * ids.len() + 16);
+                    let all_once = reference.values().all(|&n| n == 1);
+                    assert_eq!(d.counts.is_empty(), all_once, "set form iff all ones");
+                    if all_once {
+                        sets += 1;
+                    } else {
+                        multisets += 1;
+                    }
+                    if lo / 64 != hi / 64 {
+                        straddling += 1;
+                    }
+                }
+                Summary::One(_) => {
+                    assert!((hi - lo) as usize >= 64 * ids.len());
+                    sparse += 1;
+                }
+                other => panic!("one position summarised as {other:?}"),
+            }
+            assert_eq!(summary.len(), reference.len());
+            let mut seen = FxHashMap::default();
+            summary.for_each(|k, n| assert!(seen.insert(k[0], n).is_none(), "key {} twice", k[0]));
+            assert_eq!(seen, reference);
+            let probes = (ids
+                .iter()
+                .flat_map(|&id| [id, id + 1, id.saturating_sub(1)]))
+            .chain([0, lo.saturating_sub(64), hi + 1, hi + 64, u32::MAX]);
+            for id in probes {
+                let want = reference.get(&id).copied().unwrap_or(0);
+                assert_eq!(summary.get(&[id]), want, "id {id}");
+            }
+        }
+        assert!(sets > 0 && multisets > 0 && straddling > 0 && sparse > 0);
+    }
+
+    /// A list whose ids lie far apart keeps the map: a bitset over its span
+    /// would cost about 125 kB here, the map a few bytes per row.
+    #[test]
+    fn sparse_lists_stay_within_bytes_per_row() {
+        let ids: Vec<u32> = (0..10).map(|i| 1_000_000 + 977 * i).collect();
+        let summary = Summary::of_ids(ids, 0);
+        assert!(matches!(summary, Summary::One(_)));
+        assert!(
+            heap_bytes(&summary) <= 32 * 10,
+            "{} bytes",
+            heap_bytes(&summary)
+        );
     }
 
     /// Rows wider than four terms hash through boxed keys; the greedy fold

@@ -27,6 +27,7 @@
 
 use crate::histogram::PatternStats;
 use crate::learned::{LearnedCounters, LearnedModels, LearnedObservation, QueryShapeKey};
+use crate::memo::VersionMemo;
 use kgstore::{KnowledgeGraph, PatternKey};
 use sparql::{StatsKey, TriplePattern};
 use specqp_common::FxHashMap;
@@ -69,11 +70,13 @@ impl SpeculationOutcome {
 ///
 /// Both maps are guarded by `RwLock`s so a catalog can be shared across
 /// query-service worker threads; concurrent stat misses on the same key both
-/// compute and the second insert is a harmless overwrite of an identical
-/// value (computation is deterministic).
+/// compute and the second insert keeps the first, identical value
+/// (computation is deterministic). The statistics describe one graph
+/// version: a planner still reading an older [`Epoch`](kgstore::Epoch) than
+/// the one the cache holds gets its numbers computed, not cached.
 #[derive(Default, Debug)]
 pub struct StatsCatalog {
-    cache: RwLock<FxHashMap<StatsKey, Option<PatternStats>>>,
+    cache: VersionMemo<StatsKey, Option<PatternStats>>,
     ledger: RwLock<FxHashMap<StatsKey, SpeculationOutcome>>,
     learned: RwLock<LearnedModels>,
     generation: AtomicU64,
@@ -228,27 +231,23 @@ impl StatsCatalog {
             .counters()
     }
 
-    /// Drops every cached [`PatternStats`] entry and bumps the generation.
+    /// Bumps the generation and drops the learned models.
     ///
     /// Called when the underlying graph *changes* — the engine invokes this
     /// on observing a new [`Epoch`](kgstore::Epoch) from a live graph — so
-    /// cardinalities and score distributions are re-derived from the new
-    /// version on next use, and the generation bump makes the plan cache
-    /// drop plans estimated against the old version on sight. The
-    /// speculation ledger is deliberately **kept**: offender evidence is
+    /// that the plan cache drops plans estimated against the old version on
+    /// sight. The cached [`PatternStats`] need no clearing: they record the
+    /// epoch they describe, and the first lookup on a newer version replaces
+    /// them. The speculation ledger is deliberately **kept**: offender evidence is
     /// about pattern shapes, not a particular version, and drift is exactly
     /// when that evidence earns its keep. The **learned models** are
     /// dropped: their observations were drawn from the old version's score
     /// distributions, which a write batch may have reshaped arbitrarily.
     pub fn invalidate_stats(&self) {
-        let mut cache = self.cache.write().expect("stats cache poisoned");
-        cache.clear();
-        self.learned
-            .write()
-            .expect("learned models poisoned")
-            .clear();
-        // Bump while holding the cache lock so a concurrent planner never
-        // observes stale stats under the new generation.
+        let mut learned = self.learned.write().expect("learned models poisoned");
+        learned.clear();
+        // Bump while holding the learned lock so a concurrent planner never
+        // observes the old models under the new generation.
         self.generation.fetch_add(1, Ordering::AcqRel);
     }
 
@@ -272,27 +271,22 @@ impl StatsCatalog {
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.cache.read().expect("stats cache poisoned").len()
+        self.cache.len()
     }
 
     /// `true` if nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.cache.read().expect("stats cache poisoned").is_empty()
+        self.cache.len() == 0
     }
 
     /// Statistics for `pattern` over `graph` (computed and cached on first
     /// use). `None` when the pattern matches nothing.
     pub fn stats(&self, graph: &KnowledgeGraph, pattern: &TriplePattern) -> Option<PatternStats> {
         let key = pattern.stats_key();
-        if let Some(cached) = self.cache.read().expect("stats cache poisoned").get(&key) {
-            return *cached;
+        if let Some(cached) = self.cache.get(graph, &key) {
+            return cached;
         }
-        let computed = Self::compute(graph, pattern);
-        self.cache
-            .write()
-            .expect("stats cache poisoned")
-            .insert(key, computed);
-        computed
+        self.cache.insert(graph, key, Self::compute(graph, pattern))
     }
 
     /// Precomputes statistics for every pattern in `patterns` (the paper's

@@ -33,15 +33,25 @@ pub struct PatternStats {
 }
 
 impl PatternStats {
-    /// Computes the statistics from a score-descending match list.
-    /// Returns `None` for empty lists (the pattern has no matches, hence no
-    /// distribution).
+    /// Computes the statistics from a score-descending match list, reading
+    /// its score column through [`MatchList::scores`]. Returns `None` for
+    /// empty lists (the pattern has no matches, hence no distribution).
     pub fn from_match_list(list: &MatchList<'_>) -> Option<Self> {
-        let m = list.len();
-        if m == 0 {
-            return None;
-        }
-        let max = list.max_score().value();
+        Self::from_ranked(list.len(), || list.scores(0..list.len()).map(|s| s.value()))
+    }
+
+    /// Computes the statistics from a plain slice of scores sorted
+    /// descending, normalized here by the first.
+    pub fn from_sorted_scores(scores: &[f64]) -> Option<Self> {
+        debug_assert!(scores.windows(2).all(|w| w[0] >= w[1]));
+        Self::from_ranked(scores.len(), || scores.iter().copied())
+    }
+
+    /// The statistics of `m` raw scores in descending order, which each
+    /// call of `scores` reads from the top: once for the total, then again
+    /// up to the rank where the head mass is reached.
+    fn from_ranked<I: Iterator<Item = f64>>(m: usize, scores: impl Fn() -> I) -> Option<Self> {
+        let max = scores().next()?;
         if max <= 0.0 {
             // All-zero scores: model as a degenerate uniform head.
             return Some(PatternStats {
@@ -52,52 +62,14 @@ impl PatternStats {
             });
         }
         let mut total = 0.0;
-        for rank in 0..m {
-            total += list.score_at(rank).value() / max;
+        for s in scores() {
+            total += s / max;
         }
         let target = HEAD_FRACTION * total;
         let mut cum = 0.0;
         let mut sigma_r = 1.0;
         let mut s_r = 0.0;
-        for rank in 0..m {
-            let s = list.score_at(rank).value() / max;
-            cum += s;
-            if cum >= target {
-                sigma_r = s;
-                s_r = cum;
-                break;
-            }
-        }
-        Some(PatternStats {
-            m: m as u64,
-            sigma_r,
-            s_r,
-            s_m: total,
-        })
-    }
-
-    /// Computes the statistics from a plain slice of normalized scores
-    /// sorted descending (used by tests and generators).
-    pub fn from_sorted_scores(scores: &[f64]) -> Option<Self> {
-        if scores.is_empty() {
-            return None;
-        }
-        debug_assert!(scores.windows(2).all(|w| w[0] >= w[1]));
-        let max = scores[0];
-        if max <= 0.0 {
-            return Some(PatternStats {
-                m: scores.len() as u64,
-                sigma_r: 1.0,
-                s_r: 0.0,
-                s_m: 0.0,
-            });
-        }
-        let total: f64 = scores.iter().map(|s| s / max).sum();
-        let target = HEAD_FRACTION * total;
-        let mut cum = 0.0;
-        let mut sigma_r = 1.0;
-        let mut s_r = 0.0;
-        for &s in scores {
+        for s in scores() {
             let s = s / max;
             cum += s;
             if cum >= target {
@@ -107,7 +79,7 @@ impl PatternStats {
             }
         }
         Some(PatternStats {
-            m: scores.len() as u64,
+            m: m as u64,
             sigma_r,
             s_r,
             s_m: total,

@@ -40,6 +40,7 @@ pub mod catalog;
 pub mod estimator;
 pub mod histogram;
 pub mod learned;
+mod memo;
 pub mod order_stats;
 pub mod piecewise;
 

@@ -3,8 +3,12 @@
 //! quantiles computed by the naive executor.
 
 use datagen::{XkgConfig, XkgGenerator};
+use kgstore::{KnowledgeGraphBuilder, LiveGraph, WriteBatch};
+use relax::RelaxationRegistry;
+use sparql::{TriplePattern, Var};
 use specqp::Engine;
 use specqp_stats::{CardinalityEstimator, ExactCardinality, ScoreEstimator, StatsCatalog};
+use std::sync::Arc;
 
 #[test]
 fn estimated_counts_match_reality_exactly() {
@@ -57,4 +61,46 @@ fn catalog_is_shared_across_engine_runs() {
     let (_, t1) = engine.plan(q, 10);
     let (_, t2) = engine.plan(q, 15); // different k reuses all stats
     assert!(t2 <= t1 * 20 + std::time::Duration::from_millis(5));
+}
+
+/// A planner still holding an older pin while the engine moves on to a
+/// newer epoch computes that version's numbers; they must not land in the
+/// memos the newer version reads.
+#[test]
+fn an_older_pin_leaves_no_stale_numbers_for_the_next_epoch() {
+    let mut b = KnowledgeGraphBuilder::new();
+    b.add("a", "type", "singer", 9.0);
+    b.add("b", "type", "singer", 3.0);
+    let live = Arc::new(LiveGraph::new(b.build()));
+    let commit = |s: &str, score: f64| {
+        let mut batch = WriteBatch::new();
+        batch.assert(s, "type", "singer", score);
+        live.commit(&batch);
+    };
+    let registry = RelaxationRegistry::new();
+    let engine = Engine::new(Arc::clone(&live), &registry);
+    commit("c", 5.0);
+    let v1 = engine.graph();
+    commit("d", 1.0);
+    let v2 = engine.graph(); // invalidates for version 2
+    let d = v2.dictionary();
+    let singer = TriplePattern::new(
+        Var(0),
+        d.lookup("type").unwrap(),
+        d.lookup("singer").unwrap(),
+    );
+
+    let fresh = StatsCatalog::new().stats(&v2, &singer);
+    let old = engine.catalog().stats(&v1, &singer);
+    assert_ne!(old, fresh, "the versions differ in this pattern");
+    assert_eq!(engine.catalog().stats(&v2, &singer), fresh);
+    let _ = engine.catalog().stats(&v1, &singer);
+    assert_eq!(engine.catalog().stats(&v2, &singer), fresh);
+
+    // The engine's oracle is private; a shared one behaves the same way.
+    let oracle = ExactCardinality::new();
+    assert_eq!(oracle.cardinality(&v1, &[singer]), 3.0);
+    assert_eq!(oracle.cardinality(&v2, &[singer]), 4.0);
+    assert_eq!(oracle.cardinality(&v1, &[singer]), 3.0);
+    assert_eq!(oracle.cardinality(&v2, &[singer]), 4.0);
 }

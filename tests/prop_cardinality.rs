@@ -12,6 +12,11 @@
 //! * for generated 1–4-pattern queries covering stars, chains, triangles,
 //!   cross products, `?x p ?x` repeated variables, variable predicates,
 //!   all-constant and empty patterns;
+//! * over every form a one-position summary takes: the term ids sit on
+//!   both sides of a 64-bit word boundary and one far beyond, so a list's
+//!   ids fill a set or carry multiplicities (`?x p o` against `?x p ?y`) in
+//!   the dense bitset, straddle a word of it, or spread too thinly for it
+//!   and take the sparse map;
 //! * and through PLANGEN: the XKG-small and Twitter-small workloads plan to
 //!   equal [`QueryPlan`](specqp::QueryPlan)s whether the counts come from
 //!   the oracle or from an estimator wrapping the enumerating reference.
@@ -29,6 +34,11 @@ use specqp_stats::{CardinalityEstimator, ExactCardinality, RefitMode, StatsCatal
 
 /// Few enough terms that random triples join, repeat and self-loop.
 const TERMS: u8 = 5;
+
+/// The dictionary id of each term: 63 and 64 straddle a 64-bit word of a
+/// dense summary, and a list holding 0 and 200 in two or three rows spans
+/// more than 64 ids per row, which sends its summary down the sparse path.
+const TERM_IDS: [usize; TERMS as usize] = [0, 62, 63, 64, 200];
 
 fn name(i: u8) -> String {
     format!("t{}", i % TERMS)
@@ -109,9 +119,16 @@ impl CardinalityEstimator for Enumerating {
 }
 
 /// The generated triples plus one `(tᵢ, tᵢ, tᵢ)` anchor per term, so every
-/// term name resolves in the base dictionary.
+/// term name resolves in the base dictionary, at the ids of [`TERM_IDS`]
+/// (padding terms no triple uses fill the gaps).
 fn build_graph(triples: &[RawTriple]) -> KnowledgeGraph {
     let mut b = KnowledgeGraphBuilder::new();
+    for (i, &id) in TERM_IDS.iter().enumerate() {
+        while b.dictionary().len() < id {
+            b.intern(&format!("pad{}", b.dictionary().len()));
+        }
+        b.intern(&name(i as u8));
+    }
     for i in 0..TERMS {
         b.add(&name(i), &name(i), &name(i), 1.0);
     }
@@ -246,9 +263,10 @@ proptest! {
     }
 
     /// Live graphs: after every commit (asserts of fresh triples, score
-    /// replacements of visible ones, retractions) the invalidated oracle
-    /// counts the pinned version exactly, overlay and masks included, and
-    /// again once the overlay is compacted away.
+    /// replacements of visible ones, retractions) the same oracle, its memos
+    /// moving on with the epoch each version carries, counts the pinned
+    /// version exactly, overlay and masks included, and again once the
+    /// overlay is compacted away.
     #[test]
     fn counting_equals_enumeration_across_live_epochs(
         base in raw_triples(40),
@@ -274,12 +292,10 @@ proptest! {
                 }
             }
             live.commit(&batch);
-            oracle.invalidate();
             let (graph, _) = live.pinned();
             check_queries(&oracle, &graph, &queries, &format!("epoch {}", e + 1))?;
         }
         live.compact();
-        oracle.invalidate();
         let (graph, _) = live.pinned();
         prop_assert!(!graph.has_overlay());
         check_queries(&oracle, &graph, &queries, "compacted")?;
