@@ -13,11 +13,8 @@ use operators::{CacheMetricsHandle, ExecutionMode, OpMetrics, PartialAnswer, Pul
 use relax::RelaxationRegistry;
 use sparql::Query;
 use specqp_common::Score;
-use specqp_stats::{
-    ExactCardinality, FeatureVector, LearnedObservation, QueryShapeKey, RefitMode, StatsCatalog,
-};
+use specqp_stats::{ExactCardinality, RefitMode, StatsCatalog};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -173,13 +170,8 @@ pub struct EngineConfig {
     /// match list is split into morsels pulled by `parallelism` workers;
     /// answers are bit-identical to sequential execution.
     pub parallelism: usize,
-    /// Learned speculation predictions: when `true`, every verified run
-    /// feeds an observation (query shape, features, observed k-th score,
-    /// per-relaxation best contributions) into the catalog's learned
-    /// models, and PLANGEN substitutes confident learned estimates for the
-    /// static histogram ones (see [`specqp_stats::LearnedModels`]). Low
-    /// confidence falls back to the histogram path byte-identically.
-    /// Default: off.
+    /// Has no effect: PLANGEN plans from histogram statistics alone. The
+    /// benchmark harness sets the field, so it stays. Default: `false`.
     pub learned: bool,
 }
 
@@ -231,10 +223,10 @@ fn kth_score(answers: &[PartialAnswer], k: usize) -> Option<Score> {
 ///   an `Arc` itself and shared across service worker threads.
 /// * **Live** (`Arc<LiveGraph>`): the graph accepts concurrent writes.
 ///   Every public entry point pins the version current at call start
-///   ([`PinnedGraph`]) so one query sees one consistent epoch end to end,
-///   and the first call that observes a new epoch invalidates the
-///   statistics caches and bumps the catalog generation — the plan cache
-///   drops plans estimated against the old epoch on sight.
+///   ([`PinnedGraph`]) so one query sees one consistent epoch end to end.
+///   Cached statistics and plans record the epoch they were computed on,
+///   so the first call on a new epoch recomputes them and nothing has to
+///   invalidate anything.
 ///
 /// `Engine` is `Send + Sync` in all three cases.
 pub struct Engine<'g> {
@@ -244,22 +236,12 @@ pub struct Engine<'g> {
     cardinality: ExactCardinality,
     plan_cache: PlanCache,
     config: EngineConfig,
-    /// Highest epoch any pin has observed — the edge detector that triggers
-    /// the statistics/plan-cache invalidation exactly once per commit.
-    last_epoch: AtomicU64,
 }
 
 impl std::fmt::Debug for Engine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Deliberately avoids `pin()`: Debug must not have the side effect
-        // of observing (and invalidating for) a fresh epoch.
-        let triples = match &self.graph {
-            GraphHandle::Borrowed(g) => g.len(),
-            GraphHandle::Shared(g) => g.len(),
-            GraphHandle::Live(live) => live.pinned().0.len(),
-        };
         f.debug_struct("Engine")
-            .field("triples", &triples)
+            .field("triples", &self.pin().len())
             .field("rules", &self.registry.get().len())
             .field("config", &self.config)
             .field("cached_plans", &self.plan_cache.len())
@@ -283,26 +265,19 @@ impl<'g> Engine<'g> {
         registry: impl Into<Handle<'g, RelaxationRegistry>>,
         config: EngineConfig,
     ) -> Self {
-        let graph = graph.into();
-        let epoch = match &graph {
-            GraphHandle::Live(live) => live.epoch(),
-            _ => Epoch::ZERO,
-        };
         Engine {
-            graph,
+            graph: graph.into(),
             registry: registry.into(),
             catalog: StatsCatalog::new(),
             cardinality: ExactCardinality::new(),
             plan_cache: PlanCache::default(),
             config,
-            last_epoch: AtomicU64::new(epoch.value()),
         }
     }
 
     /// Pins and returns the graph version this call should read (see
     /// [`PinnedGraph`]). For borrowed/shared engines this is free; for live
-    /// engines it snapshots the current version and, on the first pin after
-    /// a commit, refreshes the statistics layer.
+    /// engines it snapshots the current version.
     pub fn graph(&self) -> PinnedGraph<'_> {
         self.pin()
     }
@@ -326,24 +301,10 @@ impl<'g> Engine<'g> {
             },
             GraphHandle::Live(live) => {
                 let (graph, epoch) = live.pinned();
-                self.observe_epoch(epoch);
                 PinnedGraph {
                     inner: PinnedInner::Versioned(graph, epoch),
                 }
             }
-        }
-    }
-
-    /// Edge-detects epoch advancement: exactly one pin per committed epoch
-    /// wins the `fetch_max` race and pays for the invalidation — the learned
-    /// models and (via the catalog generation bump) every cached plan
-    /// estimated against the old version. The pattern statistics and
-    /// cardinality memos record the epoch they describe and move on to the
-    /// new version by themselves.
-    fn observe_epoch(&self, epoch: Epoch) {
-        let prev = self.last_epoch.fetch_max(epoch.value(), Ordering::AcqRel);
-        if prev < epoch.value() {
-            self.catalog.invalidate_stats();
         }
     }
 
@@ -382,10 +343,9 @@ impl<'g> Engine<'g> {
     }
 
     /// Phase 1 of the lifecycle — returns the plan for `query` and the time
-    /// it took: a plan-cache lookup first (generation-checked against the
-    /// statistics feedback ledger, so plans older than the latest refit —
-    /// or estimated against an older epoch — are re-planned), with PLANGEN
-    /// run (and the result cached) on a miss.
+    /// it took: a plan-cache lookup first (a cached plan serves only the
+    /// epoch it was planned on, and only if no ledger flip came after it),
+    /// with PLANGEN run (and the result cached) on a miss.
     pub fn plan(&self, query: &Query, k: usize) -> (QueryPlan, Duration) {
         let graph = self.pin();
         self.plan_on(&graph, query, k)
@@ -394,8 +354,8 @@ impl<'g> Engine<'g> {
     fn plan_on(&self, graph: &KnowledgeGraph, query: &Query, k: usize) -> (QueryPlan, Duration) {
         let t0 = Instant::now();
         let shape = QueryShape::of(query, k);
-        let generation = self.catalog.generation();
-        if let Some(plan) = self.plan_cache.lookup(&shape, generation) {
+        let (epoch, generation) = (graph.epoch(), self.catalog.generation());
+        if let Some(plan) = self.plan_cache.lookup(&shape, epoch, generation) {
             return (plan, t0.elapsed());
         }
         let plan = plan_query(
@@ -406,9 +366,10 @@ impl<'g> Engine<'g> {
             &self.cardinality,
             self.registry.get(),
             self.config.refit,
-            self.config.learned,
+            false,
         );
-        self.plan_cache.insert(shape, plan.clone(), generation);
+        self.plan_cache
+            .insert(shape, plan.clone(), epoch, generation);
         (plan, t0.elapsed())
     }
 
@@ -634,15 +595,6 @@ impl<'g> Engine<'g> {
             }
         }
 
-        // Learned feedback: one observation per verified run — the query
-        // shape, its histogram features, the observed k-th score, and what
-        // each retained relaxation actually contributed to the final top-k.
-        if self.config.learned {
-            let tl = Instant::now();
-            self.record_learned_observation(graph, query, k, &current, &answers);
-            verify_time += tl.elapsed();
-        }
-
         // Two batched ledger writes per run at most — service workers
         // contend on the catalog lock once per kind, not once per pattern.
         let key_of = |(i, mis): (usize, bool)| (query.patterns()[i].stats_key(), mis);
@@ -669,8 +621,8 @@ impl<'g> Engine<'g> {
     /// verifier consulted — one forced stage that discards it for the
     /// literal all-relaxed plan, byte-identical in tree shape to
     /// [`Engine::run_trinit`]. This is the oracle the differential suites
-    /// hold delta recovery to, so it records nothing: no ledger verdicts, no
-    /// learned observation (its run reflects no planning decision).
+    /// hold delta recovery to, so it records no ledger verdict (its run
+    /// reflects no planning decision).
     fn run_forced_final(
         &self,
         graph: &KnowledgeGraph,
@@ -694,54 +646,6 @@ impl<'g> Engine<'g> {
             plan: trinit,
             report,
         }
-    }
-
-    /// Feeds one verified run back into the catalog's learned models: the
-    /// variable-name-erased query shape, its histogram feature vector, the
-    /// observed k-th score (`None` while under-filled — the model must not
-    /// learn a floor from a run that had none), and the best top-k
-    /// contribution of each retained relaxation (0.0 when it was carried
-    /// but never used — exactly the evidence that justifies pruning it
-    /// next time). Revisions detected inside [`StatsCatalog::record_learned`]
-    /// bump the catalog generation, so cached plans built on the superseded
-    /// predictions are re-planned.
-    fn record_learned_observation(
-        &self,
-        graph: &KnowledgeGraph,
-        query: &Query,
-        k: usize,
-        plan: &QueryPlan,
-        answers: &[PartialAnswer],
-    ) {
-        let patterns = query.patterns();
-        let registry = self.registry.get();
-        let stats: Vec<_> = patterns
-            .iter()
-            .map(|p| self.catalog.stats(graph, p))
-            .collect();
-        let fanout: usize = patterns.iter().map(|p| registry.relaxation_count(p)).sum();
-        let features = FeatureVector::from_stats(&stats, k, fanout);
-        let kth_score = kth_score(answers, k).map(Score::value);
-        let relaxed: Vec<usize> = (0..patterns.len())
-            .filter(|&i| plan.is_relaxed(i) && registry.relaxation_count(&patterns[i]) > 0)
-            .collect();
-        let relaxed_best = if relaxed.is_empty() {
-            Vec::new()
-        } else {
-            let contributions =
-                crate::evaluation::relaxation_contribution_best(graph, query, registry, answers);
-            relaxed
-                .into_iter()
-                .map(|i| (patterns[i].stats_key(), contributions[i]))
-                .collect()
-        };
-        self.catalog.record_learned(LearnedObservation {
-            shape: QueryShapeKey::new(patterns.iter().map(|p| p.stats_key()).collect()),
-            features,
-            k,
-            kth_score,
-            relaxed_best,
-        });
     }
 
     /// Brute-force ground truth (tests / validation only).
@@ -936,20 +840,6 @@ mod tests {
     ) -> Engine<'g> {
         let config = EngineConfig {
             speculation: policy,
-            ..EngineConfig::default()
-        };
-        Engine::with_config(g, reg, config)
-    }
-
-    /// The default engine under Fallback{3}, with or without learning.
-    fn fallback_engine<'g>(
-        g: &'g KnowledgeGraph,
-        reg: &'g RelaxationRegistry,
-        learned: bool,
-    ) -> Engine<'g> {
-        let config = EngineConfig {
-            speculation: SpeculationPolicy::Fallback { max_stages: 3 },
-            learned,
             ..EngineConfig::default()
         };
         Engine::with_config(g, reg, config)
@@ -1301,100 +1191,6 @@ mod tests {
         );
     }
 
-    /// The learned feedback loop end to end: verified runs record
-    /// observations, the confidence gate opening bumps the generation
-    /// (dropping cached plans built on the histogram estimates), and the
-    /// learned engine's answers never drift from the histogram engine's.
-    #[test]
-    fn learned_engine_records_and_converges() {
-        let (g, reg) = setup();
-        let learned = fallback_engine(&g, &reg, true);
-        let hist = fallback_engine(&g, &reg, false);
-        let q = parse_query(
-            "SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }",
-            g.dictionary(),
-        )
-        .unwrap();
-        for run in 0..6 {
-            let a = learned.run_specqp(&q, 10);
-            let b = hist.run_specqp(&q, 10);
-            assert_eq!(a.answers, b.answers, "drift on run {run}");
-        }
-        let counters = learned.catalog().learned_counters();
-        assert_eq!(counters.observations, 6, "one observation per run");
-        assert_eq!(
-            hist.catalog().learned_counters().observations,
-            0,
-            "learning off records nothing"
-        );
-        // Steady state: the generation settled (the gate opened at most
-        // once per model) and stays put under further identical runs.
-        let before = learned.catalog().generation();
-        let _ = learned.run_specqp(&q, 10);
-        let _ = learned.run_specqp(&q, 10);
-        assert_eq!(
-            learned.catalog().generation(),
-            before,
-            "identical observations must not keep revising"
-        );
-    }
-
-    /// ForceFinal is the ground-truth oracle: it must feed nothing into the
-    /// learned models (its all-relaxed run reflects no planning decision).
-    #[test]
-    fn force_final_records_no_learned_observations() {
-        let (g, reg) = setup();
-        let config = EngineConfig {
-            speculation: SpeculationPolicy::ForceFinal,
-            learned: true,
-            ..EngineConfig::default()
-        };
-        let engine = Engine::with_config(&g, &reg, config);
-        let q = parse_query("SELECT ?s WHERE { ?s <type> <small> }", g.dictionary()).unwrap();
-        let _ = engine.run_specqp(&q, 10);
-        assert_eq!(engine.catalog().learned_counters().observations, 0);
-        assert_eq!(engine.catalog().generation(), 0);
-    }
-
-    /// A learned revision invalidates the plan cache through the generation
-    /// stamp: the run after the gate opens must re-plan, not serve the plan
-    /// built on the histogram estimates.
-    #[test]
-    fn learned_revision_drops_cached_plan() {
-        let (g, reg) = setup();
-        let engine = fallback_engine(&g, &reg, true);
-        let q = parse_query(
-            "SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }",
-            g.dictionary(),
-        )
-        .unwrap();
-        let m = engine.plan_cache_metrics().clone();
-        let mut last_gen = engine.catalog().generation();
-        let mut bumped_and_replanned = false;
-        for _ in 0..6 {
-            let misses_before = m.misses();
-            let _ = engine.run_specqp(&q, 10);
-            let generation = engine.catalog().generation();
-            if generation > last_gen {
-                // The *next* run sees the stale stamp and must miss.
-                let misses_now = m.misses();
-                let _ = engine.run_specqp(&q, 10);
-                assert!(
-                    m.misses() > misses_now,
-                    "revision at generation {generation} must drop the cached plan"
-                );
-                bumped_and_replanned = true;
-                break;
-            }
-            let _ = misses_before;
-            last_gen = generation;
-        }
-        assert!(
-            bumped_and_replanned,
-            "the confidence gate never opened in 6 runs"
-        );
-    }
-
     /// A clean speculative run under Fallback records clean prunes and adds
     /// no fallback overhead beyond the verify pass.
     #[test]
@@ -1439,9 +1235,8 @@ mod tests {
 
     /// The live path end to end: a pin taken before a commit keeps reading
     /// the old version (epoch isolation), while the first engine call after
-    /// the commit observes the new epoch — statistics invalidated, catalog
-    /// generation bumped, the cached plan dropped as stale, and the freshly
-    /// written triple served on top.
+    /// the commit reads the new epoch — the cached plan dropped as stale,
+    /// and the freshly written triple served on top.
     #[test]
     fn live_engine_pins_versions_and_invalidates_on_commit() {
         use kgstore::{LiveGraph, PatternKey, WriteBatch};
@@ -1461,7 +1256,6 @@ mod tests {
         };
         let before = engine.run_specqp(&q, 10);
         let m = engine.plan_cache_metrics().clone();
-        let gen0 = engine.catalog().generation();
 
         // Pin the pre-commit version, then commit a higher-scored entity.
         let pinned = engine.graph();
@@ -1475,10 +1269,9 @@ mod tests {
         assert_eq!(pinned.epoch(), kgstore::Epoch::ZERO);
         assert_eq!(pinned.matches(PatternKey::po(ty, big)).len(), seen_before);
 
-        // A fresh call observes the commit: generation bumped, the stale
-        // plan dropped on sight, and the new triple ranks first.
+        // A fresh call reads the commit: the old-epoch plan dropped on sight,
+        // and the new triple ranks first.
         let after = engine.run_specqp(&q, 10);
-        assert!(engine.catalog().generation() > gen0, "stats invalidated");
         assert_eq!(m.stale(), 1, "old-epoch plan dropped on sight");
         let graph = engine.graph();
         assert_eq!(graph.epoch(), epoch);
@@ -1487,10 +1280,44 @@ mod tests {
         assert!(binds_new(&after.answers[0]), "new triple ranks first");
         assert!(!before.answers.iter().any(binds_new));
 
-        // Steady state: no further commits, no further invalidations.
-        let gen1 = engine.catalog().generation();
+        // Steady state: no further commits, nothing further goes stale.
         let _ = engine.run_specqp(&q, 10);
-        assert_eq!(engine.catalog().generation(), gen1);
+        assert_eq!(m.stale(), 1);
+        assert_eq!(
+            engine.catalog().generation(),
+            0,
+            "a commit is no ledger flip"
+        );
+    }
+
+    /// Regression: a planner still on an older pin must not leave its plan
+    /// where the newer epoch finds it. The older pin plans epoch 0 after a
+    /// newer pin has seen epoch 1; the next plan at epoch 1 must miss.
+    #[test]
+    fn an_older_pin_leaves_no_plan_for_the_next_epoch() {
+        use kgstore::{LiveGraph, WriteBatch};
+
+        let (g, reg) = setup();
+        let live = Arc::new(LiveGraph::new(g));
+        let engine = Engine::new(Arc::clone(&live), Arc::new(reg));
+        let old = engine.graph();
+        let q = parse_query("SELECT ?s WHERE { ?s <type> <big> }", old.dictionary()).unwrap();
+        let mut batch = WriteBatch::new();
+        batch.assert("brand-new", "type", "big", 500.0);
+        live.commit(&batch);
+        let new = engine.graph();
+        assert_eq!((old.epoch().value(), new.epoch().value()), (0, 1));
+
+        let m = engine.plan_cache_metrics().clone();
+        let _ = engine.plan_on(&old, &q, 10);
+        let _ = engine.plan(&q, 10);
+        assert_eq!(m.hits(), 0, "an epoch-0 plan served at epoch 1");
+        assert_eq!(m.misses(), 2);
+        // The epoch-1 plan now serves epoch 1, and the old pin cannot
+        // displace it.
+        let _ = engine.plan_on(&old, &q, 10);
+        let _ = engine.plan(&q, 10);
+        assert_eq!(m.hits(), 1);
     }
 
     #[test]

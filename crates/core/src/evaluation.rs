@@ -160,35 +160,6 @@ pub fn required_relaxations(
     required
 }
 
-/// Per-pattern best relaxation contribution to `topk`: for each pattern
-/// index, the highest total answer score among answers whose best provenance
-/// for that pattern is a *relaxation* (0.0 when no answer relied on one).
-/// This is the learned predictor's training signal for `E_{Q'}(1)` — what
-/// the top relaxation actually delivered, in the same normalized-sum score
-/// space PLANGEN's estimates live in.
-pub fn relaxation_contribution_best(
-    graph: &KnowledgeGraph,
-    query: &Query,
-    registry: &RelaxationRegistry,
-    topk: &[PartialAnswer],
-) -> Vec<f64> {
-    query
-        .patterns()
-        .iter()
-        .map(|pattern| {
-            topk.iter()
-                .filter(|answer| {
-                    matches!(
-                        provenance_for(graph, pattern, registry, answer),
-                        Some((_, true))
-                    )
-                })
-                .map(|answer| answer.score.value())
-                .fold(0.0, f64::max)
-        })
-        .collect()
-}
-
 /// Prediction accuracy criterion of Table 3: the planner is *exactly right*
 /// when its singleton set equals the ground-truth required set.
 pub fn prediction_exact(plan: &crate::QueryPlan, required: &[usize]) -> bool {
@@ -307,29 +278,6 @@ mod tests {
         // Top-1 only: no relaxation needed.
         let req = required_relaxations(&g, &q, &reg, &topk[..1]);
         assert!(req.is_empty());
-    }
-
-    #[test]
-    fn relaxation_contribution_tracks_best_relying_answer() {
-        let (g, reg, q) = provenance_setup();
-        let d = g.dictionary();
-        let e1 = d.lookup("e1").unwrap();
-        let e2 = d.lookup("e2").unwrap();
-        let topk = vec![ans(e1.0, 2.0), ans(e2.0, 1.6)];
-        let best = relaxation_contribution_best(&g, &q, &reg, &topk);
-        // Pattern 0 (singer): e2's answer relied on the vocalist relaxation
-        // — its total score 1.6 is the contribution. Pattern 1 (lyricist):
-        // nothing relied on a relaxation.
-        assert_eq!(best, vec![1.6, 0.0]);
-        // Without e2, no answer relies on any relaxation.
-        assert_eq!(
-            relaxation_contribution_best(&g, &q, &reg, &topk[..1]),
-            vec![0.0, 0.0]
-        );
-        assert_eq!(
-            relaxation_contribution_best(&g, &q, &reg, &[]),
-            vec![0.0, 0.0]
-        );
     }
 
     #[test]

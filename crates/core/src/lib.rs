@@ -80,8 +80,8 @@ pub mod trace;
 
 pub use engine::{Engine, EngineConfig, GraphHandle, Handle, PinnedGraph, QueryOutcome};
 pub use evaluation::{
-    precision_at_k, prediction_covering, prediction_exact, relaxation_contribution_best,
-    required_relaxations, score_error, ScoreError,
+    precision_at_k, prediction_covering, prediction_exact, required_relaxations, score_error,
+    ScoreError,
 };
 pub use executor::{run_naive, run_plan_blocks};
 pub use parallel::partition_target;

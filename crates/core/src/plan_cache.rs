@@ -14,12 +14,18 @@
 //! [`CacheMetrics`] handle (`operators::metrics`), maintaining the invariant
 //! `hits + misses == lookups`.
 //!
-//! Staleness model: every cached plan is stamped with the statistics-catalog
-//! **feedback generation** it was planned under
+//! Staleness model: every cached plan is stamped with what it was planned
+//! against — the graph **epoch**
+//! ([`KnowledgeGraph::epoch`](kgstore::KnowledgeGraph::epoch)) and the
+//! statistics-catalog **feedback generation**
 //! ([`StatsCatalog::generation`](specqp_stats::StatsCatalog::generation)).
-//! A lookup passes the *current* generation; entries stamped older are
-//! dropped on sight (counted as `stale` + `miss`), so a feedback refit can
-//! never serve a plan that pre-dates what the planner has since learned.
+//! A plan is served only at its own epoch, the rule the statistics memos
+//! follow too. A lookup from a newer epoch, or from a newer generation at
+//! the same epoch, drops the entry on sight (counted as `stale` + `miss`);
+//! a lookup from an older epoch — a caller still holding an earlier pin —
+//! misses and leaves the entry alone, and its insert never replaces it. So
+//! neither a commit nor a ledger flip can serve a plan that pre-dates it,
+//! and nothing has to invalidate the cache.
 //! The generation is deliberately **global**: a bump invalidates every
 //! cached shape, not just those containing the refitted pattern — a
 //! correctness-first coarseness. It stays cheap because bias flips are rare
@@ -30,6 +36,7 @@
 //! make flips frequent.
 
 use crate::plan::QueryPlan;
+use kgstore::Epoch;
 use operators::{CacheMetrics, CacheMetricsHandle};
 use sparql::{Query, Term, Var};
 use specqp_common::hash::fx_hash_one;
@@ -97,11 +104,18 @@ impl QueryShape {
     }
 }
 
-/// One cached plan plus the feedback generation it was planned under.
+/// What a plan was planned against, ordered by epoch first.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Stamp {
+    epoch: Epoch,
+    generation: u64,
+}
+
+/// One cached plan plus its [`Stamp`].
 #[derive(Debug)]
 struct CachedPlan {
     plan: QueryPlan,
-    generation: u64,
+    stamp: Stamp,
 }
 
 /// One shard: a bounded map plus FIFO insertion order for eviction.
@@ -171,46 +185,58 @@ impl PlanCache {
         &self.shards[h % self.shards.len()]
     }
 
-    /// Looks up the plan for `shape` as of feedback `generation`, counting a
-    /// hit or a miss. An entry stamped with an older generation is dropped on
-    /// sight (counted as `stale` in addition to the miss): the statistics
-    /// feedback that bumped the generation may change PLANGEN's answer, so
-    /// the stale plan must never be served.
-    pub fn lookup(&self, shape: &QueryShape, generation: u64) -> Option<QueryPlan> {
+    /// Looks up the plan for `shape` on graph `epoch` as of feedback
+    /// `generation`, counting a hit or a miss. Only a plan planned on the
+    /// same epoch, at the same or a newer generation, is served. An entry
+    /// from an older epoch, or from an older generation of this epoch, is
+    /// dropped on sight (counted as `stale` in addition to the miss): the
+    /// commit or the feedback since may change PLANGEN's answer. An entry
+    /// from a newer epoch is a miss and stays.
+    pub fn lookup(&self, shape: &QueryShape, epoch: Epoch, generation: u64) -> Option<QueryPlan> {
+        let stamp = Stamp { epoch, generation };
         let mut shard = self.shard_for(shape).lock().expect("plan cache poisoned");
         match shard.map.get(shape) {
-            Some(cached) if cached.generation >= generation => {
+            Some(cached) if cached.stamp.epoch == epoch && cached.stamp >= stamp => {
                 self.metrics.count_hit();
                 Some(cached.plan.clone())
             }
-            Some(_) => {
+            Some(cached) if cached.stamp < stamp => {
                 shard.map.remove(shape);
                 shard.order.retain(|s| s != shape);
                 self.metrics.count_stale();
                 self.metrics.count_miss();
                 None
             }
-            None => {
+            _ => {
                 self.metrics.count_miss();
                 None
             }
         }
     }
 
-    /// Inserts `plan` for `shape`, stamped with the feedback `generation` it
-    /// was planned under, unless a same-or-newer entry already exists (plans
-    /// are deterministic per shape *and generation*, so the first insert
-    /// wins and concurrent duplicates are dropped; a newer-generation insert
-    /// replaces a stale entry in place). Evicts the oldest entry of a full
-    /// shard. Returns `true` when the plan was actually stored.
-    pub fn insert(&self, shape: QueryShape, plan: QueryPlan, generation: u64) -> bool {
+    /// Inserts `plan` for `shape`, stamped with the graph `epoch` it was
+    /// planned on and the feedback `generation` it was planned under, unless
+    /// an entry from a newer epoch, or from the same epoch at the same or a
+    /// newer generation, already exists (plans are deterministic per shape,
+    /// epoch and generation, so the first insert wins and concurrent
+    /// duplicates are dropped; a newer insert replaces a stale entry in
+    /// place). Evicts the oldest entry of a full shard. Returns `true` when
+    /// the plan was actually stored.
+    pub fn insert(
+        &self,
+        shape: QueryShape,
+        plan: QueryPlan,
+        epoch: Epoch,
+        generation: u64,
+    ) -> bool {
+        let stamp = Stamp { epoch, generation };
         let mut shard = self.shard_for(&shape).lock().expect("plan cache poisoned");
         if let Some(cached) = shard.map.get_mut(&shape) {
-            if cached.generation >= generation {
+            if cached.stamp >= stamp {
                 return false;
             }
             // Refresh a stale entry in place; it keeps its eviction slot.
-            *cached = CachedPlan { plan, generation };
+            *cached = CachedPlan { plan, stamp };
             self.metrics.count_stale();
             self.metrics.count_insertion();
             return true;
@@ -222,7 +248,7 @@ impl PlanCache {
             }
         }
         shard.order.push_back(shape.clone());
-        shard.map.insert(shape, CachedPlan { plan, generation });
+        shard.map.insert(shape, CachedPlan { plan, stamp });
         self.metrics.count_insertion();
         true
     }
@@ -232,6 +258,8 @@ impl PlanCache {
 mod tests {
     use super::*;
     use sparql::QueryBuilder;
+
+    const E0: Epoch = Epoch::ZERO;
 
     fn query(var_names: [&str; 2], classes: [u32; 2]) -> Query {
         let mut b = QueryBuilder::new();
@@ -283,11 +311,11 @@ mod tests {
     fn lookup_insert_roundtrip_with_metrics() {
         let cache = PlanCache::default();
         let shape = QueryShape::of(&query(["s", "o"], [5, 6]), 10);
-        assert!(cache.lookup(&shape, 0).is_none());
-        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[1]), 0));
+        assert!(cache.lookup(&shape, E0, 0).is_none());
+        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[1]), E0, 0));
         // Duplicate same-generation insert is refused.
-        assert!(!cache.insert(shape.clone(), QueryPlan::new(3, &[2]), 0));
-        let got = cache.lookup(&shape, 0).unwrap();
+        assert!(!cache.insert(shape.clone(), QueryPlan::new(3, &[2]), E0, 0));
+        let got = cache.lookup(&shape, E0, 0).unwrap();
         assert_eq!(got, QueryPlan::new(3, &[1]), "first insert wins");
         let m = cache.metrics();
         assert_eq!(m.lookups(), 2);
@@ -307,16 +335,16 @@ mod tests {
             .map(|i| QueryShape::of(&query(["s", "o"], [i, i + 10]), 10))
             .collect();
         for s in &shapes {
-            assert!(cache.insert(s.clone(), QueryPlan::none_relaxed(3), 0));
+            assert!(cache.insert(s.clone(), QueryPlan::none_relaxed(3), E0, 0));
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.metrics().evictions(), 1);
         assert!(
-            cache.lookup(&shapes[0], 0).is_none(),
+            cache.lookup(&shapes[0], E0, 0).is_none(),
             "oldest entry evicted"
         );
-        assert!(cache.lookup(&shapes[1], 0).is_some());
-        assert!(cache.lookup(&shapes[2], 0).is_some());
+        assert!(cache.lookup(&shapes[1], E0, 0).is_some());
+        assert!(cache.lookup(&shapes[2], E0, 0).is_some());
     }
 
     /// A feedback-generation bump makes every older entry unservable: the
@@ -325,11 +353,14 @@ mod tests {
     fn generation_bump_invalidates_cached_plans() {
         let cache = PlanCache::default();
         let shape = QueryShape::of(&query(["s", "o"], [5, 6]), 10);
-        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[1]), 0));
-        assert!(cache.lookup(&shape, 0).is_some(), "same generation serves");
+        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[1]), E0, 0));
+        assert!(
+            cache.lookup(&shape, E0, 0).is_some(),
+            "same generation serves"
+        );
 
         // Generation moved on: the old plan must not be served.
-        assert!(cache.lookup(&shape, 1).is_none());
+        assert!(cache.lookup(&shape, E0, 1).is_none());
         let m = cache.metrics();
         assert_eq!(m.stale(), 1);
         assert_eq!(m.misses(), 1);
@@ -337,8 +368,11 @@ mod tests {
 
         // Re-planned under the new generation: serves again, including for
         // later same-generation lookups.
-        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[1, 2]), 1));
-        assert_eq!(cache.lookup(&shape, 1).unwrap(), QueryPlan::new(3, &[1, 2]));
+        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[1, 2]), E0, 1));
+        assert_eq!(
+            cache.lookup(&shape, E0, 1).unwrap(),
+            QueryPlan::new(3, &[1, 2])
+        );
     }
 
     /// A newer-generation insert refreshes a stale entry in place instead of
@@ -347,12 +381,42 @@ mod tests {
     fn stale_entry_is_replaced_by_newer_insert() {
         let cache = PlanCache::new(1, 2);
         let shape = QueryShape::of(&query(["s", "o"], [5, 6]), 10);
-        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[]), 0));
-        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[0]), 2));
+        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[]), E0, 0));
+        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[0]), E0, 2));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.lookup(&shape, 2).unwrap(), QueryPlan::new(3, &[0]));
+        assert_eq!(
+            cache.lookup(&shape, E0, 2).unwrap(),
+            QueryPlan::new(3, &[0])
+        );
         // Older-generation insert never downgrades a newer entry.
-        assert!(!cache.insert(shape.clone(), QueryPlan::new(3, &[]), 1));
-        assert_eq!(cache.lookup(&shape, 2).unwrap(), QueryPlan::new(3, &[0]));
+        assert!(!cache.insert(shape.clone(), QueryPlan::new(3, &[]), E0, 1));
+        assert_eq!(
+            cache.lookup(&shape, E0, 2).unwrap(),
+            QueryPlan::new(3, &[0])
+        );
+    }
+
+    /// A plan serves only its own epoch. A newer epoch drops it on sight,
+    /// whatever the generations; an older epoch (a caller on an earlier
+    /// pin) misses, leaves it in place and cannot replace it.
+    #[test]
+    fn plans_serve_only_their_epoch() {
+        let cache = PlanCache::default();
+        let shape = QueryShape::of(&query(["s", "o"], [5, 6]), 10);
+        let (e1, e2) = (Epoch::new(1), Epoch::new(2));
+        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[1]), e1, 5));
+        assert!(cache.lookup(&shape, e1, 5).is_some(), "same epoch serves");
+
+        // An older pin misses and cannot overwrite the newer plan.
+        assert!(cache.lookup(&shape, E0, 9).is_none());
+        assert!(!cache.insert(shape.clone(), QueryPlan::new(3, &[]), E0, 9));
+        let m = cache.metrics();
+        assert_eq!((m.stale(), cache.len()), (0, 1), "newer entry kept");
+
+        // A newer epoch drops it, even at a lower generation.
+        assert!(cache.lookup(&shape, e2, 0).is_none());
+        assert_eq!((m.stale(), cache.len()), (1, 0), "older epoch dropped");
+        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[]), e2, 0));
+        assert_eq!(cache.lookup(&shape, e2, 0).unwrap(), QueryPlan::new(3, &[]));
     }
 }

@@ -17,7 +17,7 @@ use kgstore::KnowledgeGraph;
 use relax::RelaxationRegistry;
 use sparql::{Query, TriplePattern};
 use specqp_common::Score;
-use specqp_stats::{CardinalityEstimator, QueryShapeKey, RefitMode, ScoreEstimator, StatsCatalog};
+use specqp_stats::{CardinalityEstimator, RefitMode, ScoreEstimator, StatsCatalog};
 
 /// Runs PLANGEN and returns the speculative plan.
 ///
@@ -28,7 +28,7 @@ use specqp_stats::{CardinalityEstimator, QueryShapeKey, RefitMode, ScoreEstimato
 /// required all triple patterns to be relaxed … we were able to identify the
 /// requirement of all the relaxations").
 ///
-/// Three extensions over Algorithm 1 feed the speculation lifecycle:
+/// Two extensions over Algorithm 1 feed the speculation lifecycle:
 ///
 /// * the plan carries each pattern's `E_{Q'}(1)`
 ///   ([`predicted_relaxed_best`](QueryPlan::predicted_relaxed_best)), so the
@@ -37,15 +37,10 @@ use specqp_stats::{CardinalityEstimator, QueryShapeKey, RefitMode, ScoreEstimato
 /// * the catalog's speculation ledger is consulted: a pattern whose pruning
 ///   is a recorded [repeat offender](StatsCatalog::repeat_offender) keeps
 ///   its relaxations even when the (evidently miscalibrated) estimate says
-///   pruning is safe;
-/// * with `learned` on, the catalog's [learned
-///   models](StatsCatalog::learned_kth) substitute for the histogram
-///   estimates — but only where their confidence gate is open. A closed
-///   gate (or an unknown query shape) falls back to the histogram value,
-///   so a cold or low-confidence engine plans byte-identically to a
-///   histogram-only one. A substituted `E_{Q'}(1)` also replaces the plan's
-///   carried prediction, keeping the verifier's replayed inequality
-///   consistent with the decision that was actually made.
+///   pruning is safe.
+///
+/// `refit` has a single variant and `_learned` has no effect: the benchmark
+/// harness passes both, so the signature keeps them.
 pub fn plan_query<C: CardinalityEstimator + ?Sized>(
     graph: &KnowledgeGraph,
     query: &Query,
@@ -54,7 +49,7 @@ pub fn plan_query<C: CardinalityEstimator + ?Sized>(
     cardinality: &C,
     registry: &RelaxationRegistry,
     refit: RefitMode,
-    learned: bool,
+    _learned: bool,
 ) -> QueryPlan {
     assert!(k >= 1, "top-k requires k ≥ 1");
     let estimator = ScoreEstimator::with_mode(catalog, cardinality, refit);
@@ -64,14 +59,6 @@ pub fn plan_query<C: CardinalityEstimator + ?Sized>(
     let eq_k = estimator
         .estimate(graph, &original)
         .expected_score_at_rank(k);
-    // Learned substitution for E_Q(k): variable names are erased so the
-    // model bucket covers every isomorphic query.
-    let qshape =
-        learned.then(|| QueryShapeKey::new(patterns.iter().map(|p| p.stats_key()).collect()));
-    let eq_k = qshape
-        .as_ref()
-        .and_then(|s| catalog.learned_kth(s, k))
-        .or(eq_k);
 
     let mut singletons: Vec<usize> = Vec::new();
     let mut predicted_best: Vec<Option<Score>> = vec![None; patterns.len()];
@@ -83,13 +70,6 @@ pub fn plan_query<C: CardinalityEstimator + ?Sized>(
         let mut relaxed = original.clone();
         relaxed[i] = (top.pattern, top.weight);
         let eq1_relaxed = estimator.estimate(graph, &relaxed).expected_top_score();
-        // Learned substitution for E_{Q'}(1), keyed by (query shape,
-        // relaxed pattern): observed best relaxation contributions replace
-        // the convolution estimate once confidently fit.
-        let eq1_relaxed = qshape
-            .as_ref()
-            .and_then(|s| catalog.learned_relaxed_best(s, &q_i.stats_key(), k))
-            .or(eq1_relaxed);
         predicted_best[i] = eq1_relaxed.map(Score::new);
         let required = match (eq1_relaxed, eq_k) {
             (Some(best_relaxed), Some(kth_original)) => best_relaxed > kth_original,
@@ -352,179 +332,5 @@ mod tests {
             false,
         );
         assert_eq!(biased.singletons(), vec![0], "offender must stay relaxed");
-    }
-
-    /// Teaches the catalog's learned models a value for one query shape by
-    /// feeding identical observations until the confidence gate opens.
-    fn teach(
-        catalog: &StatsCatalog,
-        q: &Query,
-        k: usize,
-        kth_score: Option<f64>,
-        relaxed_best: Vec<(sparql::StatsKey, f64)>,
-    ) {
-        use specqp_stats::{FeatureVector, LearnedObservation};
-        let shape = QueryShapeKey::new(q.patterns().iter().map(|p| p.stats_key()).collect());
-        for _ in 0..4 {
-            catalog.record_learned(LearnedObservation {
-                shape: shape.clone(),
-                features: FeatureVector::default(),
-                k,
-                kth_score,
-                relaxed_best: relaxed_best.clone(),
-            });
-        }
-    }
-
-    #[test]
-    fn cold_learned_mode_plans_identically_to_histograms() {
-        let (g, reg) = setup();
-        let catalog = StatsCatalog::new();
-        let card = ExactCardinality::new();
-        for classes in [&["rich"][..], &["poor"][..], &["rich", "poor"][..]] {
-            let q = query(&g, classes);
-            for k in [1, 10] {
-                let hist = plan_query(
-                    &g,
-                    &q,
-                    k,
-                    &catalog,
-                    &card,
-                    &reg,
-                    RefitMode::TwoBucket,
-                    false,
-                );
-                let learned =
-                    plan_query(&g, &q, k, &catalog, &card, &reg, RefitMode::TwoBucket, true);
-                assert_eq!(
-                    hist, learned,
-                    "empty models must fall back to the histogram path"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn confident_learned_kth_overrides_the_histogram_floor() {
-        let (g, reg) = setup();
-        let catalog = StatsCatalog::new();
-        let card = ExactCardinality::new();
-        let q = query(&g, &["rich"]);
-        // Histogram baseline prunes rich→tiny (floor ≈ head of the power
-        // law, far above weight 0.2).
-        let base = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            true,
-        );
-        assert_eq!(base.relaxed_count(), 0);
-        // Teach: the observed 10th score is actually tiny (0.05) — below
-        // the relaxation's reachable 0.2. The learned floor must replace
-        // the histogram floor and flip the decision.
-        teach(&catalog, &q, 10, Some(0.05), vec![]);
-        let learned = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            true,
-        );
-        assert_eq!(learned.singletons(), vec![0], "learned floor must win");
-        // Histogram mode is untouched by the models.
-        let hist = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            false,
-        );
-        assert_eq!(hist.relaxed_count(), 0);
-    }
-
-    #[test]
-    fn confident_learned_relaxed_best_prunes_an_overestimated_relaxation() {
-        let (g, reg) = setup();
-        let catalog = StatsCatalog::new();
-        let card = ExactCardinality::new();
-        // poor alone: histogram says backup is required (2 answers < k=10).
-        let q = query(&g, &["poor"]);
-        let base = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            true,
-        );
-        assert_eq!(base.singletons(), vec![0]);
-        // Teach: runs consistently observed the relaxation contributing
-        // nothing (best contribution 0.0) while the original did fill the
-        // top-10 at 0.3. Pruning becomes justified.
-        let key = q.patterns()[0].stats_key();
-        teach(&catalog, &q, 10, Some(0.3), vec![(key, 0.0)]);
-        let learned = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            true,
-        );
-        assert_eq!(
-            learned.relaxed_count(),
-            0,
-            "confidently-zero relaxed best must prune"
-        );
-        let best = learned.predicted_relaxed_best(0).expect("prediction kept");
-        assert!(best.value() < 0.01, "substituted prediction, got {best:?}");
-    }
-
-    #[test]
-    fn learned_substitution_respects_k_bucketing() {
-        let (g, reg) = setup();
-        let catalog = StatsCatalog::new();
-        let card = ExactCardinality::new();
-        let q = query(&g, &["rich"]);
-        // Teach only at k=10; planning at k=3 must not use the model (its
-        // observed ln(1+k) range is a single point at k=10).
-        teach(&catalog, &q, 10, Some(0.05), vec![]);
-        let at10 = plan_query(
-            &g,
-            &q,
-            10,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            true,
-        );
-        assert_eq!(at10.singletons(), vec![0]);
-        let at3 = plan_query(&g, &q, 3, &catalog, &card, &reg, RefitMode::TwoBucket, true);
-        let hist3 = plan_query(
-            &g,
-            &q,
-            3,
-            &catalog,
-            &card,
-            &reg,
-            RefitMode::TwoBucket,
-            false,
-        );
-        assert_eq!(at3, hist3, "no extrapolation outside the taught k range");
     }
 }

@@ -465,9 +465,10 @@ impl QueryService {
         QueryService::with_engine(Arc::new(engine), config)
     }
 
-    /// Builds a service around an existing `'static` engine (custom
-    /// cardinality estimator, chain rules, …). A `threads` of 0 starts one
-    /// worker: a pool without workers would never serve a request.
+    /// Builds a service around an existing `'static` engine, for a caller
+    /// that built the engine itself (over any [`GraphHandle`](specqp::GraphHandle))
+    /// or keeps a handle to it. A `threads` of 0 starts one worker: a pool
+    /// without workers would never serve a request.
     pub fn with_engine(engine: Arc<Engine<'static>>, config: ServiceConfig) -> Self {
         let config = ServiceConfig {
             threads: config.threads.max(1),
@@ -561,8 +562,8 @@ impl QueryService {
     /// * a batch with an assert whose score is NaN, negative or infinite is
     ///   refused whole with [`ServiceError::Protocol`] naming the first such
     ///   op, before anything commits;
-    /// * an empty batch is a no-op returning the current epoch (no bump, no
-    ///   plan-cache invalidation).
+    /// * an empty batch is a no-op returning the current epoch (no bump, so
+    ///   cached plans stay current).
     ///
     /// The commit itself runs on the caller's thread (writers serialize on
     /// the live graph's writer lock); in-flight queries keep serving from

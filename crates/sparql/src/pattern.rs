@@ -114,9 +114,7 @@ impl TriplePattern {
 
 /// Canonical identity of a pattern for the statistics catalog: the constant
 /// components and the variable-equality shape. Variable *names* are erased.
-/// `Ord` exists so multi-pattern keys (e.g. the learned-model query shape)
-/// can be canonicalized by sorting.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct StatsKey {
     /// Constant subject, if bound.
     pub s: Option<TermId>,

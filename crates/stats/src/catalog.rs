@@ -20,13 +20,13 @@
 //! what the (evidently miscalibrated) histogram estimate says.
 //!
 //! Every verdict that *flips* a pattern's offender bias bumps the catalog
-//! [`generation`](StatsCatalog::generation). The plan cache stamps each
-//! cached plan with the generation it was planned under and treats plans
-//! from older generations as stale, so a refit ledger can never serve a
-//! plan that pre-dates what the catalog has since learned.
+//! [`generation`](StatsCatalog::generation), and nothing else does. The plan
+//! cache stamps each cached plan with the generation it was planned under
+//! (and the graph epoch it was planned on) and treats plans from older
+//! generations as stale, so a refit ledger can never serve a plan that
+//! pre-dates the bias it now records.
 
 use crate::histogram::PatternStats;
-use crate::learned::{LearnedCounters, LearnedModels, LearnedObservation, QueryShapeKey};
 use crate::memo::VersionMemo;
 use kgstore::{KnowledgeGraph, PatternKey};
 use sparql::{StatsKey, TriplePattern};
@@ -38,8 +38,7 @@ use std::sync::RwLock;
 /// relaxations was flagged as a mis-speculation vs verified clean.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpeculationOutcome {
-    /// Runs where the pruned pattern was escalated by a fallback stage (or
-    /// flagged suspect in detect-only mode).
+    /// Runs where the pruned pattern was escalated by a fallback stage.
     pub mis_speculations: u64,
     /// Runs where the pattern was pruned and the result verified clean.
     pub clean_prunes: u64,
@@ -57,9 +56,7 @@ impl SpeculationOutcome {
     /// verdicts as offenses. The lifecycle suppresses re-flagging settled
     /// patterns — without this, a shape whose true result is genuinely
     /// smaller than `k` would re-trigger the full escalation ladder on
-    /// every run (or, in detect mode, oscillate the offender bias and bump
-    /// the catalog generation each run, continuously invalidating the plan
-    /// cache).
+    /// every run.
     pub fn settled_clean(&self) -> bool {
         self.mis_speculations + self.clean_prunes > 0 && self.clean_prunes >= self.mis_speculations
     }
@@ -78,7 +75,6 @@ impl SpeculationOutcome {
 pub struct StatsCatalog {
     cache: VersionMemo<StatsKey, Option<PatternStats>>,
     ledger: RwLock<FxHashMap<StatsKey, SpeculationOutcome>>,
-    learned: RwLock<LearnedModels>,
     generation: AtomicU64,
 }
 
@@ -178,77 +174,6 @@ impl StatsCatalog {
             }
         }
         flips
-    }
-
-    /// Absorbs one verified run's learned observation (see
-    /// [`crate::learned`]): the observed k-th score teaches the query
-    /// shape's k-th model, each relaxed pattern's observed contribution
-    /// teaches its relaxed-best model. Every **material revision** of a
-    /// gated prediction bumps the catalog generation — while still holding
-    /// the learned write lock, so a concurrent planner never observes the
-    /// revised prediction under the old generation (the same ordering
-    /// contract [`write_verdicts`](Self::record_speculations) upholds for
-    /// ledger bias flips). Returns the number of revisions.
-    pub fn record_learned(&self, obs: LearnedObservation) -> u64 {
-        let mut learned = self.learned.write().expect("learned models poisoned");
-        let revisions = learned.record(obs);
-        for _ in 0..revisions {
-            self.generation.fetch_add(1, Ordering::AcqRel);
-        }
-        revisions
-    }
-
-    /// The learned k-th-score prediction for a query shape, when its
-    /// confidence gate is open (`None` ⇒ fall back to the histogram
-    /// estimate).
-    pub fn learned_kth(&self, shape: &QueryShapeKey, k: usize) -> Option<f64> {
-        self.learned
-            .read()
-            .expect("learned models poisoned")
-            .kth(shape, k)
-    }
-
-    /// The learned relaxed-best prediction for one pattern of a query
-    /// shape, when its confidence gate is open.
-    pub fn learned_relaxed_best(
-        &self,
-        shape: &QueryShapeKey,
-        key: &StatsKey,
-        k: usize,
-    ) -> Option<f64> {
-        self.learned
-            .read()
-            .expect("learned models poisoned")
-            .relaxed_best(shape, key, k)
-    }
-
-    /// Cumulative learned-layer counters (observations, served predictions,
-    /// material revisions).
-    pub fn learned_counters(&self) -> LearnedCounters {
-        self.learned
-            .read()
-            .expect("learned models poisoned")
-            .counters()
-    }
-
-    /// Bumps the generation and drops the learned models.
-    ///
-    /// Called when the underlying graph *changes* — the engine invokes this
-    /// on observing a new [`Epoch`](kgstore::Epoch) from a live graph — so
-    /// that the plan cache drops plans estimated against the old version on
-    /// sight. The cached [`PatternStats`] need no clearing: they record the
-    /// epoch they describe, and the first lookup on a newer version replaces
-    /// them. The speculation ledger is deliberately **kept**: offender evidence is
-    /// about pattern shapes, not a particular version, and drift is exactly
-    /// when that evidence earns its keep. The **learned models** are
-    /// dropped: their observations were drawn from the old version's score
-    /// distributions, which a write batch may have reshaped arbitrarily.
-    pub fn invalidate_stats(&self) {
-        let mut learned = self.learned.write().expect("learned models poisoned");
-        learned.clear();
-        // Bump while holding the learned lock so a concurrent planner never
-        // observes the old models under the new generation.
-        self.generation.fetch_add(1, Ordering::AcqRel);
     }
 
     /// The recorded outcomes for a pattern shape (all-zero when the ledger
@@ -489,48 +414,6 @@ mod tests {
         let b = TriplePattern::new(Var(9), ty, o).stats_key();
         c.record_speculation(a, true);
         assert!(c.repeat_offender(&b), "renamed variable shares the entry");
-    }
-
-    #[test]
-    fn learned_revisions_bump_generation_and_epoch_clears_models() {
-        use crate::learned::{FeatureVector, LearnedObservation, QueryShapeKey};
-
-        let c = StatsCatalog::new();
-        let key = TriplePattern::new(Var(0), specqp_common::TermId(1), specqp_common::TermId(2))
-            .stats_key();
-        let shape = QueryShapeKey::new(vec![key]);
-        let obs = || LearnedObservation {
-            shape: shape.clone(),
-            features: FeatureVector::default(),
-            k: 10,
-            kth_score: Some(1.5),
-            relaxed_best: vec![(key, 0.6)],
-        };
-        assert_eq!(c.learned_kth(&shape, 10), None);
-        assert_eq!(c.record_learned(obs()), 0, "below the gate: no revision");
-        assert_eq!(c.record_learned(obs()), 0);
-        assert_eq!(c.generation(), 0, "closed gates never invalidate plans");
-        // Third consistent observation opens both gates: two revisions, two
-        // generation bumps.
-        assert_eq!(c.record_learned(obs()), 2);
-        assert_eq!(c.generation(), 2);
-        let kth = c.learned_kth(&shape, 10).expect("gate open");
-        assert!((kth - 1.5).abs() < 0.01);
-        let rb = c.learned_relaxed_best(&shape, &key, 10).expect("gate open");
-        assert!((rb - 0.6).abs() < 0.01);
-        // Steady state: identical evidence revises nothing.
-        assert_eq!(c.record_learned(obs()), 0);
-        assert_eq!(c.generation(), 2);
-        let counters = c.learned_counters();
-        assert_eq!(counters.observations, 4);
-        assert_eq!(counters.revisions, 2);
-        assert!(counters.predictions >= 2);
-
-        // An epoch change drops the models (their observations came from
-        // the old version) and the predictions with them.
-        c.invalidate_stats();
-        assert_eq!(c.learned_kth(&shape, 10), None);
-        assert_eq!(c.learned_relaxed_best(&shape, &key, 10), None);
     }
 
     /// Satellite stress test: a `settled_clean` verdict racing a

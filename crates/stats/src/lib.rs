@@ -39,7 +39,6 @@ pub mod cardinality;
 pub mod catalog;
 pub mod estimator;
 pub mod histogram;
-pub mod learned;
 mod memo;
 pub mod order_stats;
 pub mod piecewise;
@@ -48,8 +47,5 @@ pub use cardinality::{CardinalityEstimator, ExactCardinality};
 pub use catalog::{SpeculationOutcome, StatsCatalog};
 pub use estimator::{refit_two_bucket, QueryEstimate, RefitMode, ScoreEstimator};
 pub use histogram::{PatternStats, TwoBucketHistogram, HEAD_FRACTION};
-pub use learned::{
-    FeatureVector, LearnedCounters, LearnedModels, LearnedObservation, QueryShapeKey,
-};
 pub use order_stats::expected_score_at_rank;
 pub use piecewise::{Distribution, PiecewiseConstantPdf, PiecewiseLinearPdf};

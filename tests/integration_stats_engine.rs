@@ -82,7 +82,7 @@ fn an_older_pin_leaves_no_stale_numbers_for_the_next_epoch() {
     commit("c", 5.0);
     let v1 = engine.graph();
     commit("d", 1.0);
-    let v2 = engine.graph(); // invalidates for version 2
+    let v2 = engine.graph();
     let d = v2.dictionary();
     let singer = TriplePattern::new(
         Var(0),
