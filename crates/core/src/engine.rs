@@ -148,7 +148,7 @@ impl std::fmt::Debug for PinnedGraph<'_> {
 ///     speculation: SpeculationPolicy::Fallback { max_stages: 3 },
 ///     ..EngineConfig::default()
 /// };
-/// assert_eq!(config.parallelism, 1);
+/// assert_eq!(config.execution.block_size(), 128);
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
@@ -164,11 +164,8 @@ pub struct EngineConfig {
     /// verified after draining and whether mis-speculations trigger staged
     /// delta recovery (see [`crate::speculation`]). Default: `Off`.
     pub speculation: SpeculationPolicy,
-    /// Worker threads for morsel-driven intra-query parallelism (`1`, the
-    /// default, and `0` mean sequential). When a query has a safely
-    /// partitionable scan (see [`crate::parallel::partition_target`]), its
-    /// match list is split into morsels pulled by `parallelism` workers;
-    /// answers are bit-identical to sequential execution.
+    /// Has no effect: every query runs on the calling thread. The
+    /// benchmark harness sets the field, so it stays. Default: `1`.
     pub parallelism: usize,
     /// Has no effect: PLANGEN plans from histogram statistics alone. The
     /// benchmark harness sets the field, so it stays. Default: `false`.
@@ -432,7 +429,7 @@ impl<'g> Engine<'g> {
     ///   ([`QueryPlan::delta`]) above the k-th score in hand, folding the
     ///   result into the answers ([`speculation::union_top_k`]). The
     ///   speculative execution is never repeated or discarded; deltas run
-    ///   like every plan, at the configured [`EngineConfig::parallelism`];
+    ///   through the same runner as every plan;
     /// * after stage `N` every pattern with relaxations is relaxed, so the
     ///   answers are TriniT's: the same bindings, scores equal up to the
     ///   last place (they are summed in a different order than

@@ -20,18 +20,16 @@
 //! sort) used as ground truth by the test suite.
 
 use crate::engine::EngineConfig;
-use crate::parallel::{self, partition_target};
 use crate::plan::QueryPlan;
 use kgstore::KnowledgeGraph;
 use operators::{
     top_k_blocks_floored, Binding, BlockIncrementalMerge, BlockRankJoin, BlockScan, BlockStream,
-    BoxedBlockStream, ExecutionMode, MetricsHandle, MorselDispenser, OpMetrics, PartialAnswer,
-    PullStrategy, ScaledProjection, DEFAULT_BLOCK_SIZE,
+    BoxedBlockStream, ExecutionMode, MetricsHandle, OpMetrics, PartialAnswer, PullStrategy,
+    ScaledProjection, DEFAULT_BLOCK_SIZE,
 };
 use relax::RelaxationRegistry;
 use sparql::{Query, TriplePattern, Var};
 use specqp_common::{FxHashMap, Score, TermId};
-use std::sync::Arc;
 
 /// Builds the operator tree for `plan` over `query`, chain relaxations
 /// included: every singleton's incremental merge additionally consumes, per
@@ -39,10 +37,8 @@ use std::sync::Arc;
 /// scans, scaled into `[0, w]` (`w/len` per hop) and projected back onto the
 /// original pattern's variables so Def.-8 max-deduplication still applies.
 ///
-/// `morsels` partitions one pattern's scan: instead of owning its whole
-/// match list, that scan pulls rank-range morsels from the shared dispenser
-/// (see [`crate::parallel`]). Every operator shares `metrics`, so the
-/// paper's "answer objects created" counter aggregates the whole tree.
+/// Every operator shares `metrics`, so the paper's "answer objects created"
+/// counter aggregates the whole tree.
 fn build_tree<'g>(
     graph: &'g KnowledgeGraph,
     query: &Query,
@@ -50,14 +46,13 @@ fn build_tree<'g>(
     registry: &RelaxationRegistry,
     metrics: MetricsHandle,
     block_size: usize,
-    morsels: Option<(usize, Arc<MorselDispenser>)>,
 ) -> BoxedBlockStream<'g> {
     assert_eq!(plan.len(), query.len(), "plan/query arity mismatch");
     let block_size = block_size.max(1);
     let patterns = query.patterns();
     let mut next_fresh = query.var_count() as u32;
 
-    let plain_scan = |pattern: TriplePattern, weight: Score| -> BoxedBlockStream<'g> {
+    let scan = |pattern: TriplePattern, weight: Score| -> BoxedBlockStream<'g> {
         Box::new(BlockScan::new(
             graph,
             pattern,
@@ -65,19 +60,6 @@ fn build_tree<'g>(
             metrics.clone(),
             block_size,
         ))
-    };
-    let scan = |i: usize, weight: Score| -> BoxedBlockStream<'g> {
-        match &morsels {
-            Some((target, dispenser)) if *target == i => Box::new(BlockScan::with_morsels(
-                graph,
-                patterns[i],
-                weight,
-                metrics.clone(),
-                block_size,
-                Arc::clone(dispenser),
-            )),
-            _ => plain_scan(patterns[i], weight),
-        }
     };
     // A left-deep rank join over the bare scans of `patterns`.
     let join_chain = |patterns: &mut dyn Iterator<Item = BoxedBlockStream<'g>>| {
@@ -93,7 +75,7 @@ fn build_tree<'g>(
     let join_group = plan.join_group();
     if !join_group.is_empty() {
         parts.push(join_chain(
-            &mut join_group.iter().map(|&i| scan(i, Score::ONE)),
+            &mut join_group.iter().map(|&i| scan(patterns[i], Score::ONE)),
         ));
     }
 
@@ -102,14 +84,14 @@ fn build_tree<'g>(
     for i in plan.singletons() {
         let mut inputs: Vec<BoxedBlockStream<'g>> = Vec::new();
         if plan.delta_target() != Some(i) {
-            inputs.push(scan(i, Score::ONE));
+            inputs.push(scan(patterns[i], Score::ONE));
         }
         for r in registry.relaxations_for(&patterns[i]) {
-            inputs.push(plain_scan(r.pattern, Score::new(r.weight)));
+            inputs.push(scan(r.pattern, Score::new(r.weight)));
         }
         for c in registry.chain_relaxations_for(&patterns[i], next_fresh) {
             next_fresh += c.fresh_vars.len() as u32;
-            let join = join_chain(&mut c.patterns.iter().map(|&p| plain_scan(p, Score::ONE)));
+            let join = join_chain(&mut c.patterns.iter().map(|&p| scan(p, Score::ONE)));
             inputs.push(Box::new(ScaledProjection::new(
                 join,
                 c.weight / c.patterns.len() as f64,
@@ -168,11 +150,8 @@ pub fn run_plan_blocks(
 }
 
 /// The one runner: builds `plan`'s tree with `config`'s block size and
-/// drains its top-`k` (above the floor, for a delta plan).
-/// With `config.parallelism > 1` and a [`partition_target`], that scan is
-/// split into morsels across that many workers, each running a private
-/// copy of the tree ([`crate::parallel`]); otherwise the tree runs on the
-/// calling thread. The answers are the same either way.
+/// drains its top-`k` (above the floor, for a delta plan) on the calling
+/// thread.
 pub(crate) fn run_plan(
     graph: &KnowledgeGraph,
     query: &Query,
@@ -183,21 +162,8 @@ pub(crate) fn run_plan(
     k: usize,
 ) -> Vec<PartialAnswer> {
     let block_size = config.execution.block_size();
-    let drain = |metrics: MetricsHandle, morsels: Option<(usize, Arc<MorselDispenser>)>| {
-        let mut tree = build_tree(graph, query, plan, registry, metrics, block_size, morsels);
-        top_k_blocks_floored(&mut tree, k, plan.delta_floor())
-    };
-    let target = if config.parallelism > 1 {
-        partition_target(graph, query, plan, registry)
-    } else {
-        None
-    };
-    match target {
-        Some(target) => {
-            parallel::run_morsels(graph, query, target, config.parallelism, metrics, k, drain)
-        }
-        None => drain(metrics.clone(), None),
-    }
+    let mut tree = build_tree(graph, query, plan, registry, metrics.clone(), block_size);
+    top_k_blocks_floored(&mut tree, k, plan.delta_floor())
 }
 
 /// Brute-force ground truth: for every pattern, drain the scans of the

@@ -16,9 +16,9 @@
 //! * [`PlanCache`] — a sharded, bounded cache from canonical
 //!   [`QueryShape`]s to plans, so repeated workload shapes skip PLANGEN,
 //! * [`executor`] — turns a plan into one operator tree and runs it
-//!   ([`run_plan_blocks`]; the engine's runs add morsel workers from
-//!   [`parallel`]) — speculative, **TriniT** (every pattern relaxed,
-//!   Fig. 2) and delta plans ([`QueryPlan::delta`]) alike; also provides a
+//!   on the calling thread ([`run_plan_blocks`]) — speculative, **TriniT**
+//!   (every pattern relaxed, Fig. 2) and delta plans ([`QueryPlan::delta`])
+//!   alike; also provides a
 //!   **naive drain-everything executor** ([`run_naive`]) used as ground
 //!   truth in tests,
 //! * [`Engine`] — a one-stop façade owning the statistics catalog and
@@ -71,7 +71,6 @@
 pub mod engine;
 pub mod evaluation;
 pub mod executor;
-pub mod parallel;
 pub mod plan;
 pub mod plan_cache;
 pub mod plangen;
@@ -84,7 +83,6 @@ pub use evaluation::{
     ScoreError,
 };
 pub use executor::{run_naive, run_plan_blocks};
-pub use parallel::partition_target;
 pub use plan::QueryPlan;
 pub use plan_cache::{PlanCache, QueryShape};
 pub use plangen::plan_query;

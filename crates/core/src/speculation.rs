@@ -33,7 +33,7 @@
 //!   the k-th score in hand can enter that union, so the delta plan carries
 //!   it as a *score floor* and its run stops as soon as its bounds drop
 //!   under it; an under-filled run has no floor. A delta plan runs through
-//!   the same runner as every other plan, at the configured worker count. The final permitted stage
+//!   the same runner as every other plan. The final permitted stage
 //!   escalates every remaining candidate, one delta each. Nothing is
 //!   executed twice; every stage is counted (`RunReport::fallback_stages`),
 //!   and so is every answer object a delta created to no effect

@@ -57,8 +57,8 @@ impl ExecutionMode {
 /// `terms[i*width .. (i+1)*width]` with `terms[i*width + j]` bound to
 /// `vars[j]`. Because [`Binding`] also keeps its pairs sorted by variable,
 /// comparing two same-schema rows as term slices is exactly
-/// [`PartialAnswer`]'s binding tie-break order — so every block size, and
-/// the morsel-parallel merge, emit one canonical order.
+/// [`PartialAnswer`]'s binding tie-break order — so every block size emits
+/// one canonical order.
 #[derive(Debug, Clone)]
 pub struct AnswerBlock {
     vars: Vec<Var>,
@@ -383,9 +383,9 @@ impl BlockStream for ReplayBlocks {
 /// into [`PartialAnswer`]s. After `k` answers the stream has reached the
 /// score floor, and rows tied at the floor are drained so the boundary is
 /// resolved by binding rather than by incidental stream position — every
-/// block size, and the morsel-parallel merge, return the same answers in
-/// the same order. The early-termination logic lives inside the operators,
-/// which only consume as much of their inputs as the bounds require.
+/// block size returns the same answers in the same order. The
+/// early-termination logic lives inside the operators, which only consume
+/// as much of their inputs as the bounds require.
 pub fn top_k_blocks<S: BlockStream + ?Sized>(stream: &mut S, k: usize) -> Vec<PartialAnswer> {
     top_k_blocks_floored(stream, k, None)
 }

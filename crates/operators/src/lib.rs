@@ -32,7 +32,6 @@ pub mod answer;
 pub mod block;
 pub mod block_join;
 pub mod metrics;
-pub mod morsel;
 pub mod scan;
 
 pub use answer::{Binding, PartialAnswer};
@@ -42,5 +41,4 @@ pub use block::{
 };
 pub use block_join::{BlockIncrementalMerge, BlockRankJoin, PullStrategy};
 pub use metrics::{CacheMetrics, CacheMetricsHandle, MetricsHandle, OpMetrics};
-pub use morsel::{MorselDispenser, DEFAULT_MORSEL_ROWS};
 pub use scan::BlockScan;

@@ -110,19 +110,6 @@ impl OpMetrics {
         self.wasted_answers.get()
     }
 
-    /// Folds another counter set into this one — how parallel morsel
-    /// workers' private (non-`Send`) metrics are merged back into the
-    /// query's main handle after the worker threads join.
-    pub fn absorb(&self, other: &OpMetrics) {
-        self.count_answers(other.answers_created());
-        self.count_sorted_accesses(other.sorted_accesses());
-        self.count_random_accesses(other.random_accesses());
-        self.count_heap_pushes(other.heap_pushes());
-        self.fallback_stages
-            .set(self.fallback_stages.get() + other.fallback_stages());
-        self.count_wasted_answers(other.wasted_answers());
-    }
-
     /// Resets every counter to zero.
     pub fn reset(&self) {
         self.answers_created.set(0);

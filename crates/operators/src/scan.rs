@@ -2,12 +2,10 @@
 
 use crate::block::{AnswerBlock, BlockSizer, BlockStream};
 use crate::metrics::MetricsHandle;
-use crate::morsel::MorselDispenser;
 use kgstore::{KnowledgeGraph, MatchList, PatternKey, Triple};
 use sparql::{Term, TriplePattern, Var};
 use specqp_common::{Score, TermId};
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Streams the matches of one triple pattern in descending score order as
 /// [`AnswerBlock`] batches, binding the pattern's variables and emitting
@@ -55,11 +53,6 @@ pub struct BlockScan<'g> {
     normalizer: Score,
     /// Rank of the next match satisfying the repeated-variable constraint.
     next_rank: usize,
-    /// Exclusive end of the rank range this scan may emit — `list.len()`
-    /// for a whole-list scan, the current morsel's end when partitioned.
-    range_end: usize,
-    /// Shared morsel source for partitioned (parallel) scans.
-    dispenser: Option<Arc<MorselDispenser>>,
     /// Repeated-variable equality requirements (`?x p ?x` and friends).
     req_sp: bool,
     req_so: bool,
@@ -94,14 +87,11 @@ impl<'g> BlockScan<'g> {
             }
         }
         pairs.sort_unstable_by_key(|&(v, _)| v);
-        let range_end = list.len();
         let mut scan = BlockScan {
             list,
             weight,
             normalizer: Score::ZERO,
             next_rank: 0,
-            range_end,
-            dispenser: None,
             req_sp: same(pattern.s, pattern.p),
             req_so: same(pattern.s, pattern.o),
             req_po: same(pattern.p, pattern.o),
@@ -115,54 +105,6 @@ impl<'g> BlockScan<'g> {
             scan.normalizer = scan.list.score_at(scan.next_rank);
         }
         scan
-    }
-
-    /// A partitioned scan for morsel-driven parallel execution: identical
-    /// weighting to [`BlockScan::new`] (the normalizer comes from the *full*
-    /// match list), but the scan only emits ranks it claims from the shared
-    /// `dispenser` — one dispenser, one worker tree per scan, and the union
-    /// of all workers' rows is exactly the sequential scan's output.
-    ///
-    /// The dispenser must have been created over this pattern's match-list
-    /// length (ranks outside `0..list.len()` are never claimed by
-    /// construction).
-    pub fn with_morsels(
-        graph: &'g KnowledgeGraph,
-        pattern: TriplePattern,
-        weight: Score,
-        metrics: MetricsHandle,
-        block_size: usize,
-        dispenser: Arc<MorselDispenser>,
-    ) -> Self {
-        let mut scan = BlockScan::new(graph, pattern, weight, metrics, block_size);
-        debug_assert_eq!(dispenser.total(), scan.list.len());
-        scan.dispenser = Some(dispenser);
-        // Own nothing until the first claim.
-        scan.next_rank = 0;
-        scan.range_end = 0;
-        scan.advance_to_morsel();
-        scan
-    }
-
-    /// Claims morsels until one contains a satisfying rank (or the
-    /// dispenser runs dry, which pins the scan exhausted). No-op for
-    /// whole-list scans and while the current range still has rows.
-    fn advance_to_morsel(&mut self) {
-        let Some(d) = self.dispenser.as_ref() else {
-            return;
-        };
-        while self.next_rank >= self.range_end {
-            let Some(r) = d.claim() else {
-                self.next_rank = self.list.len();
-                self.range_end = self.list.len();
-                return;
-            };
-            let first = self.find_satisfying(r.start);
-            if first < r.end {
-                self.next_rank = first;
-                self.range_end = r.end;
-            }
-        }
     }
 
     fn has_repeat(&self) -> bool {
@@ -230,7 +172,7 @@ impl<'g> BlockScan<'g> {
         // next_rank points at a satisfying rank, so at least one row lands
         // in the block.
         let mut rank = self.next_rank;
-        while rank < self.range_end && out.len() < n {
+        while rank < self.list.len() && out.len() < n {
             let t = self.list.triple_at(rank);
             if self.satisfies(&t) {
                 let t = [t.s, t.p, t.o];
@@ -253,28 +195,25 @@ impl BlockStream for BlockScan<'_> {
     }
 
     fn next_block(&mut self) -> Option<AnswerBlock> {
-        if self.next_rank >= self.range_end {
+        if self.next_rank >= self.list.len() {
             return None;
         }
         let n = self.sizer.take();
         let out = if self.has_repeat() {
             self.filtered_block(n)
         } else {
-            let ranks = self.next_rank..(self.next_rank + n).min(self.range_end);
+            let ranks = self.next_rank..(self.next_rank + n).min(self.list.len());
             self.next_rank = ranks.end;
             self.column_block(ranks)
         };
         let rows = out.len() as u64;
         self.metrics.count_sorted_accesses(rows);
         self.metrics.count_answers(rows);
-        // Claim the next morsel eagerly so `upper_bound` (which cannot
-        // mutate) is already accurate for the consumer's threshold checks.
-        self.advance_to_morsel();
         Some(out)
     }
 
     fn upper_bound(&self) -> Option<Score> {
-        if self.next_rank >= self.range_end {
+        if self.next_rank >= self.list.len() {
             None
         } else {
             Some(self.weighted(self.list.score_at(self.next_rank)))
@@ -380,74 +319,6 @@ mod tests {
         let mut scan = BlockScan::new(&g, pat, Score::ONE, OpMetrics::new_handle(), 64);
         assert_eq!(scan.upper_bound(), None);
         assert!(scan.next_block().is_none());
-    }
-
-    #[test]
-    fn morsel_scans_union_to_the_sequential_scan() {
-        let g = graph();
-        let d = g.dictionary();
-        let patterns = vec![
-            type_pattern(&g, "singer"),
-            TriplePattern::new(Var(0), Var(1), d.lookup("singer").unwrap()),
-            // Repeated variable: morsels must respect the filter.
-            TriplePattern::new(Var(0), d.lookup("self").unwrap(), Var(0)),
-            // Empty match list.
-            TriplePattern::new(Var(0), d.lookup("type").unwrap(), d.lookup("a").unwrap()),
-        ];
-        for pat in patterns {
-            let sequential = drain_blocks(BlockScan::new(
-                &g,
-                pat,
-                Score::ONE,
-                OpMetrics::new_handle(),
-                3,
-            ));
-            for (workers, morsel) in [(1, 2), (2, 1), (3, 2), (8, 1)] {
-                let (s, p, o) = pat.const_parts();
-                let total = g.matches(PatternKey { s, p, o }).len();
-                let dispenser = Arc::new(MorselDispenser::new(total, morsel));
-                let mut got: Vec<PartialAnswer> = (0..workers)
-                    .flat_map(|_| {
-                        drain_blocks(BlockScan::with_morsels(
-                            &g,
-                            pat,
-                            Score::ONE,
-                            OpMetrics::new_handle(),
-                            3,
-                            Arc::clone(&dispenser),
-                        ))
-                    })
-                    .collect();
-                got.sort_by(|a, b| b.cmp(a));
-                assert_eq!(got, sequential, "{pat:?} workers {workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn morsel_scan_upper_bound_never_increases() {
-        let g = graph();
-        let dispenser = Arc::new(MorselDispenser::new(3, 1));
-        let mut scan = BlockScan::with_morsels(
-            &g,
-            type_pattern(&g, "singer"),
-            Score::ONE,
-            OpMetrics::new_handle(),
-            2,
-            dispenser,
-        );
-        let mut last = scan.upper_bound();
-        let mut rows = 0;
-        while let Some(b) = scan.next_block() {
-            rows += b.len();
-            let now = scan.upper_bound();
-            if let (Some(prev), Some(cur)) = (last, now) {
-                assert!(cur <= prev, "bound rose from {prev:?} to {cur:?}");
-            }
-            last = now;
-        }
-        assert_eq!(rows, 3, "single worker claims the whole list");
-        assert_eq!(scan.upper_bound(), None);
     }
 
     #[test]

@@ -91,16 +91,6 @@ impl ExecMode {
         }
     }
 
-    /// Short lowercase label (`specqp` / `trinit` / `naive`) used by probe
-    /// reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecMode::SpecQp => "specqp",
-            ExecMode::TriniT => "trinit",
-            ExecMode::Naive => "naive",
-        }
-    }
-
     /// Inverse of [`ExecMode::index`] — the wire protocol sends modes as
     /// this byte.
     pub fn from_index(i: usize) -> Option<ExecMode> {
@@ -822,7 +812,6 @@ mod tests {
         assert_eq!(stats.completed, 1);
         let spec = stats.per_mode[ExecMode::SpecQp.index()].expect("specqp totals");
         assert_eq!(spec.queries, 1);
-        assert_eq!(ExecMode::SpecQp.label(), "specqp");
         assert_eq!(ExecMode::from_index(1), Some(ExecMode::TriniT));
         assert_eq!(ExecMode::from_index(3), None);
     }

@@ -4,8 +4,8 @@
 //! vendored proptest), a [`LiveGraph`]-backed engine queried *live* — base
 //! plus delta overlay, mid-churn — must answer exactly like an engine over
 //! a graph rebuilt from scratch to hold the same visible triples, for
-//! Spec-QP and TriniT at two block sizes and with morsels. On top
-//! of the differential:
+//! Spec-QP and TriniT at block sizes 7 and 128. On top of the
+//! differential:
 //!
 //! * **match lists** — at every epoch each key the query reads, plus the
 //!   all-wildcard key and the exact triples the batch touched, resolves on
@@ -266,10 +266,7 @@ fn check_live_differential(ops: &[RawOp], picks: &[u16]) -> Result<(), TestCaseE
             execution: operators::ExecutionMode::Block(7),
             ..EngineConfig::default()
         },
-        EngineConfig {
-            parallelism: 2,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
     ]
     .into_iter()
     .map(|config| Engine::with_config(Arc::clone(&live), Arc::clone(&registry), config))

@@ -35,13 +35,11 @@ use common::equivalent;
 
 const BLOCK_SIZES: [usize; 3] = [1, 64, 4096];
 
-/// The executor configurations the workload laps run: one row per block,
-/// the default block size, and the default block size on four morsel
-/// workers.
-const WORKLOAD_CONFIGS: [(ExecutionMode, usize); 3] = [
-    (ExecutionMode::Block(1), 1),
-    (ExecutionMode::Block(operators::DEFAULT_BLOCK_SIZE), 1),
-    (ExecutionMode::Block(operators::DEFAULT_BLOCK_SIZE), 4),
+/// The block sizes the workload laps run: one row per block and the
+/// default size.
+const WORKLOAD_MODES: [ExecutionMode; 2] = [
+    ExecutionMode::Block(1),
+    ExecutionMode::Block(operators::DEFAULT_BLOCK_SIZE),
 ];
 
 /// One reusable star-query building block, extracted from a workload query.
@@ -126,18 +124,17 @@ fn config(execution: ExecutionMode, speculation: SpeculationPolicy) -> EngineCon
     }
 }
 
-/// A workload engine: `config(execution, speculation)` on `parallelism`
-/// workers.
+/// A workload engine on `config(execution, speculation)`.
 fn workload_engine(
     world: &World,
-    (execution, parallelism): (ExecutionMode, usize),
+    execution: ExecutionMode,
     speculation: SpeculationPolicy,
 ) -> Engine<'_> {
-    let config = EngineConfig {
-        parallelism,
-        ..config(execution, speculation)
-    };
-    Engine::with_config(&world.ds.graph, &world.ds.registry, config)
+    Engine::with_config(
+        &world.ds.graph,
+        &world.ds.registry,
+        config(execution, speculation),
+    )
 }
 
 /// Runs the three properties for one query under one executor
@@ -228,12 +225,12 @@ proptest! {
 }
 
 /// The exact benchmark workloads (not random subsets) must also recover to
-/// TriniT under the forced final stage, in every [`WORKLOAD_CONFIGS`] entry.
+/// TriniT under the forced final stage, at every [`WORKLOAD_MODES`] size.
 #[test]
 fn workload_queries_forced_final_equals_trinit() {
     for world in [xkg(), twitter()] {
-        for workload_config in WORKLOAD_CONFIGS {
-            let engine = workload_engine(world, workload_config, SpeculationPolicy::ForceFinal);
+        for execution in WORKLOAD_MODES {
+            let engine = workload_engine(world, execution, SpeculationPolicy::ForceFinal);
             for q in &world.ds.workload.queries {
                 let forced = engine.run_specqp(q, 10);
                 let trinit = engine.run_trinit(q, 10);
@@ -253,16 +250,10 @@ fn workload_queries_forced_final_equals_trinit() {
 fn workload_queries_delta_recovery_equals_restart() {
     let mut stages_seen = [0usize; 4];
     for world in [xkg(), twitter()] {
-        for execution in [
-            ExecutionMode::Block(1),
-            ExecutionMode::Block(operators::DEFAULT_BLOCK_SIZE),
-        ] {
+        for execution in WORKLOAD_MODES {
             for q in &world.ds.workload.queries {
-                let engine = Engine::with_config(
-                    &world.ds.graph,
-                    &world.ds.registry,
-                    config(execution, SpeculationPolicy::Fallback { max_stages: 3 }),
-                );
+                let fallback = SpeculationPolicy::Fallback { max_stages: 3 };
+                let engine = workload_engine(world, execution, fallback);
                 let out = engine.run_specqp(q, 10);
                 stages_seen[out.report.fallback_stages as usize] += 1;
                 let restart = engine.run_with_plan(q, 10, out.plan.clone());
@@ -282,16 +273,16 @@ fn workload_queries_delta_recovery_equals_restart() {
 }
 
 /// Every run that takes a recovery stage lands on TriniT's answers (up to
-/// summation order, see [`equivalent`]) on the exact workloads, in every
-/// [`WORKLOAD_CONFIGS`] entry — also once earlier laps have filled the
+/// summation order, see [`equivalent`]) on the exact workloads, at every
+/// [`WORKLOAD_MODES`] size — also once earlier laps have filled the
 /// ledger, so its bias shapes the plans.
 #[test]
 fn workload_queries_recovered_runs_equal_trinit() {
     let mut recovered = 0usize;
     for world in [xkg(), twitter()] {
-        for workload_config in WORKLOAD_CONFIGS {
+        for execution in WORKLOAD_MODES {
             let fallback = SpeculationPolicy::Fallback { max_stages: 3 };
-            let engine = workload_engine(world, workload_config, fallback);
+            let engine = workload_engine(world, execution, fallback);
             for lap in 0..4 {
                 for q in &world.ds.workload.queries {
                     let out = engine.run_specqp(q, 10);
@@ -301,7 +292,7 @@ fn workload_queries_recovered_runs_equal_trinit() {
                     recovered += 1;
                     let trinit = engine.run_trinit(q, 10);
                     if let Err(e) = equivalent(&out.answers, &trinit.answers) {
-                        panic!("{workload_config:?}, lap {lap}: recovery ≠ trinit: {e}");
+                        panic!("{execution:?}, lap {lap}: recovery ≠ trinit: {e}");
                     }
                 }
             }

@@ -55,13 +55,10 @@ fn trace_outcome(out: &mut String, qi: usize, o: &QueryOutcome) {
 
 fn trace_for(mode: &str) -> String {
     let ds = dataset();
-    // The default configuration — speculation Off, one worker — pins the
-    // *baseline* planner and executor. The lifecycle's fallback/feedback
-    // behaviour evolves plans across runs by design and has its own
-    // differential suite (tests/diff_speculation.rs). Morsel workers repeat
-    // non-target scans, so their work counters legitimately exceed the
-    // sequential trace even though answers stay bit-identical (that equality
-    // is asserted by tests/diff_exec.rs, not here).
+    // The default configuration — speculation Off — pins the *baseline*
+    // planner and executor. The lifecycle's fallback/feedback behaviour
+    // evolves plans across runs by design and has its own differential
+    // suite (tests/diff_speculation.rs).
     let engine = Engine::new(&ds.graph, &ds.registry);
     let mut out = String::new();
     let _ = writeln!(

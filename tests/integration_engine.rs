@@ -71,9 +71,8 @@ fn specqp_answers_are_valid_relaxed_answers() {
 #[test]
 fn specqp_with_all_relaxed_plan_equals_trinit() {
     let ds = XkgGenerator::new(XkgConfig::small(24)).generate();
-    // The default engine is sequential: this test asserts exact
-    // work-counter equality, and morsel workers repeat non-target scans by a
-    // scheduling-dependent amount (answers stay identical either way).
+    // Work counters depend only on the graph, query, plan and block size,
+    // so the forced run and TriniT create exactly the same answer objects.
     let engine = Engine::new(&ds.graph, &ds.registry);
     let query = &ds.workload.queries[0];
     let forced = engine.run_with_plan(query, 10, QueryPlan::all_relaxed(query.len()));
@@ -111,8 +110,6 @@ fn workload_quality_stays_reasonable() {
 #[test]
 fn memory_metric_spec_never_exceeds_trinit_when_pruning() {
     let ds = XkgGenerator::new(XkgConfig::small(26)).generate();
-    // The default engine is sequential: the §4.3 memory-metric comparison
-    // only holds there (morsel workers repeat non-target scans).
     let engine = Engine::new(&ds.graph, &ds.registry);
     for query in ds.workload.queries.iter().take(6) {
         let spec = engine.run_specqp(query, 10);
@@ -156,11 +153,10 @@ fn required_relaxations_consistent_with_plans() {
 #[test]
 fn engine_runs_are_deterministic() {
     let ds = XkgGenerator::new(XkgConfig::small(28)).generate();
-    // The default engine — speculation Off, sequential: repeated-run
-    // identity is a property of the baseline path. Under a feedback policy,
-    // run 1's verdicts may legitimately re-plan run 2 (that is the learning
-    // loop working), and the final counter assertion is only exact
-    // sequentially.
+    // The default engine — speculation Off: repeated-run identity is a
+    // property of the baseline path. Under a feedback policy, run 1's
+    // verdicts may legitimately re-plan run 2 (that is the learning loop
+    // working).
     let engine = Engine::new(&ds.graph, &ds.registry);
     let query = &ds.workload.queries[1];
     let a = engine.run_specqp(query, 15);

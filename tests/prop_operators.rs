@@ -6,13 +6,12 @@ use kgstore::{
 };
 use operators::{
     top_k_blocks, top_k_blocks_floored, Binding, BlockIncrementalMerge, BlockRankJoin, BlockScan,
-    BlockStream, BoxedBlockStream, MetricsHandle, MorselDispenser, OpMetrics, PartialAnswer,
-    ReplayBlocks, ScaledProjection,
+    BlockStream, BoxedBlockStream, MetricsHandle, OpMetrics, PartialAnswer, ReplayBlocks,
+    ScaledProjection,
 };
 use proptest::prelude::*;
 use sparql::{Term, TriplePattern, Var};
 use specqp_common::{Score, TermId};
-use std::sync::Arc;
 
 /// Strategy: one input list binding `?0` and `?side_var`, sorted by the
 /// canonical total order, with controlled key collisions and continuous
@@ -237,23 +236,18 @@ fn scan_rows_into(block: &operators::AnswerBlock, out: &mut Vec<ScanRow>) {
     }
 }
 
-/// The scan contract on one graph version, for every pattern: a whole-list
-/// scan emits the reference in order at every block size (and counts one
-/// sorted access per row); `workers` morsel scans pulled in turn emit it
-/// between them.
+/// The scan contract on one graph version, for every pattern: a scan emits
+/// the reference in order at every block size (and counts one sorted access
+/// per row).
 fn check_scans(
     graph: &KnowledgeGraph,
     patterns: &[(u8, u8, u8)],
     weight: Score,
-    workers: usize,
-    morsel: usize,
     stage: &str,
 ) -> Result<(), TestCaseError> {
     for &picks in patterns {
         let pattern = scan_pattern(graph, picks);
         let want = scan_reference(graph, pattern, weight);
-        let mut sorted_want = want.clone();
-        sorted_want.sort_unstable();
         for size in SIZES {
             let metrics = OpMetrics::new_handle();
             let mut scan = BlockScan::new(graph, pattern, weight, metrics.clone(), size);
@@ -264,37 +258,6 @@ fn check_scans(
             }
             prop_assert_eq!(&got, &want, "{} {:?} size {}", stage, pattern, size);
             prop_assert_eq!(metrics.sorted_accesses(), want.len() as u64);
-
-            let (s, p, o) = pattern.const_parts();
-            let total = graph.matches(PatternKey { s, p, o }).len();
-            let dispenser = Arc::new(MorselDispenser::new(total, morsel));
-            let mut scans: Vec<BlockScan<'_>> = (0..workers)
-                .map(|_| {
-                    let m = OpMetrics::new_handle();
-                    BlockScan::with_morsels(graph, pattern, weight, m, size, dispenser.clone())
-                })
-                .collect();
-            let mut got = Vec::new();
-            while !scans.is_empty() {
-                scans.retain_mut(|scan| match scan.next_block() {
-                    Some(block) => {
-                        scan_rows_into(&block, &mut got);
-                        true
-                    }
-                    None => false,
-                });
-            }
-            got.sort_unstable();
-            prop_assert_eq!(
-                &got,
-                &sorted_want,
-                "{} {:?} size {} {} workers, morsel {}",
-                stage,
-                pattern,
-                size,
-                workers,
-                morsel
-            );
         }
     }
     Ok(())
@@ -417,8 +380,7 @@ proptest! {
 
     /// A scan emits exactly its match list — bindings, score bits, order —
     /// for patterns with 0–3 variables (repeated or not, empty lists
-    /// included), at every block size, whole-list and split into morsels,
-    /// on a flat graph and on every live version after it: asserts of new
+    /// included), at every block size, on a flat graph and on every live version after it: asserts of new
     /// triples, score replacements and retractions read through the
     /// overlay.
     #[test]
@@ -433,12 +395,10 @@ proptest! {
         ),
         patterns in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
         weight_tenths in 1u32..=10,
-        workers in 1usize..4,
-        morsel in 1usize..6,
     ) {
         let weight = Score::new(f64::from(weight_tenths) / 10.0);
         let live = LiveGraph::with_policy(scan_graph(&base), CompactionPolicy::never());
-        check_scans(&live.pinned().0, &patterns, weight, workers, morsel, "flat")?;
+        check_scans(&live.pinned().0, &patterns, weight, "flat")?;
         for (e, ops) in epochs.iter().enumerate() {
             let mut batch = WriteBatch::new();
             for &(kind, s, p, o, score) in ops {
@@ -452,7 +412,7 @@ proptest! {
             live.commit(&batch);
             let (graph, _) = live.pinned();
             prop_assert!(graph.has_overlay());
-            check_scans(&graph, &patterns, weight, workers, morsel, &format!("epoch {}", e + 1))?;
+            check_scans(&graph, &patterns, weight, &format!("epoch {}", e + 1))?;
         }
     }
 
