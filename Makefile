@@ -26,6 +26,7 @@ test:
 	env -u RUST_TEST_THREADS $(CARGO) test -q --release -p specqp_service
 	env -u RUST_TEST_THREADS $(CARGO) test -q --release -p specqp_server
 	env -u RUST_TEST_THREADS $(CARGO) test -q --release -p kgstore
+	env -u RUST_TEST_THREADS $(CARGO) test -q --release -p specqp_stats
 
 bench:
 	$(CARGO) bench --no-run --workspace

@@ -320,8 +320,7 @@ impl<'g> Engine<'g> {
         &self.plan_cache
     }
 
-    /// The statistics catalog, including the speculation feedback ledger
-    /// and its generation counter.
+    /// The statistics catalog, including the speculation feedback ledger.
     pub fn catalog(&self) -> &StatsCatalog {
         &self.catalog
     }
@@ -341,8 +340,11 @@ impl<'g> Engine<'g> {
 
     /// Phase 1 of the lifecycle — returns the plan for `query` and the time
     /// it took: a plan-cache lookup first (a cached plan serves only the
-    /// epoch it was planned on, and only if no ledger flip came after it),
-    /// with PLANGEN run (and the result cached) on a miss.
+    /// epoch it was planned on), with PLANGEN run (and the result cached) on
+    /// a miss. The speculation ledger's bias is applied to every plan
+    /// served: a pruned pattern the ledger holds as a
+    /// [repeat offender](StatsCatalog::repeat_offender) is relaxed, whatever
+    /// the estimate said.
     pub fn plan(&self, query: &Query, k: usize) -> (QueryPlan, Duration) {
         let graph = self.pin();
         self.plan_on(&graph, query, k)
@@ -351,22 +353,36 @@ impl<'g> Engine<'g> {
     fn plan_on(&self, graph: &KnowledgeGraph, query: &Query, k: usize) -> (QueryPlan, Duration) {
         let t0 = Instant::now();
         let shape = QueryShape::of(query, k);
-        let (epoch, generation) = (graph.epoch(), self.catalog.generation());
-        if let Some(plan) = self.plan_cache.lookup(&shape, epoch, generation) {
-            return (plan, t0.elapsed());
-        }
-        let plan = plan_query(
-            graph,
-            query,
-            k,
-            &self.catalog,
-            &self.cardinality,
-            self.registry.get(),
-            self.config.refit,
-            false,
-        );
-        self.plan_cache
-            .insert(shape, plan.clone(), epoch, generation);
+        let epoch = graph.epoch();
+        let registry = self.registry.get();
+        let plan = self.plan_cache.lookup(&shape, epoch).unwrap_or_else(|| {
+            let plan = plan_query(
+                graph,
+                query,
+                k,
+                &self.catalog,
+                &self.cardinality,
+                registry,
+                self.config.refit,
+                false,
+            );
+            self.plan_cache.insert(shape, plan.clone(), epoch);
+            plan
+        });
+        // The feedback bias: the ledger outranks the estimate once a
+        // pattern's pruning has repeatedly proven wrong at runtime.
+        let offenders: Vec<usize> = speculation::escalation_candidates(query, &plan, registry)
+            .into_iter()
+            .filter(|&i| {
+                self.catalog
+                    .repeat_offender(&query.patterns()[i].stats_key())
+            })
+            .collect();
+        let plan = if offenders.is_empty() {
+            plan
+        } else {
+            plan.escalated(&offenders)
+        };
         (plan, t0.elapsed())
     }
 
@@ -438,8 +454,7 @@ impl<'g> Engine<'g> {
     /// * every verdict is recorded in the statistics feedback ledger
     ///   (escalated patterns as mis-speculations when their stage changed
     ///   the top-k, clean otherwise; surviving pruned patterns as clean),
-    ///   biasing later PLANGEN runs and bumping the catalog generation
-    ///   whenever a pattern's bias flips;
+    ///   biasing the plans [`Engine::plan`] serves from then on;
     /// * [`SpeculationPolicy::ForceFinal`] alone runs no verifier and no
     ///   delta: it discards the speculative run for the literal all-relaxed
     ///   plan — byte-identical to [`Engine::run_trinit`] — and records
@@ -513,8 +528,9 @@ impl<'g> Engine<'g> {
                 // pattern the ledger holds as a repeat offender is
                 // re-probated against reality. If its relaxations
                 // contributed nothing to the final top-k, clean verdicts
-                // accumulate until the bias flips off and PLANGEN prunes it
-                // again; if they did contribute, the offense is reinforced.
+                // accumulate until the bias flips off and the served plan
+                // prunes it again; if they did contribute, the offense is
+                // reinforced.
                 // Without this, one spurious offense would lock a shape onto
                 // relaxed plans forever (relaxed patterns are never
                 // escalation candidates, so they could never earn clean
@@ -899,43 +915,57 @@ mod tests {
         assert_eq!(forced.answers, trinit.answers, "bit-exact scores and order");
         assert_eq!(forced.plan, QueryPlan::all_relaxed(2));
         assert_eq!(forced.report.fallback_stages, 1);
-        assert_eq!(
-            engine.catalog().generation(),
-            0,
-            "diagnostic mode never teaches"
-        );
+        for p in q.patterns() {
+            assert_eq!(
+                engine.catalog().speculation_outcome(&p.stats_key()),
+                specqp_stats::SpeculationOutcome::default(),
+                "diagnostic mode never teaches"
+            );
+        }
     }
 
-    /// End-to-end staleness: a feedback refit that bumps the catalog
-    /// generation forces the next run of a cached shape to re-plan instead
-    /// of serving the stale plan.
+    /// The ledger's bias is applied where a plan is served, not baked into
+    /// the cached plan: recording an offense leaves the cached plan valid,
+    /// the next lookup is a hit, and the served plan relaxes the offender.
+    /// Clean verdicts that flip the bias back make the next hit serve the
+    /// unbiased plan again.
     #[test]
-    fn feedback_refit_invalidates_cached_plan() {
-        let (g, reg) = setup();
+    fn ledger_bias_is_applied_to_cache_hits() {
+        let (g, _) = setup();
+        let d = g.dictionary();
+        // A faint big→backup relaxation gives the offender bias something
+        // to act on, and the estimate prunes it: 50 `big` answers, and no
+        // relaxed answer scores above 0.1.
+        let mut reg = RelaxationRegistry::new();
+        reg.add(TermRule::with_context(
+            Position::Object,
+            d.lookup("big").unwrap(),
+            d.lookup("backup").unwrap(),
+            0.1,
+            d.lookup("type").unwrap(),
+        ));
         let engine = Engine::new(&g, &reg);
-        // `small` carries the small→backup relaxation, so the offender bias
-        // has something to act on.
-        let q = parse_query("SELECT ?s WHERE { ?s <type> <small> }", g.dictionary()).unwrap();
-        engine.warm(&q, 1);
+        let q = parse_query("SELECT ?s WHERE { ?s <type> <big> }", d).unwrap();
+        engine.warm(&q, 5);
         let m = engine.plan_cache_metrics().clone();
-        assert_eq!(m.misses(), 1);
-        let (_, _) = engine.plan(&q, 1);
-        assert_eq!(m.hits(), 1, "warm plan served before the refit");
+        let (unbiased, _) = engine.plan(&q, 5);
+        assert!(!unbiased.is_relaxed(0), "the estimate prunes `big`");
 
-        // A refit lands: the pattern's pruning is recorded as a repeat
-        // offense, flipping its bias and bumping the generation.
-        assert!(engine
+        let key = q.patterns()[0].stats_key();
+        engine.catalog().record_speculation(key, true);
+        let (biased, _) = engine.plan(&q, 5);
+        assert_eq!(biased, unbiased.escalated(&[0]), "the offender is relaxed");
+        assert_eq!(m.hits(), 2, "the cached plan still serves");
+        assert_eq!((m.misses(), m.stale()), (1, 0), "nothing was re-planned");
+
+        // Two clean verdicts outweigh the one offense: the bias is off.
+        engine
             .catalog()
-            .record_speculation(q.patterns()[0].stats_key(), true));
-
-        let (p2, _) = engine.plan(&q, 1);
-        assert_eq!(m.hits(), 1, "stale plan must not be served");
-        assert_eq!(m.misses(), 2, "the shape was re-planned");
-        assert_eq!(m.stale(), 1, "the stale entry was dropped on sight");
-        assert!(p2.is_relaxed(0), "the re-plan honours the new bias");
-        // The refreshed plan serves again at the new generation.
-        let (_, _) = engine.plan(&q, 1);
-        assert_eq!(m.hits(), 2);
+            .record_speculations([(key, false), (key, false)]);
+        assert!(!engine.catalog().repeat_offender(&key));
+        let (again, _) = engine.plan(&q, 5);
+        assert_eq!(again, unbiased);
+        assert_eq!((m.hits(), m.misses(), m.stale()), (3, 1, 0));
     }
 
     /// An escalation that changes nothing must be recorded as a *clean*
@@ -1087,7 +1117,6 @@ mod tests {
         assert_eq!(outcome.mis_speculations, 0, "nothing was confirmed");
         assert!(outcome.clean_prunes >= 1, "the probe is on file as clean");
         assert!(!engine.catalog().repeat_offender(&key));
-        assert_eq!(engine.catalog().generation(), 0);
     }
 
     /// A delta row may *upgrade* a binding the old top-k already holds: `e1`
@@ -1151,9 +1180,8 @@ mod tests {
     }
 
     /// An unfixable under-filled shape must not oscillate the offender
-    /// bias (flag → relax → exonerate → re-flag …), which would bump the
-    /// catalog generation — and thereby invalidate the whole plan cache —
-    /// on every single run.
+    /// bias (flag → relax → exonerate → re-flag …), which would change the
+    /// served plan — and pay a fallback ladder — on every single run.
     #[test]
     fn fallback_does_not_oscillate_on_unfixable_underfill() {
         let (g, reg) = setup();
@@ -1165,26 +1193,32 @@ mod tests {
             g.dictionary(),
         )
         .unwrap();
+        let key = q.patterns()[1].stats_key();
         // PLANGEN relaxes `small` on its own, so seed the ledger with a run
         // of the bare plan: recovery confirms it and puts `small` on file.
         let seed = engine.run_speculative(&q, 40, QueryPlan::none_relaxed(2));
         assert!(seed.report.mis_speculated, "the seed run is flagged");
-        assert!(engine.catalog().generation() >= 1, "the flag bumped it");
+        assert!(engine.catalog().repeat_offender(&key), "the flag set it");
+        let mut bias = true;
+        let mut flips = 0;
         for _ in 0..6 {
             let _ = engine.run_specqp(&q, 40);
+            let now = engine.catalog().repeat_offender(&key);
+            flips += usize::from(now != bias);
+            bias = now;
         }
-        let generation = engine.catalog().generation();
-        // One flag → one exoneration is the worst permissible transient;
-        // after that the shape must be settled and the generation stable —
-        // identical repeated observations never count as revisions.
-        assert!(generation <= 2, "generation oscillated: {generation}");
-        let before = generation;
+        // One exoneration is the worst permissible transient; after that
+        // the shape must be settled — identical repeated observations never
+        // count as revisions.
+        assert!(flips <= 1, "the bias oscillated: {flips} flips");
+        let (served, _) = engine.plan(&q, 40);
         let _ = engine.run_specqp(&q, 40);
         let _ = engine.run_specqp(&q, 40);
+        assert_eq!(engine.catalog().repeat_offender(&key), bias);
         assert_eq!(
-            engine.catalog().generation(),
-            before,
-            "steady state must not keep invalidating the plan cache"
+            engine.plan(&q, 40).0,
+            served,
+            "steady state must serve one plan"
         );
     }
 
@@ -1280,11 +1314,6 @@ mod tests {
         // Steady state: no further commits, nothing further goes stale.
         let _ = engine.run_specqp(&q, 10);
         assert_eq!(m.stale(), 1);
-        assert_eq!(
-            engine.catalog().generation(),
-            0,
-            "a commit is no ledger flip"
-        );
     }
 
     /// Regression: a planner still on an older pin must not leave its plan

@@ -14,26 +14,17 @@
 //! [`CacheMetrics`] handle (`operators::metrics`), maintaining the invariant
 //! `hits + misses == lookups`.
 //!
-//! Staleness model: every cached plan is stamped with what it was planned
-//! against — the graph **epoch**
-//! ([`KnowledgeGraph::epoch`](kgstore::KnowledgeGraph::epoch)) and the
-//! statistics-catalog **feedback generation**
-//! ([`StatsCatalog::generation`](specqp_stats::StatsCatalog::generation)).
-//! A plan is served only at its own epoch, the rule the statistics memos
-//! follow too. A lookup from a newer epoch, or from a newer generation at
-//! the same epoch, drops the entry on sight (counted as `stale` + `miss`);
-//! a lookup from an older epoch — a caller still holding an earlier pin —
-//! misses and leaves the entry alone, and its insert never replaces it. So
-//! neither a commit nor a ledger flip can serve a plan that pre-dates it,
-//! and nothing has to invalidate the cache.
-//! The generation is deliberately **global**: a bump invalidates every
-//! cached shape, not just those containing the refitted pattern — a
-//! correctness-first coarseness. It stays cheap because bias flips are rare
-//! and self-limiting (the ledger's settled/exoneration machinery lets each
-//! pattern flip at most a handful of times per process before converging),
-//! after which the cache runs at full hit rate again. Per-dependency
-//! stamping would bound invalidation to affected shapes if workloads ever
-//! make flips frequent.
+//! Staleness model: every cached plan is stamped with the graph **epoch**
+//! ([`KnowledgeGraph::epoch`](kgstore::KnowledgeGraph::epoch)) it was
+//! planned on and is served only at that epoch, the rule the statistics
+//! memos follow too. A lookup from a newer epoch drops the entry on sight
+//! (counted as `stale` + `miss`); a lookup from an older epoch — a caller
+//! still holding an earlier pin — misses and leaves the entry alone, and its
+//! insert never replaces it. So a commit can never serve a plan that
+//! pre-dates it, and nothing has to invalidate the cache. The speculation
+//! ledger plays no part: PLANGEN does not read it, so a cached plan stays
+//! valid across ledger writes, and the engine applies the ledger's bias to
+//! each plan it serves.
 
 use crate::plan::QueryPlan;
 use kgstore::Epoch;
@@ -104,18 +95,11 @@ impl QueryShape {
     }
 }
 
-/// What a plan was planned against, ordered by epoch first.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-struct Stamp {
-    epoch: Epoch,
-    generation: u64,
-}
-
-/// One cached plan plus its [`Stamp`].
+/// One cached plan plus the epoch it was planned on.
 #[derive(Debug)]
 struct CachedPlan {
     plan: QueryPlan,
-    stamp: Stamp,
+    epoch: Epoch,
 }
 
 /// One shard: a bounded map plus FIFO insertion order for eviction.
@@ -162,11 +146,6 @@ impl PlanCache {
         &self.metrics
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total cached plans across all shards.
     pub fn len(&self) -> usize {
         self.shards
@@ -185,22 +164,19 @@ impl PlanCache {
         &self.shards[h % self.shards.len()]
     }
 
-    /// Looks up the plan for `shape` on graph `epoch` as of feedback
-    /// `generation`, counting a hit or a miss. Only a plan planned on the
-    /// same epoch, at the same or a newer generation, is served. An entry
-    /// from an older epoch, or from an older generation of this epoch, is
-    /// dropped on sight (counted as `stale` in addition to the miss): the
-    /// commit or the feedback since may change PLANGEN's answer. An entry
+    /// Looks up the plan for `shape` on graph `epoch`, counting a hit or a
+    /// miss. Only a plan planned on the same epoch is served. An entry from
+    /// an older epoch is dropped on sight (counted as `stale` in addition to
+    /// the miss): the commits since may change PLANGEN's answer. An entry
     /// from a newer epoch is a miss and stays.
-    pub fn lookup(&self, shape: &QueryShape, epoch: Epoch, generation: u64) -> Option<QueryPlan> {
-        let stamp = Stamp { epoch, generation };
+    pub fn lookup(&self, shape: &QueryShape, epoch: Epoch) -> Option<QueryPlan> {
         let mut shard = self.shard_for(shape).lock().expect("plan cache poisoned");
         match shard.map.get(shape) {
-            Some(cached) if cached.stamp.epoch == epoch && cached.stamp >= stamp => {
+            Some(cached) if cached.epoch == epoch => {
                 self.metrics.count_hit();
                 Some(cached.plan.clone())
             }
-            Some(cached) if cached.stamp < stamp => {
+            Some(cached) if cached.epoch < epoch => {
                 shard.map.remove(shape);
                 shard.order.retain(|s| s != shape);
                 self.metrics.count_stale();
@@ -215,28 +191,19 @@ impl PlanCache {
     }
 
     /// Inserts `plan` for `shape`, stamped with the graph `epoch` it was
-    /// planned on and the feedback `generation` it was planned under, unless
-    /// an entry from a newer epoch, or from the same epoch at the same or a
-    /// newer generation, already exists (plans are deterministic per shape,
-    /// epoch and generation, so the first insert wins and concurrent
-    /// duplicates are dropped; a newer insert replaces a stale entry in
-    /// place). Evicts the oldest entry of a full shard. Returns `true` when
-    /// the plan was actually stored.
-    pub fn insert(
-        &self,
-        shape: QueryShape,
-        plan: QueryPlan,
-        epoch: Epoch,
-        generation: u64,
-    ) -> bool {
-        let stamp = Stamp { epoch, generation };
+    /// planned on, unless an entry from the same or a newer epoch already
+    /// exists (plans are deterministic per shape and epoch, so the first
+    /// insert wins and concurrent duplicates are dropped; a newer insert
+    /// replaces a stale entry in place). Evicts the oldest entry of a full
+    /// shard. Returns `true` when the plan was actually stored.
+    pub fn insert(&self, shape: QueryShape, plan: QueryPlan, epoch: Epoch) -> bool {
         let mut shard = self.shard_for(&shape).lock().expect("plan cache poisoned");
         if let Some(cached) = shard.map.get_mut(&shape) {
-            if cached.stamp >= stamp {
+            if cached.epoch >= epoch {
                 return false;
             }
             // Refresh a stale entry in place; it keeps its eviction slot.
-            *cached = CachedPlan { plan, stamp };
+            *cached = CachedPlan { plan, epoch };
             self.metrics.count_stale();
             self.metrics.count_insertion();
             return true;
@@ -248,7 +215,7 @@ impl PlanCache {
             }
         }
         shard.order.push_back(shape.clone());
-        shard.map.insert(shape, CachedPlan { plan, stamp });
+        shard.map.insert(shape, CachedPlan { plan, epoch });
         self.metrics.count_insertion();
         true
     }
@@ -311,11 +278,11 @@ mod tests {
     fn lookup_insert_roundtrip_with_metrics() {
         let cache = PlanCache::default();
         let shape = QueryShape::of(&query(["s", "o"], [5, 6]), 10);
-        assert!(cache.lookup(&shape, E0, 0).is_none());
-        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[1]), E0, 0));
-        // Duplicate same-generation insert is refused.
-        assert!(!cache.insert(shape.clone(), QueryPlan::new(3, &[2]), E0, 0));
-        let got = cache.lookup(&shape, E0, 0).unwrap();
+        assert!(cache.lookup(&shape, E0).is_none());
+        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[1]), E0));
+        // Duplicate same-epoch insert is refused.
+        assert!(!cache.insert(shape.clone(), QueryPlan::new(3, &[2]), E0));
+        let got = cache.lookup(&shape, E0).unwrap();
         assert_eq!(got, QueryPlan::new(3, &[1]), "first insert wins");
         let m = cache.metrics();
         assert_eq!(m.lookups(), 2);
@@ -335,88 +302,53 @@ mod tests {
             .map(|i| QueryShape::of(&query(["s", "o"], [i, i + 10]), 10))
             .collect();
         for s in &shapes {
-            assert!(cache.insert(s.clone(), QueryPlan::none_relaxed(3), E0, 0));
+            assert!(cache.insert(s.clone(), QueryPlan::none_relaxed(3), E0));
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.metrics().evictions(), 1);
         assert!(
-            cache.lookup(&shapes[0], E0, 0).is_none(),
+            cache.lookup(&shapes[0], E0).is_none(),
             "oldest entry evicted"
         );
-        assert!(cache.lookup(&shapes[1], E0, 0).is_some());
-        assert!(cache.lookup(&shapes[2], E0, 0).is_some());
+        assert!(cache.lookup(&shapes[1], E0).is_some());
+        assert!(cache.lookup(&shapes[2], E0).is_some());
     }
 
-    /// A feedback-generation bump makes every older entry unservable: the
-    /// lookup drops it (stale + miss) and a fresh insert replaces it.
-    #[test]
-    fn generation_bump_invalidates_cached_plans() {
-        let cache = PlanCache::default();
-        let shape = QueryShape::of(&query(["s", "o"], [5, 6]), 10);
-        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[1]), E0, 0));
-        assert!(
-            cache.lookup(&shape, E0, 0).is_some(),
-            "same generation serves"
-        );
-
-        // Generation moved on: the old plan must not be served.
-        assert!(cache.lookup(&shape, E0, 1).is_none());
-        let m = cache.metrics();
-        assert_eq!(m.stale(), 1);
-        assert_eq!(m.misses(), 1);
-        assert_eq!(cache.len(), 0, "stale entry dropped eagerly");
-
-        // Re-planned under the new generation: serves again, including for
-        // later same-generation lookups.
-        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[1, 2]), E0, 1));
-        assert_eq!(
-            cache.lookup(&shape, E0, 1).unwrap(),
-            QueryPlan::new(3, &[1, 2])
-        );
-    }
-
-    /// A newer-generation insert refreshes a stale entry in place instead of
+    /// A newer-epoch insert refreshes a stale entry in place instead of
     /// being refused as a duplicate.
     #[test]
     fn stale_entry_is_replaced_by_newer_insert() {
         let cache = PlanCache::new(1, 2);
         let shape = QueryShape::of(&query(["s", "o"], [5, 6]), 10);
-        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[]), E0, 0));
-        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[0]), E0, 2));
+        let e2 = Epoch::new(2);
+        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[]), E0));
+        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[0]), e2));
         assert_eq!(cache.len(), 1);
-        assert_eq!(
-            cache.lookup(&shape, E0, 2).unwrap(),
-            QueryPlan::new(3, &[0])
-        );
-        // Older-generation insert never downgrades a newer entry.
-        assert!(!cache.insert(shape.clone(), QueryPlan::new(3, &[]), E0, 1));
-        assert_eq!(
-            cache.lookup(&shape, E0, 2).unwrap(),
-            QueryPlan::new(3, &[0])
-        );
+        assert_eq!(cache.metrics().stale(), 1);
+        assert_eq!(cache.lookup(&shape, e2).unwrap(), QueryPlan::new(3, &[0]));
     }
 
-    /// A plan serves only its own epoch. A newer epoch drops it on sight,
-    /// whatever the generations; an older epoch (a caller on an earlier
-    /// pin) misses, leaves it in place and cannot replace it.
+    /// A plan serves only its own epoch. A newer epoch drops it on sight; an
+    /// older epoch (a caller on an earlier pin) misses, leaves it in place
+    /// and cannot replace it.
     #[test]
     fn plans_serve_only_their_epoch() {
         let cache = PlanCache::default();
         let shape = QueryShape::of(&query(["s", "o"], [5, 6]), 10);
         let (e1, e2) = (Epoch::new(1), Epoch::new(2));
-        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[1]), e1, 5));
-        assert!(cache.lookup(&shape, e1, 5).is_some(), "same epoch serves");
+        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[1]), e1));
+        assert!(cache.lookup(&shape, e1).is_some(), "same epoch serves");
 
         // An older pin misses and cannot overwrite the newer plan.
-        assert!(cache.lookup(&shape, E0, 9).is_none());
-        assert!(!cache.insert(shape.clone(), QueryPlan::new(3, &[]), E0, 9));
+        assert!(cache.lookup(&shape, E0).is_none());
+        assert!(!cache.insert(shape.clone(), QueryPlan::new(3, &[]), E0));
         let m = cache.metrics();
         assert_eq!((m.stale(), cache.len()), (0, 1), "newer entry kept");
 
-        // A newer epoch drops it, even at a lower generation.
-        assert!(cache.lookup(&shape, e2, 0).is_none());
+        // A newer epoch drops it.
+        assert!(cache.lookup(&shape, e2).is_none());
         assert_eq!((m.stale(), cache.len()), (1, 0), "older epoch dropped");
-        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[]), e2, 0));
-        assert_eq!(cache.lookup(&shape, e2, 0).unwrap(), QueryPlan::new(3, &[]));
+        assert!(cache.insert(shape.clone(), QueryPlan::new(3, &[]), e2));
+        assert_eq!(cache.lookup(&shape, e2).unwrap(), QueryPlan::new(3, &[]));
     }
 }

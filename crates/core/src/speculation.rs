@@ -14,7 +14,7 @@
 //!                │          │ above the k-th score│  remaining candidate,
 //!                │          └────────────────────┘  one delta each
 //!                │        feedback ledger     │
-//!                └───── (StatsCatalog, generation bump) ◀── verdicts
+//!                └──── (StatsCatalog offender bias) ◀── verdicts
 //! ```
 //!
 //! * **Verify** ([`verify`]): after the speculative plan drains, the verdict
@@ -40,9 +40,9 @@
 //!   (`RunReport::wasted_answers`), so the price of a wrong guess is
 //!   measured, not hidden.
 //! * **Learn**: verdicts feed the per-pattern-shape ledger in
-//!   [`specqp_stats::StatsCatalog`], which biases later PLANGEN runs away
-//!   from repeat offenders and bumps the catalog generation so stale cached
-//!   plans are re-planned.
+//!   [`specqp_stats::StatsCatalog`]. The engine relaxes the pruned patterns
+//!   the ledger holds as repeat offenders in every plan it serves, cached or
+//!   fresh; PLANGEN and the plan cache never read the ledger.
 //!
 //! The policy is selected per engine through
 //! [`EngineConfig::speculation`](crate::EngineConfig::speculation).

@@ -172,9 +172,9 @@ impl CacheMetrics {
         self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one entry dropped because it was built against an older
-    /// statistics generation (a feedback refit made it stale). Counted in
-    /// addition to the miss the same lookup reports.
+    /// Records one entry dropped or replaced because it was built on an
+    /// older graph epoch (a commit made it stale). A dropped entry is
+    /// counted in addition to the miss the same lookup reports.
     #[inline]
     pub fn count_stale(&self) {
         self.stale.fetch_add(1, Ordering::Relaxed);
@@ -205,7 +205,7 @@ impl CacheMetrics {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Entries dropped as generation-stale.
+    /// Entries dropped or replaced as epoch-stale.
     pub fn stale(&self) -> u64 {
         self.stale.load(Ordering::Relaxed)
     }

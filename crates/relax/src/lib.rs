@@ -21,12 +21,10 @@ pub mod chain;
 pub mod cooccur;
 pub mod hierarchy;
 pub mod registry;
-pub mod relaxed_query;
 pub mod rule;
 
 pub use chain::{ChainRelaxation, ChainRule};
 pub use cooccur::CooccurrenceMiner;
 pub use hierarchy::{HierarchyMiner, TypeHierarchy};
 pub use registry::{Relaxation, RelaxationRegistry};
-pub use relaxed_query::{apply_relaxation, enumerate_relaxed_queries};
 pub use rule::{Position, TermRule};

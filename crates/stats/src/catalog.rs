@@ -15,23 +15,17 @@
 //! [`StatsCatalog::record_speculation`] with `mis_speculated = true` when a
 //! pruned pattern had to be escalated by a fallback stage, `false` when a
 //! pruned pattern survived verification. The ledger turns those verdicts
-//! into a planning bias — [`StatsCatalog::repeat_offender`] — that PLANGEN
-//! consults to relax patterns whose pruning keeps going wrong, regardless of
-//! what the (evidently miscalibrated) histogram estimate says.
-//!
-//! Every verdict that *flips* a pattern's offender bias bumps the catalog
-//! [`generation`](StatsCatalog::generation), and nothing else does. The plan
-//! cache stamps each cached plan with the generation it was planned under
-//! (and the graph epoch it was planned on) and treats plans from older
-//! generations as stale, so a refit ledger can never serve a plan that
-//! pre-dates the bias it now records.
+//! into a planning bias — [`StatsCatalog::repeat_offender`] — that the
+//! engine applies to every plan it serves, relaxing patterns whose pruning
+//! keeps going wrong, regardless of what the (evidently miscalibrated)
+//! histogram estimate says. The catalog knows nothing of plans or their
+//! caches.
 
 use crate::histogram::PatternStats;
 use crate::memo::VersionMemo;
 use kgstore::{KnowledgeGraph, PatternKey};
 use sparql::{StatsKey, TriplePattern};
 use specqp_common::FxHashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 /// Per-pattern-shape speculation outcomes: how often pruning this pattern's
@@ -75,7 +69,6 @@ impl SpeculationOutcome {
 pub struct StatsCatalog {
     cache: VersionMemo<StatsKey, Option<PatternStats>>,
     ledger: RwLock<FxHashMap<StatsKey, SpeculationOutcome>>,
-    generation: AtomicU64,
 }
 
 impl StatsCatalog {
@@ -84,30 +77,18 @@ impl StatsCatalog {
         Self::default()
     }
 
-    /// The feedback generation: starts at 0 and increases monotonically,
-    /// once per recorded verdict that flips some pattern's
-    /// [`repeat_offender`](SpeculationOutcome::repeat_offender) bias (i.e.
-    /// once per change that can alter PLANGEN's output). Plans cached under
-    /// an older generation must be re-planned.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
-
     /// Records one speculation verdict for the pattern shape `key`:
     /// `mis_speculated = true` when pruning the pattern's relaxations was a
     /// mistake the fallback had to repair, `false` when the pruned run
-    /// verified clean. Returns `true` when the verdict flipped the pattern's
-    /// offender bias (and therefore bumped the catalog generation).
-    pub fn record_speculation(&self, key: StatsKey, mis_speculated: bool) -> bool {
-        self.record_speculations(std::iter::once((key, mis_speculated))) > 0
+    /// verified clean.
+    pub fn record_speculation(&self, key: StatsKey, mis_speculated: bool) {
+        self.record_speculations(std::iter::once((key, mis_speculated)));
     }
 
     /// Records a whole run's verdicts under at most **one** ledger write-lock
     /// acquisition — the engine's lifecycle reports every pruned pattern of a
     /// query at once, so service workers contend on the lock once per query
-    /// instead of once per pattern. Returns the number of verdicts that
-    /// flipped a pattern's offender bias (each flip bumps the catalog
-    /// generation).
+    /// instead of once per pattern.
     ///
     /// Hot-path optimization: clean verdicts for patterns the ledger has
     /// never seen are **no-ops** — the ledger tracks outcomes only for
@@ -117,19 +98,15 @@ impl StatsCatalog {
     /// cost is that a pattern's *first* offense flips its bias immediately
     /// instead of being damped by earlier unrecorded cleans; the engine's
     /// exoneration audit flips it back if the offense proves spurious.)
-    pub fn record_speculations(&self, verdicts: impl IntoIterator<Item = (StatsKey, bool)>) -> u64 {
+    pub fn record_speculations(&self, verdicts: impl IntoIterator<Item = (StatsKey, bool)>) {
         let verdicts: Vec<(StatsKey, bool)> = verdicts.into_iter().collect();
-        if verdicts.is_empty() {
-            return 0;
-        }
         let needs_write = verdicts.iter().any(|(_, mis)| *mis) || {
             let ledger = self.ledger.read().expect("speculation ledger poisoned");
             verdicts.iter().any(|(key, _)| ledger.contains_key(key))
         };
-        if !needs_write {
-            return 0;
+        if needs_write {
+            self.write_verdicts(verdicts, false);
         }
-        self.write_verdicts(verdicts, false)
     }
 
     /// Records **probe** outcomes — verdicts backed by an actual paid-for
@@ -139,41 +116,27 @@ impl StatsCatalog {
     /// clean result is the evidence that marks a pattern
     /// [`settled_clean`](SpeculationOutcome::settled_clean), which is what
     /// stops the lifecycle from re-escalating a proven-futile shape forever.
-    pub fn record_probes(&self, verdicts: impl IntoIterator<Item = (StatsKey, bool)>) -> u64 {
-        self.write_verdicts(verdicts, true)
+    pub fn record_probes(&self, verdicts: impl IntoIterator<Item = (StatsKey, bool)>) {
+        self.write_verdicts(verdicts, true);
     }
 
     fn write_verdicts(
         &self,
         verdicts: impl IntoIterator<Item = (StatsKey, bool)>,
         force_cleans: bool,
-    ) -> u64 {
-        let verdicts: Vec<(StatsKey, bool)> = verdicts.into_iter().collect();
-        if verdicts.is_empty() {
-            return 0;
-        }
+    ) {
         let mut ledger = self.ledger.write().expect("speculation ledger poisoned");
-        let mut flips = 0u64;
         for (key, mis_speculated) in verdicts {
             if !mis_speculated && !force_cleans && !ledger.contains_key(&key) {
                 continue;
             }
             let entry = ledger.entry(key).or_default();
-            let was_offender = entry.repeat_offender();
             if mis_speculated {
                 entry.mis_speculations += 1;
             } else {
                 entry.clean_prunes += 1;
             }
-            if entry.repeat_offender() != was_offender {
-                // Bump while still holding the ledger lock so a concurrent
-                // planner never observes the new bias under the old
-                // generation.
-                self.generation.fetch_add(1, Ordering::AcqRel);
-                flips += 1;
-            }
         }
-        flips
     }
 
     /// The recorded outcomes for a pattern shape (all-zero when the ledger
@@ -187,8 +150,8 @@ impl StatsCatalog {
             .unwrap_or_default()
     }
 
-    /// PLANGEN's bias query: `true` when the ledger says pruning this
-    /// pattern's relaxations keeps going wrong, so the planner should keep
+    /// The serving-time bias query: `true` when the ledger says pruning this
+    /// pattern's relaxations keeps going wrong, so the served plan keeps
     /// them regardless of the histogram estimate.
     pub fn repeat_offender(&self, key: &StatsKey) -> bool {
         self.speculation_outcome(key).repeat_offender()
@@ -341,16 +304,14 @@ mod tests {
             .stats_key();
         assert_eq!(c.speculation_outcome(&key), SpeculationOutcome::default());
         assert!(!c.repeat_offender(&key));
-        assert_eq!(c.generation(), 0);
 
-        // First mis-speculation flips 0>0 → 1>0 and bumps the generation.
-        assert!(c.record_speculation(key, true));
+        // First mis-speculation flips 0>0 → 1>0.
+        c.record_speculation(key, true);
         assert!(c.repeat_offender(&key));
-        assert_eq!(c.generation(), 1);
 
-        // A second mis-speculation changes counts but not the bias: no bump.
-        assert!(!c.record_speculation(key, true));
-        assert_eq!(c.generation(), 1);
+        // A second mis-speculation changes counts but not the bias.
+        c.record_speculation(key, true);
+        assert!(c.repeat_offender(&key));
         assert_eq!(
             c.speculation_outcome(&key),
             SpeculationOutcome {
@@ -359,16 +320,14 @@ mod tests {
             }
         );
 
-        // Clean verdicts accumulate until they outweigh the misses; the
-        // flip back (2 > 2 is false) bumps again.
-        assert!(!c.record_speculation(key, false));
+        // Clean verdicts accumulate until they outweigh the misses.
+        c.record_speculation(key, false);
         assert!(c.repeat_offender(&key), "2 mis > 1 clean");
-        assert!(c.record_speculation(key, false));
+        c.record_speculation(key, false);
         assert!(
             !c.repeat_offender(&key),
             "2 mis vs 2 clean is not an offender"
         );
-        assert_eq!(c.generation(), 2);
     }
 
     #[test]
@@ -377,7 +336,7 @@ mod tests {
         let key = TriplePattern::new(Var(0), specqp_common::TermId(8), specqp_common::TermId(9))
             .stats_key();
         // A passive clean on a never-seen key is a no-op…
-        assert_eq!(c.record_speculations([(key, false)]), 0);
+        c.record_speculations([(key, false)]);
         assert_eq!(c.speculation_outcome(&key), SpeculationOutcome::default());
         assert!(
             !c.speculation_outcome(&key).settled_clean(),
@@ -385,14 +344,14 @@ mod tests {
         );
 
         // …but a probe's clean result always lands and settles the pattern.
-        assert_eq!(c.record_probes([(key, false)]), 0, "no bias flip");
+        c.record_probes([(key, false)]);
         let outcome = c.speculation_outcome(&key);
         assert_eq!(outcome.clean_prunes, 1);
         assert!(outcome.settled_clean());
-        assert_eq!(c.generation(), 0, "clean probes never bump the generation");
+        assert!(!c.repeat_offender(&key), "clean probes never set the bias");
 
         // Once on file, passive cleans accumulate too.
-        assert_eq!(c.record_speculations([(key, false)]), 0);
+        c.record_speculations([(key, false)]);
         assert_eq!(c.speculation_outcome(&key).clean_prunes, 2);
 
         // An offense unsettles only once it outweighs the cleans.
@@ -401,7 +360,8 @@ mod tests {
             c.speculation_outcome(&key).settled_clean(),
             "2 mis vs 2 clean"
         );
-        assert!(c.record_speculation(key, true), "3 > 2 flips the bias");
+        c.record_speculation(key, true);
+        assert!(c.repeat_offender(&key), "3 > 2 flips the bias");
         assert!(!c.speculation_outcome(&key).settled_clean());
     }
 
@@ -416,109 +376,51 @@ mod tests {
         assert!(c.repeat_offender(&b), "renamed variable shares the entry");
     }
 
-    /// Satellite stress test: a `settled_clean` verdict racing a
-    /// `record_speculation` offense must never lose a generation bump — the
-    /// plan cache relies on "bias visible ⇒ generation already bumped" to
-    /// never serve a plan from the older generation.
-    ///
-    /// The test hammers one key from offense/clean writer threads while an
-    /// observer snapshots the bias bracketed by two generation reads, then
-    /// checks two invariants:
-    /// * accounting: the sum of flip counts returned by all writers equals
-    ///   the final generation (every flip paid exactly one bump, none lost);
-    /// * ordering: whenever the observer sees the bias *change* between two
-    ///   snapshots, a generation read *after* the new bias must exceed every
-    ///   generation read *before* the old bias was last observed — the flip
-    ///   happened after that earlier read, so its bump must be visible by
-    ///   now. A changed bias that fails this is exactly the lost-bump bug.
-    ///   (Comparing a *pre*-bias generation read against the new bias would
-    ///   be a false positive: a writer can flip between the two reads, which
-    ///   only makes a plan stamp conservatively old — the safe direction.)
+    /// Every service worker writes the ledger: four writers hammering one
+    /// key, two with offenses and two with cleans, mixing the passive path
+    /// (a read-lock fast path in front of the write) with the probe path,
+    /// must lose no verdict.
     #[test]
-    fn concurrent_verdicts_never_lose_a_generation_bump() {
-        use std::sync::atomic::{AtomicBool, Ordering};
+    fn concurrent_verdicts_are_all_recorded() {
         use std::sync::Arc;
 
         let c = Arc::new(StatsCatalog::new());
         let key = TriplePattern::new(Var(0), specqp_common::TermId(77), specqp_common::TermId(78))
             .stats_key();
-        let stop = Arc::new(AtomicBool::new(false));
         const ROUNDS: usize = 400;
 
         // A clean `record_speculations` for a key the ledger has never seen
-        // is a documented no-op, and an exoneration thread can win the race
-        // to the first call. Seed the entry so every writer call is recorded
-        // and the totals below are exact.
-        let seed_flips = c.record_probes([(key, true)]);
+        // is a documented no-op, and a clean writer can win the race to the
+        // first call. Seed the entry so every writer call is recorded and
+        // the total below is exact.
+        c.record_probes([(key, true)]);
 
-        let mut writers = Vec::new();
-        for t in 0..4 {
-            let c = Arc::clone(&c);
-            writers.push(std::thread::spawn(move || {
-                let mut flips = 0u64;
-                for i in 0..ROUNDS {
-                    // Two offense threads, two exoneration threads; mix the
-                    // passive and probe paths so the read-lock fast path
-                    // races the write path.
-                    let mis = t < 2;
-                    flips += if (i + t) % 2 == 0 {
-                        c.record_speculations([(key, mis)])
-                    } else {
-                        c.record_probes([(key, mis)])
-                    };
-                }
-                flips
-            }));
-        }
-        let observer = {
-            let c = Arc::clone(&c);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                // `plan_on` reads the generation before consulting the bias,
-                // so a plan's stamp is at most the pre-flip generation; the
-                // cache drops the plan once the current generation passes the
-                // stamp. The matching invariant observable here: once a new
-                // bias is visible, the generation must have advanced past
-                // anything read while the old bias was still current.
-                let mut last_pre = c.generation();
-                let mut last_bias = c.repeat_offender(&key);
-                let mut violations = 0u64;
-                while !stop.load(Ordering::Acquire) {
-                    let pre = c.generation();
-                    let bias = c.repeat_offender(&key);
-                    let post = c.generation();
-                    // Any flip producing `bias` happened after `last_bias`
-                    // was read, hence after `last_pre` was read — so its
-                    // bump must already be visible in `post`.
-                    if bias != last_bias && post <= last_pre {
-                        violations += 1;
+        let writers: Vec<_> = (0..4)
+            .map(|t| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || {
+                    for i in 0..ROUNDS {
+                        let mis = t < 2;
+                        if (i + t) % 2 == 0 {
+                            c.record_speculations([(key, mis)]);
+                        } else {
+                            c.record_probes([(key, mis)]);
+                        }
                     }
-                    last_pre = pre;
-                    last_bias = bias;
-                }
-                violations
+                })
             })
-        };
-
-        let mut total_flips = seed_flips;
+            .collect();
         for w in writers {
-            total_flips += w.join().expect("writer panicked");
+            w.join().expect("writer panicked");
         }
-        stop.store(true, Ordering::Release);
-        let violations = observer.join().expect("observer panicked");
 
-        assert_eq!(
-            c.generation(),
-            total_flips,
-            "every flip must pay exactly one generation bump — a lost bump \
-             would let the plan cache serve a pre-flip plan"
-        );
-        assert_eq!(violations, 0, "bias changed without a generation bump");
-        // Sanity: the counts add up to everything the writers sent.
         let outcome = c.speculation_outcome(&key);
         assert_eq!(
-            outcome.mis_speculations + outcome.clean_prunes,
-            (1 + 4 * ROUNDS) as u64
+            outcome,
+            SpeculationOutcome {
+                mis_speculations: (1 + 2 * ROUNDS) as u64,
+                clean_prunes: (2 * ROUNDS) as u64,
+            }
         );
     }
 

@@ -30,10 +30,8 @@
 //!
 //! The catalog additionally keeps the **speculation feedback ledger**
 //! ([`SpeculationOutcome`]): per-pattern-shape mis-speculation verdicts
-//! reported back by the execution layer, which bias subsequent PLANGEN runs
-//! away from repeat offenders and bump the catalog
-//! [`generation`](StatsCatalog::generation) so stale cached plans are
-//! re-planned.
+//! reported back by the execution layer, which bias the plans the engine
+//! serves away from repeat offenders.
 
 pub mod cardinality;
 pub mod catalog;

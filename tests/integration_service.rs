@@ -242,11 +242,11 @@ fn cache_contention_same_key_is_consistent() {
         for _ in 0..THREADS {
             scope.spawn(|| {
                 for _ in 0..ROUNDS {
-                    match cache.lookup(&shape, Epoch::ZERO, 0) {
+                    match cache.lookup(&shape, Epoch::ZERO) {
                         Some(got) => assert_eq!(got, plan, "cached plan corrupted"),
                         None => {
                             // Losing the insert race is fine; double-insert is not.
-                            let _ = cache.insert(shape.clone(), plan.clone(), Epoch::ZERO, 0);
+                            let _ = cache.insert(shape.clone(), plan.clone(), Epoch::ZERO);
                         }
                     }
                 }
@@ -287,9 +287,9 @@ fn cache_contention_many_keys() {
         for _ in 0..6 {
             scope.spawn(|| {
                 for (shape, n) in shapes.iter().zip(&n_pats) {
-                    if cache.lookup(shape, Epoch::ZERO, 0).is_none() {
+                    if cache.lookup(shape, Epoch::ZERO).is_none() {
                         let _ =
-                            cache.insert(shape.clone(), QueryPlan::all_relaxed(*n), Epoch::ZERO, 0);
+                            cache.insert(shape.clone(), QueryPlan::all_relaxed(*n), Epoch::ZERO);
                     }
                 }
             });
