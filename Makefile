@@ -1,4 +1,5 @@
-# Mirrors .github/workflows/ci.yml — `make ci` is exactly the CI gate.
+# The CI gate: each step of .github/workflows/ci.yml runs one of these
+# targets, and `make ci` runs them all in the same order.
 CARGO ?= cargo
 
 .PHONY: ci lint fmt build test bench doc example specbench-check loc clean

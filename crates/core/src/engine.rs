@@ -8,7 +8,7 @@ use crate::plan_cache::{PlanCache, QueryShape};
 use crate::plangen::plan_query;
 use crate::speculation::{self, SpeculationPolicy};
 use crate::trace::RunReport;
-use kgstore::{Epoch, KnowledgeGraph, LiveGraph};
+use kgstore::{KnowledgeGraph, LiveGraph};
 use operators::{CacheMetricsHandle, ExecutionMode, OpMetrics, PartialAnswer, PullStrategy};
 use relax::RelaxationRegistry;
 use sparql::Query;
@@ -86,26 +86,17 @@ impl From<Arc<LiveGraph>> for GraphHandle<'_> {
     }
 }
 
-enum PinnedInner<'e> {
-    /// An immutable graph: the pin is just a borrow, the epoch is fixed at
-    /// [`Epoch::ZERO`] forever.
-    Static(&'e KnowledgeGraph),
-    /// A version published by a [`LiveGraph`]: the `Arc` keeps this exact
-    /// version alive for as long as the pin is held, even if writers commit
-    /// (or compaction folds the delta) concurrently.
-    Versioned(Arc<KnowledgeGraph>, Epoch),
-}
-
 /// A graph version pinned for the duration of one engine call.
 ///
-/// Dereferences to [`KnowledgeGraph`]. For engines over an immutable graph
-/// this is a plain borrow at [`Epoch::ZERO`]; for engines over a
-/// [`LiveGraph`] it co-owns the version that was current when the pin was
+/// Dereferences to [`KnowledgeGraph`], whose
+/// [`epoch`](KnowledgeGraph::epoch) is the epoch the pin observes. For
+/// engines over an immutable graph this is a plain borrow; for engines over
+/// a [`LiveGraph`] it co-owns the version that was current when the pin was
 /// taken, so concurrent [`LiveGraph::commit`]s never change what an
 /// in-flight query sees. Dropping the pin releases the version (compacted
 /// versions are freed once the last pinned reader drops them).
 pub struct PinnedGraph<'e> {
-    inner: PinnedInner<'e>,
+    graph: Handle<'e, KnowledgeGraph>,
 }
 
 impl Deref for PinnedGraph<'_> {
@@ -113,20 +104,7 @@ impl Deref for PinnedGraph<'_> {
 
     #[inline]
     fn deref(&self) -> &KnowledgeGraph {
-        match &self.inner {
-            PinnedInner::Static(g) => g,
-            PinnedInner::Versioned(g, _) => g,
-        }
-    }
-}
-
-impl PinnedGraph<'_> {
-    /// The epoch this pin observes ([`Epoch::ZERO`] for immutable graphs).
-    pub fn epoch(&self) -> Epoch {
-        match &self.inner {
-            PinnedInner::Static(_) => Epoch::ZERO,
-            PinnedInner::Versioned(_, e) => *e,
-        }
+        self.graph.get()
     }
 }
 
@@ -289,20 +267,12 @@ impl<'g> Engine<'g> {
     }
 
     fn pin(&self) -> PinnedGraph<'_> {
-        match &self.graph {
-            GraphHandle::Borrowed(g) => PinnedGraph {
-                inner: PinnedInner::Static(g),
-            },
-            GraphHandle::Shared(g) => PinnedGraph {
-                inner: PinnedInner::Static(g),
-            },
-            GraphHandle::Live(live) => {
-                let (graph, epoch) = live.pinned();
-                PinnedGraph {
-                    inner: PinnedInner::Versioned(graph, epoch),
-                }
-            }
-        }
+        let graph = match &self.graph {
+            GraphHandle::Borrowed(g) => Handle::Borrowed(*g),
+            GraphHandle::Shared(g) => Handle::Borrowed(&**g),
+            GraphHandle::Live(live) => Handle::Shared(live.pinned().0),
+        };
+        PinnedGraph { graph }
     }
 
     /// The rule registry.
@@ -454,11 +424,7 @@ impl<'g> Engine<'g> {
     /// * every verdict is recorded in the statistics feedback ledger
     ///   (escalated patterns as mis-speculations when their stage changed
     ///   the top-k, clean otherwise; surviving pruned patterns as clean),
-    ///   biasing the plans [`Engine::plan`] serves from then on;
-    /// * [`SpeculationPolicy::ForceFinal`] alone runs no verifier and no
-    ///   delta: it discards the speculative run for the literal all-relaxed
-    ///   plan — byte-identical to [`Engine::run_trinit`] — and records
-    ///   nothing (a forced verdict says nothing about the plan).
+    ///   biasing the plans [`Engine::plan`] serves from then on.
     ///
     /// The returned outcome carries the plan whose top-k the answers are,
     /// with verify time, recovery stages and wasted answer objects
@@ -477,7 +443,6 @@ impl<'g> Engine<'g> {
     ) -> QueryOutcome {
         let max_stages = match self.config.speculation {
             SpeculationPolicy::Off => return self.run_with_plan_on(graph, query, k, plan),
-            SpeculationPolicy::ForceFinal => return self.run_forced_final(graph, query, k, plan),
             SpeculationPolicy::Fallback { max_stages } => max_stages.max(1),
         };
 
@@ -626,37 +591,6 @@ impl<'g> Engine<'g> {
         QueryOutcome {
             answers,
             plan: current,
-            report,
-        }
-    }
-
-    /// [`SpeculationPolicy::ForceFinal`]: the speculative run, then — no
-    /// verifier consulted — one forced stage that discards it for the
-    /// literal all-relaxed plan, byte-identical in tree shape to
-    /// [`Engine::run_trinit`]. This is the oracle the differential suites
-    /// hold delta recovery to, so it records no ledger verdict (its run
-    /// reflects no planning decision).
-    fn run_forced_final(
-        &self,
-        graph: &KnowledgeGraph,
-        query: &Query,
-        k: usize,
-        plan: QueryPlan,
-    ) -> QueryOutcome {
-        let registry = self.registry.get();
-        let metrics = OpMetrics::new_handle();
-        let t0 = Instant::now();
-        run_plan(graph, query, &plan, registry, &metrics, &self.config, k);
-        metrics.count_fallback_stage();
-        metrics.count_wasted_answers(metrics.answers_created());
-        let trinit = QueryPlan::all_relaxed(query.len());
-        let answers = run_plan(graph, query, &trinit, registry, &metrics, &self.config, k);
-        let mut report = RunReport::of(&metrics);
-        report.execution = t0.elapsed();
-        report.mis_speculated = true;
-        QueryOutcome {
-            answers,
-            plan: trinit,
             report,
         }
     }
@@ -896,32 +830,6 @@ mod tests {
         assert!(recovered.report.verify > Duration::ZERO);
         assert_eq!(recovered.answers, trinit.answers, "recovery reaches TriniT");
         assert!(recovered.plan.is_relaxed(1), "the offender was escalated");
-    }
-
-    /// ForceFinal takes exactly one stage to the all-relaxed safety net and
-    /// returns answers byte-identical to `run_trinit` — and records nothing
-    /// in the ledger.
-    #[test]
-    fn force_final_is_byte_identical_to_trinit() {
-        let (g, reg) = setup();
-        let engine = engine_with_policy(&g, &reg, SpeculationPolicy::ForceFinal);
-        let q = parse_query(
-            "SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }",
-            g.dictionary(),
-        )
-        .unwrap();
-        let forced = engine.run_specqp(&q, 10);
-        let trinit = engine.run_trinit(&q, 10);
-        assert_eq!(forced.answers, trinit.answers, "bit-exact scores and order");
-        assert_eq!(forced.plan, QueryPlan::all_relaxed(2));
-        assert_eq!(forced.report.fallback_stages, 1);
-        for p in q.patterns() {
-            assert_eq!(
-                engine.catalog().speculation_outcome(&p.stats_key()),
-                specqp_stats::SpeculationOutcome::default(),
-                "diagnostic mode never teaches"
-            );
-        }
     }
 
     /// The ledger's bias is applied where a plan is served, not baked into
@@ -1344,6 +1252,30 @@ mod tests {
         let _ = engine.plan_on(&old, &q, 10);
         let _ = engine.plan(&q, 10);
         assert_eq!(m.hits(), 1);
+    }
+
+    /// Regression: an engine over a version a live graph published reports
+    /// that version's epoch, the one its plan cache stamps plans with — not
+    /// `Epoch::ZERO` because the engine itself holds no live graph.
+    #[test]
+    fn a_pin_of_a_published_version_reports_its_epoch() {
+        use kgstore::{Epoch, LiveGraph, WriteBatch};
+
+        let (g, reg) = setup();
+        let live = LiveGraph::new(g);
+        let mut batch = WriteBatch::new();
+        batch.assert("brand-new", "type", "big", 500.0);
+        let epoch = live.commit(&batch);
+        let (version, _) = live.pinned();
+        assert_eq!(version.epoch(), epoch);
+        let engine = Engine::new(version, &reg);
+        let pin = engine.graph();
+        assert_eq!(pin.epoch(), epoch);
+        let q = parse_query("SELECT ?s WHERE { ?s <type> <big> }", pin.dictionary()).unwrap();
+        let (plan, _) = engine.plan(&q, 10);
+        let shape = QueryShape::of(&q, 10);
+        assert_eq!(engine.plan_cache().lookup(&shape, epoch), Some(plan));
+        assert_eq!(engine.plan_cache().lookup(&shape, Epoch::ZERO), None);
     }
 
     #[test]

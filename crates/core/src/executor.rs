@@ -6,9 +6,12 @@
 //! 1. the **join group** becomes a left-deep chain of rank joins over plain
 //!    [`BlockScan`]s (no relaxations),
 //! 2. every **singleton** becomes a [`BlockIncrementalMerge`] over the
-//!    pattern's scan (weight 1), one scan per relaxation (weight `wᵢ`) and
-//!    one rank-join subtree per chain relaxation — the scan left out when
-//!    the plan is the [delta](QueryPlan::delta) of that pattern,
+//!    pattern's scan (weight 1) and one scan per relaxation of
+//!    [`RelaxationRegistry::relaxations_for`] (weight `wᵢ`) — the pattern's
+//!    scan left out when the plan is the [delta](QueryPlan::delta) of that
+//!    pattern. PLANGEN's check and the verifier's candidates come from the
+//!    same enumeration, so a plan and its verdict see every input the tree
+//!    can merge,
 //! 3. the join-group stream and the singleton streams are combined with
 //!    further rank joins (Fig. 5).
 //!
@@ -25,19 +28,13 @@ use kgstore::KnowledgeGraph;
 use operators::{
     top_k_blocks_floored, Binding, BlockIncrementalMerge, BlockRankJoin, BlockScan, BlockStream,
     BoxedBlockStream, ExecutionMode, MetricsHandle, OpMetrics, PartialAnswer, PullStrategy,
-    ScaledProjection, DEFAULT_BLOCK_SIZE,
+    DEFAULT_BLOCK_SIZE,
 };
 use relax::RelaxationRegistry;
 use sparql::{Query, TriplePattern, Var};
 use specqp_common::{FxHashMap, Score, TermId};
 
-/// Builds the operator tree for `plan` over `query`, chain relaxations
-/// included: every singleton's incremental merge additionally consumes, per
-/// applicable [`ChainRule`](relax::ChainRule), a rank join over the chain's
-/// scans, scaled into `[0, w]` (`w/len` per hop) and projected back onto the
-/// original pattern's variables so Def.-8 max-deduplication still applies.
-///
-/// Every operator shares `metrics`, so the paper's "answer objects created"
+/// Builds the operator tree for `plan` over `query`. Every operator shares `metrics`, so the paper's "answer objects created"
 /// counter aggregates the whole tree.
 fn build_tree<'g>(
     graph: &'g KnowledgeGraph,
@@ -50,7 +47,6 @@ fn build_tree<'g>(
     assert_eq!(plan.len(), query.len(), "plan/query arity mismatch");
     let block_size = block_size.max(1);
     let patterns = query.patterns();
-    let mut next_fresh = query.var_count() as u32;
 
     let scan = |pattern: TriplePattern, weight: Score| -> BoxedBlockStream<'g> {
         Box::new(BlockScan::new(
@@ -61,10 +57,10 @@ fn build_tree<'g>(
             block_size,
         ))
     };
-    // A left-deep rank join over the bare scans of `patterns`.
-    let join_chain = |patterns: &mut dyn Iterator<Item = BoxedBlockStream<'g>>| {
-        let first = patterns.next().expect("a join chain has ≥ 1 pattern");
-        patterns.fold(first, |left, right| {
+    // A left-deep rank join over `parts`.
+    let join_chain = |parts: &mut dyn Iterator<Item = BoxedBlockStream<'g>>| {
+        let first = parts.next().expect("a join chain has ≥ 1 part");
+        parts.fold(first, |left, right| {
             block_join(left, right, &metrics, block_size)
         })
     };
@@ -80,7 +76,7 @@ fn build_tree<'g>(
     }
 
     // 2. Singletons: block merges over the pattern (unless this is its
-    //    delta) and its term and chain relaxations.
+    //    delta) and its relaxations.
     for i in plan.singletons() {
         let mut inputs: Vec<BoxedBlockStream<'g>> = Vec::new();
         if plan.delta_target() != Some(i) {
@@ -88,15 +84,6 @@ fn build_tree<'g>(
         }
         for r in registry.relaxations_for(&patterns[i]) {
             inputs.push(scan(r.pattern, Score::new(r.weight)));
-        }
-        for c in registry.chain_relaxations_for(&patterns[i], next_fresh) {
-            next_fresh += c.fresh_vars.len() as u32;
-            let join = join_chain(&mut c.patterns.iter().map(|&p| scan(p, Score::ONE)));
-            inputs.push(Box::new(ScaledProjection::new(
-                join,
-                c.weight / c.patterns.len() as f64,
-                patterns[i].vars().collect(),
-            )));
         }
         parts.push(Box::new(BlockIncrementalMerge::new(inputs, block_size)));
     }
@@ -167,11 +154,9 @@ pub(crate) fn run_plan(
 }
 
 /// Brute-force ground truth: for every pattern, drain the scans of the
-/// pattern and of each of its relaxations — a chain relaxation as a hash
-/// join over its hops, scaled by `w/len` and projected onto the pattern's
-/// variables — and keep every binding once, at its maximum score; hash-join
-/// all lists; sort by total score descending (deterministic tie-break);
-/// truncate to `k`.
+/// pattern and of each of its relaxations and keep every binding once, at
+/// its maximum score; hash-join all lists; sort by total score descending
+/// (deterministic tie-break); truncate to `k`.
 ///
 /// Exhaustive and allocation-heavy by design — use only on test-sized data.
 pub fn run_naive(
@@ -197,21 +182,6 @@ pub fn run_naive(
         let mut sources = vec![drain(*p, Score::ONE)];
         for r in registry.relaxations_for(p) {
             sources.push(drain(r.pattern, Score::new(r.weight)));
-        }
-        let vars: Vec<Var> = p.vars().collect();
-        for c in registry.chain_relaxations_for(p, query.var_count() as u32) {
-            let hops = c
-                .patterns
-                .iter()
-                .map(|&hop| drain(hop, Score::ONE))
-                .collect();
-            let factor = c.weight / c.patterns.len() as f64;
-            sources.push(
-                hash_join_all(&c.patterns, hops)
-                    .into_iter()
-                    .map(|a| PartialAnswer::new(a.binding.project(&vars), a.score * factor))
-                    .collect(),
-            );
         }
         let mut best: FxHashMap<Binding, Score> = FxHashMap::default();
         for a in sources.into_iter().flatten() {

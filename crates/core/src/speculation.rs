@@ -70,12 +70,6 @@ pub enum SpeculationPolicy {
         /// Maximum recovery stages per query (≥ 1).
         max_stages: usize,
     },
-    /// Diagnostic mode: skip verification, discard the speculative run and
-    /// execute the literal all-relaxed plan as one forced stage. The answers
-    /// are byte-identical to `Engine::run_trinit` — the oracle the
-    /// differential suites compare recovered answers against. No feedback is
-    /// recorded (a forced verdict says nothing about the plan).
-    ForceFinal,
 }
 
 /// The verifier's classification of one speculative execution.

@@ -30,9 +30,7 @@ pub struct RunReport {
     /// Answer objects created to no effect: by delta runs whose union left
     /// the top-k exactly as it was — the measured price of escalating a
     /// pattern that did not need it. The speculative execution itself is
-    /// kept, not discarded, so it never counts; only
-    /// `SpeculationPolicy::ForceFinal`, which does discard it for the
-    /// literal TriniT plan, counts it here.
+    /// kept, not discarded, so it never counts.
     pub wasted_answers: u64,
     /// `true` when the verifier classified the run as mis-speculated (the
     /// recovery stages have been folded into the answers).

@@ -112,16 +112,6 @@ impl Binding {
         Binding { pairs }
     }
 
-    /// Projects the binding onto `vars` (in the given order); variables not
-    /// bound are skipped.
-    pub fn project(&self, vars: &[Var]) -> Binding {
-        let pairs = vars
-            .iter()
-            .filter_map(|&v| self.get(v).map(|t| (v, t)))
-            .collect();
-        Binding::from_pairs(pairs)
-    }
-
     /// Extracts the join key for `vars`: the bound terms in the given
     /// variable order. Returns `None` if any variable is unbound.
     pub fn key_for(&self, vars: &[Var]) -> Option<Box<[TermId]>> {
@@ -226,14 +216,6 @@ mod tests {
         let m = x.merged(&y);
         assert_eq!(m.len(), 3);
         assert_eq!(m.get(Var(2)), Some(TermId(9)));
-    }
-
-    #[test]
-    fn project_keeps_requested_vars() {
-        let x = b(&[(0, 1), (1, 5), (2, 9)]);
-        let p = x.project(&[Var(2), Var(0)]);
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.get(Var(1)), None);
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //!   *schema*, so a row is a flat `&[TermId]` slice instead of a sorted
 //!   `Vec<(Var, TermId)>` per answer;
 //! * [`BlockStream`] — the pull interface between operators;
-//! * [`ScaledProjection`] — rescales and projects a derived stream (the
-//!   chain-relaxation subtrees);
 //! * [`ReplayBlocks`] — replays a sorted answer list as blocks (the input
 //!   source of operator tests);
 //! * [`top_k_blocks`] — result collection, converting only the `k` winning
@@ -253,73 +251,6 @@ impl BlockSizer {
     }
 }
 
-/// A chain relaxation's join made to look, to the merge consuming it, like a
-/// weighted scan of the original pattern: every score (and the bound) is
-/// multiplied by a positive `factor`, and every row is projected onto the
-/// `keep` variables, dropping auxiliaries such as the chain's fresh
-/// intermediates. Order is preserved because scaling by a positive factor
-/// is monotone; rows that collapse under the projection are left for the
-/// merge to deduplicate.
-pub struct ScaledProjection<'g> {
-    inner: BoxedBlockStream<'g>,
-    factor: f64,
-    schema: Vec<Var>,
-    /// For each output slot, its position in the inner schema.
-    slots: Vec<usize>,
-}
-
-impl<'g> ScaledProjection<'g> {
-    /// Wraps `inner`, scaling by `factor` and keeping only `keep`.
-    ///
-    /// # Panics
-    /// Panics unless `factor > 0` and `inner` binds every `keep` variable.
-    pub fn new(inner: BoxedBlockStream<'g>, factor: f64, mut keep: Vec<Var>) -> Self {
-        assert!(factor > 0.0, "scale factor must be positive, got {factor}");
-        keep.sort_unstable();
-        keep.dedup();
-        let slots = keep
-            .iter()
-            .map(|v| {
-                inner
-                    .schema()
-                    .iter()
-                    .position(|w| w == v)
-                    .expect("the projected stream binds every kept variable")
-            })
-            .collect();
-        ScaledProjection {
-            inner,
-            factor,
-            schema: keep,
-            slots,
-        }
-    }
-}
-
-impl BlockStream for ScaledProjection<'_> {
-    fn schema(&self) -> &[Var] {
-        &self.schema
-    }
-
-    fn next_block(&mut self) -> Option<AnswerBlock> {
-        let block = self.inner.next_block()?;
-        let mut out = AnswerBlock::with_capacity(self.schema.clone(), block.len());
-        for i in 0..block.len() {
-            let row = block.row(i);
-            out.push_row_with(block.score(i) * self.factor, |slot| {
-                for (term, &at) in slot.iter_mut().zip(&self.slots) {
-                    *term = row[at];
-                }
-            });
-        }
-        Some(out)
-    }
-
-    fn upper_bound(&self) -> Option<Score> {
-        self.inner.upper_bound().map(|b| b * self.factor)
-    }
-}
-
 /// Replays an answer list sorted by non-increasing score as blocks of up to
 /// `block_size` rows over a fixed schema — the input source of operator
 /// tests.
@@ -498,50 +429,6 @@ mod tests {
         let replay = || ReplayBlocks::new(rows.clone(), vec![Var(0)], 4);
         assert_eq!(top_k_blocks(&mut replay(), 3), rows[..3].to_vec());
         assert_eq!(top_k_blocks(&mut replay(), 99), rows);
-    }
-
-    #[test]
-    fn scaled_projection_scales_scores_and_bounds() {
-        let rows = vec![ans(&[(0, 1)], 1.0), ans(&[(0, 2)], 0.5)];
-        let mut s = ScaledProjection::new(
-            Box::new(ReplayBlocks::new(rows, vec![Var(0)], 1)),
-            0.4,
-            vec![Var(0)],
-        );
-        assert_eq!(s.upper_bound(), Some(Score::new(0.4)));
-        let got = drain(&mut s);
-        assert_eq!(got[0].score, Score::new(1.0) * 0.4);
-        assert_eq!(got[1].score, Score::new(0.5) * 0.4);
-        assert_eq!(s.upper_bound(), None);
-    }
-
-    #[test]
-    fn scaled_projection_drops_aux_vars_and_keeps_duplicates() {
-        let rows = vec![
-            ans(&[(0, 1), (7, 99)], 0.9),
-            ans(&[(0, 1), (7, 98)], 0.6),
-            ans(&[(0, 3), (7, 97)], 0.5),
-        ];
-        let mut s = ScaledProjection::new(
-            Box::new(ReplayBlocks::new(rows, vec![Var(0), Var(7)], 8)),
-            0.5,
-            vec![Var(0)],
-        );
-        assert_eq!(s.schema(), &[Var(0)]);
-        let got = drain(&mut s);
-        let ids: Vec<u32> = got
-            .iter()
-            .map(|a| a.binding.get(Var(0)).unwrap().0)
-            .collect();
-        assert_eq!(ids, vec![1, 1, 3], "deduplication is the merge's job");
-        assert!(got.iter().all(|a| a.binding.get(Var(7)).is_none()));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn scaled_projection_rejects_a_zero_factor() {
-        let inner = ReplayBlocks::new(vec![], vec![Var(0)], 4);
-        let _ = ScaledProjection::new(Box::new(inner), 0.0, vec![Var(0)]);
     }
 
     #[test]

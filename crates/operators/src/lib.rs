@@ -13,8 +13,6 @@
 //! * [`BlockRankJoin`] — the HRJN hash rank join with corner-bound
 //!   thresholds, pulling by the HRJN\* adaptive strategy (Ilyas et al.,
 //!   VLDB'03/VLDB J.'04, cited as \[15,16\]);
-//! * [`ScaledProjection`] — rescales and projects a derived stream (a chain
-//!   relaxation's join) so a merge can consume it like a weighted scan;
 //! * [`top_k_blocks`] / [`top_k_blocks_floored`] — result collection with
 //!   early termination.
 //!
@@ -37,7 +35,7 @@ pub mod scan;
 pub use answer::{Binding, PartialAnswer};
 pub use block::{
     top_k_blocks, top_k_blocks_floored, AnswerBlock, BlockStream, BoxedBlockStream, ExecutionMode,
-    ReplayBlocks, ScaledProjection, DEFAULT_BLOCK_SIZE,
+    ReplayBlocks, DEFAULT_BLOCK_SIZE,
 };
 pub use block_join::{BlockIncrementalMerge, BlockRankJoin, PullStrategy};
 pub use metrics::{CacheMetrics, CacheMetricsHandle, MetricsHandle, OpMetrics};

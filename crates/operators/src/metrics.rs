@@ -71,9 +71,8 @@ impl OpMetrics {
     }
 
     /// Records `n` answer objects created to no effect — by a delta run
-    /// whose union left the top-k as it was (or by the speculative run a
-    /// forced final stage discards): the price of a wrong speculative
-    /// guess, measured instead of hidden.
+    /// whose union left the top-k as it was: the price of a wrong
+    /// speculative guess, measured instead of hidden.
     #[inline]
     pub fn count_wasted_answers(&self, n: u64) {
         self.wasted_answers.set(self.wasted_answers.get() + n);
@@ -108,16 +107,6 @@ impl OpMetrics {
     /// [`count_wasted_answers`](OpMetrics::count_wasted_answers)).
     pub fn wasted_answers(&self) -> u64 {
         self.wasted_answers.get()
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        self.answers_created.set(0);
-        self.sorted_accesses.set(0);
-        self.random_accesses.set(0);
-        self.heap_pushes.set(0);
-        self.fallback_stages.set(0);
-        self.wasted_answers.set(0);
     }
 }
 
@@ -226,7 +215,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_reset() {
+    fn counters_accumulate() {
         let m = OpMetrics::new_handle();
         m.count_answers(1);
         m.count_answers(4);
@@ -237,8 +226,6 @@ mod tests {
         assert_eq!(m.sorted_accesses(), 1);
         assert_eq!(m.random_accesses(), 1);
         assert_eq!(m.heap_pushes(), 1);
-        m.reset();
-        assert_eq!(m.answers_created(), 0);
     }
 
     #[test]

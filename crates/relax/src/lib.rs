@@ -13,17 +13,20 @@
 //! * [`CooccurrenceMiner`] — Twitter-style: term `T₁` relaxes to `T₂` with
 //!   weight `w = #tweets(T₁ ∧ T₂)/#tweets(T₁)` (§4.2, verbatim formula).
 //!
-//! Mined rules live in a [`RelaxationRegistry`]; given a triple pattern the
-//! registry enumerates its [`Relaxation`]s in descending weight order, which
-//! is the order both the Incremental Merge and PLANGEN consume them in.
+//! Every rule is a [`TermRule`]: it rewrites one constant of a pattern, so a
+//! relaxed pattern has the variables of the original. Mined rules live in a
+//! [`RelaxationRegistry`]; given a triple pattern,
+//! [`relaxations_for`](RelaxationRegistry::relaxations_for) enumerates its
+//! [`Relaxation`]s in descending weight order. That one enumeration feeds
+//! the Incremental Merge, PLANGEN's single-relaxation check and the
+//! verifier's escalation candidates alike, so the planner and the verifier
+//! see every input the executor can merge.
 
-pub mod chain;
 pub mod cooccur;
 pub mod hierarchy;
 pub mod registry;
 pub mod rule;
 
-pub use chain::{ChainRelaxation, ChainRule};
 pub use cooccur::CooccurrenceMiner;
 pub use hierarchy::{HierarchyMiner, TypeHierarchy};
 pub use registry::{Relaxation, RelaxationRegistry};

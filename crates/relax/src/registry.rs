@@ -1,8 +1,7 @@
 //! The relaxation registry: rule storage and per-pattern enumeration.
 
-use crate::chain::{ChainRelaxation, ChainRule};
 use crate::rule::{Position, TermRule};
-use sparql::{Term, TriplePattern, Var};
+use sparql::{Term, TriplePattern};
 use specqp_common::{FxHashMap, TermId};
 use std::cmp::Ordering;
 
@@ -18,12 +17,9 @@ pub struct Relaxation {
 
 /// Stores mined [`TermRule`]s indexed by `(position, source term)` and
 /// enumerates the relaxations applicable to a pattern, best-weight first.
-/// [`ChainRule`]s are stored alongside, indexed by source predicate, and
-/// enumerated separately ([`chain_relaxations_for`](Self::chain_relaxations_for)).
 #[derive(Default, Debug, Clone)]
 pub struct RelaxationRegistry {
     rules: FxHashMap<(Position, TermId), Vec<TermRule>>,
-    chains: FxHashMap<TermId, Vec<ChainRule>>,
     len: usize,
 }
 
@@ -52,18 +48,7 @@ impl RelaxationRegistry {
         }
     }
 
-    /// Adds one chain rule (kept sorted by descending weight per predicate).
-    pub fn add_chain(&mut self, rule: ChainRule) {
-        let list = self.chains.entry(rule.from_predicate).or_default();
-        let at = list
-            .iter()
-            .position(|r| r.weight < rule.weight)
-            .unwrap_or(list.len());
-        list.insert(at, rule);
-        self.len += 1;
-    }
-
-    /// Total number of rules, term and chain.
+    /// Total number of rules.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -132,52 +117,6 @@ impl RelaxationRegistry {
     /// the paper requires ≥10 per XKG pattern, ≥5 per Twitter pattern).
     pub fn relaxation_count(&self, pattern: &TriplePattern) -> usize {
         self.relaxations_for(pattern).len()
-    }
-
-    /// Instantiates every chain rule applicable to `pattern`, best weight
-    /// first, allocating fresh variables from `fresh_from` upward. Only
-    /// patterns with a constant predicate can chain-relax.
-    pub fn chain_relaxations_for(
-        &self,
-        pattern: &TriplePattern,
-        fresh_from: u32,
-    ) -> Vec<ChainRelaxation> {
-        let Some(p) = pattern.p.as_const() else {
-            return Vec::new();
-        };
-        let Some(rules) = self.chains.get(&p) else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(rules.len());
-        let mut next_fresh = fresh_from;
-        for rule in rules {
-            let hops = rule.chain.len();
-            let mut fresh_vars = Vec::with_capacity(hops - 1);
-            for _ in 0..hops - 1 {
-                fresh_vars.push(Var(next_fresh));
-                next_fresh += 1;
-            }
-            let mut patterns = Vec::with_capacity(hops);
-            for (i, &pred) in rule.chain.iter().enumerate() {
-                let s: Term = if i == 0 {
-                    pattern.s
-                } else {
-                    Term::Var(fresh_vars[i - 1])
-                };
-                let o: Term = if i == hops - 1 {
-                    pattern.o
-                } else {
-                    Term::Var(fresh_vars[i])
-                };
-                patterns.push(TriplePattern::new(s, pred, o));
-            }
-            out.push(ChainRelaxation {
-                patterns,
-                weight: rule.weight,
-                fresh_vars,
-            });
-        }
-        out
     }
 }
 

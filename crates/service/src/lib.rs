@@ -248,12 +248,6 @@ impl Ticket {
         )
     }
 
-    /// `true` once the response is available (then [`Ticket::wait`] returns
-    /// without blocking).
-    pub fn is_ready(&self) -> bool {
-        self.state.slot.lock().expect("ticket poisoned").is_some()
-    }
-
     /// Blocks until the worker completes the request and returns the
     /// response.
     pub fn wait(self) -> Response {
@@ -1030,36 +1024,49 @@ mod tests {
         }
     }
 
-    /// A ForceFinal-policy service takes one fallback stage per Spec-QP
-    /// request and answers exactly like the TriniT request.
+    /// Workers run the speculation policy of `ServiceConfig::engine`: on a
+    /// query PLANGEN mis-speculates — `small` fills 3 of 10 slots, and its
+    /// one relaxation (to a class nobody belongs to) looks too weak to
+    /// plan — a `Fallback` service verifies, flags the under-fill and takes
+    /// a recovery stage, while an `Off` service returns the speculative
+    /// answers as they are. Both answer alike: the relaxation has no rows.
     #[test]
-    fn force_final_service_reports_one_stage_per_specqp_request() {
+    fn workers_run_the_configured_speculation_policy() {
         use specqp::SpeculationPolicy;
-        let (g, reg) = setup();
-        let q = parse_query(
-            "SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }",
-            g.dictionary(),
-        )
-        .unwrap();
-        let engine = EngineConfig {
-            speculation: SpeculationPolicy::ForceFinal,
-            ..EngineConfig::default()
+        let (g, _) = setup();
+        let d = g.dictionary();
+        let mut reg = RelaxationRegistry::new();
+        reg.add(TermRule::with_context(
+            Position::Object,
+            d.lookup("small").unwrap(),
+            d.lookup("e5").unwrap(),
+            0.9,
+            d.lookup("type").unwrap(),
+        ));
+        let reg = Arc::new(reg);
+        let q = parse_query("SELECT ?s WHERE { ?s <type> <small> }", d).unwrap();
+        let run = |speculation: SpeculationPolicy| {
+            let engine = EngineConfig {
+                speculation,
+                ..EngineConfig::default()
+            };
+            let cfg = ServiceConfig {
+                engine,
+                ..ServiceConfig::with_threads(2)
+            };
+            let service = QueryService::new(g.clone(), reg.clone(), cfg);
+            run_all(&service, vec![Request::new(q.clone(), 10)]).remove(0)
         };
-        let cfg = ServiceConfig {
-            engine,
-            ..ServiceConfig::with_threads(2)
-        };
-        let service = QueryService::new(g.clone(), reg, cfg);
-        let outcomes = run_all(
-            &service,
-            vec![
-                Request::new(q.clone(), 10),
-                Request::new(q, 10).with_mode(ExecMode::TriniT),
-            ],
-        );
-        assert_eq!(outcomes[0].report.fallback_stages, 1);
-        assert_eq!(outcomes[1].report.fallback_stages, 0);
-        assert_eq!(outcomes[0].answers, outcomes[1].answers);
+        let fallback = run(SpeculationPolicy::Fallback { max_stages: 3 });
+        let off = run(SpeculationPolicy::Off);
+        assert!(!off.plan.is_relaxed(0), "PLANGEN pruned the relaxation");
+        assert!(!off.report.mis_speculated);
+        assert_eq!(off.report.fallback_stages, 0);
+        assert!(fallback.report.mis_speculated);
+        assert_eq!(fallback.report.fallback_stages, 1);
+        assert!(fallback.plan.is_relaxed(0), "the recovery escalated it");
+        assert_eq!(fallback.answers, off.answers);
+        assert_eq!(off.answers.len(), 3);
     }
 
     /// A batch holding a score that is NaN, negative or infinite is refused

@@ -9,19 +9,17 @@
 //! complexity trade-off here.
 //!
 //! Producers that must not block — an admission-control front-end shedding
-//! load instead of queueing unboundedly — use [`BoundedQueue::try_push`]
-//! (fail immediately when full) or [`BoundedQueue::push_timeout`] (bounded
-//! wait, then fail).
+//! load instead of queueing unboundedly — use [`BoundedQueue::try_push`],
+//! which fails immediately when the queue is full.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
-/// Why a non-blocking (or bounded-wait) push was refused. The rejected item
+/// Why a non-blocking push was refused. The rejected item
 /// is handed back so the producer can retry, reroute or drop it explicitly.
 #[derive(Debug, PartialEq, Eq)]
 pub enum TryPushError<T> {
-    /// The queue held `capacity` items for the whole attempt window.
+    /// The queue held `capacity` items.
     Full(T),
     /// The queue was closed; it will never accept items again.
     Closed(T),
@@ -131,36 +129,6 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Bounded-wait push: like [`push`](BoundedQueue::push) but gives up
-    /// with [`TryPushError::Full`] if no slot frees within `timeout`.
-    pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<(), TryPushError<T>> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock().expect("queue poisoned");
-        while state.items.len() >= self.capacity && !state.closed {
-            let now = Instant::now();
-            let Some(left) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return Err(TryPushError::Full(item));
-            };
-            let (next, timed_out) = self
-                .not_full
-                .wait_timeout(state, left)
-                .expect("queue poisoned");
-            state = next;
-            if timed_out.timed_out() && state.items.len() >= self.capacity && !state.closed {
-                return Err(TryPushError::Full(item));
-            }
-        }
-        if state.closed {
-            return Err(TryPushError::Closed(item));
-        }
-        state.items.push_back(item);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
     /// Blocks until an item is available and dequeues it. Returns `None`
     /// once the queue is closed *and* drained — the consumer shutdown
     /// signal.
@@ -244,51 +212,6 @@ mod tests {
         q.close();
         assert_eq!(q.try_push(4), Err(TryPushError::Closed(4)));
         assert_eq!(TryPushError::Full(7).into_inner(), 7);
-    }
-
-    #[test]
-    fn push_timeout_expires_on_persistent_fullness() {
-        let q = BoundedQueue::new(1);
-        q.push(0).unwrap();
-        let t0 = std::time::Instant::now();
-        let r = q.push_timeout(1, std::time::Duration::from_millis(30));
-        assert_eq!(r, Err(TryPushError::Full(1)));
-        assert!(t0.elapsed() >= std::time::Duration::from_millis(30));
-    }
-
-    #[test]
-    fn push_timeout_succeeds_when_a_slot_frees() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push(0).unwrap();
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(15));
-                q.pop()
-            })
-        };
-        assert_eq!(q.push_timeout(1, std::time::Duration::from_secs(5)), Ok(()));
-        assert_eq!(consumer.join().unwrap(), Some(0));
-        assert_eq!(q.pop(), Some(1));
-    }
-
-    #[test]
-    fn push_timeout_observes_close() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push(0).unwrap();
-        let closer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(15));
-                q.close();
-            })
-        };
-        let r = q.push_timeout(1, std::time::Duration::from_secs(5));
-        assert_eq!(r, Err(TryPushError::Closed(1)));
-        closer.join().unwrap();
-        // Drain-on-close: the backlog item is still delivered.
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.pop(), None);
     }
 
     #[test]

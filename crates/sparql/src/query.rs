@@ -39,11 +39,6 @@ impl Query {
         &self.projection
     }
 
-    /// Total number of distinct variables.
-    pub fn var_count(&self) -> usize {
-        self.var_names.len()
-    }
-
     /// Name of a variable (without the leading `?`).
     pub fn var_name(&self, v: Var) -> &str {
         &self.var_names[v.index()]

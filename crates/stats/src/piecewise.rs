@@ -58,11 +58,6 @@ impl PiecewiseConstantPdf {
         &self.heights
     }
 
-    /// Number of buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.heights.len()
-    }
-
     /// Scales the random variable by `w > 0`: if `X ~ f`, returns the pdf of
     /// `w·X` (domain stretches by `w`, heights shrink by `1/w` so mass is
     /// preserved). Used to weight a relaxed pattern's distribution (Def. 8).

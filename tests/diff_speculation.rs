@@ -1,19 +1,15 @@
 //! Differential harness for the speculation lifecycle's recovery, across XKG
 //! and Twitter, at block sizes {1, 64, 4096}.
 //!
-//! 1. **The oracle.** With the final stage forced
-//!    ([`SpeculationPolicy::ForceFinal`]) `run_specqp` executes the literal
-//!    all-relaxed plan and must return exactly what `run_trinit` returns —
-//!    same answers, same order, same scores (bitwise, not approx).
-//! 2. **The budget.** `Fallback { max_stages: 1 }` either verifies clean
+//! 1. **The budget.** `Fallback { max_stages: 1 }` either verifies clean
 //!    (answers stand) or escalates every candidate in its one permitted
 //!    stage, and the answers are TriniT's.
-//! 3. **Delta ≡ restart.** However many stages `Fallback {1, 2, 3}` takes,
+//! 2. **Delta ≡ restart.** However many stages `Fallback {1, 2, 3}` takes,
 //!    the answers it returns — the speculative top-k with one delta run
 //!    folded in per escalated pattern — are the answers of executing the
 //!    escalated plan from scratch.
 //!
-//! Properties 2 and 3 compare *up to summation order* ([`equivalent`]): a
+//! Both compare *up to summation order* ([`equivalent`]): a
 //! delta sums an answer's pattern scores in the order of the tree that found
 //! it, a restart in the order of the escalated tree, and the two may differ
 //! in the last place — which can also swap equal-scored neighbours and pick
@@ -26,7 +22,7 @@ use datagen::{Dataset, TwitterConfig, TwitterGenerator, XkgConfig, XkgGenerator}
 use operators::ExecutionMode;
 use proptest::prelude::*;
 use sparql::{Query, QueryBuilder, Term};
-use specqp::{Engine, EngineConfig, QueryPlan, SpeculationPolicy};
+use specqp::{Engine, EngineConfig, SpeculationPolicy};
 use specqp_common::TermId;
 use std::sync::OnceLock;
 
@@ -137,8 +133,7 @@ fn workload_engine(
     )
 }
 
-/// Runs the three properties for one query under one executor
-/// configuration.
+/// Runs both properties for one query under one executor configuration.
 fn check_one(
     world: &World,
     q: &Query,
@@ -153,20 +148,7 @@ fn check_one(
         )
     };
 
-    // Property 1: forced-final fallback ≡ TriniT, byte for byte.
-    let forced_engine = engine(SpeculationPolicy::ForceFinal);
-    let trinit = forced_engine.run_trinit(q, k);
-    let forced = forced_engine.run_specqp(q, k);
-    prop_assert_eq!(
-        &forced.answers,
-        &trinit.answers,
-        "forced final ≠ trinit ({:?}, k {})",
-        execution,
-        k
-    );
-    prop_assert_eq!(&forced.plan, &QueryPlan::all_relaxed(q.len()));
-    prop_assert_eq!(forced.report.fallback_stages, 1, "exactly one forced stage");
-
+    let trinit = engine(SpeculationPolicy::Off).run_trinit(q, k);
     for max_stages in 1..=3 {
         let budgeted = engine(SpeculationPolicy::Fallback { max_stages });
         let out = budgeted.run_specqp(q, k);
@@ -174,7 +156,7 @@ fn check_one(
             continue;
         }
         prop_assert!(out.report.mis_speculated);
-        // Property 3: delta ≡ restart.
+        // Property 2: delta ≡ restart.
         let restart = budgeted.run_with_plan(q, k, out.plan.clone());
         equivalent(&out.answers, &restart.answers).map_err(|e| {
             TestCaseError::fail(format!(
@@ -182,7 +164,7 @@ fn check_one(
                 out.report.fallback_stages
             ))
         })?;
-        // Property 2: a one-stage budget that fires lands on TriniT.
+        // Property 1: a one-stage budget that fires lands on TriniT.
         if max_stages == 1 {
             equivalent(&out.answers, &trinit.answers).map_err(|e| {
                 TestCaseError::fail(format!(
@@ -208,7 +190,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(100))]
 
     #[test]
-    fn xkg_forced_final_fallback_equals_trinit(
+    fn xkg_fallback_recovery_equals_restart_and_trinit(
         picks in proptest::collection::vec(any::<u16>(), 1..=4),
         k in 1usize..=25,
     ) {
@@ -216,7 +198,7 @@ proptest! {
     }
 
     #[test]
-    fn twitter_forced_final_fallback_equals_trinit(
+    fn twitter_fallback_recovery_equals_restart_and_trinit(
         picks in proptest::collection::vec(any::<u16>(), 1..=4),
         k in 1usize..=25,
     ) {
@@ -224,24 +206,7 @@ proptest! {
     }
 }
 
-/// The exact benchmark workloads (not random subsets) must also recover to
-/// TriniT under the forced final stage, at every [`WORKLOAD_MODES`] size.
-#[test]
-fn workload_queries_forced_final_equals_trinit() {
-    for world in [xkg(), twitter()] {
-        for execution in WORKLOAD_MODES {
-            let engine = workload_engine(world, execution, SpeculationPolicy::ForceFinal);
-            for q in &world.ds.workload.queries {
-                let forced = engine.run_specqp(q, 10);
-                let trinit = engine.run_trinit(q, 10);
-                assert_eq!(forced.answers, trinit.answers);
-                assert_eq!(forced.report.fallback_stages, 1);
-            }
-        }
-    }
-}
-
-/// Property 3 on the exact benchmark workloads — and not vacuously: these
+/// Property 2 on the exact benchmark workloads — and not vacuously: these
 /// small datasets do mis-speculate, and every recovery, however many
 /// stages it took, must return the escalated plan's answers at one row per
 /// block and at the default size — each query on a fresh engine, so no

@@ -100,7 +100,7 @@ fn assert_identical_outcomes(par: &[QueryOutcome], seq: &[QueryOutcome], ctx: &s
 /// speculation feedback ledger is online learning whose plan evolution
 /// legitimately depends on the order verdicts arrive — interleaving-dependent
 /// by design. Its service-level plumbing is covered by
-/// `force_final_service_reports_one_stage_per_specqp_request` in
+/// `workers_run_the_configured_speculation_policy` in
 /// `crates/service/src/lib.rs`, and its correctness by
 /// `tests/diff_speculation.rs`.
 fn xkg_services(

@@ -7,7 +7,6 @@ use kgstore::{
 use operators::{
     top_k_blocks, top_k_blocks_floored, Binding, BlockIncrementalMerge, BlockRankJoin, BlockScan,
     BlockStream, BoxedBlockStream, MetricsHandle, OpMetrics, PartialAnswer, ReplayBlocks,
-    ScaledProjection,
 };
 use proptest::prelude::*;
 use sparql::{Term, TriplePattern, Var};
@@ -414,55 +413,6 @@ proptest! {
             prop_assert!(graph.has_overlay());
             check_scans(&graph, &patterns, weight, &format!("epoch {}", e + 1))?;
         }
-    }
-
-    /// A chain relaxation's subtree — a left-deep rank join over the hops,
-    /// scaled by `w/len` and projected onto the end variables — emits
-    /// exactly the brute-force join of the hops, scaled and projected.
-    #[test]
-    fn chain_subtree_equals_scaled_projected_naive_join(
-        hops in prop::collection::vec(raw_rows(30), 2..4),
-        weight_tenths in 1u32..=10,
-        size in 0usize..3,
-    ) {
-        // ?0 -h0-> ?5 -h1-> ?6 -h2-> ?1 (the last hop always ends in ?1).
-        let size = SIZES[size];
-        let len = hops.len();
-        let mid: Vec<Var> = (0..len - 1).map(|i| Var(5 + i as u32)).collect();
-        let ends = |i: usize| -> Vec<Var> {
-            let from = if i == 0 { Var(0) } else { mid[i - 1] };
-            let to = if i == len - 1 { Var(1) } else { mid[i] };
-            vec![from, to]
-        };
-        let lists: Vec<Vec<PartialAnswer>> = hops
-            .iter()
-            .enumerate()
-            .map(|(i, raw)| answers_over(raw, &ends(i)))
-            .collect();
-        let factor = f64::from(weight_tenths) / 10.0 / len as f64;
-        let keep = vec![Var(0), Var(1)];
-
-        let mut want = lists[0].clone();
-        for (i, list) in lists.iter().enumerate().skip(1) {
-            want = naive_join(&want, list, &[mid[i - 1]]);
-        }
-        let want: Vec<PartialAnswer> = want
-            .into_iter()
-            .map(|a| PartialAnswer::new(a.binding.project(&keep), a.score * factor))
-            .collect();
-
-        let mut tree = blocks_of(&lists[0], &ends(0), size);
-        for (i, list) in lists.iter().enumerate().skip(1) {
-            tree = Box::new(BlockRankJoin::new(
-                tree,
-                blocks_of(list, &ends(i), size),
-                vec![mid[i - 1]],
-                OpMetrics::new_handle(),
-                size,
-            ));
-        }
-        let got = drain_blocks(ScaledProjection::new(tree, factor, keep));
-        prop_assert_eq!(got, want, "{} hops size {}", len, size);
     }
 
     /// `top_k_blocks` is a prefix of the full stream.
