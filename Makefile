@@ -10,6 +10,7 @@ lint:
 	$(CARGO) fmt --all --check
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 	! git grep -n 'env::var' -- 'crates/*/src/*' src
+	! git grep -nE 'approx_eq|SUM_SLACK' -- crates src tests examples
 
 fmt:
 	$(CARGO) fmt --all

@@ -4,8 +4,7 @@
 //! other crate in the workspace:
 //!
 //! * [`TermId`] — dictionary-encoded identifier for RDF terms,
-//! * [`Score`] — a totally ordered, non-NaN `f64` wrapper used for triple and
-//!   answer scores,
+//! * [`Score`] — the exact, fixed-point answer score,
 //! * [`FxHashMap`]/[`FxHashSet`] — hash collections with a fast
 //!   multiply-rotate hasher (FxHash), appropriate for integer-like keys on a
 //!   trusted, in-process workload,

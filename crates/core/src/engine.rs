@@ -417,10 +417,7 @@ impl<'g> Engine<'g> {
     ///   speculative execution is never repeated or discarded; deltas run
     ///   through the same runner as every plan;
     /// * after stage `N` every pattern with relaxations is relaxed, so the
-    ///   answers are TriniT's: the same bindings, scores equal up to the
-    ///   last place (they are summed in a different order than
-    ///   [`Engine::run_trinit`]'s tree sums them), with differences in
-    ///   membership possible only among answers tied at rank `k`;
+    ///   answers are [`Engine::run_trinit`]'s, bit for bit;
     /// * every verdict is recorded in the statistics feedback ledger
     ///   (escalated patterns as mis-speculations when their stage changed
     ///   the top-k, clean otherwise; surviving pruned patterns as clean),
@@ -719,11 +716,7 @@ mod tests {
         let shared = Engine::new(Arc::new(g), Arc::new(reg));
         let got = shared.run_specqp(&q, 10);
         assert_eq!(expect.plan, got.plan);
-        assert_eq!(expect.answers.len(), got.answers.len());
-        for (a, b) in expect.answers.iter().zip(&got.answers) {
-            assert_eq!(a.binding, b.binding);
-            assert!(a.score.approx_eq(b.score, 1e-12));
-        }
+        assert_eq!(expect.answers, got.answers);
     }
 
     /// Regression (the `Engine::warm` fix): warming used to discard its
@@ -976,8 +969,8 @@ mod tests {
     /// Regression (spurious confirmed offenses): escalating a pattern moves
     /// it out of the join group, so a restart sums the same three scores in
     /// another order — `(0.2 + 0.3) + 0.1` where the speculative tree had
-    /// `(0.1 + 0.2) + 0.3` — and comparing its answers with the old ones
-    /// reported a change where only the last bit had moved. A delta that
+    /// `(0.1 + 0.2) + 0.3`. In `f64` those differ in the last place; exact
+    /// scores make the two trees agree bit for bit. A delta that
     /// contributes nothing leaves the answers untouched: the probe is clean.
     #[test]
     fn escalation_that_only_reorders_the_sum_is_not_an_offense() {
@@ -1007,9 +1000,9 @@ mod tests {
         let bare = engine.run_with_plan(&q, 5, QueryPlan::none_relaxed(3));
         let restart = engine.run_with_plan(&q, 5, QueryPlan::new(3, &[0]));
         assert_eq!(bare.answers.len(), 2);
-        assert_ne!(
+        assert_eq!(
             bare.answers, restart.answers,
-            "the two trees disagree in the last place — the trap is armed"
+            "the two trees sum the same scores to the same bits"
         );
 
         // Under-filled (2 < 5): pattern 0 is escalated; `ghost` joins nothing.
@@ -1289,10 +1282,6 @@ mod tests {
         .unwrap();
         let naive = engine.run_naive(&q, 10);
         let trinit = engine.run_trinit(&q, 10);
-        assert_eq!(naive.answers.len(), trinit.answers.len());
-        for (a, b) in naive.answers.iter().zip(&trinit.answers) {
-            assert_eq!(a.binding, b.binding);
-            assert!(a.score.approx_eq(b.score, 1e-9));
-        }
+        assert_eq!(naive.answers, trinit.answers);
     }
 }

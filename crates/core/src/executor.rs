@@ -340,11 +340,7 @@ mod tests {
         let naive = run_naive(&g, &q, &reg, 10);
         let m = OpMetrics::new_handle();
         let trinit = run(&g, &q, &QueryPlan::all_relaxed(2), &reg, m, 10);
-        assert_eq!(naive.len(), trinit.len());
-        for (a, b) in naive.iter().zip(&trinit) {
-            assert!(a.score.approx_eq(b.score, 1e-9), "{:?} vs {:?}", a, b);
-            assert_eq!(a.binding, b.binding);
-        }
+        assert_eq!(naive, trinit);
     }
 
     #[test]
@@ -360,7 +356,7 @@ mod tests {
             bare[0].binding.get(sparql::Var(0)),
             Some(d.lookup("shakira").unwrap())
         );
-        assert!(bare[0].score.approx_eq(Score::new(2.0), 1e-9));
+        assert_eq!(bare[0].score, Score::new(2.0));
     }
 
     #[test]
@@ -381,7 +377,7 @@ mod tests {
             for a in &res {
                 let hit = trinit.iter().find(|t| t.binding == a.binding);
                 if let Some(t) = hit {
-                    assert!(a.score <= t.score + Score::new(1e-9));
+                    assert!(a.score <= t.score);
                 }
             }
             // Output is sorted.
@@ -478,7 +474,7 @@ mod tests {
         // singer: shakira(1.0), beyonce(0.9); vocalist relaxed: adele(0.8),
         // sia ≈ 0.505.
         assert_eq!(res.len(), 4);
-        assert!(res[0].score.approx_eq(Score::new(1.0), 1e-9));
-        assert!(res[2].score.approx_eq(Score::new(0.8), 1e-9));
+        assert_eq!(res[0].score, Score::ONE);
+        assert_eq!(res[2].score, Score::new(0.8));
     }
 }

@@ -64,8 +64,7 @@ pub enum SpeculationPolicy {
     /// recover by delta, up to `max_stages` times. Stages `1‥max_stages−1`
     /// each relax the top remaining suspect; the final permitted stage
     /// relaxes every remaining candidate, which makes the answers TriniT's
-    /// (same bindings; scores may differ in the last place, being summed in
-    /// a different order) whenever detection fires.
+    /// whenever detection fires.
     Fallback {
         /// Maximum recovery stages per query (≥ 1).
         max_stages: usize,

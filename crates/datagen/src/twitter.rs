@@ -14,7 +14,7 @@
 use crate::spec::Dataset;
 use crate::workload::Workload;
 use crate::zipf::{blended_power_law_score, Zipf};
-use kgstore::KnowledgeGraphBuilder;
+use kgstore::{KnowledgeGraphBuilder, TripleScore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relax::CooccurrenceMiner;
@@ -149,7 +149,7 @@ impl TwitterGenerator {
                 }
             }
             for &t in &tags {
-                b.add_ids(tweet, has_tag, terms[t], retweets.into());
+                b.add_ids(tweet, has_tag, terms[t], TripleScore::new(retweets));
             }
             tweet_tags.push(tags);
         }
@@ -307,7 +307,7 @@ mod tests {
         );
         // …but the baseline keeps the two-bucket boundary σ_r in the
         // mid-range the model needs (not degenerate near 0).
-        let total = all.total_score().value();
+        let total = all.total_score();
         let mut cum = 0.0;
         let mut sigma = 1.0;
         for r in 0..all.len() {

@@ -21,7 +21,7 @@
 use crate::spec::Dataset;
 use crate::workload::Workload;
 use crate::zipf::{blended_power_law_score, Zipf};
-use kgstore::KnowledgeGraphBuilder;
+use kgstore::{KnowledgeGraphBuilder, TripleScore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relax::{HierarchyMiner, Position, RelaxationRegistry, TermRule, TypeHierarchy};
@@ -153,11 +153,16 @@ impl XkgGenerator {
         // subClassOf triples (score 1: taxonomy assertions).
         let root = b.intern("thing");
         for d in 0..cfg.domains {
-            b.add_ids(domains[d], subclass_pred, root, 1.0.into());
+            b.add_ids(domains[d], subclass_pred, root, TripleScore::new(1.0));
             for g in 0..cfg.groups_per_domain {
-                b.add_ids(groups[d][g], subclass_pred, domains[d], 1.0.into());
+                b.add_ids(
+                    groups[d][g],
+                    subclass_pred,
+                    domains[d],
+                    TripleScore::new(1.0),
+                );
                 for leaf in &leaves[d][g] {
-                    b.add_ids(*leaf, subclass_pred, groups[d][g], 1.0.into());
+                    b.add_ids(*leaf, subclass_pred, groups[d][g], TripleScore::new(1.0));
                 }
             }
         }
@@ -203,9 +208,9 @@ impl XkgGenerator {
             for &(d, g, l) in &tys {
                 // Leaf type plus materialized ancestors, all scored by the
                 // subject's popularity (inlink-count semantics).
-                b.add_ids(e, type_pred, leaves[d][g][l], pop.into());
-                b.add_ids(e, type_pred, groups[d][g], pop.into());
-                b.add_ids(e, type_pred, domains[d], pop.into());
+                b.add_ids(e, type_pred, leaves[d][g][l], TripleScore::new(pop));
+                b.add_ids(e, type_pred, groups[d][g], TripleScore::new(pop));
+                b.add_ids(e, type_pred, domains[d], TripleScore::new(pop));
             }
             entity_types.push(tys);
         }
@@ -242,7 +247,7 @@ impl XkgGenerator {
                     entities[s],
                     predicates[f][mm],
                     entities[o],
-                    popularity[s].into(),
+                    TripleScore::new(popularity[s]),
                 );
                 emitted += 1;
                 if entity_out_pred[s].len() < 4 && !entity_out_pred[s].contains(&(f, mm)) {
@@ -454,7 +459,7 @@ mod tests {
         );
         // …while the popularity baseline keeps the two-bucket boundary σ_r
         // in the mid-range (not degenerate near zero).
-        let total = list.total_score().value();
+        let total = list.total_score();
         let mut cum = 0.0;
         let mut sigma = 1.0;
         for r in 0..list.len() {

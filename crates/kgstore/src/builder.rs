@@ -3,9 +3,9 @@
 use crate::columns::TripleColumns;
 use crate::index::PatternIndexes;
 use crate::store::KnowledgeGraph;
-use crate::triple::Triple;
+use crate::triple::{Triple, TripleScore};
 use specqp_common::Dictionary;
-use specqp_common::{FxHashMap, Score, TermId};
+use specqp_common::{FxHashMap, TermId};
 
 /// How duplicate triples (same 〈s,p,o〉 inserted twice) combine their scores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -56,16 +56,19 @@ impl KnowledgeGraphBuilder {
     }
 
     /// Adds a triple by term names. Returns the ids assigned.
+    ///
+    /// # Panics
+    /// Panics if `score` is NaN, negative or infinite ([`TripleScore::new`]).
     pub fn add(&mut self, s: &str, p: &str, o: &str, score: f64) -> (TermId, TermId, TermId) {
         let s = self.dict.intern(s);
         let p = self.dict.intern(p);
         let o = self.dict.intern(o);
-        self.add_ids(s, p, o, Score::new(score));
+        self.add_ids(s, p, o, TripleScore::new(score));
         (s, p, o)
     }
 
     /// Adds a triple by pre-interned ids.
-    pub fn add_ids(&mut self, s: TermId, p: TermId, o: TermId, score: Score) {
+    pub fn add_ids(&mut self, s: TermId, p: TermId, o: TermId, score: TripleScore) {
         let t = Triple::new(s, p, o);
         match self.seen.get(&t) {
             Some(&i) => {
@@ -74,7 +77,7 @@ impl KnowledgeGraphBuilder {
                     i as usize,
                     match self.policy {
                         DuplicatePolicy::Max => old.max(score),
-                        DuplicatePolicy::Sum => old + score,
+                        DuplicatePolicy::Sum => TripleScore::new(old.value() + score.value()),
                         DuplicatePolicy::Replace => score,
                     },
                 );

@@ -6,8 +6,8 @@
 //! score column alone — 8 bytes per triple instead of 32 — and the snapshot
 //! format serializes each column as one contiguous block.
 
-use crate::triple::{ScoredTriple, Triple};
-use specqp_common::{Score, TermId};
+use crate::triple::{ScoredTriple, Triple, TripleScore};
+use specqp_common::TermId;
 
 /// Parallel `s`/`p`/`o`/`score` columns over the triple table.
 ///
@@ -19,7 +19,7 @@ pub struct TripleColumns {
     pub(crate) s: Vec<TermId>,
     pub(crate) p: Vec<TermId>,
     pub(crate) o: Vec<TermId>,
-    pub(crate) score: Vec<Score>,
+    pub(crate) score: Vec<TripleScore>,
 }
 
 impl TripleColumns {
@@ -50,7 +50,7 @@ impl TripleColumns {
 
     /// Appends one row.
     #[inline]
-    pub fn push(&mut self, t: Triple, score: Score) {
+    pub fn push(&mut self, t: Triple, score: TripleScore) {
         self.s.push(t.s);
         self.p.push(t.p);
         self.o.push(t.o);
@@ -65,7 +65,7 @@ impl TripleColumns {
 
     /// The score at row `i` (touches only the score column).
     #[inline]
-    pub fn score(&self, i: usize) -> Score {
+    pub fn score(&self, i: usize) -> TripleScore {
         self.score[i]
     }
 
@@ -80,7 +80,7 @@ impl TripleColumns {
 
     /// Overwrites the score at row `i` (builder duplicate-policy path).
     #[inline]
-    pub(crate) fn set_score(&mut self, i: usize, score: Score) {
+    pub(crate) fn set_score(&mut self, i: usize, score: TripleScore) {
         self.score[i] = score;
     }
 
@@ -100,7 +100,7 @@ impl TripleColumns {
     }
 
     /// The score column.
-    pub fn scores(&self) -> &[Score] {
+    pub fn scores(&self) -> &[TripleScore] {
         &self.score
     }
 
@@ -111,7 +111,7 @@ impl TripleColumns {
 
     /// Resident bytes of the four columns.
     pub fn approx_bytes(&self) -> usize {
-        self.len() * (3 * std::mem::size_of::<TermId>() + std::mem::size_of::<Score>())
+        self.len() * (3 * std::mem::size_of::<TermId>() + std::mem::size_of::<TripleScore>())
     }
 
     /// Rebuilds columns from parts (snapshot load). Fails if the column
@@ -120,7 +120,7 @@ impl TripleColumns {
         s: Vec<TermId>,
         p: Vec<TermId>,
         o: Vec<TermId>,
-        score: Vec<Score>,
+        score: Vec<TripleScore>,
     ) -> Option<Self> {
         if s.len() != score.len() || p.len() != score.len() || o.len() != score.len() {
             return None;
@@ -137,11 +137,11 @@ mod tests {
         let mut c = TripleColumns::new();
         c.push(
             Triple::new(TermId(1), TermId(2), TermId(3)),
-            Score::new(5.0),
+            TripleScore::new(5.0),
         );
         c.push(
             Triple::new(TermId(4), TermId(2), TermId(3)),
-            Score::new(1.0),
+            TripleScore::new(1.0),
         );
         c
     }
@@ -179,7 +179,7 @@ mod tests {
             vec![TermId(1)],
             vec![TermId(2)],
             vec![TermId(3)],
-            vec![Score::new(1.0)],
+            vec![TripleScore::new(1.0)],
         )
         .is_some());
         assert!(

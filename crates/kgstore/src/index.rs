@@ -265,14 +265,14 @@ impl PatternIndexes {
 mod tests {
     use super::*;
     use crate::triple::Triple;
-    use specqp_common::Score;
+    use crate::triple::TripleScore;
 
     fn cols(rows: &[(u32, u32, u32, f64)]) -> TripleColumns {
         let mut c = TripleColumns::new();
         for &(s, p, o, score) in rows {
             c.push(
                 Triple::new(TermId(s), TermId(p), TermId(o)),
-                Score::new(score),
+                TripleScore::new(score),
             );
         }
         c

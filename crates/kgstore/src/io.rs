@@ -16,6 +16,7 @@
 
 use crate::builder::{DuplicatePolicy, KnowledgeGraphBuilder};
 use crate::store::KnowledgeGraph;
+use crate::triple::TripleScore;
 use specqp_common::{Error, Result};
 use std::io::{BufRead, Write};
 
@@ -45,13 +46,13 @@ pub fn read_tsv_into(reader: impl BufRead, builder: &mut KnowledgeGraphBuilder) 
                 Error::Parse(format!("line {}: bad score {raw:?}: {e}", lineno + 1))
             })?,
         };
-        if !score.is_finite() || score < 0.0 {
+        let Some(score) = TripleScore::try_new(score) else {
             return Err(Error::Parse(format!(
                 "line {}: score must be finite and non-negative, got {score}",
                 lineno + 1
             )));
-        }
-        builder.add(s.trim(), p.trim(), o.trim(), score);
+        };
+        builder.add(s.trim(), p.trim(), o.trim(), score.value());
         added += 1;
     }
     Ok(added)

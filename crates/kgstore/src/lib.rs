@@ -55,6 +55,6 @@ pub use live::{CompactionPolicy, DeltaStore, Epoch, LiveGraph, LiveStats, WriteB
 pub use pattern_key::{PatternKey, Signature};
 pub use snapshot::{load_snapshot, read_snapshot, save_snapshot, write_snapshot};
 pub use store::{KnowledgeGraph, MatchList};
-pub use triple::{ScoredTriple, Triple};
+pub use triple::{ScoredTriple, Triple, TripleScore};
 
-pub use specqp_common::{Dictionary, Score, TermId};
+pub use specqp_common::{Dictionary, TermId};

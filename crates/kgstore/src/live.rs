@@ -43,8 +43,8 @@ use crate::columns::TripleColumns;
 use crate::index::PatternIndexes;
 use crate::pattern_key::pack3;
 use crate::store::{KnowledgeGraph, OverlaySegment};
-use crate::triple::Triple;
-use specqp_common::{Dictionary, FxHashMap, Score};
+use crate::triple::{Triple, TripleScore};
+use specqp_common::{Dictionary, FxHashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -113,7 +113,7 @@ impl WriteOp {
     /// must be finite and non-negative.
     pub fn has_valid_score(&self) -> bool {
         match self {
-            WriteOp::Assert { score, .. } => score.is_finite() && *score >= 0.0,
+            WriteOp::Assert { score, .. } => TripleScore::try_new(*score).is_some(),
             WriteOp::Retract { .. } => true,
         }
     }
@@ -302,7 +302,7 @@ impl DeltaStore {
                     self.mask(base_row);
                 }
                 let row = self.rows.len() as u32;
-                self.rows.push(t, Score::new(*score));
+                self.rows.push(t, TripleScore::new(*score));
                 self.alive.push(true);
                 self.alive_count += 1;
                 self.live_by_triple.insert(t, row);

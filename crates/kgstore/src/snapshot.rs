@@ -71,7 +71,8 @@
 use crate::columns::TripleColumns;
 use crate::index::{PatternIndexes, PostingMap, TripleMap};
 use crate::store::KnowledgeGraph;
-use specqp_common::{fnv1a_64_lanes, Dictionary, Result, Score, SnapshotError, TermId};
+use crate::triple::TripleScore;
+use specqp_common::{fnv1a_64_lanes, Dictionary, Result, SnapshotError, TermId};
 use std::path::Path;
 
 /// The 8-byte file magic.
@@ -391,13 +392,12 @@ fn decode_cols(bytes: &[u8], dict_len: usize) -> Result<TripleColumns, SnapshotE
     let mut score = Vec::with_capacity(n);
     for bits in c.u64_vec(n)? {
         let v = f64::from_bits(bits);
-        // Same invariant the TSV reader enforces: finite and non-negative.
-        if !v.is_finite() || v < 0.0 {
+        let Some(s) = TripleScore::try_new(v) else {
             return Err(SnapshotError::Corrupt(format!(
                 "invalid score {v} in score column (must be finite and non-negative)"
             )));
-        }
-        score.push(Score::new(v));
+        };
+        score.push(s);
     }
     if !c.done() {
         return Err(SnapshotError::Corrupt(

@@ -24,9 +24,9 @@ use crate::columns::TripleColumns;
 use crate::index::{PatternIndexes, PostingRange};
 use crate::live::Epoch;
 use crate::pattern_key::{pack2, pack3, PatternKey, Signature};
-use crate::triple::{ScoredTriple, Triple};
+use crate::triple::{ScoredTriple, Triple, TripleScore};
 use specqp_common::Dictionary;
-use specqp_common::{FxHashMap, Score, TermId};
+use specqp_common::{FxHashMap, TermId};
 use std::ops::Range;
 use std::sync::{Arc, RwLock};
 
@@ -252,7 +252,7 @@ impl KnowledgeGraph {
 
     /// Raw score of the triple at storage index `i` (global id space).
     #[inline]
-    pub fn score(&self, i: u32) -> Score {
+    pub fn score(&self, i: u32) -> TripleScore {
         let base_len = self.cols.len();
         if (i as usize) < base_len {
             self.cols.score(i as usize)
@@ -390,7 +390,7 @@ impl KnowledgeGraph {
     /// The raw score of an exact visible triple, if present. An overlay row
     /// shadows the base row for the same triple; a masked base row is
     /// absent.
-    pub fn score_of(&self, s: TermId, p: TermId, o: TermId) -> Option<Score> {
+    pub fn score_of(&self, s: TermId, p: TermId, o: TermId) -> Option<TripleScore> {
         let packed = pack3(s, p, o);
         if let Some(ov) = &self.overlay {
             if let Some(local) = ov.indexes.spo.get(packed) {
@@ -517,39 +517,28 @@ impl<'g> MatchList<'g> {
 
     /// Raw score at `rank` (touches only the score column).
     #[inline]
-    pub fn score_at(&self, rank: usize) -> Score {
+    pub fn score_at(&self, rank: usize) -> TripleScore {
         self.graph.score(self.slice()[rank])
     }
 
     /// The maximum raw score (score at rank 0), i.e. the Def.-5 normalizer
     /// `max_{t∈A(q)} S(t)`. Zero for empty lists.
-    pub fn max_score(&self) -> Score {
+    pub fn max_score(&self) -> TripleScore {
         if self.is_empty() {
-            Score::ZERO
+            TripleScore::default()
         } else {
             self.score_at(0)
         }
     }
 
-    /// Normalized score at `rank`: `S(t|q) = S(t)/max` ∈ \[0,1\] (Def. 5).
-    /// Zero for an empty list.
-    pub fn normalized_score_at(&self, rank: usize) -> Score {
-        let max = self.max_score();
-        if max == Score::ZERO {
-            Score::ZERO
-        } else {
-            self.score_at(rank) / max.value()
-        }
-    }
-
     /// Iterates `(storage index, raw score)` in descending-score order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, Score)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (u32, TripleScore)> + '_ {
         let graph = self.graph;
         self.slice().iter().map(move |&i| (i, graph.score(i)))
     }
 
     /// Iterates the matching triples in descending-score order.
-    pub fn iter_triples(&self) -> impl Iterator<Item = (Triple, Score)> + '_ {
+    pub fn iter_triples(&self) -> impl Iterator<Item = (Triple, TripleScore)> + '_ {
         let graph = self.graph;
         self.slice()
             .iter()
@@ -578,7 +567,7 @@ impl<'g> MatchList<'g> {
     ///
     /// # Panics
     /// Panics if `ranks` reaches past the list.
-    pub fn scores(&self, ranks: Range<usize>) -> impl Iterator<Item = Score> + '_ {
+    pub fn scores(&self, ranks: Range<usize>) -> impl Iterator<Item = TripleScore> + '_ {
         self.column(ranks, TripleColumns::scores)
     }
 
@@ -601,16 +590,13 @@ impl<'g> MatchList<'g> {
     }
 
     /// Sum of raw scores over ranks `0..=rank` (the `S_r` statistic).
-    pub fn cumulative_score(&self, rank: usize) -> Score {
-        self.slice()[..=rank]
-            .iter()
-            .map(|&i| self.graph.score(i))
-            .sum()
+    pub fn cumulative_score(&self, rank: usize) -> f64 {
+        self.scores(0..rank + 1).map(TripleScore::value).sum()
     }
 
     /// Sum of all raw scores (`S_m`).
-    pub fn total_score(&self) -> Score {
-        self.iter().map(|(_, s)| s).sum()
+    pub fn total_score(&self) -> f64 {
+        self.scores(0..self.len()).map(TripleScore::value).sum()
     }
 
     /// The underlying graph.
@@ -629,6 +615,7 @@ impl std::fmt::Debug for MatchList<'_> {
 mod tests {
     use super::*;
     use crate::KnowledgeGraphBuilder;
+    use specqp_common::Score;
 
     fn sample() -> KnowledgeGraph {
         let mut b = KnowledgeGraphBuilder::new();
@@ -650,8 +637,9 @@ mod tests {
         assert_eq!(m.score_at(0).value(), 10.0);
         assert_eq!(m.score_at(2).value(), 2.0);
         assert_eq!(m.max_score().value(), 10.0);
-        assert_eq!(m.normalized_score_at(0).value(), 1.0);
-        assert_eq!(m.normalized_score_at(1).value(), 0.4);
+        let normalized = |rank| Score::weighted(Score::ONE, m.score_at(rank).value(), 10.0);
+        assert_eq!(normalized(0), Score::ONE);
+        assert_eq!(normalized(1), Score::new(0.4));
     }
 
     #[test]
@@ -660,9 +648,9 @@ mod tests {
         let ty = kg.dictionary().lookup("type").unwrap();
         let singer = kg.dictionary().lookup("singer").unwrap();
         let m = kg.matches(PatternKey::po(ty, singer));
-        assert_eq!(m.cumulative_score(0).value(), 10.0);
-        assert_eq!(m.cumulative_score(1).value(), 14.0);
-        assert_eq!(m.total_score().value(), 16.0);
+        assert_eq!(m.cumulative_score(0), 10.0);
+        assert_eq!(m.cumulative_score(1), 14.0);
+        assert_eq!(m.total_score(), 16.0);
     }
 
     #[test]
@@ -670,7 +658,7 @@ mod tests {
         let kg = sample();
         let m = kg.matches(PatternKey::p_only(TermId(999)));
         assert!(m.is_empty());
-        assert_eq!(m.max_score(), Score::ZERO);
+        assert_eq!(m.max_score().value(), 0.0);
     }
 
     #[test]

@@ -315,9 +315,9 @@ impl SideState {
             return None;
         }
         match (self.cur, other_top1) {
-            (None, _) => Some(Score::new(f64::INFINITY)),
+            (None, _) => Some(Score::MAX),
             (Some(cur), Some(top1)) => Some(cur + top1),
-            (Some(_), None) => Some(Score::new(f64::INFINITY)),
+            (Some(_), None) => Some(Score::MAX),
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::block::{AnswerBlock, BlockSizer, BlockStream};
 use crate::metrics::MetricsHandle;
-use kgstore::{KnowledgeGraph, MatchList, PatternKey, Triple};
+use kgstore::{KnowledgeGraph, MatchList, PatternKey, Triple, TripleScore};
 use sparql::{Term, TriplePattern, Var};
 use specqp_common::{Score, TermId};
 use std::ops::Range;
@@ -50,7 +50,8 @@ use std::ops::Range;
 pub struct BlockScan<'g> {
     list: MatchList<'g>,
     weight: Score,
-    normalizer: Score,
+    /// The Def.-5 normalizer: the best raw score among the matches.
+    normalizer: f64,
     /// Rank of the next match satisfying the repeated-variable constraint.
     next_rank: usize,
     /// Repeated-variable equality requirements (`?x p ?x` and friends).
@@ -90,7 +91,7 @@ impl<'g> BlockScan<'g> {
         let mut scan = BlockScan {
             list,
             weight,
-            normalizer: Score::ZERO,
+            normalizer: 0.0,
             next_rank: 0,
             req_sp: same(pattern.s, pattern.p),
             req_so: same(pattern.s, pattern.o),
@@ -102,7 +103,7 @@ impl<'g> BlockScan<'g> {
         };
         scan.next_rank = scan.find_satisfying(0);
         if scan.next_rank < scan.list.len() {
-            scan.normalizer = scan.list.score_at(scan.next_rank);
+            scan.normalizer = scan.list.score_at(scan.next_rank).value();
         }
         scan
     }
@@ -126,13 +127,11 @@ impl<'g> BlockScan<'g> {
         r
     }
 
-    /// The normalized, weighted score of a raw score.
+    /// The normalized, weighted score this scan emits for a match of raw
+    /// score `raw`.
     #[inline]
-    fn weighted(&self, raw: Score) -> Score {
-        if self.normalizer == Score::ZERO {
-            return Score::ZERO;
-        }
-        self.weight * (raw / self.normalizer.value())
+    pub fn weighted(&self, raw: f64) -> Score {
+        Score::weighted(self.weight, raw, self.normalizer)
     }
 
     /// The block of every match at `ranks`, read column by column: one pass
@@ -155,12 +154,13 @@ impl<'g> BlockScan<'g> {
                 }
             }
         }
-        // `weighted`, hoisted out of the score pass.
-        if self.normalizer == Score::ZERO {
+        // The normalizer's zero test, hoisted out of the score pass.
+        if self.normalizer == 0.0 {
             scores.resize(rows, Score::ZERO);
         } else {
-            let (w, norm) = (self.weight, self.normalizer.value());
-            scores.extend(self.list.scores(ranks).map(|s| w * (s / norm)));
+            let (w, norm) = (self.weight, self.normalizer);
+            let weighted = move |s: TripleScore| Score::weighted(w, s.value(), norm);
+            scores.extend(self.list.scores(ranks).map(weighted));
         }
         out
     }
@@ -176,7 +176,7 @@ impl<'g> BlockScan<'g> {
             let t = self.list.triple_at(rank);
             if self.satisfies(&t) {
                 let t = [t.s, t.p, t.o];
-                out.push_row_with(self.weighted(self.list.score_at(rank)), |row| {
+                out.push_row_with(self.weighted(self.list.score_at(rank).value()), |row| {
                     for (term, &position) in row.iter_mut().zip(&self.positions) {
                         *term = t[position];
                     }
@@ -216,7 +216,7 @@ impl BlockStream for BlockScan<'_> {
         if self.next_rank >= self.list.len() {
             None
         } else {
-            Some(self.weighted(self.list.score_at(self.next_rank)))
+            Some(self.weighted(self.list.score_at(self.next_rank).value()))
         }
     }
 }
@@ -255,8 +255,8 @@ mod tests {
         out
     }
 
-    fn scores(answers: &[PartialAnswer]) -> Vec<f64> {
-        answers.iter().map(|a| a.score.value()).collect()
+    fn scores(answers: &[PartialAnswer]) -> Vec<Score> {
+        answers.iter().map(|a| a.score).collect()
     }
 
     #[test]
@@ -265,7 +265,7 @@ mod tests {
         for size in [1, 2, 64] {
             let m = OpMetrics::new_handle();
             let scan = BlockScan::new(&g, type_pattern(&g, "singer"), Score::ONE, m.clone(), size);
-            assert_eq!(scores(&drain_blocks(scan)), vec![1.0, 0.5, 0.1]);
+            assert_eq!(scores(&drain_blocks(scan)), [1.0, 0.5, 0.1].map(Score::new));
             assert_eq!(m.answers_created(), 3);
             assert_eq!(m.sorted_accesses(), 3);
         }
@@ -276,7 +276,7 @@ mod tests {
         let g = graph();
         let m = OpMetrics::new_handle();
         let scan = BlockScan::new(&g, type_pattern(&g, "vocalist"), Score::new(0.8), m, 64);
-        assert_eq!(scores(&drain_blocks(scan)), vec![0.8, 0.2]);
+        assert_eq!(scores(&drain_blocks(scan)), [0.8, 0.2].map(Score::new));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! [`ErrorCode::Protocol`] since retrying cannot succeed).
 //!
 //! `mode` is [`ExecMode::index`](specqp_service::ExecMode::index) as a byte
-//! (0 = specqp, 1 = trinit, 2 = naive). `deadline_ms == 0` means no
+//! (0 = specqp, 1 = trinit). `deadline_ms == 0` means no
 //! deadline. Scores travel as IEEE-754 bit patterns (`f64::to_bits`), so
 //! answers survive the round-trip bit-exactly.
 //!

@@ -74,20 +74,17 @@ pub enum ExecMode {
     SpecQp,
     /// The TriniT baseline: every pattern relaxed, no planning.
     TriniT,
-    /// The brute-force ground-truth executor (tests / validation).
-    Naive,
 }
 
 impl ExecMode {
     /// Every mode, in the order used by [`ServiceStats::per_mode`].
-    pub const ALL: [ExecMode; 3] = [ExecMode::SpecQp, ExecMode::TriniT, ExecMode::Naive];
+    pub const ALL: [ExecMode; 2] = [ExecMode::SpecQp, ExecMode::TriniT];
 
     /// Stable index of this mode inside [`ExecMode::ALL`].
     pub fn index(self) -> usize {
         match self {
             ExecMode::SpecQp => 0,
             ExecMode::TriniT => 1,
-            ExecMode::Naive => 2,
         }
     }
 
@@ -363,7 +360,6 @@ impl Core {
         match mode {
             ExecMode::SpecQp => self.engine.run_specqp(query, k),
             ExecMode::TriniT => self.engine.run_trinit(query, k),
-            ExecMode::Naive => self.engine.run_naive(query, k),
         }
     }
 
@@ -807,7 +803,7 @@ mod tests {
         let spec = stats.per_mode[ExecMode::SpecQp.index()].expect("specqp totals");
         assert_eq!(spec.queries, 1);
         assert_eq!(ExecMode::from_index(1), Some(ExecMode::TriniT));
-        assert_eq!(ExecMode::from_index(3), None);
+        assert_eq!(ExecMode::from_index(2), None);
     }
 
     /// Overload behavior: with workers wedged on slow jobs and the queue
@@ -820,11 +816,7 @@ mod tests {
         let config = ServiceConfig::with_threads(1).with_queue_depth(1);
         let service = QueryService::new(g.clone(), reg, config);
         let big = parse_query("SELECT ?s WHERE { ?s <type> <big> }", g.dictionary()).unwrap();
-        // Wedge the single worker: a request whose deadline is far away but
-        // whose execution blocks the pool long enough to fill the queue
-        // deterministically. A naive-mode self-join over the big list is
-        // slow relative to the admission calls below, but to make this
-        // airtight we instead wedge with many queued requests: fill the
+        // Wedge the single worker with many queued requests: fill the
         // 1-slot queue while the worker chews the first.
         let mut tickets = Vec::new();
         // First submit occupies the worker (possibly instantly popped), the
@@ -1002,7 +994,6 @@ mod tests {
             vec![
                 Request::new(q.clone(), 10),
                 Request::new(q.clone(), 5).with_mode(ExecMode::TriniT),
-                Request::new(q.clone(), 5).with_mode(ExecMode::Naive),
             ]
         };
         let run = |execution: ExecutionMode| {

@@ -143,7 +143,7 @@ pub struct ServiceStats {
     pub rejected_writes: u64,
     /// Per-mode lifetime latency breakdown, indexed by
     /// [`ExecMode::index`] (`None` for modes never executed).
-    pub per_mode: [Option<ModeTotals>; 3],
+    pub per_mode: [Option<ModeTotals>; 2],
 }
 
 impl ServiceStats {
@@ -165,7 +165,7 @@ pub struct LifetimeCounters {
     write_batches: AtomicU64,
     write_ops: AtomicU64,
     rejected_writes: AtomicU64,
-    per_mode: [ModeCounters; 3],
+    per_mode: [ModeCounters; 2],
 }
 
 impl Default for LifetimeCounters {
@@ -187,11 +187,7 @@ impl LifetimeCounters {
             write_batches: AtomicU64::new(0),
             write_ops: AtomicU64::new(0),
             rejected_writes: AtomicU64::new(0),
-            per_mode: [
-                ModeCounters::new(),
-                ModeCounters::new(),
-                ModeCounters::new(),
-            ],
+            per_mode: [ModeCounters::new(), ModeCounters::new()],
         }
     }
 
@@ -245,7 +241,7 @@ impl LifetimeCounters {
     /// read relaxed; cross-counter identities may be off by in-flight
     /// requests, as documented on [`ServiceStats`]).
     pub fn snapshot(&self) -> ServiceStats {
-        let mut per_mode = [None; 3];
+        let mut per_mode = [None; 2];
         for mode in ExecMode::ALL {
             let m = &self.per_mode[mode.index()];
             let queries = m.queries.load(Ordering::Relaxed);
@@ -302,7 +298,7 @@ mod tests {
         assert_eq!(spec.queries, 2);
         assert_eq!(spec.mean_latency, Duration::from_micros(200));
         assert_eq!(spec.max_latency, Duration::from_micros(300));
-        assert!(s.per_mode[ExecMode::Naive.index()].is_none());
+        assert!(s.per_mode[ExecMode::TriniT.index()].is_none());
     }
 
     #[test]
@@ -328,10 +324,10 @@ mod tests {
         let c = LifetimeCounters::new();
         for us in [1u64, 10, 100, 1_000, 10_000, 100_000] {
             for _ in 0..10 {
-                c.record_completed(ExecMode::Naive, Duration::from_micros(us));
+                c.record_completed(ExecMode::TriniT, Duration::from_micros(us));
             }
         }
-        let t = c.snapshot().per_mode[ExecMode::Naive.index()].unwrap();
+        let t = c.snapshot().per_mode[ExecMode::TriniT.index()].unwrap();
         assert!(t.p50_latency <= t.p99_latency);
         assert!(t.p99_latency <= t.max_latency.max(t.p99_latency));
         assert!(t.p99_latency >= Duration::from_micros(100_000));

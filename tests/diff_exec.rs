@@ -6,7 +6,9 @@
 //! return **exactly** the same answers — same order, same scores (bitwise,
 //! not approx) — at block sizes {1, 7, 4096} as at the default 128, for
 //! Spec-QP and TriniT, and TriniT must return exactly what the brute-force
-//! [`run_naive`](specqp::run_naive) oracle returns. The block sizes bracket
+//! [`run_naive`](specqp::run_naive) oracle returns. The same query with its
+//! patterns permuted — another join order, another tree shape — must give
+//! TriniT and the oracle the same answers too. The block sizes bracket
 //! the interesting regimes: 1 forces single-row blocks through every
 //! operator, 7 exercises mid-block boundaries, 4096 materializes most
 //! test-scale match lists into one block.
@@ -70,9 +72,12 @@ fn twitter() -> &'static World {
     })
 }
 
-/// Builds a star query over `?x` from pool picks (duplicates dropped).
-/// Returns `None` when no pattern survives deduplication.
-fn build_query(world: &World, picks: &[u16]) -> Option<Query> {
+/// Builds a star query over `?x` from pool picks (duplicates dropped), its
+/// patterns listed in ascending `order[i]` (ties by pick order; missing
+/// keys count as 0). Variables are numbered in pick order, so every order
+/// binds the same variables. Returns `None` when no pattern survives
+/// deduplication.
+fn build_query(world: &World, picks: &[u16], order: &[u32]) -> Option<Query> {
     let mut chosen: Vec<PoolPattern> = Vec::new();
     for &pick in picks {
         let entry = world.pool[pick as usize % world.pool.len()];
@@ -85,13 +90,21 @@ fn build_query(world: &World, picks: &[u16]) -> Option<Query> {
     }
     let mut qb = QueryBuilder::new();
     let x = qb.var("x");
+    let name = |i: usize| format!("y{i}");
     for (i, entry) in chosen.iter().enumerate() {
-        match *entry {
+        if let PoolPattern::Open { .. } = entry {
+            qb.var(&name(i));
+        }
+    }
+    let mut listed: Vec<usize> = (0..chosen.len()).collect();
+    listed.sort_by_key(|&i| (order.get(i).copied().unwrap_or(0), i));
+    for i in listed {
+        match chosen[i] {
             PoolPattern::Bound { p, o } => {
                 qb.pattern(x, p, o);
             }
             PoolPattern::Open { p } => {
-                let y = qb.var(&format!("y{i}"));
+                let y = qb.var(&name(i));
                 qb.pattern(x, p, y);
             }
         }
@@ -110,9 +123,15 @@ fn block_engine(world: &World, size: usize) -> Engine<'_> {
 }
 
 /// Runs every block size against the default one for Spec-QP and TriniT,
-/// and TriniT against the naive oracle, asserting exact equivalence.
-fn check_differential(world: &World, picks: &[u16], k: usize) -> Result<(), TestCaseError> {
-    let Some(q) = build_query(world, picks) else {
+/// TriniT against the naive oracle, and both on the query with its
+/// patterns listed in `order`, asserting exact equivalence.
+fn check_differential(
+    world: &World,
+    picks: &[u16],
+    order: &[u32],
+    k: usize,
+) -> Result<(), TestCaseError> {
+    let Some(q) = build_query(world, picks, &[]) else {
         return Ok(());
     };
     let engine = |size: usize| block_engine(world, size);
@@ -137,11 +156,25 @@ fn check_differential(world: &World, picks: &[u16], k: usize) -> Result<(), Test
             size
         );
     }
+    // Another pattern order joins in another tree; the answers cannot
+    // move. (Work counters may.)
+    let permuted = build_query(world, picks, order).expect("same picks, same patterns");
+    prop_assert_eq!(
+        &reference.run_trinit(&permuted, k).answers,
+        &ref_trinit.answers,
+        "trinit answers, permuted"
+    );
     // The naive oracle drains every relaxation, so only the smaller
     // queries run through it.
     if q.len() <= 2 {
         let naive = reference.run_naive(&q, k);
         prop_assert_eq!(&ref_trinit.answers, &naive.answers, "naive answers");
+        let naive_permuted = reference.run_naive(&permuted, k);
+        prop_assert_eq!(
+            &naive_permuted.answers,
+            &naive.answers,
+            "naive answers, permuted"
+        );
     }
     Ok(())
 }
@@ -152,17 +185,19 @@ proptest! {
     #[test]
     fn xkg_block_sizes_agree_with_each_other_and_naive(
         picks in proptest::collection::vec(any::<u16>(), 1..=4),
+        order in proptest::collection::vec(any::<u32>(), 4),
         k in 1usize..=25,
     ) {
-        check_differential(xkg(), &picks, k)?;
+        check_differential(xkg(), &picks, &order, k)?;
     }
 
     #[test]
     fn twitter_block_sizes_agree_with_each_other_and_naive(
         picks in proptest::collection::vec(any::<u16>(), 1..=4),
+        order in proptest::collection::vec(any::<u32>(), 4),
         k in 1usize..=25,
     ) {
-        check_differential(twitter(), &picks, k)?;
+        check_differential(twitter(), &picks, &order, k)?;
     }
 }
 

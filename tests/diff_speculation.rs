@@ -9,11 +9,9 @@
 //!    folded in per escalated pattern — are the answers of executing the
 //!    escalated plan from scratch.
 //!
-//! Both compare *up to summation order* ([`equivalent`]): a
-//! delta sums an answer's pattern scores in the order of the tree that found
-//! it, a restart in the order of the escalated tree, and the two may differ
-//! in the last place — which can also swap equal-scored neighbours and pick
-//! another member of a tie at rank k. Nothing else may differ.
+//! Both compare with `==`: scores are exact fixed-point sums, so the
+//! order in which a delta or a restart adds an answer's pattern scores
+//! cannot move a bit, and ties at rank k break by binding in both.
 //!
 //! Queries are assembled from the generators' own workload patterns, the
 //! same construction as tests/diff_exec.rs.
@@ -25,9 +23,6 @@ use sparql::{Query, QueryBuilder, Term};
 use specqp::{Engine, EngineConfig, SpeculationPolicy};
 use specqp_common::TermId;
 use std::sync::OnceLock;
-
-mod common;
-use common::equivalent;
 
 const BLOCK_SIZES: [usize; 3] = [1, 64, 4096];
 
@@ -158,19 +153,24 @@ fn check_one(
         prop_assert!(out.report.mis_speculated);
         // Property 2: delta ≡ restart.
         let restart = budgeted.run_with_plan(q, k, out.plan.clone());
-        equivalent(&out.answers, &restart.answers).map_err(|e| {
-            TestCaseError::fail(format!(
-                "delta ≠ restart after {} of {max_stages} stages ({execution:?}, k {k}): {e}",
-                out.report.fallback_stages
-            ))
-        })?;
+        prop_assert_eq!(
+            &out.answers,
+            &restart.answers,
+            "delta ≠ restart after {} of {} stages ({:?}, k {})",
+            out.report.fallback_stages,
+            max_stages,
+            execution,
+            k
+        );
         // Property 1: a one-stage budget that fires lands on TriniT.
         if max_stages == 1 {
-            equivalent(&out.answers, &trinit.answers).map_err(|e| {
-                TestCaseError::fail(format!(
-                    "one-stage fallback ≠ trinit ({execution:?}, k {k}): {e}"
-                ))
-            })?;
+            prop_assert_eq!(
+                &out.answers,
+                &trinit.answers,
+                "one-stage fallback ≠ trinit ({:?}, k {})",
+                execution,
+                k
+            );
         }
     }
     Ok(())
@@ -222,12 +222,11 @@ fn workload_queries_delta_recovery_equals_restart() {
                 let out = engine.run_specqp(q, 10);
                 stages_seen[out.report.fallback_stages as usize] += 1;
                 let restart = engine.run_with_plan(q, 10, out.plan.clone());
-                if let Err(e) = equivalent(&out.answers, &restart.answers) {
-                    panic!(
-                        "{execution:?}, {} stages: delta ≠ restart: {e}",
-                        out.report.fallback_stages
-                    );
-                }
+                assert_eq!(
+                    out.answers, restart.answers,
+                    "{execution:?}, {} stages: delta ≠ restart",
+                    out.report.fallback_stages
+                );
             }
         }
     }
@@ -237,8 +236,8 @@ fn workload_queries_delta_recovery_equals_restart() {
     );
 }
 
-/// Every run that takes a recovery stage lands on TriniT's answers (up to
-/// summation order, see [`equivalent`]) on the exact workloads, at every
+/// Every run that takes a recovery stage lands on TriniT's answers on the
+/// exact workloads, at every
 /// [`WORKLOAD_MODES`] size — also once earlier laps have filled the
 /// ledger, so its bias shapes the plans.
 #[test]
@@ -256,9 +255,10 @@ fn workload_queries_recovered_runs_equal_trinit() {
                     }
                     recovered += 1;
                     let trinit = engine.run_trinit(q, 10);
-                    if let Err(e) = equivalent(&out.answers, &trinit.answers) {
-                        panic!("{execution:?}, lap {lap}: recovery ≠ trinit: {e}");
-                    }
+                    assert_eq!(
+                        out.answers, trinit.answers,
+                        "{execution:?}, lap {lap}: recovery ≠ trinit"
+                    );
                 }
             }
         }

@@ -1,8 +1,5 @@
 //! End-to-end integration tests: generated datasets → engine → metrics.
 
-mod common;
-
-use common::equivalent;
 use datagen::{TwitterConfig, TwitterGenerator, XkgConfig, XkgGenerator};
 use kgstore::KnowledgeGraphBuilder;
 use relax::{Position, RelaxationRegistry, TermRule};
@@ -16,13 +13,7 @@ fn trinit_equals_naive_on_xkg() {
     for query in ds.workload.queries.iter().take(4) {
         let trinit = engine.run_trinit(query, 10);
         let naive = engine.run_naive(query, 10);
-        assert_eq!(trinit.answers.len(), naive.answers.len());
-        for (a, b) in trinit.answers.iter().zip(&naive.answers) {
-            assert!(
-                a.score.approx_eq(b.score, 1e-9),
-                "TriniT and naive disagree: {a:?} vs {b:?}"
-            );
-        }
+        assert_eq!(trinit.answers, naive.answers, "TriniT and naive disagree");
     }
 }
 
@@ -33,10 +24,7 @@ fn trinit_equals_naive_on_twitter() {
     for query in ds.workload.queries.iter().take(3) {
         let trinit = engine.run_trinit(query, 10);
         let naive = engine.run_naive(query, 10);
-        assert_eq!(trinit.answers.len(), naive.answers.len());
-        for (a, b) in trinit.answers.iter().zip(&naive.answers) {
-            assert!(a.score.approx_eq(b.score, 1e-9));
-        }
+        assert_eq!(trinit.answers, naive.answers);
     }
 }
 
@@ -57,7 +45,7 @@ fn specqp_answers_are_valid_relaxed_answers() {
                 .unwrap_or_else(|| panic!("Spec-QP invented an answer: {a:?}"));
             // Spec-QP scores never exceed the Def.-8 max-semantics score.
             assert!(
-                a.score <= hit.score + specqp_common::Score::new(1e-9),
+                a.score <= hit.score,
                 "score above ground truth: {a:?} vs {hit:?}"
             );
         }
@@ -77,11 +65,7 @@ fn specqp_with_all_relaxed_plan_equals_trinit() {
     let query = &ds.workload.queries[0];
     let forced = engine.run_with_plan(query, 10, QueryPlan::all_relaxed(query.len()));
     let trinit = engine.run_trinit(query, 10);
-    assert_eq!(forced.answers.len(), trinit.answers.len());
-    for (a, b) in forced.answers.iter().zip(&trinit.answers) {
-        assert_eq!(a.binding, b.binding);
-        assert!(a.score.approx_eq(b.score, 1e-12));
-    }
+    assert_eq!(forced.answers, trinit.answers);
     assert_eq!(forced.report.answers_created, trinit.report.answers_created);
 }
 
@@ -209,6 +193,6 @@ fn weight_zero_rule_plans_like_trinit() {
         let spec = engine.run_specqp(&q, k);
         let trinit = engine.run_trinit(&q, k);
         assert_eq!(trinit.answers.len(), k.min(10));
-        equivalent(&spec.answers, &trinit.answers).unwrap_or_else(|e| panic!("k={k}: {e}"));
+        assert_eq!(spec.answers, trinit.answers, "k={k}");
     }
 }

@@ -79,11 +79,7 @@ fn join_of_joins_three_way() {
             }
         }
     }
-    assert!(
-        got[0].score.approx_eq(best, 1e-9),
-        "{:?} vs {best:?}",
-        got[0].score
-    );
+    assert_eq!(got[0].score, best);
     // The join result binds all four variables.
     for v in [Var(0), Var(1), Var(2), Var(3)] {
         assert!(got[0].binding.get(v).is_some());

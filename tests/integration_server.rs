@@ -6,7 +6,8 @@
 use kgstore::KnowledgeGraphBuilder;
 use relax::RelaxationRegistry;
 use specqp_server::{
-    ErrorCode, QuotaConfig, Server, ServerConfig, SpecQpClient, WireResponse, WireWriteOp, OP_QUERY,
+    request_frame, ErrorCode, QuotaConfig, Server, ServerConfig, SpecQpClient, WireRequest,
+    WireResponse, WireWriteOp, OP_QUERY,
 };
 use specqp_service::{ExecMode, LiveGraph, QueryService, ServiceConfig};
 use std::sync::Arc;
@@ -26,11 +27,13 @@ fn sized_service(entities: usize, threads: usize, queue_depth: usize) -> Arc<Que
             "singer",
             100.0 / (i + 1) as f64,
         );
+        // Ranked against `singer`'s order, so a rank join of the two
+        // (SLOW_JOIN) cannot stop before it has read both lists through.
         b.add(
             &format!("singer{i}"),
             "rdf:type",
             "artist",
-            90.0 / (i + 1) as f64,
+            90.0 * (i + 1) as f64 / entities as f64,
         );
     }
     let config = ServiceConfig::with_threads(threads).with_queue_depth(queue_depth);
@@ -128,6 +131,26 @@ fn malformed_frame_gets_protocol_error_and_connection_survives() {
         other => panic!("expected protocol error, got {other:?}"),
     }
     // Unparseable query text, unknown mode byte and k = 0 are all Protocol.
+    // Two modes exist, so byte 2 names none: only tests run the oracle.
+    let errors = server.stats().protocol_errors;
+    client
+        .send_raw(&request_frame(&WireRequest {
+            request_id: 9,
+            client_id: 1,
+            mode: 2,
+            k: 5,
+            deadline_ms: 0,
+            query: SINGERS.to_string(),
+        }))
+        .unwrap();
+    match client.recv().unwrap() {
+        WireResponse::Error { code, message, .. } => {
+            assert_eq!(code, ErrorCode::Protocol);
+            assert!(message.contains("mode byte 2"), "{message}");
+        }
+        other => panic!("expected protocol error, got {other:?}"),
+    }
+    assert_eq!(server.stats().protocol_errors, errors + 1);
     client
         .send("THIS IS NOT SPARQL", ExecMode::SpecQp, 5, 0, 1)
         .unwrap();
@@ -165,7 +188,7 @@ fn huge_k_is_answered_not_aborted() {
     let server = Server::bind(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = SpecQpClient::connect(server.local_addr()).unwrap();
 
-    for mode in [ExecMode::SpecQp, ExecMode::TriniT, ExecMode::Naive] {
+    for mode in ExecMode::ALL {
         let answers = expect_answers(client.roundtrip(SINGERS, mode, u32::MAX, 0, 1).unwrap());
         assert_eq!(answers.len(), 30, "{mode:?}: the whole answer set");
     }
@@ -303,8 +326,9 @@ fn expired_deadline_is_shed_over_the_wire() {
 /// `RetryAfter` *quickly* (no unbounded waits), and accepted ones all
 /// complete.
 ///
-/// The burst is the brute-force executor's join over the 2000-entity graph
-/// — milliseconds each, against the microseconds the connection's reader
+/// The burst is TriniT's rank join of two anti-correlated 2000-entity
+/// lists, which reads both to the end — milliseconds each, against the
+/// microseconds the connection's reader
 /// needs to decode and submit a frame already in its socket buffer. A cheap
 /// query let the one worker keep pace with the reader now and then, and
 /// then nothing was shed (1 run in ~240); this worker would have to finish
@@ -320,7 +344,7 @@ fn queue_saturation_sheds_with_retry_after() {
     let mut accepted = 0u32;
     let mut shed = 0u32;
     for _ in 0..60 {
-        client.send(SLOW_JOIN, ExecMode::Naive, 10, 0, 1).unwrap();
+        client.send(SLOW_JOIN, ExecMode::TriniT, 10, 0, 1).unwrap();
     }
     for _ in 0..60 {
         match client.recv().unwrap() {

@@ -66,7 +66,6 @@ fn run_sequential(engine: &Engine<'_>, requests: &[Request]) -> Vec<QueryOutcome
         .map(|r| match r.mode {
             ExecMode::SpecQp => engine.run_specqp(&r.query, r.k),
             ExecMode::TriniT => engine.run_trinit(&r.query, r.k),
-            ExecMode::Naive => engine.run_naive(&r.query, r.k),
         })
         .collect()
 }
@@ -172,7 +171,7 @@ fn four_threads_200_queries_match_sequential_with_cache_hits() {
 }
 
 /// Determinism under parallelism for every executor: a mixed
-/// specqp/trinit/naive workload run on 4 threads matches the sequential
+/// specqp/trinit workload run on 4 threads matches the sequential
 /// engine run request-for-request, flat and churned.
 #[test]
 fn mixed_mode_workload_matches_sequential() {
@@ -184,15 +183,15 @@ fn mixed_mode_workload_matches_sequential() {
             .take(36)
             .enumerate()
             .map(|(i, q)| {
-                let mode = [ExecMode::SpecQp, ExecMode::TriniT, ExecMode::Naive][i % 3];
+                let mode = ExecMode::ALL[i % 2];
                 Request::new(q.clone(), 5 + (i % 3) * 5).with_mode(mode)
             })
             .collect();
         let outcomes = run_batch_churned(&service, &requests);
         let sequential = run_sequential(&reference, &requests);
         assert_identical_outcomes(&outcomes, &sequential, &format!("mixed churn={churn}"));
-        // Only the Spec-QP third consults the plan cache.
-        assert_eq!(service.engine().plan_cache_metrics().lookups(), 12);
+        // Only the Spec-QP half consults the plan cache.
+        assert_eq!(service.engine().plan_cache_metrics().lookups(), 18);
     }
 }
 

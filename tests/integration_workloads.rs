@@ -67,7 +67,7 @@ fn xkg_type_lists_follow_8020() {
             if list.len() < 20 {
                 continue;
             }
-            let total = list.total_score().value();
+            let total = list.total_score();
             let mut cum = 0.0;
             let mut rank_at_80 = list.len();
             for r in 0..list.len() {

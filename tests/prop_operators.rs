@@ -186,14 +186,14 @@ fn scan_pattern(graph: &KnowledgeGraph, picks: (u8, u8, u8)) -> TriplePattern {
     }
 }
 
-/// A scanned row: its terms in schema order and its score's bits.
-type ScanRow = (Vec<TermId>, u64);
+/// A scanned row: its terms in schema order and its score.
+type ScanRow = (Vec<TermId>, Score);
 
 /// What a scan of `pattern` must emit, read off the match list: the
 /// matches whose repeated-variable positions agree, in rank order, each
-/// bound at its variables' first positions and scored `w * (s / norm)`,
-/// `norm` being the first surviving match's score (all zeros when that is
-/// zero).
+/// bound at its variables' first positions and scored
+/// `Score::weighted(w, s, norm)`, `norm` being the first surviving match's
+/// score.
 fn scan_reference(graph: &KnowledgeGraph, pattern: TriplePattern, weight: Score) -> Vec<ScanRow> {
     let (s, p, o) = pattern.const_parts();
     let terms = [pattern.s, pattern.p, pattern.o];
@@ -206,24 +206,19 @@ fn scan_reference(graph: &KnowledgeGraph, pattern: TriplePattern, weight: Score)
         }
     }
     vars.sort_unstable();
-    let rows: Vec<([TermId; 3], Score)> = graph
+    let rows: Vec<([TermId; 3], f64)> = graph
         .matches(PatternKey { s, p, o })
         .iter_triples()
-        .map(|(t, score)| ([t.s, t.p, t.o], score))
+        .map(|(t, score)| ([t.s, t.p, t.o], score.value()))
         .filter(|(values, _)| {
             (0..3).all(|i| (0..3).all(|j| terms[i] != terms[j] || values[i] == values[j]))
         })
         .collect();
-    let norm = rows.first().map_or(Score::ZERO, |&(_, score)| score);
+    let norm = rows.first().map_or(0.0, |&(_, score)| score);
     rows.iter()
-        .map(|(values, raw)| {
-            let score = if norm == Score::ZERO {
-                Score::ZERO
-            } else {
-                weight * (*raw / norm.value())
-            };
+        .map(|&(values, raw)| {
             let bound = vars.iter().map(|&(_, position)| values[position]).collect();
-            (bound, score.value().to_bits())
+            (bound, Score::weighted(weight, raw, norm))
         })
         .collect()
 }
@@ -231,7 +226,7 @@ fn scan_reference(graph: &KnowledgeGraph, pattern: TriplePattern, weight: Score)
 /// Appends a block's rows to `out`.
 fn scan_rows_into(block: &operators::AnswerBlock, out: &mut Vec<ScanRow>) {
     for i in 0..block.len() {
-        out.push((block.row(i).to_vec(), block.score(i).value().to_bits()));
+        out.push((block.row(i).to_vec(), block.score(i)));
     }
 }
 

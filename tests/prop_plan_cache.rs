@@ -5,7 +5,7 @@
 //! speculation ledger recorded, a warm engine serves the plan a fresh
 //! engine with the same ledger would.
 
-use kgstore::{KnowledgeGraph, KnowledgeGraphBuilder};
+use kgstore::{KnowledgeGraph, KnowledgeGraphBuilder, TripleScore};
 use proptest::prelude::*;
 use relax::{Position, RelaxationRegistry, TermRule};
 use sparql::{Query, QueryBuilder, StatsKey};
@@ -34,7 +34,12 @@ fn micro_world(
     for (e, c, score) in assignments {
         let class = classes[(c % n_classes) as usize];
         let ent = b.intern(&format!("e{e}"));
-        b.add_ids(ent, type_pred, class, f64::from(score.max(1)).into());
+        b.add_ids(
+            ent,
+            type_pred,
+            class,
+            TripleScore::new(f64::from(score.max(1))),
+        );
     }
     let graph = b.build();
     let mut registry = RelaxationRegistry::new();
