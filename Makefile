@@ -11,6 +11,7 @@ lint:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 	! git grep -n 'env::var' -- 'crates/*/src/*' src
 	! git grep -nE 'approx_eq|SUM_SLACK' -- crates src tests examples
+	! git grep -nE 'QuotaConfig|QuotaRegistry|with_quota|with_client|DuplicatePolicy' -- crates src tests examples
 
 fmt:
 	$(CARGO) fmt --all

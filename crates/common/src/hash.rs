@@ -92,25 +92,14 @@ pub fn fx_hash_one<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
 const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a 64-bit checksum.
-///
-/// Unlike [`FxHasher`] (whose chunking strategy is an implementation detail
-/// of the in-process hash maps), FNV-1a over individual bytes is a fixed,
-/// portable function — the right choice for on-disk integrity checks like
-/// the KG snapshot trailer, where the value must be stable across builds
-/// and platforms.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = FNV64_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV64_PRIME);
-    }
-    h
-}
-
 /// FNV-1a 64 over little-endian u64 *words* in eight interleaved lanes,
 /// folded into one digest — the checksum the KG snapshot trailer uses,
 /// where the hash runs over megabytes on the serve-restart path.
+///
+/// Unlike [`FxHasher`] (whose chunking strategy is an implementation detail
+/// of the in-process hash maps), this is a fixed, portable function — the
+/// right choice for an on-disk integrity check, whose value must be stable
+/// across builds and platforms.
 ///
 /// A single FNV chain is latency-bound: every word waits on the previous
 /// multiply, capping throughput near one word per multiply *latency*. Eight
@@ -122,9 +111,8 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// from lane 0, the final partial word is zero-padded, the eight lane
 /// digests are folded through one more FNV chain and the total byte length
 /// is mixed in last (so inputs differing only by trailing zero bytes still
-/// hash apart). Every step is fixed little-endian arithmetic, so the value
-/// is as portable and stable as [`fnv1a_64`] — but it is a different
-/// function and never agrees with it.
+/// hash apart). Every step is fixed little-endian arithmetic, so it does
+/// not agree with the byte-wise FNV-1a chain.
 pub fn fnv1a_64_lanes(bytes: &[u8]) -> u64 {
     const LANES: usize = 8;
     let mut lanes = [FNV64_OFFSET; LANES];
@@ -197,20 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a_64_known_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn fnv1a_64_sensitivity() {
-        assert_ne!(fnv1a_64(b"abc"), fnv1a_64(b"abd"));
-        assert_ne!(fnv1a_64(b"abc"), fnv1a_64(b"abc\0"));
-    }
-
-    #[test]
     fn fnv1a_64_lanes_is_stable_and_sensitive() {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -247,8 +221,6 @@ mod tests {
         let mut extended = base.clone();
         extended.push(0);
         assert_ne!(fnv1a_64_lanes(&extended), digest);
-        // And it is its own function, not the byte-wise chain.
-        assert_ne!(fnv1a_64_lanes(&base), fnv1a_64(&base));
     }
 
     #[test]

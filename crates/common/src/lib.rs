@@ -18,6 +18,6 @@ pub mod score;
 
 pub use dictionary::Dictionary;
 pub use error::{Error, Result, SnapshotError};
-pub use hash::{fnv1a_64, fnv1a_64_lanes, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{fnv1a_64_lanes, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use id::TermId;
 pub use score::Score;

@@ -29,17 +29,11 @@
 use crate::plan::QueryPlan;
 use kgstore::Epoch;
 use operators::{CacheMetrics, CacheMetricsHandle};
-use sparql::{Query, Term, Var};
+use sparql::{canonical_form, CanonicalSlot, Query};
 use specqp_common::hash::fx_hash_one;
-use specqp_common::{FxHashMap, TermId};
+use specqp_common::FxHashMap;
 use std::collections::VecDeque;
 use std::sync::Mutex;
-
-/// One pattern's slot in a [`QueryShape`]: the constant components plus the
-/// canonical numbers of its variable positions (`u16::MAX` = constant
-/// slot). `u16` leaves room for 65 535 distinct variables per query — far
-/// beyond any realizable pattern list (each pattern introduces ≤ 3).
-type ShapeSlot = (Option<TermId>, Option<TermId>, Option<TermId>, [u16; 3]);
 
 /// Variable-name-insensitive identity of a planning problem: the pattern
 /// structure (constants + canonically renumbered variables, in query order)
@@ -50,7 +44,7 @@ type ShapeSlot = (Option<TermId>, Option<TermId>, Option<TermId>, [u16; 3]);
 /// different shape.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct QueryShape {
-    slots: Vec<ShapeSlot>,
+    slots: Vec<CanonicalSlot>,
     k: usize,
 }
 
@@ -58,25 +52,10 @@ impl QueryShape {
     /// Canonicalizes `query` + `k`: variables are renumbered in first-seen
     /// order across the whole pattern list, erasing their names.
     pub fn of(query: &Query, k: usize) -> Self {
-        let mut var_map: FxHashMap<Var, u16> = FxHashMap::default();
-        let mut slots = Vec::with_capacity(query.len());
-        for p in query.patterns() {
-            let mut slot = [u16::MAX; 3];
-            for (i, t) in [p.s, p.p, p.o].into_iter().enumerate() {
-                if let Term::Var(v) = t {
-                    let next = var_map.len();
-                    assert!(
-                        next < usize::from(u16::MAX),
-                        "query exceeds {} distinct variables",
-                        u16::MAX
-                    );
-                    slot[i] = *var_map.entry(v).or_insert(next as u16);
-                }
-            }
-            let (s, pp, o) = p.const_parts();
-            slots.push((s, pp, o, slot));
+        QueryShape {
+            slots: canonical_form(query.patterns()),
+            k,
         }
-        QueryShape { slots, k }
     }
 
     /// The `k` this shape was planned for.
@@ -225,6 +204,7 @@ impl PlanCache {
 mod tests {
     use super::*;
     use sparql::QueryBuilder;
+    use specqp_common::TermId;
 
     const E0: Epoch = Epoch::ZERO;
 

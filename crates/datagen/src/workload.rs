@@ -1,11 +1,6 @@
-//! Query workloads and their text persistence.
-//!
-//! Workloads round-trip through plain text — one SPARQL-subset query per
-//! blank-line-separated block — so a generated testset can be saved, edited
-//! and reloaded for experiment reproducibility.
+//! Query workloads: a named list of generated queries.
 
 use sparql::Query;
-use specqp_common::{Dictionary, Result};
 
 /// A named list of benchmark queries.
 #[derive(Clone, Debug)]
@@ -33,100 +28,5 @@ impl Workload {
     /// `true` when there are no queries.
     pub fn is_empty(&self) -> bool {
         self.queries.is_empty()
-    }
-
-    /// Renders the workload as text: one query per blank-line-separated
-    /// block, constants resolved through `dict`.
-    pub fn to_text(&self, dict: &Dictionary) -> String {
-        let mut out = String::new();
-        for q in &self.queries {
-            out.push_str(&q.display(dict).to_string());
-            out.push_str("\n\n");
-        }
-        out
-    }
-
-    /// Parses a workload previously rendered by [`Workload::to_text`]
-    /// (lookup-only resolution against `dict`).
-    pub fn from_text(name: impl Into<String>, text: &str, dict: &Dictionary) -> Result<Self> {
-        let mut queries = Vec::new();
-        for block in text.split("\n\n") {
-            let block = block.trim();
-            if block.is_empty() {
-                continue;
-            }
-            queries.push(sparql::parse_query(block, dict)?);
-        }
-        Ok(Workload {
-            name: name.into(),
-            queries,
-        })
-    }
-
-    /// Queries grouped by pattern count, ascending (`(#TP, indices)`), the
-    /// grouping of Figures 6 and 8 / Table 4.
-    pub fn by_pattern_count(&self) -> Vec<(usize, Vec<usize>)> {
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (i, q) in self.queries.iter().enumerate() {
-            match groups.iter_mut().find(|(n, _)| *n == q.len()) {
-                Some((_, v)) => v.push(i),
-                None => groups.push((q.len(), vec![i])),
-            }
-        }
-        groups.sort_by_key(|(n, _)| *n);
-        groups
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sparql::QueryBuilder;
-    use specqp_common::TermId;
-
-    fn q(n: usize) -> Query {
-        let mut b = QueryBuilder::new();
-        let s = b.var("s");
-        for i in 0..n {
-            b.pattern(s, TermId(0), TermId(i as u32 + 1));
-        }
-        b.project(s);
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn text_roundtrip() {
-        let mut dict = Dictionary::new();
-        let p = dict.intern("p");
-        let c1 = dict.intern("c1");
-        let c2 = dict.intern("c2");
-        let mut b1 = QueryBuilder::new();
-        let s = b1.var("s");
-        b1.pattern(s, p, c1);
-        b1.pattern(s, p, c2);
-        b1.project(s);
-        let mut b2 = QueryBuilder::new();
-        let x = b2.var("x");
-        b2.pattern(x, p, c1);
-        b2.project(x);
-        let w = Workload::new("t", vec![b1.build().unwrap(), b2.build().unwrap()]);
-        let text = w.to_text(&dict);
-        let w2 = Workload::from_text("t", &text, &dict).unwrap();
-        assert_eq!(w2.len(), 2);
-        for (a, b) in w.queries.iter().zip(&w2.queries) {
-            assert_eq!(a.len(), b.len());
-            assert_eq!(a.patterns(), b.patterns());
-        }
-    }
-
-    #[test]
-    fn groups_by_tp() {
-        let w = Workload::new("t", vec![q(2), q(3), q(2), q(4)]);
-        let groups = w.by_pattern_count();
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[0], (2, vec![0, 2]));
-        assert_eq!(groups[1], (3, vec![1]));
-        assert_eq!(groups[2], (4, vec![3]));
-        assert_eq!(w.len(), 4);
     }
 }

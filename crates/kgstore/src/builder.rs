@@ -7,41 +7,20 @@ use crate::triple::{Triple, TripleScore};
 use specqp_common::Dictionary;
 use specqp_common::{FxHashMap, TermId};
 
-/// How duplicate triples (same 〈s,p,o〉 inserted twice) combine their scores.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DuplicatePolicy {
-    /// Keep the larger score (default; matches "score = popularity").
-    #[default]
-    Max,
-    /// Add the scores (matches "score = occurrence count", the XKG text
-    /// triples whose score is the number of times the triple was extracted).
-    Sum,
-    /// Keep the score seen last.
-    Replace,
-}
-
 /// Accumulates triples and produces an immutable, indexed
-/// [`KnowledgeGraph`].
+/// [`KnowledgeGraph`]. A triple added twice (same 〈s,p,o〉) keeps the
+/// larger score.
 #[derive(Default)]
 pub struct KnowledgeGraphBuilder {
     dict: Dictionary,
     cols: TripleColumns,
     seen: FxHashMap<Triple, u32>,
-    policy: DuplicatePolicy,
 }
 
 impl KnowledgeGraphBuilder {
-    /// New builder with the [`DuplicatePolicy::Max`] policy.
+    /// New, empty builder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// New builder with an explicit duplicate policy.
-    pub fn with_policy(policy: DuplicatePolicy) -> Self {
-        KnowledgeGraphBuilder {
-            policy,
-            ..Self::default()
-        }
     }
 
     /// Pre-allocates space for `n` triples.
@@ -67,20 +46,14 @@ impl KnowledgeGraphBuilder {
         (s, p, o)
     }
 
-    /// Adds a triple by pre-interned ids.
+    /// Adds a triple by pre-interned ids; a duplicate keeps the larger
+    /// score.
     pub fn add_ids(&mut self, s: TermId, p: TermId, o: TermId, score: TripleScore) {
         let t = Triple::new(s, p, o);
         match self.seen.get(&t) {
             Some(&i) => {
                 let old = self.cols.score(i as usize);
-                self.cols.set_score(
-                    i as usize,
-                    match self.policy {
-                        DuplicatePolicy::Max => old.max(score),
-                        DuplicatePolicy::Sum => TripleScore::new(old.value() + score.value()),
-                        DuplicatePolicy::Replace => score,
-                    },
-                );
+                self.cols.set_score(i as usize, old.max(score));
             }
             None => {
                 let i = self.cols.len() as u32;
@@ -126,24 +99,6 @@ mod tests {
         let kg = b.build();
         assert_eq!(kg.len(), 1);
         assert_eq!(kg.score(0).value(), 5.0);
-    }
-
-    #[test]
-    fn duplicate_sum_policy() {
-        let mut b = KnowledgeGraphBuilder::with_policy(DuplicatePolicy::Sum);
-        b.add("a", "p", "b", 3.0);
-        b.add("a", "p", "b", 5.0);
-        let kg = b.build();
-        assert_eq!(kg.score(0).value(), 8.0);
-    }
-
-    #[test]
-    fn duplicate_replace_policy() {
-        let mut b = KnowledgeGraphBuilder::with_policy(DuplicatePolicy::Replace);
-        b.add("a", "p", "b", 3.0);
-        b.add("a", "p", "b", 1.0);
-        let kg = b.build();
-        assert_eq!(kg.score(0).value(), 1.0);
     }
 
     #[test]

@@ -109,11 +109,6 @@ impl TripleColumns {
         (0..self.len()).map(move |i| self.scored(i))
     }
 
-    /// Resident bytes of the four columns.
-    pub fn approx_bytes(&self) -> usize {
-        self.len() * (3 * std::mem::size_of::<TermId>() + std::mem::size_of::<TripleScore>())
-    }
-
     /// Rebuilds columns from parts (snapshot load). Fails if the column
     /// lengths disagree.
     pub(crate) fn from_parts(

@@ -105,7 +105,17 @@ impl TripleMap {
     /// Binary-search lookup of a packed (s,p,o) key.
     #[inline]
     pub(crate) fn get(&self, key: u128) -> Option<u32> {
-        self.keys.binary_search(&key).ok().map(|i| self.vals[i])
+        self.id_slice(key).first().copied()
+    }
+
+    /// The id of a packed (s,p,o) key as a borrowed 0- or 1-element
+    /// window of the `vals` column.
+    #[inline]
+    pub(crate) fn id_slice(&self, key: u128) -> &[u32] {
+        match self.keys.binary_search(&key) {
+            Ok(pos) => &self.vals[pos..=pos],
+            Err(_) => &[],
+        }
     }
 
     /// Number of stored triples.
@@ -247,17 +257,6 @@ impl PatternIndexes {
             postings,
             all,
         }
-    }
-
-    /// Approximate heap size of the indexes in bytes (diagnostics only).
-    pub fn approx_bytes(&self) -> usize {
-        fn map_bytes<K>(len: usize) -> usize {
-            len * (std::mem::size_of::<K>() + 8 + 4)
-        }
-        (self.postings.len() + self.all.len()) * 4
-            + self.spo.len() * (16 + 4)
-            + map_bytes::<u64>(self.sp.len() + self.so.len() + self.po.len())
-            + map_bytes::<TermId>(self.s.len() + self.p.len() + self.o.len())
     }
 }
 

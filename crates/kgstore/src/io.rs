@@ -14,7 +14,7 @@
 //! YAGO-style entity triples with inlink counts and tweet–tag triples with
 //! retweet counts — without committing to a full RDF serialization parser.
 
-use crate::builder::{DuplicatePolicy, KnowledgeGraphBuilder};
+use crate::builder::KnowledgeGraphBuilder;
 use crate::store::KnowledgeGraph;
 use crate::triple::TripleScore;
 use specqp_common::{Error, Result};
@@ -59,9 +59,9 @@ pub fn read_tsv_into(reader: impl BufRead, builder: &mut KnowledgeGraphBuilder) 
 }
 
 /// Reads a scored-TSV stream into a fresh graph (duplicates keep the max
-/// score, matching [`DuplicatePolicy::Max`]).
+/// score, as in [`KnowledgeGraphBuilder::add_ids`]).
 pub fn read_tsv(reader: impl BufRead) -> Result<KnowledgeGraph> {
-    let mut b = KnowledgeGraphBuilder::with_policy(DuplicatePolicy::Max);
+    let mut b = KnowledgeGraphBuilder::new();
     read_tsv_into(reader, &mut b)?;
     Ok(b.build())
 }

@@ -48,7 +48,7 @@ pub mod snapshot;
 pub mod store;
 pub mod triple;
 
-pub use builder::{DuplicatePolicy, KnowledgeGraphBuilder};
+pub use builder::KnowledgeGraphBuilder;
 pub use columns::TripleColumns;
 pub use io::{read_tsv, read_tsv_into, write_tsv};
 pub use live::{CompactionPolicy, DeltaStore, Epoch, LiveGraph, LiveStats, WriteBatch, WriteOp};

@@ -713,7 +713,7 @@ mod tests {
         live.commit(&batch);
         let (g, _) = live.pinned();
 
-        let mut b = KnowledgeGraphBuilder::with_policy(crate::DuplicatePolicy::Replace);
+        let mut b = KnowledgeGraphBuilder::new();
         b.add("b", "type", "singer", 4.0);
         b.add("a", "plays", "guitar", 3.0);
         b.add("d", "type", "singer", 7.0);

@@ -62,19 +62,6 @@ impl OverlaySegment {
             .get((id / 64) as usize)
             .is_some_and(|w| w & (1u64 << (id % 64)) != 0)
     }
-
-    fn approx_bytes(&self) -> usize {
-        self.cols.approx_bytes()
-            + self.indexes.approx_bytes()
-            + self.masked.len() * 8
-            + self
-                .memo
-                .read()
-                .expect("overlay memo poisoned")
-                .values()
-                .map(|ids| ids.len() * 4)
-                .sum::<usize>()
-    }
 }
 
 /// A fully indexed scored knowledge graph (Def. 1).
@@ -289,20 +276,7 @@ impl KnowledgeGraph {
         let ids: &[u32] = match key.signature() {
             Signature::Spo => {
                 let (s, p, o) = (key.s.unwrap(), key.p.unwrap(), key.o.unwrap());
-                match idx.spo.get(pack3(s, p, o)) {
-                    Some(i) => {
-                        // Keep the borrowed-slice contract without a
-                        // dedicated singleton arena: the triple also sits in
-                        // its (p,o) posting list, so find it there and
-                        // return that 1-element window.
-                        let list = idx.po.get(pack2(p, o)).map(|r| idx.list(r)).unwrap_or(&[]);
-                        match list.iter().position(|&x| x == i) {
-                            Some(pos) => &list[pos..=pos],
-                            None => &EMPTY,
-                        }
-                    }
-                    None => &EMPTY,
-                }
+                idx.spo.id_slice(pack3(s, p, o))
             }
             _ => keyed_list(idx, key),
         };
@@ -441,14 +415,6 @@ impl KnowledgeGraph {
                     .at_epoch(self.epoch)
             }
         }
-    }
-
-    /// Approximate resident bytes (diagnostics). Overlay versions count the
-    /// shared base once plus their own segment.
-    pub fn approx_bytes(&self) -> usize {
-        self.cols.approx_bytes()
-            + self.indexes.approx_bytes()
-            + self.overlay.as_ref().map_or(0, |ov| ov.approx_bytes())
     }
 }
 
@@ -589,11 +555,6 @@ impl<'g> MatchList<'g> {
             })
     }
 
-    /// Sum of raw scores over ranks `0..=rank` (the `S_r` statistic).
-    pub fn cumulative_score(&self, rank: usize) -> f64 {
-        self.scores(0..rank + 1).map(TripleScore::value).sum()
-    }
-
     /// Sum of all raw scores (`S_m`).
     pub fn total_score(&self) -> f64 {
         self.scores(0..self.len()).map(TripleScore::value).sum()
@@ -643,13 +604,11 @@ mod tests {
     }
 
     #[test]
-    fn cumulative_and_total_scores() {
+    fn total_score_sums_the_list() {
         let kg = sample();
         let ty = kg.dictionary().lookup("type").unwrap();
         let singer = kg.dictionary().lookup("singer").unwrap();
         let m = kg.matches(PatternKey::po(ty, singer));
-        assert_eq!(m.cumulative_score(0), 10.0);
-        assert_eq!(m.cumulative_score(1), 14.0);
         assert_eq!(m.total_score(), 16.0);
     }
 

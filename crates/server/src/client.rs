@@ -56,7 +56,8 @@ impl SpecQpClient {
     }
 
     /// Sends one query request; returns the request id to correlate the
-    /// response with.
+    /// response with. `client_id` travels in the frame as an opaque label
+    /// the server does not read.
     pub fn send(
         &mut self,
         query: &str,
@@ -81,7 +82,8 @@ impl SpecQpClient {
 
     /// Sends one write batch; returns the request id to correlate the
     /// `WriteOk` (or error) response with. Ops are applied atomically
-    /// server-side under a single new epoch.
+    /// server-side under a single new epoch. `client_id` is an opaque
+    /// label, as in [`SpecQpClient::send`].
     pub fn send_writes(&mut self, ops: Vec<WireWriteOp>, client_id: u64) -> Result<u64, WireError> {
         let request_id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);

@@ -7,15 +7,13 @@
 //! that front door:
 //!
 //! * [`protocol`] — the length-prefixed binary codec (pure bytes ⇄ structs),
-//! * [`quota`] — per-client token buckets,
 //! * [`Server`] — acceptor + per-connection reader/writer threads feeding
 //!   [`QueryService::try_submit`](specqp_service::QueryService::try_submit),
 //! * [`SpecQpClient`] — a minimal blocking client for tests and benches.
 //!
 //! Rejection layers, cheapest first: unreadable frames → `Protocol`;
-//! exhausted client quota → `RetryAfter(ms)`; full execution queue →
-//! `RetryAfter(ms)`; deadline expired while queued → `DeadlineExceeded`
-//! (shed inside the service, never executed).
+//! full execution queue → `RetryAfter(ms)`; deadline expired while queued
+//! → `DeadlineExceeded` (shed inside the service, never executed).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -47,7 +45,6 @@
 
 pub mod client;
 pub mod protocol;
-pub mod quota;
 mod server;
 
 pub use client::SpecQpClient;
@@ -55,5 +52,4 @@ pub use protocol::{
     ErrorCode, WireAnswer, WireError, WireRequest, WireResponse, WireWrite, WireWriteOp, MAX_FRAME,
     OP_ANSWERS, OP_ERROR, OP_QUERY, OP_WRITE, OP_WRITE_OK,
 };
-pub use quota::{QuotaConfig, QuotaRegistry};
 pub use server::{request_frame, Server, ServerConfig, ServerStats};

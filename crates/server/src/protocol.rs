@@ -59,11 +59,11 @@ pub const OP_ERROR: u8 = 0x82;
 pub const OP_WRITE_OK: u8 = 0x83;
 
 /// Typed error codes carried by `ERROR` frames — the wire projection of
-/// [`specqp_service::ServiceError`] plus quota rejection.
+/// [`specqp_service::ServiceError`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ErrorCode {
-    /// Load shed (full queue or exhausted quota): back off for
+    /// Load shed (full execution queue): back off for
     /// `retry_after_ms` and retry the identical request.
     RetryAfter = 1,
     /// The deadline expired while the request was queued; it never ran.
@@ -129,7 +129,7 @@ impl From<io::Error> for WireError {
 pub struct WireRequest {
     /// Client-chosen correlation id echoed on the response.
     pub request_id: u64,
-    /// Quota accounting identity (0 = anonymous).
+    /// A client label; opaque, the server does not read it.
     pub client_id: u64,
     /// Executor mode byte ([`specqp_service::ExecMode::index`]).
     pub mode: u8,
@@ -172,7 +172,7 @@ pub enum WireWriteOp {
 pub struct WireWrite {
     /// Client-chosen correlation id echoed on the response.
     pub request_id: u64,
-    /// Quota accounting identity (0 = anonymous).
+    /// A client label; opaque, the server does not read it.
     pub client_id: u64,
     /// The operations, applied in order.
     pub ops: Vec<WireWriteOp>,

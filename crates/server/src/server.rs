@@ -1,5 +1,6 @@
 //! The TCP front-end: acceptor, per-connection reader/writer threads, and
-//! the admission pipeline (frame → decode → quota → parse → `try_submit`).
+//! the admission pipeline (frame → decode → mode/k check → parse →
+//! `try_submit`).
 //!
 //! Every connection gets two threads. The *reader* decodes frames and runs
 //! admission control; accepted requests go through
@@ -11,17 +12,24 @@
 //! pool reorders freely across connections.
 //!
 //! Rejections happen at the cheapest possible layer: frame errors before
-//! decode, quota before query parsing, queue admission before execution,
-//! and deadline shedding inside the service before the executor runs.
+//! decode, a bad mode or `k` before query parsing, queue admission before
+//! execution, and deadline shedding inside the service before the executor
+//! runs. The bounded execution queue is the only admission backpressure;
+//! the `client_id` a frame carries is an opaque label the server does not
+//! read.
+//!
+//! The server keeps a registry of live connections so that shutdown can
+//! unblock their readers; a connection leaves it when its reader and
+//! writer finish, so closed connections hold no socket.
 
 use crate::protocol::{
     decode_request, decode_write, encode_answers, encode_error, encode_request, encode_write_ok,
     read_frame, write_frame, ErrorCode, WireAnswer, WireError, WireRequest, WireWriteOp, OP_WRITE,
 };
-use crate::quota::{QuotaConfig, QuotaRegistry};
 use specqp_service::{
     ExecMode, QueryService, Request, ServiceError, ServiceStats, Ticket, WriteBatch,
 };
+use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,20 +38,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Server tunables.
+/// Server tunables. There are none: the struct has no fields, and stays
+/// because the benchmark harness binds with `ServerConfig::default()`.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ServerConfig {
-    /// Per-client token-bucket quota; `None` admits every client (the
-    /// execution queue is then the only backpressure).
-    pub quota: Option<QuotaConfig>,
-}
-
-impl ServerConfig {
-    /// Config enforcing `quota` per client id.
-    pub fn with_quota(quota: QuotaConfig) -> Self {
-        ServerConfig { quota: Some(quota) }
-    }
-}
+pub struct ServerConfig {}
 
 /// Monotone counters for the server-side rejection layers (the service
 /// counts its own queue/deadline sheds — see
@@ -51,7 +49,6 @@ impl ServerConfig {
 #[derive(Debug, Default)]
 struct Counters {
     connections: AtomicU64,
-    quota_rejected: AtomicU64,
     protocol_errors: AtomicU64,
 }
 
@@ -62,7 +59,8 @@ struct Counters {
 pub struct ServerStats {
     /// Connections accepted since start.
     pub connections: u64,
-    /// Requests refused by per-client quota (`RetryAfter` sent).
+    /// Always 0: the server has no per-client quota. The benchmark
+    /// harness reads the field, so it stays.
     pub quota_rejected: u64,
     /// Frames that failed to decode or validate (`Protocol` sent).
     pub protocol_errors: u64,
@@ -74,12 +72,12 @@ pub struct ServerStats {
 #[derive(Debug)]
 struct Shared {
     service: Arc<QueryService>,
-    quotas: QuotaRegistry,
     counters: Counters,
     stopping: AtomicBool,
-    /// Write halves of live connections, kept so shutdown can unblock their
-    /// reader threads.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Write halves of live connections by connection number, kept so
+    /// shutdown can unblock their reader threads. A connection leaves when
+    /// its threads finish.
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 /// A running Spec-QP wire server bound to a local TCP address.
@@ -100,16 +98,15 @@ impl Server {
     pub fn bind(
         service: Arc<QueryService>,
         addr: impl ToSocketAddrs,
-        config: ServerConfig,
+        _config: ServerConfig,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             service,
-            quotas: QuotaRegistry::new(config.quota),
             counters: Counters::default(),
             stopping: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
         });
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -134,7 +131,7 @@ impl Server {
     pub fn stats(&self) -> ServerStats {
         ServerStats {
             connections: self.shared.counters.connections.load(Ordering::Relaxed),
-            quota_rejected: self.shared.counters.quota_rejected.load(Ordering::Relaxed),
+            quota_rejected: 0,
             protocol_errors: self.shared.counters.protocol_errors.load(Ordering::Relaxed),
             service: self.shared.service.lifetime_stats(),
         }
@@ -154,12 +151,12 @@ impl Server {
         if let Some(handle) = self.acceptor.lock().expect("acceptor poisoned").take() {
             let _ = handle.join();
         }
-        for conn in self
+        for (_, conn) in self
             .shared
             .conns
             .lock()
             .expect("conn list poisoned")
-            .drain(..)
+            .drain()
         {
             let _ = conn.shutdown(Shutdown::Both);
         }
@@ -178,15 +175,36 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        shared.counters.connections.fetch_add(1, Ordering::Relaxed);
+        let conn = shared.counters.connections.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().expect("conn list poisoned").push(clone);
+            shared
+                .conns
+                .lock()
+                .expect("conn list poisoned")
+                .insert(conn, clone);
         }
-        let shared = Arc::clone(&shared);
-        let _ = std::thread::Builder::new()
-            .name("specqp-conn".into())
-            .spawn(move || handle_connection(stream, shared));
+        let spawned = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("specqp-conn".into())
+                .spawn(move || {
+                    handle_connection(stream, Arc::clone(&shared));
+                    deregister(&shared, conn);
+                })
+        };
+        if spawned.is_err() {
+            deregister(&shared, conn);
+        }
     }
+}
+
+/// Drops connection `conn` from the registry, closing its write half.
+fn deregister(shared: &Shared, conn: u64) {
+    shared
+        .conns
+        .lock()
+        .expect("conn list poisoned")
+        .remove(&conn);
 }
 
 /// What the reader hands the writer, in submission order.
@@ -249,9 +267,9 @@ fn reader_loop(stream: TcpStream, shared: &Shared, tx: &mpsc::Sender<Outgoing>) 
 /// Converts a retry-hint [`Duration`] to whole wire milliseconds, rounding
 /// **up** and clamping to `[1, u32::MAX]`.
 ///
-/// `as_millis()` truncates: a 1.4 ms throttle window would go out as 1 ms,
-/// and a compliant client retrying after exactly the advertised wait would
-/// arrive still-throttled and be bounced again (each bounce re-advertising
+/// `as_millis()` truncates: a 1.4 ms back-off would go out as 1 ms, and a
+/// compliant client retrying after exactly the advertised wait would
+/// arrive too early and be bounced again (each bounce re-advertising
 /// a truncated hint). Ceiling the conversion makes the hint an upper bound
 /// on the remaining wait, so honouring it always succeeds.
 fn retry_after_ms(wait: Duration) -> u32 {
@@ -304,15 +322,6 @@ fn admit(shared: &Shared, payload: &[u8]) -> Outgoing {
             .fetch_add(1, Ordering::Relaxed);
         return reject(id, ErrorCode::Protocol, 0, "k must be >= 1");
     }
-    // Quota before parsing: a throttled client must not spend parse cycles.
-    if let Err(wait) = shared.quotas.try_acquire(wire.client_id) {
-        shared
-            .counters
-            .quota_rejected
-            .fetch_add(1, Ordering::Relaxed);
-        let ms = retry_after_ms(wait);
-        return reject(id, ErrorCode::RetryAfter, ms, "client quota exhausted");
-    }
     // Pin the current graph version for parsing: term ids are append-only
     // across commits, so a query parsed against the newest dictionary
     // resolves identically on any version pinned later by the executor.
@@ -332,9 +341,7 @@ fn admit(shared: &Shared, payload: &[u8]) -> Outgoing {
             );
         }
     };
-    let mut request = Request::new(query, wire.k as usize)
-        .with_mode(mode)
-        .with_client(wire.client_id);
+    let mut request = Request::new(query, wire.k as usize).with_mode(mode);
     if wire.deadline_ms > 0 {
         request = request.with_deadline_in(Duration::from_millis(u64::from(wire.deadline_ms)));
     }
@@ -351,7 +358,7 @@ fn admit(shared: &Shared, payload: &[u8]) -> Outgoing {
     }
 }
 
-/// Admission for a `WRITE` frame: decode, quota, then commit through
+/// Admission for a `WRITE` frame: decode, then commit through
 /// [`QueryService::apply_writes`]. Commits are synchronous — by the time
 /// `WRITE_OK` reaches the client, the new epoch is published and every
 /// *later* query on any connection sees it (already-pinned queries keep
@@ -371,16 +378,6 @@ fn admit_write(shared: &Shared, payload: &[u8]) -> Outgoing {
         }
     };
     let id = wire.request_id;
-    // Writes draw from the same per-client token bucket as queries: a
-    // write-hot client cannot starve read admission for everyone else.
-    if let Err(wait) = shared.quotas.try_acquire(wire.client_id) {
-        shared
-            .counters
-            .quota_rejected
-            .fetch_add(1, Ordering::Relaxed);
-        let ms = retry_after_ms(wait);
-        return reject(id, ErrorCode::RetryAfter, ms, "client quota exhausted");
-    }
     let mut batch = WriteBatch::new();
     for op in &wire.ops {
         match op {
@@ -478,8 +475,45 @@ pub fn request_frame(req: &WireRequest) -> Vec<u8> {
 
 #[cfg(test)]
 mod tests {
-    use super::retry_after_ms;
-    use std::time::Duration;
+    use super::{retry_after_ms, Server, ServerConfig};
+    use crate::SpecQpClient;
+    use kgstore::KnowledgeGraphBuilder;
+    use relax::RelaxationRegistry;
+    use specqp_service::{ExecMode, QueryService, ServiceConfig};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn closed_connections_leave_the_registry() {
+        let mut b = KnowledgeGraphBuilder::new();
+        b.add("shakira", "rdf:type", "singer", 100.0);
+        let service = Arc::new(QueryService::new(
+            Arc::new(b.build()),
+            Arc::new(RelaxationRegistry::new()),
+            ServiceConfig::with_threads(1),
+        ));
+        let server = Server::bind(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        for _ in 0..20 {
+            let mut client = SpecQpClient::connect(server.local_addr()).unwrap();
+            client
+                .roundtrip(
+                    "SELECT ?s WHERE { ?s <rdf:type> <singer> }",
+                    ExecMode::SpecQp,
+                    1,
+                    0,
+                    0,
+                )
+                .unwrap();
+        }
+        let open = || server.shared.conns.lock().unwrap().len();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while open() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(open(), 0, "closed connections still registered");
+        assert_eq!(server.stats().connections, 20);
+        server.shutdown();
+    }
 
     #[test]
     fn retry_after_rounds_fractional_millis_up() {

@@ -7,7 +7,7 @@
 //! of worker threads that drain a bounded MPMC request queue.
 //!
 //! The entry point is per-request: build a [`Request`] (query, mode, top-k
-//! budget, optional deadline, client id), hand it to
+//! budget, optional deadline), hand it to
 //! [`QueryService::submit`] (blocking backpressure) or
 //! [`QueryService::try_submit`] (non-blocking admission control — a full
 //! queue is an explicit [`ServiceError::QueueFull`] with a retry-after hint,
@@ -121,7 +121,6 @@ impl ExecMode {
 /// );
 /// let request = Request::new(q, 5)
 ///     .with_mode(ExecMode::SpecQp)
-///     .with_client(42)
 ///     .with_deadline_in(Duration::from_secs(5));
 /// let ticket = service.submit(request).unwrap();
 /// let response = ticket.wait();
@@ -139,20 +138,16 @@ pub struct Request {
     /// dropped unexecuted with [`ServiceError::DeadlineExceeded`]. `None`
     /// means the request waits as long as backpressure demands.
     pub deadline: Option<Instant>,
-    /// Originating client, for per-client quota accounting in front-ends
-    /// (the service itself treats it as an opaque label; `0` = anonymous).
-    pub client_id: u64,
 }
 
 impl Request {
-    /// A Spec-QP request with no deadline, from the anonymous client.
+    /// A Spec-QP request with no deadline.
     pub fn new(query: Query, k: usize) -> Self {
         Request {
             query,
             mode: ExecMode::SpecQp,
             k,
             deadline: None,
-            client_id: 0,
         }
     }
 
@@ -171,12 +166,6 @@ impl Request {
     /// Sets the deadline `budget` from now.
     pub fn with_deadline_in(self, budget: Duration) -> Self {
         self.with_deadline(Instant::now() + budget)
-    }
-
-    /// Labels the originating client.
-    pub fn with_client(mut self, client_id: u64) -> Self {
-        self.client_id = client_id;
-        self
     }
 }
 
@@ -791,7 +780,7 @@ mod tests {
         let (g, reg) = setup();
         let service = QueryService::new(g.clone(), reg, ServiceConfig::with_threads(2));
         let q = parse_query("SELECT ?s WHERE { ?s <type> <small> }", g.dictionary()).unwrap();
-        let ticket = service.submit(Request::new(q, 5).with_client(7)).unwrap();
+        let ticket = service.submit(Request::new(q, 5)).unwrap();
         let response = ticket.wait();
         assert!(response.total() >= response.execution);
         assert!(!response.is_shed());

@@ -27,7 +27,7 @@ pub mod query;
 pub mod term;
 
 pub use parser::{parse_query, parse_query_interning};
-pub use pattern::{PatternShape, StatsKey, TriplePattern};
+pub use pattern::{canonical_form, CanonicalSlot, PatternShape, StatsKey, TriplePattern};
 pub use query::{Query, QueryBuilder};
 pub use term::{Term, Var};
 

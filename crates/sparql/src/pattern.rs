@@ -1,7 +1,7 @@
 //! Triple patterns (Def. 2) and their structural helpers.
 
 use crate::term::{Term, Var};
-use specqp_common::TermId;
+use specqp_common::{FxHashMap, TermId};
 
 /// Equality classes among the variable positions of a pattern.
 ///
@@ -65,11 +65,6 @@ impl TriplePattern {
         seen.into_iter().flatten()
     }
 
-    /// Number of distinct variables.
-    pub fn var_count(&self) -> usize {
-        self.vars().count()
-    }
-
     /// `true` if `v` occurs anywhere in the pattern.
     pub fn mentions(&self, v: Var) -> bool {
         [self.s, self.p, self.o]
@@ -80,11 +75,6 @@ impl TriplePattern {
     /// `true` if the two patterns share at least one variable.
     pub fn shares_var(&self, other: &TriplePattern) -> bool {
         self.vars().any(|v| other.mentions(v))
-    }
-
-    /// The variables shared with `other`.
-    pub fn shared_vars(&self, other: &TriplePattern) -> Vec<Var> {
-        self.vars().filter(|&v| other.mentions(v)).collect()
     }
 
     /// The variable-equality shape (see [`PatternShape`]).
@@ -126,6 +116,39 @@ pub struct StatsKey {
     pub shape: PatternShape,
 }
 
+/// One pattern's slot in a [`canonical_form`]: the constant components plus
+/// the canonical numbers of its variable positions (`u16::MAX` = constant
+/// slot). `u16` leaves room for 65 535 distinct variables per list — far
+/// beyond any realizable pattern list (each pattern introduces ≤ 3).
+pub type CanonicalSlot = (Option<TermId>, Option<TermId>, Option<TermId>, [u16; 3]);
+
+/// The variable-name-insensitive form of a pattern list: constants kept and
+/// variables renumbered in first-seen order across the whole list. Two
+/// lists that differ only in variable names have equal forms; any
+/// difference in constants, join structure or pattern order gives
+/// different forms.
+pub fn canonical_form(patterns: &[TriplePattern]) -> Vec<CanonicalSlot> {
+    let mut var_map: FxHashMap<Var, u16> = FxHashMap::default();
+    let mut slots = Vec::with_capacity(patterns.len());
+    for p in patterns {
+        let mut slot = [u16::MAX; 3];
+        for (i, t) in [p.s, p.p, p.o].into_iter().enumerate() {
+            if let Term::Var(v) = t {
+                let next = var_map.len();
+                assert!(
+                    next < usize::from(u16::MAX),
+                    "pattern list exceeds {} distinct variables",
+                    u16::MAX
+                );
+                slot[i] = *var_map.entry(v).or_insert(next as u16);
+            }
+        }
+        let (s, pp, o) = p.const_parts();
+        slots.push((s, pp, o, slot));
+    }
+    slots
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,7 +171,6 @@ mod tests {
         let p = TriplePattern::new(v(1), v(0), v(1));
         let vars: Vec<_> = p.vars().collect();
         assert_eq!(vars, vec![Var(1), Var(0)]);
-        assert_eq!(p.var_count(), 2);
     }
 
     #[test]
@@ -158,7 +180,6 @@ mod tests {
         let d = TriplePattern::new(v(5), c(1), c(3));
         assert!(a.shares_var(&b));
         assert!(!a.shares_var(&d));
-        assert_eq!(a.shared_vars(&b), vec![Var(0)]);
     }
 
     #[test]

@@ -62,8 +62,8 @@
 
 use crate::memo::VersionMemo;
 use kgstore::{KnowledgeGraph, PatternKey, Triple};
-use sparql::{PatternShape, StatsKey, Term, TriplePattern, Var};
-use specqp_common::{FxHashMap, TermId};
+use sparql::{canonical_form, CanonicalSlot, PatternShape, StatsKey, Term, TriplePattern, Var};
+use specqp_common::FxHashMap;
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -79,36 +79,10 @@ pub trait CardinalityEstimator: Send + Sync {
     fn cardinality(&self, graph: &KnowledgeGraph, patterns: &[TriplePattern]) -> f64;
 }
 
-/// One pattern's slot in a [`QueryKey`]: constant components plus the
-/// canonical numbers of its variable positions (`u16::MAX` = constant; wide
-/// enough that variable numbering can never collide with the sentinel).
-type PatternKeySlot = (Option<TermId>, Option<TermId>, Option<TermId>, [u16; 3]);
-/// Canonical identity of a pattern sequence for the cardinality cache.
-type QueryKey = Vec<PatternKeySlot>;
-
-/// Canonical cache key: constants plus variables renumbered in first-seen
-/// order, so queries differing only in variable names share entries.
-fn canonical_key(patterns: &[TriplePattern]) -> QueryKey {
-    let mut var_map: FxHashMap<Var, u16> = FxHashMap::default();
-    let mut key = Vec::with_capacity(patterns.len());
-    for p in patterns {
-        let mut slot = [u16::MAX; 3];
-        for (i, t) in [p.s, p.p, p.o].into_iter().enumerate() {
-            if let Term::Var(v) = t {
-                let next = var_map.len();
-                assert!(
-                    next < usize::from(u16::MAX),
-                    "pattern list exceeds {} distinct variables",
-                    u16::MAX
-                );
-                slot[i] = *var_map.entry(v).or_insert(next as u16);
-            }
-        }
-        let (s, pp, o) = p.const_parts();
-        key.push((s, pp, o, slot));
-    }
-    key
-}
+/// Canonical identity of a pattern sequence for the cardinality cache
+/// ([`canonical_form`]), so queries differing only in variable names share
+/// entries.
+type QueryKey = Vec<CanonicalSlot>;
 
 /// Bit `i` set = triple position `i` (0 = s, 1 = p, 2 = o) is part of a
 /// summary's key.
@@ -665,7 +639,7 @@ impl ExactCardinality {
 
 impl CardinalityEstimator for ExactCardinality {
     fn cardinality(&self, graph: &KnowledgeGraph, patterns: &[TriplePattern]) -> f64 {
-        let key = canonical_key(patterns);
+        let key = canonical_form(patterns);
         if let Some(n) = self.cache.get(graph, &key) {
             return n;
         }

@@ -15,7 +15,7 @@
 //! * [`service`] — the concurrent query service (`Arc`-shared engine,
 //!   worker pool, `submit` → [`Ticket`](service::Ticket) → `wait`),
 //! * [`server`] — the TCP wire front-end (length-prefixed frames,
-//!   per-client token-bucket quotas, load-shedding admission control).
+//!   load-shedding admission control).
 //!
 //! ```
 //! use spec_qp::prelude::*;

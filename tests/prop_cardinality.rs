@@ -255,6 +255,12 @@ proptest! {
         queries in raw_queries(),
     ) {
         let graph = build_graph(&triples);
+        // Every triple's fully bound key resolves to exactly its own id.
+        for i in 0..graph.len() as u32 {
+            let t = graph.triple(i);
+            let list = graph.matches(PatternKey::spo(t.s, t.p, t.o));
+            prop_assert_eq!(list.ids(), &[i][..]);
+        }
         let oracle = ExactCardinality::new();
         check_queries(&oracle, &graph, &queries, "frozen")?;
         // Asked again, every count comes from the count memo — unchanged.
