@@ -12,6 +12,7 @@ lint:
 	! git grep -n 'env::var' -- 'crates/*/src/*' src
 	! git grep -nE 'approx_eq|SUM_SLACK' -- crates src tests examples
 	! git grep -nE 'QuotaConfig|QuotaRegistry|with_quota|with_client|DuplicatePolicy' -- crates src tests examples
+	! git grep -nE 'PlanCache|DEFAULT_SHARDS|per_shard_capacity' -- crates src tests examples
 
 fmt:
 	$(CARGO) fmt --all

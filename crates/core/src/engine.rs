@@ -4,12 +4,12 @@
 
 use crate::executor::{run_naive, run_plan};
 use crate::plan::QueryPlan;
-use crate::plan_cache::{PlanCache, QueryShape};
+use crate::plan_cache::QueryShape;
 use crate::plangen::plan_query;
 use crate::speculation::{self, SpeculationPolicy};
 use crate::trace::RunReport;
-use kgstore::{KnowledgeGraph, LiveGraph};
-use operators::{CacheMetricsHandle, ExecutionMode, OpMetrics, PartialAnswer, PullStrategy};
+use kgstore::{CacheMetrics, KnowledgeGraph, LiveGraph, VersionMemo};
+use operators::{ExecutionMode, OpMetrics, PartialAnswer, PullStrategy};
 use relax::RelaxationRegistry;
 use sparql::Query;
 use specqp_common::Score;
@@ -183,11 +183,11 @@ fn kth_score(answers: &[PartialAnswer], k: usize) -> Option<Score> {
 /// A ready-to-query Spec-QP engine over one graph + rule registry.
 ///
 /// The engine owns the statistics catalog, the cardinality oracle and a
-/// sharded [`PlanCache`], all filled lazily and cached — mirroring the
-/// paper's precomputed metadata. Call [`Engine::warm`] to pay those costs
-/// ahead of timing runs (the paper measures with a warm cache: "we conducted
-/// 5 consecutive runs for each query and considered the average of the
-/// last 3").
+/// plan cache — each an epoch memo ([`VersionMemo`]), filled lazily —
+/// mirroring the paper's precomputed metadata. Call [`Engine::warm`] to pay
+/// those costs ahead of timing runs (the paper measures with a warm cache:
+/// "we conducted 5 consecutive runs for each query and considered the
+/// average of the last 3").
 ///
 /// [`Engine::new`] and [`Engine::with_config`] take the graph and registry
 /// in any form their handles convert from ([`GraphHandle`], [`Handle`]):
@@ -209,7 +209,7 @@ pub struct Engine<'g> {
     registry: Handle<'g, RelaxationRegistry>,
     catalog: StatsCatalog,
     cardinality: ExactCardinality,
-    plan_cache: PlanCache,
+    plan_cache: VersionMemo<QueryShape, QueryPlan>,
     config: EngineConfig,
 }
 
@@ -245,7 +245,7 @@ impl<'g> Engine<'g> {
             registry: registry.into(),
             catalog: StatsCatalog::new(),
             cardinality: ExactCardinality::new(),
-            plan_cache: PlanCache::default(),
+            plan_cache: VersionMemo::default(),
             config,
         }
     }
@@ -285,8 +285,8 @@ impl<'g> Engine<'g> {
         self.config
     }
 
-    /// The sharded plan cache.
-    pub fn plan_cache(&self) -> &PlanCache {
+    /// The plan cache: the epoch memo from query shapes to plans.
+    pub fn plan_cache(&self) -> &VersionMemo<QueryShape, QueryPlan> {
         &self.plan_cache
     }
 
@@ -295,8 +295,8 @@ impl<'g> Engine<'g> {
         &self.catalog
     }
 
-    /// Plan-cache counters (hits, misses, insertions, evictions).
-    pub fn plan_cache_metrics(&self) -> &CacheMetricsHandle {
+    /// Plan-cache counters (hits, misses, insertions, evictions, stale).
+    pub fn plan_cache_metrics(&self) -> &CacheMetrics {
         self.plan_cache.metrics()
     }
 
@@ -325,7 +325,7 @@ impl<'g> Engine<'g> {
         let shape = QueryShape::of(query, k);
         let epoch = graph.epoch();
         let registry = self.registry.get();
-        let plan = self.plan_cache.lookup(&shape, epoch).unwrap_or_else(|| {
+        let plan = self.plan_cache.get(epoch, &shape).unwrap_or_else(|| {
             let plan = plan_query(
                 graph,
                 query,
@@ -336,8 +336,7 @@ impl<'g> Engine<'g> {
                 self.config.refit,
                 false,
             );
-            self.plan_cache.insert(shape, plan.clone(), epoch);
-            plan
+            self.plan_cache.insert(epoch, shape, plan)
         });
         // The feedback bias: the ledger outranks the estimate once a
         // pattern's pruning has repeatedly proven wrong at runtime.
@@ -731,7 +730,7 @@ mod tests {
             g.dictionary(),
         )
         .unwrap();
-        let m = engine.plan_cache_metrics().clone();
+        let m = engine.plan_cache_metrics();
         assert_eq!(m.lookups(), 0);
         engine.warm(&q, 10);
         assert_eq!(m.misses(), 1, "warm planning is the one miss");
@@ -848,7 +847,7 @@ mod tests {
         let engine = Engine::new(&g, &reg);
         let q = parse_query("SELECT ?s WHERE { ?s <type> <big> }", d).unwrap();
         engine.warm(&q, 5);
-        let m = engine.plan_cache_metrics().clone();
+        let m = engine.plan_cache_metrics();
         let (unbiased, _) = engine.plan(&q, 5);
         assert!(!unbiased.is_relaxed(0), "the estimate prunes `big`");
 
@@ -1187,7 +1186,7 @@ mod tests {
             )
         };
         let before = engine.run_specqp(&q, 10);
-        let m = engine.plan_cache_metrics().clone();
+        let m = engine.plan_cache_metrics();
 
         // Pin the pre-commit version, then commit a higher-scored entity.
         let pinned = engine.graph();
@@ -1201,10 +1200,10 @@ mod tests {
         assert_eq!(pinned.epoch(), kgstore::Epoch::ZERO);
         assert_eq!(pinned.matches(PatternKey::po(ty, big)).len(), seen_before);
 
-        // A fresh call reads the commit: the old-epoch plan dropped on sight,
-        // and the new triple ranks first.
+        // A fresh call reads the commit: its plan starts the table over,
+        // discarding the old-epoch plan, and the new triple ranks first.
         let after = engine.run_specqp(&q, 10);
-        assert_eq!(m.stale(), 1, "old-epoch plan dropped on sight");
+        assert_eq!(m.stale(), 1, "old-epoch plan discarded");
         let graph = engine.graph();
         assert_eq!(graph.epoch(), epoch);
         let new_id = graph.dictionary().lookup("brand-new").unwrap();
@@ -1235,7 +1234,7 @@ mod tests {
         let new = engine.graph();
         assert_eq!((old.epoch().value(), new.epoch().value()), (0, 1));
 
-        let m = engine.plan_cache_metrics().clone();
+        let m = engine.plan_cache_metrics();
         let _ = engine.plan_on(&old, &q, 10);
         let _ = engine.plan(&q, 10);
         assert_eq!(m.hits(), 0, "an epoch-0 plan served at epoch 1");
@@ -1248,7 +1247,7 @@ mod tests {
     }
 
     /// Regression: an engine over a version a live graph published reports
-    /// that version's epoch, the one its plan cache stamps plans with — not
+    /// that version's epoch, the one its plan cache serves plans for — not
     /// `Epoch::ZERO` because the engine itself holds no live graph.
     #[test]
     fn a_pin_of_a_published_version_reports_its_epoch() {
@@ -1267,8 +1266,8 @@ mod tests {
         let q = parse_query("SELECT ?s WHERE { ?s <type> <big> }", pin.dictionary()).unwrap();
         let (plan, _) = engine.plan(&q, 10);
         let shape = QueryShape::of(&q, 10);
-        assert_eq!(engine.plan_cache().lookup(&shape, epoch), Some(plan));
-        assert_eq!(engine.plan_cache().lookup(&shape, Epoch::ZERO), None);
+        assert_eq!(engine.plan_cache().get(epoch, &shape), Some(plan));
+        assert_eq!(engine.plan_cache().get(Epoch::ZERO, &shape), None);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!
 //! * [`QueryPlan`] — the partition `{join group} ∪ {singletons}` of §3.2,
 //! * [`plan_query`] — Algorithm 1 (PLANGEN),
-//! * [`PlanCache`] — a sharded, bounded cache from canonical
-//!   [`QueryShape`]s to plans, so repeated workload shapes skip PLANGEN,
+//! * [`QueryShape`] — the canonical key of the engine's plan cache, the
+//!   epoch memo ([`kgstore::VersionMemo`]) from query shapes to plans, so
+//!   repeated workload shapes skip PLANGEN,
 //! * [`executor`] — turns a plan into one operator tree and runs it
 //!   on the calling thread ([`run_plan_blocks`]) — speculative, **TriniT**
 //!   (every pattern relaxed, Fig. 2) and delta plans ([`QueryPlan::delta`])
@@ -84,7 +85,7 @@ pub use evaluation::{
 };
 pub use executor::{run_naive, run_plan_blocks};
 pub use plan::QueryPlan;
-pub use plan_cache::{PlanCache, QueryShape};
+pub use plan_cache::QueryShape;
 pub use plangen::plan_query;
 pub use speculation::{SpeculationPolicy, Verdict};
 pub use trace::RunReport;

@@ -19,7 +19,9 @@ pub struct RunReport {
     /// The paper's memory proxy: answer objects created by scans, merges
     /// and joins (all recovery stages included).
     pub answers_created: u64,
-    /// Sequential (sorted) accesses to input lists.
+    /// Sequential (sorted) accesses: rows the scans read from their match
+    /// lists plus rows the rank joins pulled from their children, so a row
+    /// that a scan reads and a join then pulls counts twice.
     pub sorted_accesses: u64,
     /// Random accesses (hash probes enumerated).
     pub random_accesses: u64,

@@ -17,7 +17,9 @@
 //!   storage,
 //! * [`PatternKey`] — a lookup key with optional s/p/o components,
 //! * [`MatchList`] — a borrowed, score-descending list of matching triples,
-//!   the unit consumed by sorted scans and by the statistics builder.
+//!   the unit consumed by sorted scans and by the statistics builder,
+//! * [`VersionMemo`] — the bounded cache that serves one graph version
+//!   ([`Epoch`]), behind every plan and statistics cache of the planner.
 //!
 //! # Example
 //!
@@ -43,6 +45,7 @@ pub mod columns;
 pub mod index;
 pub mod io;
 pub mod live;
+pub mod memo;
 pub mod pattern_key;
 pub mod snapshot;
 pub mod store;
@@ -52,6 +55,7 @@ pub use builder::KnowledgeGraphBuilder;
 pub use columns::TripleColumns;
 pub use io::{read_tsv, read_tsv_into, write_tsv};
 pub use live::{CompactionPolicy, DeltaStore, Epoch, LiveGraph, LiveStats, WriteBatch, WriteOp};
+pub use memo::{CacheMetrics, VersionMemo};
 pub use pattern_key::{PatternKey, Signature};
 pub use snapshot::{load_snapshot, read_snapshot, save_snapshot, write_snapshot};
 pub use store::{KnowledgeGraph, MatchList};

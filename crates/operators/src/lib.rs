@@ -38,5 +38,5 @@ pub use block::{
     ReplayBlocks, DEFAULT_BLOCK_SIZE,
 };
 pub use block_join::{BlockIncrementalMerge, BlockRankJoin, PullStrategy};
-pub use metrics::{CacheMetrics, CacheMetricsHandle, MetricsHandle, OpMetrics};
+pub use metrics::{MetricsHandle, OpMetrics};
 pub use scan::BlockScan;

@@ -4,16 +4,11 @@
 //! (§4.3). Every operator in this crate routes answer construction through a
 //! shared [`OpMetrics`] handle so that a query run can report exactly that
 //! number, along with list-access counts useful for diagnosing operator
-//! behaviour.
-//!
-//! [`CacheMetrics`] is the thread-safe sibling used by cross-query caches
-//! (the engine's plan cache): plain atomics, shareable between service
-//! worker threads.
+//! behaviour. (The cross-query caches count their hits and misses in
+//! `kgstore::CacheMetrics`, next to the epoch memo they serve from.)
 
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Shared, interior-mutable counters for one query execution.
 ///
@@ -45,7 +40,8 @@ impl OpMetrics {
         self.answers_created.set(self.answers_created.get() + n);
     }
 
-    /// Records `n` sequential (sorted) accesses to an input list.
+    /// Records `n` sequential (sorted) accesses: rows a scan read from its
+    /// match list, or rows a rank join pulled from a child.
     #[inline]
     pub fn count_sorted_accesses(&self, n: u64) {
         self.sorted_accesses.set(self.sorted_accesses.get() + n);
@@ -83,7 +79,7 @@ impl OpMetrics {
         self.answers_created.get()
     }
 
-    /// Total sequential list accesses.
+    /// Total sequential accesses: scan rows plus rank-join pulls.
     pub fn sorted_accesses(&self) -> u64 {
         self.sorted_accesses.get()
     }
@@ -107,106 +103,6 @@ impl OpMetrics {
     /// [`count_wasted_answers`](OpMetrics::count_wasted_answers)).
     pub fn wasted_answers(&self) -> u64 {
         self.wasted_answers.get()
-    }
-}
-
-/// Thread-safe hit/miss/eviction accounting for a cross-query cache.
-///
-/// Unlike [`OpMetrics`] (single-threaded, per-execution), these counters are
-/// atomics: one handle is cloned into every service worker thread hitting the
-/// same cache. Invariant maintained by well-behaved caches:
-/// `hits() + misses() == lookups()`.
-#[derive(Default, Debug)]
-pub struct CacheMetrics {
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    stale: AtomicU64,
-}
-
-/// Cheap cloneable handle to [`CacheMetrics`].
-pub type CacheMetricsHandle = Arc<CacheMetrics>;
-
-impl CacheMetrics {
-    /// Fresh all-zero counters behind an [`Arc`].
-    pub fn new_handle() -> CacheMetricsHandle {
-        Arc::new(CacheMetrics::default())
-    }
-
-    /// Records one lookup that found a cached entry.
-    #[inline]
-    pub fn count_hit(&self) {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one lookup that found nothing.
-    #[inline]
-    pub fn count_miss(&self) {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one entry inserted into the cache.
-    #[inline]
-    pub fn count_insertion(&self) {
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one entry evicted to make room.
-    #[inline]
-    pub fn count_eviction(&self) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one entry dropped or replaced because it was built on an
-    /// older graph epoch (a commit made it stale). A dropped entry is
-    /// counted in addition to the miss the same lookup reports.
-    #[inline]
-    pub fn count_stale(&self) {
-        self.stale.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total lookups (hits + misses).
-    pub fn lookups(&self) -> u64 {
-        self.lookups.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that found a cached entry.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries inserted.
-    pub fn insertions(&self) -> u64 {
-        self.insertions.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Entries dropped or replaced as epoch-stale.
-    pub fn stale(&self) -> u64 {
-        self.stale.load(Ordering::Relaxed)
-    }
-
-    /// Hit rate in `[0, 1]`; 0 when nothing has been looked up yet.
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.lookups();
-        if lookups == 0 {
-            0.0
-        } else {
-            self.hits() as f64 / lookups as f64
-        }
     }
 }
 
@@ -234,39 +130,5 @@ mod tests {
         let m2 = Rc::clone(&m);
         m2.count_answers(1);
         assert_eq!(m.answers_created(), 1);
-    }
-
-    #[test]
-    fn cache_metrics_invariant_and_rate() {
-        let c = CacheMetrics::new_handle();
-        c.count_miss();
-        c.count_insertion();
-        c.count_hit();
-        c.count_hit();
-        c.count_eviction();
-        assert_eq!(c.lookups(), 3);
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 1);
-        assert_eq!(c.insertions(), 1);
-        assert_eq!(c.evictions(), 1);
-        assert_eq!(c.hits() + c.misses(), c.lookups());
-        assert!((c.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cache_metrics_shared_across_threads() {
-        let c = CacheMetrics::new_handle();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let c = Arc::clone(&c);
-                s.spawn(move || {
-                    for _ in 0..100 {
-                        c.count_miss();
-                    }
-                });
-            }
-        });
-        assert_eq!(c.misses(), 400);
-        assert_eq!(c.lookups(), 400);
     }
 }

@@ -50,18 +50,19 @@
 //!
 //! # Memo lifetime
 //!
-//! The oracle keeps two memo tables behind `RwLock`s: finished counts by
+//! The oracle keeps two [`VersionMemo`] tables: finished counts by
 //! canonical query (constants + variable numbering), and summaries by
 //! `(StatsKey, kept positions)`. PLANGEN asks about a query and about one
 //! relaxed variant per pattern; each variant differs from the original in
 //! one pattern, so it finds all its other summaries already built, and
 //! queries that share a pattern share its summary. Both tables describe one
 //! graph version, the [`Epoch`](kgstore::Epoch) the graph carries: the
-//! first count on a newer version empties them, and a count on an older
-//! one (a planner still holding an earlier pin) is returned uncached.
+//! first count on a newer version empties them, a count on an older one (a
+//! planner still holding an earlier pin) is returned uncached, and each
+//! table starts over when it reaches
+//! [`CAPACITY`](kgstore::memo::CAPACITY) entries.
 
-use crate::memo::VersionMemo;
-use kgstore::{KnowledgeGraph, PatternKey, Triple};
+use kgstore::{KnowledgeGraph, PatternKey, Triple, VersionMemo};
 use sparql::{canonical_form, CanonicalSlot, PatternShape, StatsKey, Term, TriplePattern, Var};
 use specqp_common::FxHashMap;
 use std::hash::Hash;
@@ -70,8 +71,8 @@ use std::sync::Arc;
 /// Estimates the number of answers of a conjunctive triple-pattern query.
 ///
 /// Implementations must be shareable across query-service worker threads
-/// (`Send + Sync`); the built-in estimators guard their memo tables with
-/// `RwLock`s. An implementation that memoizes must tell graph versions
+/// (`Send + Sync`); the built-in estimators keep their memo tables in
+/// [`VersionMemo`]s. An implementation that memoizes must tell graph versions
 /// apart ([`KnowledgeGraph::epoch`]): counts from an older version no
 /// longer describe the data.
 pub trait CardinalityEstimator: Send + Sync {
@@ -573,11 +574,11 @@ impl ExactCardinality {
         mask: PositionMask,
     ) -> Arc<Summary> {
         let key = (pattern.stats_key(), mask);
-        if let Some(found) = self.summaries.get(graph, &key) {
+        if let Some(found) = self.summaries.get(graph.epoch(), &key) {
             return found;
         }
         let built = Arc::new(Summary::build(graph, pattern, mask));
-        self.summaries.insert(graph, key, built)
+        self.summaries.insert(graph.epoch(), key, built)
     }
 
     /// Counts the join (count-cache miss path).
@@ -640,10 +641,11 @@ impl ExactCardinality {
 impl CardinalityEstimator for ExactCardinality {
     fn cardinality(&self, graph: &KnowledgeGraph, patterns: &[TriplePattern]) -> f64 {
         let key = canonical_form(patterns);
-        if let Some(n) = self.cache.get(graph, &key) {
+        if let Some(n) = self.cache.get(graph.epoch(), &key) {
             return n;
         }
-        self.cache.insert(graph, key, self.count(graph, patterns))
+        self.cache
+            .insert(graph.epoch(), key, self.count(graph, patterns))
     }
 }
 
@@ -800,8 +802,8 @@ mod tests {
         // `edge` on s, on o, on (s,o); `type person` on s — shared by all.
         assert_eq!(cached_summaries(&e), 4);
         let edge_on = |mask| {
-            e.summaries
-                .with_entries(|m| m[&(edge.stats_key(), mask)].len())
+            let key = (edge.stats_key(), mask);
+            e.summaries.get(g.epoch(), &key).unwrap().len()
         };
         assert_eq!(edge_on(0b001), 2, "subjects a, b");
         assert_eq!(edge_on(0b100), 2, "objects b, c");

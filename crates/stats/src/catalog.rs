@@ -22,8 +22,7 @@
 //! caches.
 
 use crate::histogram::PatternStats;
-use crate::memo::VersionMemo;
-use kgstore::{KnowledgeGraph, PatternKey};
+use kgstore::{KnowledgeGraph, PatternKey, VersionMemo};
 use sparql::{StatsKey, TriplePattern};
 use specqp_common::FxHashMap;
 use std::sync::RwLock;
@@ -62,9 +61,10 @@ impl SpeculationOutcome {
 /// Both maps are guarded by `RwLock`s so a catalog can be shared across
 /// query-service worker threads; concurrent stat misses on the same key both
 /// compute and the second insert keeps the first, identical value
-/// (computation is deterministic). The statistics describe one graph
-/// version: a planner still reading an older [`Epoch`](kgstore::Epoch) than
-/// the one the cache holds gets its numbers computed, not cached.
+/// (computation is deterministic). The statistics are a [`VersionMemo`]:
+/// they describe one graph version, so a planner still reading an older
+/// [`Epoch`](kgstore::Epoch) than the one the cache holds gets its numbers
+/// computed, not cached, and they hold a bounded number of patterns.
 #[derive(Default, Debug)]
 pub struct StatsCatalog {
     cache: VersionMemo<StatsKey, Option<PatternStats>>,
@@ -164,17 +164,18 @@ impl StatsCatalog {
 
     /// `true` if nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.cache.len() == 0
+        self.cache.is_empty()
     }
 
     /// Statistics for `pattern` over `graph` (computed and cached on first
     /// use). `None` when the pattern matches nothing.
     pub fn stats(&self, graph: &KnowledgeGraph, pattern: &TriplePattern) -> Option<PatternStats> {
         let key = pattern.stats_key();
-        if let Some(cached) = self.cache.get(graph, &key) {
+        if let Some(cached) = self.cache.get(graph.epoch(), &key) {
             return cached;
         }
-        self.cache.insert(graph, key, Self::compute(graph, pattern))
+        self.cache
+            .insert(graph.epoch(), key, Self::compute(graph, pattern))
     }
 
     /// Precomputes statistics for every pattern in `patterns` (the paper's
@@ -228,7 +229,7 @@ impl StatsCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kgstore::KnowledgeGraphBuilder;
+    use kgstore::{KnowledgeGraphBuilder, TermId};
     use sparql::Var;
 
     fn graph() -> KnowledgeGraph {
@@ -438,5 +439,25 @@ mod tests {
         let c = StatsCatalog::new();
         c.precompute(&g, pats.iter());
         assert_eq!(c.len(), 2);
+    }
+
+    /// A graph that never changes keeps no more than the memo's bound,
+    /// however many distinct patterns are planned, and still answers a
+    /// pattern asked for again.
+    #[test]
+    fn distinct_patterns_stay_within_the_bound() {
+        let g = graph();
+        let d = g.dictionary();
+        let ty = d.lookup("type").unwrap();
+        let singer = TriplePattern::new(Var(0), ty, d.lookup("singer").unwrap());
+        let c = StatsCatalog::new();
+        let expected = c.stats(&g, &singer);
+        for i in 0..5_000 {
+            let missing = TriplePattern::new(Var(0), ty, TermId(1_000_000 + i));
+            assert!(c.stats(&g, &missing).is_none());
+        }
+        assert!(c.len() <= kgstore::memo::CAPACITY, "{} entries", c.len());
+        assert_eq!(c.stats(&g, &singer), expected);
+        assert_eq!(expected.map(|s| s.m), Some(20));
     }
 }

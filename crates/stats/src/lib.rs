@@ -37,7 +37,6 @@ pub mod cardinality;
 pub mod catalog;
 pub mod estimator;
 pub mod histogram;
-mod memo;
 pub mod order_stats;
 pub mod piecewise;
 

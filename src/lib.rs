@@ -50,8 +50,7 @@ pub mod prelude {
     };
     pub use sparql::{parse_query, Query, QueryBuilder, TriplePattern, Var};
     pub use specqp::{
-        Engine, EngineConfig, PlanCache, QueryOutcome, QueryPlan, QueryShape, RunReport,
-        SpeculationPolicy,
+        Engine, EngineConfig, QueryOutcome, QueryPlan, QueryShape, RunReport, SpeculationPolicy,
     };
     pub use specqp_common::{Dictionary, Score, TermId};
     pub use specqp_server::{Server, ServerConfig, SpecQpClient};

@@ -1,13 +1,12 @@
 //! Concurrency integration suite: the query service must be a pure
 //! throughput layer — N threads over one shared graph produce answer sets
-//! byte-identical to a sequential run of the same requests, the plan cache
-//! amortizes planning across repeated shapes, and its counters stay
-//! consistent under contention.
+//! byte-identical to a sequential run of the same requests, and the plan
+//! cache amortizes planning across repeated shapes. (The epoch memo behind
+//! the plan cache has its own contention tests in `kgstore::memo`.)
 
 use datagen::{XkgConfig, XkgGenerator};
-use kgstore::Epoch;
 use operators::PartialAnswer;
-use specqp::{Engine, PlanCache, QueryOutcome, QueryPlan, QueryShape};
+use specqp::{Engine, QueryOutcome};
 use specqp_service::{
     ExecMode, LiveGraph, QueryService, Request, ServiceConfig, Ticket, WriteBatch,
 };
@@ -153,10 +152,7 @@ fn four_threads_200_queries_match_sequential_with_cache_hits() {
         // (and thereby plans), so the hit-rate floor and miss ceiling only
         // bind over the flat graph.
         if !churn {
-            assert!(
-                c.hit_rate() > 0.0,
-                "repeated shapes must hit the plan cache"
-            );
+            assert!(c.hits() > 0, "repeated shapes must hit the plan cache");
             // The workload cycles, so shapes repeat ~11×; plan() is
             // lookup→plangen→insert without atomicity, so beyond the one miss
             // per distinct shape only concurrently in-flight duplicates
@@ -222,86 +218,6 @@ fn cache_persists_across_batches() {
         }
         assert_eq!(metrics.lookups(), 12);
     }
-}
-
-/// Loom-free contention smoke: threads hammering the *same* shape must keep
-/// the counters consistent (hits + misses == lookups), insert the plan at
-/// most once per shape, and never corrupt the stored plan.
-#[test]
-fn cache_contention_same_key_is_consistent() {
-    let cache = PlanCache::new(4, 64);
-    let ds = XkgGenerator::new(XkgConfig::small(0xc0ffee)).generate();
-    let query = ds.workload.queries[0].clone();
-    let shape = QueryShape::of(&query, 10);
-    let plan = QueryPlan::all_relaxed(query.len());
-
-    const THREADS: usize = 8;
-    const ROUNDS: usize = 500;
-    std::thread::scope(|scope| {
-        for _ in 0..THREADS {
-            scope.spawn(|| {
-                for _ in 0..ROUNDS {
-                    match cache.lookup(&shape, Epoch::ZERO) {
-                        Some(got) => assert_eq!(got, plan, "cached plan corrupted"),
-                        None => {
-                            // Losing the insert race is fine; double-insert is not.
-                            let _ = cache.insert(shape.clone(), plan.clone(), Epoch::ZERO);
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    let m = cache.metrics();
-    assert_eq!(
-        m.hits() + m.misses(),
-        m.lookups(),
-        "counter invariant broken"
-    );
-    assert_eq!(
-        m.lookups(),
-        (THREADS * ROUNDS) as u64,
-        "every lookup accounted"
-    );
-    assert_eq!(m.insertions(), 1, "plan double-inserted under contention");
-    assert_eq!(m.evictions(), 0);
-    assert_eq!(cache.len(), 1);
-}
-
-/// Distinct shapes hammered concurrently land in distinct shard slots with
-/// exact insert accounting.
-#[test]
-fn cache_contention_many_keys() {
-    let cache = PlanCache::new(8, 1024);
-    let ds = XkgGenerator::new(XkgConfig::small(0xd157)).generate();
-    let shapes: Vec<QueryShape> = ds
-        .workload
-        .queries
-        .iter()
-        .flat_map(|q| (1..=4).map(|k| QueryShape::of(q, k)))
-        .collect();
-    let n_pats: Vec<usize> = shapes.iter().map(QueryShape::len).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..6 {
-            scope.spawn(|| {
-                for (shape, n) in shapes.iter().zip(&n_pats) {
-                    if cache.lookup(shape, Epoch::ZERO).is_none() {
-                        let _ =
-                            cache.insert(shape.clone(), QueryPlan::all_relaxed(*n), Epoch::ZERO);
-                    }
-                }
-            });
-        }
-    });
-    let m = cache.metrics();
-    assert_eq!(m.hits() + m.misses(), m.lookups());
-    assert_eq!(
-        m.insertions(),
-        shapes.len() as u64,
-        "each distinct shape inserted exactly once"
-    );
-    assert_eq!(cache.len(), shapes.len());
 }
 
 /// The compile-time `Send + Sync` proof required by the issue, at the

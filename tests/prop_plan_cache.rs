@@ -102,7 +102,7 @@ fn ledger_bias_applies_to_cached_plan() {
     let q = star_query(&world, &[0], "x").unwrap();
     let engine = Engine::new(&world.graph, &world.registry);
     engine.warm(&q, 5);
-    let m = engine.plan_cache_metrics().clone();
+    let m = engine.plan_cache_metrics();
     assert_eq!(m.misses(), 1, "warm planned and cached the shape");
     let (unbiased, _) = engine.plan(&q, 5);
     assert!(
