@@ -20,9 +20,11 @@ pub struct RunReport {
     /// and joins (all recovery stages included).
     pub answers_created: u64,
     /// Sequential (sorted) accesses: rows the scans read from their match
-    /// lists plus rows the rank joins pulled from their children, so a row
-    /// that a scan reads and a join then pulls counts twice.
+    /// lists (list reads).
     pub sorted_accesses: u64,
+    /// Rows the rank joins pulled from their children: a list row counts
+    /// once per join it climbs through, and never in `sorted_accesses`.
+    pub join_pulls: u64,
     /// Random accesses (hash probes enumerated).
     pub random_accesses: u64,
     /// Priority-queue pushes inside rank joins.
@@ -46,6 +48,7 @@ impl RunReport {
         RunReport {
             answers_created: metrics.answers_created(),
             sorted_accesses: metrics.sorted_accesses(),
+            join_pulls: metrics.join_pulls(),
             random_accesses: metrics.random_accesses(),
             heap_pushes: metrics.heap_pushes(),
             fallback_stages: metrics.fallback_stages(),

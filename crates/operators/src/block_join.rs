@@ -421,7 +421,7 @@ impl<'g> BlockRankJoin<'g> {
             return;
         };
         let rows = block.len();
-        self.metrics.count_sorted_accesses(rows as u64);
+        self.metrics.count_join_pulls(rows as u64);
         if dst.top1.is_none() && rows > 0 {
             dst.top1 = Some(block.score(0));
         }
@@ -1117,7 +1117,7 @@ mod tests {
                 16,
             );
             let got = crate::block::top_k_blocks_floored(&mut join, 5, floor);
-            (got, metrics.sorted_accesses(), join.upper_bound())
+            (got, metrics.join_pulls(), join.upper_bound())
         };
         let (all, read_all, _) = run(None);
         assert_eq!(all.len(), 1, "the one join result sits at the bottom");

@@ -18,6 +18,7 @@ use std::rc::Rc;
 pub struct OpMetrics {
     answers_created: Cell<u64>,
     sorted_accesses: Cell<u64>,
+    join_pulls: Cell<u64>,
     random_accesses: Cell<u64>,
     heap_pushes: Cell<u64>,
     fallback_stages: Cell<u64>,
@@ -41,10 +42,16 @@ impl OpMetrics {
     }
 
     /// Records `n` sequential (sorted) accesses: rows a scan read from its
-    /// match list, or rows a rank join pulled from a child.
+    /// match list.
     #[inline]
     pub fn count_sorted_accesses(&self, n: u64) {
         self.sorted_accesses.set(self.sorted_accesses.get() + n);
+    }
+
+    /// Records `n` rows a rank join pulled from a child.
+    #[inline]
+    pub fn count_join_pulls(&self, n: u64) {
+        self.join_pulls.set(self.join_pulls.get() + n);
     }
 
     /// Records `n` random accesses (hash probe hit enumerations).
@@ -79,9 +86,15 @@ impl OpMetrics {
         self.answers_created.get()
     }
 
-    /// Total sequential accesses: scan rows plus rank-join pulls.
+    /// Total sequential accesses: the rows scans read from their match
+    /// lists (list reads).
     pub fn sorted_accesses(&self) -> u64 {
         self.sorted_accesses.get()
+    }
+
+    /// Total rows the rank joins pulled from their children.
+    pub fn join_pulls(&self) -> u64 {
+        self.join_pulls.get()
     }
 
     /// Total random accesses.
@@ -116,10 +129,12 @@ mod tests {
         m.count_answers(1);
         m.count_answers(4);
         m.count_sorted_accesses(1);
+        m.count_join_pulls(2);
         m.count_random_accesses(1);
         m.count_heap_pushes(1);
         assert_eq!(m.answers_created(), 5);
         assert_eq!(m.sorted_accesses(), 1);
+        assert_eq!(m.join_pulls(), 2);
         assert_eq!(m.random_accesses(), 1);
         assert_eq!(m.heap_pushes(), 1);
     }

@@ -141,7 +141,7 @@ fn block_rank_join_allocates_far_less_than_once_per_row() {
         emitted
     });
 
-    let pulled = metrics.sorted_accesses();
+    let pulled = metrics.join_pulls();
     assert_eq!(pulled, u64::from(2 * ROWS), "both sides drained");
     assert!(emitted > ROWS as usize / 2, "near-unique keys still join");
     assert_eq!(emitted as u64, metrics.answers_created(), "heap drained");

@@ -234,6 +234,7 @@ fn parallelism_setting_has_no_effect() {
                 let (w, g) = (&want.report, &got.report);
                 assert_eq!(w.fallback_stages, g.fallback_stages, "{at}");
                 assert_eq!(w.sorted_accesses, g.sorted_accesses, "{at}");
+                assert_eq!(w.join_pulls, g.join_pulls, "{at}");
                 assert_eq!(w.answers_created, g.answers_created, "{at}");
             }
         }

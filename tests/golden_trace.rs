@@ -2,8 +2,8 @@
 //! seeded XKG workload, one golden file per mode.
 //!
 //! The trace serializes everything deterministic about a run — the chosen
-//! plan, the `RunReport` work counters (answer objects, sorted/random
-//! accesses, heap pushes; timings are deliberately excluded) and the full
+//! plan, the `RunReport` work counters (answer objects, list reads, join
+//! pulls, random accesses, heap pushes; timings are deliberately excluded) and the full
 //! top-k with bit-exact scores — so planner or executor drift is caught
 //! even when the answers still agree. The block executor's TriniT answer
 //! lines must also match the naive oracle's.
@@ -32,10 +32,11 @@ fn trace_outcome(out: &mut String, qi: usize, o: &QueryOutcome) {
     let r = &o.report;
     let _ = writeln!(
         out,
-        "query {qi} plan_singletons={:?} answers_created={} sorted={} random={} heap={}",
+        "query {qi} plan_singletons={:?} answers_created={} sorted={} pulls={} random={} heap={}",
         o.plan.singletons(),
         r.answers_created,
         r.sorted_accesses,
+        r.join_pulls,
         r.random_accesses,
         r.heap_pushes
     );
