@@ -184,7 +184,9 @@ impl AnswerBlock {
 /// * `upper_bound()` is `None` iff exhausted, otherwise ≥ every future
 ///   score, and never advances the stream;
 /// * `schema()` is constant over the stream's lifetime; every emitted block
-///   uses exactly that schema.
+///   uses exactly that schema;
+/// * when `distinct()` is `true`, no two rows the stream emits bind the same
+///   terms.
 pub trait BlockStream {
     /// The variable schema of every emitted block.
     fn schema(&self) -> &[Var];
@@ -204,6 +206,13 @@ pub trait BlockStream {
     /// pulls is just as tight, so the default ignores the hint. Rows below
     /// the floor may still be emitted; the consumer drops them.
     fn set_floor(&mut self, _floor: Score) {}
+
+    /// `true` when the stream emits each binding at most once (see the
+    /// contract). A rank join reads it to tighten its bound; the default
+    /// claims nothing.
+    fn distinct(&self) -> bool {
+        false
+    }
 }
 
 /// Boxed block-operator node borrowing a graph for `'g`.
@@ -221,6 +230,9 @@ impl BlockStream for BoxedBlockStream<'_> {
     }
     fn set_floor(&mut self, floor: Score) {
         (**self).set_floor(floor)
+    }
+    fn distinct(&self) -> bool {
+        (**self).distinct()
     }
 }
 
@@ -253,7 +265,8 @@ impl BlockSizer {
 
 /// Replays an answer list sorted by non-increasing score as blocks of up to
 /// `block_size` rows over a fixed schema — the input source of operator
-/// tests.
+/// tests. It is [`distinct`](BlockStream::distinct) only when built by
+/// [`ReplayBlocks::new_distinct`].
 ///
 /// # Panics
 /// Panics if an answer does not bind every schema variable.
@@ -262,6 +275,7 @@ pub struct ReplayBlocks {
     schema: Vec<Var>,
     rows: std::vec::IntoIter<PartialAnswer>,
     block_size: usize,
+    distinct: bool,
 }
 
 impl ReplayBlocks {
@@ -277,7 +291,31 @@ impl ReplayBlocks {
             schema: vars,
             rows: rows.into_iter(),
             block_size: block_size.max(1),
+            distinct: false,
         }
+    }
+
+    /// [`ReplayBlocks::new`] over rows the caller asserts pairwise distinct
+    /// (checked in debug builds), so the stream says
+    /// [`distinct`](BlockStream::distinct).
+    pub fn new_distinct(rows: Vec<PartialAnswer>, vars: Vec<Var>, block_size: usize) -> Self {
+        let replay = ReplayBlocks {
+            distinct: true,
+            ..ReplayBlocks::new(rows, vars, block_size)
+        };
+        if cfg!(debug_assertions) {
+            let rows = replay.rows.as_slice();
+            let keys: std::collections::HashSet<_> = rows
+                .iter()
+                .map(|a| a.binding.key_for(&replay.schema))
+                .collect();
+            assert_eq!(
+                keys.len(),
+                rows.len(),
+                "rows declared distinct repeat a row"
+            );
+        }
+        replay
     }
 }
 
@@ -306,6 +344,10 @@ impl BlockStream for ReplayBlocks {
 
     fn upper_bound(&self) -> Option<Score> {
         self.rows.as_slice().first().map(|a| a.score)
+    }
+
+    fn distinct(&self) -> bool {
+        self.distinct
     }
 }
 

@@ -3,11 +3,25 @@
 //! [`BlockRankJoin`] is the HRJN hash rank join (Ilyas et al., VLDB'03;
 //! refs \[15,16,17\]): it consumes two descending streams and produces the
 //! join results in descending order of the score sum, pulling as few input
-//! rows as possible. It keeps the rows seen per input, the *corner bound*
-//! threshold `T = max(top₁(L) + cur(R), cur(L) + top₁(R))` — no unseen
-//! combination can score above `T` — and a queue of join results found so
-//! far, emitting a result once it scores above `T`. It pulls from the side
-//! whose corner-bound term is larger (HRJN\*, [`PullStrategy::Adaptive`]).
+//! rows as possible. It keeps the rows seen per input, a threshold `T` — the
+//! larger of the two sides' terms, each bounding the results that pair an
+//! unseen row of its side with anything — and a queue of join results found
+//! so far, emitting a result once it scores above `T`. It pulls from the
+//! side whose term is larger (HRJN\*, [`PullStrategy::Adaptive`]).
+//!
+//! A side's term is the HRJN *corner bound* `cur(A) + top₁(B)`, except for a
+//! *keys-once* side: one whose stream is [`distinct`](BlockStream::distinct)
+//! and binds only join variables, so it holds each join key at most once.
+//! Once A has produced key *x*, no unseen A row has key *x*, so the seen B
+//! rows with key *x* are *closed* to A's unseen rows, and A's term becomes
+//! `cur(A) + max(cur(B), best open seen row of B)` — without `cur(B)` once
+//! B is exhausted, and no term at all once no open row is left either. The
+//! corner bound is not tight in general (Schnaitter & Polyzotis, PODS'08);
+//! this is the cheap case of that gap that every key-only pattern hits. B's
+//! rows are stored in pull order — descending score — and a key only ever
+//! closes, so the best open row is the first open one at or after a
+//! forward-only cursor.
+//!
 //! [`BlockIncrementalMerge`] merges a pattern's scan with its relaxations'
 //! under max-score deduplication.
 //!
@@ -47,7 +61,7 @@ use std::hash::Hasher;
 /// Which input a rank join pulls from next.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PullStrategy {
-    /// Pull from the side whose corner-bound term is larger (HRJN\*).
+    /// Pull from the side whose bound term is larger (HRJN\*).
     #[default]
     Adaptive,
 }
@@ -228,7 +242,7 @@ impl RowHeap {
 }
 
 /// One input of a [`BlockRankJoin`]: the columnar store of every row seen so
-/// far, indexed by join key, plus the HRJN corner-bound state.
+/// far, indexed by join key, plus the HRJN bound state.
 struct SideState {
     width: usize,
     /// Positions of the join variables in this side's schema.
@@ -244,10 +258,17 @@ struct SideState {
     /// Score of the most recent row pulled (cur).
     cur: Option<Score>,
     exhausted: bool,
+    /// The side holds each join key at most once: its stream is distinct
+    /// and binds only join variables.
+    keys_once: bool,
+    /// When the partner is keys-once: every stored row before this one has
+    /// a key the partner has produced (is closed).
+    open_from: usize,
 }
 
 impl SideState {
-    fn new(schema: &[Var], join_vars: &[Var], out_schema: &[Var]) -> Self {
+    /// A side over `schema`, whose stream is `distinct` or not.
+    fn new(schema: &[Var], join_vars: &[Var], out_schema: &[Var], distinct: bool) -> Self {
         let pos = |v: Var| -> usize {
             schema
                 .iter()
@@ -272,6 +293,8 @@ impl SideState {
             top1: None,
             cur: None,
             exhausted: false,
+            keys_once: distinct && schema.iter().all(|v| join_vars.contains(v)),
+            open_from: 0,
         }
     }
 
@@ -306,18 +329,37 @@ impl SideState {
         })
     }
 
-    /// The corner-bound term where this side contributes `cur` and the
-    /// other side contributes `top₁`; `None` once no future result can
-    /// involve an unseen row of this side. A side that has pulled nothing,
-    /// or whose partner has not, is unbounded: it must be pulled first.
-    fn bound_with(&self, other_top1: Option<Score>) -> Option<Score> {
+    /// This side's term: `cur` plus the best `other` row an unseen row of
+    /// this side can meet — `top₁(other)`, or for a keys-once side the
+    /// better of `cur(other)` (while `other` has unseen rows) and the best
+    /// open seen row of `other` (see the module docs); `None` once no future
+    /// result can involve an unseen row of this side. A side that has pulled
+    /// nothing, or whose partner has not, is unbounded: it must be pulled
+    /// first.
+    fn bound_with(&self, other: &SideState) -> Option<Score> {
         if self.exhausted {
             return None;
         }
-        match (self.cur, other_top1) {
-            (None, _) => Some(Score::MAX),
-            (Some(cur), Some(top1)) => Some(cur + top1),
-            (Some(_), None) => Some(Score::MAX),
+        let (Some(cur), Some(top1)) = (self.cur, other.top1) else {
+            return Some(Score::MAX);
+        };
+        if !self.keys_once {
+            return Some(cur + top1);
+        }
+        let open = other.scores.get(other.open_from).copied();
+        let unseen = if other.exhausted { None } else { other.cur };
+        Some(cur + unseen.max(open)?)
+    }
+
+    /// Moves `open_from` past the stored rows whose key the keys-once
+    /// `partner` has produced.
+    fn skip_closed(&mut self, partner: &SideState) {
+        while let Some(&hash) = self.index.hashes.get(self.open_from) {
+            let row = self.row(self.open_from as u32);
+            if partner.partners(row, &self.key_idx, hash).next().is_none() {
+                break;
+            }
+            self.open_from += 1;
         }
     }
 }
@@ -355,8 +397,8 @@ impl<'g> BlockRankJoin<'g> {
             }
         }
         out_schema.sort_unstable();
-        let lstate = SideState::new(left.schema(), &join_vars, &out_schema);
-        let rstate = SideState::new(right.schema(), &join_vars, &out_schema);
+        let lstate = SideState::new(left.schema(), &join_vars, &out_schema, left.distinct());
+        let rstate = SideState::new(right.schema(), &join_vars, &out_schema, right.distinct());
         BlockRankJoin {
             left,
             right,
@@ -370,15 +412,15 @@ impl<'g> BlockRankJoin<'g> {
         }
     }
 
-    /// The corner-bound threshold `T`.
+    /// The threshold `T`: the larger side term.
     fn threshold(&self) -> Option<Score> {
         if (self.lstate.exhausted && self.lstate.top1.is_none())
             || (self.rstate.exhausted && self.rstate.top1.is_none())
         {
             return None;
         }
-        let tl = self.lstate.bound_with(self.rstate.top1);
-        let tr = self.rstate.bound_with(self.lstate.top1);
+        let tl = self.lstate.bound_with(&self.rstate);
+        let tr = self.rstate.bound_with(&self.lstate);
         match (tl, tr) {
             (None, None) => None,
             (Some(a), None) => Some(a),
@@ -390,19 +432,19 @@ impl<'g> BlockRankJoin<'g> {
     /// Pulls one block from the chosen side, inserts its rows and probes the
     /// other side's row index row-by-row in a tight loop.
     fn pull_block(&mut self) {
-        // HRJN*: pull the side whose corner-bound term is larger.
+        // HRJN*: pull the side whose bound term is larger.
         let pull_left = if self.lstate.exhausted {
             false
         } else if self.rstate.exhausted || self.lstate.top1.is_none() {
-            // Right done, or the left head is still unknown: the corner
-            // bounds are meaningless until both heads are seen, so fetch
+            // Right done, or the left head is still unknown: the bound
+            // terms are meaningless until both heads are seen, so fetch
             // left first.
             true
         } else if self.rstate.top1.is_none() {
             false
         } else {
-            let tl = self.lstate.bound_with(self.rstate.top1);
-            let tr = self.rstate.bound_with(self.lstate.top1);
+            let tl = self.lstate.bound_with(&self.rstate);
+            let tr = self.rstate.bound_with(&self.lstate);
             match (tl, tr) {
                 (Some(a), Some(b)) => a >= b,
                 (Some(_), None) => true,
@@ -450,7 +492,18 @@ impl<'g> BlockRankJoin<'g> {
                     });
                 matches += 1;
             }
+            // A wrong `distinct()` would silently lose results: check it.
+            debug_assert!(
+                !dst.keys_once || dst.partners(row, &dst.key_idx, hash).next().is_none(),
+                "a keys-once join side repeated a key"
+            );
             dst.insert(row, score, hash);
+        }
+        if self.lstate.keys_once {
+            self.rstate.skip_closed(&self.lstate);
+        }
+        if self.rstate.keys_once {
+            self.lstate.skip_closed(&self.rstate);
         }
         // Every probe hit is one random access, one answer and one push.
         self.metrics.count_random_accesses(matches);
@@ -514,6 +567,10 @@ impl BlockStream for BlockRankJoin<'_> {
 
     fn set_floor(&mut self, floor: Score) {
         self.floor = Some(floor);
+    }
+
+    fn distinct(&self) -> bool {
+        self.left.distinct() && self.right.distinct()
     }
 }
 
@@ -704,6 +761,11 @@ impl BlockStream for BlockIncrementalMerge<'_> {
             .map(|(block, cursor)| block.score(*cursor))
             .max()
     }
+
+    /// `seen` keeps one row per binding.
+    fn distinct(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]
@@ -743,7 +805,7 @@ mod tests {
     /// A side whose rows are all key columns, in schema order.
     fn keyed_side(width: u32) -> SideState {
         let schema: Vec<Var> = (0..width).map(Var).collect();
-        SideState::new(&schema, &schema, &schema)
+        SideState::new(&schema, &schema, &schema, false)
     }
 
     fn partners_of(side: &SideState, row: &[TermId]) -> Vec<u32> {
@@ -806,7 +868,7 @@ mod tests {
         assert!(partners_of(&wide, &ids(&[7, 7, 7, 3, 7])).is_empty());
 
         // No join columns: every stored row is every probe's partner.
-        let mut cross = SideState::new(&[Var(0)], &[], &[Var(0)]);
+        let mut cross = SideState::new(&[Var(0)], &[], &[Var(0)], false);
         for i in 0..20u32 {
             cross.insert(&[TermId(i)], Score::new(0.0), key_hash(&[TermId(i)], &[]));
         }
@@ -1131,6 +1193,77 @@ mod tests {
         assert!(
             bound.is_some_and(|b| b < Score::new(1.9)),
             "ended by the floor, not by exhaustion: {bound:?}"
+        );
+    }
+
+    #[test]
+    fn scans_merges_and_joins_of_them_declare_distinct() {
+        let mut b = kgstore::KnowledgeGraphBuilder::new();
+        b.add("a", "type", "singer", 1.0);
+        b.add("a", "type", "actor", 1.0);
+        b.add("a", "knows", "b", 1.0);
+        let g = b.build();
+        let d = g.dictionary();
+        let id = |name: &str| d.lookup(name).unwrap();
+        let scan = |o: sparql::Term| -> BoxedBlockStream<'_> {
+            let pattern = sparql::TriplePattern::new(Var(0), id("type"), o);
+            Box::new(crate::BlockScan::new(
+                &g,
+                pattern,
+                Score::ONE,
+                OpMetrics::new_handle(),
+                4,
+            ))
+        };
+        let join = |l, r| BlockRankJoin::new(l, r, vec![Var(0)], OpMetrics::new_handle(), 4);
+        let replay = || -> BoxedBlockStream<'_> { Box::new(block_of(&[simple(1, 1.0)], &[0], 4)) };
+        let singer = || scan(id("singer").into());
+
+        assert!(singer().distinct());
+        assert!(BlockIncrementalMerge::new(vec![singer(), scan(id("actor").into())], 4).distinct());
+        // `?0 type singer` binds only the join key; `?0 type ?1` does not.
+        let keyed = join(singer(), scan(Var(1).into()));
+        assert!(keyed.distinct());
+        assert!(keyed.lstate.keys_once && !keyed.rstate.keys_once);
+
+        assert!(!replay().distinct());
+        let plain = join(singer(), replay());
+        assert!(!plain.distinct());
+        assert!(plain.lstate.keys_once && !plain.rstate.keys_once);
+        let rows = vec![simple(1, 1.0)];
+        let declared = ReplayBlocks::new_distinct(rows, vec![Var(0)], 4);
+        assert!(declared.distinct());
+        assert!(join(singer(), Box::new(declared)).distinct());
+    }
+
+    /// Equal keys in equal order on both sides: result `i` scores
+    /// `2 - 0.002 i`. The corner bound emits it once both sides have read
+    /// to about depth `2i`; once each side has produced every key the
+    /// other has shown, the keys-once bound is `cur(L) + cur(R)` and emits
+    /// it at depth `i + 1`.
+    #[test]
+    fn keys_once_bound_reads_less_than_the_corner_bound() {
+        let rows: Vec<_> = (0..100)
+            .map(|i| simple(i, 1.0 - f64::from(i) * 0.001))
+            .collect();
+        let run = |declared: bool| {
+            let side = || -> BoxedBlockStream<'static> {
+                if declared {
+                    Box::new(ReplayBlocks::new_distinct(rows.clone(), vec![Var(0)], 1))
+                } else {
+                    Box::new(block_of(&rows, &[0], 1))
+                }
+            };
+            let metrics = OpMetrics::new_handle();
+            let mut join = BlockRankJoin::new(side(), side(), vec![Var(0)], metrics.clone(), 1);
+            (top_k_blocks(&mut join, 5), metrics.join_pulls())
+        };
+        let ((corner, corner_pulls), (keys_once, keys_once_pulls)) = (run(false), run(true));
+        assert_eq!(keys_once, corner);
+        assert_eq!(corner.last().map(|a| a.score), Some(Score::new(1.992)));
+        assert!(
+            keys_once_pulls + 6 <= corner_pulls,
+            "{keys_once_pulls} pulls under the keys-once bound, {corner_pulls} under the corner bound"
         );
     }
 

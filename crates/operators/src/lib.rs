@@ -12,7 +12,11 @@
 //!   SIGIR'05, cited as \[29\]);
 //! * [`BlockRankJoin`] — the HRJN hash rank join with corner-bound
 //!   thresholds, pulling by the HRJN\* adaptive strategy (Ilyas et al.,
-//!   VLDB'03/VLDB J.'04, cited as \[15,16\]);
+//!   VLDB'03/VLDB J.'04, cited as \[15,16\]); a side that is
+//!   [`distinct`](BlockStream::distinct) and binds only join variables holds
+//!   each key once, and its term drops the partner rows whose key it has
+//!   produced (Schnaitter & Polyzotis, PODS'08, show the corner bound is not
+//!   tight);
 //! * [`top_k_blocks`] / [`top_k_blocks_floored`] — result collection with
 //!   early termination.
 //!

@@ -219,6 +219,12 @@ impl BlockStream for BlockScan<'_> {
             Some(self.weighted(self.list.score_at(self.next_rank).value()))
         }
     }
+
+    /// Triples are unique and a scan binds every variable position of its
+    /// pattern, so no two matches bind the same terms.
+    fn distinct(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

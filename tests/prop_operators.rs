@@ -80,6 +80,44 @@ fn blocks_of(rows: &[PartialAnswer], schema: &[Var], size: usize) -> BoxedBlockS
     Box::new(ReplayBlocks::new(rows.to_vec(), schema.to_vec(), size))
 }
 
+/// [`answers_over`] keeping each binding once, at its best score.
+fn distinct_over(raw: &[(u32, u32, u32, u32)], schema: &[Var]) -> Vec<PartialAnswer> {
+    let mut seen = std::collections::HashSet::new();
+    let mut rows = answers_over(raw, schema);
+    rows.retain(|a| seen.insert(a.binding.clone()));
+    rows
+}
+
+/// A rank join of two distinct replays, declared distinct (so a side
+/// binding only join variables is keys-once) or left plain (corner bound).
+fn distinct_join(
+    (l, ls): (&[PartialAnswer], &[Var]),
+    (r, rs): (&[PartialAnswer], &[Var]),
+    js: &[Var],
+    declared: bool,
+    metrics: MetricsHandle,
+    size: usize,
+) -> BoxedBlockStream<'static> {
+    let side = |rows: &[PartialAnswer], schema: &[Var]| -> BoxedBlockStream<'static> {
+        if declared {
+            Box::new(ReplayBlocks::new_distinct(
+                rows.to_vec(),
+                schema.to_vec(),
+                size,
+            ))
+        } else {
+            blocks_of(rows, schema, size)
+        }
+    };
+    Box::new(BlockRankJoin::new(
+        side(l, ls),
+        side(r, rs),
+        js.to_vec(),
+        metrics,
+        size,
+    ))
+}
+
 fn drain_blocks(mut s: impl BlockStream) -> Vec<PartialAnswer> {
     let mut out = Vec::new();
     while let Some(b) = s.next_block() {
@@ -96,6 +134,16 @@ const JOIN_SHAPES: [(&[u32], &[u32], &[u32]); 5] = [
     (&[0, 1], &[0, 1], &[0, 1]),
     (&[0, 1, 2], &[0, 1, 3], &[0, 1]),
     (&[2, 0, 1], &[3, 0], &[0]),
+];
+
+/// `(left schema, right schema, join variables)` for joins of distinct
+/// inputs: a side whose schema is the join key holds each key once (it is
+/// keys-once), the other side may hold a key several times.
+const DISTINCT_SHAPES: [(&[u32], &[u32], &[u32]); 4] = [
+    (&[0], &[0, 1], &[0]),
+    (&[0, 1], &[0], &[0]),
+    (&[0], &[0], &[0]),
+    (&[0, 1], &[0, 1, 2], &[0, 1]),
 ];
 
 /// Block sizes every property runs at: single rows, mid-block boundaries,
@@ -334,6 +382,46 @@ proptest! {
                 &format!("merge size {size}"),
             )?;
             check_floor(|_| blocks_of(&l, &ls, size), k, floor, &format!("scan size {size}"))?;
+        }
+    }
+
+    /// On distinct inputs, the keys-once bound changes only how far the
+    /// join reads: the declared-distinct join emits the brute-force join,
+    /// its top-k equals the corner-bound join's with no more join pulls, and
+    /// the floor contract holds for it.
+    #[test]
+    fn keys_once_bound_equals_the_corner_bound(
+        l in raw_rows(60),
+        r in raw_rows(60),
+        shape in 0usize..4,
+        k in 0usize..12,
+        floor_eighths in 0u32..20,
+    ) {
+        let floor = Score::new(f64::from(floor_eighths) * 0.125);
+        let (ls, rs, js) = DISTINCT_SHAPES[shape];
+        let (ls, rs, js) = (vars(ls), vars(rs), vars(js));
+        let (l, r) = (distinct_over(&l, &ls), distinct_over(&r, &rs));
+        let want = naive_join(&l, &r, &js);
+        let sides = ((l.as_slice(), ls.as_slice()), (r.as_slice(), rs.as_slice()));
+        for size in SIZES {
+            let at = format!("shape {shape} size {size} k {k}");
+            let join = |declared: bool, metrics: MetricsHandle| {
+                distinct_join(sides.0, sides.1, &js, declared, metrics, size)
+            };
+            let got = drain_blocks(join(true, OpMetrics::new_handle()));
+            prop_assert_eq!(&got, &want, "{}", at);
+            let (corner, keys_once) = (OpMetrics::new_handle(), OpMetrics::new_handle());
+            let want_k = top_k_blocks(&mut join(false, corner.clone()), k);
+            let got_k = top_k_blocks(&mut join(true, keys_once.clone()), k);
+            prop_assert_eq!(&got_k, &want_k, "{}", at);
+            prop_assert!(
+                keys_once.join_pulls() <= corner.join_pulls(),
+                "{}: {} pulls under the keys-once bound, {} under the corner bound",
+                at,
+                keys_once.join_pulls(),
+                corner.join_pulls()
+            );
+            check_floor(|m| join(true, m), k, floor, &format!("keys-once join {at}"))?;
         }
     }
 
