@@ -15,6 +15,14 @@
 //! 3. the join-group stream and the singleton streams are combined with
 //!    further rank joins (Fig. 5).
 //!
+//! One shape is not a chain: a star with two or more multi-row patterns
+//! (the rule is [`star_join_var`]). Its patterns become the parts of one
+//! [`BlockStarJoin`] over the same inputs — the pattern's scan unless the
+//! plan is its delta, plus its relaxations' scans when it is a singleton —
+//! which runs the Threshold Algorithm over them and expands each star
+//! binding's answers lazily, where the chain would materialize every
+//! binding's cross product.
+//!
 //! Every operator moves blocks of up to `block_size` rows; the block size
 //! changes how work is batched, never the answers, their order or their
 //! scores. The TriniT baseline (§2.1, Fig. 2) is simply
@@ -26,12 +34,12 @@ use crate::engine::EngineConfig;
 use crate::plan::QueryPlan;
 use kgstore::KnowledgeGraph;
 use operators::{
-    top_k_blocks_floored, Binding, BlockIncrementalMerge, BlockRankJoin, BlockScan, BlockStream,
-    BoxedBlockStream, ExecutionMode, MetricsHandle, OpMetrics, PartialAnswer, PullStrategy,
-    DEFAULT_BLOCK_SIZE,
+    top_k_blocks_floored, Binding, BlockIncrementalMerge, BlockRankJoin, BlockScan, BlockStarJoin,
+    BlockStream, BoxedBlockStream, ExecutionMode, MetricsHandle, OpMetrics, PartialAnswer,
+    PullStrategy, StarPart, DEFAULT_BLOCK_SIZE,
 };
 use relax::RelaxationRegistry;
-use sparql::{Query, TriplePattern, Var};
+use sparql::{Query, Term, TriplePattern, Var};
 use specqp_common::{FxHashMap, Score, TermId};
 
 /// Builds the operator tree for `plan` over `query`. Every operator shares `metrics`, so the paper's "answer objects created"
@@ -46,8 +54,14 @@ fn build_tree<'g>(
 ) -> BoxedBlockStream<'g> {
     assert_eq!(plan.len(), query.len(), "plan/query arity mismatch");
     let block_size = block_size.max(1);
-    let patterns = query.patterns();
+    // A star with two or more multi-row patterns: the Threshold Algorithm
+    // over the same inputs the chain below would merge.
+    if let Some(star) = star_join_var(query) {
+        let parts = star_parts(query, plan, registry);
+        return Box::new(BlockStarJoin::new(graph, star, parts, metrics, block_size));
+    }
 
+    let patterns = query.patterns();
     let scan = |pattern: TriplePattern, weight: Score| -> BoxedBlockStream<'g> {
         Box::new(BlockScan::new(
             graph,
@@ -91,6 +105,61 @@ fn build_tree<'g>(
     // 3. Combine all parts with block rank joins, left-deep in construction
     //    order.
     join_chain(&mut parts.into_iter())
+}
+
+/// The star variable of `query` when the executor runs it through
+/// [`BlockStarJoin`], the shape rule: every pattern contains the star
+/// variable exactly once, no other variable occurs in two patterns or twice
+/// in one, and at least two patterns bind a variable besides the star
+/// variable — so at least two parts may hold several rows per binding,
+/// where a rank join would materialize each binding's cross product. Every
+/// other query, key-only stars and stars with one such pattern included,
+/// runs as a left-deep chain of rank joins. The rule reads the query only.
+pub fn star_join_var(query: &Query) -> Option<Var> {
+    let patterns = query.patterns();
+    let occurrences = |p: &TriplePattern, v: Var| {
+        [p.s, p.p, p.o]
+            .into_iter()
+            .filter(|&t| t == Term::Var(v))
+            .count()
+    };
+    let star = patterns
+        .first()?
+        .vars()
+        .find(|&v| patterns.iter().all(|p| occurrences(p, v) == 1))?;
+    let mut others: Vec<Var> = Vec::new();
+    let mut multi_row = 0;
+    for p in patterns {
+        let before = others.len();
+        for v in p.vars().filter(|&v| v != star) {
+            if occurrences(p, v) != 1 || others.contains(&v) {
+                return None;
+            }
+            others.push(v);
+        }
+        multi_row += usize::from(others.len() > before);
+    }
+    (multi_row >= 2).then_some(star)
+}
+
+/// Each pattern of `query` with the inputs `plan` gives it — exactly what
+/// the chain below merges: the pattern itself unless it is the plan's
+/// delta target, and its relaxations if it is a singleton.
+fn star_parts(query: &Query, plan: &QueryPlan, registry: &RelaxationRegistry) -> Vec<StarPart> {
+    let parts = query.patterns().iter().enumerate();
+    parts
+        .map(|(i, &pattern)| {
+            let mut inputs = Vec::new();
+            if plan.delta_target() != Some(i) {
+                inputs.push((pattern, Score::ONE));
+            }
+            if plan.is_relaxed(i) {
+                let relaxations = registry.relaxations_for(&pattern).into_iter();
+                inputs.extend(relaxations.map(|r| (r.pattern, Score::new(r.weight))));
+            }
+            StarPart { pattern, inputs }
+        })
+        .collect()
 }
 
 fn block_join<'g>(
@@ -456,6 +525,146 @@ mod tests {
             let escalated = pruned.escalated(&[0]);
             let restart = run(&g, &q, &escalated, &reg, OpMetrics::new_handle(), 10);
             assert_eq!(united, restart);
+        }
+    }
+
+    /// Singers' songs (`sang`, relaxed to `performed`) and lyrics (`wrote`,
+    /// relaxed to `penned`): several rows per singer in each, and the star
+    /// `?s sang ?song . ?s wrote ?lyric` over them.
+    fn star_setup() -> (KnowledgeGraph, RelaxationRegistry, Query) {
+        let mut b = KnowledgeGraphBuilder::new();
+        for (s, p, o, score) in [
+            ("shakira", "sang", "hips", 100.0),
+            ("shakira", "sang", "waka", 80.0),
+            ("shakira", "performed", "loca", 90.0),
+            ("adele", "sang", "hello", 70.0),
+            ("adele", "performed", "skyfall", 95.0),
+            ("sia", "performed", "chandelier", 60.0),
+            ("shakira", "wrote", "l1", 50.0),
+            ("shakira", "wrote", "l2", 40.0),
+            ("adele", "penned", "l3", 45.0),
+            ("adele", "wrote", "l4", 20.0),
+            ("sia", "wrote", "l5", 30.0),
+            ("shakira", "type", "singer", 10.0),
+            ("adele", "type", "singer", 9.0),
+        ] {
+            b.add(s, p, o, score);
+        }
+        let g = b.build();
+        let d = g.dictionary();
+        let id = |name: &str| d.lookup(name).unwrap();
+        let mut reg = RelaxationRegistry::new();
+        for (from, to, w) in [("sang", "performed", 0.8), ("wrote", "penned", 0.7)] {
+            reg.add(TermRule::new(Position::Predicate, id(from), id(to), w));
+        }
+        let q = sparql::parse_query("SELECT ?s WHERE { ?s <sang> ?song . ?s <wrote> ?lyric }", d)
+            .unwrap();
+        (g, reg, q)
+    }
+
+    /// A delta's target part leaves the original pattern out, in the star
+    /// join as in the chain: the delta holds exactly the answers that need
+    /// a `performed` row, and a part with no input left empties the star.
+    #[test]
+    fn star_delta_leaves_the_original_out() {
+        let (g, reg, q) = star_setup();
+        assert!(star_join_var(&q).is_some());
+        let d = g.dictionary();
+        let (sang, performed) = (d.lookup("sang").unwrap(), d.lookup("performed").unwrap());
+        let (s, song) = (q.var_by_name("s").unwrap(), q.var_by_name("song").unwrap());
+        let pruned = QueryPlan::none_relaxed(2);
+        for block_size in [1, 64] {
+            let delta = |reg: &RelaxationRegistry| {
+                let plan = pruned.delta(0, None);
+                let m = OpMetrics::new_handle();
+                run_plan_blocks(
+                    &g,
+                    &q,
+                    &plan,
+                    reg,
+                    m,
+                    PullStrategy::Adaptive,
+                    10,
+                    block_size,
+                )
+            };
+            let got = delta(&reg);
+            // loca and skyfall with their singers' unrelaxed lyrics.
+            assert_eq!(got.len(), 4, "block size {block_size}");
+            for a in &got {
+                let (singer, song) = (a.binding.get(s).unwrap(), a.binding.get(song).unwrap());
+                assert!(!g.contains(singer, sang, song) && g.contains(singer, performed, song));
+            }
+            assert!(
+                delta(&RelaxationRegistry::new()).is_empty(),
+                "no relaxation, no input, no answer"
+            );
+
+            let mut united = run(&g, &q, &pruned, &reg, OpMetrics::new_handle(), 10);
+            assert!(crate::speculation::union_top_k(&mut united, got, 10));
+            let escalated = pruned.escalated(&[0]);
+            let restart = run(&g, &q, &escalated, &reg, OpMetrics::new_handle(), 10);
+            assert_eq!(united, restart);
+        }
+    }
+
+    /// The executor runs [`BlockStarJoin`] for exactly the queries the shape
+    /// rule names: its answers and every work counter then equal a
+    /// hand-built star join's over the same parts. Stars the rule leaves to
+    /// the chain give the same answers with other counters.
+    #[test]
+    fn executor_runs_the_star_join_for_exactly_the_rule_shapes() {
+        let (g, reg, _) = star_setup();
+        // (query, its star variable, whether the rule names it)
+        let cases = [
+            ("?s <sang> ?a . ?s <wrote> ?b", Some("s"), true),
+            ("?a <sang> ?s . ?b <wrote> ?s", Some("s"), true),
+            ("?s <sang> ?a . ?a <wrote> ?b", Some("a"), true),
+            ("?s ?p ?a . ?s <wrote> ?b", Some("s"), true),
+            (
+                "?s <sang> ?a . ?s <wrote> ?b . ?s <type> <singer>",
+                Some("s"),
+                true,
+            ),
+            ("?s <sang> ?a . ?s <type> <singer>", Some("s"), false),
+            ("?s <type> <singer> . ?s <wrote> <l1>", Some("s"), false),
+            ("?s <sang> ?a", Some("s"), false),
+            ("?s <sang> ?a . ?s <wrote> ?a", None, false),
+            ("?s <sang> ?s . ?s <wrote> ?b", None, false),
+            ("?s <sang> ?a . ?s <wrote> ?b . ?a <type> ?c", None, false),
+        ];
+        let counters = |m: &OpMetrics| {
+            [
+                m.answers_created(),
+                m.sorted_accesses(),
+                m.join_pulls(),
+                m.random_accesses(),
+                m.heap_pushes(),
+            ]
+        };
+        for (body, star, rule) in cases {
+            let text = format!("SELECT * WHERE {{ {body} }}");
+            let q = sparql::parse_query(&text, g.dictionary()).unwrap();
+            assert_eq!(star_join_var(&q).is_some(), rule, "{body}");
+            for plan in [
+                QueryPlan::all_relaxed(q.len()),
+                QueryPlan::none_relaxed(q.len()),
+            ] {
+                let m = OpMetrics::new_handle();
+                let got = run(&g, &q, &plan, &reg, m.clone(), 10);
+                if plan.relaxed_count() == q.len() {
+                    assert_eq!(got, run_naive(&g, &q, &reg, 10), "{body}");
+                }
+                let Some(star) = star.map(|v| q.var_by_name(v).unwrap()) else {
+                    continue;
+                };
+                let star_metrics = OpMetrics::new_handle();
+                let parts = star_parts(&q, &plan, &reg);
+                let mut tree =
+                    BlockStarJoin::new(&g, star, parts, star_metrics.clone(), DEFAULT_BLOCK_SIZE);
+                assert_eq!(operators::top_k_blocks(&mut tree, 10), got, "{body}");
+                assert_eq!(counters(&m) == counters(&star_metrics), rule, "{body}");
+            }
         }
     }
 

@@ -83,7 +83,7 @@ pub use evaluation::{
     precision_at_k, prediction_covering, prediction_exact, required_relaxations, score_error,
     ScoreError,
 };
-pub use executor::{run_naive, run_plan_blocks};
+pub use executor::{run_naive, run_plan_blocks, star_join_var};
 pub use plan::QueryPlan;
 pub use plan_cache::QueryShape;
 pub use plangen::plan_query;

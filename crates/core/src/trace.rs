@@ -22,12 +22,14 @@ pub struct RunReport {
     /// Sequential (sorted) accesses: rows the scans read from their match
     /// lists (list reads).
     pub sorted_accesses: u64,
-    /// Rows the rank joins pulled from their children: a list row counts
-    /// once per join it climbs through, and never in `sorted_accesses`.
+    /// Rows the rank joins and the star join pulled from their children: a
+    /// list row counts once per join it climbs through, and never in
+    /// `sorted_accesses`.
     pub join_pulls: u64,
-    /// Random accesses (hash probes enumerated).
+    /// Random accesses: a rank join's hash-probe hits, a star join's store
+    /// reads.
     pub random_accesses: u64,
-    /// Priority-queue pushes inside rank joins.
+    /// Priority-queue pushes inside rank joins and the star join.
     pub heap_pushes: u64,
     /// Recovery stages taken by the speculation lifecycle.
     pub fallback_stages: u64,

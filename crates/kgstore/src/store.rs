@@ -351,6 +351,36 @@ impl KnowledgeGraph {
         out
     }
 
+    /// Calls `f` once per visible triple matching `key`, with its raw score,
+    /// in no particular order. Unlike [`matches`](KnowledgeGraph::matches)
+    /// it builds and memoizes no list: on an overlay version it walks the
+    /// base posting (skipping masked rows) and then the delta posting, so a
+    /// reader that looks up thousands of one-off keys leaves the version's
+    /// memo as it found it.
+    pub fn for_each_match(&self, key: PatternKey, mut f: impl FnMut(Triple, TripleScore)) {
+        if key.signature() == Signature::Spo {
+            let (s, p, o) = (key.s.unwrap(), key.p.unwrap(), key.o.unwrap());
+            if let Some(score) = self.score_of(s, p, o) {
+                f(Triple { s, p, o }, score);
+            }
+            return;
+        }
+        let masked = |id: u32| self.overlay.as_ref().is_some_and(|ov| ov.is_masked(id));
+        for &id in keyed_list(&self.indexes, key) {
+            if !masked(id) {
+                f(self.cols.triple(id as usize), self.cols.score(id as usize));
+            }
+        }
+        if let Some(ov) = &self.overlay {
+            for &local in keyed_list(&ov.indexes, key) {
+                f(
+                    ov.cols.triple(local as usize),
+                    ov.cols.score(local as usize),
+                );
+            }
+        }
+    }
+
     /// Number of triples matching `key` (the `mᵢ` statistic of §3.1.1).
     pub fn cardinality(&self, key: PatternKey) -> usize {
         self.matches(key).len()
@@ -676,6 +706,95 @@ mod tests {
             assert_eq!(cols.scores()[i as usize], st.score);
         }
         assert_eq!(kg.iter_scored().count(), kg.len());
+    }
+
+    /// Matches as `(triple, raw score bits)`.
+    type Rows = Vec<(Triple, u64)>;
+
+    /// A key's `(triple, raw score bits)` multiset through `for_each_match`
+    /// and through `matches`.
+    fn visited_and_listed(kg: &KnowledgeGraph, key: PatternKey) -> (Rows, Rows) {
+        let mut visited = Vec::new();
+        kg.for_each_match(key, |t, s| visited.push((t, s.value().to_bits())));
+        let mut listed: Rows = kg
+            .matches(key)
+            .iter_triples()
+            .map(|(t, s)| (t, s.value().to_bits()))
+            .collect();
+        let order = |a: &(Triple, u64), b: &(Triple, u64)| {
+            (a.0.s, a.0.p, a.0.o, a.1).cmp(&(b.0.s, b.0.p, b.0.o, b.1))
+        };
+        visited.sort_by(order);
+        listed.sort_by(order);
+        (visited, listed)
+    }
+
+    /// Every key of every signature over `kg`'s terms.
+    fn all_keys(kg: &KnowledgeGraph) -> Vec<PatternKey> {
+        let n = kg.dictionary().len() as u32;
+        let terms = || (0..n).map(|i| Some(TermId(i))).chain([None]);
+        let mut keys = Vec::new();
+        for s in terms() {
+            for p in terms() {
+                for o in terms() {
+                    keys.push(PatternKey { s, p, o });
+                }
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn for_each_match_visits_the_match_list_on_a_flat_graph() {
+        let kg = sample();
+        for key in all_keys(&kg) {
+            let (visited, listed) = visited_and_listed(&kg, key);
+            assert_eq!(visited, listed, "{key:?}");
+        }
+    }
+
+    /// On an overlay version with a masked base row, a delta-only row and a
+    /// re-asserted triple, the keyed read visits exactly what the merged
+    /// list holds — and leaves the version's memo untouched.
+    #[test]
+    fn for_each_match_reads_an_overlay_without_memoizing() {
+        let live = crate::LiveGraph::with_policy(sample(), crate::CompactionPolicy::never());
+        let mut batch = crate::WriteBatch::new();
+        batch
+            .retract("b", "type", "singer")
+            .assert("d", "type", "singer", 6.0)
+            .assert("a", "type", "singer", 1.0);
+        live.commit(&batch);
+        let (kg, _) = live.pinned();
+        let ov = kg.overlay.as_ref().expect("a commit publishes an overlay");
+        assert!(ov.masked_count >= 2, "the retract and the re-assert mask");
+        let memo_len = || ov.memo.read().unwrap().len();
+        let keys = all_keys(&kg);
+        for &key in &keys {
+            let before = memo_len();
+            let mut visited = 0;
+            kg.for_each_match(key, |_, _| visited += 1);
+            assert_eq!(memo_len(), before, "{key:?} memoized a list");
+            let (visited_rows, listed) = visited_and_listed(&kg, key);
+            assert_eq!(visited, visited_rows.len());
+            assert_eq!(visited_rows, listed, "{key:?}");
+        }
+        let d = kg.dictionary();
+        let (a, ty, singer) = (
+            d.lookup("a").unwrap(),
+            d.lookup("type").unwrap(),
+            d.lookup("singer").unwrap(),
+        );
+        let mut rows = Vec::new();
+        kg.for_each_match(PatternKey::po(ty, singer), |t, s| {
+            rows.push((d.name(t.s).unwrap().to_string(), s.value()));
+        });
+        rows.sort_by(|x, y| x.0.cmp(&y.0));
+        let want = [("a", 1.0), ("c", 2.0), ("d", 6.0)].map(|(n, s)| (n.to_string(), s));
+        assert_eq!(rows, want);
+        let mut exact = Vec::new();
+        kg.for_each_match(PatternKey::spo(a, ty, singer), |_, s| exact.push(s.value()));
+        assert_eq!(exact, [1.0], "the re-asserted triple at its new score");
     }
 
     #[test]

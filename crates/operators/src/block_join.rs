@@ -152,7 +152,7 @@ impl RowIndex {
 /// fixed-width term arena, ordered exactly like `PartialAnswer` — by score,
 /// ties broken so the lexicographically smaller term row ranks higher (pops
 /// first).
-struct RowHeap {
+pub(crate) struct RowHeap {
     width: usize,
     heap: Vec<(Score, u32)>,
     /// Slot `s` occupies `arena[s * width..(s + 1) * width]`.
@@ -162,7 +162,7 @@ struct RowHeap {
 }
 
 impl RowHeap {
-    fn new(width: usize) -> Self {
+    pub(crate) fn new(width: usize) -> Self {
         RowHeap {
             width,
             heap: Vec::new(),
@@ -173,7 +173,7 @@ impl RowHeap {
 
     /// Score of the row that pops next.
     #[inline]
-    fn peek_score(&self) -> Option<Score> {
+    pub(crate) fn peek_score(&self) -> Option<Score> {
         self.heap.first().map(|&(score, _)| score)
     }
 
@@ -191,9 +191,9 @@ impl RowHeap {
     }
 
     /// Queues a row, letting `fill` write every term of its (possibly
-    /// recycled) slot in place.
+    /// recycled) slot in place, and returns the slot.
     #[inline]
-    fn push_with(&mut self, score: Score, fill: impl FnOnce(&mut [TermId])) {
+    pub(crate) fn push_with(&mut self, score: Score, fill: impl FnOnce(&mut [TermId])) -> u32 {
         let slot = self.free.pop().unwrap_or_else(|| {
             // Nothing to recycle: all slots are queued, so this is a new one.
             let slot = u32::try_from(self.heap.len()).expect("a join queues < 2^32 results");
@@ -205,6 +205,7 @@ impl RowHeap {
         fill(&mut self.arena[at..at + self.width]);
         self.heap.push((score, slot));
         self.sift_up(self.heap.len() - 1);
+        slot
     }
 
     /// Moves entry `i` up until its parent outranks it.
@@ -220,8 +221,9 @@ impl RowHeap {
         }
     }
 
-    /// Pops the top row into `out` and recycles its slot.
-    fn pop_into(&mut self, out: &mut AnswerBlock) {
+    /// Pops the top row into `out` and recycles its slot, which it returns:
+    /// the slot is reused by the next push.
+    pub(crate) fn pop_into(&mut self, out: &mut AnswerBlock) -> u32 {
         let (score, slot) = self.heap.swap_remove(0);
         out.push_row(self.row(slot), score);
         self.free.push(slot);
@@ -238,6 +240,7 @@ impl RowHeap {
             i = child;
         }
         self.sift_up(i);
+        slot
     }
 }
 

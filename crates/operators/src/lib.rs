@@ -1,4 +1,5 @@
-//! Top-k query operators: sorted scans, incremental merge, and rank joins.
+//! Top-k query operators: sorted scans, incremental merge, rank joins and
+//! the star join.
 //!
 //! This crate implements the physical operators of §2.1 of the paper, all
 //! moving [`AnswerBlock`] batches through the pull-based [`BlockStream`]
@@ -17,6 +18,11 @@
 //!   each key once, and its term drops the partner rows whose key it has
 //!   produced (Schnaitter & Polyzotis, PODS'08, show the corner bound is not
 //!   tight);
+//! * [`BlockStarJoin`] — the Threshold Algorithm over a star query's
+//!   parts (Fagin, Lotem & Naor, PODS'01): it probes each binding of the
+//!   star variable in every part and expands the binding's answers lazily,
+//!   where a rank join over two parts with several rows per key would
+//!   materialize each key's cross product;
 //! * [`top_k_blocks`] / [`top_k_blocks_floored`] — result collection with
 //!   early termination.
 //!
@@ -35,6 +41,7 @@ pub mod block;
 pub mod block_join;
 pub mod metrics;
 pub mod scan;
+pub mod star;
 
 pub use answer::{Binding, PartialAnswer};
 pub use block::{
@@ -44,3 +51,4 @@ pub use block::{
 pub use block_join::{BlockIncrementalMerge, BlockRankJoin, PullStrategy};
 pub use metrics::{MetricsHandle, OpMetrics};
 pub use scan::BlockScan;
+pub use star::{BlockStarJoin, StarPart};

@@ -48,13 +48,14 @@ impl OpMetrics {
         self.sorted_accesses.set(self.sorted_accesses.get() + n);
     }
 
-    /// Records `n` rows a rank join pulled from a child.
+    /// Records `n` rows a rank join or star join pulled from a child.
     #[inline]
     pub fn count_join_pulls(&self, n: u64) {
         self.join_pulls.set(self.join_pulls.get() + n);
     }
 
-    /// Records `n` random accesses (hash probe hit enumerations).
+    /// Records `n` random accesses: rank-join hash-probe hits, or store
+    /// reads of a star join's probes.
     #[inline]
     pub fn count_random_accesses(&self, n: u64) {
         self.random_accesses.set(self.random_accesses.get() + n);

@@ -127,6 +127,12 @@ impl<'g> BlockScan<'g> {
         r
     }
 
+    /// The Def.-5 normalizer: the best raw score among the matches (zero
+    /// for an empty list).
+    pub(crate) fn normalizer(&self) -> f64 {
+        self.normalizer
+    }
+
     /// The normalized, weighted score this scan emits for a match of raw
     /// score `raw`.
     #[inline]

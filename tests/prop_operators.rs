@@ -6,10 +6,12 @@ use kgstore::{
 };
 use operators::{
     top_k_blocks, top_k_blocks_floored, Binding, BlockIncrementalMerge, BlockRankJoin, BlockScan,
-    BlockStream, BoxedBlockStream, MetricsHandle, OpMetrics, PartialAnswer, ReplayBlocks,
+    BlockStarJoin, BlockStream, BoxedBlockStream, MetricsHandle, OpMetrics, PartialAnswer,
+    ReplayBlocks, StarPart,
 };
 use proptest::prelude::*;
-use sparql::{Term, TriplePattern, Var};
+use relax::{Position, RelaxationRegistry, TermRule};
+use sparql::{Query, QueryBuilder, Term, TriplePattern, Var};
 use specqp_common::{Score, TermId};
 
 /// Strategy: one input list binding `?0` and `?side_var`, sorted by the
@@ -310,6 +312,174 @@ fn check_scans(
     Ok(())
 }
 
+/// Non-hub bindings of a generated star's star variable.
+const STAR_BINDINGS: u8 = 6;
+
+/// A generated star: its graph, query, relaxation rules and star variable.
+struct Star {
+    graph: KnowledgeGraph,
+    query: Query,
+    registry: RelaxationRegistry,
+    star: Var,
+}
+
+/// A star of `multi` multi-row patterns `?x pᵢ ?yᵢ` (or `?yᵢ pᵢ ?x` where
+/// `flips` has bit `i`) and `key_only` patterns `?x type cᵢ`, over a graph
+/// of the generated `rows` — `(part, input, binding, object, score)`, the
+/// input picking the pattern or one of its relaxations' terms — plus a hub
+/// binding holding `hub_rows` rows in every multi-row part. A multi-row
+/// pattern relaxes its predicate twice (one read per probe, routed by
+/// predicate); a key-only one relaxes its class and its predicate (one read
+/// per input). Scores take four values, so sums tie.
+fn star_world(
+    multi: usize,
+    key_only: usize,
+    flips: u8,
+    rows: &[(u8, u8, u8, u8, u8)],
+    hub_rows: u8,
+) -> Star {
+    let pred = |i: usize, input: u8| match input % 3 {
+        0 => format!("p{i}"),
+        r => format!("p{i}r{r}"),
+    };
+    let class = |i: usize, input: u8| match input % 3 {
+        0 => ("type".to_string(), format!("c{i}")),
+        1 => ("type".to_string(), format!("c{i}r")),
+        _ => ("kind".to_string(), format!("c{i}")),
+    };
+    let flipped = |i: usize| flips >> i & 1 == 1;
+    let mut triples: Vec<(String, String, String, f64)> = Vec::new();
+    let multi_row = |i: usize, input: u8, x: String, y: String, score: f64| {
+        let p = pred(i, input);
+        if flipped(i) {
+            (y, p, x, score)
+        } else {
+            (x, p, y, score)
+        }
+    };
+    let key_row = |i: usize, input: u8, x: String, score: f64| {
+        let (p, c) = class(i, input);
+        (x, p, c, score)
+    };
+    for input in 0..3 {
+        let anchor = || "anchor".to_string();
+        triples.extend((0..multi).map(|i| multi_row(i, input, anchor(), anchor(), 0.25)));
+        triples.extend((0..key_only).map(|i| key_row(i, input, anchor(), 0.25)));
+    }
+    for i in 0..multi {
+        for j in 0..hub_rows {
+            let score = f64::from(j % 3 + 1);
+            triples.push(multi_row(i, 0, "hub".into(), format!("h{j}"), score));
+        }
+    }
+    triples.extend((0..key_only).map(|i| key_row(i, 0, "hub".into(), 2.0)));
+    for &(part, input, x, y, score) in rows {
+        let x = format!("x{}", x % STAR_BINDINGS);
+        let score = f64::from(score % 4 + 1) * 0.5;
+        let part = usize::from(part) % (multi + key_only);
+        triples.push(if part < multi {
+            multi_row(part, input, x, format!("y{}", y % 5), score)
+        } else {
+            key_row(part - multi, input, x, score)
+        });
+    }
+    let mut b = KnowledgeGraphBuilder::new();
+    for (s, p, o, score) in &triples {
+        b.add(s, p, o, *score);
+    }
+    let graph = b.build();
+
+    let d = graph.dictionary();
+    let id = |name: &str| d.lookup(name).expect("every name is anchored");
+    let mut registry = RelaxationRegistry::new();
+    let mut qb = QueryBuilder::new();
+    let star = qb.var("x");
+    for i in 0..multi {
+        let p = id(&pred(i, 0));
+        for (r, w) in [(1, 0.75), (2, 0.5)] {
+            registry.add(TermRule::new(Position::Predicate, p, id(&pred(i, r)), w));
+        }
+        let y = qb.var(&format!("y{i}"));
+        if flipped(i) {
+            qb.pattern(y, p, star);
+        } else {
+            qb.pattern(star, p, y);
+        }
+    }
+    for i in 0..key_only {
+        let ty = id("type");
+        if i == 0 {
+            registry.add(TermRule::new(Position::Predicate, ty, id("kind"), 0.5));
+        }
+        let c = id(&format!("c{i}"));
+        registry.add(TermRule::with_context(
+            Position::Object,
+            c,
+            id(&format!("c{i}r")),
+            0.75,
+            ty,
+        ));
+        qb.pattern(star, ty, c);
+    }
+    qb.project(star);
+    let query = qb.build().expect("a star query");
+    Star {
+        graph,
+        query,
+        registry,
+        star,
+    }
+}
+
+/// The star's parts: each pattern, plus its relaxations where `relaxed`
+/// has its bit.
+fn star_parts(star: &Star, relaxed: u8) -> Vec<StarPart> {
+    star.query
+        .patterns()
+        .iter()
+        .enumerate()
+        .map(|(i, &pattern)| {
+            let mut inputs = vec![(pattern, Score::ONE)];
+            if relaxed >> i & 1 == 1 {
+                for r in star.registry.relaxations_for(&pattern) {
+                    inputs.push((r.pattern, Score::new(r.weight)));
+                }
+            }
+            StarPart { pattern, inputs }
+        })
+        .collect()
+}
+
+/// The left-deep rank-join chain over `parts` the executor would build:
+/// each part a scan, or a merge of its inputs' scans.
+fn rank_join_chain<'g>(
+    graph: &'g KnowledgeGraph,
+    star: Var,
+    parts: &[StarPart],
+    metrics: MetricsHandle,
+    size: usize,
+) -> BoxedBlockStream<'g> {
+    let part = |part: &StarPart| -> BoxedBlockStream<'g> {
+        let mut scans: Vec<BoxedBlockStream<'g>> = part
+            .inputs
+            .iter()
+            .map(|&(p, w)| -> BoxedBlockStream<'g> {
+                Box::new(BlockScan::new(graph, p, w, metrics.clone(), size))
+            })
+            .collect();
+        if scans.len() == 1 {
+            scans.pop().expect("one scan")
+        } else {
+            Box::new(BlockIncrementalMerge::new(scans, size))
+        }
+    };
+    parts
+        .iter()
+        .map(part)
+        .reduce(|l, r| Box::new(BlockRankJoin::new(l, r, vec![star], metrics.clone(), size)))
+        .expect("a star has parts")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -500,6 +670,54 @@ proptest! {
             let (graph, _) = live.pinned();
             prop_assert!(graph.has_overlay());
             check_scans(&graph, &patterns, weight, &format!("epoch {}", e + 1))?;
+        }
+    }
+
+    /// The star join is a rank-join chain over the same parts, read
+    /// differently: for stars of 2–3 multi-row and 0–2 key-only parts, with
+    /// relaxations, a hub binding and tied scores, at every block size, it
+    /// returns the chain's top-k for every k up to 20 and its full answer
+    /// set, in non-increasing score order; floored runs keep the floor
+    /// contract; with every part relaxed, it returns `run_naive`'s answers.
+    #[test]
+    fn star_join_equals_the_rank_join_chain(
+        (multi, key_only, flips, hub_rows) in (2usize..=3, 0usize..=2, any::<u8>(), 0u8..10),
+        rows in prop::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+            0..60,
+        ),
+        (relaxed, all_relaxed) in (any::<u8>(), any::<bool>()),
+        (k_floor, floor_eighths) in (0usize..12, 0u32..40),
+    ) {
+        let world = star_world(multi, key_only, flips, &rows, hub_rows);
+        let relaxed = if all_relaxed { u8::MAX } else { relaxed };
+        let parts = star_parts(&world, relaxed);
+        let g = &world.graph;
+        let sorted = |mut answers: Vec<PartialAnswer>| {
+            answers.sort_by(|a, b| b.cmp(a));
+            answers
+        };
+        let naive = all_relaxed.then(|| specqp::run_naive(g, &world.query, &world.registry, usize::MAX));
+        for size in SIZES {
+            let ta = |m: MetricsHandle| -> BoxedBlockStream<'_> {
+                Box::new(BlockStarJoin::new(g, world.star, parts.clone(), m, size))
+            };
+            let chain = |m: MetricsHandle| rank_join_chain(g, world.star, &parts, m, size);
+            let all = drain_blocks(ta(OpMetrics::new_handle()));
+            prop_assert!(all.windows(2).all(|w| w[0].score >= w[1].score), "size {}", size);
+            let all = sorted(all);
+            prop_assert_eq!(&all, &sorted(drain_blocks(chain(OpMetrics::new_handle()))), "size {}", size);
+            if let Some(naive) = &naive {
+                prop_assert_eq!(&all, naive, "naive, size {}", size);
+            }
+            for k in 0..=20 {
+                let got = top_k_blocks(&mut ta(OpMetrics::new_handle()), k);
+                prop_assert_eq!(&got, &all[..k.min(all.len())].to_vec(), "k {} size {}", k, size);
+                let want = top_k_blocks(&mut chain(OpMetrics::new_handle()), k);
+                prop_assert_eq!(&got, &want, "k {} size {}", k, size);
+            }
+            let floor = Score::new(f64::from(floor_eighths) * 0.125);
+            check_floor(ta, k_floor, floor, &format!("star join size {size}"))?;
         }
     }
 
