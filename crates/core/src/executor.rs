@@ -34,12 +34,12 @@ use crate::engine::EngineConfig;
 use crate::plan::QueryPlan;
 use kgstore::KnowledgeGraph;
 use operators::{
-    top_k_blocks_floored, Binding, BlockIncrementalMerge, BlockRankJoin, BlockScan, BlockStarJoin,
-    BlockStream, BoxedBlockStream, ExecutionMode, MetricsHandle, OpMetrics, PartialAnswer,
-    PullStrategy, StarPart, DEFAULT_BLOCK_SIZE,
+    is_star, top_k_blocks_floored, Binding, BlockIncrementalMerge, BlockRankJoin, BlockScan,
+    BlockStarJoin, BlockStream, BoxedBlockStream, ExecutionMode, MetricsHandle, OpMetrics,
+    PartialAnswer, PullStrategy, StarPart, DEFAULT_BLOCK_SIZE,
 };
 use relax::RelaxationRegistry;
-use sparql::{Query, Term, TriplePattern, Var};
+use sparql::{Query, TriplePattern, Var};
 use specqp_common::{FxHashMap, Score, TermId};
 
 /// Builds the operator tree for `plan` over `query`. Every operator shares `metrics`, so the paper's "answer objects created"
@@ -92,13 +92,8 @@ fn build_tree<'g>(
     // 2. Singletons: block merges over the pattern (unless this is its
     //    delta) and its relaxations.
     for i in plan.singletons() {
-        let mut inputs: Vec<BoxedBlockStream<'g>> = Vec::new();
-        if plan.delta_target() != Some(i) {
-            inputs.push(scan(patterns[i], Score::ONE));
-        }
-        for r in registry.relaxations_for(&patterns[i]) {
-            inputs.push(scan(r.pattern, Score::new(r.weight)));
-        }
+        let inputs = pattern_inputs(patterns, i, plan, registry).into_iter();
+        let inputs = inputs.map(|(p, weight)| scan(p, weight)).collect();
         parts.push(Box::new(BlockIncrementalMerge::new(inputs, block_size)));
     }
 
@@ -108,58 +103,49 @@ fn build_tree<'g>(
 }
 
 /// The star variable of `query` when the executor runs it through
-/// [`BlockStarJoin`], the shape rule: every pattern contains the star
-/// variable exactly once, no other variable occurs in two patterns or twice
-/// in one, and at least two patterns bind a variable besides the star
-/// variable — so at least two parts may hold several rows per binding,
-/// where a rank join would materialize each binding's cross product. Every
-/// other query, key-only stars and stars with one such pattern included,
-/// runs as a left-deep chain of rank joins. The rule reads the query only.
+/// [`BlockStarJoin`]: the first variable of the first pattern on which the
+/// patterns are a star ([`operators::is_star`]), provided at least two
+/// patterns bind a variable besides it — so at least two parts may hold
+/// several rows per binding, where a rank join would materialize each
+/// binding's cross product. Every other query, key-only stars and stars
+/// with one such pattern included, runs as a left-deep chain of rank joins.
+/// The rule reads the query only.
 pub fn star_join_var(query: &Query) -> Option<Var> {
     let patterns = query.patterns();
-    let occurrences = |p: &TriplePattern, v: Var| {
-        [p.s, p.p, p.o]
-            .into_iter()
-            .filter(|&t| t == Term::Var(v))
-            .count()
-    };
-    let star = patterns
-        .first()?
-        .vars()
-        .find(|&v| patterns.iter().all(|p| occurrences(p, v) == 1))?;
-    let mut others: Vec<Var> = Vec::new();
-    let mut multi_row = 0;
-    for p in patterns {
-        let before = others.len();
-        for v in p.vars().filter(|&v| v != star) {
-            if occurrences(p, v) != 1 || others.contains(&v) {
-                return None;
-            }
-            others.push(v);
-        }
-        multi_row += usize::from(others.len() > before);
-    }
-    (multi_row >= 2).then_some(star)
+    let star = patterns.first()?.vars().find(|&v| is_star(patterns, v))?;
+    let multi_row = patterns.iter().filter(|p| p.vars().any(|v| v != star));
+    (multi_row.count() >= 2).then_some(star)
 }
 
-/// Each pattern of `query` with the inputs `plan` gives it — exactly what
-/// the chain below merges: the pattern itself unless it is the plan's
-/// delta target, and its relaxations if it is a singleton.
+/// The `(pattern, weight)` inputs `plan` gives pattern `i`: the pattern at
+/// weight 1 unless it is the plan's delta target, and its relaxations if it
+/// is relaxed. The chain merges them for a singleton; the star join reads
+/// them as the pattern's part.
+fn pattern_inputs(
+    patterns: &[TriplePattern],
+    i: usize,
+    plan: &QueryPlan,
+    registry: &RelaxationRegistry,
+) -> Vec<(TriplePattern, Score)> {
+    let mut inputs = Vec::new();
+    if plan.delta_target() != Some(i) {
+        inputs.push((patterns[i], Score::ONE));
+    }
+    if plan.is_relaxed(i) {
+        let relaxations = registry.relaxations_for(&patterns[i]).into_iter();
+        inputs.extend(relaxations.map(|r| (r.pattern, Score::new(r.weight))));
+    }
+    inputs
+}
+
+/// Each pattern of `query` as a star part over its [`pattern_inputs`].
 fn star_parts(query: &Query, plan: &QueryPlan, registry: &RelaxationRegistry) -> Vec<StarPart> {
-    let parts = query.patterns().iter().enumerate();
-    parts
-        .map(|(i, &pattern)| {
-            let mut inputs = Vec::new();
-            if plan.delta_target() != Some(i) {
-                inputs.push((pattern, Score::ONE));
-            }
-            if plan.is_relaxed(i) {
-                let relaxations = registry.relaxations_for(&pattern).into_iter();
-                inputs.extend(relaxations.map(|r| (r.pattern, Score::new(r.weight))));
-            }
-            StarPart { pattern, inputs }
-        })
-        .collect()
+    let patterns = query.patterns();
+    let part = |(i, &pattern)| StarPart {
+        pattern,
+        inputs: pattern_inputs(patterns, i, plan, registry),
+    };
+    patterns.iter().enumerate().map(part).collect()
 }
 
 fn block_join<'g>(

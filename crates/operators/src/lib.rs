@@ -51,4 +51,4 @@ pub use block::{
 pub use block_join::{BlockIncrementalMerge, BlockRankJoin, PullStrategy};
 pub use metrics::{MetricsHandle, OpMetrics};
 pub use scan::BlockScan;
-pub use star::{BlockStarJoin, StarPart};
+pub use star::{is_star, BlockStarJoin, StarPart};

@@ -57,6 +57,25 @@ pub struct StarPart {
     pub inputs: Vec<(TriplePattern, Score)>,
 }
 
+/// Whether `patterns` form a star on `star`: every pattern mentions `star`
+/// exactly once, and no other variable occurs twice among them.
+pub fn is_star(patterns: &[TriplePattern], star: Var) -> bool {
+    let mut others: Vec<Var> = Vec::new();
+    patterns.iter().all(|p| {
+        let mut stars = 0;
+        for v in [p.s, p.p, p.o].into_iter().filter_map(Term::as_var) {
+            if v == star {
+                stars += 1;
+            } else if others.contains(&v) {
+                return false;
+            } else {
+                others.push(v);
+            }
+        }
+        stars == 1
+    })
+}
+
 /// A part's row of one binding: its score and its terms for the part's
 /// other variables, in variable order (unused slots are zero).
 type PartRow = (Score, [TermId; 2]);
@@ -261,9 +280,8 @@ impl<'g> BlockStarJoin<'g> {
     /// The star join over `parts` on the star variable `star`.
     ///
     /// # Panics
-    /// Panics unless every part's pattern mentions `star` exactly once and
-    /// no other variable occurs twice among the patterns, or if there are
-    /// no parts.
+    /// Panics unless the parts' patterns are a star on `star` ([`is_star`]),
+    /// or if there are no parts.
     pub fn new(
         graph: &'g KnowledgeGraph,
         star: Var,
@@ -271,26 +289,12 @@ impl<'g> BlockStarJoin<'g> {
         metrics: MetricsHandle,
         block_size: usize,
     ) -> Self {
+        let patterns: Vec<TriplePattern> = parts.iter().map(|part| part.pattern).collect();
         assert!(!parts.is_empty(), "a star has at least one part");
-        let mut out_schema: Vec<Var> = vec![star];
-        for part in &parts {
-            let p = part.pattern;
-            let occurs = |v: Var| {
-                [p.s, p.p, p.o]
-                    .iter()
-                    .filter(|&&t| t == Term::Var(v))
-                    .count()
-            };
-            assert_eq!(occurs(star), 1, "{p:?} mentions the star variable once");
-            for v in p.vars().filter(|&v| v != star) {
-                assert!(
-                    occurs(v) == 1 && !out_schema.contains(&v),
-                    "{v:?} occurs once in the star"
-                );
-                out_schema.push(v);
-            }
-        }
+        assert!(is_star(&patterns, star), "not a star on {star:?}");
+        let mut out_schema: Vec<Var> = patterns.iter().flat_map(|p| p.vars()).collect();
         out_schema.sort_unstable();
+        out_schema.dedup();
         let star_out = out_schema.binary_search(&star).expect("star in schema");
         let parts: Vec<Part<'g>> = parts
             .into_iter()
