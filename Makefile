@@ -7,7 +7,8 @@ CARGO ?= cargo
 ci: lint build test doc example specbench-check loc
 
 # The grep guards keep out what the repository removed or forbids. The
-# criterion guard matches the crate's names, not the English word.
+# criterion guard matches the crate's names, not the English word. The last
+# guard keeps the ground-truth evaluator off the serving path.
 lint:
 	$(CARGO) fmt --all --check
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
@@ -16,6 +17,8 @@ lint:
 	! git grep -nE 'QuotaConfig|QuotaRegistry|with_quota|with_client|DuplicatePolicy' -- crates src tests examples
 	! git grep -nE 'PlanCache|DEFAULT_SHARDS|per_shard_capacity' -- crates src tests examples
 	! git grep -nE 'criterion(::|_|\.workspace| *=)|Criterion|vendor/criterion' -- crates src tests examples Cargo.toml
+	! git grep -nE 'record_speculations?\b' -- crates src tests examples
+	! git grep -n 'required_relaxations' -- crates/core/src/engine.rs crates/core/src/speculation.rs crates/service crates/server
 
 fmt:
 	$(CARGO) fmt --all

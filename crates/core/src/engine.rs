@@ -417,10 +417,10 @@ impl<'g> Engine<'g> {
     ///   through the same runner as every plan;
     /// * after stage `N` every pattern with relaxations is relaxed, so the
     ///   answers are [`Engine::run_trinit`]'s, bit for bit;
-    /// * every verdict is recorded in the statistics feedback ledger
-    ///   (escalated patterns as mis-speculations when their stage changed
-    ///   the top-k, clean otherwise; surviving pruned patterns as clean),
-    ///   biasing the plans [`Engine::plan`] serves from then on.
+    /// * every escalation is recorded in the statistics feedback ledger —
+    ///   as a mis-speculation when its stage changed the top-k, clean
+    ///   otherwise — biasing the plans [`Engine::plan`] serves from then
+    ///   on. A run that verifies clean records nothing.
     ///
     /// The returned outcome carries the plan whose top-k the answers are,
     /// with verify time, recovery stages and wasted answer objects
@@ -452,16 +452,10 @@ impl<'g> Engine<'g> {
         let mut execution = t0.elapsed();
 
         let mut mis_speculated = false;
-        // Ledger verdicts accumulated across the lifecycle and recorded in
-        // batched catalog writes at the end: (pattern index, was a
-        // *confirmed* mis-speculation). `passive` verdicts come for free
-        // (clean runs) and only count against patterns already on file;
-        // `probes` were paid for with a delta run or provenance audit and
-        // always count — a probe's clean result is what marks a shape
-        // "settled" so it is never re-escalated.
-        let mut passive: Vec<(usize, bool)> = Vec::new();
-        let mut probes: Vec<(usize, bool)> = Vec::new();
-        // A pattern the ledger holds as settled-clean (probed before, at
+        // Escalation verdicts, recorded in one batched catalog write at the
+        // end: (pattern index, the escalation changed the top-k).
+        let mut verdicts: Vec<(usize, bool)> = Vec::new();
+        // A pattern the ledger holds as settled-clean (escalated before, at
         // least as many clean verdicts as offenses) is never re-flagged:
         // a genuinely-small result would otherwise re-trigger the full
         // escalation ladder on every run.
@@ -482,36 +476,6 @@ impl<'g> Engine<'g> {
             verify_time += tv.elapsed();
 
             if !verdict.mis_speculated {
-                // Clean terminal state: the pruned candidates that survived
-                // verification are recorded as clean prunes.
-                passive.extend(verdict.candidates.iter().map(|&i| (i, false)));
-                // Exoneration audit — the bias's way back: a *relaxed*
-                // pattern the ledger holds as a repeat offender is
-                // re-probated against reality. If its relaxations
-                // contributed nothing to the final top-k, clean verdicts
-                // accumulate until the bias flips off and the served plan
-                // prunes it again; if they did contribute, the offense is
-                // reinforced.
-                // Without this, one spurious offense would lock a shape onto
-                // relaxed plans forever (relaxed patterns are never
-                // escalation candidates, so they could never earn clean
-                // verdicts otherwise).
-                let audit: Vec<usize> = query
-                    .patterns()
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, p)| {
-                        current.is_relaxed(*i)
-                            && registry.relaxation_count(p) > 0
-                            && self.catalog.repeat_offender(&p.stats_key())
-                    })
-                    .map(|(i, _)| i)
-                    .collect();
-                if !audit.is_empty() {
-                    let contributing =
-                        crate::evaluation::required_relaxations(graph, query, registry, &answers);
-                    probes.extend(audit.into_iter().map(|i| (i, contributing.contains(&i))));
-                }
                 break;
             }
             mis_speculated = true;
@@ -554,30 +518,19 @@ impl<'g> Engine<'g> {
             // relaxed) proves the pruning was *fine* — recording it as an
             // offense would permanently lock the shape onto TriniT-priced
             // plans. Retained answers keep their score bits, so "changed" is
-            // exact. When a multi-pattern stage confirms, the offense is
-            // attributed by answer provenance — only the escalated patterns
-            // whose relaxations actually contribute to the recovered top-k
-            // are blamed, the rest are exonerated as clean. (Which delta
-            // changed the top-k does not say: an answer that needs relaxed
-            // rows of two targets surfaces in the later one's delta only.)
-            if confirmed && targets.len() > 1 {
-                let contributing =
-                    crate::evaluation::required_relaxations(graph, query, registry, &answers);
-                probes.extend(targets.into_iter().map(|i| (i, contributing.contains(&i))));
-            } else {
-                probes.extend(targets.into_iter().map(|i| (i, confirmed)));
-            }
+            // exact.
+            verdicts.extend(targets.into_iter().map(|i| (i, confirmed)));
         }
 
-        // Two batched ledger writes per run at most — service workers
-        // contend on the catalog lock once per kind, not once per pattern.
-        let key_of = |(i, mis): (usize, bool)| (query.patterns()[i].stats_key(), mis);
-        if !probes.is_empty() {
-            self.catalog.record_probes(probes.into_iter().map(key_of));
-        }
-        if !passive.is_empty() {
-            self.catalog
-                .record_speculations(passive.into_iter().map(key_of));
+        // One batched ledger write per run at most — service workers
+        // contend on the catalog lock once per escalating run, not once
+        // per pattern, and clean runs never take it.
+        if !verdicts.is_empty() {
+            self.catalog.record_escalations(
+                verdicts
+                    .into_iter()
+                    .map(|(i, confirmed)| (query.patterns()[i].stats_key(), confirmed)),
+            );
         }
 
         let mut report = RunReport::of(&metrics);
@@ -827,8 +780,8 @@ mod tests {
     /// The ledger's bias is applied where a plan is served, not baked into
     /// the cached plan: recording an offense leaves the cached plan valid,
     /// the next lookup is a hit, and the served plan relaxes the offender.
-    /// Clean verdicts that flip the bias back make the next hit serve the
-    /// unbiased plan again.
+    /// Clean escalations that flip the bias back make the next hit serve
+    /// the unbiased plan again.
     #[test]
     fn ledger_bias_is_applied_to_cache_hits() {
         let (g, _) = setup();
@@ -852,16 +805,16 @@ mod tests {
         assert!(!unbiased.is_relaxed(0), "the estimate prunes `big`");
 
         let key = q.patterns()[0].stats_key();
-        engine.catalog().record_speculation(key, true);
+        engine.catalog().record_escalations([(key, true)]);
         let (biased, _) = engine.plan(&q, 5);
         assert_eq!(biased, unbiased.escalated(&[0]), "the offender is relaxed");
         assert_eq!(m.hits(), 2, "the cached plan still serves");
         assert_eq!((m.misses(), m.stale()), (1, 0), "nothing was re-planned");
 
-        // Two clean verdicts outweigh the one offense: the bias is off.
+        // Two clean escalations outweigh the one offense: the bias is off.
         engine
             .catalog()
-            .record_speculations([(key, false), (key, false)]);
+            .record_escalations([(key, false), (key, false)]);
         assert!(!engine.catalog().repeat_offender(&key));
         let (again, _) = engine.plan(&q, 5);
         assert_eq!(again, unbiased);
@@ -944,7 +897,7 @@ mod tests {
         );
         assert!(
             outcome.clean_prunes >= 1,
-            "the paid-for probe marks the pattern settled"
+            "the paid-for escalation marks the pattern settled"
         );
         assert!(
             !engine2.catalog().repeat_offender(&key),
@@ -1080,7 +1033,7 @@ mod tests {
     }
 
     /// An unfixable under-filled shape must not oscillate the offender
-    /// bias (flag → relax → exonerate → re-flag …), which would change the
+    /// bias (flag → relax → clean → re-flag …), which would change the
     /// served plan — and pay a fallback ladder — on every single run.
     #[test]
     fn fallback_does_not_oscillate_on_unfixable_underfill() {
@@ -1099,6 +1052,8 @@ mod tests {
         let seed = engine.run_speculative(&q, 40, QueryPlan::none_relaxed(2));
         assert!(seed.report.mis_speculated, "the seed run is flagged");
         assert!(engine.catalog().repeat_offender(&key), "the flag set it");
+        // The served plan relaxes the offender, so nothing is escalated and
+        // nothing is recorded: the bias never flips.
         let mut bias = true;
         let mut flips = 0;
         for _ in 0..6 {
@@ -1107,10 +1062,7 @@ mod tests {
             flips += usize::from(now != bias);
             bias = now;
         }
-        // One exoneration is the worst permissible transient; after that
-        // the shape must be settled — identical repeated observations never
-        // count as revisions.
-        assert!(flips <= 1, "the bias oscillated: {flips} flips");
+        assert_eq!(flips, 0, "the bias flipped");
         let (served, _) = engine.plan(&q, 40);
         let _ = engine.run_specqp(&q, 40);
         let _ = engine.run_specqp(&q, 40);
@@ -1122,45 +1074,33 @@ mod tests {
         );
     }
 
-    /// A clean speculative run under Fallback records clean prunes and adds
-    /// no fallback overhead beyond the verify pass.
+    /// The ledger learns only from escalations. Once an escalation has put
+    /// `small` on file as an offender, runs of the served plan (the bias
+    /// relaxes `small`, so nothing is pruned) verify clean, take no stage,
+    /// waste nothing and leave its outcome as it was.
     #[test]
-    fn clean_run_records_clean_prunes() {
+    fn clean_runs_leave_the_ledger_untouched() {
         let (g, reg) = setup();
         let engine = engine_with_policy(&g, &reg, SpeculationPolicy::Fallback { max_stages: 3 });
-        let q = parse_query("SELECT ?s WHERE { ?s <type> <big> }", g.dictionary()).unwrap();
-        // `big` has no relaxations, so there are no candidates: clean, no
-        // ledger writes.
-        let out = engine.run_specqp(&q, 5);
-        assert!(!out.report.mis_speculated);
-        assert_eq!(out.report.fallback_stages, 0);
-        assert_eq!(out.report.wasted_answers, 0);
-
-        // A query whose plan prunes a relaxation-bearing pattern cleanly:
-        // k=1 is satisfied by the original `small` head (score 1.0 beats any
-        // 0.9-weighted relaxed answer), so pruning verifies clean. Clean
-        // verdicts for never-flagged patterns are deliberately unrecorded
-        // (hot-path no-op); once the pattern has an offense on file, clean
-        // runs accumulate against it.
-        let q2 = parse_query("SELECT ?s WHERE { ?s <type> <small> }", g.dictionary()).unwrap();
-        let out2 = engine.run_specqp(&q2, 1);
-        let key = q2.patterns()[0].stats_key();
-        if !out2.plan.is_relaxed(0) {
-            assert!(!out2.report.mis_speculated, "{:?}", out2.report);
-            assert_eq!(
-                engine.catalog().speculation_outcome(&key),
-                specqp_stats::SpeculationOutcome::default(),
-                "clean verdicts for never-flagged patterns are no-ops"
-            );
-            // Put an offense on file without flipping the bias (1 mis vs 1
-            // pre-recorded clean), then verify clean runs now accumulate.
-            engine.catalog().record_speculation(key, true);
-            engine.catalog().record_speculation(key, false);
-            let _ = engine.run_specqp(&q2, 1);
-            assert!(
-                engine.catalog().speculation_outcome(&key).clean_prunes >= 2,
-                "clean runs count once the pattern is on file"
-            );
+        let q = parse_query(
+            "SELECT ?s WHERE { ?s <type> <big> . ?s <type> <small> }",
+            g.dictionary(),
+        )
+        .unwrap();
+        let key = q.patterns()[1].stats_key();
+        let seed = engine.run_speculative(&q, 40, QueryPlan::none_relaxed(2));
+        assert!(seed.report.mis_speculated);
+        let offense = specqp_stats::SpeculationOutcome {
+            mis_speculations: 1,
+            clean_prunes: 0,
+        };
+        assert_eq!(engine.catalog().speculation_outcome(&key), offense);
+        for _ in 0..3 {
+            let out = engine.run_specqp(&q, 40);
+            assert!(!out.report.mis_speculated, "{:?}", out.report);
+            assert_eq!(out.report.fallback_stages, 0);
+            assert_eq!(out.report.wasted_answers, 0);
+            assert_eq!(engine.catalog().speculation_outcome(&key), offense);
         }
     }
 

@@ -316,7 +316,7 @@ mod tests {
         let unbiased = plan(&catalog);
         // The estimate says rich→tiny can't reach the top-10.
         assert_eq!(unbiased.relaxed_count(), 0);
-        catalog.record_speculation(q.patterns()[0].stats_key(), true);
+        catalog.record_escalations([(q.patterns()[0].stats_key(), true)]);
         assert!(catalog.repeat_offender(&q.patterns()[0].stats_key()));
         assert_eq!(plan(&catalog), unbiased, "the offender stays pruned");
     }

@@ -9,12 +9,13 @@
 //!           └────────┘    └─────────┘    └────────┘       └─────────┘
 //!                ▲                        ▲   │ mis-speculated
 //!                │            top-k ∪ Δ   │   ▼
-//!                │          ┌─────────────┴──────┐  stage 1‥N−1: the top
+//!                │          ┌─────────────┴───────┐  stage 1‥N−1: the top
 //!                │          │ escalate: delta run │  suspect; stage N: every
 //!                │          │ above the k-th score│  remaining candidate,
-//!                │          └────────────────────┘  one delta each
-//!                │        feedback ledger     │
-//!                └──── (StatsCatalog offender bias) ◀── verdicts
+//!                │          └──────────┬──────────┘  one delta each
+//!                │                     │ one verdict per escalation:
+//!                │                     ▼ top-k changed = offense
+//!                └─ offender bias ◀─ feedback ledger (StatsCatalog)
 //! ```
 //!
 //! * **Verify** ([`verify`]): after the speculative plan drains, the verdict
@@ -39,10 +40,12 @@
 //!   and so is every answer object a delta created to no effect
 //!   (`RunReport::wasted_answers`), so the price of a wrong guess is
 //!   measured, not hidden.
-//! * **Learn**: verdicts feed the per-pattern-shape ledger in
-//!   [`specqp_stats::StatsCatalog`]. The engine relaxes the pruned patterns
-//!   the ledger holds as repeat offenders in every plan it serves, cached or
-//!   fresh; PLANGEN and the plan cache never read the ledger.
+//! * **Learn**: each escalation feeds the per-pattern-shape ledger in
+//!   [`specqp_stats::StatsCatalog`] — as an offense when it changed the
+//!   top-k, as clean when it changed nothing. A run that verifies clean
+//!   escalates nothing and teaches nothing. The engine relaxes the pruned
+//!   patterns the ledger holds as repeat offenders in every plan it serves,
+//!   cached or fresh; PLANGEN and the plan cache never read the ledger.
 //!
 //! The policy is selected per engine through
 //! [`EngineConfig::speculation`](crate::EngineConfig::speculation).

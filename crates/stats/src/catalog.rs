@@ -3,22 +3,24 @@
 //!
 //! The paper precomputes its four per-pattern values offline ("precomputed
 //! statistics about the distribution of scores", §1). The catalog plays that
-//! role: [`StatsCatalog::precompute`] builds entries ahead of time, and any
-//! pattern not yet covered is computed on first use and cached. Entries are
-//! keyed by [`StatsKey`], which erases variable names, so `?x type singer`
-//! and `?y type singer` share one entry.
+//! role: the core crate's `Engine::warm` fills it for a query ahead of time
+//! (with the cardinalities and the plan), and any pattern not yet covered is
+//! computed on first use and cached. Entries are keyed by [`StatsKey`],
+//! which erases variable names, so `?x type singer` and `?y type singer`
+//! share one entry.
 //!
 //! # Speculation feedback
 //!
-//! The speculation lifecycle (core crate) reports, per pattern shape, how
-//! pruning that pattern's relaxations worked out at runtime:
-//! [`StatsCatalog::record_speculation`] with `mis_speculated = true` when a
-//! pruned pattern had to be escalated by a fallback stage, `false` when a
-//! pruned pattern survived verification. The ledger turns those verdicts
-//! into a planning bias — [`StatsCatalog::repeat_offender`] — that the
-//! engine applies to every plan it serves, relaxing patterns whose pruning
-//! keeps going wrong, regardless of what the (evidently miscalibrated)
-//! histogram estimate says. The catalog knows nothing of plans or their
+//! The speculation lifecycle (core crate) reports, per pattern shape, what
+//! escalating a pruned pattern's relaxations found at runtime:
+//! [`StatsCatalog::record_escalations`] with `true` when a fallback
+//! escalation changed the top-k, `false` when it changed nothing. A run
+//! that verifies clean escalates nothing and records nothing: the ledger
+//! learns only from escalations the lifecycle paid for. It turns those
+//! verdicts into a planning bias — [`StatsCatalog::repeat_offender`] —
+//! that the engine applies to every plan it serves, relaxing patterns whose
+//! pruning keeps going wrong, regardless of what the (evidently
+//! miscalibrated) histogram estimate says. The catalog knows nothing of plans or their
 //! caches.
 
 use crate::histogram::PatternStats;
@@ -27,13 +29,14 @@ use sparql::{StatsKey, TriplePattern};
 use specqp_common::FxHashMap;
 use std::sync::RwLock;
 
-/// Per-pattern-shape speculation outcomes: how often pruning this pattern's
-/// relaxations was flagged as a mis-speculation vs verified clean.
+/// Per-pattern-shape speculation outcomes: how often escalating this
+/// pattern's pruned relaxations changed the top-k vs changed nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpeculationOutcome {
-    /// Runs where the pruned pattern was escalated by a fallback stage.
+    /// Escalations of the pruned pattern that changed the top-k.
     pub mis_speculations: u64,
-    /// Runs where the pattern was pruned and the result verified clean.
+    /// Escalations of the pruned pattern that changed nothing: its
+    /// pruning was fine.
     pub clean_prunes: u64,
 }
 
@@ -44,7 +47,7 @@ impl SpeculationOutcome {
         self.mis_speculations > self.clean_prunes
     }
 
-    /// `true` when the pattern has been probed (some verdict is on file) and
+    /// `true` when the pattern has been escalated (some verdict is on file) and
     /// the evidence says its pruning is fine: at least as many clean
     /// verdicts as offenses. The lifecycle suppresses re-flagging settled
     /// patterns — without this, a shape whose true result is genuinely
@@ -77,59 +80,17 @@ impl StatsCatalog {
         Self::default()
     }
 
-    /// Records one speculation verdict for the pattern shape `key`:
-    /// `mis_speculated = true` when pruning the pattern's relaxations was a
-    /// mistake the fallback had to repair, `false` when the pruned run
-    /// verified clean.
-    pub fn record_speculation(&self, key: StatsKey, mis_speculated: bool) {
-        self.record_speculations(std::iter::once((key, mis_speculated)));
-    }
-
-    /// Records a whole run's verdicts under at most **one** ledger write-lock
-    /// acquisition — the engine's lifecycle reports every pruned pattern of a
-    /// query at once, so service workers contend on the lock once per query
-    /// instead of once per pattern.
-    ///
-    /// Hot-path optimization: clean verdicts for patterns the ledger has
-    /// never seen are **no-ops** — the ledger tracks outcomes only for
-    /// patterns that have been part of at least one mis-speculation, so the
-    /// overwhelmingly common all-clean run touches only the shared read
-    /// lock and never serializes service workers on the write lock. (The
-    /// cost is that a pattern's *first* offense flips its bias immediately
-    /// instead of being damped by earlier unrecorded cleans; the engine's
-    /// exoneration audit flips it back if the offense proves spurious.)
-    pub fn record_speculations(&self, verdicts: impl IntoIterator<Item = (StatsKey, bool)>) {
-        let verdicts: Vec<(StatsKey, bool)> = verdicts.into_iter().collect();
-        let needs_write = verdicts.iter().any(|(_, mis)| *mis) || {
-            let ledger = self.ledger.read().expect("speculation ledger poisoned");
-            verdicts.iter().any(|(key, _)| ledger.contains_key(key))
-        };
-        if needs_write {
-            self.write_verdicts(verdicts, false);
-        }
-    }
-
-    /// Records **probe** outcomes — verdicts backed by an actual paid-for
-    /// delta run (a fallback escalation) or provenance audit. Unlike
-    /// [`record_speculations`](StatsCatalog::record_speculations), clean
-    /// verdicts are always recorded, even for never-seen patterns: a probe's
-    /// clean result is the evidence that marks a pattern
-    /// [`settled_clean`](SpeculationOutcome::settled_clean), which is what
-    /// stops the lifecycle from re-escalating a proven-futile shape forever.
-    pub fn record_probes(&self, verdicts: impl IntoIterator<Item = (StatsKey, bool)>) {
-        self.write_verdicts(verdicts, true);
-    }
-
-    fn write_verdicts(
-        &self,
-        verdicts: impl IntoIterator<Item = (StatsKey, bool)>,
-        force_cleans: bool,
-    ) {
+    /// Records a run's escalation verdicts under one ledger write-lock
+    /// acquisition: `(key, true)` when escalating the pattern's relaxations
+    /// changed the top-k (pruning them was a mistake the fallback had to
+    /// repair), `(key, false)` when it changed nothing. Every verdict
+    /// counts, for never-seen patterns too: a clean escalation is the
+    /// evidence that marks a pattern
+    /// [`settled_clean`](SpeculationOutcome::settled_clean), which stops the
+    /// lifecycle from re-escalating a proven-futile shape forever.
+    pub fn record_escalations(&self, verdicts: impl IntoIterator<Item = (StatsKey, bool)>) {
         let mut ledger = self.ledger.write().expect("speculation ledger poisoned");
         for (key, mis_speculated) in verdicts {
-            if !mis_speculated && !force_cleans && !ledger.contains_key(&key) {
-                continue;
-            }
             let entry = ledger.entry(key).or_default();
             if mis_speculated {
                 entry.mis_speculations += 1;
@@ -176,18 +137,6 @@ impl StatsCatalog {
         }
         self.cache
             .insert(graph.epoch(), key, Self::compute(graph, pattern))
-    }
-
-    /// Precomputes statistics for every pattern in `patterns` (the paper's
-    /// offline statistics-building pass).
-    pub fn precompute<'p>(
-        &self,
-        graph: &KnowledgeGraph,
-        patterns: impl IntoIterator<Item = &'p TriplePattern>,
-    ) {
-        for p in patterns {
-            let _ = self.stats(graph, p);
-        }
     }
 
     fn compute(graph: &KnowledgeGraph, pattern: &TriplePattern) -> Option<PatternStats> {
@@ -307,11 +256,11 @@ mod tests {
         assert!(!c.repeat_offender(&key));
 
         // First mis-speculation flips 0>0 → 1>0.
-        c.record_speculation(key, true);
+        c.record_escalations([(key, true)]);
         assert!(c.repeat_offender(&key));
 
         // A second mis-speculation changes counts but not the bias.
-        c.record_speculation(key, true);
+        c.record_escalations([(key, true)]);
         assert!(c.repeat_offender(&key));
         assert_eq!(
             c.speculation_outcome(&key),
@@ -322,9 +271,9 @@ mod tests {
         );
 
         // Clean verdicts accumulate until they outweigh the misses.
-        c.record_speculation(key, false);
+        c.record_escalations([(key, false)]);
         assert!(c.repeat_offender(&key), "2 mis > 1 clean");
-        c.record_speculation(key, false);
+        c.record_escalations([(key, false)]);
         assert!(
             !c.repeat_offender(&key),
             "2 mis vs 2 clean is not an offender"
@@ -332,36 +281,32 @@ mod tests {
     }
 
     #[test]
-    fn probe_records_cleans_for_fresh_keys_and_settles_them() {
+    fn clean_escalations_settle_fresh_keys() {
         let c = StatsCatalog::new();
         let key = TriplePattern::new(Var(0), specqp_common::TermId(8), specqp_common::TermId(9))
             .stats_key();
-        // A passive clean on a never-seen key is a no-op…
-        c.record_speculations([(key, false)]);
-        assert_eq!(c.speculation_outcome(&key), SpeculationOutcome::default());
         assert!(
             !c.speculation_outcome(&key).settled_clean(),
             "no evidence yet"
         );
 
-        // …but a probe's clean result always lands and settles the pattern.
-        c.record_probes([(key, false)]);
+        // A clean escalation lands for a never-seen key and settles it.
+        c.record_escalations([(key, false)]);
         let outcome = c.speculation_outcome(&key);
         assert_eq!(outcome.clean_prunes, 1);
         assert!(outcome.settled_clean());
-        assert!(!c.repeat_offender(&key), "clean probes never set the bias");
-
-        // Once on file, passive cleans accumulate too.
-        c.record_speculations([(key, false)]);
-        assert_eq!(c.speculation_outcome(&key).clean_prunes, 2);
+        assert!(
+            !c.repeat_offender(&key),
+            "clean verdicts never set the bias"
+        );
 
         // An offense unsettles only once it outweighs the cleans.
-        c.record_probes([(key, true), (key, true)]);
+        c.record_escalations([(key, false), (key, true), (key, true)]);
         assert!(
             c.speculation_outcome(&key).settled_clean(),
             "2 mis vs 2 clean"
         );
-        c.record_speculation(key, true);
+        c.record_escalations([(key, true)]);
         assert!(c.repeat_offender(&key), "3 > 2 flips the bias");
         assert!(!c.speculation_outcome(&key).settled_clean());
     }
@@ -373,14 +318,12 @@ mod tests {
         let o = specqp_common::TermId(4);
         let a = TriplePattern::new(Var(0), ty, o).stats_key();
         let b = TriplePattern::new(Var(9), ty, o).stats_key();
-        c.record_speculation(a, true);
+        c.record_escalations([(a, true)]);
         assert!(c.repeat_offender(&b), "renamed variable shares the entry");
     }
 
     /// Every service worker writes the ledger: four writers hammering one
-    /// key, two with offenses and two with cleans, mixing the passive path
-    /// (a read-lock fast path in front of the write) with the probe path,
-    /// must lose no verdict.
+    /// key, two with offenses and two with cleans, must lose no verdict.
     #[test]
     fn concurrent_verdicts_are_all_recorded() {
         use std::sync::Arc;
@@ -390,23 +333,12 @@ mod tests {
             .stats_key();
         const ROUNDS: usize = 400;
 
-        // A clean `record_speculations` for a key the ledger has never seen
-        // is a documented no-op, and a clean writer can win the race to the
-        // first call. Seed the entry so every writer call is recorded and
-        // the total below is exact.
-        c.record_probes([(key, true)]);
-
         let writers: Vec<_> = (0..4)
             .map(|t| {
                 let c = Arc::clone(&c);
                 std::thread::spawn(move || {
-                    for i in 0..ROUNDS {
-                        let mis = t < 2;
-                        if (i + t) % 2 == 0 {
-                            c.record_speculations([(key, mis)]);
-                        } else {
-                            c.record_probes([(key, mis)]);
-                        }
+                    for _ in 0..ROUNDS {
+                        c.record_escalations([(key, t < 2)]);
                     }
                 })
             })
@@ -419,26 +351,10 @@ mod tests {
         assert_eq!(
             outcome,
             SpeculationOutcome {
-                mis_speculations: (1 + 2 * ROUNDS) as u64,
+                mis_speculations: (2 * ROUNDS) as u64,
                 clean_prunes: (2 * ROUNDS) as u64,
             }
         );
-    }
-
-    #[test]
-    fn precompute_fills_cache() {
-        let g = graph();
-        let d = g.dictionary();
-        let ty = d.lookup("type").unwrap();
-        let singer = d.lookup("singer").unwrap();
-        let sf = d.lookup("self").unwrap();
-        let pats = [
-            TriplePattern::new(Var(0), ty, singer),
-            TriplePattern::new(Var(0), sf, Var(1)),
-        ];
-        let c = StatsCatalog::new();
-        c.precompute(&g, pats.iter());
-        assert_eq!(c.len(), 2);
     }
 
     /// A graph that never changes keeps no more than the memo's bound,

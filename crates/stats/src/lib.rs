@@ -29,9 +29,10 @@
 //! paper uses ("we have taken exact join selectivity values").
 //!
 //! The catalog additionally keeps the **speculation feedback ledger**
-//! ([`SpeculationOutcome`]): per-pattern-shape mis-speculation verdicts
-//! reported back by the execution layer, which bias the plans the engine
-//! serves away from repeat offenders.
+//! ([`SpeculationOutcome`]): per-pattern-shape verdicts of the execution
+//! layer's fallback escalations — an escalation that changed the top-k is
+//! an offense, one that changed nothing is clean — which bias the plans
+//! the engine serves away from repeat offenders.
 
 pub mod cardinality;
 pub mod catalog;

@@ -112,7 +112,7 @@ fn ledger_bias_applies_to_cached_plan() {
 
     // Runtime feedback records the pattern's pruning as a repeat offense.
     let key = q.patterns()[0].stats_key();
-    engine.catalog().record_speculation(key, true);
+    engine.catalog().record_escalations([(key, true)]);
     let (biased, _) = engine.plan(&q, 5);
     assert_eq!(biased, unbiased.escalated(&[0]), "the offender is relaxed");
     assert_eq!((m.hits(), m.misses(), m.stale()), (2, 1, 0));
@@ -120,28 +120,10 @@ fn ledger_bias_applies_to_cached_plan() {
     // Two clean verdicts outweigh the offense: the bias is off again.
     engine
         .catalog()
-        .record_speculations([(key, false), (key, false)]);
+        .record_escalations([(key, false), (key, false)]);
     let (served, _) = engine.plan(&q, 5);
     assert_eq!(served, unbiased);
     assert_eq!((m.hits(), m.misses(), m.stale()), (3, 1, 0));
-}
-
-/// One recorded verdict: `probe` selects `record_probes` over the passive
-/// `record_speculations`.
-#[derive(Clone, Copy, Debug)]
-struct Verdict {
-    key: StatsKey,
-    mis_speculated: bool,
-    probe: bool,
-}
-
-fn record(engine: &Engine<'_>, v: Verdict) {
-    let verdict = [(v.key, v.mis_speculated)];
-    if v.probe {
-        engine.catalog().record_probes(verdict);
-    } else {
-        engine.catalog().record_speculations(verdict);
-    }
 }
 
 proptest! {
@@ -263,24 +245,18 @@ proptest! {
             .collect();
         let engine = Engine::new(&world.graph, &world.registry);
         let mut shapes = HashSet::new();
-        let mut history: Vec<Verdict> = Vec::new();
+        let mut history: Vec<(StatsKey, bool)> = Vec::new();
         for (kind, qi, pi, mis) in ops {
             let q = &queries[usize::from(qi) % queries.len()];
             if kind < 2 {
                 let fresh = Engine::new(&world.graph, &world.registry);
-                for &v in &history {
-                    record(&fresh, v);
-                }
+                fresh.catalog().record_escalations(history.iter().copied());
                 prop_assert_eq!(engine.plan(q, k).0, fresh.plan(q, k).0);
                 shapes.insert(QueryShape::of(q, k));
             } else {
                 let patterns = q.patterns();
-                let v = Verdict {
-                    key: patterns[usize::from(pi) % patterns.len()].stats_key(),
-                    mis_speculated: mis == 1,
-                    probe: kind == 3,
-                };
-                record(&engine, v);
+                let v = (patterns[usize::from(pi) % patterns.len()].stats_key(), mis == 1);
+                engine.catalog().record_escalations([v]);
                 history.push(v);
             }
         }
