@@ -3,17 +3,17 @@
 //!
 //! Given a [`QueryPlan`]:
 //!
-//! 1. the **join group** becomes a left-deep chain of rank joins over plain
-//!    [`BlockScan`]s (no relaxations),
-//! 2. every **singleton** becomes a [`BlockIncrementalMerge`] over the
-//!    pattern's scan (weight 1) and one scan per relaxation of
-//!    [`RelaxationRegistry::relaxations_for`] (weight `wᵢ`) — the pattern's
-//!    scan left out when the plan is the [delta](QueryPlan::delta) of that
-//!    pattern. PLANGEN's check and the verifier's candidates come from the
-//!    same enumeration, so a plan and its verdict see every input the tree
-//!    can merge,
-//! 3. the join-group stream and the singleton streams are combined with
-//!    further rank joins (Fig. 5).
+//! 1. every **join-group** pattern is a plain [`BlockScan`] (no
+//!    relaxations),
+//! 2. every **singleton** merges the pattern's scan (weight 1) and one scan
+//!    per relaxation of [`RelaxationRegistry::relaxations_for`] (weight
+//!    `wᵢ`) — the pattern's scan left out when the plan is the
+//!    [delta](QueryPlan::delta) of that pattern. PLANGEN's check and the
+//!    verifier's candidates come from the same enumeration, so a plan and
+//!    its verdict see every input the tree can merge. A pattern with one
+//!    input keeps the bare scan ([`pattern_stream`]),
+//! 3. the streams, join group first, are combined by a left-deep chain of
+//!    rank joins (Fig. 5).
 //!
 //! One shape is not a chain: a star with two or more multi-row patterns
 //! (the rule is [`star_join_var`]). Its patterns become the parts of one
@@ -34,7 +34,7 @@ use crate::engine::EngineConfig;
 use crate::plan::QueryPlan;
 use kgstore::KnowledgeGraph;
 use operators::{
-    is_star, top_k_blocks_floored, Binding, BlockIncrementalMerge, BlockRankJoin, BlockScan,
+    is_star, pattern_stream, top_k_blocks_floored, Binding, BlockRankJoin, BlockScan,
     BlockStarJoin, BlockStream, BoxedBlockStream, ExecutionMode, MetricsHandle, OpMetrics,
     PartialAnswer, PullStrategy, StarPart, DEFAULT_BLOCK_SIZE,
 };
@@ -61,45 +61,30 @@ fn build_tree<'g>(
         return Box::new(BlockStarJoin::new(graph, star, parts, metrics, block_size));
     }
 
+    // Pruned patterns first, then relaxed ones, joined left-deep; each
+    // pattern's stream is its one scan or the merge of its inputs.
     let patterns = query.patterns();
-    let scan = |pattern: TriplePattern, weight: Score| -> BoxedBlockStream<'g> {
-        Box::new(BlockScan::new(
-            graph,
-            pattern,
-            weight,
-            metrics.clone(),
-            block_size,
-        ))
-    };
-    // A left-deep rank join over `parts`.
-    let join_chain = |parts: &mut dyn Iterator<Item = BoxedBlockStream<'g>>| {
-        let first = parts.next().expect("a join chain has ≥ 1 part");
-        parts.fold(first, |left, right| {
-            block_join(left, right, &metrics, block_size)
-        })
-    };
-
-    let mut parts: Vec<BoxedBlockStream<'g>> = Vec::new();
-
-    // 1. Join group: left-deep block rank joins over bare block scans.
-    let join_group = plan.join_group();
-    if !join_group.is_empty() {
-        parts.push(join_chain(
-            &mut join_group.iter().map(|&i| scan(patterns[i], Score::ONE)),
-        ));
-    }
-
-    // 2. Singletons: block merges over the pattern (unless this is its
-    //    delta) and its relaxations.
-    for i in plan.singletons() {
-        let inputs = pattern_inputs(patterns, i, plan, registry).into_iter();
-        let inputs = inputs.map(|(p, weight)| scan(p, weight)).collect();
-        parts.push(Box::new(BlockIncrementalMerge::new(inputs, block_size)));
-    }
-
-    // 3. Combine all parts with block rank joins, left-deep in construction
-    //    order.
-    join_chain(&mut parts.into_iter())
+    let mut streams = plan
+        .join_group()
+        .into_iter()
+        .chain(plan.singletons())
+        .map(|i| {
+            let inputs = pattern_inputs(patterns, i, plan, registry).into_iter();
+            let scans = inputs.map(|(pattern, weight)| -> BoxedBlockStream<'g> {
+                Box::new(BlockScan::new(
+                    graph,
+                    pattern,
+                    weight,
+                    metrics.clone(),
+                    block_size,
+                ))
+            });
+            pattern_stream(scans.collect(), block_size)
+        });
+    let first = streams.next().expect("a plan has ≥ 1 pattern");
+    streams.fold(first, |left, right| {
+        block_join(left, right, &metrics, block_size)
+    })
 }
 
 /// The star variable of `query` when the executor runs it through

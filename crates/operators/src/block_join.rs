@@ -771,6 +771,20 @@ impl BlockStream for BlockIncrementalMerge<'_> {
     }
 }
 
+/// One pattern's stream over the scans of its inputs: the scan itself when
+/// there is one, their [`BlockIncrementalMerge`] otherwise (a merge reads
+/// one block of every input ahead).
+pub fn pattern_stream(
+    mut inputs: Vec<BoxedBlockStream<'_>>,
+    block_size: usize,
+) -> BoxedBlockStream<'_> {
+    if inputs.len() == 1 {
+        inputs.pop().expect("one input")
+    } else {
+        Box::new(BlockIncrementalMerge::new(inputs, block_size))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,7 +10,8 @@
 //!   the store columns the pattern binds;
 //! * [`BlockIncrementalMerge`] — merges a pattern and its relaxations into
 //!   one descending stream with max-score deduplication (Theobald et al.,
-//!   SIGIR'05, cited as \[29\]);
+//!   SIGIR'05, cited as \[29\]); [`pattern_stream`] builds it for a pattern
+//!   with several inputs and keeps a lone input's bare scan;
 //! * [`BlockRankJoin`] — the HRJN hash rank join with corner-bound
 //!   thresholds, pulling by the HRJN\* adaptive strategy (Ilyas et al.,
 //!   VLDB'03/VLDB J.'04, cited as \[15,16\]); a side that is
@@ -48,7 +49,7 @@ pub use block::{
     top_k_blocks, top_k_blocks_floored, AnswerBlock, BlockStream, BoxedBlockStream, ExecutionMode,
     ReplayBlocks, DEFAULT_BLOCK_SIZE,
 };
-pub use block_join::{BlockIncrementalMerge, BlockRankJoin, PullStrategy};
+pub use block_join::{pattern_stream, BlockIncrementalMerge, BlockRankJoin, PullStrategy};
 pub use metrics::{MetricsHandle, OpMetrics};
 pub use scan::BlockScan;
 pub use star::{is_star, BlockStarJoin, StarPart};

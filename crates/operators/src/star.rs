@@ -39,7 +39,7 @@
 //! binding or queueing a combination allocates nothing of its own.
 
 use crate::block::{AnswerBlock, BlockSizer, BlockStream, BoxedBlockStream};
-use crate::block_join::{BlockIncrementalMerge, RowHeap};
+use crate::block_join::{pattern_stream, RowHeap};
 use crate::metrics::MetricsHandle;
 use crate::scan::BlockScan;
 use kgstore::{KnowledgeGraph, PatternKey, Triple};
@@ -165,11 +165,7 @@ impl<'g> Part<'g> {
             inputs.push((terms(&input).map(Term::as_const), weight, scan.normalizer()));
             scans.push(Box::new(scan));
         }
-        let stream: BoxedBlockStream<'g> = if scans.len() == 1 {
-            scans.pop().expect("one input")
-        } else {
-            Box::new(BlockIncrementalMerge::new(scans, block_size))
-        };
+        let stream = pattern_stream(scans, block_size);
         let column = |v: Var| schema.iter().position(|&w| w == v).expect("in schema");
         Part {
             star_col: column(star),

@@ -246,12 +246,7 @@ fn reader_loop(stream: TcpStream, shared: &Shared, tx: &mpsc::Sender<Outgoing>) 
             Err(e @ WireError::TooLarge(_)) | Err(e @ WireError::Malformed(_)) => {
                 // The stream is still framed (oversized payloads are
                 // drained); report and keep serving the connection.
-                shared
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let frame = encode_error(0, ErrorCode::Protocol, 0, &e.to_string());
-                if tx.send(Outgoing::Ready(frame)).is_err() {
+                if tx.send(protocol_error(shared, 0, &e.to_string())).is_err() {
                     return;
                 }
                 continue;
@@ -262,6 +257,16 @@ fn reader_loop(stream: TcpStream, shared: &Shared, tx: &mpsc::Sender<Outgoing>) 
             return;
         }
     }
+}
+
+/// Counts one protocol error and answers request `id` (0 when the frame
+/// gave none) with its `Protocol` error frame.
+fn protocol_error(shared: &Shared, id: u64, msg: &str) -> Outgoing {
+    shared
+        .counters
+        .protocol_errors
+        .fetch_add(1, Ordering::Relaxed);
+    Outgoing::Ready(encode_error(id, ErrorCode::Protocol, 0, msg))
 }
 
 /// Converts a retry-hint [`Duration`] to whole wire milliseconds, rounding
@@ -294,33 +299,14 @@ fn admit(shared: &Shared, payload: &[u8]) -> Outgoing {
     };
     let wire = match decode_request(payload) {
         Ok(w) => w,
-        Err(e) => {
-            shared
-                .counters
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-            return reject(0, ErrorCode::Protocol, 0, &e.to_string());
-        }
+        Err(e) => return protocol_error(shared, 0, &e.to_string()),
     };
     let id = wire.request_id;
     let Some(mode) = ExecMode::from_index(wire.mode as usize) else {
-        shared
-            .counters
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
-        return reject(
-            id,
-            ErrorCode::Protocol,
-            0,
-            &format!("unknown mode byte {}", wire.mode),
-        );
+        return protocol_error(shared, id, &format!("unknown mode byte {}", wire.mode));
     };
     if wire.k == 0 {
-        shared
-            .counters
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
-        return reject(id, ErrorCode::Protocol, 0, "k must be >= 1");
+        return protocol_error(shared, id, "k must be >= 1");
     }
     // Pin the current graph version for parsing: term ids are append-only
     // across commits, so a query parsed against the newest dictionary
@@ -328,18 +314,7 @@ fn admit(shared: &Shared, payload: &[u8]) -> Outgoing {
     let graph = shared.service.engine().graph();
     let query = match sparql::parse_query(&wire.query, graph.dictionary()) {
         Ok(q) => q,
-        Err(e) => {
-            shared
-                .counters
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-            return reject(
-                id,
-                ErrorCode::Protocol,
-                0,
-                &format!("query parse error: {e}"),
-            );
-        }
+        Err(e) => return protocol_error(shared, id, &format!("query parse error: {e}")),
     };
     let mut request = Request::new(query, wire.k as usize).with_mode(mode);
     if wire.deadline_ms > 0 {
@@ -369,13 +344,7 @@ fn admit_write(shared: &Shared, payload: &[u8]) -> Outgoing {
     };
     let wire = match decode_write(payload) {
         Ok(w) => w,
-        Err(e) => {
-            shared
-                .counters
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-            return reject(0, ErrorCode::Protocol, 0, &e.to_string());
-        }
+        Err(e) => return protocol_error(shared, 0, &e.to_string()),
     };
     let id = wire.request_id;
     let mut batch = WriteBatch::new();
@@ -394,20 +363,8 @@ fn admit_write(shared: &Shared, payload: &[u8]) -> Outgoing {
         Err(ServiceError::ShuttingDown) => {
             reject(id, ErrorCode::ShuttingDown, 0, "service is shutting down")
         }
-        Err(e @ ServiceError::ReadOnly) => {
-            shared
-                .counters
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-            reject(id, ErrorCode::Protocol, 0, &e.to_string())
-        }
-        Err(ServiceError::Protocol(msg)) => {
-            shared
-                .counters
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-            reject(id, ErrorCode::Protocol, 0, &msg)
-        }
+        Err(e @ ServiceError::ReadOnly) => protocol_error(shared, id, &e.to_string()),
+        Err(ServiceError::Protocol(msg)) => protocol_error(shared, id, &msg),
         Err(e) => reject(id, ErrorCode::Internal, 0, &e.to_string()),
     }
 }

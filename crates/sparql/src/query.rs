@@ -35,6 +35,10 @@ impl Query {
     }
 
     /// The projected variables, in `SELECT` order.
+    ///
+    /// Recorded, not applied: nothing in the engine, the service or the wire
+    /// protocol reads it, so every answer's binding carries every variable
+    /// of the patterns. Callers may read it to pick the variables they show.
     pub fn projection(&self) -> &[Var] {
         &self.projection
     }

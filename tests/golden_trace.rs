@@ -59,7 +59,7 @@ fn trace_for(mode: &str) -> String {
     // The default configuration — speculation Off — pins the *baseline*
     // planner and executor. The lifecycle's fallback/feedback behaviour
     // evolves plans across runs by design and has its own differential
-    // suite (tests/diff_speculation.rs).
+    // checks (tests/diff_exec.rs).
     let engine = Engine::new(&ds.graph, &ds.registry);
     let mut out = String::new();
     let _ = writeln!(

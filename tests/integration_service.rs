@@ -100,7 +100,7 @@ fn assert_identical_outcomes(par: &[QueryOutcome], seq: &[QueryOutcome], ctx: &s
 /// by design. Its service-level plumbing is covered by
 /// `workers_run_the_configured_speculation_policy` in
 /// `crates/service/src/lib.rs`, and its correctness by
-/// `tests/diff_speculation.rs`.
+/// the recovery laps of `tests/diff_exec.rs`.
 fn xkg_services(
     seed: u64,
     threads: usize,
