@@ -18,6 +18,7 @@ lint:
 	! git grep -nE 'PlanCache|DEFAULT_SHARDS|per_shard_capacity' -- crates src tests examples
 	! git grep -nE 'criterion(::|_|\.workspace| *=)|Criterion|vendor/criterion' -- crates src tests examples Cargo.toml
 	! git grep -nE 'record_speculations?\b' -- crates src tests examples
+	! git grep -nE 'debug_text_order|decimal_order|WireWriteOp|MissingStatistics' -- crates src tests examples
 	! git grep -n 'required_relaxations' -- crates/core/src/engine.rs crates/core/src/speculation.rs crates/service crates/server
 
 fmt:

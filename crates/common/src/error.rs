@@ -16,8 +16,6 @@ pub enum Error {
     /// A query is structurally invalid (e.g. empty, disconnected join graph,
     /// or no projected variable).
     InvalidQuery(String),
-    /// Statistics were requested for a pattern that has no catalog entry.
-    MissingStatistics(String),
     /// A dataset/workload generator was configured inconsistently.
     InvalidConfig(String),
     /// A binary snapshot failed to load or validate. The payload says
@@ -97,7 +95,6 @@ impl fmt::Display for Error {
             Error::Parse(m) => write!(f, "parse error: {m}"),
             Error::UnknownTerm(t) => write!(f, "unknown term: {t}"),
             Error::InvalidQuery(m) => write!(f, "invalid query: {m}"),
-            Error::MissingStatistics(m) => write!(f, "missing statistics: {m}"),
             Error::InvalidConfig(m) => write!(f, "invalid configuration: {m}"),
             Error::Snapshot(e) => write!(f, "snapshot error: {e}"),
             Error::Internal(m) => write!(f, "internal error: {m}"),

@@ -3,7 +3,6 @@
 use crate::rule::{Position, TermRule};
 use sparql::{Term, TriplePattern};
 use specqp_common::{FxHashMap, TermId};
-use std::cmp::Ordering;
 
 /// One applicable relaxation of a concrete triple pattern: the relaxed
 /// pattern (Def. 8: `Q′ = (Q \ q) ∪ q′`) and the rule weight.
@@ -58,10 +57,12 @@ impl RelaxationRegistry {
         self.len == 0
     }
 
-    /// All relaxations applicable to `pattern`, sorted by descending weight.
-    /// Each relaxation rewrites exactly one constant position. Rules whose
-    /// predicate context does not match the pattern are skipped, as are
-    /// rewrites that would leave the pattern unchanged.
+    /// All relaxations applicable to `pattern`, sorted by descending weight
+    /// and then by relaxed pattern. Each relaxation rewrites exactly one
+    /// constant position, and each relaxed pattern appears once, at the
+    /// highest weight of the rules that produce it. Rules whose predicate
+    /// context does not match the pattern are skipped, as are rewrites that
+    /// would leave the pattern unchanged.
     pub fn relaxations_for(&self, pattern: &TriplePattern) -> Vec<Relaxation> {
         let mut out: Vec<Relaxation> = Vec::new();
         let pred_const = pattern.p.as_const();
@@ -71,13 +72,15 @@ impl RelaxationRegistry {
             let Some(rules) = self.rules.get(&(pos, from)) else {
                 return;
             };
-            for r in rules {
-                if let Some(ctx) = r.predicate_context {
-                    if pos != Position::Predicate && pred_const != Some(ctx) {
-                        continue;
-                    }
-                }
-                if r.to == from {
+            let applies = |r: &TermRule| {
+                r.to != from
+                    && r.predicate_context
+                        .is_none_or(|ctx| pos == Position::Predicate || pred_const == Some(ctx))
+            };
+            for (i, r) in rules.iter().enumerate() {
+                // A list runs by descending weight, so the first applicable
+                // rule to a target carries that relaxed pattern's weight.
+                if !applies(r) || rules[..i].iter().any(|e| e.to == r.to && applies(e)) {
                     continue;
                 }
                 let mut p2 = *pattern;
@@ -98,11 +101,9 @@ impl RelaxationRegistry {
 
         out.sort_by(|a, b| {
             b.weight
-                .partial_cmp(&a.weight)
-                .expect("finite weights")
-                .then_with(|| debug_text_order(&a.pattern, &b.pattern))
+                .total_cmp(&a.weight)
+                .then(a.pattern.cmp(&b.pattern))
         });
-        out.dedup_by(|a, b| a.pattern == b.pattern);
         out
     }
 
@@ -118,44 +119,6 @@ impl RelaxationRegistry {
     pub fn relaxation_count(&self, pattern: &TriplePattern) -> usize {
         self.relaxations_for(pattern).len()
     }
-}
-
-/// Orders patterns as their `Debug` texts sort, without formatting them:
-/// position by position (s, p, o), a constant before a variable, and the
-/// ids of two constants or two variables by their decimal digits, so
-/// `TermId(12)` sorts before `TermId(5)`. Each term's text (`Const(t12)`,
-/// `Var(?v3)`) ends at its only `)`, which sorts before every digit, so
-/// comparing the terms one by one is comparing the whole texts.
-fn debug_text_order(a: &TriplePattern, b: &TriplePattern) -> Ordering {
-    let term = |t: Term| match t {
-        Term::Const(id) => (0, id.0),
-        Term::Var(v) => (1, v.0),
-    };
-    [(a.s, b.s), (a.p, b.p), (a.o, b.o)]
-        .into_iter()
-        .map(|(x, y)| {
-            let ((kind_x, x), (kind_y, y)) = (term(x), term(y));
-            kind_x.cmp(&kind_y).then_with(|| decimal_order(x, y))
-        })
-        .find(|o| o.is_ne())
-        .unwrap_or(Ordering::Equal)
-}
-
-/// Orders two numbers as their decimal digit strings sort.
-fn decimal_order(a: u32, b: u32) -> Ordering {
-    fn digits(mut n: u32, buf: &mut [u8; 10]) -> &[u8] {
-        let mut at = buf.len();
-        loop {
-            at -= 1;
-            buf[at] = b'0' + (n % 10) as u8;
-            n /= 10;
-            if n == 0 {
-                return &buf[at..];
-            }
-        }
-    }
-    let (mut x, mut y) = ([0; 10], [0; 10]);
-    digits(a, &mut x).cmp(digits(b, &mut y))
 }
 
 #[cfg(test)]
@@ -250,33 +213,6 @@ mod tests {
         assert!(reg.is_empty());
     }
 
-    /// Every pattern over a few constants and variables of one to ten
-    /// digits orders against every other as the `Debug` texts do.
-    #[test]
-    fn debug_text_order_matches_the_formatted_order() {
-        let consts = [0, 5, 12, 99_999, u32::MAX].map(|id| Term::Const(TermId(id)));
-        let vars = [0, 7, 10, 123].map(|v| Term::Var(Var(v)));
-        let terms: Vec<Term> = consts.into_iter().chain(vars).collect();
-        let mut patterns = Vec::new();
-        for &s in &terms {
-            for &p in &terms {
-                for &o in &terms {
-                    let pattern = TriplePattern { s, p, o };
-                    patterns.push((pattern, format!("{pattern:?}")));
-                }
-            }
-        }
-        for (a, a_text) in &patterns {
-            for (b, b_text) in &patterns {
-                assert_eq!(
-                    debug_text_order(a, b),
-                    a_text.cmp(b_text),
-                    "{a_text} vs {b_text}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn duplicate_targets_deduped() {
         let mut reg = RelaxationRegistry::new();
@@ -285,5 +221,38 @@ mod tests {
         let rs = reg.relaxations_for(&pat(1, 10));
         assert_eq!(rs.len(), 1);
         assert_eq!(rs[0].weight, 0.9, "max-weight duplicate wins");
+    }
+
+    /// A relaxation whose weight falls between a pattern's two rule weights
+    /// does not split that pattern's duplicates apart.
+    #[test]
+    fn interleaved_duplicates_deduped() {
+        let mut reg = RelaxationRegistry::new();
+        reg.add(TermRule::new(Position::Object, TermId(10), TermId(11), 0.9));
+        reg.add(TermRule::new(Position::Object, TermId(10), TermId(12), 0.5));
+        reg.add(TermRule::new(Position::Object, TermId(10), TermId(11), 0.4));
+        let rs: Vec<_> = reg
+            .relaxations_for(&pat(1, 10))
+            .iter()
+            .map(|r| (r.pattern, r.weight))
+            .collect();
+        assert_eq!(rs, vec![(pat(1, 11), 0.9), (pat(1, 12), 0.5)]);
+        assert_eq!(reg.relaxation_count(&pat(1, 10)), 2);
+    }
+
+    #[test]
+    fn weight_ties_in_pattern_order() {
+        let mut reg = RelaxationRegistry::new();
+        reg.add(TermRule::new(Position::Object, TermId(10), TermId(12), 0.5));
+        reg.add(TermRule::new(Position::Object, TermId(10), TermId(5), 0.5));
+        let objects: Vec<Term> = reg
+            .relaxations_for(&pat(1, 10))
+            .iter()
+            .map(|r| r.pattern.o)
+            .collect();
+        assert_eq!(
+            objects,
+            vec![Term::Const(TermId(5)), Term::Const(TermId(12))]
+        );
     }
 }

@@ -8,9 +8,9 @@
 
 use crate::protocol::{
     decode_response, encode_request, encode_write, read_frame, write_frame, WireError, WireRequest,
-    WireResponse, WireWrite, WireWriteOp,
+    WireResponse, WireWrite,
 };
-use specqp_service::ExecMode;
+use specqp_service::{ExecMode, WriteBatch};
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -84,13 +84,13 @@ impl SpecQpClient {
     /// `WriteOk` (or error) response with. Ops are applied atomically
     /// server-side under a single new epoch. `client_id` is an opaque
     /// label, as in [`SpecQpClient::send`].
-    pub fn send_writes(&mut self, ops: Vec<WireWriteOp>, client_id: u64) -> Result<u64, WireError> {
+    pub fn send_writes(&mut self, batch: WriteBatch, client_id: u64) -> Result<u64, WireError> {
         let request_id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
         let write = WireWrite {
             request_id,
             client_id,
-            ops,
+            batch,
         };
         write_frame(&mut self.writer, &encode_write(&write))?;
         Ok(request_id)
@@ -100,12 +100,8 @@ impl SpecQpClient {
     /// published epoch on success; any other response (an error frame, or a
     /// mis-ordered answers frame) comes back as [`WireError::Malformed`]
     /// carrying the rendered response.
-    pub fn apply_writes(
-        &mut self,
-        ops: Vec<WireWriteOp>,
-        client_id: u64,
-    ) -> Result<u64, WireError> {
-        let id = self.send_writes(ops, client_id)?;
+    pub fn apply_writes(&mut self, batch: WriteBatch, client_id: u64) -> Result<u64, WireError> {
+        let id = self.send_writes(batch, client_id)?;
         match self.recv()? {
             WireResponse::WriteOk { request_id, epoch } if request_id == id => Ok(epoch),
             other => Err(WireError::Malformed(format!(

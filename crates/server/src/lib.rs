@@ -49,7 +49,7 @@ mod server;
 
 pub use client::SpecQpClient;
 pub use protocol::{
-    ErrorCode, WireAnswer, WireError, WireRequest, WireResponse, WireWrite, WireWriteOp, MAX_FRAME,
-    OP_ANSWERS, OP_ERROR, OP_QUERY, OP_WRITE, OP_WRITE_OK,
+    ErrorCode, WireAnswer, WireError, WireRequest, WireResponse, WireWrite, MAX_FRAME, OP_ANSWERS,
+    OP_ERROR, OP_QUERY, OP_WRITE, OP_WRITE_OK,
 };
 pub use server::{request_frame, Server, ServerConfig, ServerStats};

@@ -39,6 +39,7 @@
 //! This module is pure bytes ⇄ structs — no sockets — so every encoder has
 //! a decoder and the codec is unit-testable without a listener.
 
+use specqp_service::{WriteBatch, WriteOp};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -141,31 +142,6 @@ pub struct WireRequest {
     pub query: String,
 }
 
-/// One operation inside a `WRITE` frame.
-#[derive(Clone, Debug, PartialEq)]
-pub enum WireWriteOp {
-    /// Upsert 〈s,p,o〉 at `score` (kind byte 0).
-    Assert {
-        /// Subject term.
-        s: String,
-        /// Predicate term.
-        p: String,
-        /// Object term.
-        o: String,
-        /// Triple score (bit-exact across the wire).
-        score: f64,
-    },
-    /// Remove 〈s,p,o〉 if present (kind byte 1).
-    Retract {
-        /// Subject term.
-        s: String,
-        /// Predicate term.
-        p: String,
-        /// Object term.
-        o: String,
-    },
-}
-
 /// A decoded `WRITE` frame: one batch of operations committed atomically
 /// under a single epoch.
 #[derive(Clone, Debug, PartialEq)]
@@ -175,7 +151,7 @@ pub struct WireWrite {
     /// A client label; opaque, the server does not read it.
     pub client_id: u64,
     /// The operations, applied in order.
-    pub ops: Vec<WireWriteOp>,
+    pub batch: WriteBatch,
 }
 
 /// One answer inside an `ANSWERS` frame: the score plus resolved
@@ -292,21 +268,22 @@ fn push_term(out: &mut Vec<u8>, term: &str) {
 
 /// Encodes a `WRITE` payload.
 pub fn encode_write(write: &WireWrite) -> Vec<u8> {
-    let mut out = Vec::with_capacity(21 + write.ops.len() * 32);
+    let ops = write.batch.ops();
+    let mut out = Vec::with_capacity(21 + ops.len() * 32);
     out.push(OP_WRITE);
     out.extend_from_slice(&write.request_id.to_be_bytes());
     out.extend_from_slice(&write.client_id.to_be_bytes());
-    out.extend_from_slice(&(write.ops.len() as u32).to_be_bytes());
-    for op in &write.ops {
+    out.extend_from_slice(&(ops.len() as u32).to_be_bytes());
+    for op in ops {
         match op {
-            WireWriteOp::Assert { s, p, o, score } => {
+            WriteOp::Assert { s, p, o, score } => {
                 out.push(0);
                 push_term(&mut out, s);
                 push_term(&mut out, p);
                 push_term(&mut out, o);
                 out.extend_from_slice(&score.to_bits().to_be_bytes());
             }
-            WireWriteOp::Retract { s, p, o } => {
+            WriteOp::Retract { s, p, o } => {
                 out.push(1);
                 push_term(&mut out, s);
                 push_term(&mut out, p);
@@ -332,7 +309,7 @@ pub fn decode_write(payload: &[u8]) -> Result<WireWrite, WireError> {
     if count > payload.len() / 7 {
         return Err(WireError::Malformed(format!("op count {count} too large")));
     }
-    let mut ops = Vec::with_capacity(count);
+    let mut batch = WriteBatch::new();
     for _ in 0..count {
         let kind = c.u8()?;
         let term = |c: &mut Cursor<'_>| -> Result<String, WireError> {
@@ -342,14 +319,14 @@ pub fn decode_write(payload: &[u8]) -> Result<WireWrite, WireError> {
         let s = term(&mut c)?;
         let p = term(&mut c)?;
         let o = term(&mut c)?;
-        ops.push(match kind {
-            0 => WireWriteOp::Assert {
+        batch.push(match kind {
+            0 => WriteOp::Assert {
                 s,
                 p,
                 o,
                 score: f64::from_bits(c.u64()?),
             },
-            1 => WireWriteOp::Retract { s, p, o },
+            1 => WriteOp::Retract { s, p, o },
             other => {
                 return Err(WireError::Malformed(format!(
                     "unknown write-op kind {other}"
@@ -361,7 +338,7 @@ pub fn decode_write(payload: &[u8]) -> Result<WireWrite, WireError> {
     Ok(WireWrite {
         request_id,
         client_id,
-        ops,
+        batch,
     })
 }
 
@@ -627,35 +604,22 @@ mod tests {
 
     #[test]
     fn write_roundtrip_bit_exact_scores() {
+        let mut batch = WriteBatch::new();
+        batch
+            .assert("shakira", "rdf:type", "singer", 0.1 + 0.2)
+            .retract("adele", "rdf:type", "singer")
+            .assert("", "", "", f64::MIN_POSITIVE);
         let w = WireWrite {
             request_id: 11,
             client_id: 3,
-            ops: vec![
-                WireWriteOp::Assert {
-                    s: "shakira".into(),
-                    p: "rdf:type".into(),
-                    o: "singer".into(),
-                    score: 0.1 + 0.2,
-                },
-                WireWriteOp::Retract {
-                    s: "adele".into(),
-                    p: "rdf:type".into(),
-                    o: "singer".into(),
-                },
-                WireWriteOp::Assert {
-                    s: "".into(),
-                    p: "".into(),
-                    o: "".into(),
-                    score: f64::MIN_POSITIVE,
-                },
-            ],
+            batch,
         };
         let payload = encode_write(&w);
         assert_eq!(payload[0], OP_WRITE);
         let got = decode_write(&payload).unwrap();
         assert_eq!(got, w);
-        match (&got.ops[0], &w.ops[0]) {
-            (WireWriteOp::Assert { score: a, .. }, WireWriteOp::Assert { score: b, .. }) => {
+        match (&got.batch.ops()[0], &w.batch.ops()[0]) {
+            (WriteOp::Assert { score: a, .. }, WriteOp::Assert { score: b, .. }) => {
                 assert_eq!(a.to_bits(), b.to_bits(), "bit-exact");
             }
             _ => unreachable!(),
@@ -664,7 +628,7 @@ mod tests {
         let empty = WireWrite {
             request_id: 1,
             client_id: 0,
-            ops: vec![],
+            batch: WriteBatch::new(),
         };
         assert_eq!(decode_write(&encode_write(&empty)).unwrap(), empty);
     }
@@ -684,14 +648,12 @@ mod tests {
 
     #[test]
     fn malformed_write_payloads_are_typed_errors() {
+        let mut batch = WriteBatch::new();
+        batch.retract("a", "b", "c");
         let w = WireWrite {
             request_id: 1,
             client_id: 0,
-            ops: vec![WireWriteOp::Retract {
-                s: "a".into(),
-                p: "b".into(),
-                o: "c".into(),
-            }],
+            batch,
         };
         // Wrong opcode.
         let mut payload = encode_write(&w);

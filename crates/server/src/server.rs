@@ -24,11 +24,9 @@
 
 use crate::protocol::{
     decode_request, decode_write, encode_answers, encode_error, encode_request, encode_write_ok,
-    read_frame, write_frame, ErrorCode, WireAnswer, WireError, WireRequest, WireWriteOp, OP_WRITE,
+    read_frame, write_frame, ErrorCode, WireAnswer, WireError, WireRequest, OP_WRITE,
 };
-use specqp_service::{
-    ExecMode, QueryService, Request, ServiceError, ServiceStats, Ticket, WriteBatch,
-};
+use specqp_service::{ExecMode, QueryService, Request, ServiceError, ServiceStats, Ticket};
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -347,18 +345,7 @@ fn admit_write(shared: &Shared, payload: &[u8]) -> Outgoing {
         Err(e) => return protocol_error(shared, 0, &e.to_string()),
     };
     let id = wire.request_id;
-    let mut batch = WriteBatch::new();
-    for op in &wire.ops {
-        match op {
-            WireWriteOp::Assert { s, p, o, score } => {
-                batch.assert(s, p, o, *score);
-            }
-            WireWriteOp::Retract { s, p, o } => {
-                batch.retract(s, p, o);
-            }
-        }
-    }
-    match shared.service.apply_writes(&batch) {
+    match shared.service.apply_writes(&wire.batch) {
         Ok(epoch) => Outgoing::Ready(encode_write_ok(id, epoch.value())),
         Err(ServiceError::ShuttingDown) => {
             reject(id, ErrorCode::ShuttingDown, 0, "service is shutting down")

@@ -23,7 +23,7 @@ pub enum PatternShape {
 }
 
 /// A triple pattern 〈S,P,O〉 whose components are constants or variables.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TriplePattern {
     /// Subject position.
     pub s: Term,

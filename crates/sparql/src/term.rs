@@ -26,7 +26,7 @@ impl fmt::Debug for Var {
 
 /// One component of a triple pattern: either a dictionary constant or a
 /// variable (Def. 2).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Term {
     /// A constant (entity / predicate / literal) from the KG dictionary.
     Const(TermId),

@@ -7,9 +7,9 @@ use kgstore::KnowledgeGraphBuilder;
 use relax::RelaxationRegistry;
 use specqp_server::{
     request_frame, ErrorCode, Server, ServerConfig, SpecQpClient, WireRequest, WireResponse,
-    WireWriteOp, OP_QUERY,
+    OP_QUERY,
 };
-use specqp_service::{ExecMode, LiveGraph, QueryService, ServiceConfig};
+use specqp_service::{ExecMode, LiveGraph, QueryService, ServiceConfig, WriteBatch};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -377,17 +377,9 @@ fn wire_writes_commit_and_read_only_rejects() {
     let server =
         Server::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = SpecQpClient::connect(server.local_addr()).unwrap();
-    client
-        .send_writes(
-            vec![WireWriteOp::Assert {
-                s: "nope".into(),
-                p: "rdf:type".into(),
-                o: "singer".into(),
-                score: 1.0,
-            }],
-            1,
-        )
-        .unwrap();
+    let mut batch = WriteBatch::new();
+    batch.assert("nope", "rdf:type", "singer", 1.0);
+    client.send_writes(batch, 1).unwrap();
     match client.recv().unwrap() {
         WireResponse::Error { code, message, .. } => {
             assert_eq!(code, ErrorCode::Protocol);
@@ -423,24 +415,11 @@ fn wire_writes_commit_and_read_only_rejects() {
     assert_eq!(before.len(), 1);
     assert_eq!(before[0].bindings[0].1, "shakira");
 
-    let epoch = client
-        .apply_writes(
-            vec![
-                WireWriteOp::Assert {
-                    s: "beyonce".into(),
-                    p: "rdf:type".into(),
-                    o: "singer".into(),
-                    score: 120.0,
-                },
-                WireWriteOp::Retract {
-                    s: "shakira".into(),
-                    p: "rdf:type".into(),
-                    o: "singer".into(),
-                },
-            ],
-            1,
-        )
-        .unwrap();
+    let mut batch = WriteBatch::new();
+    batch
+        .assert("beyonce", "rdf:type", "singer", 120.0)
+        .retract("shakira", "rdf:type", "singer");
+    let epoch = client.apply_writes(batch, 1).unwrap();
     assert!(epoch >= 1, "commit bumps the epoch");
     assert_eq!(
         epoch,
@@ -478,25 +457,14 @@ fn wire_write_with_infinite_score_is_refused_and_connection_survives() {
     let mut client = SpecQpClient::connect(server.local_addr()).unwrap();
 
     let epoch = live.epoch();
-    client
-        .send_writes(
-            vec![
-                WireWriteOp::Assert {
-                    s: "beyonce".into(),
-                    p: "rdf:type".into(),
-                    o: "singer".into(),
-                    score: 120.0,
-                },
-                WireWriteOp::Assert {
-                    s: "x".into(),
-                    p: "rdf:type".into(),
-                    o: "singer".into(),
-                    score: f64::INFINITY,
-                },
-            ],
-            1,
-        )
-        .unwrap();
+    let mut batch = WriteBatch::new();
+    batch.assert("beyonce", "rdf:type", "singer", 120.0).assert(
+        "x",
+        "rdf:type",
+        "singer",
+        f64::INFINITY,
+    );
+    client.send_writes(batch, 1).unwrap();
     match client.recv().unwrap() {
         WireResponse::Error { code, message, .. } => {
             assert_eq!(code, ErrorCode::Protocol);

@@ -10,9 +10,10 @@ use specqp_server::protocol::{
     encode_write, encode_write_ok, write_frame,
 };
 use specqp_server::{
-    ErrorCode, WireAnswer, WireError, WireRequest, WireResponse, WireWrite, WireWriteOp, MAX_FRAME,
-    OP_ANSWERS, OP_ERROR, OP_QUERY, OP_WRITE, OP_WRITE_OK,
+    ErrorCode, WireAnswer, WireError, WireRequest, WireResponse, WireWrite, MAX_FRAME, OP_ANSWERS,
+    OP_ERROR, OP_QUERY, OP_WRITE, OP_WRITE_OK,
 };
+use specqp_service::WriteBatch;
 
 const OPCODES: [u8; 5] = [OP_QUERY, OP_WRITE, OP_ANSWERS, OP_ERROR, OP_WRITE_OK];
 
@@ -36,25 +37,22 @@ fn valid_payload(kind: u8, id: u64, text: &str, n: usize, bits: u64) -> Vec<u8> 
             deadline_ms: bits as u32,
             query: text.repeat(n),
         }),
-        1 => encode_write(&WireWrite {
-            request_id: id,
-            client_id: bits,
-            ops: (0..n)
-                .map(|i| {
-                    let (s, p, o) = (text.into(), format!("p{i}"), text.repeat(i));
-                    if i % 2 == 0 {
-                        WireWriteOp::Assert {
-                            s,
-                            p,
-                            o,
-                            score: score(i),
-                        }
-                    } else {
-                        WireWriteOp::Retract { s, p, o }
-                    }
-                })
-                .collect(),
-        }),
+        1 => {
+            let mut batch = WriteBatch::new();
+            for i in 0..n {
+                let (p, o) = (format!("p{i}"), text.repeat(i));
+                if i % 2 == 0 {
+                    batch.assert(text, &p, &o, score(i));
+                } else {
+                    batch.retract(text, &p, &o);
+                }
+            }
+            encode_write(&WireWrite {
+                request_id: id,
+                client_id: bits,
+                batch,
+            })
+        }
         2 => encode_answers(
             id,
             &(0..n)

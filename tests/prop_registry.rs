@@ -1,78 +1,78 @@
-//! `RelaxationRegistry::relaxations_for` breaks weight ties by the
-//! relaxed patterns' `Debug` text. It compares without formatting; this
-//! pins that order to the formatted one on generated patterns whose rules
-//! mostly share a weight, with term and variable ids of one to six digits
-//! so that `t12` against `t5` and `Const` against `Var` both come up.
+//! `RelaxationRegistry::relaxations_for` against a reference built from the
+//! rules alone: every applicable rewrite, each relaxed pattern once at its
+//! highest weight, sorted by weight (descending) and then by pattern. The
+//! weights come from a small set and the rewrite targets from a few ids of
+//! one and two digits, so weight ties (`t5` against `t12`) and a pattern's
+//! duplicates with another relaxation's weight between them both come up.
 
 use proptest::prelude::*;
 use relax::{Position, Relaxation, RelaxationRegistry, TermRule};
 use sparql::{Term, TriplePattern, Var};
 use specqp_common::TermId;
+use std::collections::BTreeMap;
 
-/// An id whose digit count varies with `pick`.
-fn id(pick: u8, raw: u32) -> u32 {
-    match pick % 4 {
-        0 => raw % 13,
-        1 => 90 + raw % 20,
-        2 => 995 + raw % 10,
-        _ => 99_990 + raw % 20,
-    }
-}
+const IDS: [u32; 6] = [1, 2, 5, 9, 12, 40];
+const WEIGHTS: [f64; 4] = [0.2, 0.5, 0.5, 0.8];
 
-/// A constant, or (one time in four) a variable.
-fn term((pick, raw): (u8, u32)) -> Term {
+/// A constant from `IDS`, or (one time in four) a variable.
+fn term(pick: u8) -> Term {
     if pick % 4 == 3 {
-        Term::Var(Var(id(pick / 4, raw)))
+        Term::Var(Var(u32::from(pick / 4 % 3)))
     } else {
-        Term::Const(TermId(id(pick / 4, raw)))
+        Term::Const(TermId(IDS[usize::from(pick / 4) % IDS.len()]))
     }
 }
 
-/// The order `relaxations_for` has always produced: weight descending, then
-/// the relaxed pattern's `Debug` text; equal patterns next to each other
-/// collapse into the first.
-fn formatted_order(mut relaxations: Vec<Relaxation>) -> Vec<Relaxation> {
-    relaxations.sort_by(|a, b| {
-        b.weight
-            .partial_cmp(&a.weight)
-            .unwrap()
-            .then_with(|| format!("{:?}", a.pattern).cmp(&format!("{:?}", b.pattern)))
-    });
-    relaxations.dedup_by(|a, b| a.pattern == b.pattern);
-    relaxations
+fn rewrite(pattern: TriplePattern, position: Position, to: TermId) -> TriplePattern {
+    let mut relaxed = pattern;
+    match position {
+        Position::Subject => relaxed.s = Term::Const(to),
+        Position::Predicate => relaxed.p = Term::Const(to),
+        Position::Object => relaxed.o = Term::Const(to),
+    }
+    relaxed
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn tied_weights_sort_as_the_debug_text_does(
-        slots in ((any::<u8>(), any::<u32>()), (any::<u8>(), any::<u32>()), (any::<u8>(), any::<u32>())),
-        rules in prop::collection::vec((0u8..3, any::<u8>(), any::<u32>(), 0u8..4), 1..24),
+    fn relaxations_are_each_applicable_rewrite_once_by_weight_then_pattern(
+        slots in (any::<u8>(), any::<u8>(), any::<u8>()),
+        rules in prop::collection::vec((0u8..3, 0usize..6, 0usize..4, 0u8..4), 1..24),
     ) {
         let pattern = TriplePattern::new(term(slots.0), term(slots.1), term(slots.2));
         let mut registry = RelaxationRegistry::new();
-        let mut expected = Vec::new();
-        for (at, pick, raw, weight) in rules {
+        let mut best: BTreeMap<TriplePattern, f64> = BTreeMap::new();
+        for (at, to, weight, context) in rules {
             let (position, from) = match at {
                 0 => (Position::Subject, pattern.s),
                 1 => (Position::Predicate, pattern.p),
                 _ => (Position::Object, pattern.o),
             };
             let Term::Const(from) = from else { continue };
-            let to = TermId(id(pick, raw));
-            let weight = [0.5, 0.5, 0.5, 0.8][usize::from(weight)];
-            registry.add(TermRule::new(position, from, to, weight));
-            if to != from {
-                let mut relaxed = pattern;
-                match position {
-                    Position::Subject => relaxed.s = Term::Const(to),
-                    Position::Predicate => relaxed.p = Term::Const(to),
-                    Position::Object => relaxed.o = Term::Const(to),
-                }
-                expected.push(Relaxation { pattern: relaxed, weight });
+            let (to, weight) = (TermId(IDS[to]), WEIGHTS[weight]);
+            // One rule in four carries a predicate context, which holds only
+            // when it names the pattern's predicate (or the rule rewrites it).
+            let (rule, applies) = if context == 0 {
+                let ctx = TermId(IDS[usize::from(slots.1) % 2]);
+                let applies =
+                    position == Position::Predicate || pattern.p == Term::Const(ctx);
+                (TermRule::with_context(position, from, to, weight, ctx), applies)
+            } else {
+                (TermRule::new(position, from, to, weight), true)
+            };
+            registry.add(rule);
+            if applies && to != from {
+                let w = best.entry(rewrite(pattern, position, to)).or_insert(weight);
+                *w = w.max(weight);
             }
         }
-        prop_assert_eq!(registry.relaxations_for(&pattern), formatted_order(expected));
+        let mut expected: Vec<Relaxation> = best
+            .into_iter()
+            .map(|(pattern, weight)| Relaxation { pattern, weight })
+            .collect();
+        expected.sort_by(|a, b| b.weight.partial_cmp(&a.weight).unwrap());
+        prop_assert_eq!(registry.relaxations_for(&pattern), expected);
     }
 }
