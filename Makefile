@@ -19,6 +19,7 @@ lint:
 	! git grep -nE 'criterion(::|_|\.workspace| *=)|Criterion|vendor/criterion' -- crates src tests examples Cargo.toml
 	! git grep -nE 'record_speculations?\b' -- crates src tests examples
 	! git grep -nE 'debug_text_order|decimal_order|WireWriteOp|MissingStatistics' -- crates src tests examples
+	! git grep -nE 'PiecewiseConstantPdf|to_piecewise_constant|trait Distribution|impl Distribution' -- crates src tests examples
 	! git grep -n 'required_relaxations' -- crates/core/src/engine.rs crates/core/src/speculation.rs crates/service crates/server
 
 fmt:
@@ -28,16 +29,13 @@ build:
 	$(CARGO) build --release --workspace
 
 # One workspace lap, then the concurrency suites again in release mode with
-# libtest's own parallelism on top of the service pools.
+# libtest's own parallelism on top of the service pools: the root package's
+# concurrency tests in one invocation, the crates that hold shared state in
+# another.
 test:
 	$(CARGO) test -q --workspace
-	env -u RUST_TEST_THREADS $(CARGO) test -q --release --test integration_service
-	env -u RUST_TEST_THREADS $(CARGO) test -q --release --test integration_server
-	env -u RUST_TEST_THREADS $(CARGO) test -q --release --test diff_live
-	env -u RUST_TEST_THREADS $(CARGO) test -q --release -p specqp_service
-	env -u RUST_TEST_THREADS $(CARGO) test -q --release -p specqp_server
-	env -u RUST_TEST_THREADS $(CARGO) test -q --release -p kgstore
-	env -u RUST_TEST_THREADS $(CARGO) test -q --release -p specqp_stats
+	env -u RUST_TEST_THREADS $(CARGO) test -q --release --test integration_service --test integration_server --test diff_live
+	env -u RUST_TEST_THREADS $(CARGO) test -q --release -p specqp_service -p specqp_server -p kgstore -p specqp_stats
 
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --workspace

@@ -3,9 +3,8 @@
 //!
 //! The original datasets are not redistributable (XKG is a 105M-triple
 //! YAGO2s+OpenIE build; the Twitter crawl is 18M tweet–tag triples from
-//! April 2017), so this crate generates *statistically faithful* substitutes
-//! — see DESIGN.md for the substitution argument. Everything the planner
-//! and operators observe is reproduced:
+//! April 2017), so this crate generates *statistically faithful*
+//! substitutes. Everything the planner and operators observe is reproduced:
 //!
 //! * **power-law triple scores** (the paper's inlink counts / occurrence
 //!   counts / retweet counts),

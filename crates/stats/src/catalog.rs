@@ -21,7 +21,10 @@
 //! that the engine applies to every plan it serves, relaxing patterns whose
 //! pruning keeps going wrong, regardless of what the (evidently
 //! miscalibrated) histogram estimate says. The catalog knows nothing of plans or their
-//! caches.
+//! caches. Like the statistics, the ledger holds at most
+//! [`kgstore::memo::CAPACITY`] shapes and starts over when a new one would
+//! pass that, so a client that keeps sending fresh constants cannot grow it
+//! without bound.
 
 use crate::histogram::PatternStats;
 use kgstore::{KnowledgeGraph, PatternKey, VersionMemo};
@@ -91,6 +94,9 @@ impl StatsCatalog {
     pub fn record_escalations(&self, verdicts: impl IntoIterator<Item = (StatsKey, bool)>) {
         let mut ledger = self.ledger.write().expect("speculation ledger poisoned");
         for (key, mis_speculated) in verdicts {
+            if ledger.len() >= kgstore::memo::CAPACITY && !ledger.contains_key(&key) {
+                ledger.clear();
+            }
             let entry = ledger.entry(key).or_default();
             if mis_speculated {
                 entry.mis_speculations += 1;
@@ -375,5 +381,21 @@ mod tests {
         assert!(c.len() <= kgstore::memo::CAPACITY, "{} entries", c.len());
         assert_eq!(c.stats(&g, &singer), expected);
         assert_eq!(expected.map(|s| s.m), Some(20));
+    }
+
+    /// Fresh shapes past the bound start the ledger over: the first of
+    /// `CAPACITY + 1` offenders is forgotten, the last is kept.
+    #[test]
+    fn ledger_starts_over_past_the_bound() {
+        let c = StatsCatalog::new();
+        let key = |i: usize| {
+            TriplePattern::new(Var(0), TermId(1), TermId(1_000_000 + i as u32)).stats_key()
+        };
+        let shapes = kgstore::memo::CAPACITY + 1;
+        for i in 0..shapes {
+            c.record_escalations([(key(i), true)]);
+        }
+        assert!(!c.repeat_offender(&key(0)), "the first shape was dropped");
+        assert!(c.repeat_offender(&key(shapes - 1)));
     }
 }

@@ -1,6 +1,8 @@
-//! Per-pattern statistics and the two-bucket histogram model (§3.1.1).
+//! Per-pattern statistics and the two-bucket histogram model (§3.1.1),
+//! with the cdf, quantile and convolution the estimator folds it by
+//! (§3.1.2–§3.1.3).
 
-use crate::piecewise::{Distribution, PiecewiseConstantPdf};
+use crate::piecewise::PiecewiseLinearPdf;
 use kgstore::MatchList;
 
 /// The fraction of the *score mass* held by the head bucket. The paper uses
@@ -170,50 +172,82 @@ impl TwoBucketHistogram {
         }
     }
 
-    /// Converts to the generic histogram representation for convolution.
-    pub fn to_piecewise_constant(&self) -> PiecewiseConstantPdf {
-        PiecewiseConstantPdf::new(
-            vec![0.0, self.sigma, self.domain],
-            vec![self.tail_height(), self.head_height()],
-        )
-    }
-}
-
-impl Distribution for TwoBucketHistogram {
-    fn domain_max(&self) -> f64 {
+    /// Right edge of the support: 1 for a single normalized pattern, `c`
+    /// for the fold of `c` patterns of weight 1.
+    pub fn domain_max(&self) -> f64 {
         self.domain
     }
 
-    fn mass(&self) -> f64 {
-        1.0
+    /// The buckets as `(left edge, right edge, density)`: the tail
+    /// `[0, σ)`, then the head `[σ, D]`.
+    fn buckets(&self) -> [(f64, f64, f64); 2] {
+        [
+            (0.0, self.sigma, self.tail_height()),
+            (self.sigma, self.domain, self.head_height()),
+        ]
     }
 
-    fn cdf(&self, x: f64) -> f64 {
+    /// Total probability mass, summed bucket by bucket (1 up to rounding).
+    pub fn mass(&self) -> f64 {
+        self.buckets()
+            .iter()
+            .fold(0.0, |m, &(a, b, h)| m + h * (b - a))
+    }
+
+    /// Cumulative distribution at `x`.
+    pub fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
-            0.0
-        } else if x < self.sigma {
-            self.tail_height() * x
-        } else if x < self.domain {
-            (1.0 - self.head_mass) + self.head_height() * (x - self.sigma)
-        } else {
-            1.0
+            return 0.0;
         }
+        let mut c = 0.0;
+        for (a, b, h) in self.buckets() {
+            if x >= b {
+                c += h * (b - a);
+            } else {
+                return c + h * (x - a);
+            }
+        }
+        c
     }
 
-    fn quantile(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        let tail = 1.0 - self.head_mass;
-        if p <= tail {
-            p / self.tail_height()
-        } else {
-            self.sigma + (p - tail) / self.head_height()
+    /// Inverse cdf: the `p`-quantile for `p ∈ [0,1]`, relative to
+    /// [`mass`](Self::mass).
+    pub fn quantile(&self, p: f64) -> f64 {
+        let target = p.clamp(0.0, 1.0) * self.mass();
+        let mut c = 0.0;
+        for (a, b, h) in self.buckets() {
+            let seg = h * (b - a);
+            if c + seg >= target {
+                return a + (target - c) / h;
+            }
+            c += seg;
         }
+        self.domain
     }
 
-    fn mean(&self) -> f64 {
-        let tail = (1.0 - self.head_mass) * self.sigma / 2.0;
-        let head = self.head_mass * (self.sigma + self.domain) / 2.0;
-        tail + head
+    /// Exact convolution with another two-bucket histogram: the pdf of
+    /// the sum of the two scores. It is continuous piecewise-linear with
+    /// knots at all pairwise edge sums:
+    /// `f₁₂(t) = Σᵢ h₁ᵢ · (F₂(t−aᵢ) − F₂(t−bᵢ))`.
+    pub fn convolve(&self, other: &TwoBucketHistogram) -> PiecewiseLinearPdf {
+        let mut knots: Vec<f64> = Vec::with_capacity(9);
+        for a in [0.0, self.sigma, self.domain] {
+            for b in [0.0, other.sigma, other.domain] {
+                knots.push(a + b);
+            }
+        }
+        knots.sort_by(|a, b| a.partial_cmp(b).expect("finite edges"));
+        knots.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+        let values: Vec<f64> = knots
+            .iter()
+            .map(|&t| {
+                let v = self.buckets().iter().fold(0.0, |v, &(a, b, h)| {
+                    v + h * (other.cdf(t - a) - other.cdf(t - b))
+                });
+                v.max(0.0)
+            })
+            .collect();
+        PiecewiseLinearPdf::new(knots, values)
     }
 }
 
@@ -221,6 +255,17 @@ impl Distribution for TwoBucketHistogram {
 mod tests {
     use super::*;
     use kgstore::{KnowledgeGraphBuilder, PatternKey};
+
+    /// The uniform distribution on `[0, 1]` as a two-bucket histogram.
+    fn uniform01() -> TwoBucketHistogram {
+        TwoBucketHistogram::new(1.0, 0.5, 0.5)
+    }
+
+    /// The mean of a two-bucket histogram, in closed form.
+    fn mean(h: &TwoBucketHistogram) -> f64 {
+        let tail = (1.0 - h.head_mass()) * h.sigma() / 2.0;
+        tail + h.head_mass() * (h.sigma() + h.domain_max()) / 2.0
+    }
 
     #[test]
     fn stats_from_power_law_scores() {
@@ -291,8 +336,7 @@ mod tests {
         assert!((h.tail_height() - tail_expected).abs() < 1e-9);
         assert!((h.head_height() - head_expected).abs() < 1e-9);
         // Mass integrates to 1.
-        let pc = h.to_piecewise_constant();
-        assert!((pc.mass() - 1.0).abs() < 1e-12);
+        assert!((h.mass() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -303,7 +347,7 @@ mod tests {
         assert!((s.sigma() - 0.4).abs() < 1e-12);
         // Top quantile approaches w.
         assert!(s.quantile(0.999) <= 0.8 + 1e-9);
-        assert!((s.mean() - 0.8 * h.mean()).abs() < 1e-9);
+        assert!((s.quantile(0.5) - 0.8 * h.quantile(0.5)).abs() < 1e-9);
     }
 
     #[test]
@@ -333,5 +377,41 @@ mod tests {
         let h = st.histogram();
         let q = h.quantile(0.5);
         assert!(q.is_finite());
+    }
+
+    #[test]
+    fn degenerate_narrow_bucket() {
+        // A near-zero-width head bucket still gives sane quantiles: the
+        // high ones sit at the top.
+        let h = TwoBucketHistogram::new(1.0, 1.0 - 1e-9, 0.8);
+        assert!(h.head_height() > 1e8);
+        assert!((h.mass() - 1.0).abs() < 1e-6);
+        let q = h.quantile(0.9);
+        assert!(q > 0.999 && q <= 1.0, "q={q}");
+    }
+
+    #[test]
+    fn convolution_of_uniforms_is_triangle() {
+        // U[0,1] * U[0,1] = triangle on [0,2] peaking at 1: its mean is 1,
+        // ∫₀¹ x·x dx = 1/3 of it below the peak, ∫₁² x·(2−x) dx = 2/3 above.
+        let tri = uniform01().convolve(&uniform01());
+        assert!((tri.domain_max() - 2.0).abs() < 1e-12);
+        assert!((tri.score_mass() - 1.0).abs() < 1e-9);
+        assert!((tri.partial_score_mass(0.0, 1.0) - 1.0 / 3.0).abs() < 1e-9);
+        assert!((tri.partial_score_mass(1.0, 2.0) - 2.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn convolution_adds_means() {
+        let a = TwoBucketHistogram::new(1.0, 0.3, 0.9);
+        let b = TwoBucketHistogram::new(1.0, 0.6, 0.4);
+        let c = a.convolve(&b);
+        assert!((c.domain_max() - 2.0).abs() < 1e-12);
+        assert!((c.score_mass() - (mean(&a) + mean(&b))).abs() < 1e-9);
+
+        // Uniform on [0, 2] plus uniform on [0, 1].
+        let three = TwoBucketHistogram::new(2.0, 1.0, 0.5).convolve(&uniform01());
+        assert!((three.score_mass() - 1.5).abs() < 1e-9);
+        assert!((three.domain_max() - 3.0).abs() < 1e-9);
     }
 }

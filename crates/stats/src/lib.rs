@@ -13,15 +13,17 @@
 //!    holding the rest — the 80/20 shape the authors observed empirically.
 //! 2. **Query distributions** (§3.1.2): the score of a joined answer is the
 //!    *sum* of its per-pattern scores, so the query's score pdf is the
-//!    **convolution** of the per-pattern pdfs. Convolving two histograms
-//!    yields a [`PiecewiseLinearPdf`]; following the paper it is refit to a
-//!    two-bucket histogram before the next convolution
+//!    **convolution** of the per-pattern pdfs. Convolving two two-bucket
+//!    histograms yields a [`PiecewiseLinearPdf`]; following the paper it is
+//!    refit to a two-bucket histogram before the next convolution
 //!    ([`RefitMode::TwoBucket`], the only mode: the paper names
 //!    multi-bucket histograms as a costlier option it did not run, §4.5.2).
-//! 3. **Score prediction** (§3.1.3): with the final cdf `F_Q` and the
-//!    estimated answer count `n`, the expected score at rank `i` is the
-//!    order-statistic approximation `E[X₍ₙ₋ᵢ₊₁₎] ≈ F_Q⁻¹((n−i+1)/(n+1))`
-//!    ([`order_stats`]).
+//!    So every distribution the estimator holds between steps, and the one
+//!    it ends with, is a [`TwoBucketHistogram`].
+//! 3. **Score prediction** (§3.1.3): with the final histogram's cdf `F_Q`
+//!    and the estimated answer count `n`, the expected score at rank `i` is
+//!    the order-statistic approximation
+//!    `E[X₍ₙ₋ᵢ₊₁₎] ≈ F_Q⁻¹((n−i+1)/(n+1))` ([`order_stats`]).
 //!
 //! Join cardinalities come from a [`CardinalityEstimator`]; the default
 //! [`ExactCardinality`] oracle counts true join sizes from memoised
@@ -46,4 +48,4 @@ pub use catalog::{SpeculationOutcome, StatsCatalog};
 pub use estimator::{refit_two_bucket, QueryEstimate, RefitMode, ScoreEstimator};
 pub use histogram::{PatternStats, TwoBucketHistogram, HEAD_FRACTION};
 pub use order_stats::expected_score_at_rank;
-pub use piecewise::{Distribution, PiecewiseConstantPdf, PiecewiseLinearPdf};
+pub use piecewise::PiecewiseLinearPdf;

@@ -9,7 +9,7 @@
 //! E[score at rank k] ≈ F⁻¹((n − k + 1)/(n + 1))
 //! ```
 
-use crate::piecewise::Distribution;
+use crate::histogram::TwoBucketHistogram;
 
 /// Expected score of the answer at `rank` (1-based from the top) among an
 /// estimated `n` answers drawn from `dist`.
@@ -19,11 +19,7 @@ use crate::piecewise::Distribution;
 /// fill the top-k", which makes every relaxation potentially useful.
 ///
 /// `n` is fractional because it comes from cardinality *estimates*.
-pub fn expected_score_at_rank<D: Distribution + ?Sized>(
-    dist: &D,
-    n: f64,
-    rank: usize,
-) -> Option<f64> {
+pub fn expected_score_at_rank(dist: &TwoBucketHistogram, n: f64, rank: usize) -> Option<f64> {
     assert!(rank >= 1, "ranks are 1-based");
     if !(n.is_finite()) || n < rank as f64 {
         return None;
@@ -35,12 +31,15 @@ pub fn expected_score_at_rank<D: Distribution + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::histogram::TwoBucketHistogram;
-    use crate::piecewise::PiecewiseConstantPdf;
+
+    /// The uniform distribution on `[0, 1]` as a two-bucket histogram.
+    fn uniform() -> TwoBucketHistogram {
+        TwoBucketHistogram::new(1.0, 0.5, 0.5)
+    }
 
     #[test]
     fn uniform_order_statistics() {
-        let u = PiecewiseConstantPdf::new(vec![0.0, 1.0], vec![1.0]);
+        let u = uniform();
         // Max of 9 uniforms ≈ 0.9, median rank ≈ 0.5.
         let top = expected_score_at_rank(&u, 9.0, 1).unwrap();
         assert!((top - 0.9).abs() < 1e-9);
@@ -52,7 +51,7 @@ mod tests {
 
     #[test]
     fn rank_beyond_n_is_none() {
-        let u = PiecewiseConstantPdf::new(vec![0.0, 1.0], vec![1.0]);
+        let u = uniform();
         assert!(expected_score_at_rank(&u, 3.0, 4).is_none());
         assert!(expected_score_at_rank(&u, 0.0, 1).is_none());
         assert!(expected_score_at_rank(&u, 2.9, 3).is_none());
@@ -81,7 +80,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "1-based")]
     fn rank_zero_panics() {
-        let u = PiecewiseConstantPdf::new(vec![0.0, 1.0], vec![1.0]);
+        let u = uniform();
         let _ = expected_score_at_rank(&u, 5.0, 0);
     }
 
@@ -90,7 +89,7 @@ mod tests {
         // Cardinality estimates are arithmetic over floats — a degenerate
         // estimator can hand us NaN or ∞. Both must refuse to predict
         // rather than produce a garbage quantile argument.
-        let u = PiecewiseConstantPdf::new(vec![0.0, 1.0], vec![1.0]);
+        let u = uniform();
         assert!(expected_score_at_rank(&u, f64::NAN, 1).is_none());
         assert!(expected_score_at_rank(&u, f64::INFINITY, 1).is_none());
         assert!(expected_score_at_rank(&u, f64::NEG_INFINITY, 1).is_none());

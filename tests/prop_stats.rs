@@ -2,10 +2,7 @@
 //! order statistics.
 
 use proptest::prelude::*;
-use specqp_stats::{
-    expected_score_at_rank, refit_two_bucket, Distribution, PatternStats, PiecewiseConstantPdf,
-    TwoBucketHistogram,
-};
+use specqp_stats::{expected_score_at_rank, refit_two_bucket, PatternStats, TwoBucketHistogram};
 
 /// Strategy: a normalized descending score list (head = 1.0).
 fn score_list() -> impl Strategy<Value = Vec<f64>> {
@@ -15,6 +12,12 @@ fn score_list() -> impl Strategy<Value = Vec<f64>> {
         v.iter_mut().for_each(|x| *x /= max);
         v
     })
+}
+
+/// The mean of a two-bucket histogram, in closed form.
+fn mean(h: &TwoBucketHistogram) -> f64 {
+    let tail = (1.0 - h.head_mass()) * h.sigma() / 2.0;
+    tail + h.head_mass() * (h.sigma() + h.domain_max()) / 2.0
 }
 
 /// Strategy: a valid two-bucket histogram.
@@ -54,21 +57,18 @@ proptest! {
         }
     }
 
-    /// Convolution preserves mass and adds means; refit preserves domain and
-    /// mass and keeps the mean in the convex hull of the support.
+    /// Convolution adds means and domains; refit preserves domain and mass
+    /// and keeps the mean in the convex hull of the support.
     #[test]
     fn convolution_and_refit_preserve_structure(a in histogram(), b in histogram()) {
-        let pa = a.to_piecewise_constant();
-        let pb = b.to_piecewise_constant();
-        let conv = pa.convolve(&pb);
-        prop_assert!((conv.mass() - 1.0).abs() < 1e-6, "mass {}", conv.mass());
-        prop_assert!((conv.mean() - (pa.mean() + pb.mean())).abs() < 1e-6);
-        prop_assert!((conv.domain_max() - (pa.domain_max() + pb.domain_max())).abs() < 1e-9);
+        let conv = a.convolve(&b);
+        prop_assert!((conv.score_mass() - (mean(&a) + mean(&b))).abs() < 1e-6);
+        prop_assert!((conv.domain_max() - (a.domain_max() + b.domain_max())).abs() < 1e-9);
 
         let refit = refit_two_bucket(&conv);
         prop_assert!((refit.domain_max() - conv.domain_max()).abs() < 1e-9);
         prop_assert!((refit.mass() - 1.0).abs() < 1e-9);
-        prop_assert!(refit.mean() > 0.0 && refit.mean() < refit.domain_max());
+        prop_assert!(mean(&refit) > 0.0 && mean(&refit) < refit.domain_max());
         // The refit boundary sits at the 20% score-mass point.
         let tail = conv.partial_score_mass(0.0, refit.sigma());
         let total = conv.score_mass();
@@ -124,13 +124,13 @@ proptest! {
 /// mean that grows with every added uniform and stays inside the domain.
 #[test]
 fn iterated_convolution_stable() {
-    let u = PiecewiseConstantPdf::new(vec![0.0, 1.0], vec![1.0]);
-    let mut acc = u.clone();
+    let u = TwoBucketHistogram::new(1.0, 0.5, 0.5);
+    let mut acc = u;
     for _ in 0..6 {
-        let before = acc.mean();
-        acc = refit_two_bucket(&acc.convolve(&u)).to_piecewise_constant();
+        let before = mean(&acc);
+        acc = refit_two_bucket(&acc.convolve(&u));
         assert!((acc.mass() - 1.0).abs() < 1e-6);
-        assert!(acc.mean() > before && acc.mean() < acc.domain_max());
+        assert!(mean(&acc) > before && mean(&acc) < acc.domain_max());
     }
     assert!((acc.domain_max() - 7.0).abs() < 1e-9);
 }
