@@ -175,15 +175,6 @@ impl QueryPlan {
         self.relaxed.iter().filter(|&&r| r).count()
     }
 
-    /// `true` iff the partition covers each pattern exactly once (always
-    /// true by construction; kept as an invariant check for property
-    /// tests).
-    pub fn is_valid_partition(&self) -> bool {
-        let jg = self.join_group();
-        let sg = self.singletons();
-        jg.len() + sg.len() == self.relaxed.len() && jg.iter().all(|i| !sg.contains(i))
-    }
-
     /// Human-readable plan description mirroring the paper's notation.
     pub fn explain(&self, query: &Query, dict: &Dictionary) -> String {
         use std::fmt::Write;
@@ -234,7 +225,6 @@ mod tests {
         assert_eq!(p.relaxed_count(), 2);
         assert!(p.is_relaxed(1));
         assert!(!p.is_relaxed(0));
-        assert!(p.is_valid_partition());
     }
 
     #[test]

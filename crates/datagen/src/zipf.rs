@@ -65,12 +65,6 @@ pub fn zipf_weight(rank: usize, s: f64) -> f64 {
     ((rank + 1) as f64).powf(-s)
 }
 
-/// A deterministic power-law *score* for a rank: `scale·(rank+1)^{-s}`,
-/// floored at 1.0 so scores remain count-like.
-pub fn power_law_score(rank: usize, scale: f64, s: f64) -> f64 {
-    (scale * zipf_weight(rank, s)).max(1.0)
-}
-
 /// A power law riding on a baseline: `scale·(floor + (1−floor)·(rank+1)^{-s})`.
 ///
 /// Pure power laws normalized by their maximum put the 80%-score-mass
@@ -123,14 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn power_law_scores_are_floored_counts() {
-        assert_eq!(power_law_score(0, 1000.0, 1.0), 1000.0);
-        assert_eq!(power_law_score(999_999, 1000.0, 1.0), 1.0);
-        let s1 = power_law_score(1, 1000.0, 1.0);
-        assert!((s1 - 500.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn blended_scores_keep_sigma_moderate() {
         // Normalized boundary score at the 80%-mass rank stays well above
         // zero when a baseline is present.
@@ -150,16 +136,5 @@ mod tests {
             }
         }
         assert!(sigma > 0.2, "sigma_r = {sigma}");
-    }
-
-    #[test]
-    fn score_list_is_8020_shaped() {
-        // The generated score lists must actually look like the paper's
-        // 80/20 observation: top 20% of ranks hold well over half the mass.
-        let n = 1000;
-        let scores: Vec<f64> = (0..n).map(|r| power_law_score(r, 10_000.0, 1.0)).collect();
-        let total: f64 = scores.iter().sum();
-        let head: f64 = scores[..n / 5].iter().sum();
-        assert!(head / total > 0.55, "head fraction {}", head / total);
     }
 }

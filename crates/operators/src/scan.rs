@@ -3,7 +3,7 @@
 use crate::block::{AnswerBlock, BlockSizer, BlockStream};
 use crate::metrics::MetricsHandle;
 use kgstore::{KnowledgeGraph, MatchList, PatternKey, Triple, TripleScore};
-use sparql::{Term, TriplePattern, Var};
+use sparql::{PatternShape, Term, TriplePattern, Var};
 use specqp_common::{Score, TermId};
 use std::ops::Range;
 
@@ -55,9 +55,7 @@ pub struct BlockScan<'g> {
     /// Rank of the next match satisfying the repeated-variable constraint.
     next_rank: usize,
     /// Repeated-variable equality requirements (`?x p ?x` and friends).
-    req_sp: bool,
-    req_so: bool,
-    req_po: bool,
+    shape: PatternShape,
     schema: Vec<Var>,
     /// Per schema variable, the triple position (0 = s, 1 = p, 2 = o) it
     /// is read from.
@@ -78,7 +76,6 @@ impl<'g> BlockScan<'g> {
     ) -> Self {
         let (s, p, o) = pattern.const_parts();
         let list = graph.matches(PatternKey { s, p, o });
-        let same = |x: Term, y: Term| x.is_var() && x == y;
         let mut pairs: Vec<(Var, usize)> = Vec::with_capacity(3);
         for (position, t) in [pattern.s, pattern.p, pattern.o].into_iter().enumerate() {
             if let Term::Var(v) = t {
@@ -93,9 +90,7 @@ impl<'g> BlockScan<'g> {
             weight,
             normalizer: 0.0,
             next_rank: 0,
-            req_sp: same(pattern.s, pattern.p),
-            req_so: same(pattern.s, pattern.o),
-            req_po: same(pattern.p, pattern.o),
+            shape: pattern.shape(),
             schema: pairs.iter().map(|&(v, _)| v).collect(),
             positions: pairs.iter().map(|&(_, p)| p).collect(),
             sizer: BlockSizer::new(block_size),
@@ -109,11 +104,11 @@ impl<'g> BlockScan<'g> {
     }
 
     fn has_repeat(&self) -> bool {
-        self.req_sp || self.req_so || self.req_po
+        self.shape != PatternShape::Distinct
     }
 
     fn satisfies(&self, t: &Triple) -> bool {
-        !(self.req_sp && t.s != t.p || self.req_so && t.s != t.o || self.req_po && t.p != t.o)
+        self.shape.admits(t.s, t.p, t.o)
     }
 
     fn find_satisfying(&self, from: usize) -> usize {

@@ -22,6 +22,22 @@ pub enum PatternShape {
     AllEqual,
 }
 
+impl PatternShape {
+    /// `true` if a triple `(s, p, o)` satisfies the variable equalities this
+    /// shape demands: the one repeated-variable rule that scans, statistics
+    /// and cardinalities all filter match lists by.
+    #[inline]
+    pub fn admits(self, s: TermId, p: TermId, o: TermId) -> bool {
+        match self {
+            PatternShape::Distinct => true,
+            PatternShape::SpEqual => s == p,
+            PatternShape::SoEqual => s == o,
+            PatternShape::PoEqual => p == o,
+            PatternShape::AllEqual => s == p && p == o,
+        }
+    }
+}
+
 /// A triple pattern 〈S,P,O〉 whose components are constants or variables.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TriplePattern {
@@ -204,6 +220,23 @@ mod tests {
             TriplePattern::new(v(0), v(0), v(0)).shape(),
             PatternShape::AllEqual
         );
+    }
+
+    #[test]
+    fn shapes_admit_exactly_the_triples_their_equalities_allow() {
+        let (x, y, z) = (TermId(1), TermId(2), TermId(3));
+        // (s, p, o): all equal, then each pair equal, then none.
+        let triples = [(x, x, x), (x, x, y), (x, y, x), (y, x, x), (x, y, z)];
+        for (shape, admitted) in [
+            (PatternShape::Distinct, [true; 5]),
+            (PatternShape::SpEqual, [true, true, false, false, false]),
+            (PatternShape::SoEqual, [true, false, true, false, false]),
+            (PatternShape::PoEqual, [true, false, false, true, false]),
+            (PatternShape::AllEqual, [true, false, false, false, false]),
+        ] {
+            let got = triples.map(|(s, p, o)| shape.admits(s, p, o));
+            assert_eq!(got, admitted, "{shape:?}");
+        }
     }
 
     #[test]

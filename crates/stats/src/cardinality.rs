@@ -263,7 +263,7 @@ impl Summary {
             .ids()
             .iter()
             .map(|&id| graph.triple(id))
-            .filter(|t| satisfies(shape, t));
+            .filter(|t| shape.admits(t.s, t.p, t.o));
         let at = |t: &Triple, pos: usize| [t.s.0, t.p.0, t.o.0][pos];
         match kept[..] {
             [] => Summary::One(tally(rows.map(|_| 0), 1)),
@@ -317,18 +317,6 @@ impl Summary {
                 .iter()
                 .for_each(|(&k, &n)| f(&[(k >> 64) as u32, (k >> 32) as u32, k as u32], n)),
         }
-    }
-}
-
-/// `true` if `t` satisfies the variable equalities `shape` demands.
-#[inline]
-fn satisfies(shape: PatternShape, t: &Triple) -> bool {
-    match shape {
-        PatternShape::Distinct => true,
-        PatternShape::SpEqual => t.s == t.p,
-        PatternShape::SoEqual => t.s == t.o,
-        PatternShape::PoEqual => t.p == t.o,
-        PatternShape::AllEqual => t.s == t.p && t.p == t.o,
     }
 }
 

@@ -155,14 +155,7 @@ impl StatsCatalog {
             shape => {
                 let mut scores: Vec<f64> = Vec::new();
                 for (t, score) in list.iter_triples() {
-                    let keep = match shape {
-                        sparql::PatternShape::SpEqual => t.s == t.p,
-                        sparql::PatternShape::SoEqual => t.s == t.o,
-                        sparql::PatternShape::PoEqual => t.p == t.o,
-                        sparql::PatternShape::AllEqual => t.s == t.p && t.p == t.o,
-                        sparql::PatternShape::Distinct => true,
-                    };
-                    if keep {
+                    if shape.admits(t.s, t.p, t.o) {
                         scores.push(score.value());
                     }
                 }

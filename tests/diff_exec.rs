@@ -1,6 +1,6 @@
 //! Differential harness: one query generator over XKG and Twitter, checked
-//! against block-size independence, the naive oracle and the speculation
-//! lifecycle's recovery.
+//! against block-size independence, the naive oracle, the speculation
+//! lifecycle's recovery and, under live writes, a rebuild from scratch.
 //!
 //! 1. **Block sizes and the oracle.** For hundreds of generated queries
 //!    per dataset (seeded through the vendored proptest), the block
@@ -23,10 +23,28 @@
 //!    the answers it returns — the speculative top-k with one delta run
 //!    folded in per escalated pattern — are the answers of executing the
 //!    escalated plan from scratch.
+//! 4. **Live epochs ≡ rebuild.** Generated write schedules commit batches —
+//!    fresh triples, score replacements, retractions — to the lists that
+//!    generated queries and their relaxations read, one history after
+//!    another on one [`LiveGraph`] per world, under the world's rules.
+//!    After every commit the pinned version is rebuilt from scratch
+//!    ([`rebuild`]), and on the live version Spec-QP (`Off` and `Fallback`)
+//!    and TriniT at block sizes 7 and 128 must answer as on the rebuild,
+//!    TriniT as `run_naive` does there on queries of up to three patterns,
+//!    and every recovery as a restart of its escalated plan. Each list the
+//!    schedule writes to, the whole graph and each written triple resolve
+//!    to the rebuild's rows on a first read (the overlay merges the list)
+//!    and on a second (the version's memo serves it); a version pinned
+//!    after a history's first batch answers the same for the rest of it;
+//!    and the last version, compacted and sent through a snapshot, still
+//!    answers the same.
 //!
-//! Recovery compares with `==` too: scores are exact fixed-point sums, so
-//! the order in which a delta or a restart adds an answer's pattern scores
-//! cannot move a bit, and ties at rank k break by binding in both.
+//! Every lap compares with `==`: scores are exact fixed-point sums, so the
+//! order in which a delta, a restart or a rebuilt graph adds an answer's
+//! pattern scores cannot move a bit, and ties at rank k break by binding
+//! in both. A rebuild keeps every term id and storage order, so the same
+//! query and rules mean the same in it and ties in a match list break the
+//! same way.
 //!
 //! Queries are assembled from the patterns of the generators' own workloads
 //! (rebased onto shared variables), so they have the same pattern
@@ -35,13 +53,17 @@
 //! patterns chain into paths and snowflakes.
 
 use datagen::{Dataset, TwitterConfig, TwitterGenerator, XkgConfig, XkgGenerator};
-use operators::{is_star, ExecutionMode, DEFAULT_BLOCK_SIZE};
+use kgstore::{
+    CompactionPolicy, KnowledgeGraph, KnowledgeGraphBuilder, LiveGraph, PatternKey, Triple,
+    WriteBatch,
+};
+use operators::{is_star, ExecutionMode, PartialAnswer, DEFAULT_BLOCK_SIZE};
 use proptest::prelude::*;
 use proptest::test_runner::TestRunner;
 use sparql::{Query, QueryBuilder, Term, TriplePattern};
 use specqp::{star_join_var, Engine, EngineConfig, SpeculationPolicy};
 use specqp_common::TermId;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The block sizes the executor laps compare with the default one.
 const BLOCK_SIZES: [usize; 3] = [1, 7, 4096];
@@ -167,15 +189,24 @@ fn build_query(world: &World, picks: &[u16], order: &[u32]) -> Option<Query> {
     qb.build().ok()
 }
 
-/// The default engine over `world` at block size `execution` under
+/// The default configuration at block size `execution` under
 /// `speculation`.
-fn engine(world: &World, execution: ExecutionMode, speculation: SpeculationPolicy) -> Engine<'_> {
-    let config = EngineConfig {
+fn config(execution: ExecutionMode, speculation: SpeculationPolicy) -> EngineConfig {
+    EngineConfig {
         execution,
         speculation,
         ..EngineConfig::default()
-    };
-    Engine::with_config(&world.ds.graph, &world.ds.registry, config)
+    }
+}
+
+/// The default engine over `world` at block size `execution` under
+/// `speculation`.
+fn engine(world: &World, execution: ExecutionMode, speculation: SpeculationPolicy) -> Engine<'_> {
+    Engine::with_config(
+        &world.ds.graph,
+        &world.ds.registry,
+        config(execution, speculation),
+    )
 }
 
 /// The default engine over `world` at `size` rows per block.
@@ -474,4 +505,381 @@ fn workload_queries_recovered_runs_equal_trinit() {
         }
     }
     assert!(recovered >= 4, "too few recoveries to prove anything");
+}
+
+/// The block sizes the live lap runs on every epoch.
+const LIVE_BLOCK_SIZES: [usize; 2] = [7, DEFAULT_BLOCK_SIZE];
+
+/// Generated histories per world in the live lap, committed one after the
+/// other to one live graph that folds after the last, each with a star
+/// ([`star_picks`]) and two more generated queries, and at most two
+/// batches of up to five writes.
+const LIVE_CASES: u32 = 3;
+
+/// Relaxations per pattern whose lists the live lap writes to, best
+/// weight first.
+const WRITTEN_RELAXATIONS: usize = 3;
+
+/// One write the live lap draws: `(kind, list, row, score)`. `list` picks
+/// one of the lists the queries read and `row` one of its rows; `kind % 4`
+/// retracts that row (0), replaces its score (1), or asserts a fresh
+/// triple into the list for the subject of a row of another list (2) or
+/// for a fresh subject (3). The score is `score + 1` 64ths of the list's
+/// head, so a write can take over the head. A write to an empty list
+/// asserts a fresh triple.
+type RawOp = (u8, u16, u16, u8);
+
+/// What the live histories covered, for the lap's guards: queries that
+/// take the star join, query epochs whose batch wrote into a list that a
+/// relaxed merge of Spec-QP's plan reads, and runs that recovered on an
+/// overlay version.
+#[derive(Default)]
+struct LiveCoverage {
+    star_joins: usize,
+    relaxed_writes: usize,
+    overlay_recoveries: usize,
+}
+
+/// `draws` as picks of `world`'s `?x <p> ?y` patterns, unchained, so that
+/// two distinct ones make a star that takes the star join; unchanged where
+/// the world has no such pattern.
+fn star_picks(world: &World, draws: &[u16]) -> Vec<u16> {
+    let open: Vec<u16> = (0..world.pool.len() as u16)
+        .filter(|&i| matches!(world.pool[usize::from(i)], PoolPattern::Open { .. }))
+        .collect();
+    if open.is_empty() {
+        return draws.to_vec();
+    }
+    let open_pick = |d: u16| open[usize::from(d) % open.len()];
+    draws.iter().map(|&d| open_pick(d)).collect()
+}
+
+/// A flat graph holding `version`'s visible triples, built from scratch.
+/// The version's dictionary is interned first, in id order (as specbench's
+/// `build_graph` does), so every term keeps its id and the world's rules
+/// and queries mean the same in both graphs; the triples go in in the
+/// version's storage order, so ties in a match list break the same way.
+fn rebuild(version: &KnowledgeGraph) -> KnowledgeGraph {
+    let mut b = KnowledgeGraphBuilder::new();
+    for (id, name) in version.dictionary().iter() {
+        assert_eq!(b.intern(name), id, "terms intern in id order");
+    }
+    for t in version.iter_scored() {
+        b.add_ids(t.triple.s, t.triple.p, t.triple.o, t.score);
+    }
+    b.build()
+}
+
+/// The match-list key of `pattern`'s constants.
+fn key_of(pattern: &TriplePattern) -> PatternKey {
+    let (s, p, o) = pattern.const_parts();
+    PatternKey { s, p, o }
+}
+
+/// Queues `op` on `batch`, resolved against `version`, and returns the
+/// triple it writes by names; `fresh` numbers the terms it makes up.
+fn push_op(
+    version: &KnowledgeGraph,
+    lists: &[TriplePattern],
+    (kind, list, row, score): RawOp,
+    fresh: usize,
+    batch: &mut WriteBatch,
+) -> [String; 3] {
+    let name = |t: TermId| version.dictionary().name_or_unknown(t).to_string();
+    // The picked row of the `list`th list and that list's head score.
+    let pick = |list: usize| {
+        let rows = version.matches(key_of(&lists[list % lists.len()]));
+        let row = usize::from(row) % rows.len().max(1);
+        (!rows.is_empty()).then(|| (rows.triple_at(row), rows.score_at(0).value()))
+    };
+    let (list, pattern) = (usize::from(list), lists[usize::from(list) % lists.len()]);
+    let picked = pick(list);
+    let score = picked.map_or(1.0, |(_, head)| head) * (f64::from(score) + 1.0) / 64.0;
+    let names = |t: Triple| [name(t.s), name(t.p), name(t.o)];
+    let written = match (kind % 4, picked) {
+        (0, Some((t, _))) => {
+            let [s, p, o] = names(t);
+            batch.retract(&s, &p, &o);
+            return [s, p, o];
+        }
+        (1, Some((t, _))) => names(t),
+        (kind, _) => {
+            let other = pick(list + 1 + usize::from(row)).filter(|_| kind == 2);
+            let subject = other.map_or(format!("live:s{fresh}"), |(t, _)| name(t.s));
+            let object = match (pattern.o, picked) {
+                (Term::Const(o), _) => name(o),
+                (Term::Var(_), Some((t, _))) => name(t.o),
+                (Term::Var(_), None) => format!("live:o{fresh}"),
+            };
+            let p = pattern.p.as_const().expect("generated patterns bind p");
+            [subject, name(p), object]
+        }
+    };
+    batch.assert(&written[0], &written[1], &written[2], score);
+    written
+}
+
+/// Every key's list on `version` equals `rebuilt`'s, in rank order with
+/// the same score bits, on a first read and on a second one that the
+/// version's memo serves.
+fn check_match_lists(
+    version: &KnowledgeGraph,
+    rebuilt: &KnowledgeGraph,
+    keys: &[PatternKey],
+) -> Result<(), TestCaseError> {
+    let rows = |graph: &KnowledgeGraph, key| -> Vec<(Triple, u64)> {
+        let list = graph.matches(key);
+        let row = |(t, score): (Triple, kgstore::TripleScore)| (t, score.value().to_bits());
+        list.iter_triples().map(row).collect()
+    };
+    for &key in keys {
+        let want = rows(rebuilt, key);
+        prop_assert_eq!(&rows(version, key), &want, "first read of {:?}", key);
+        prop_assert_eq!(&rows(version, key), &want, "second read of {:?}", key);
+    }
+    prop_assert_eq!(version.len(), version.iter_scored().count());
+    prop_assert_eq!(version.len(), rebuilt.len());
+    Ok(())
+}
+
+/// A live graph over one world, and the `Off` engines that serve it at
+/// [`LIVE_BLOCK_SIZES`] for its whole life, so every epoch also checks
+/// that nothing an engine cached on an earlier one leaks into it.
+struct LiveWorld {
+    world: &'static World,
+    live: Arc<LiveGraph>,
+    off: Vec<Engine<'static>>,
+    /// Terms made up so far.
+    fresh: usize,
+}
+
+impl LiveWorld {
+    fn new(world: &'static World) -> Self {
+        let base = rebuild(&world.ds.graph);
+        let live = Arc::new(LiveGraph::with_policy(base, CompactionPolicy::never()));
+        let engine = |size| live_engine(world, &live, size, SpeculationPolicy::Off);
+        let off = LIVE_BLOCK_SIZES.map(engine).into();
+        LiveWorld {
+            world,
+            live,
+            off,
+            fresh: 0,
+        }
+    }
+
+    /// Commits each of `batches` as one epoch and checks every query at its
+    /// k against a rebuild after each commit, then, if `fold`, folds the
+    /// overlay (item 4 of the module docs).
+    fn check_history(
+        &mut self,
+        queries: &[(Query, usize)],
+        batches: &[Vec<RawOp>],
+        fold: bool,
+        coverage: &mut LiveCoverage,
+    ) -> Result<(), TestCaseError> {
+        let registry = &self.world.ds.registry;
+        let mut lists: Vec<TriplePattern> = Vec::new();
+        for (q, _) in queries {
+            for pattern in q.patterns() {
+                let relaxations = registry.relaxations_for(pattern);
+                let relaxed = relaxations.iter().take(WRITTEN_RELAXATIONS);
+                for list in std::iter::once(*pattern).chain(relaxed.map(|r| r.pattern)) {
+                    if !lists.contains(&list) {
+                        lists.push(list);
+                    }
+                }
+            }
+        }
+        let mut keys: Vec<PatternKey> = lists.iter().map(key_of).collect();
+        keys.push(PatternKey::any());
+        let mut pinned: Option<(Engine<'static>, Vec<Vec<PartialAnswer>>)> = None;
+        let mut last = None;
+        for ops in batches {
+            let (before, _) = self.live.pinned();
+            let mut batch = WriteBatch::new();
+            let mut written = Vec::with_capacity(ops.len());
+            for &op in ops {
+                self.fresh += 1;
+                written.push(push_op(&before, &lists, op, self.fresh, &mut batch));
+            }
+            self.live.commit(&batch);
+            let (version, epoch) = self.live.pinned();
+            prop_assert!(version.has_overlay(), "nothing folds mid-history");
+            let id = |name: &str| version.dictionary().lookup(name).expect("interned");
+            let written: Vec<PatternKey> = written
+                .iter()
+                .map(|[s, p, o]| PatternKey::spo(id(s), id(p), id(o)))
+                .collect();
+            let rebuilt = rebuild(&version);
+            check_match_lists(&version, &rebuilt, &[&keys[..], &written].concat())?;
+            let mut wants = Vec::with_capacity(queries.len());
+            for (q, k) in queries {
+                wants.push(self.check_epoch(&rebuilt, q, *k, &written, coverage)?);
+            }
+            // The version the first batch published keeps answering what
+            // its rebuild answered, however many epochs follow.
+            let (engine, frozen) = pinned.get_or_insert_with(|| {
+                (Engine::new(Arc::clone(&version), registry), wants.clone())
+            });
+            for ((q, k), frozen) in queries.iter().zip(frozen.iter()) {
+                let answers = engine.run_specqp(q, *k).answers;
+                prop_assert_eq!(&answers, frozen, "pinned answers drifted at {}", epoch);
+            }
+            last = Some((rebuilt, wants));
+        }
+
+        // Compaction moves no visible triple, and the folded graph survives
+        // a snapshot round-trip: three graphs, one set of lists and answers.
+        let Some((rebuilt, wants)) = last.filter(|_| fold) else {
+            return Ok(());
+        };
+        self.live.compact();
+        let (folded, _) = self.live.pinned();
+        prop_assert!(!folded.has_overlay(), "compaction flattens");
+        check_match_lists(&folded, &rebuilt, &keys)?;
+        let bytes = kgstore::write_snapshot(&folded);
+        let loaded = kgstore::read_snapshot(&bytes).expect("snapshot v2 round-trip");
+        let reloaded = Engine::new(&loaded, registry);
+        for ((q, k), want) in queries.iter().zip(&wants) {
+            prop_assert_eq!(&self.off[0].run_specqp(q, *k).answers, want, "compacted");
+            prop_assert_eq!(&reloaded.run_specqp(q, *k).answers, want, "reloaded");
+        }
+        Ok(())
+    }
+
+    /// Checks `q` at `k` on the live graph's current version against
+    /// `rebuilt`, its rebuild, and returns the rebuild's Spec-QP answers.
+    /// `written` holds the triples the epoch's batch wrote.
+    fn check_epoch(
+        &self,
+        rebuilt: &KnowledgeGraph,
+        q: &Query,
+        k: usize,
+        written: &[PatternKey],
+        coverage: &mut LiveCoverage,
+    ) -> Result<Vec<PartialAnswer>, TestCaseError> {
+        let registry = &self.world.ds.registry;
+        let at_default = |speculation| {
+            let config = config(ExecutionMode::Block(DEFAULT_BLOCK_SIZE), speculation);
+            Engine::with_config(rebuilt, registry, config)
+        };
+        let reference = at_default(SpeculationPolicy::Off);
+        let want_spec = reference.run_specqp(q, k);
+        let want_trinit = reference.run_trinit(q, k);
+        if q.len() <= 3 {
+            prop_assert_eq!(&want_trinit.answers, &reference.run_naive(q, k).answers);
+        }
+        for (size, engine) in LIVE_BLOCK_SIZES.iter().zip(&self.off) {
+            let spec = engine.run_specqp(q, k);
+            prop_assert_eq!(&spec.plan, &want_spec.plan, "specqp plan, size {}", size);
+            prop_assert_eq!(&spec.answers, &want_spec.answers, "specqp, size {}", size);
+            let trinit = engine.run_trinit(q, k).answers;
+            prop_assert_eq!(&trinit, &want_trinit.answers, "trinit, size {}", size);
+        }
+        // Fresh engines on both sides, so no ledger verdict of an earlier
+        // epoch steers either plan.
+        let fallback = SpeculationPolicy::Fallback { max_stages: 3 };
+        let want = at_default(fallback).run_specqp(q, k);
+        for size in LIVE_BLOCK_SIZES {
+            let engine = live_engine(self.world, &self.live, size, fallback);
+            let out = engine.run_specqp(q, k);
+            let stages = out.report.fallback_stages;
+            prop_assert_eq!(stages, want.report.fallback_stages, "size {}", size);
+            prop_assert_eq!(&out.plan, &want.plan, "fallback plan, size {}", size);
+            prop_assert_eq!(&out.answers, &want.answers, "fallback, size {}", size);
+            if stages > 0 {
+                coverage.overlay_recoveries += 1;
+                let restart = engine.run_with_plan(q, k, out.plan.clone());
+                prop_assert_eq!(&out.answers, &restart.answers, "delta ≠ restart");
+            }
+        }
+        // A relaxed merge reads the lists of its pattern's relaxations.
+        let patterns = q.patterns();
+        let mut relaxed = (0..patterns.len())
+            .filter(|&i| want_spec.plan.is_relaxed(i))
+            .flat_map(|i| registry.relaxations_for(&patterns[i]));
+        let holds = |key: PatternKey, t: &PatternKey| {
+            let at = |want: Option<TermId>, got| want.is_none_or(|w| Some(w) == got);
+            at(key.s, t.s) && at(key.p, t.p) && at(key.o, t.o)
+        };
+        if relaxed.any(|r| written.iter().any(|t| holds(key_of(&r.pattern), t))) {
+            coverage.relaxed_writes += 1;
+        }
+        Ok(want_spec.answers)
+    }
+}
+
+/// An engine over `live`, a graph of `world`, at `size` rows per block.
+fn live_engine(
+    world: &'static World,
+    live: &Arc<LiveGraph>,
+    size: usize,
+    speculation: SpeculationPolicy,
+) -> Engine<'static> {
+    let config = config(ExecutionMode::Block(size), speculation);
+    Engine::with_config(Arc::clone(live), &world.ds.registry, config)
+}
+
+/// Generated write schedules on XKG and Twitter, with their rules, through
+/// [`LiveWorld::check_history`]. Guards keep the lap from going vacuous
+/// unnoticed: some queries take the star join, some batches write into a
+/// list a relaxed merge reads, and some runs recover on an overlay version.
+#[test]
+fn live_reads_equal_rebuild_from_scratch() {
+    let op = (any::<u8>(), any::<u16>(), any::<u16>(), any::<u8>());
+    let query = |picks| (proptest::collection::vec(any::<u16>(), picks), 1usize..=25);
+    let strategy = (
+        query(2..=2),
+        proptest::collection::vec(query(1..=4), 2),
+        proptest::collection::vec(proptest::collection::vec(op, 1..=5), 1..=2),
+    );
+    let mut coverage = LiveCoverage::default();
+    for world in [xkg(), twitter()] {
+        let (mut live, mut cases) = (LiveWorld::new(world), 0);
+        let mut runner = TestRunner::new(ProptestConfig::with_cases(LIVE_CASES));
+        runner.run(&strategy, |((star, star_k), picks, batches)| {
+            let star = (star_picks(world, &star), star_k);
+            let queries: Vec<(Query, usize)> = std::iter::once(star)
+                .chain(picks)
+                .filter_map(|(picks, k)| Some((build_query(world, &picks, &[])?, k)))
+                .collect();
+            let stars = queries.iter().filter(|(q, _)| star_join_var(q).is_some());
+            coverage.star_joins += stars.count();
+            cases += 1;
+            live.check_history(&queries, &batches, cases == LIVE_CASES, &mut coverage)
+        });
+    }
+    assert!(coverage.star_joins > 0, "no query takes the star join");
+    assert!(
+        coverage.relaxed_writes > 0,
+        "no write reached a relaxed merge"
+    );
+    assert!(coverage.overlay_recoveries > 0, "no run recovered live");
+}
+
+/// A deterministic worst-case history on XKG — in every batch the head
+/// rows of every list the query writes to are replaced at shuffled scores
+/// and half of them retracted — pinned outside proptest so a regression
+/// fails loudly with a stable name.
+#[test]
+fn replacement_heavy_history_stays_equivalent() {
+    let world = xkg();
+    let q = build_query(world, &[1, 3, 6], &[]).expect("the picks make a query");
+    let lists = (q.len() * (1 + WRITTEN_RELAXATIONS)) as u16;
+    let batches: Vec<Vec<RawOp>> = (0..3u16)
+        .map(|round| {
+            let mut ops = Vec::new();
+            for (list, row) in (0..lists).flat_map(|list| (0..3u16).map(move |row| (list, row))) {
+                let score = (row * 37 + round * 11 + list * 5) % 128;
+                ops.push((1, list, row, score as u8));
+                if (row + round) % 2 == 0 {
+                    ops.push((0, list, row, 0));
+                }
+            }
+            ops
+        })
+        .collect();
+    let mut coverage = LiveCoverage::default();
+    let history = LiveWorld::new(world).check_history(&[(q, 10)], &batches, true, &mut coverage);
+    history.unwrap();
 }
